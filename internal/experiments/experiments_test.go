@@ -65,6 +65,30 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestQuickExperimentsFiniteOverSeeds: no Quick experiment plots a
+// non-finite point on any of the seeds 1–14. abl-switchtime used to: on
+// seeds 3, 7, 11 and 12 a processor never reaches its switch point in
+// any replication, and the mean of its empty accumulator is NaN.
+func TestQuickExperimentsFiniteOverSeeds(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			for seed := uint64(1); seed <= 14; seed++ {
+				res := Registry[id].Run(Config{Seed: seed, Quick: true})
+				for _, s := range res.Series {
+					if len(s.Points) == 0 {
+						t.Errorf("seed %d: series %q is empty", seed, s.Name)
+					}
+					for _, p := range s.Points {
+						if v := p.X + p.Y + p.StdDev; math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Errorf("seed %d: series %q has the non-finite point %+v", seed, s.Name, p)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDataAwareBeatsRandom encodes the paper's central qualitative
 // claim (Figs 1, 4, 9): data-aware strategies ship far less data.
 func TestDataAwareBeatsRandom(t *testing.T) {

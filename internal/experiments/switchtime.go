@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/outer"
@@ -94,11 +95,19 @@ func SwitchTime(cfg Config) *plot.Result {
 	measured := plot.Series{Name: "measured t_k(x_k)"}
 	pred := plot.Series{Name: "predicted n²(1−e^−β)/Σs"}
 	worst := 0.0
+	var never []string
 	for rank, k := range order {
 		x := float64(rank)
+		pred.Points = append(pred.Points, plot.Point{X: x, Y: predicted})
+		if accs[k].N() == 0 {
+			// The processor never owned x_k·n blocks in any replication
+			// (at small n the run can end first): it has no switch
+			// instant to plot or to compare.
+			never = append(never, fmt.Sprintf("rank %d (rs=%.3f)", rank, rs[k]))
+			continue
+		}
 		mean := accs[k].Mean()
 		measured.Points = append(measured.Points, plot.Point{X: x, Y: mean, StdDev: accs[k].StdDev()})
-		pred.Points = append(pred.Points, plot.Point{X: x, Y: predicted})
 		if rel := math.Abs(mean-predicted) / predicted; rel > worst {
 			worst = rel
 		}
@@ -106,5 +115,9 @@ func SwitchTime(cfg Config) *plot.Result {
 	res.Series = []plot.Series{measured, pred}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d replications; worst relative deviation of any processor's switch instant from the common prediction: %.2f%%", reps, 100*worst))
+	if len(never) > 0 {
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("left out, never reached their switch point in any replication: %s", strings.Join(never, ", ")))
+	}
 	return res
 }

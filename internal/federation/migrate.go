@@ -391,9 +391,30 @@ type RingStatus struct {
 	Vnodes int      `json:"vnodes"`
 	Hosts  []string `json:"hosts"`
 	Down   []string `json:"down,omitempty"`
+	// Upstream has one row per URL target, in target order (GET /v1/ring
+	// only; absent in direct mode).
+	Upstream []UpstreamStatus `json:"upstream,omitempty"`
 }
 
-// handleRing serves GET /v1/ring: the current placement parameters.
+// UpstreamStatus counts what the router's hop to one URL target has
+// done since the router started. Every forwarded request takes one
+// connection, so Dials + Reuses is the requests that reached the wire.
+type UpstreamStatus struct {
+	Host string `json:"host"`
+	// Dials is connections opened, Reuses requests sent on a pooled
+	// one, Stale pooled connections found closed by the host and
+	// discarded before anything was written to them.
+	Dials  uint64 `json:"dials"`
+	Reuses uint64 `json:"reuses"`
+	Stale  uint64 `json:"stale"`
+	// Failures is requests the router answered itself with 503 "host
+	// unreachable": a refused dial, a connection lost or a response
+	// head not understood after the request was written.
+	Failures uint64 `json:"failures"`
+}
+
+// handleRing serves GET /v1/ring: the current placement parameters and
+// the per-host counters of the upstream hop.
 func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errJSON(w, http.StatusMethodNotAllowed, "method not allowed")
@@ -405,6 +426,10 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	for i := range rt.targets {
 		if i < 64 && mask&(1<<uint(i)) != 0 {
 			st.Down = append(st.Down, rt.targets[i].Name)
+		}
+		if up := rt.ups[i]; up != nil {
+			st.Upstream = append(st.Upstream, UpstreamStatus{Host: rt.targets[i].Name,
+				Dials: up.dials.Load(), Reuses: up.reuses.Load(), Stale: up.stale.Load(), Failures: up.failures.Load()})
 		}
 	}
 	writeJSON(w, http.StatusOK, st)

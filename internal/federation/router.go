@@ -3,6 +3,7 @@ package federation
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,15 +43,20 @@ type Options struct {
 	Vnodes int
 	// Epoch is the placement epoch; all routers of a fleet must agree.
 	Epoch uint64
-	// Client issues the proxy requests in daemon mode (default: a
-	// dedicated client with a 10s dial/response-header budget and no
-	// overall timeout, so SSE streams are never cut).
+	// Client issues the router's cold calls to URL targets: run
+	// creation, the /v1/runs and /v1/metrics fan-in, the firehose and
+	// the migrate/import calls of a rebalance (default: a dedicated
+	// client with a 10s response-header budget and no overall timeout).
+	// Forwarded per-run requests, polls among them, do not go through
+	// it: they take the router's own upstream hop (upstream.go).
 	Client *http.Client
 	// RetryAfter is the hint returned with 503 when an owning host is
 	// unreachable (default 1s).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps create-request bodies, the only bodies the
-	// router itself decodes (default 1 MiB).
+	// MaxBodyBytes caps the request bodies the router reads: the create
+	// and admin requests it decodes, and every body it forwards to a
+	// URL target, which is read whole so that it leaves in one write;
+	// a longer one answers 413 (default 1 MiB).
 	MaxBodyBytes int64
 }
 
@@ -60,9 +66,11 @@ type Options struct {
 // precisely so routing needs no decode) and passed through untouched:
 // in direct mode the owning host's handler is invoked on the original
 // request and response writer (zero copies, zero allocations added to
-// the PR 7 poll path); in daemon mode bodies stream through pooled
-// scratch buffers in both directions, JSON and application/x-schedd-
-// frame alike, with Content-Type, Accept and Last-Event-ID forwarded.
+// the PR 7 poll path); in daemon mode the request goes out whole, in
+// one write on a pooled keep-alive connection, and the answer comes
+// back on the handler's goroutine (upstream.go) — bodies opaque, JSON
+// and application/x-schedd-frame alike, with Content-Type, Accept and
+// Last-Event-ID forwarded, event streams flushed as they arrive.
 //
 // Fleet-level endpoints are aggregated: POST /v1/runs assigns an id
 // (when the client did not pin one) and places the run on its ring
@@ -74,8 +82,10 @@ type Router struct {
 	// rebalance, so the hot path pays one pointer load, no lock.
 	ring    atomic.Pointer[Ring]
 	targets []Target
-	opts    Options
-	client  *http.Client
+	// ups[i] is the upstream hop of targets[i]; nil in direct mode.
+	ups    []*upstream
+	opts   Options
+	client *http.Client
 
 	// handoffMu serializes rebalances (SetEpoch, RecoverHost,
 	// MigrateRun); moving holds the run ids mid-handoff (nil when none
@@ -90,10 +100,6 @@ type Router struct {
 	down      atomic.Uint64
 	overrides atomic.Pointer[map[string]int32]
 
-	// bufs holds the pooled per-connection proxy scratch (32 KiB
-	// copy buffers, daemon mode only).
-	bufs sync.Pool
-
 	idmu  sync.Mutex
 	idseq uint64
 	idrng *rng.PCG
@@ -106,9 +112,17 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("federation: router needs at least one target")
 	}
 	names := make([]string, len(targets))
+	ups := make([]*upstream, len(targets))
 	for i := range targets {
 		if (targets[i].Server == nil) == (targets[i].URL == "") {
 			return nil, fmt.Errorf("federation: target %d must set exactly one of Server and URL", i)
+		}
+		if targets[i].URL != "" {
+			up, err := newUpstream(targets[i].URL)
+			if err != nil {
+				return nil, fmt.Errorf("federation: target %d: %w", i, err)
+			}
+			ups[i] = up
 		}
 		if targets[i].Name == "" {
 			targets[i].Name = targets[i].URL
@@ -137,12 +151,12 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		targets: append([]Target(nil), targets...),
+		ups:     ups,
 		opts:    opts,
 		client:  client,
 		idrng:   rng.New(uint64(time.Now().UnixNano())),
 	}
 	rt.ring.Store(ring)
-	rt.bufs.New = func() any { b := make([]byte, 32<<10); return &b }
 	return rt, nil
 }
 
@@ -248,82 +262,40 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // forward hands the request to target owner: direct delegation for an
 // in-process host (the handler sees the original request — a 404 for
-// an unknown run id is the host's own answer passing through), a
-// streamed proxy hop for a remote one.
+// an unknown run id is the host's own answer passing through), the
+// upstream hop for a remote one.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, owner int) {
-	t := &rt.targets[owner]
-	if t.Server != nil {
-		t.Server.ServeHTTP(w, r)
+	if srv := rt.targets[owner].Server; srv != nil {
+		srv.ServeHTTP(w, r)
 		return
 	}
-	rt.proxy(w, r, t)
+	switch err := rt.ups[owner].forward(w, r, rt.opts.MaxBodyBytes); {
+	case err == nil:
+	case err == errBodyTooLarge:
+		errJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", rt.opts.MaxBodyBytes))
+	case errors.Is(err, errClientBody):
+		errJSON(w, http.StatusBadRequest, err.Error())
+	default:
+		rt.unreachable(w, owner)
+	}
 }
 
-// proxyHeaders are the request headers the proxy forwards: the
-// content negotiation pair (JSON vs binary frame is the backend's
-// decision, the body passes through opaque either way) and the SSE
-// resume cursor.
-var proxyHeaders = [...]string{"Content-Type", "Accept", "Last-Event-ID", "Cache-Control"}
+// proxyHeaders are the request headers the hop forwards: the content
+// negotiation pair (JSON vs binary frame is the backend's decision,
+// the body passes through opaque either way) and the SSE resume cursor
+// — spelled as net/http canonicalizes them, since the hop indexes the
+// request's header map with them.
+var proxyHeaders = [...]string{"Content-Type", "Accept", "Last-Event-Id", "Cache-Control"}
 
-// proxy streams the request to t and the response back, zero-copy
-// through one pooled scratch buffer per direction of each connection.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, t *Target) {
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, t.URL+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		errJSON(w, http.StatusInternalServerError, fmt.Sprintf("building proxy request: %v", err))
-		return
-	}
-	out.ContentLength = r.ContentLength
-	for _, h := range proxyHeaders {
-		if v := r.Header.Get(h); v != "" {
-			out.Header.Set(h, v)
-		}
-	}
-	resp, err := rt.client.Do(out)
-	if err != nil {
-		rt.unreachable(w, t)
-		return
-	}
-	defer resp.Body.Close()
-	hdr := w.Header()
-	for _, h := range [...]string{"Content-Type", "Content-Length", "Cache-Control", "X-Accel-Buffering", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			hdr.Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	buf := rt.bufs.Get().(*[]byte)
-	defer rt.bufs.Put(buf)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		// SSE: flush after every chunk so forwarded frames are live,
-		// not buffered until the stream ends.
-		fl, _ := w.(http.Flusher)
-		for {
-			n, rerr := resp.Body.Read(*buf)
-			if n > 0 {
-				if _, werr := w.Write((*buf)[:n]); werr != nil {
-					return
-				}
-				if fl != nil {
-					fl.Flush()
-				}
-			}
-			if rerr != nil {
-				return
-			}
-		}
-	}
-	io.CopyBuffer(w, resp.Body, *buf)
-}
-
-// unreachable answers for an owning host the proxy could not reach:
-// a deterministic 503 with a Retry-After hint. The raw transport
-// error is deliberately not echoed — it varies by OS and timing,
-// and the client's correct move (back off, retry, let the fleet
-// operator restart the host) does not depend on it.
-func (rt *Router) unreachable(w http.ResponseWriter, t *Target) {
+// unreachable answers for an owning host that could not be reached or
+// did not answer: a deterministic 503 with a Retry-After hint. The raw
+// transport error is deliberately not echoed — it varies by OS and
+// timing, and the client's correct move (back off, retry, let the
+// fleet operator restart the host) does not depend on it.
+func (rt *Router) unreachable(w http.ResponseWriter, owner int) {
+	rt.ups[owner].failures.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(int((rt.opts.RetryAfter+time.Second-1)/time.Second)))
-	errJSON(w, http.StatusServiceUnavailable, fmt.Sprintf("schedd host %q unreachable", t.Name))
+	errJSON(w, http.StatusServiceUnavailable, fmt.Sprintf("schedd host %q unreachable", rt.targets[owner].Name))
 }
 
 // handleCreate is the placement cold path: decode the request (the
@@ -368,7 +340,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.unreachable(w, t)
+		rt.unreachable(w, owner)
 		return
 	}
 	defer resp.Body.Close()

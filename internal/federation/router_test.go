@@ -36,7 +36,7 @@ func newDirectFleet(t *testing.T, n int) (*Router, []*service.Server) {
 
 // newHTTPFleet builds n hosts behind httptest servers and a router
 // proxying to their URLs (daemon mode).
-func newHTTPFleet(t *testing.T, n int) (*Router, []*service.Server, []*httptest.Server) {
+func newHTTPFleet(t testing.TB, n int) (*Router, []*service.Server, []*httptest.Server) {
 	t.Helper()
 	names := HostNames(n)
 	servers := make([]*service.Server, n)
