@@ -11,6 +11,16 @@
 //	curl -s -X POST localhost:8080/v1/runs/<id>/next -d '{"worker":0}'
 //	curl -s localhost:8080/v1/runs/<id>/stats
 //
+// Both modes listen through the request loop (internal/pollserve): a
+// connection's polls — POST /v1/runs/{id}/next with a plain head: one
+// Host, one Content-Length, no Transfer-Encoding, Expect, Upgrade or
+// Connection: close — are read, answered and written by one goroutine
+// with one read and one write each, and the first request that is
+// anything else moves the connection, for good, to a net/http server
+// over the same handler. There is nothing to configure; GET /v1/metrics
+// (loop_polls) and, on a router, GET /v1/ring say how many polls took
+// the loop.
+//
 // The next endpoint also speaks a compact binary framing for
 // protocol-bytes-bound fleets: a worker sends its poll as
 // Content-Type: application/x-schedd-frame and/or asks for framed
@@ -62,6 +72,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -71,6 +82,7 @@ import (
 
 	"hetsched/internal/durable"
 	"hetsched/internal/federation"
+	"hetsched/internal/pollserve"
 	"hetsched/internal/service"
 )
 
@@ -94,7 +106,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var handler http.Handler
+	var handler pollserve.Handler
 	if *router {
 		urls := strings.Split(*peers, ",")
 		targets := make([]federation.Target, 0, len(urls))
@@ -158,8 +170,17 @@ func main() {
 		log.Printf("schedd: listening on %s (shards=%d batch=%d ttl=%v)", *addr, *shards, *batch, *ttl)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	// Both modes listen through the request loop: it answers the poll
+	// route itself and hands every other request, connection and all, to
+	// a net/http server over the same handler.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("schedd: %v", err)
+	}
+	srv := pollserve.New(handler)
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -169,8 +190,9 @@ func main() {
 	if *router {
 		log.Printf("schedd: router listening on %s", *addr)
 	}
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("schedd: %v", err)
 	}
+	<-drained // Serve returns as Shutdown begins; the polls in flight are answered before it ends
 	log.Printf("schedd: shut down")
 }

@@ -17,6 +17,9 @@
 //     (sim.Run for flat schedulers, sim.RunDriver for DAG drivers)
 //   - internal/exec     — real concurrent runtime executing block arithmetic
 //   - internal/service  — scheduler-as-a-service HTTP daemon (schedd)
+//   - internal/pollserve — the request loop both schedd modes listen
+//     through: one read and one write per worker poll, net/http for
+//     every other request
 //   - internal/federation — consistent-hash run placement over a fleet
 //     of schedd hosts and the allocation-free pass-through router
 //   - internal/cluster  — deterministic virtual-time cluster harness

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"hetsched/internal/core"
@@ -18,7 +17,7 @@ import (
 // backend is the seam between the event loop and the scheduler
 // service. Both implementations drive the *real* service code — the
 // direct backend calls service.Host/Registry methods in process, the
-// HTTP backend speaks full JSON over an httptest server — so every
+// HTTP backend speaks full JSON to a loopback server — so every
 // scenario can run against either and must produce the identical
 // deterministic outcome (TestModesAgree pins that).
 type backend interface {
@@ -300,15 +299,16 @@ func (b *directBackend) close() {
 
 // --- HTTP backend ------------------------------------------------------
 
-// httpBackend runs the full service.Server behind an httptest listener
-// and speaks the real JSON protocol, one synchronous request at a time
+// httpBackend runs the full service.Server behind a loopback listener,
+// served as cmd/schedd serves it (loopServer), and speaks the real JSON
+// protocol, one synchronous request at a time
 // — so the wire path (strict decoding, status mapping, response
 // construction) is inside the deterministic loop. The virtual clock is
 // injected through service.Options.Now; the server's own janitor is
 // disabled and sweeps are driven by the event loop.
 type httpBackend struct {
 	svc    *service.Server
-	ts     *httptest.Server
+	ts     *loopServer
 	client *http.Client
 	ids    []string
 	ttl    time.Duration
@@ -327,9 +327,20 @@ func newHTTPBackend(ttl time.Duration, now func() time.Time, journalDir string) 
 		b.jr = jr
 	}
 	b.svc = service.New(b.options())
-	b.ts = httptest.NewServer(b.svc)
-	b.client = b.ts.Client()
+	if err := b.listen(); err != nil {
+		b.close()
+		return nil, err
+	}
 	return b, nil
+}
+
+// listen puts the current server behind a fresh listener.
+func (b *httpBackend) listen() (err error) {
+	if b.ts, err = newLoopServer(b.svc); err != nil {
+		return err
+	}
+	b.client = b.ts.Client()
+	return nil
 }
 
 // options builds the server options of one master life: the same knobs
@@ -491,15 +502,15 @@ func (b *httpBackend) crashMaster() error {
 	if err := b.svc.RecoveryErr(); err != nil {
 		return fmt.Errorf("cluster: recovering master: %w", err)
 	}
-	b.ts = httptest.NewServer(b.svc)
-	b.client = b.ts.Client()
-	return nil
+	return b.listen()
 }
 
 func (b *httpBackend) placement() ([]string, [][]string, error) { return nil, nil, nil }
 
 func (b *httpBackend) close() {
-	b.ts.Close()
+	if b.ts != nil {
+		b.ts.Close()
+	}
 	b.svc.Close()
 	if b.jr != nil {
 		b.jr.Close()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -325,17 +324,18 @@ func (b *federatedDirectBackend) close() {
 
 // --- federated HTTP backend --------------------------------------------
 
-// federatedHTTPBackend runs every host behind its own httptest
-// listener and the router behind another; every worker poll crosses
+// federatedHTTPBackend runs every host behind its own loopback
+// listener and the router behind another, each served as cmd/schedd
+// serves it (loopServer); every worker poll crosses
 // two real HTTP hops (client → router → owning host), so the proxy's
 // streaming pass-through, status mapping and 503 host-down path are
 // all inside the deterministic loop.
 type federatedHTTPBackend struct {
 	rt        *federation.Router
-	rts       *httptest.Server
+	rts       *loopServer
 	client    *http.Client
 	hosts     []*service.Server
-	hts       []*httptest.Server
+	hts       []*loopServer
 	dead      []bool
 	scavenged []bool
 	jrs       []*durable.Log
@@ -352,7 +352,7 @@ func newFederatedHTTPBackend(n int, epoch uint64, ttl time.Duration, now func() 
 	}
 	b := &federatedHTTPBackend{
 		hosts:     make([]*service.Server, n),
-		hts:       make([]*httptest.Server, n),
+		hts:       make([]*loopServer, n),
 		dead:      make([]bool, n),
 		scavenged: make([]bool, n),
 		jrs:       jrs,
@@ -361,19 +361,20 @@ func newFederatedHTTPBackend(n int, epoch uint64, ttl time.Duration, now func() 
 	targets := make([]federation.Target, n)
 	for i := range b.hosts {
 		b.hosts[i] = service.New(hostOptions(ttl, now, jrs[i]))
-		b.hts[i] = httptest.NewServer(b.hosts[i])
+		if b.hts[i], err = newLoopServer(b.hosts[i]); err != nil {
+			b.close()
+			return nil, err
+		}
 		targets[i] = federation.Target{Name: names[i], URL: b.hts[i].URL, JournalDir: dirs[i]}
 	}
-	rt, err := federation.NewRouter(targets, federation.Options{Epoch: epoch})
-	if err != nil {
-		for _, ts := range b.hts {
-			ts.Close()
-		}
-		closeJournals(jrs)
+	if b.rt, err = federation.NewRouter(targets, federation.Options{Epoch: epoch}); err != nil {
+		b.close()
 		return nil, err
 	}
-	b.rt = rt
-	b.rts = httptest.NewServer(rt)
+	if b.rts, err = newLoopServer(b.rt); err != nil {
+		b.close()
+		return nil, err
+	}
 	b.client = b.rts.Client()
 	return b, nil
 }
@@ -594,13 +595,20 @@ func (b *federatedHTTPBackend) placement() ([]string, [][]string, error) {
 	return router, perHost, nil
 }
 
+// close tears down whatever of the fleet is up; the constructor calls
+// it on a fleet it could not finish.
 func (b *federatedHTTPBackend) close() {
-	b.rts.Close()
+	if b.rts != nil {
+		b.rts.Close()
+	}
 	for i := range b.hosts {
-		if !b.dead[i] {
-			b.hts[i].Close()
-			b.hosts[i].Close()
+		if b.dead[i] || b.hosts[i] == nil {
+			continue
 		}
+		if b.hts[i] != nil {
+			b.hts[i].Close()
+		}
+		b.hosts[i].Close()
 	}
 	closeJournals(b.jrs)
 }

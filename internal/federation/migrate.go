@@ -394,6 +394,12 @@ type RingStatus struct {
 	// Upstream has one row per URL target, in target order (GET /v1/ring
 	// only; absent in direct mode).
 	Upstream []UpstreamStatus `json:"upstream,omitempty"`
+	// LoopPolls is the polls the router's request loop answered since
+	// the router started, forwarded or refused, without net/http (GET
+	// /v1/ring only). Dials + Reuses growing faster than it means a
+	// client's request heads are sending its polls down the net/http
+	// path.
+	LoopPolls uint64 `json:"loop_polls,omitempty"`
 }
 
 // UpstreamStatus counts what the router's hop to one URL target has
@@ -421,7 +427,7 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ring := rt.ring.Load()
-	st := RingStatus{Epoch: ring.Epoch(), Vnodes: ring.Vnodes(), Hosts: ring.Hosts()}
+	st := RingStatus{Epoch: ring.Epoch(), Vnodes: ring.Vnodes(), Hosts: ring.Hosts(), LoopPolls: rt.loopPolls.Load()}
 	mask := rt.down.Load()
 	for i := range rt.targets {
 		if i < 64 && mask&(1<<uint(i)) != 0 {

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hetsched/internal/pollserve"
 	"hetsched/internal/rng"
 	"hetsched/internal/service"
 	"hetsched/internal/ui"
@@ -99,6 +100,9 @@ type Router struct {
 	moving    atomic.Pointer[map[string]bool]
 	down      atomic.Uint64
 	overrides atomic.Pointer[map[string]int32]
+
+	// loopPolls counts the polls ServePoll answered (GET /v1/ring).
+	loopPolls atomic.Uint64
 
 	idmu  sync.Mutex
 	idseq uint64
@@ -260,6 +264,60 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// isMoving reports whether id is mid-handoff: neither copy may serve the
+// run right now. A deterministic 503 with a hint beats racing the
+// transfer; the next retry lands on the new owner.
+func (rt *Router) isMoving(id string) bool {
+	m := rt.moving.Load()
+	return m != nil && (*m)[id]
+}
+
+func movingMsg(id string) string { return fmt.Sprintf("run %q is migrating; retry", id) }
+
+// retryAfter is the Retry-After value of the router's own 503s.
+func (rt *Router) retryAfter() string {
+	return strconv.Itoa(int((rt.opts.RetryAfter + time.Second - 1) / time.Second))
+}
+
+// MaxPollBody implements pollserve.Handler: the router's own cap, and
+// in direct mode no more than its hosts take.
+func (rt *Router) MaxPollBody() int64 {
+	max := rt.opts.MaxBodyBytes
+	for i := range rt.targets {
+		if srv := rt.targets[i].Server; srv != nil {
+			max = min(max, srv.MaxPollBody())
+		}
+	}
+	return max
+}
+
+// ServePoll implements pollserve.Handler: ServeHTTP's per-run branch
+// for a poll the request loop read off the socket itself. A poll for a
+// URL target goes from the loop's buffer to the upstream hop and back,
+// through net/http nowhere.
+func (rt *Router) ServePoll(dst []byte, r *pollserve.Request) []byte {
+	rt.loopPolls.Add(1)
+	if rt.isMoving(r.ID) {
+		return appendRefusal(dst, http.StatusServiceUnavailable, rt.retryAfter(), movingMsg(r.ID))
+	}
+	owner := rt.owner(r.ID)
+	if srv := rt.targets[owner].Server; srv != nil {
+		return srv.ServePoll(dst, r)
+	}
+	if out, err := rt.ups[owner].poll(dst, r); err == nil {
+		return out
+	}
+	return appendRefusal(dst, http.StatusServiceUnavailable, rt.retryAfter(), rt.unreachableMsg(owner))
+}
+
+// appendRefusal appends a response of the router's own to a poll: msg
+// as errJSON writes it.
+func appendRefusal(dst []byte, status int, retryAfter, msg string) []byte {
+	body := service.ErrorResponse{Error: msg}.Body()
+	dst = pollserve.AppendHead(dst, status, "application/json", retryAfter, len(body))
+	return append(dst, body...)
+}
+
 // forward hands the request to target owner: direct delegation for an
 // in-process host (the handler sees the original request — a 404 for
 // an unknown run id is the host's own answer passing through), the
@@ -287,15 +345,24 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, owner int) {
 // request's header map with them.
 var proxyHeaders = [...]string{"Content-Type", "Accept", "Last-Event-Id", "Cache-Control"}
 
+// acceptIdx is Accept's place in proxyHeaders; Content-Type's is
+// contentTypeIdx, as in respHeaders.
+const acceptIdx = 1
+
 // unreachable answers for an owning host that could not be reached or
 // did not answer: a deterministic 503 with a Retry-After hint. The raw
 // transport error is deliberately not echoed — it varies by OS and
 // timing, and the client's correct move (back off, retry, let the
 // fleet operator restart the host) does not depend on it.
 func (rt *Router) unreachable(w http.ResponseWriter, owner int) {
+	w.Header().Set("Retry-After", rt.retryAfter())
+	errJSON(w, http.StatusServiceUnavailable, rt.unreachableMsg(owner))
+}
+
+// unreachableMsg counts one failure of target owner and words the 503.
+func (rt *Router) unreachableMsg(owner int) string {
 	rt.ups[owner].failures.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int((rt.opts.RetryAfter+time.Second-1)/time.Second)))
-	errJSON(w, http.StatusServiceUnavailable, fmt.Sprintf("schedd host %q unreachable", rt.targets[owner].Name))
+	return fmt.Sprintf("schedd host %q unreachable", rt.targets[owner].Name)
 }
 
 // handleCreate is the placement cold path: decode the request (the
@@ -409,6 +476,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		m.Runs += tm.Runs
 		m.Polls += tm.Polls
+		m.LoopPolls += tm.LoopPolls
 		m.PollsPerSecond += tm.PollsPerSecond
 		m.Assigned += tm.Assigned
 		m.Completed += tm.Completed

@@ -12,12 +12,15 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
+
+	"hetsched/internal/pollserve"
 )
 
 // This file is the router's upstream hop: the HTTP/1.1 client every
@@ -38,6 +41,10 @@ const (
 	// maxHeadBytes bounds a response head; one header line is bounded by
 	// the connection's reader.
 	maxHeadBytes = 16 << 10
+	// maxPollAnswer bounds the body of a poll answer relayed through the
+	// request loop, which is held whole; the largest batch a run may ask
+	// for answers in a few tens of kilobytes.
+	maxPollAnswer = 1 << 20
 )
 
 var (
@@ -51,7 +58,7 @@ var (
 // respHeaders are the response headers the hop forwards.
 var respHeaders = [...]string{"Content-Type", "Content-Length", "Cache-Control", "X-Accel-Buffering", "Retry-After"}
 
-const contentTypeIdx, contentLengthIdx = 0, 1
+const contentTypeIdx, contentLengthIdx, retryAfterIdx = 0, 1, 4
 
 // scratch is what one forwarded request is built in: the client's body,
 // then the whole upstream request; req doubles as the copy buffer of a
@@ -87,12 +94,8 @@ type upstream struct {
 type upConn struct {
 	c  net.Conn
 	br *bufio.Reader
-	// rc is the descriptor the idle check reads; probe and quiet are
-	// its callback and result, kept here so that a check allocates
-	// nothing.
-	rc    syscall.RawConn
-	probe func(fd uintptr) bool
-	quiet bool
+	// probe is the idle check on the socket under c (probe_*.go).
+	probe idleProbe
 }
 
 func newUpstream(base string) (*upstream, error) {
@@ -129,7 +132,7 @@ func (up *upstream) get() (*upConn, error) {
 		uc := up.idle[n-1]
 		up.idle = up.idle[:n-1]
 		up.mu.Unlock()
-		if uc.c.SetDeadline(deadline) == nil && uc.alive() {
+		if uc.alive() && uc.c.SetDeadline(deadline) == nil {
 			up.reuses.Add(1)
 			return uc, nil
 		}
@@ -155,15 +158,7 @@ func (up *upstream) get() (*upConn, error) {
 	}
 	up.dials.Add(1)
 	uc := &upConn{c: c, br: bufio.NewReader(c)}
-	if sc, ok := raw.(syscall.Conn); ok {
-		uc.rc, _ = sc.SyscallConn()
-	}
-	uc.probe = func(fd uintptr) bool {
-		var b [1]byte
-		n, err := syscall.Read(int(fd), b[:])
-		uc.quiet = n < 0 && (err == syscall.EAGAIN || err == syscall.EWOULDBLOCK)
-		return true // never wait for readiness
-	}
+	uc.probe.init(raw)
 	return uc, nil
 }
 
@@ -171,14 +166,21 @@ func (up *upstream) get() (*upConn, error) {
 // read that does not block must find nothing to read. End of file is
 // the peer having closed it (a restart, an idle timeout), and a byte
 // nobody asked for leaves the stream unusable; it is lost to the read,
-// which is harmless because the connection is closed on either. A
-// connection without a descriptor cannot be checked and is not reused.
+// which is harmless because the connection is closed on either.
 func (uc *upConn) alive() bool {
-	if uc.rc == nil || uc.br.Buffered() > 0 {
+	return uc.br.Buffered() == 0 && uc.probe.quiet()
+}
+
+// quietWithin is the portable idle check, for a platform without a
+// read that does not block (probe_other.go): a read that gives up after
+// wait must find nothing. It leaves c without a read deadline.
+func quietWithin(c net.Conn, wait time.Duration) bool {
+	if c.SetReadDeadline(time.Now().Add(wait)) != nil {
 		return false
 	}
-	uc.quiet = false
-	return uc.rc.Read(uc.probe) == nil && uc.quiet
+	var b [1]byte
+	n, err := c.Read(b[:])
+	return n == 0 && errors.Is(err, os.ErrDeadlineExceeded) && c.SetReadDeadline(time.Time{}) == nil
 }
 
 // put returns a connection whose response was read to its end.
@@ -194,12 +196,80 @@ func (up *upstream) put(uc *upConn) {
 	}
 }
 
+// release returns uc to the pool when its response was read to its end
+// and the peer keeps it open, and closes it otherwise.
+func (up *upstream) release(uc *upConn, reusable bool) {
+	if reusable {
+		up.put(uc)
+	} else {
+		uc.c.Close()
+	}
+}
+
+// appendRequest appends one request to the target to dst: the request
+// line over the pieces of uri, Host, those of proxyHeaders that hdr has
+// a value for, Content-Length where the method or a body calls for one,
+// and the body. net/http hands its header values over as strings, the
+// request loop as bytes of its buffer.
+func appendRequest[S ~string | ~[]byte](dst []byte, up *upstream, method string, hdr *[len(proxyHeaders)]S, body []byte, uri ...string) []byte {
+	dst = append(dst, method...)
+	dst = append(dst, ' ')
+	dst = append(dst, up.prefix...)
+	for _, piece := range uri {
+		dst = append(dst, piece...)
+	}
+	dst = append(dst, " HTTP/1.1\r\nHost: "...)
+	dst = append(dst, up.host...)
+	for i, name := range proxyHeaders {
+		if len(hdr[i]) > 0 {
+			dst = append(dst, "\r\n"...)
+			dst = append(dst, name...)
+			dst = append(dst, ": "...)
+			dst = append(dst, hdr[i]...)
+		}
+	}
+	if len(body) > 0 || (method != http.MethodGet && method != http.MethodHead) {
+		dst = append(dst, "\r\nContent-Length: "...)
+		dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	}
+	dst = append(dst, "\r\n\r\n"...)
+	return append(dst, body...)
+}
+
+// exchange is the hop itself: req leaves in one Write on a connection
+// of the pool, and the response head is read. A body that fits the
+// reader is taken whole as well — short is set and b is the body, still
+// in uc's reader — so that a peer that dies mid-response costs a clean
+// 503. On an error the connection is already closed; the target could
+// not be reached or did not answer in HTTP, and the request may have
+// been executed there. Otherwise the caller releases uc.
+func (up *upstream) exchange(req []byte, method string) (uc *upConn, h respHead, b []byte, short bool, err error) {
+	if uc, err = up.get(); err != nil {
+		return nil, h, nil, false, err
+	}
+	if _, err = uc.c.Write(req); err == nil {
+		h, err = readRespHead(uc.br)
+	}
+	if err == nil {
+		if method == http.MethodHead || h.status == http.StatusNoContent || h.status == http.StatusNotModified {
+			h.chunked, h.length = false, 0
+		}
+		if short = !h.chunked && h.length >= 0 && h.length <= int64(uc.br.Size()); short {
+			b, err = uc.br.Peek(int(h.length))
+		}
+	}
+	if err != nil {
+		uc.c.Close()
+		return nil, h, nil, false, err
+	}
+	return uc, h, b, short, nil
+}
+
 // forward sends r to the target and its answer to w. A non-nil error
 // means nothing has been written to w: errBodyTooLarge and
-// errClientBody before anything was sent upstream, anything else for
-// a target that could not be reached or did not answer in HTTP — the
-// request may have been executed there. Once the response head is on
-// its way to the client a failure can only cut the body short.
+// errClientBody before anything was sent upstream, anything else is
+// exchange's. Once the response head is on its way to the client a
+// failure can only cut the body short.
 func (up *upstream) forward(w http.ResponseWriter, r *http.Request, maxBody int64) error {
 	if r.ContentLength > maxBody {
 		return errBodyTooLarge
@@ -210,60 +280,21 @@ func (up *upstream) forward(w http.ResponseWriter, r *http.Request, maxBody int6
 	if sc.body, err = readCapped(sc.body[:0], r.Body, maxBody); err != nil {
 		return err
 	}
-	req := append(sc.req[:0], r.Method...)
-	req = append(req, ' ')
-	req = append(req, up.prefix...)
-	req = append(req, r.URL.RequestURI()...)
-	req = append(req, " HTTP/1.1\r\nHost: "...)
-	req = append(req, up.host...)
-	for _, h := range proxyHeaders {
-		if v := r.Header[h]; len(v) > 0 && v[0] != "" {
-			req = append(req, "\r\n"...)
-			req = append(req, h...)
-			req = append(req, ": "...)
-			req = append(req, v[0]...)
+	var hdr [len(proxyHeaders)]string
+	for i, name := range proxyHeaders {
+		if v := r.Header[name]; len(v) > 0 {
+			hdr[i] = v[0]
 		}
 	}
-	if len(sc.body) > 0 || (r.Method != http.MethodGet && r.Method != http.MethodHead) {
-		req = append(req, "\r\nContent-Length: "...)
-		req = strconv.AppendInt(req, int64(len(sc.body)), 10)
-	}
-	req = append(req, "\r\n\r\n"...)
-	req = append(req, sc.body...)
+	req := appendRequest(sc.req[:0], up, r.Method, &hdr, sc.body, r.URL.RequestURI())
 	sc.req = req
 
-	uc, err := up.get()
+	uc, h, b, short, err := up.exchange(req, r.Method)
 	if err != nil {
 		return err
 	}
 	reusable := false
-	defer func() {
-		if reusable {
-			up.put(uc)
-		} else {
-			uc.c.Close()
-		}
-	}()
-	if _, err := uc.c.Write(req); err != nil {
-		return err
-	}
-	h, err := readRespHead(uc.br)
-	if err != nil {
-		return err
-	}
-	if r.Method == http.MethodHead || h.status == http.StatusNoContent || h.status == http.StatusNotModified {
-		h.chunked, h.length = false, 0
-	}
-	// A body that fits the reader is taken whole before the client is
-	// answered, so that a peer that dies mid-response still costs a
-	// clean 503, and handed over without a copy.
-	short := !h.chunked && h.length >= 0 && h.length <= int64(uc.br.Size())
-	var b []byte
-	if short {
-		if b, err = uc.br.Peek(int(h.length)); err != nil {
-			return err
-		}
-	}
+	defer func() { up.release(uc, reusable) }()
 	for i, name := range respHeaders {
 		if h.fwd[i] != "" {
 			w.Header().Set(name, h.fwd[i])
@@ -303,6 +334,41 @@ func (up *upstream) forward(w http.ResponseWriter, r *http.Request, maxBody int6
 	// running or has run.
 	reusable = stop() && reusable && !h.close
 	return nil
+}
+
+// poll is forward for a poll the request loop read off its socket: the
+// same request on the wire, the same exchange, and the answer appended
+// to dst as the response the loop sends. A schedd host frames every poll
+// answer with Content-Length, on either of its transports; an answer
+// that is not, or is longer than maxPollAnswer, is an error like any
+// other after the write. On an error dst is returned as it came.
+func (up *upstream) poll(dst []byte, r *pollserve.Request) ([]byte, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	hdr := [len(proxyHeaders)][]byte{contentTypeIdx: r.ContentType, acceptIdx: r.Accept}
+	sc.req = appendRequest(sc.req[:0], up, http.MethodPost, &hdr, r.Body, "/v1/runs/", r.ID, "/next")
+	uc, h, b, short, err := up.exchange(sc.req, http.MethodPost)
+	if err != nil {
+		return dst, err
+	}
+	if h.chunked || h.length < 0 || h.length > maxPollAnswer {
+		uc.c.Close()
+		return dst, errBadHead
+	}
+	out := pollserve.AppendHead(dst, h.status, h.fwd[contentTypeIdx], h.fwd[retryAfterIdx], int(h.length))
+	if short {
+		out = append(out, b...)
+		uc.br.Discard(len(b))
+	} else {
+		n := len(out)
+		out = slices.Grow(out, int(h.length))[:n+int(h.length)]
+		if _, err := io.ReadFull(uc.br, out[n:]); err != nil {
+			uc.c.Close()
+			return dst, err
+		}
+	}
+	up.release(uc, !h.close)
+	return out, nil
 }
 
 // readCapped appends all of r to dst, or fails with errBodyTooLarge

@@ -231,6 +231,13 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// Body is the response body that carries e, as the handlers' JSON
+// encoder writes it.
+func (e ErrorResponse) Body() []byte {
+	b, _ := json.Marshal(e) // a struct of one string always encodes
+	return append(b, '\n')
+}
+
 // DecodeStrict decodes exactly one JSON value from r into v, rejecting
 // unknown fields and trailing data. All request bodies go through it.
 func DecodeStrict(r io.Reader, v any) error {

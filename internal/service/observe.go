@@ -173,7 +173,12 @@ type MetricsResponse struct {
 	// Polls / PollsPerSecond aggregate master pressure across runs;
 	// Assigned..Blocks are task-ledger totals (Outstanding is the live
 	// in-flight window, the rest are monotone counters).
-	Polls          int             `json:"polls"`
+	Polls int `json:"polls"`
+	// LoopPolls is the polls the request loop answered since the process
+	// started (pollserve; summed over the hosts by a router). Polls
+	// growing faster than LoopPolls means a client's request heads are
+	// sending its polls down the net/http path.
+	LoopPolls      uint64          `json:"loop_polls"`
 	PollsPerSecond float64         `json:"polls_per_second"`
 	Assigned       int             `json:"assigned"`
 	Completed      int             `json:"completed"`
@@ -196,6 +201,7 @@ func (s *Server) Metrics() MetricsResponse {
 	runs := s.reg.Runs()
 	m := MetricsResponse{
 		Runs:            len(runs),
+		LoopPolls:       s.loopPolls.Load(),
 		EventsPublished: s.opts.Events.Published(),
 		EventsDropped:   s.opts.Events.Dropped(),
 		Subscribers:     s.opts.Events.Subscribers(),
@@ -283,6 +289,8 @@ func (m MetricsResponse) Prometheus() []byte {
 	}
 	family("polls_total", "Worker poll interactions across all runs.", "counter")
 	sample("polls_total", "", float64(m.Polls))
+	family("loop_polls_total", "Worker polls answered by the request loop, without net/http.", "counter")
+	sample("loop_polls_total", "", float64(m.LoopPolls))
 	family("polls_per_second", "Aggregate poll rate across runs (polls over elapsed time).", "gauge")
 	sample("polls_per_second", "", m.PollsPerSecond)
 	family("tasks_assigned_total", "Tasks handed out (reassignments count again).", "counter")

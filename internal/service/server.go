@@ -17,6 +17,7 @@ import (
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
 	"hetsched/internal/events"
+	"hetsched/internal/pollserve"
 	"hetsched/internal/ui"
 )
 
@@ -112,7 +113,9 @@ func (o *Options) fill() {
 }
 
 // Server is the HTTP façade of the scheduler service. It is an
-// http.Handler; cmd/schedd mounts it on a net/http server.
+// http.Handler and a pollserve.Handler: cmd/schedd serves it through
+// the request loop, which answers the poll route by ServePoll and leaves
+// everything else to a net/http server over ServeHTTP.
 //
 //	POST   /v1/runs            create a run
 //	GET    /v1/runs            list runs
@@ -143,6 +146,11 @@ type Server struct {
 	recovered  chan struct{}
 	recoverMu  sync.Mutex
 	recoverErr error
+
+	// loopPolls counts the polls ServePoll answered: GET /v1/metrics
+	// reports it beside polls, and the difference is the polls whose
+	// heads sent them down the net/http path.
+	loopPolls atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -247,23 +255,35 @@ func (s *Server) RecoveryErr() error {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.recovering.Load() && r.URL.Path != "/healthz" {
-		if s.RecoveryErr() != nil {
-			// Fail-stopped: recovery did not complete and never will in
-			// this process. No Retry-After — retrying against this
-			// process is pointless.
-			writeError(w, http.StatusServiceUnavailable, "journal recovery failed; server is fail-stopped")
+	if r.URL.Path != "/healthz" {
+		if msg, retryAfter, gated := s.gate(); gated {
+			if retryAfter != "" {
+				w.Header().Set("Retry-After", retryAfter)
+			}
+			writeError(w, http.StatusServiceUnavailable, msg)
 			return
 		}
-		// The run table is mid-rebuild; nothing can be answered
-		// truthfully yet. Retry-After makes the 503 well-formed for
-		// pollers and for the federation router, which forwards it
-		// verbatim to the fleet's clients.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "recovering from journal; retry shortly")
-		return
 	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// gate is the 503 every endpoint but /healthz answers while the journal
+// is being replayed, or for good once replay has failed.
+func (s *Server) gate() (msg, retryAfter string, gated bool) {
+	if !s.recovering.Load() {
+		return "", "", false
+	}
+	if s.RecoveryErr() != nil {
+		// Fail-stopped: recovery did not complete and never will in
+		// this process. No Retry-After — retrying against this
+		// process is pointless.
+		return "journal recovery failed; server is fail-stopped", "", true
+	}
+	// The run table is mid-rebuild; nothing can be answered
+	// truthfully yet. Retry-After makes the 503 well-formed for
+	// pollers and for the federation router, which forwards it
+	// verbatim to the fleet's clients.
+	return "recovering from journal; retry shortly", "1", true
 }
 
 // Close stops the GC janitor and flushes the journal (if any) to
@@ -437,24 +457,31 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-// lookup fetches the live run for a request, answering 404/410 itself
-// when there is none.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Run, bool) {
-	id := r.PathValue("id")
+// find fetches the live run id names; without one it returns the status
+// and message to refuse with.
+func (s *Server) find(id string) (run *Run, code int, msg string) {
 	run, ok := s.reg.Get(id)
 	if !ok {
 		if s.reg.MigratedOut(id) {
 			// The tombstone makes a stale owner's rejection deterministic:
 			// a worker that kept polling the old host after its run moved
 			// learns the run is gone here for good, not merely unknown.
-			writeError(w, http.StatusGone, fmt.Sprintf("run %q migrated to another host", id))
-			return nil, false
+			return nil, http.StatusGone, fmt.Sprintf("run %q migrated to another host", id)
 		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown run %q (expired runs are garbage collected)", id))
-		return nil, false
+		return nil, http.StatusNotFound, fmt.Sprintf("unknown run %q (expired runs are garbage collected)", id)
 	}
 	if run.Expired() {
-		writeError(w, http.StatusGone, fmt.Sprintf("run %q is expired", id))
+		return nil, http.StatusGone, fmt.Sprintf("run %q is expired", id)
+	}
+	return run, 0, ""
+}
+
+// lookup is find for a net/http handler: it answers 404/410 itself when
+// there is no live run.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Run, bool) {
+	run, code, msg := s.find(r.PathValue("id"))
+	if run == nil {
+		writeError(w, code, msg)
 		return nil, false
 	}
 	return run, true
@@ -534,39 +561,61 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(w, r)
-	if !ok {
-		return
+// pollAnswer is what one poll comes to, whichever transport carried it.
+// body aliases the scratch the poll ran on.
+type pollAnswer struct {
+	code       int
+	retryAfter string // the Retry-After value, "" for none
+	frame      bool   // body is an application/x-schedd-frame, not JSON
+	body       []byte
+}
+
+func (a *pollAnswer) contentType() string {
+	if a.frame {
+		return ContentTypeFrame
 	}
-	sc := nextPool.Get().(*nextScratch)
-	defer putNextScratch(sc)
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	var err error
-	sc.body, err = readBody(r.Body, sc.body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
+	return "application/json"
+}
+
+// refuse is the answer that carries msg as an ErrorResponse.
+func refuse(code int, retryAfter, msg string) pollAnswer {
+	return pollAnswer{code: code, retryAfter: retryAfter, body: ErrorResponse{Error: msg}.Body()}
+}
+
+// poll is POST /v1/runs/{id}/next without a transport: the recovery
+// gate, the run lookup, the decode, Host.Next and the encode. framed
+// says the body is a frame, acceptFrame that the answer may be one;
+// bodyErr is the transport's failure to deliver the body, which ranks
+// below the gate and the lookup.
+func (s *Server) poll(sc *nextScratch, id string, framed, acceptFrame bool, body []byte, bodyErr error) pollAnswer {
+	if msg, retryAfter, gated := s.gate(); gated {
+		return refuse(http.StatusServiceUnavailable, retryAfter, msg)
+	}
+	run, code, msg := s.find(id)
+	if run == nil {
+		return refuse(code, "", msg)
+	}
+	if bodyErr != nil {
+		return refuse(http.StatusBadRequest, "", fmt.Sprintf("decoding request: %v", bodyErr))
 	}
 	var worker int64
 	var completed []core.Task
-	if r.Header.Get("Content-Type") == ContentTypeFrame {
-		worker, completed, err = decodeNextRequestFrame(sc.body, sc.tasks)
+	if framed {
+		var err error
+		worker, completed, err = decodeNextRequestFrame(body, sc.tasks)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-			return
+			return refuse(http.StatusBadRequest, "", fmt.Sprintf("decoding request: %v", err))
 		}
 	} else {
 		var fast bool
-		worker, completed, fast = parseNextRequest(sc.body, sc.tasks)
+		worker, completed, fast = parseNextRequest(body, sc.tasks)
 		if !fast {
 			// Outside the fast subset: the stdlib renders the
 			// authoritative verdict (and error message) on the same
 			// bytes.
 			var q NextRequest
-			if err := DecodeStrict(bytes.NewReader(sc.body), &q); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-				return
+			if err := DecodeStrict(bytes.NewReader(body), &q); err != nil {
+				return refuse(http.StatusBadRequest, "", fmt.Sprintf("decoding request: %v", err))
 			}
 			worker = int64(q.Worker)
 			completed = sc.tasks[:0]
@@ -583,8 +632,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		// and the reassignment won.
 		var lerr *LeaseExpiredError
 		if errors.As(err, &lerr) {
-			writeError(w, http.StatusConflict, err.Error())
-			return
+			return refuse(http.StatusConflict, "", err.Error())
 		}
 		// A fenced run is mid-handoff (409: retry and the router will
 		// land you on the new owner) or already gone (410: this host
@@ -592,45 +640,32 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		var merr *MigratedError
 		if errors.As(err, &merr) {
 			if merr.Done {
-				writeError(w, http.StatusGone, err.Error())
-			} else {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusConflict, err.Error())
+				return refuse(http.StatusGone, "", err.Error())
 			}
-			return
+			return refuse(http.StatusConflict, "1", err.Error())
 		}
 		// A journal commit failure is the server's fault, not the
 		// request's: 500, so the worker never acts on an acknowledgment
 		// that was not made durable.
 		var jerr *JournalError
 		if errors.As(err, &jerr) {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
+			return refuse(http.StatusInternalServerError, "", err.Error())
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return refuse(http.StatusBadRequest, "", err.Error())
 	}
 	lease := 0.0
 	if status == StatusOK {
 		lease = run.Host.Lease().Seconds()
 	}
-	if frameOK := strings.Contains(r.Header.Get("Accept"), ContentTypeFrame); frameOK {
+	if acceptFrame {
 		if out, ok := appendNextResponseFrame(sc.out[:0], status, a.Tasks, a.Blocks, lease); ok {
 			sc.out = out
-			w.Header().Set("Content-Type", ContentTypeFrame)
-			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-			w.WriteHeader(http.StatusOK)
-			w.Write(out)
-			return
+			return pollAnswer{code: http.StatusOK, frame: true, body: out}
 		}
 	}
 	if out, ok := appendNextResponseJSON(sc.out[:0], status, a.Tasks, a.Blocks, lease); ok {
 		sc.out = out
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		w.WriteHeader(http.StatusOK)
-		w.Write(out)
-		return
+		return pollAnswer{code: http.StatusOK, body: out}
 	}
 	// Exotic response values (unreachable for host-produced statuses):
 	// fall back to the stdlib encoder.
@@ -641,7 +676,51 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			resp.Tasks[i] = int64(t)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out, err := json.Marshal(resp)
+	if err != nil {
+		return refuse(http.StatusInternalServerError, "", fmt.Sprintf("encoding response: %v", err))
+	}
+	return pollAnswer{code: http.StatusOK, body: append(out, '\n')}
+}
+
+// handleNext carries a poll that came through net/http.
+func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
+	sc := nextPool.Get().(*nextScratch)
+	defer putNextScratch(sc)
+	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	var err error
+	sc.body, err = readBody(r.Body, sc.body)
+	a := s.poll(sc, r.PathValue("id"), r.Header.Get("Content-Type") == ContentTypeFrame,
+		strings.Contains(r.Header.Get("Accept"), ContentTypeFrame), sc.body, err)
+	h := w.Header()
+	h.Set("Content-Type", a.contentType())
+	h.Set("Content-Length", strconv.Itoa(len(a.body)))
+	if a.retryAfter != "" {
+		h.Set("Retry-After", a.retryAfter)
+	}
+	w.WriteHeader(a.code)
+	w.Write(a.body)
+}
+
+// contentTypeFrame is ContentTypeFrame as the loop's header values are
+// compared with it.
+var contentTypeFrame = []byte(ContentTypeFrame)
+
+// MaxPollBody implements pollserve.Handler.
+func (s *Server) MaxPollBody() int64 { return s.opts.MaxBodyBytes }
+
+// ServePoll implements pollserve.Handler: it carries a poll the request
+// loop read off the socket itself, and appends the response net/http
+// would have written for handleNext.
+func (s *Server) ServePoll(dst []byte, r *pollserve.Request) []byte {
+	s.loopPolls.Add(1)
+	sc := nextPool.Get().(*nextScratch)
+	a := s.poll(sc, r.ID, bytes.Equal(r.ContentType, contentTypeFrame),
+		bytes.Contains(r.Accept, contentTypeFrame), r.Body, nil)
+	dst = pollserve.AppendHead(dst, a.code, a.contentType(), a.retryAfter, len(a.body))
+	dst = append(dst, a.body...)
+	putNextScratch(sc)
+	return dst
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
