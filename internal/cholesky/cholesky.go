@@ -12,8 +12,8 @@
 //
 // The package is a thin dag.Kernel definition: it describes the task
 // graph (tile reads, writes, costs, readiness progression) while the
-// generic engine in internal/dag supplies the ready set, the versioned
-// per-worker tile caches with re-ship accounting, and the ready-task
+// generic engine in internal/dag supplies the ready set, the record of
+// what each worker holds with re-ship accounting, and the ready-task
 // selection policies. The same kernel therefore runs on all three
 // substrates: the virtual-time simulator (Simulate, via
 // sim.RunDriver), the real goroutine runtime (exec.RunCholesky) and

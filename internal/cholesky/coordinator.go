@@ -51,8 +51,8 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 }
 
 // Complete marks task t (previously assigned to worker w) finished:
-// the output tile's version is bumped, the writer's cache holds the
-// fresh copy, and newly ready tasks enter the ready set.
+// the output tile is rewritten, so only the writer holds its current
+// contents, and newly ready tasks enter the ready set.
 func (c *Coordinator) Complete(w int, t Task) {
 	c.d.Complete(w, toDAG(t))
 }

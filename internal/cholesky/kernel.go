@@ -30,7 +30,7 @@ func tileID(i, j, n int) int {
 // kernel is the tiled-Cholesky dag.Kernel: it describes the POTRF /
 // TRSM / SYRK / GEMM task graph (tile reads, writes, costs) and tracks
 // the DAG progress of one run. All scheduling machinery — ready-set
-// policies, versioned caches, write serialization — lives in the
+// policies, what each worker holds, write serialization — lives in the
 // generic dag.Coordinator.
 type kernel struct {
 	n int
@@ -76,23 +76,18 @@ func (k *kernel) Cost(t dag.Task) float64 { return fromDAG(t).Cost() }
 // Depth implements dag.Kernel: the elimination step k.
 func (k *kernel) Depth(t dag.Task) int { return t.K }
 
-// OutputTile implements dag.SingleOutputKernel: every Cholesky task
-// writes exactly one tile, enabling the coordinator's scan fast path.
-func (k *kernel) OutputTile(dt dag.Task) int {
+// OutputTiles implements dag.Kernel: every Cholesky task writes
+// exactly one tile.
+func (k *kernel) OutputTiles(dt dag.Task, buf []int) []int {
 	t := fromDAG(dt)
 	switch t.Kind {
 	case Potrf:
-		return tileID(t.K, t.K, k.n)
+		return append(buf, tileID(t.K, t.K, k.n))
 	case Trsm:
-		return tileID(t.I, t.K, k.n)
+		return append(buf, tileID(t.I, t.K, k.n))
 	default:
-		return tileID(t.I, t.J, k.n)
+		return append(buf, tileID(t.I, t.J, k.n))
 	}
-}
-
-// OutputTiles implements dag.Kernel.
-func (k *kernel) OutputTiles(dt dag.Task, buf []int) []int {
-	return append(buf, k.OutputTile(dt))
 }
 
 // InputTiles implements dag.Kernel: the tiles a task reads (including

@@ -2,7 +2,7 @@
 // the paper's §5 future-work direction: demand-driven, data-aware
 // allocation of kernels whose tasks form a DAG (tiled Cholesky, LU,
 // QR, ...). It factors out everything those kernels share — the ready
-// set, per-worker versioned tile caches with re-ship accounting, the
+// set, what each worker holds of each tile with re-ship accounting, the
 // ready-task selection policies, per-tile write serialization and
 // completion-driven release — behind a Kernel interface that describes
 // only the workload: which tiles a task reads and writes, what it
@@ -31,14 +31,21 @@ type Task struct {
 // Kernel describes a dependency-aware tiled workload to the generic
 // Coordinator. A Kernel instance carries the DAG progress of exactly
 // one run (Complete mutates it); it knows nothing about workers,
-// caches, versions or policies — those belong to the Coordinator.
+// what they hold, write locks or policies — those belong to the
+// Coordinator.
 //
 // Contract:
 //   - Tasks are identified by value; every task is handed out and
 //     completed exactly once.
 //   - InputTiles must include read-modify-write tiles; OutputTiles
 //     lists every tile the task writes (one for Cholesky/LU, two for
-//     the coupled QR kernels).
+//     the coupled QR kernels). A task reads at most three tiles and
+//     writes at most two, all in [0, Tiles()): the Coordinator keeps
+//     that many ids beside each ready task and panics, naming the
+//     kernel, on a task that enters the ready set with more or with an
+//     id out of range.
+//   - Depth, InputTiles and OutputTiles are functions of the task
+//     alone: the Coordinator asks once, when the task becomes ready.
 //   - Complete must append each newly ready task exactly once, in a
 //     deterministic order (the order, together with the policy rng,
 //     defines the schedule bit-for-bit).
@@ -49,8 +56,8 @@ type Kernel interface {
 	Name() string
 	// N is the tile-grid dimension.
 	N() int
-	// Tiles is the number of tile slots (the size of the version and
-	// per-worker cache arrays; tile ids returned by InputTiles and
+	// Tiles is the number of tile slots (the size of the write-lock
+	// and per-worker bitsets; tile ids returned by InputTiles and
 	// OutputTiles are in [0, Tiles())).
 	Tiles() int
 	// Total is the number of tasks of the instance.
@@ -69,18 +76,6 @@ type Kernel interface {
 	InitialReady(ready []Task) []Task
 	// Complete marks t done and appends newly ready tasks to ready.
 	Complete(t Task, ready []Task) []Task
-}
-
-// SingleOutputKernel is an optional fast path for kernels whose every
-// task writes exactly one tile (Cholesky, LU). The coordinator's
-// ready-set scan tests schedulability once per candidate, so avoiding
-// the OutputTiles slice round-trip there measurably speeds up the
-// simulation hot loop; kernels with multi-output tasks (QR) simply
-// don't implement it.
-type SingleOutputKernel interface {
-	// OutputTile returns the single tile t writes; it must agree with
-	// OutputTiles.
-	OutputTile(t Task) int
 }
 
 // Policy selects which schedulable ready task a requesting worker

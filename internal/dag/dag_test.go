@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hetsched/internal/core"
@@ -171,25 +173,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// shapeKernel is one ready task over four tiles that reads and writes
+// whatever the test says: the kernels the Kernel contract excludes.
+type shapeKernel struct{ in, out []int }
+
+func (k *shapeKernel) Name() string                         { return "Shape" }
+func (k *shapeKernel) N() int                               { return 2 }
+func (k *shapeKernel) Tiles() int                           { return 4 }
+func (k *shapeKernel) Total() int                           { return 1 }
+func (k *shapeKernel) Cost(t Task) float64                  { return 1 }
+func (k *shapeKernel) Depth(t Task) int                     { return 0 }
+func (k *shapeKernel) InitialReady(r []Task) []Task         { return append(r, Task{}) }
+func (k *shapeKernel) InputTiles(t Task, buf []int) []int   { return append(buf, k.in...) }
+func (k *shapeKernel) OutputTiles(t Task, buf []int) []int  { return append(buf, k.out...) }
+func (k *shapeKernel) Complete(t Task, ready []Task) []Task { return ready }
+
 func TestCoordinatorValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"nil kernel": func() { NewCoordinator(nil, 2, RandomReady, rng.New(1)) },
-		"p=0":        func() { NewCoordinator(&chainKernel{n: 2}, 0, RandomReady, rng.New(1)) },
-		"nil rng":    func() { NewCoordinator(&chainKernel{n: 2}, 2, RandomReady, nil) },
-		"double complete": func() {
+	for name, c := range map[string]struct {
+		want string // in the panic's message
+		fn   func()
+	}{
+		"nil kernel": {"", func() { NewCoordinator(nil, 2, RandomReady, rng.New(1)) }},
+		"p=0":        {"", func() { NewCoordinator(&chainKernel{n: 2}, 0, RandomReady, rng.New(1)) }},
+		"nil rng":    {"", func() { NewCoordinator(&chainKernel{n: 2}, 2, RandomReady, nil) }},
+		"double complete": {"", func() {
 			c := NewCoordinator(&chainKernel{n: 2}, 1, RandomReady, rng.New(1))
 			task, _, _ := c.TryAssign(0)
 			c.Complete(0, task)
 			c.Complete(0, task)
-		},
+		}},
+		// At construction, not at the first schedulable candidate of
+		// some later poll (never, with an empty ready set).
+		"unknown policy": {"unknown policy", func() { NewCoordinator(&emptyKernel{}, 2, Policy(3), rng.New(1)) }},
+		"four inputs": {"Shape task {Kind:0 I:0 J:0 K:0} has 4 input tiles", func() {
+			NewCoordinator(&shapeKernel{in: []int{0, 1, 2, 3}, out: []int{0}}, 2, LocalityReady, rng.New(1))
+		}},
+		"three outputs": {"Shape task {Kind:0 I:0 J:0 K:0} has 3 output tiles", func() {
+			NewCoordinator(&shapeKernel{in: []int{0}, out: []int{0, 1, 2}}, 2, LocalityReady, rng.New(1))
+		}},
+		"tile id = Tiles()": {"Shape task {Kind:0 I:0 J:0 K:0} has input tile 4 outside [0, 4)", func() {
+			NewCoordinator(&shapeKernel{in: []int{0, 4}, out: []int{0}}, 2, LocalityReady, rng.New(1))
+		}},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
+				msg := fmt.Sprint(recover())
+				if msg == "<nil>" || !strings.Contains(msg, c.want) {
+					t.Fatalf("%s: panic %q, want one with %q", name, msg, c.want)
 				}
 			}()
-			fn()
+			c.fn()
 		}()
 	}
 }

@@ -83,10 +83,10 @@ func (d *Driver) Complete(w int, ts []core.Task) {
 
 // Reassign implements core.Reassigner: each abandoned task re-enters
 // the coordinator's ready set with its per-tile write locks released.
-// The worker index is unused — the coordinator's per-worker tile
-// caches already record what the abandoned worker was shipped, so a
-// reassignment to a worker without the input tile versions is charged
-// re-ship blocks by TryAssign as usual. Tasks must have been assigned
+// The worker index is unused — the coordinator's per-worker bitsets
+// already record what the abandoned worker was shipped, so a
+// reassignment to a worker that misses input tiles is charged re-ship
+// blocks by TryAssign as usual. Tasks must have been assigned
 // by Next and neither completed nor already reassigned; the
 // coordinator panics otherwise, so network-facing callers must enforce
 // that (service.Host's outstanding table does).

@@ -70,25 +70,20 @@ func (k *kernel) Cost(t dag.Task) float64 { return fromDAG(t).Cost() }
 // Depth implements dag.Kernel: the elimination step k.
 func (k *kernel) Depth(t dag.Task) int { return t.K }
 
-// OutputTile implements dag.SingleOutputKernel: every LU task writes
-// exactly one tile, enabling the coordinator's scan fast path.
-func (k *kernel) OutputTile(dt dag.Task) int {
+// OutputTiles implements dag.Kernel: every LU task writes exactly one
+// tile.
+func (k *kernel) OutputTiles(dt dag.Task, buf []int) []int {
 	t := fromDAG(dt)
 	switch t.Kind {
 	case Getrf:
-		return k.tile(t.K, t.K)
+		return append(buf, k.tile(t.K, t.K))
 	case TrsmRow:
-		return k.tile(t.K, t.J)
+		return append(buf, k.tile(t.K, t.J))
 	case TrsmCol:
-		return k.tile(t.I, t.K)
+		return append(buf, k.tile(t.I, t.K))
 	default:
-		return k.tile(t.I, t.J)
+		return append(buf, k.tile(t.I, t.J))
 	}
-}
-
-// OutputTiles implements dag.Kernel.
-func (k *kernel) OutputTiles(dt dag.Task, buf []int) []int {
-	return append(buf, k.OutputTile(dt))
 }
 
 // InputTiles implements dag.Kernel.

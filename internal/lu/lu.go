@@ -9,7 +9,7 @@
 // The structure mirrors package cholesky: the package is a thin
 // dag.Kernel definition (task graph, tile reads/writes, costs), while
 // the generic engine in internal/dag supplies the ready set, the
-// versioned per-worker tile caches and the selection policies.
+// record of what each worker holds and the selection policies.
 // Simulate drives the kernel in virtual time via sim.RunDriver; Replay
 // validates a completion order numerically.
 package lu
