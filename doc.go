@@ -9,8 +9,9 @@
 //   - internal/core     — scheduler/driver abstraction (the paper's contribution, kernel-agnostic part)
 //   - internal/outer    — outer-product strategies (Random/Sorted/Dynamic/2Phases)
 //   - internal/matmul   — matrix-multiplication strategies
-//   - internal/dag      — generic dependency-aware engine (ready set, tile
-//     versions/caches, policies) behind the DAG kernels
+//   - internal/dag      — generic dependency-aware engine (ready set with
+//     each task's tile ids, one bitset per worker of the tiles it
+//     lacks, policies) behind the DAG kernels
 //   - internal/cholesky, internal/lu, internal/qr — DAG kernel definitions
 //   - internal/analysis — closed-form ODE solutions, lower bounds, β optimization
 //   - internal/sim      — event-driven heterogeneous platform simulator
@@ -28,11 +29,10 @@
 //     or federated behind the router
 //   - internal/experiments — regeneration of every figure of the paper,
 //     with deterministic parallel replication (replicate.go)
-//   - internal/perf     — shared micro-benchmark bodies
 //
 // Entry points: cmd/hpdc14 (figures), cmd/outersim, cmd/matsim,
 // cmd/choleskysim and cmd/qrsim (single runs), cmd/schedd (the service
-// daemon), cmd/clustersim (scripted cluster scenarios), cmd/benchjson
-// (the recorded perf baseline), examples/ (library usage). See
-// README.md and DESIGN.md.
+// daemon), cmd/clustersim (scripted cluster scenarios), examples/
+// (library usage), and bench/ (the end-to-end benchmark, `go run
+// ./bench`). See README.md and DESIGN.md.
 package hetsched

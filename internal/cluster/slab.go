@@ -6,7 +6,7 @@ import "sync"
 // scale with fleet size — the event heap and the per-run worker-state
 // slab (which owns every worker's pending-poll grant buffers) — are
 // pooled across Run calls, so a benchmark or test that executes the
-// same scenario shape repeatedly (ClusterHost1k/10k/100k) pays the
+// same scenario shape repeatedly (BenchmarkScenario's rows) pays the
 // fleet's memory once instead of once per scenario. Everything that
 // escapes into the Result (busy times, the accepted ledger, the
 // service's own collectors) is deliberately NOT pooled: a Result must

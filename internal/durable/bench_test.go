@@ -9,9 +9,9 @@ import (
 // BenchmarkAppendPollCommit prices the journal's share of one poll in
 // isolation: framing a steady-state MutPoll record into the commit
 // buffer and handing it to the kernel with one write(2) (fsync
-// amortized per SyncEvery bytes). The delta between the service rows
-// BenchmarkServiceHostNextLease and BenchmarkServiceHostNextJournal
-// should track this number.
+// amortized per SyncEvery bytes). The delta between the lease and
+// journal rows of internal/service's BenchmarkHostNext should track
+// this number.
 func BenchmarkAppendPollCommit(b *testing.B) {
 	jr, err := Open(b.TempDir())
 	if err != nil {

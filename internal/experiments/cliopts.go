@@ -43,8 +43,7 @@ func RegisterSimFlags(fs *flag.FlagSet, defN, defP int, nUsage string) *SimFlags
 
 // RegisterConfigFlags registers the experiment-harness flags (-seed,
 // -reps, -quick, -workers) on fs and returns a Config bound to them,
-// to be read after fs.Parse. Used by cmd/hpdc14; cmd/benchjson pins
-// Quick and sweeps Workers itself, so it only shares -seed.
+// to be read after fs.Parse. Used by cmd/hpdc14.
 func RegisterConfigFlags(fs *flag.FlagSet) *Config {
 	cfg := &Config{}
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "root random seed")

@@ -506,7 +506,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// getJSON fetches path from a remote target with strict decoding.
+// getJSON fetches path from a remote target. A peer's answer is decoded
+// tolerantly, unlike a client's request: on a fleet mid-upgrade a newer
+// peer may add a field, and that must not drop it from the fleet view.
 func (rt *Router) getJSON(t *Target, path string, out any) error {
 	resp, err := rt.client.Get(t.URL + path)
 	if err != nil {
@@ -516,7 +518,7 @@ func (rt *Router) getJSON(t *Target, path string, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
 	}
-	return service.DecodeStrict(resp.Body, out)
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -354,6 +354,52 @@ func TestRouterMetricsAggregation(t *testing.T) {
 	}
 }
 
+// TestRouterToleratesNewerPeer: a peer one version ahead answers
+// /v1/metrics and /v1/runs with a field this router does not know. The
+// router must still count the peer in the fleet totals and list its
+// runs, rather than drop it as unreachable.
+func TestRouterToleratesNewerPeer(t *testing.T) {
+	srv := service.New(service.Options{GCInterval: -1})
+	t.Cleanup(srv.Close)
+	newer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.Method == http.MethodGet && (r.URL.Path == "/v1/metrics" || r.URL.Path == "/v1/runs") {
+			body = append([]byte(`{"added_later":1,`), body[1:]...)
+		}
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(newer.Close)
+	rt, err := NewRouter([]Target{{Name: "host-0", URL: newer.URL}}, Options{Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	createVia(t, rt, "newer-0")
+
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	var m service.MetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Runs != 1 || len(m.PerRun) != 1 || m.PerRun[0].Host != "host-0" {
+		t.Errorf("fleet metrics runs=%d per_run=%+v, want the newer peer's one run on host-0", m.Runs, m.PerRun)
+	}
+
+	rec = httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs", nil))
+	var list service.RunList
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 1 || list.Runs[0].ID != "newer-0" {
+		t.Errorf("fleet run list %+v, want the newer peer's run newer-0", list.Runs)
+	}
+}
+
 // TestRouterSSEResumeForward: Last-Event-ID travels through the proxy,
 // so a reconnecting subscriber resumes the per-run stream mid-way —
 // the first forwarded frame is the event after the cursor.
@@ -431,8 +477,8 @@ func TestRouterFirehoseFanIn(t *testing.T) {
 // TestRouterLookupNextAllocFree pins the acceptance gate: the direct-
 // mode poll-forwarding path — ring lookup, registry fetch, Host.Next —
 // allocates nothing in steady state. This is the exact path the
-// federated cluster harness and the ClusterHostFederated benchmark
-// drive per poll.
+// federated cluster harness (and the federated-4x25k row of
+// internal/cluster's BenchmarkScenario) drives per poll.
 func TestRouterLookupNextAllocFree(t *testing.T) {
 	rt, _ := newDirectFleet(t, 4)
 	const p = 8

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,43 +12,69 @@ import (
 	"hetsched/internal/rng"
 )
 
-// allocPollLoop builds a warmed-up host and returns a closure that
-// performs one serial poll (round-robin worker, completing the
-// previous grant). The warmup drains enough polls that every
-// per-worker accumulator, grant-table slot, and scheduler slab has
-// been touched, so the closure exercises the steady state. withEvents
-// attaches a live event stream (with one parked subscriber, so the
-// publish path actually offers events somewhere) before the first
-// poll, exactly as Options.NewRun does.
-func allocPollLoop(t *testing.T, lease time.Duration, withEvents, withJournal bool) func() {
-	t.Helper()
-	const n, p, batch = 128, 64, 4
-	drv := core.NewSchedulerDriver(outer.NewTwoPhasesAuto(n, p, rng.New(1).Split()))
+// pollP is the worker count of pollHost's runs.
+const pollP = 64
+
+// pollHost builds the host the allocation gate and BenchmarkHostNext
+// poll: outer 2phases, n=128, p=pollP, batch 4, seeded by seed.
+// withEvents attaches a live event stream (with one parked subscriber,
+// so the publish path actually offers events somewhere) before the
+// first poll, exactly as Options.NewRun does; a non-nil jr journals
+// the run under an id of its own.
+func pollHost(tb testing.TB, seed uint64, lease time.Duration, withEvents bool, jr *durable.Log) *Host {
+	const n, batch = 128, 4
+	drv := core.NewSchedulerDriver(outer.NewTwoPhasesAuto(n, pollP, rng.New(seed).Split()))
 	h := NewHost(drv, batch, lease)
 	if withEvents {
 		st := events.NewBus(0).Run("alloc-test")
 		sub := st.Subscribe(0, 64)
-		t.Cleanup(sub.Close)
+		tb.Cleanup(sub.Close)
 		h.AttachEvents(st)
 	}
-	if withJournal {
-		jr, err := durable.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { jr.Close() })
-		h.AttachJournal(jr, "alloc-test")
+	if jr != nil {
+		h.AttachJournal(jr, fmt.Sprintf("alloc-test-%d", seed))
 	}
-	pending := make([][]core.Task, p)
+	return h
+}
+
+// allocPollLoop builds a warmed-up host and returns a closure that
+// performs one serial poll (round-robin worker, completing the
+// previous grant). The warmup drains enough polls that every
+// per-worker accumulator, grant-table slot, and scheduler slab has
+// been touched, so the closure exercises the steady state. A poll
+// answered done starts a fresh host (with the timer stopped under a
+// benchmark); the allocation gate stops long before that.
+func allocPollLoop(tb testing.TB, lease time.Duration, withEvents, withJournal bool) func() {
+	tb.Helper()
+	var jr *durable.Log
+	if withJournal {
+		var err error
+		if jr, err = durable.Open(tb.TempDir()); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { jr.Close() })
+	}
+	seed := uint64(1)
+	h := pollHost(tb, seed, lease, withEvents, jr)
+	pending := make([][]core.Task, pollP)
 	i := 0
 	poll := func() {
-		w := i % p
-		a, _, err := h.Next(w, pending[w])
+		w := i % pollP
+		a, status, err := h.Next(w, pending[w])
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		pending[w] = a.Tasks
 		i++
+		if status == StatusDone {
+			if b, ok := tb.(*testing.B); ok {
+				b.StopTimer()
+				defer b.StartTimer()
+			}
+			seed++
+			h = pollHost(tb, seed, lease, withEvents, jr)
+			pending = make([][]core.Task, pollP)
+		}
 	}
 	for j := 0; j < 2000; j++ {
 		poll()

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"hetsched/internal/core"
 )
@@ -57,6 +59,73 @@ func benchDup(b *testing.B, k int, f func([]core.Task) bool) {
 		if f(report) {
 			b.Fatal("false duplicate")
 		}
+	}
+}
+
+// BenchmarkHostNext times one poll at the transport-free limit, on the
+// allocation gate's host (pollHost), a fresh one started whenever a run
+// drains. The serial rows poll round-robin with a lease that never
+// fires and with the journal armed on top of it; the parallel rows
+// poll one Host from GOMAXPROCS goroutines, one worker each, bare and
+// with an event stream attached.
+func BenchmarkHostNext(b *testing.B) {
+	for _, tc := range []struct {
+		name            string
+		lease           time.Duration
+		events, journal bool
+		parallel        bool
+	}{
+		{name: "plain"},
+		{name: "lease", lease: time.Hour},
+		{name: "journal", lease: time.Hour, journal: true},
+		{name: "parallel", parallel: true},
+		{name: "parallel+events", events: true, parallel: true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			if !tc.parallel {
+				poll := allocPollLoop(b, tc.lease, tc.events, tc.journal)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					poll()
+				}
+				return
+			}
+			var mu sync.Mutex
+			seed, workers := uint64(1), 0
+			h := pollHost(b, seed, tc.lease, tc.events, nil)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				mu.Lock()
+				w := workers % pollP
+				workers++
+				mu.Unlock()
+				var pending []core.Task
+				var last *Host
+				for pb.Next() {
+					mu.Lock()
+					host := h
+					mu.Unlock()
+					if host != last { // a fresh run: the held batch died with the old one
+						pending, last = nil, host
+					}
+					a, status, err := host.Next(w, pending)
+					if err != nil {
+						b.Error(err) // Fatal must not be called off the benchmark goroutine
+						return
+					}
+					pending = a.Tasks
+					if status == StatusDone {
+						mu.Lock()
+						if h == host { // the first to see done starts the next run
+							seed++
+							h = pollHost(b, seed, tc.lease, tc.events, nil)
+						}
+						mu.Unlock()
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
+	"hetsched/internal/durable"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -70,38 +71,62 @@ func checkCoverage(t *testing.T, got [][]core.Task, total int, decode func(core.
 }
 
 func TestHostConcurrentDrainOuter(t *testing.T) {
-	const n, p = 30, 10
-	drv := core.NewSchedulerDriver(outer.NewTwoPhasesAuto(n, p, rng.New(11).Split()))
-	h := NewHost(drv, 3, 0)
-	got := hammer(t, h)
-	checkCoverage(t, got, n*n, func(task core.Task) int { return int(task) })
+	for _, tc := range []struct {
+		name string
+		n    int
+		host func(t *testing.T) *Host
+	}{
+		{"p10-batch3", 30, func(t *testing.T) *Host {
+			return NewHost(core.NewSchedulerDriver(outer.NewTwoPhasesAuto(30, 10, rng.New(11).Split())), 3, 0)
+		}},
+		// The poll benchmark's host with an event stream and a journal
+		// attached: 64 goroutines on one Host through every hook a
+		// served poll runs, which is what the race detector is for.
+		{"p64-batch4-events-journal", 128, func(t *testing.T) *Host {
+			jr, err := durable.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { jr.Close() })
+			return pollHost(t, 11, 0, true, jr)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, h := tc.n, tc.host(t)
+			got := hammer(t, h)
+			checkCoverage(t, got, n*n, func(task core.Task) int { return int(task) })
 
-	st := h.Stats()
-	if st.Remaining != 0 || st.Outstanding != 0 {
-		t.Errorf("remaining=%d outstanding=%d after drain", st.Remaining, st.Outstanding)
-	}
-	if st.Assigned != n*n || st.Completed != n*n {
-		t.Errorf("assigned=%d completed=%d, want %d", st.Assigned, st.Completed, n*n)
-	}
-	if st.State != StateComplete {
-		t.Errorf("state = %q, want %q", st.State, StateComplete)
-	}
-	if st.Blocks <= 0 {
-		t.Errorf("blocks = %d, want > 0", st.Blocks)
-	}
-	if st.Phase1Tasks < 0 {
-		t.Errorf("phase1 = %d for a two-phase run", st.Phase1Tasks)
-	}
-	wt := 0
-	for _, ws := range st.Workers {
-		wt += ws.Tasks
-	}
-	if wt != n*n {
-		t.Errorf("per-worker task sum = %d, want %d", wt, n*n)
-	}
-	tr := h.Trace()
-	if len(tr.Segments) == 0 || tr.P != p {
-		t.Errorf("trace has %d segments over %d procs", len(tr.Segments), tr.P)
+			st := h.Stats()
+			if st.Remaining != 0 || st.Outstanding != 0 {
+				t.Errorf("remaining=%d outstanding=%d after drain", st.Remaining, st.Outstanding)
+			}
+			if st.Assigned != n*n || st.Completed != n*n {
+				t.Errorf("assigned=%d completed=%d, want %d", st.Assigned, st.Completed, n*n)
+			}
+			if st.Assigned != st.Completed+st.Reclaimed {
+				t.Errorf("assigned=%d != completed=%d + reclaimed=%d", st.Assigned, st.Completed, st.Reclaimed)
+			}
+			if st.State != StateComplete {
+				t.Errorf("state = %q, want %q", st.State, StateComplete)
+			}
+			if st.Blocks <= 0 {
+				t.Errorf("blocks = %d, want > 0", st.Blocks)
+			}
+			if st.Phase1Tasks < 0 {
+				t.Errorf("phase1 = %d for a two-phase run", st.Phase1Tasks)
+			}
+			wt := 0
+			for _, ws := range st.Workers {
+				wt += ws.Tasks
+			}
+			if wt != n*n {
+				t.Errorf("per-worker task sum = %d, want %d", wt, n*n)
+			}
+			tr := h.Trace()
+			if len(tr.Segments) == 0 || tr.P != len(got) {
+				t.Errorf("trace has %d segments over %d procs", len(tr.Segments), tr.P)
+			}
+		})
 	}
 }
 

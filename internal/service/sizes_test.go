@@ -1,0 +1,94 @@
+package service
+
+import (
+	"os"
+	"testing"
+	"time"
+
+	"hetsched/internal/core"
+	"hetsched/internal/durable"
+)
+
+// The two sizes below are counted, not timed: the benchmark's poll run
+// (outer 2phases, n=128, p=64, batch 1, fixed seed) driven by a
+// round-robin script on the injected clock, so they repeat exactly on
+// every machine. They count, for one run, what the benchmark measures
+// over many as durable.bytes_per_poll and durable.snapshot_bytes.
+
+// sizedRun creates the benchmark's poll run in a journaled world.
+func sizedRun(t *testing.T) (*world, *Run) {
+	t.Helper()
+	w := newWorld(t, t.TempDir(), newVclock(), true)
+	return w, w.create("r0", CreateRunRequest{
+		Kernel: KernelOuter, Strategy: "2phases", N: 128, P: 64, Seed: 1, Batch: 1,
+	})
+}
+
+// driveScript polls run round-robin, skipping workers already told
+// done, each poll reporting the batch the worker holds and advancing
+// the clock 20µs. It stops after maxPolls polls (0: once every worker
+// has been told done) and returns the polls made.
+func driveScript(t *testing.T, run *Run, clk *vclock, maxPolls int) int {
+	t.Helper()
+	held := make([][]core.Task, run.P)
+	done := make([]bool, run.P)
+	polls, left, w := 0, run.P, 0
+	for left > 0 && (maxPolls == 0 || polls < maxPolls) {
+		for done[w] {
+			w = (w + 1) % run.P
+		}
+		clk.adv(20 * time.Microsecond)
+		a, status, err := run.Host.Next(w, held[w])
+		if err != nil {
+			t.Fatalf("poll %d, worker %d: %v", polls, w, err)
+		}
+		held[w] = append(held[w][:0], a.Tasks...)
+		if status == StatusDone {
+			done[w] = true
+			left--
+		}
+		polls++
+		w = (w + 1) % run.P
+	}
+	return polls
+}
+
+// scriptPolls is the length of the drained script.
+const scriptPolls = 2414
+
+// TestJournalBytesPerPoll pins the journal a drained run leaves behind,
+// per poll: its create record and one record per poll, each framed.
+func TestJournalBytesPerPoll(t *testing.T) {
+	const want = 93018 // bytes in the journal directory
+	w, run := sizedRun(t)
+	if polls := driveScript(t, run, w.clk, 0); polls != scriptPolls {
+		t.Fatalf("script drained in %d polls, want %d", polls, scriptPolls)
+	}
+	ents, err := os.ReadDir(w.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += info.Size()
+	}
+	if bytes != want {
+		t.Errorf("journal holds %d bytes = %.4f per poll, want %d = %.4f; a change that moves this states the new value in CHANGES.md",
+			bytes, float64(bytes)/scriptPolls, want, float64(want)/scriptPolls)
+	}
+}
+
+// TestSnapshotBytes pins the snapshot of the run at 90% of its script,
+// which is where the benchmark's recover workload hands a run over.
+func TestSnapshotBytes(t *testing.T) {
+	const want = 247157
+	w, run := sizedRun(t)
+	driveScript(t, run, w.clk, scriptPolls*9/10)
+	if got := len(durable.AppendSnapshot(nil, run.snapshot())); got != want {
+		t.Errorf("snapshot at 90%% is %d bytes, want %d; a change that moves this states the new value in CHANGES.md", got, want)
+	}
+}
