@@ -6,7 +6,10 @@
 // have up to 10^6 members, so a packed representation matters.
 package bitset
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Bitset is a fixed-capacity set of integers in [0, Len()).
 type Bitset struct {
@@ -95,6 +98,28 @@ func (b *Bitset) ForEachClear(fn func(i int)) {
 			fn(i)
 		}
 	}
+}
+
+// AppendWords appends the set's packed words, 8 bytes each
+// little-endian, to dst.
+func (b *Bitset) AppendWords(dst []byte) []byte {
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
+// LoadWords replaces the set's contents with as many words as
+// AppendWords writes, taken from next, and reports whether they hold no
+// member at or past Len().
+func (b *Bitset) LoadWords(next func() uint64) bool {
+	for i := range b.words {
+		b.words[i] = next()
+	}
+	if tail := b.n & 63; tail != 0 && len(b.words) > 0 {
+		return b.words[len(b.words)-1]>>tail == 0
+	}
+	return true
 }
 
 func (b *Bitset) check(i int) {

@@ -1,6 +1,11 @@
 package cholesky
 
-import "hetsched/internal/dag"
+import (
+	"encoding/binary"
+
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
+)
 
 // Policy selects which schedulable ready task a requesting worker
 // gets; the policies (RandomReady, LocalityReady, CriticalPathReady)
@@ -156,4 +161,67 @@ func (k *kernel) Complete(dt dag.Task, ready []dag.Task) []dag.Task {
 		}
 	}
 	return ready
+}
+
+// AppendState implements dag.Kernel: the per-tile update counts, then
+// the POTRF and TRSM completion flags.
+func (k *kernel) AppendState(dst []byte) []byte {
+	for _, c := range k.updatesDone {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	dst = core.AppendBools(dst, k.potrfDone)
+	return core.AppendBools(dst, k.trsmDone)
+}
+
+// RestoreState implements dag.Kernel. Tile (i, j) of the lower triangle
+// takes j updates and the upper triangle none; POTRF(k) ran on a fully
+// updated diagonal tile, and TRSM(i, k) below the diagonal after it.
+func (k *kernel) RestoreState(src []byte, ready []dag.Task) error {
+	r := core.NewStateReader(src)
+	n := k.n
+	for id := range k.updatesDone {
+		i, j := id/n, id%n
+		max := j
+		if j > i {
+			max = 0
+		}
+		k.updatesDone[id] = r.Int(max, "cholesky update count")
+	}
+	r.Bools(k.potrfDone)
+	r.Bools(k.trsmDone)
+	for kk, done := range k.potrfDone {
+		if done && k.updatesDone[kk*n+kk] != kk {
+			r.Failf("cholesky: POTRF(%d) done on a tile short of updates", kk)
+		}
+	}
+	for id, done := range k.trsmDone {
+		if i, kk := id/n, id%n; done && (i <= kk || !k.potrfDone[kk] || k.updatesDone[id] != kk) {
+			r.Failf("cholesky: TRSM(%d,%d) done out of order", i, kk)
+		}
+	}
+	for _, t := range ready {
+		if r.Ok() && !k.released(fromDAG(t)) {
+			r.Failf("cholesky: %v is not a released task", fromDAG(t))
+		}
+	}
+	return r.Done()
+}
+
+// released reports whether t is a Cholesky task whose inputs are final
+// and which has not run: the condition under which Complete made it
+// ready.
+func (k *kernel) released(t Task) bool {
+	n := k.n
+	switch t.Kind {
+	case Potrf:
+		return t.I == 0 && t.J == 0 && 0 <= t.K && t.K < n &&
+			!k.potrfDone[t.K] && k.updatesDone[t.K*n+t.K] == t.K
+	case Trsm:
+		return t.J == 0 && 0 <= t.K && t.K < t.I && t.I < n &&
+			k.potrfDone[t.K] && !k.trsmDone[t.I*n+t.K] && k.updatesDone[t.I*n+t.K] == t.K
+	case Update:
+		return 0 <= t.K && t.K < t.J && t.J <= t.I && t.I < n &&
+			k.trsmDone[t.I*n+t.K] && k.trsmDone[t.J*n+t.K] && k.updatesDone[t.I*n+t.J] < t.J
+	}
+	return false
 }

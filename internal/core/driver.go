@@ -1,5 +1,11 @@
 package core
 
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
+
 // Driver generalizes Scheduler to kernels whose allocation state
 // advances on completions as well as on requests. The flat kernels
 // (outer product, matrix multiplication) commit a task at assignment
@@ -144,6 +150,52 @@ func (d *SchedulerDriver) Complete(int, []Task) {}
 // scheduler.
 func (d *SchedulerDriver) Reassign(_ int, ts []Task) {
 	d.requeue = append(d.requeue, ts...)
+}
+
+// errNoState reports a wrapped scheduler that cannot be snapshotted.
+var errNoState = errors.New("core: scheduler has no state codec")
+
+// AppendState implements Snapshotter: the requeue, oldest first, then
+// the wrapped scheduler's state. It panics when the scheduler is not a
+// Snapshotter; every scheduler a service host journals is one.
+func (d *SchedulerDriver) AppendState(dst []byte) []byte {
+	sn, ok := d.s.(Snapshotter)
+	if !ok {
+		panic(fmt.Sprintf("%v: %s", errNoState, d.s.Name()))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(d.requeue)))
+	for _, t := range d.requeue {
+		dst = binary.AppendUvarint(dst, uint64(t))
+	}
+	return sn.AppendState(dst)
+}
+
+// RestoreState implements Snapshotter. A requeued task is a task of the
+// instance, and is requeued once.
+func (d *SchedulerDriver) RestoreState(src []byte) error {
+	sn, ok := d.s.(Snapshotter)
+	if !ok {
+		return fmt.Errorf("%w: %s", errNoState, d.s.Name())
+	}
+	r := NewStateReader(src)
+	total := d.s.Total()
+	n := r.Int(total, "requeue length")
+	d.requeue = nil
+	if n > 0 {
+		seen := make([]bool, total)
+		for i := 0; i < n && r.Ok(); i++ {
+			t := r.Int(total-1, "requeued task")
+			if r.Ok() && seen[t] {
+				r.Failf("core: task %d requeued twice", t)
+			}
+			seen[t] = true
+			d.requeue = append(d.requeue, Task(t))
+		}
+	}
+	if !r.Ok() {
+		return r.Done()
+	}
+	return sn.RestoreState(r.Rest())
 }
 
 // Remaining implements Driver: unprocessed tasks plus reclaimed tasks

@@ -1,6 +1,11 @@
 package core
 
-import "hetsched/internal/rng"
+import (
+	"encoding/binary"
+	"math"
+
+	"hetsched/internal/rng"
+)
 
 // IndexPool draws, without replacement and in uniformly random order,
 // indices from [0, n). The data-aware strategies use one pool per
@@ -35,6 +40,46 @@ func (p *IndexPool) Draw(r *rng.PCG) (idx int, ok bool) {
 
 // Left returns the number of indices not yet drawn.
 func (p *IndexPool) Left() int { return len(p.remaining) }
+
+// AppendState appends the state of a pool over [0, n) together with
+// drawn, the indices its owner has drawn from it in order: the count
+// of drawn, the drawn indices, then the undrawn ones in slice order —
+// draws index into that order, so it is state too.
+func (p *IndexPool) AppendState(dst []byte, drawn []int32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(drawn)))
+	for _, v := range drawn {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	for _, v := range p.remaining {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	return dst
+}
+
+// RestoreState reads what AppendState wrote for a pool over [0, n)
+// into the pool and into drawn[:0], which it returns, and checks that
+// the two partition [0, n).
+func (p *IndexPool) RestoreState(r *StateReader, n int, drawn []int32) []int32 {
+	k := r.Int(n, "drawn index count")
+	seen := make([]bool, n)
+	take := func() int32 {
+		v := r.Int(n-1, "index")
+		if r.Ok() && seen[v] {
+			r.Failf("core: index %d is both drawn and undrawn, or twice either", v)
+		}
+		seen[v] = true
+		return int32(v)
+	}
+	drawn = drawn[:0]
+	for i := 0; i < k && r.Ok(); i++ {
+		drawn = append(drawn, take())
+	}
+	p.remaining = p.remaining[:0]
+	for i := k; i < n && r.Ok(); i++ {
+		p.remaining = append(p.remaining, take())
+	}
+	return drawn
+}
 
 // TaskPool holds a multiset-free pool of task identifiers supporting
 // O(1) uniform random draws with removal and O(1) deletion of tasks
@@ -76,3 +121,25 @@ func (p *TaskPool) Draw(r *rng.PCG, skip func(Task) bool) (t Task, ok bool) {
 // Len returns the number of tasks still in the pool (including tasks
 // that would be skipped at draw time).
 func (p *TaskPool) Len() int { return len(p.tasks) }
+
+// AppendState appends the pool's tasks in slice order, which draws
+// index into; the owner knows how many there are.
+func (p *TaskPool) AppendState(dst []byte) []byte {
+	for _, t := range p.tasks {
+		dst = binary.AppendUvarint(dst, uint64(t))
+	}
+	return dst
+}
+
+// RestoreState refills the pool with the n tasks AppendState wrote,
+// each of which admit must accept.
+func (p *TaskPool) RestoreState(r *StateReader, n int, admit func(Task) bool) {
+	p.tasks = p.tasks[:0]
+	for i := 0; i < n && r.Ok(); i++ {
+		t := r.Uvarint()
+		if r.Ok() && (t > math.MaxInt64 || !admit(Task(t))) {
+			r.Failf("core: task pool holds task %d out of place", t)
+		}
+		p.tasks = append(p.tasks, Task(t))
+	}
+}

@@ -51,6 +51,11 @@ type Task struct {
 //     defines the schedule bit-for-bit).
 //   - InitialReady seeds the ready set (typically the first diagonal
 //     factorization).
+//   - AppendState and RestoreState carry the progress Complete
+//     records, canonically; RestoreState runs on a freshly built
+//     kernel of the same n, never panics, and rejects a ready task
+//     that is not one of the kernel's tasks released by that progress,
+//     before the Coordinator asks for its tiles.
 type Kernel interface {
 	// Name is the workload name used as a prefix in Driver.Name.
 	Name() string
@@ -76,6 +81,13 @@ type Kernel interface {
 	InitialReady(ready []Task) []Task
 	// Complete marks t done and appends newly ready tasks to ready.
 	Complete(t Task, ready []Task) []Task
+	// AppendState appends the kernel's progress to dst.
+	AppendState(dst []byte) []byte
+	// RestoreState replaces the progress of a freshly built kernel with
+	// the one src holds, and checks that every task of ready is a task
+	// of the kernel that this progress has released and does not record
+	// as completed.
+	RestoreState(src []byte, ready []Task) error
 }
 
 // Policy selects which schedulable ready task a requesting worker

@@ -15,8 +15,17 @@ import (
 // the factorization kernels share — multi-output write locks, version
 // bumps, re-ship accounting — with trivially checkable numbers.
 type chainKernel struct {
+	noState
 	n    int
 	done int
+}
+
+// noState gives a test kernel the state methods it never uses.
+type noState struct{}
+
+func (noState) AppendState(dst []byte) []byte { return dst }
+func (noState) RestoreState([]byte, []Task) error {
+	return fmt.Errorf("dag: test kernel has no state codec")
 }
 
 func (k *chainKernel) Name() string        { return "Chain" }
@@ -101,7 +110,7 @@ func TestMultiOutputWriteLockBlocksSecondWriter(t *testing.T) {
 
 // forkKernel: two tasks, both writing tile 0 (task 1 also tile 1),
 // both initially ready.
-type forkKernel struct{}
+type forkKernel struct{ noState }
 
 func (k *forkKernel) Name() string        { return "Fork" }
 func (k *forkKernel) N() int              { return 2 }
@@ -175,7 +184,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // shapeKernel is one ready task over four tiles that reads and writes
 // whatever the test says: the kernels the Kernel contract excludes.
-type shapeKernel struct{ in, out []int }
+type shapeKernel struct {
+	noState
+	in, out []int
+}
 
 func (k *shapeKernel) Name() string                         { return "Shape" }
 func (k *shapeKernel) N() int                               { return 2 }

@@ -10,7 +10,10 @@ import (
 // front, each writing its own tile and reading the shared tile 0 plus
 // its own — so every task has equal ship cost for a cold worker and
 // equal depth, the worst case for tie-breaking.
-type flatKernel struct{ total int }
+type flatKernel struct {
+	noState
+	total int
+}
 
 func (k *flatKernel) Name() string        { return "Flat" }
 func (k *flatKernel) N() int              { return k.total }
@@ -32,7 +35,7 @@ func (k *flatKernel) Complete(t Task, ready []Task) []Task {
 
 // emptyKernel starts with nothing ready (a degenerate but legal DAG
 // shape: Total 0).
-type emptyKernel struct{}
+type emptyKernel struct{ noState }
 
 func (k *emptyKernel) Name() string                        { return "Empty" }
 func (k *emptyKernel) N() int                              { return 1 }
@@ -173,7 +176,7 @@ func TestCriticalPathPrefersDepthOverLocality(t *testing.T) {
 // depthKernel: two ready tasks; task 0 has depth 0 but two cold input
 // tiles, task 1 has depth 1 and only one — locality alone would pick
 // task 1.
-type depthKernel struct{}
+type depthKernel struct{ noState }
 
 func (k *depthKernel) Name() string        { return "Depth" }
 func (k *depthKernel) N() int              { return 2 }

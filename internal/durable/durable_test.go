@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/outer"
+	"hetsched/internal/rng"
 	"hetsched/internal/trace"
 )
 
@@ -283,6 +285,16 @@ func TestJournalRotateAndPrune(t *testing.T) {
 	}
 }
 
+// goldenDriver is the state of a small served driver a few grants in,
+// so the snapshot corpus carries the bytes a real host writes.
+func goldenDriver() []byte {
+	d := core.NewSchedulerDriver(outer.NewTwoPhasesAuto(4, 2, rng.New(1).Split()))
+	for w := 0; w < 4; w++ {
+		d.Next(w % 2)
+	}
+	return d.AppendState(nil)
+}
+
 // goldenSnapshot exercises every field of the snapshot codec.
 func goldenSnapshot() *RunSnapshot {
 	return &RunSnapshot{
@@ -302,10 +314,10 @@ func goldenSnapshot() *RunSnapshot {
 			{Proc: 0, Start: 0, End: 1.5, Tasks: 2, Blocks: 6},
 			{Proc: 1, Start: 0.5, End: 0.5, Tasks: 1, Blocks: 2},
 		},
-		Open:      []int32{-1, 1},
-		Grants:    []Grant{{Task: 3, ExpiryNs: 9000, Worker: 1}, {Task: 5, ExpiryNs: 9500, Worker: 0}},
-		Stains:    []Stain{{Task: 2, Worker: 0}},
-		DriverOps: []byte{'n', 0, 0, 0, 0, 'c', 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
+		Open:   []int32{-1, 1},
+		Grants: []Grant{{Task: 3, ExpiryNs: 9000, Worker: 1}, {Task: 5, ExpiryNs: 9500, Worker: 0}},
+		Stains: []Stain{{Task: 2, Worker: 0}},
+		Driver: goldenDriver(),
 	}
 }
 

@@ -116,7 +116,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(AppendSnapshot(nil, goldenSnapshot()))
 	f.Add(AppendSnapshot(nil, &RunSnapshot{ID: "r0", Mutations: 1, Request: []byte(`{}`)}))
 	f.Add([]byte{})
-	f.Add([]byte("HSN1 not a snapshot"))
+	f.Add([]byte("HSN2 not a snapshot"))
+	f.Add([]byte("HSN1 a snapshot of the retired format"))
 	damaged := AppendSnapshot(nil, goldenSnapshot())
 	damaged[len(damaged)/3] ^= 0x01
 	f.Add(damaged)

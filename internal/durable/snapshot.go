@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -38,13 +39,10 @@ type Stain struct {
 // sequence watermark: recovery restores the snapshot and then replays
 // only journal records with a higher sequence number.
 //
-// The driver itself is persisted as DriverOps, an append-only op log
-// of the successful driver calls (grant steps, completion reports,
-// reclaim returns) in execution order. Drivers are deterministic
-// single-goroutine state machines seeded from the creation record, so
-// re-executing the op log against a freshly built driver reproduces
-// its exact internal state, RNG included — no per-scheduler
-// serialization needed.
+// Driver is the driver's own state, as its core.Snapshotter wrote it:
+// restore builds a fresh driver from Request and hands it these bytes,
+// so a snapshot's size and its restore time follow the run's state,
+// not the length of its history.
 type RunSnapshot struct {
 	ID        string
 	Mutations uint64
@@ -70,7 +68,7 @@ type RunSnapshot struct {
 	Grants []Grant
 	Stains []Stain
 
-	DriverOps []byte
+	Driver []byte
 }
 
 // Snapshot file format: magic, fixed-width little-endian fields in
@@ -79,7 +77,17 @@ type RunSnapshot struct {
 // canonical — every field has exactly one representation — so
 // encode(decode(b)) == b for any accepted b (FuzzSnapshotRoundTrip
 // pins this).
-var snapMagic = [4]byte{'H', 'S', 'N', '1'}
+var snapMagic = [4]byte{'H', 'S', 'N', '2'}
+
+// retiredMagic opens the snapshots of the retired format, which carried
+// the driver as a log of its calls to replay; they are refused.
+var retiredMagic = [4]byte{'H', 'S', 'N', '1'}
+
+// ErrOpLogSnapshot rejects a snapshot in the retired op-log format.
+// Recovery and imports fail on it rather than skip it: skipping would
+// fall back to an older snapshot or a pruned journal and lose
+// acknowledged state without a word.
+var ErrOpLogSnapshot = errors.New("snapshot was written in the retired op-log format (HSN1), which this version cannot restore")
 
 // maxSnapshotSlice bounds every slice length a decoder will accept.
 const maxSnapshotSlice = 1 << 26
@@ -146,7 +154,7 @@ func AppendSnapshot(dst []byte, s *RunSnapshot) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Task))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(st.Worker))
 	}
-	dst = appendBytes(dst, s.DriverOps)
+	dst = appendBytes(dst, s.Driver)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
@@ -218,6 +226,9 @@ func (r *snapReader) bytes(n int) []byte {
 // bytes and rejects any damage: bad magic, truncation, trailing bytes,
 // non-canonical booleans and CRC mismatches all fail with an error.
 func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
+	if len(b) >= len(retiredMagic) && string(b[:4]) == string(retiredMagic[:]) {
+		return nil, fmt.Errorf("durable: %w", ErrOpLogSnapshot)
+	}
 	if len(b) < len(snapMagic)+4 || string(b[:4]) != string(snapMagic[:]) {
 		return nil, fmt.Errorf("durable: not a snapshot")
 	}
@@ -301,7 +312,7 @@ func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 		}
 	}
 	if n := r.sliceLen(); n > 0 {
-		s.DriverOps = append([]byte(nil), r.bytes(n)...)
+		s.Driver = append([]byte(nil), r.bytes(n)...)
 	}
 	if r.bad {
 		return nil, fmt.Errorf("durable: snapshot truncated")
@@ -345,7 +356,8 @@ func (l *Log) WriteSnapshot(s *RunSnapshot) error {
 // LoadSnapshots reads every snapshot in the journal directory and
 // returns the highest-watermark valid snapshot per run. Damaged files
 // — the residue of a crash mid-checkpoint — are skipped: the older
-// snapshot plus the longer journal suffix wins.
+// snapshot plus the longer journal suffix wins. A file in the retired
+// op-log format fails the load (ErrOpLogSnapshot), naming the file.
 func (l *Log) LoadSnapshots() (map[string]*RunSnapshot, error) {
 	_, snaps, err := scanDir(l.dir)
 	if err != nil {
@@ -353,18 +365,33 @@ func (l *Log) LoadSnapshots() (map[string]*RunSnapshot, error) {
 	}
 	best := make(map[string]*RunSnapshot)
 	for _, sf := range snaps {
-		if prev, ok := best[sf.id]; ok && prev.Mutations >= sf.seq {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(l.dir, sf.name))
+		s, err := readSnapshot(l.dir, sf)
 		if err != nil {
+			return nil, err
+		}
+		if s == nil {
 			continue
 		}
-		s, err := DecodeSnapshot(data)
-		if err != nil || s.ID != sf.id {
-			continue
+		if prev, ok := best[sf.id]; !ok || prev.Mutations < s.Mutations {
+			best[s.ID] = s
 		}
-		best[s.ID] = s
 	}
 	return best, nil
+}
+
+// readSnapshot reads one snapshot file: nil when it is unreadable or
+// damaged, an error only when it is in the retired format.
+func readSnapshot(dir string, sf snapFile) (*RunSnapshot, error) {
+	data, err := os.ReadFile(filepath.Join(dir, sf.name))
+	if err != nil {
+		return nil, nil
+	}
+	s, err := DecodeSnapshot(data)
+	if errors.Is(err, ErrOpLogSnapshot) {
+		return nil, fmt.Errorf("durable: %s: %w", sf.name, ErrOpLogSnapshot)
+	}
+	if err != nil || s.ID != sf.id {
+		return nil, nil
+	}
+	return s, nil
 }

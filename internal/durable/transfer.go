@@ -17,7 +17,7 @@ import (
 //
 //	transfer := magic "HTX1"
 //	            flag(u8)                 1 = snapshot present, 0 = absent
-//	            [snapLen(u32) snapshot]  when flag == 1 (HSN1 encoding, own CRC)
+//	            [snapLen(u32) snapshot]  when flag == 1 (HSN2 encoding, own CRC)
 //	            frame*                   journal frames: len(u32) crc(u32) mutation
 //
 // The frames carry the run's journal tail: every mutation with a
@@ -30,8 +30,9 @@ import (
 // Unlike the journal reader (DecodeFrames), which treats a torn tail
 // as the expected residue of a crash, a transfer stream has no excuse
 // for damage: DecodeTransfer is total on arbitrary bytes and rejects
-// truncation, corruption, trailing bytes and any structural
-// inconsistency with an error. The encoding is canonical, so
+// truncation, corruption, trailing bytes, a snapshot in the retired
+// op-log format (ErrOpLogSnapshot) and any structural inconsistency
+// with an error. The encoding is canonical, so
 // AppendTransfer(nil, DecodeTransfer(b)) == b for any accepted b
 // (FuzzTransferDecode pins both properties).
 var transferMagic = [4]byte{'H', 'T', 'X', '1'}
@@ -178,7 +179,8 @@ func TransferRuns(dir string) ([]string, error) {
 // ExtractTransfer scavenges one run's transfer stream from a journal
 // directory without an open Log: the highest-watermark valid snapshot
 // (if any) plus every journal record above it, across all generations
-// in order. This is the death path — the new ring owner of a crashed
+// in order. A snapshot of the run in the retired op-log format fails
+// the extraction, as it fails recovery. This is the death path — the new ring owner of a crashed
 // host's run rebuilds the stream the dead process can no longer serve.
 // Duplicate records (the residue of a damaged-generation retry) are
 // skipped at the sequence watermark exactly as recovery skips them; a
@@ -192,18 +194,16 @@ func ExtractTransfer(dir, id string) ([]byte, error) {
 	}
 	var snap *RunSnapshot
 	for _, sf := range snapFiles {
-		if sf.id != id || (snap != nil && snap.Mutations >= sf.seq) {
+		if sf.id != id {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, sf.name))
+		s, err := readSnapshot(dir, sf)
 		if err != nil {
-			continue
+			return nil, err
 		}
-		s, err := DecodeSnapshot(data)
-		if err != nil || s.ID != id {
-			continue
+		if s != nil && (snap == nil || snap.Mutations < s.Mutations) {
+			snap = s
 		}
-		snap = s
 	}
 	var watermark uint64
 	if snap != nil {

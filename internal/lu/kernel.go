@@ -1,6 +1,11 @@
 package lu
 
-import "hetsched/internal/dag"
+import (
+	"encoding/binary"
+
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
+)
 
 // Policy selects which schedulable ready task a requesting worker
 // gets; the policies are shared by every DAG kernel and live in
@@ -159,4 +164,71 @@ func (k *kernel) Complete(dt dag.Task, ready []dag.Task) []dag.Task {
 		}
 	}
 	return ready
+}
+
+// AppendState implements dag.Kernel: the per-tile GEMM counts, then the
+// GETRF, row-solve and column-solve completion flags.
+func (k *kernel) AppendState(dst []byte) []byte {
+	for _, c := range k.gemmsDone {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	dst = core.AppendBools(dst, k.getrfDone)
+	dst = core.AppendBools(dst, k.trsmRowDone)
+	return core.AppendBools(dst, k.trsmColDone)
+}
+
+// RestoreState implements dag.Kernel. Tile (i, j) takes min(i, j) GEMMs;
+// GETRF(k) ran on a fully updated diagonal tile, and the solves of step
+// k, right of it and below it, after it.
+func (k *kernel) RestoreState(src []byte, ready []dag.Task) error {
+	r := core.NewStateReader(src)
+	n := k.n
+	for id := range k.gemmsDone {
+		k.gemmsDone[id] = r.Int(min(id/n, id%n), "LU GEMM count")
+	}
+	r.Bools(k.getrfDone)
+	r.Bools(k.trsmRowDone)
+	r.Bools(k.trsmColDone)
+	for kk, done := range k.getrfDone {
+		if done && k.gemmsDone[k.tile(kk, kk)] != kk {
+			r.Failf("lu: GETRF(%d) done on a tile short of updates", kk)
+		}
+	}
+	for id := range k.trsmRowDone {
+		a, b := id/n, id%n
+		if k.trsmRowDone[id] && (a >= b || !k.getrfDone[a] || k.gemmsDone[id] != a) {
+			r.Failf("lu: TRSM-U(%d,%d) done out of order", a, b)
+		}
+		if k.trsmColDone[id] && (a <= b || !k.getrfDone[b] || k.gemmsDone[id] != b) {
+			r.Failf("lu: TRSM-L(%d,%d) done out of order", a, b)
+		}
+	}
+	for _, t := range ready {
+		if r.Ok() && !k.released(fromDAG(t)) {
+			r.Failf("lu: %v is not a released task", fromDAG(t))
+		}
+	}
+	return r.Done()
+}
+
+// released reports whether t is an LU task whose inputs are final and
+// which has not run: the condition under which Complete made it ready.
+func (k *kernel) released(t Task) bool {
+	n := k.n
+	switch t.Kind {
+	case Getrf:
+		return t.I == 0 && t.J == 0 && 0 <= t.K && t.K < n &&
+			!k.getrfDone[t.K] && k.gemmsDone[k.tile(t.K, t.K)] == t.K
+	case TrsmRow:
+		return t.I == 0 && 0 <= t.K && t.K < t.J && t.J < n &&
+			k.getrfDone[t.K] && !k.trsmRowDone[k.tile(t.K, t.J)] && k.gemmsDone[k.tile(t.K, t.J)] == t.K
+	case TrsmCol:
+		return t.J == 0 && 0 <= t.K && t.K < t.I && t.I < n &&
+			k.getrfDone[t.K] && !k.trsmColDone[k.tile(t.I, t.K)] && k.gemmsDone[k.tile(t.I, t.K)] == t.K
+	case Gemm:
+		return 0 <= t.K && t.K < t.I && t.I < n && t.K < t.J && t.J < n &&
+			k.trsmColDone[k.tile(t.I, t.K)] && k.trsmRowDone[k.tile(t.K, t.J)] &&
+			k.gemmsDone[k.tile(t.I, t.J)] < min(t.I, t.J)
+	}
+	return false
 }

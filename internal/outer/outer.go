@@ -205,6 +205,19 @@ type dynState struct {
 	jPool  *core.IndexPool
 }
 
+// init materializes a worker's state on its first step: both
+// known-index lists reach exactly n entries at the end-game, so one
+// full-capacity allocation each here keeps every later append in place
+// — and workers that never poll (most of a parked 100k fleet) never pay
+// it, nor their draw pools.
+func (st *dynState) init(n int) {
+	slab := make([]int32, 2*n)
+	st.iKnown = slab[:0:n]
+	st.jKnown = slab[n : n : 2*n]
+	st.iPool = core.NewIndexPool(n)
+	st.jPool = core.NewIndexPool(n)
+}
+
 // Dynamic is the data-aware strategy of Algorithm 1 (DynamicOuter):
 // each request ships one fresh block of a and one fresh block of b and
 // allocates every still-unprocessed task that the enlarged sets I×J
@@ -240,17 +253,7 @@ func (s *Dynamic) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	st := &s.dyn[w]
 	if st.iPool == nil {
-		// First step for this worker: both known-index lists reach
-		// exactly n entries at the end-game, so one full-capacity
-		// allocation each here keeps every later append in place —
-		// and workers that never poll (most of a parked 100k fleet)
-		// never pay it, nor their draw pools.
-		nn := s.inst.n
-		slab := make([]int32, 2*nn)
-		st.iKnown = slab[:0:nn]
-		st.jKnown = slab[nn : nn : 2*nn]
-		st.iPool = core.NewIndexPool(nn)
-		st.jPool = core.NewIndexPool(nn)
+		st.init(s.inst.n)
 	}
 	i, okI := st.iPool.Draw(s.inst.r)
 	j, okJ := st.jPool.Draw(s.inst.r)

@@ -1,6 +1,11 @@
 package qr
 
-import "hetsched/internal/dag"
+import (
+	"encoding/binary"
+
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
+)
 
 // Policy selects which schedulable ready task a requesting worker
 // gets; the policies are shared by every DAG kernel and live in
@@ -192,4 +197,74 @@ func (k *kernel) tsmqrChainDone(i, j, step int) bool {
 		return k.ormqrDone[k.tile(step, j)]
 	}
 	return k.updates[k.tile(i-1, j)] > step
+}
+
+// AppendState implements dag.Kernel: the per-tile TSMQR counts, then
+// the GEQRT, TSQRT and ORMQR completion flags.
+func (k *kernel) AppendState(dst []byte) []byte {
+	for _, c := range k.updates {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	dst = core.AppendBools(dst, k.geqrtDone)
+	dst = core.AppendBools(dst, k.tsqrtDone)
+	return core.AppendBools(dst, k.ormqrDone)
+}
+
+// RestoreState implements dag.Kernel. Tile (i, j) takes min(i, j)
+// trailing updates; GEQRT(k) ran on a fully updated diagonal tile,
+// TSQRT(i, k) only below the diagonal and ORMQR(k, j) only right of it.
+func (k *kernel) RestoreState(src []byte, ready []dag.Task) error {
+	r := core.NewStateReader(src)
+	n := k.n
+	for id := range k.updates {
+		k.updates[id] = r.Int(min(id/n, id%n), "QR update count")
+	}
+	r.Bools(k.geqrtDone)
+	r.Bools(k.tsqrtDone)
+	r.Bools(k.ormqrDone)
+	for kk, done := range k.geqrtDone {
+		if done && k.updates[k.tile(kk, kk)] != kk {
+			r.Failf("qr: GEQRT(%d) done on a tile short of updates", kk)
+		}
+	}
+	for id := range k.tsqrtDone {
+		a, b := id/n, id%n
+		if k.tsqrtDone[id] && (a <= b || k.updates[id] != b) {
+			r.Failf("qr: TSQRT(%d,%d) done out of order", a, b)
+		}
+		if k.ormqrDone[id] && (a >= b || !k.geqrtDone[a] || k.updates[id] != a) {
+			r.Failf("qr: ORMQR(%d,%d) done out of order", a, b)
+		}
+	}
+	for _, t := range ready {
+		if r.Ok() && !k.released(fromDAG(t)) {
+			r.Failf("qr: %v is not a released task", fromDAG(t))
+		}
+	}
+	return r.Done()
+}
+
+// released reports whether t is a QR task whose preconditions (listed
+// on Complete) hold and which has not run.
+func (k *kernel) released(t Task) bool {
+	n := k.n
+	switch t.Kind {
+	case Geqrt:
+		return t.I == 0 && t.J == 0 && 0 <= t.K && t.K < n &&
+			!k.geqrtDone[t.K] && k.updates[k.tile(t.K, t.K)] == t.K
+	case Ormqr:
+		return t.I == 0 && 0 <= t.K && t.K < t.J && t.J < n &&
+			k.geqrtDone[t.K] && !k.ormqrDone[k.tile(t.K, t.J)] && k.updates[k.tile(t.K, t.J)] == t.K
+	case Tsqrt:
+		if t.J != 0 || t.K < 0 || t.I <= t.K || t.I >= n {
+			return false
+		}
+		chain := t.I == t.K+1 && k.geqrtDone[t.K] || t.I > t.K+1 && k.tsqrtDone[k.tile(t.I-1, t.K)]
+		return chain && !k.tsqrtDone[k.tile(t.I, t.K)] && k.updates[k.tile(t.I, t.K)] == t.K
+	case Tsmqr:
+		return 0 <= t.K && t.K < t.I && t.I < n && t.K < t.J && t.J < n &&
+			k.tsqrtDone[k.tile(t.I, t.K)] && k.updates[k.tile(t.I, t.J)] == t.K &&
+			k.tsmqrChainDone(t.I, t.J, t.K)
+	}
+	return false
 }

@@ -9,7 +9,11 @@
 // independent sub-streams for replications (see Split).
 package rng
 
-import "math"
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+)
 
 const (
 	pcgMultiplier = 6364136223846793005
@@ -49,6 +53,31 @@ func (p *PCG) Split() *PCG {
 
 func (p *PCG) step() {
 	p.state = p.state*pcgMultiplier + p.inc
+}
+
+// StateBytes is the length of the state AppendState writes.
+const StateBytes = 16
+
+// AppendState appends the generator's position — state, then stream
+// selector, each an 8-byte little-endian word — to dst.
+func (p *PCG) AppendState(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, p.state)
+	return binary.LittleEndian.AppendUint64(dst, p.inc)
+}
+
+// RestoreState moves the generator to the position AppendState wrote
+// in src, which must be exactly StateBytes long with an odd stream
+// selector; on error the generator is unchanged.
+func (p *PCG) RestoreState(src []byte) error {
+	if len(src) != StateBytes {
+		return errors.New("rng: state is not 16 bytes")
+	}
+	inc := binary.LittleEndian.Uint64(src[8:])
+	if inc&1 == 0 {
+		return errors.New("rng: state has an even stream selector")
+	}
+	p.state, p.inc = binary.LittleEndian.Uint64(src), inc
+	return nil
 }
 
 // Uint32 returns a uniformly distributed 32-bit value.

@@ -98,10 +98,10 @@ func allocPollLoop(tb testing.TB, lease time.Duration, withEvents, withJournal b
 //
 // The journal-enabled rows extend it again to the durability path: the
 // mutation frame is built into the journal's reusable group-commit
-// buffer (reset every Commit) and the driver op log is presized past
-// the whole test's appends (opLogPresize covers ~4000 polls; the test
-// performs at most 2600), so a journaled steady-state poll costs one
-// write(2) and zero heap allocations.
+// buffer (reset every Commit), and the poll appends nothing else — the
+// driver's state is written only when a snapshot is cut — so a
+// journaled steady-state poll costs one write(2) and zero heap
+// allocations.
 //
 // The scenario has 16384 tasks at batch 4; warmup (2000) plus the
 // measured polls (≤600) stay well inside the 4096-grant drain, so

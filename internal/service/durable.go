@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -13,10 +12,10 @@ import (
 )
 
 // This file is the service half of internal/durable: the canonical
-// creation record journaled by MutCreate, the driver op log that
-// snapshots persist, and the Host snapshot/restore pair. The journal
-// appends themselves live on the mutation path (host.go, registry.go);
-// the replay loop that consumes all of this is recover.go.
+// creation record journaled by MutCreate and the Host snapshot/restore
+// pair. The journal appends themselves live on the mutation path
+// (host.go, registry.go); the replay loop that consumes all of this is
+// recover.go.
 
 // createRecord is the canonical resolved creation payload: the
 // validated request with every server-side default already applied
@@ -104,113 +103,6 @@ func (rec createRecord) lease() time.Duration {
 	return time.Duration(rec.LeaseSeconds * float64(time.Second))
 }
 
-// --- Driver op log ----------------------------------------------------
-
-// The op log persists a driver as the byte sequence of its successful
-// calls:
-//
-//	'n' worker(u32)                        one granted NextInto/Next step
-//	'c' worker(u32) k(u32) task(u64)*k     one completion report
-//	'r' worker(u32) k(u32) task(u64)*k     one reclaim return
-//
-// Replaying the log against a freshly built driver (same creation
-// record, same seed → same rng.New(Seed).Split() stream) reproduces
-// the exact internal state: ready sets, tile versions, per-worker
-// cursors and the RNG cursor itself. The grant steps need no task
-// list — the replayed driver re-derives the identical assignment, and
-// restore discards it.
-const (
-	opNext     = 'n'
-	opComplete = 'c'
-	opReassign = 'r'
-)
-
-func appendOpNext(dst []byte, w int) []byte {
-	dst = append(dst, opNext)
-	return binary.LittleEndian.AppendUint32(dst, uint32(w))
-}
-
-func appendOpComplete(dst []byte, w int, ts []core.Task) []byte {
-	return appendOpTasks(dst, opComplete, w, ts)
-}
-
-func appendOpReassign(dst []byte, w int, ts []core.Task) []byte {
-	return appendOpTasks(dst, opReassign, w, ts)
-}
-
-func appendOpTasks(dst []byte, op byte, w int, ts []core.Task) []byte {
-	dst = append(dst, op)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ts)))
-	for _, t := range ts {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(t))
-	}
-	return dst
-}
-
-// replayDriverOps re-executes a persisted op log against drv. Any
-// structural damage or a driver refusing an op that once succeeded
-// means the snapshot does not belong to this driver — an error, never
-// a partial restore the caller can miss.
-func replayDriverOps(drv core.Driver, ops []byte) error {
-	bdrv, _ := drv.(core.BufferedDriver)
-	var reassigner core.Reassigner
-	var tmp, tasks []core.Task
-	i := 0
-	for i < len(ops) {
-		op := ops[i]
-		if len(ops)-i < 5 {
-			return fmt.Errorf("service: driver op log truncated at %d", i)
-		}
-		w := int(binary.LittleEndian.Uint32(ops[i+1:]))
-		i += 5
-		switch op {
-		case opNext:
-			var ok bool
-			if bdrv != nil {
-				var a core.Assignment
-				a, ok = bdrv.NextInto(w, tmp)
-				if ok && a.Tasks != nil {
-					tmp = a.Tasks[:0]
-				}
-			} else {
-				_, ok = drv.Next(w)
-			}
-			if !ok {
-				return fmt.Errorf("service: driver refused replayed grant step for worker %d", w)
-			}
-		case opComplete, opReassign:
-			if len(ops)-i < 4 {
-				return fmt.Errorf("service: driver op log truncated at %d", i)
-			}
-			k := int(binary.LittleEndian.Uint32(ops[i:]))
-			i += 4
-			if k < 0 || len(ops)-i < k*8 {
-				return fmt.Errorf("service: driver op log truncated at %d", i)
-			}
-			tasks = tasks[:0]
-			for j := 0; j < k; j++ {
-				tasks = append(tasks, core.Task(binary.LittleEndian.Uint64(ops[i:])))
-				i += 8
-			}
-			if op == opComplete {
-				drv.Complete(w, tasks)
-				continue
-			}
-			if reassigner == nil {
-				var ok bool
-				if reassigner, ok = drv.(core.Reassigner); !ok {
-					return fmt.Errorf("service: op log has a reclaim but driver %s cannot reassign", drv.Name())
-				}
-			}
-			reassigner.Reassign(w, tasks)
-		default:
-			return fmt.Errorf("service: unknown driver op %#02x at %d", op, i-5)
-		}
-	}
-	return nil
-}
-
 // --- Host snapshot / restore -----------------------------------------
 
 // applyReclaim replays a journaled reclaim pass at its recorded
@@ -220,10 +112,12 @@ func (h *Host) applyReclaim(timeNs int64) int {
 	return h.reclaimAll(time.Unix(0, timeNs))
 }
 
-// fillSnapshot captures the host-owned durable state into s: a
-// consistent cut at watermark h.muts, taken under every stripe plus
-// the core lock (the same atomicity as Stats). Grants and stains are
-// sorted so snapshot bytes are deterministic for a given state.
+// fillSnapshot captures the host-owned durable state and the driver's
+// own state into s: a consistent cut at watermark h.muts, taken under
+// every stripe plus the core lock (the same atomicity as Stats). Grants
+// and stains are sorted so snapshot bytes are deterministic for a given
+// state. A driver that is not a core.Snapshotter leaves Driver empty,
+// which restore refuses.
 func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 	h.lockStripes()
 	defer h.unlockStripes()
@@ -275,11 +169,13 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 		}
 		return s.Stains[i].Worker < s.Stains[j].Worker
 	})
-	s.DriverOps = append([]byte(nil), h.opLog...)
+	if sn, ok := h.drv.(core.Snapshotter); ok {
+		s.Driver = sn.AppendState(nil)
+	}
 }
 
-// restoreHost rebuilds a Host from a snapshot: drv must already have
-// the snapshot's op log replayed into it. The returned host is in
+// restoreHost rebuilds a Host from a snapshot: drv must already hold
+// the snapshot's driver state. The returned host is in
 // replay mode (journal appends suppressed, clock frozen at the
 // snapshot instant is irrelevant — every subsequent apply carries its
 // recorded timestamp); finishRecovery flips it live.
@@ -296,7 +192,6 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot, jr *
 	h.runID = s.ID
 	h.replay = true
 	h.muts = s.Mutations
-	h.opLog = append(make([]byte, 0, max(opLogPresize, len(s.DriverOps)+opLogPresize/2)), s.DriverOps...)
 	h.start = time.Unix(0, s.StartNs)
 	h.last = time.Unix(0, s.LastNs)
 	h.lastPoll = time.Unix(0, s.LastPollNs)

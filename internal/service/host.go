@@ -126,9 +126,9 @@ type Host struct {
 	// after the locks are released. muts is the per-run mutation
 	// sequence (the create is 1); snapshots record it as their
 	// watermark. replay suppresses journal appends while recovery is
-	// feeding recorded mutations back through apply — the op log and
-	// the sequence counter still advance, so a recovered run continues
-	// journaling exactly where the crashed one stopped.
+	// feeding recorded mutations back through apply — the sequence
+	// counter still advances, so a recovered run continues journaling
+	// exactly where the crashed one stopped.
 	jr     *durable.Log
 	runID  string
 	muts   uint64
@@ -141,12 +141,6 @@ type Host struct {
 	// state is frozen and fillSnapshot cuts exactly what the
 	// destination will replay.
 	fence atomic.Int32
-	// opLog is the driver's persisted form: every successful driver
-	// call (grant step, completion report, reclaim return) appended in
-	// execution order, under mu. Drivers are deterministic, so
-	// re-executing the log against a freshly built driver reproduces
-	// its exact state; see replayDriverOps.
-	opLog []byte
 
 	start time.Time
 	// last is the instant of the last granted assignment or applied
@@ -442,24 +436,10 @@ func (h *Host) AttachEvents(st *events.Stream) {
 // Call it before the first poll (it is not synchronized against Next);
 // Registry.RecordCreate does. A nil-journal host pays nothing on the
 // poll path.
-//
-// The op-log buffer is presized generously: it grows with the run
-// (about 60 bytes per poll, so the presize covers the first ~4000
-// polls outright), and amortized doubling from a large base keeps
-// growth allocations far below one per poll, preserving the
-// allocation-free steady-state contract (the journal-enabled
-// AllocsPerRun guards cover this).
 func (h *Host) AttachJournal(jr *durable.Log, runID string) {
 	h.jr = jr
 	h.runID = runID
-	if cap(h.opLog) < opLogPresize {
-		h.opLog = make([]byte, 0, opLogPresize)
-	}
 }
-
-// opLogPresize is the initial driver op-log capacity of a journaled
-// host.
-const opLogPresize = 1 << 18
 
 // journalCreate, journalExpire and journalSwept frame a registry-level
 // lifecycle record on the run's behalf. Drawing the sequence number and
@@ -760,9 +740,6 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 	h.polls++
 	if len(completed) > 0 {
 		h.drv.Complete(w, completed)
-		if h.jr != nil {
-			h.opLog = appendOpComplete(h.opLog, w, completed)
-		}
 		if h.ev != nil {
 			for _, t := range completed {
 				// One event per task, so exactly-once accounting is
@@ -803,12 +780,6 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 			break
 		}
 		granted = true
-		if h.jr != nil {
-			// Only successful steps advance driver state (a refused Next
-			// draws no randomness in any current driver), so only they
-			// enter the op log.
-			h.opLog = appendOpNext(h.opLog, w)
-		}
 		acc = append(acc, na.Tasks...)
 		blocks += na.Blocks
 	}
@@ -1020,9 +991,6 @@ func (h *Host) reclaimLocked(now time.Time) int {
 			ts = append(ts, eg.task)
 		}
 		h.reassigner.Reassign(w, ts)
-		if h.jr != nil {
-			h.opLog = appendOpReassign(h.opLog, w, ts)
-		}
 		h.reclaimed += len(ts)
 		h.workers[w].Reclaimed += len(ts)
 		if h.ev != nil {

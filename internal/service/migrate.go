@@ -40,7 +40,7 @@ import (
 const ContentTypeTransfer = "application/x-schedd-transfer"
 
 // maxTransferBytes bounds an import body: transfer streams carry a
-// whole run (snapshot, driver op log, journal tail) and routinely
+// whole run (snapshot, driver state, journal tail) and routinely
 // exceed the JSON request cap.
 const maxTransferBytes = 1 << 30
 

@@ -11,8 +11,8 @@ import (
 
 // Recover rebuilds the registry from the journal directory: first every
 // run's latest snapshot (driver rebuilt from the journaled creation
-// record with its persisted op log re-executed into it, then the host
-// state restored around it), then the journal tail replayed — each
+// record and handed its persisted state, then the host state restored
+// around it), then the journal tail replayed — each
 // record fed through the same apply path the live server uses, with its
 // recorded timestamp. Records at or below a run's snapshot watermark
 // are skipped; records for runs the durable state has already swept are
@@ -126,8 +126,12 @@ func restoreRun(s *durable.RunSnapshot, jr *durable.Log) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := replayDriverOps(drv, s.DriverOps); err != nil {
-		return nil, err
+	sn, ok := drv.(core.Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("service: driver %s has no state codec", drv.Name())
+	}
+	if err := sn.RestoreState(s.Driver); err != nil {
+		return nil, fmt.Errorf("service: driver state of %q: %w", s.ID, err)
 	}
 	h, err := restoreHost(drv, rec, s, jr)
 	if err != nil {
@@ -156,7 +160,6 @@ func replayCreate(rec createRecord, jr *durable.Log) (*Run, error) {
 	h.runID = rec.ID
 	h.replay = true
 	h.muts = 1
-	h.opLog = make([]byte, 0, opLogPresize)
 	return runFromRecord(rec, h), nil
 }
 

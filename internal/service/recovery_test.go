@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,7 +221,7 @@ func TestRecoverCrashMidCheckpoint(t *testing.T) {
 	if _, err := w.jr.Rotate(); err != nil {
 		t.Fatalf("rotate: %v", err)
 	}
-	torn := []byte("HSN1 this snapshot write never finished")
+	torn := []byte("HSN2 this snapshot write never finished")
 	name := fmt.Sprintf("snap-%s-%016x.snap", "r-test", uint64(9999))
 	if err := os.WriteFile(filepath.Join(w.dir, name), torn, 0o644); err != nil {
 		t.Fatalf("write torn snapshot: %v", err)
@@ -533,5 +536,56 @@ func TestRecoveryFailureFailsClosed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("journal directory changed after failed recovery:\n before %v\n after  %v", before, after)
+	}
+}
+
+// TestRecoverRefusesOpLogSnapshot pins the fail-stop on a snapshot of
+// the retired op-log format (testdata/hsn1 holds one, written by the
+// last version that used it): recovery over it fails, naming the file,
+// with the gate closed; an import of a stream carrying it answers 409
+// with the same message; and scavenging the directory fails too. None
+// of them may fall back to an older snapshot or the journal alone.
+func TestRecoverRefusesOpLogSnapshot(t *testing.T) {
+	const name = "snap-r-hsn1-0000000000000005.snap"
+	old, err := os.ReadFile(filepath.Join("testdata", "hsn1", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	srv := New(Options{GCInterval: -1, Journal: jr})
+	defer srv.Close()
+	rerr := srv.RecoveryErr()
+	if !errors.Is(rerr, durable.ErrOpLogSnapshot) || !strings.Contains(rerr.Error(), name) {
+		t.Fatalf("RecoveryErr() = %v, want %v naming %s", rerr, durable.ErrOpLogSnapshot, name)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/runs", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("GET /v1/runs after refused recovery = %d, want 503", rec.Code)
+	}
+	if _, err := durable.ExtractTransfer(dir, "r-hsn1"); !errors.Is(err, durable.ErrOpLogSnapshot) {
+		t.Fatalf("ExtractTransfer = %v, want %v", err, durable.ErrOpLogSnapshot)
+	}
+
+	// A transfer stream embedding it: magic, flag 1, length, snapshot.
+	stream := binary.LittleEndian.AppendUint32(append([]byte("HTX1"), 1), uint32(len(old)))
+	stream = append(stream, old...)
+	dst := New(Options{GCInterval: -1})
+	defer dst.Close()
+	rec = httptest.NewRecorder()
+	dst.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs/import", bytes.NewReader(stream)))
+	if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), durable.ErrOpLogSnapshot.Error()) {
+		t.Fatalf("import of an op-log snapshot = %d %s, want 409 with %q", rec.Code, rec.Body, durable.ErrOpLogSnapshot)
+	}
+	if n := dst.Registry().Len(); n != 0 {
+		t.Fatalf("registry holds %d runs after the refused import", n)
 	}
 }

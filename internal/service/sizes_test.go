@@ -83,12 +83,24 @@ func TestJournalBytesPerPoll(t *testing.T) {
 }
 
 // TestSnapshotBytes pins the snapshot of the run at 90% of its script,
-// which is where the benchmark's recover workload hands a run over.
+// which is where the benchmark's recover workload hands a run over, and
+// the driver state inside it there and at 50%.
 func TestSnapshotBytes(t *testing.T) {
-	const want = 247157
-	w, run := sizedRun(t)
-	driveScript(t, run, w.clk, scriptPolls*9/10)
-	if got := len(durable.AppendSnapshot(nil, run.snapshot())); got != want {
-		t.Errorf("snapshot at 90%% is %d bytes, want %d; a change that moves this states the new value in CHANGES.md", got, want)
+	for _, tc := range []struct {
+		polls            int
+		snapshot, driver int // bytes; 0: not pinned
+	}{
+		{scriptPolls / 2, 0, 20690},
+		{scriptPolls * 9 / 10, 109192, 20922},
+	} {
+		w, run := sizedRun(t)
+		driveScript(t, run, w.clk, tc.polls)
+		snap := run.snapshot()
+		if got := len(snap.Driver); got != tc.driver {
+			t.Errorf("driver state after %d polls is %d bytes, want %d; a change that moves this states the new value in CHANGES.md", tc.polls, got, tc.driver)
+		}
+		if got := len(durable.AppendSnapshot(nil, snap)); tc.snapshot != 0 && got != tc.snapshot {
+			t.Errorf("snapshot after %d polls is %d bytes, want %d; a change that moves this states the new value in CHANGES.md", tc.polls, got, tc.snapshot)
+		}
 	}
 }
