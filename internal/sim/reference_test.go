@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/matmul"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/speeds"
@@ -72,34 +76,62 @@ func referenceRun(sched core.Scheduler, model speeds.Model) *Metrics {
 		arrival[w] = stamp
 		stamp++
 	}
+	if po, ok := sched.(core.PhaseObserver); ok {
+		m.Phase1Tasks = po.Phase1Tasks()
+	}
 	return m
+}
+
+// flatStrategies builds each of the eight flat strategies of the paper
+// on an n-block instance for p workers.
+var flatStrategies = []struct {
+	name  string
+	build func(n, p int, r *rng.PCG) core.Scheduler
+}{
+	{"outer-random", func(n, p int, r *rng.PCG) core.Scheduler { return outer.NewRandom(n, p, r) }},
+	{"outer-sorted", func(n, p int, r *rng.PCG) core.Scheduler { return outer.NewSorted(n, p, r) }},
+	{"outer-dynamic", func(n, p int, r *rng.PCG) core.Scheduler { return outer.NewDynamic(n, p, r) }},
+	{"outer-2phases", func(n, p int, r *rng.PCG) core.Scheduler {
+		return outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(4, n), r)
+	}},
+	{"matmul-random", func(n, p int, r *rng.PCG) core.Scheduler { return matmul.NewRandom(n, p, r) }},
+	{"matmul-sorted", func(n, p int, r *rng.PCG) core.Scheduler { return matmul.NewSorted(n, p, r) }},
+	{"matmul-dynamic", func(n, p int, r *rng.PCG) core.Scheduler { return matmul.NewDynamic(n, p, r) }},
+	{"matmul-2phases", func(n, p int, r *rng.PCG) core.Scheduler {
+		return matmul.NewTwoPhases(n, p, matmul.ThresholdFromBeta(3, n), r)
+	}},
 }
 
 // TestEngineMatchesReference cross-validates the heap-based engine
 // against the naive scan-based reference on identical scheduler
-// streams: every aggregate and per-processor metric must agree
-// exactly.
+// streams, for every flat strategy on fixed and drifting speeds: every
+// field of Metrics — the ledger, FinishPer, Makespan, Requests and
+// Phase1Tasks — must agree exactly.
 func TestEngineMatchesReference(t *testing.T) {
-	for seed := uint64(0); seed < 8; seed++ {
-		root := rng.New(seed)
-		p := 2 + int(seed)%6
-		n := 10 + int(seed*3)%25
-		s := speeds.UniformRange(p, 10, 100, root.Split())
-
-		fast := Run(outer.NewDynamic(n, p, rng.New(100+seed)), speeds.NewFixed(s))
-		slow := referenceRun(outer.NewDynamic(n, p, rng.New(100+seed)), speeds.NewFixed(s))
-
-		if fast.Blocks != slow.Blocks || fast.Requests != slow.Requests {
-			t.Fatalf("seed %d: blocks/requests %d/%d vs reference %d/%d",
-				seed, fast.Blocks, fast.Requests, slow.Blocks, slow.Requests)
-		}
-		if fast.Makespan != slow.Makespan {
-			t.Fatalf("seed %d: makespan %g vs reference %g", seed, fast.Makespan, slow.Makespan)
-		}
-		for w := 0; w < p; w++ {
-			if fast.TasksPer[w] != slow.TasksPer[w] || fast.BlocksPer[w] != slow.BlocksPer[w] {
-				t.Fatalf("seed %d: per-proc metrics diverge at worker %d", seed, w)
-			}
+	for _, st := range flatStrategies {
+		for _, drift := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/drift=%v", st.name, drift), func(t *testing.T) {
+				for seed := uint64(0); seed < 8; seed++ {
+					p := 2 + int(seed)%6
+					n := 4 + int(seed*3)%13
+					if strings.HasPrefix(st.name, "outer") {
+						n *= 2
+					}
+					model := func() speeds.Model {
+						root := rng.New(seed)
+						s := speeds.UniformRange(p, 10, 100, root.Split())
+						if drift {
+							return speeds.NewDrift(s, 0.2, root.Split())
+						}
+						return speeds.NewFixed(s)
+					}
+					fast := Run(st.build(n, p, rng.New(100+seed)), model())
+					slow := referenceRun(st.build(n, p, rng.New(100+seed)), model())
+					if !reflect.DeepEqual(fast, slow) {
+						t.Fatalf("seed %d n=%d p=%d: engine %+v\nreference %+v", seed, n, p, fast, slow)
+					}
+				}
+			})
 		}
 	}
 }
@@ -118,4 +150,134 @@ func TestEngineMatchesReferenceRandomStrategy(t *testing.T) {
 			t.Fatalf("seed %d: engine and reference diverge", seed)
 		}
 	}
+}
+
+// refDriverMetrics and refRunDriver are sim.RunDriver as it stood before
+// Run, RunObserved and RunDriver became one loop over core.Master, kept
+// verbatim as the reference TestRunDriverMatchesReference compares the
+// loop against.
+type refDriverMetrics struct {
+	Blocks    int
+	BlocksPer []int
+	TasksPer  []int
+	Makespan  float64
+	WaitTime  float64
+	Requests  int
+	Schedule  []core.Task
+}
+
+type refCompletionEvent struct {
+	t     float64
+	proc  int
+	seq   uint64
+	tasks []core.Task
+}
+
+func (e refCompletionEvent) before(o refCompletionEvent) bool {
+	if e.t != o.t {
+		return e.t < o.t
+	}
+	return e.seq < o.seq
+}
+
+func refRunDriver(drv core.Driver, model speeds.Model) *refDriverMetrics {
+	p := drv.P()
+	if p != model.P() {
+		panic(fmt.Sprintf("sim: driver has %d workers, model %d", p, model.P()))
+	}
+	m := &refDriverMetrics{
+		BlocksPer: make([]int, p),
+		TasksPer:  make([]int, p),
+		Schedule:  make([]core.Task, 0, drv.Total()),
+	}
+
+	bd, buffered := drv.(core.BufferedDriver)
+	var bufs []core.TaskBuf
+	if buffered {
+		bufs = make([]core.TaskBuf, p)
+	}
+	coster, costed := drv.(core.TaskCoster)
+
+	q := eventHeap[refCompletionEvent]{ev: make([]refCompletionEvent, 0, p)}
+	var seq uint64
+	idleSince := make([]float64, p)
+	waiting := make([]bool, p)
+
+	// assign gives worker w a batch at time now if possible, pushing
+	// its completion event.
+	assign := func(w int, now float64) bool {
+		var a core.Assignment
+		var ok bool
+		if buffered {
+			a, ok = bd.NextInto(w, bufs[w])
+			if ok {
+				bufs[w] = a.Tasks // retain grown capacity
+			}
+		} else {
+			a, ok = drv.Next(w)
+		}
+		if !ok {
+			return false
+		}
+		m.Requests++
+		m.Blocks += a.Blocks
+		m.BlocksPer[w] += a.Blocks
+		m.TasksPer[w] += len(a.Tasks)
+		if waiting[w] {
+			m.WaitTime += now - idleSince[w]
+			waiting[w] = false
+		}
+		t := now
+		for _, task := range a.Tasks {
+			s := model.Speed(w)
+			if s <= 0 {
+				panic("sim: non-positive speed")
+			}
+			cost := 1.0
+			if costed {
+				cost = coster.TaskCost(task)
+			}
+			t += cost / s
+			model.OnTaskDone(w)
+		}
+		q.push(refCompletionEvent{t: t, proc: w, seq: seq, tasks: a.Tasks})
+		seq++
+		return true
+	}
+
+	for w := 0; w < p; w++ {
+		if !assign(w, 0) {
+			waiting[w] = true
+			idleSince[w] = 0
+		}
+	}
+
+	for q.len() > 0 {
+		e := q.pop()
+		if len(e.tasks) > 0 {
+			m.Schedule = append(m.Schedule, e.tasks...)
+			drv.Complete(e.proc, e.tasks)
+			if e.t > m.Makespan {
+				m.Makespan = e.t
+			}
+		}
+
+		// The finishing worker requests first, then any waiting worker
+		// re-tries (new tasks may have become ready or unblocked).
+		if !assign(e.proc, e.t) {
+			waiting[e.proc] = true
+			idleSince[e.proc] = e.t
+		}
+		for w := 0; w < p; w++ {
+			if waiting[w] {
+				_ = assign(w, e.t)
+			}
+		}
+	}
+
+	if drv.Remaining() != 0 {
+		panic(fmt.Sprintf("sim: driver run ended with %d of %d tasks unfinished",
+			drv.Remaining(), drv.Total()))
+	}
+	return m
 }
