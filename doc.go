@@ -7,6 +7,8 @@
 // The library lives under internal/:
 //
 //   - internal/core     — scheduler/driver abstraction (the paper's contribution, kernel-agnostic part)
+//     and core.Master, the demand-driven master the simulator and the
+//     runtime both step
 //   - internal/outer    — outer-product strategies (Random/Sorted/Dynamic/2Phases)
 //   - internal/matmul   — matrix-multiplication strategies
 //   - internal/dag      — generic dependency-aware engine (ready set with
@@ -15,7 +17,8 @@
 //   - internal/cholesky, internal/lu, internal/qr — DAG kernel definitions
 //   - internal/analysis — closed-form ODE solutions, lower bounds, β optimization
 //   - internal/sim      — event-driven heterogeneous platform simulator
-//     (sim.Run for flat schedulers, sim.RunDriver for DAG drivers)
+//     (one event loop: sim.Run for flat schedulers, sim.RunDriver for
+//     any driver)
 //   - internal/exec     — real concurrent runtime executing block arithmetic
 //   - internal/service  — scheduler-as-a-service HTTP daemon (schedd)
 //   - internal/pollserve — the request loop both schedd modes listen
@@ -30,9 +33,9 @@
 //   - internal/experiments — regeneration of every figure of the paper,
 //     with deterministic parallel replication (replicate.go)
 //
-// Entry points: cmd/hpdc14 (figures), cmd/outersim, cmd/matsim,
-// cmd/choleskysim and cmd/qrsim (single runs), cmd/schedd (the service
-// daemon), cmd/clustersim (scripted cluster scenarios), examples/
+// Entry points: cmd/hpdc14 (figures), cmd/sim (one run of any kernel),
+// cmd/schedd (the service daemon), cmd/clustersim (scripted cluster
+// scenarios), examples/
 // (library usage), and bench/ (the end-to-end benchmark, `go run
 // ./bench`). See README.md and DESIGN.md.
 package hetsched

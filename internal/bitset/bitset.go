@@ -90,6 +90,27 @@ func (b *Bitset) Reset() {
 	}
 }
 
+// NextSet returns the smallest member of the set at or after i, or -1
+// when there is none.
+func (b *Bitset) NextSet(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= b.n {
+		return -1
+	}
+	wi := i >> 6
+	if w := b.words[wi] >> uint(i&63); w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(b.words); wi++ {
+		if w := b.words[wi]; w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // ForEachClear calls fn for every value in [0, Len()) absent from the
 // set, in increasing order.
 func (b *Bitset) ForEachClear(fn func(i int)) {

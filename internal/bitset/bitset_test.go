@@ -97,6 +97,23 @@ func TestZeroCapacity(t *testing.T) {
 		t.Fatal("zero-capacity set non-empty")
 	}
 	b.ForEachClear(func(int) { t.Fatal("callback on empty set") })
+	if b.NextSet(0) != -1 {
+		t.Fatal("NextSet found a member of the empty set")
+	}
+}
+
+func TestNextSet(t *testing.T) {
+	b := New(130)
+	for _, i := range []int{0, 63, 64, 129} {
+		b.Set(i)
+	}
+	for _, c := range []struct{ from, want int }{
+		{-5, 0}, {0, 0}, {1, 63}, {63, 63}, {64, 64}, {65, 129}, {129, 129}, {130, -1}, {1000, -1},
+	} {
+		if got := b.NextSet(c.from); got != c.want {
+			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
 }
 
 // TestAgainstMapReference drives a Bitset and a map[int]bool with the
@@ -129,7 +146,15 @@ func TestAgainstMapReference(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// NextSet walks exactly the members, in increasing order.
+		seen := 0
+		for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
+			if !ref[i] {
+				return false
+			}
+			seen++
+		}
+		return seen == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -92,6 +92,7 @@ type Reassigner interface {
 // re-charge; see dag.Driver.Reassign).
 type SchedulerDriver struct {
 	s       Scheduler
+	bs      BufferedScheduler // s's NextInto; nil when it has none
 	requeue []Task
 }
 
@@ -101,7 +102,8 @@ func NewSchedulerDriver(s Scheduler) *SchedulerDriver {
 	if s == nil {
 		panic("core: nil scheduler")
 	}
-	return &SchedulerDriver{s: s}
+	bs, _ := s.(BufferedScheduler)
+	return &SchedulerDriver{s: s, bs: bs}
 }
 
 // popRequeue serves the oldest reclaimed task, if any. One task per
@@ -136,8 +138,8 @@ func (d *SchedulerDriver) NextInto(w int, buf TaskBuf) (Assignment, bool) {
 	if a, ok := d.popRequeue(buf); ok {
 		return a, true
 	}
-	if bs, ok := d.s.(BufferedScheduler); ok {
-		return bs.NextInto(w, buf)
+	if d.bs != nil {
+		return d.bs.NextInto(w, buf)
 	}
 	return d.s.Next(w)
 }

@@ -9,8 +9,9 @@
 // that every strategy computes the correct product or factorization.
 //
 // Concurrency model: the master goroutine owns the driver (which
-// requires single-threaded access); workers communicate with it
-// exclusively over channels, so no locks are needed. Every worker
+// requires single-threaded access) and steps it through core.Master,
+// the same master the simulator's event loop steps; workers communicate
+// with it exclusively over channels, so no locks are needed. Every worker
 // request carries the completions of its previous batch — the same
 // report-then-request protocol the HTTP service speaks — which is what
 // lets the DAG kernels release dependent tasks: a worker that finds no
@@ -70,7 +71,6 @@ type grant struct {
 type message struct {
 	w         int
 	completed []core.Task
-	reply     chan grant
 }
 
 // runDriver drives drv with opts.Workers goroutines, calling execute
@@ -79,23 +79,24 @@ type message struct {
 // returned after the run drains (the run is never aborted mid-flight,
 // so the driver's bookkeeping stays consistent).
 //
-// The master owns the driver. Completions are applied before the
-// requester is served, and every applied completion retries all parked
-// workers — the channel mirror of the simulator's
-// completion-then-retry loop and the service host's report-then-poll
-// protocol.
+// The master goroutine owns the driver and steps it through a
+// core.Master, the simulator's master: it applies a request's
+// completions, serves the requester, then retries the parked workers in
+// index order. A parked worker simply gets no answer until a retry
+// grants or retires it.
 func runDriver(drv core.Driver, opts Options, execute func(w int, t core.Task) error) (*Result, error) {
 	p := drv.P()
 	if opts.Workers != p {
 		panic("exec: Workers must match the driver's P()")
 	}
-	res := &Result{
-		BlocksPer: make([]int, p),
-		TasksPer:  make([]int, p),
-	}
 	start := time.Now()
 
+	ms := core.NewMaster(drv)
 	messages := make(chan message)
+	replies := make([]chan grant, p) // worker w's reply slot
+	for w := range replies {
+		replies[w] = make(chan grant, 1)
+	}
 	var wg sync.WaitGroup
 	var execErr error
 	var errOnce sync.Once
@@ -103,42 +104,25 @@ func runDriver(drv core.Driver, opts Options, execute func(w int, t core.Task) e
 	masterDone := make(chan struct{})
 	go func() {
 		defer close(masterDone)
-		parked := make(map[int]chan grant)
 		live := p
-		serve := func(w int, reply chan grant) {
-			a, ok := core.Assignment{}, false
-			if drv.Remaining() > 0 {
-				a, ok = drv.Next(w)
+		// answer serves worker w; each worker's assignment gets its own
+		// task slice, which it reports back as its completions.
+		answer := func(w int) {
+			switch a, st := ms.Serve(w, nil); st {
+			case core.Granted:
+				replies[w] <- grant{a: a, ok: true}
+			case core.Retired:
+				replies[w] <- grant{}
+				live--
 			}
-			if !ok {
-				if drv.Remaining() == 0 {
-					// Drained: the worker retires.
-					reply <- grant{}
-					live--
-					return
-				}
-				// Nothing schedulable right now: park until a
-				// completion frees a task.
-				parked[w] = reply
-				return
-			}
-			res.Requests++
-			res.Blocks += a.Blocks
-			res.BlocksPer[w] += a.Blocks
-			res.TasksPer[w] += len(a.Tasks)
-			reply <- grant{a: a, ok: true}
 		}
 		for live > 0 {
 			msg := <-messages
+			ms.Complete(msg.w, msg.completed)
+			answer(msg.w)
 			if len(msg.completed) > 0 {
-				drv.Complete(msg.w, msg.completed)
-				// A completion can unlock tasks for parked workers.
-				for w, reply := range parked {
-					delete(parked, w)
-					serve(w, reply)
-				}
+				ms.Retry(answer)
 			}
-			serve(msg.w, msg.reply)
 		}
 	}()
 
@@ -162,11 +146,10 @@ func runDriver(drv core.Driver, opts Options, execute func(w int, t core.Task) e
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			reply := make(chan grant)
 			var completed []core.Task
 			for {
-				messages <- message{w: w, completed: completed, reply: reply}
-				g := <-reply
+				messages <- message{w: w, completed: completed}
+				g := <-replies[w]
 				if !g.ok {
 					return
 				}
@@ -185,8 +168,13 @@ func runDriver(drv core.Driver, opts Options, execute func(w int, t core.Task) e
 
 	wg.Wait()
 	<-masterDone
-	res.Elapsed = time.Since(start)
-	return res, execErr
+	return &Result{
+		Blocks:    ms.Blocks,
+		BlocksPer: ms.BlocksPer,
+		TasksPer:  ms.TasksPer,
+		Requests:  ms.Requests,
+		Elapsed:   time.Since(start),
+	}, execErr
 }
 
 // run drives a flat scheduler through the generic driver loop; the

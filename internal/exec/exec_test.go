@@ -1,16 +1,20 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 	"hetsched/internal/lu"
 	"hetsched/internal/matmul"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
+	"hetsched/internal/sim"
+	"hetsched/internal/speeds"
 )
 
 func outerBuilders(n, p int) map[string]func(r *rng.PCG) core.Scheduler {
@@ -303,5 +307,51 @@ func TestRunLUMatchesSerial(t *testing.T) {
 	// allow a tiny float tolerance rather than exact equality.
 	if d := concurrent.MaxAbsDiff(serial); d > 1e-9 {
 		t.Fatalf("concurrent LU differs from serial by %g", d)
+	}
+}
+
+// TestExecMatchesSimOneWorker runs the runtime and the simulator on
+// identically seeded drivers with one worker, where the two substrates
+// make the same requests in the same order: both step core.Master, so
+// their ledgers must agree exactly.
+func TestExecMatchesSimOneWorker(t *testing.T) {
+	one := speeds.NewFixed([]float64{1})
+	same := func(t *testing.T, res *Result, m *sim.Metrics) {
+		t.Helper()
+		if res.Blocks != m.Blocks || res.Requests != m.Requests || !reflect.DeepEqual(res.TasksPer, m.TasksPer) {
+			t.Fatalf("runtime blocks %d, requests %d, tasks %v; simulator %d, %d, %v",
+				res.Blocks, res.Requests, res.TasksPer, m.Blocks, m.Requests, m.TasksPer)
+		}
+	}
+	const n, l = 6, 2
+	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
+		t.Run("cholesky-"+pol.String(), func(t *testing.T) {
+			a := linalg.NewBlockedMatrix(n, l)
+			linalg.RandomSPD(a, rng.New(1))
+			res, err := RunCholesky(a, 1, pol, rng.New(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, res, sim.RunDriver(cholesky.NewDriver(n, 1, pol, rng.New(2)), one))
+		})
+		t.Run("lu-"+pol.String(), func(t *testing.T) {
+			a := linalg.NewBlockedMatrix(n, l)
+			linalg.RandomDominant(a, rng.New(1))
+			res, err := RunLU(a, 1, pol, rng.New(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, res, sim.RunDriver(lu.NewDriver(n, 1, pol, rng.New(2)), one))
+		})
+	}
+	for name, build := range matrixBuilders(n, 1) {
+		t.Run("gemm-"+name, func(t *testing.T) {
+			a := linalg.NewBlockedMatrix(n, l)
+			b := linalg.NewBlockedMatrix(n, l)
+			a.Fill(rng.New(1))
+			b.Fill(rng.New(2))
+			_, res := RunGemm(build(rng.New(3)), a, b, Options{Workers: 1})
+			same(t, res, sim.Run(build(rng.New(3)), one))
+		})
 	}
 }

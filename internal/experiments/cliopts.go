@@ -11,15 +11,15 @@ import (
 	"hetsched/internal/speeds"
 )
 
-// SimFlags bundles the command-line options shared by the single-run
-// simulator binaries (cmd/outersim, cmd/matsim, cmd/choleskysim):
-// instance shape, root seed and the platform's speed range. Each
-// binary registers its kernel-specific flags (strategy, beta, …) next
-// to these.
+// SimFlags bundles the kernel-independent command-line options of the
+// single-run simulator, cmd/sim: instance shape, root seed and the
+// platform's speed range. cmd/sim registers its kernel, strategy and
+// kernel-specific flags (beta, gantt, verify) next to these.
 type SimFlags struct {
-	// N is the per-dimension block/tile count.
+	// N is the per-dimension block/tile count; 0 asks for the kernel's
+	// default.
 	N int
-	// P is the number of processors.
+	// P is the number of processors; 0 asks for the kernel's default.
 	P int
 	// Seed is the root random seed; platform and scheduler randomness
 	// both derive from it via independent splits.
@@ -29,12 +29,11 @@ type SimFlags struct {
 }
 
 // RegisterSimFlags registers the shared -n -p -seed -smin -smax flags
-// on fs with the given defaults and returns the bound values, to be
-// read after fs.Parse.
-func RegisterSimFlags(fs *flag.FlagSet, defN, defP int, nUsage string) *SimFlags {
+// on fs and returns the bound values, to be read after fs.Parse.
+func RegisterSimFlags(fs *flag.FlagSet) *SimFlags {
 	f := &SimFlags{}
-	fs.IntVar(&f.N, "n", defN, nUsage)
-	fs.IntVar(&f.P, "p", defP, "number of processors")
+	fs.IntVar(&f.N, "n", 0, "blocks (outer, matmul) or tiles (cholesky, lu, qr) per dimension; 0 = the kernel's default")
+	fs.IntVar(&f.P, "p", 0, "number of processors; 0 = the kernel's default")
 	fs.Uint64Var(&f.Seed, "seed", 1, "random seed")
 	fs.Float64Var(&f.SMin, "smin", 10, "minimum speed")
 	fs.Float64Var(&f.SMax, "smax", 100, "maximum speed")
@@ -53,11 +52,10 @@ func RegisterConfigFlags(fs *flag.FlagSet) *Config {
 	return cfg
 }
 
-// Platform derives the run's randomness and platform exactly the way
-// every binary did individually: a root rng from the seed, initial
-// speeds drawn uniformly from [SMin, SMax] on the first split, and the
-// normalized relative speeds. Scheduler rngs should come from further
-// root.Split() calls.
+// Platform derives the run's randomness and platform: a root rng from
+// the seed, initial speeds drawn uniformly from [SMin, SMax] on the
+// first split, and the normalized relative speeds. Scheduler rngs
+// should come from further root.Split() calls.
 func (f *SimFlags) Platform() (root *rng.PCG, init, rel []float64) {
 	root = rng.New(f.Seed)
 	init = speeds.UniformRange(f.P, f.SMin, f.SMax, root.Split())

@@ -87,9 +87,9 @@ type CreateRunRequest struct {
 	// Seed is the root random seed; the run's scheduler rng is derived
 	// as rng.New(Seed).Split(), so two service runs with equal seeds
 	// make bit-identical allocation decisions for equal request
-	// orders. (The cmd/ simulators spend their root's first split on
-	// the platform speeds, so their streams differ from the service's
-	// for the same seed.)
+	// orders. (cmd/sim spends its root's first split on the platform
+	// speeds, so its stream differs from the service's for the same
+	// seed.)
 	Seed uint64 `json:"seed"`
 	// Beta overrides the two-phase switch parameter for strategy
 	// 2phases; 0 selects the speed-agnostic analytic optimum (§3.6).

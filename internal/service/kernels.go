@@ -26,10 +26,15 @@ var dagPolicies = map[string]dag.Policy{
 // rng.New(Seed).Split(), so any two drivers built from the same
 // request — in this process or another — make bit-identical
 // allocation decisions for equal request orders. (This is not the
-// same stream the cmd/ simulators use: they spend the root's first
-// split on platform speeds, which the service has no notion of.)
+// same stream cmd/sim uses: it spends the root's first split on
+// platform speeds, which the service has no notion of.)
 func NewDriver(q *CreateRunRequest) (core.Driver, error) {
-	r := rng.New(q.Seed).Split()
+	return BuildDriver(q, rng.New(q.Seed).Split())
+}
+
+// BuildDriver is NewDriver with the scheduler rng r supplied by the
+// caller, who owns its derivation; q.Seed is not read.
+func BuildDriver(q *CreateRunRequest, r *rng.PCG) (core.Driver, error) {
 	switch q.Kernel {
 	case KernelOuter:
 		switch q.Strategy {

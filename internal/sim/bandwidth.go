@@ -68,12 +68,9 @@ func RunBandwidth(sched core.Scheduler, model speeds.Model, bandwidth float64, l
 		panic("sim: negative lookahead")
 	}
 
-	m := &BandwidthMetrics{Metrics: Metrics{
-		BlocksPer:   make([]int, p),
-		TasksPer:    make([]int, p),
-		FinishPer:   make([]float64, p),
-		Phase1Tasks: -1,
-	}}
+	drv := core.NewSchedulerDriver(sched)
+	ms := core.NewMaster(drv)
+	m := &BandwidthMetrics{Metrics: Metrics{FinishPer: make([]float64, p)}}
 
 	var (
 		q          eventHeap[bwEvent]
@@ -86,21 +83,15 @@ func RunBandwidth(sched core.Scheduler, model speeds.Model, bandwidth float64, l
 		everWorked = make([]bool, p)
 	)
 
-	// request pulls one assignment for w and schedules its arrival on
-	// the shared link; returns false when the scheduler is drained.
+	// request asks the master for one assignment for w and schedules its
+	// arrival on the shared link; returns false when the scheduler is
+	// drained. Several of w's assignments may be in flight, so each gets
+	// a fresh task slice.
 	request := func(w int, now float64) bool {
-		if sched.Remaining() == 0 {
+		a, st := ms.Serve(w, nil)
+		if st != core.Granted {
 			return false
 		}
-		a, ok := sched.Next(w)
-		if !ok {
-			return false
-		}
-		m.Requests++
-		m.Blocks += a.Blocks
-		m.BlocksPer[w] += a.Blocks
-		m.TasksPer[w] += len(a.Tasks)
-
 		start := math.Max(linkFree, now)
 		dur := 0.0
 		if !math.IsInf(bandwidth, 1) {
@@ -178,11 +169,10 @@ func RunBandwidth(sched core.Scheduler, model speeds.Model, bandwidth float64, l
 		}
 	}
 
-	if sched.Remaining() != 0 {
+	if drv.Remaining() != 0 {
 		panic("sim: bandwidth run ended with unprocessed tasks")
 	}
-	if po, isTwoPhase := sched.(core.PhaseObserver); isTwoPhase {
-		m.Phase1Tasks = po.Phase1Tasks()
-	}
+	m.Blocks, m.BlocksPer, m.TasksPer, m.Requests = ms.Blocks, ms.BlocksPer, ms.TasksPer, ms.Requests
+	m.Phase1Tasks = drv.Phase1Tasks()
 	return m
 }
