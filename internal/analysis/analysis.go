@@ -91,11 +91,8 @@ func XOuterQuadratic(beta, rsk float64) float64 {
 // every processor has received 2·x_k·n blocks when the switch occurs,
 // so V₁ = 2n·Σ_k x_k (exact-sum version of Lemma 4).
 func Phase1VolumeOuter(beta float64, rs []float64, n int) float64 {
-	sum := 0.0
-	for _, r := range rs {
-		sum += XOuter(beta, r)
-	}
-	return 2 * float64(n) * sum
+	v1, _ := outerVolumes(beta, rs, n)
+	return v1
 }
 
 // Phase2VolumeOuter is the expected phase-2 communication volume: the
@@ -104,20 +101,30 @@ func Phase1VolumeOuter(beta float64, rs []float64, n int) float64 {
 // blocks (Lemma 5's exact per-processor form):
 // V₂ = e^(−β)·n²·Σ_k rs_k·2/(1+x_k).
 func Phase2VolumeOuter(beta float64, rs []float64, n int) float64 {
-	sum := 0.0
+	_, v2 := outerVolumes(beta, rs, n)
+	return v2
+}
+
+// outerVolumes is (Phase1VolumeOuter, Phase2VolumeOuter) in one pass
+// over rs: x_k is evaluated once per worker, and each phase keeps its
+// own sum, added in worker order.
+func outerVolumes(beta float64, rs []float64, n int) (v1, v2 float64) {
+	var s1, s2 float64
 	for _, r := range rs {
 		x := XOuter(beta, r)
-		sum += r * 2 / (1 + x)
+		s1 += x
+		s2 += r * 2 / (1 + x)
 	}
-	return math.Exp(-beta) * float64(n) * float64(n) * sum
+	nf := float64(n)
+	return 2 * nf * s1, math.Exp(-beta) * nf * nf * s2
 }
 
 // RatioOuter is the predicted total communication volume of
 // DynamicOuter2Phases normalized by the lower bound, as a function of
 // β (the exact-sum version of Theorem 6).
 func RatioOuter(beta float64, rs []float64, n int) float64 {
-	lb := LowerBoundOuter(rs, n)
-	return (Phase1VolumeOuter(beta, rs, n) + Phase2VolumeOuter(beta, rs, n)) / lb
+	v1, v2 := outerVolumes(beta, rs, n)
+	return (v1 + v2) / LowerBoundOuter(rs, n)
 }
 
 // PaperRatioOuter is the literal first-order expression of Theorem 6
@@ -139,9 +146,14 @@ func PaperRatioOuter(beta float64, rs []float64, n int) float64 {
 }
 
 // OptimalBetaOuter minimizes RatioOuter over β and returns the
-// minimizer and the minimum normalized volume.
+// minimizer and the minimum normalized volume. Each β costs one pass
+// over rs; the lower bound does not depend on β and is computed once.
 func OptimalBetaOuter(rs []float64, n int) (beta, ratio float64) {
-	return minimize(func(b float64) float64 { return RatioOuter(b, rs, n) })
+	lb := LowerBoundOuter(rs, n)
+	return minimize(func(b float64) float64 {
+		v1, v2 := outerVolumes(b, rs, n)
+		return (v1 + v2) / lb
+	})
 }
 
 // RatioOuterHomogeneous is RatioOuter on the homogeneous p-worker
@@ -230,12 +242,8 @@ func XMatrixQuadratic(beta, rsk float64) float64 {
 // occurs processor k owns an x_k·n × x_k·n square of each of A, B and
 // C, so V₁ = 3n²·Σ_k x_k².
 func Phase1VolumeMatrix(beta float64, rs []float64, n int) float64 {
-	sum := 0.0
-	for _, r := range rs {
-		x := XMatrix(beta, r)
-		sum += x * x
-	}
-	return 3 * float64(n) * float64(n) * sum
+	v1, _ := matrixVolumes(beta, rs, n)
+	return v1
 }
 
 // Phase2VolumeMatrix is the expected phase-2 volume. A random
@@ -249,21 +257,30 @@ func Phase1VolumeMatrix(beta float64, rs []float64, n int) float64 {
 // (The paper's §4.2 expression drops both the conditioning and the
 // factor 3; the simulation agrees with the form above.)
 func Phase2VolumeMatrix(beta float64, rs []float64, n int) float64 {
-	sum := 0.0
+	_, v2 := matrixVolumes(beta, rs, n)
+	return v2
+}
+
+// matrixVolumes is (Phase1VolumeMatrix, Phase2VolumeMatrix) in one
+// pass over rs, as outerVolumes is for the outer product.
+func matrixVolumes(beta float64, rs []float64, n int) (v1, v2 float64) {
+	var s1, s2 float64
 	for _, r := range rs {
 		x := XMatrix(beta, r)
-		sum += r * 3 * (1 - x*x/(1+x+x*x))
+		s1 += x * x
+		s2 += r * 3 * (1 - x*x/(1+x+x*x))
 	}
-	n3 := float64(n) * float64(n) * float64(n)
-	return math.Exp(-beta) * n3 * sum
+	nf := float64(n)
+	n3 := nf * nf * nf
+	return 3 * nf * nf * s1, math.Exp(-beta) * n3 * s2
 }
 
 // RatioMatrix is the predicted total communication volume of
 // DynamicMatrix2Phases normalized by the lower bound, as a function of
 // β.
 func RatioMatrix(beta float64, rs []float64, n int) float64 {
-	lb := LowerBoundMatrix(rs, n)
-	return (Phase1VolumeMatrix(beta, rs, n) + Phase2VolumeMatrix(beta, rs, n)) / lb
+	v1, v2 := matrixVolumes(beta, rs, n)
+	return (v1 + v2) / LowerBoundMatrix(rs, n)
 }
 
 // PaperRatioMatrix is the literal expression at the end of §4.2 (with
@@ -284,9 +301,14 @@ func PaperRatioMatrix(beta float64, rs []float64, n int) float64 {
 }
 
 // OptimalBetaMatrix minimizes RatioMatrix over β and returns the
-// minimizer and the minimum normalized volume.
+// minimizer and the minimum normalized volume, one pass over rs per β
+// (see OptimalBetaOuter).
 func OptimalBetaMatrix(rs []float64, n int) (beta, ratio float64) {
-	return minimize(func(b float64) float64 { return RatioMatrix(b, rs, n) })
+	lb := LowerBoundMatrix(rs, n)
+	return minimize(func(b float64) float64 {
+		v1, v2 := matrixVolumes(b, rs, n)
+		return (v1 + v2) / lb
+	})
 }
 
 // RatioMatrixHomogeneous is RatioMatrix on the homogeneous p-worker
@@ -318,11 +340,20 @@ func OptimalBetaMatrixHomogeneous(p, n int) (beta, ratio float64) {
 // resulting volume is 2n·(x_end − x_k) with x_end solving
 // n·((x−x_k) + (x²−x_k²)/2) = T_k, clamped at x_end ≤ 1.
 func RefinedPhase2VolumeOuter(beta float64, rs []float64, n int) float64 {
-	total := 0.0
+	_, v2 := refinedOuterVolumes(beta, rs, n)
+	return v2
+}
+
+// refinedOuterVolumes is (Phase1VolumeOuter, RefinedPhase2VolumeOuter)
+// in one pass over rs.
+func refinedOuterVolumes(beta float64, rs []float64, n int) (v1, v2 float64) {
+	var s1 float64
 	nf := float64(n)
+	e := math.Exp(-beta)
 	for _, r := range rs {
 		x0 := XOuter(beta, r)
-		tk := math.Exp(-beta) * nf * nf * r
+		s1 += x0
+		tk := e * nf * nf * r
 		// Solve (x²/2 + x) − (x0²/2 + x0) = tk/n for x.
 		c := x0 + x0*x0/2 + tk/nf
 		// x²/2 + x − c = 0 → x = −1 + √(1+2c).
@@ -333,20 +364,25 @@ func RefinedPhase2VolumeOuter(beta float64, rs []float64, n int) float64 {
 		if x < x0 {
 			x = x0
 		}
-		total += 2 * nf * (x - x0)
+		v2 += 2 * nf * (x - x0)
 	}
-	return total
+	return 2 * nf * s1, v2
 }
 
 // RefinedRatioOuter is RatioOuter with the refined phase-2 model.
 func RefinedRatioOuter(beta float64, rs []float64, n int) float64 {
-	lb := LowerBoundOuter(rs, n)
-	return (Phase1VolumeOuter(beta, rs, n) + RefinedPhase2VolumeOuter(beta, rs, n)) / lb
+	v1, v2 := refinedOuterVolumes(beta, rs, n)
+	return (v1 + v2) / LowerBoundOuter(rs, n)
 }
 
-// OptimalBetaOuterRefined minimizes RefinedRatioOuter.
+// OptimalBetaOuterRefined minimizes RefinedRatioOuter, one pass over rs
+// per β (see OptimalBetaOuter).
 func OptimalBetaOuterRefined(rs []float64, n int) (beta, ratio float64) {
-	return minimize(func(b float64) float64 { return RefinedRatioOuter(b, rs, n) })
+	lb := LowerBoundOuter(rs, n)
+	return minimize(func(b float64) float64 {
+		v1, v2 := refinedOuterVolumes(b, rs, n)
+		return (v1 + v2) / lb
+	})
 }
 
 // --- 1D baseline (extension) -------------------------------------------

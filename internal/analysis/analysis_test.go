@@ -280,11 +280,3 @@ func TestRatioQuickProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkOptimalBetaOuter(b *testing.B) {
-	rs := paperPlatform(100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		OptimalBetaOuter(rs, 100)
-	}
-}

@@ -74,6 +74,24 @@ func (b *Bitset) SetIfClear(i int) bool {
 	return true
 }
 
+// AppendNewlySet inserts base+stride·idx[k] into b for each k in
+// order, appending to dst every one that was absent, and returns dst.
+// It is a SetIfClear loop, range check included, without the call per
+// index: the dynamic strategies enumerate the tasks a fresh row or
+// column covers this way.
+func AppendNewlySet[T ~int64](b *Bitset, dst []T, base, stride int, idx []int32) []T {
+	for _, k := range idx {
+		i := base + stride*int(k)
+		b.check(i)
+		w, m := i>>6, uint64(1)<<uint(i&63)
+		if b.words[w]&m == 0 {
+			b.words[w] |= m
+			dst = append(dst, T(i))
+		}
+	}
+	return dst
+}
+
 // Count returns the number of elements in the set.
 func (b *Bitset) Count() int {
 	c := 0

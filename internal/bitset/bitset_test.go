@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -158,6 +159,92 @@ func TestAgainstMapReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refAppendNewlySet is AppendNewlySet spelled as the SetIfClear loop
+// it replaces.
+func refAppendNewlySet(b *Bitset, dst []int64, base, stride int, idx []int32) []int64 {
+	for _, k := range idx {
+		if i := base + stride*int(k); b.SetIfClear(i) {
+			dst = append(dst, int64(i))
+		}
+	}
+	return dst
+}
+
+// TestAppendNewlySetMatchesSetIfClear runs AppendNewlySet and the
+// SetIfClear loop on two copies of a partly filled set: the same bits
+// end up set, the same indices are appended in the same order after
+// what dst held, and an index out of range panics in both at the same
+// point (the bits and appends before it are equal). idx repeats values
+// often, and stride 0 sends every index to base.
+func TestAppendNewlySetMatchesSetIfClear(t *testing.T) {
+	f := func(nRaw uint16, baseRaw, strideRaw uint8, raw []uint8, pre []uint16) bool {
+		n := int(nRaw%300) + 1
+		base := int(baseRaw) % n
+		stride := int(strideRaw % 8)
+		maxK := 0
+		if stride > 0 {
+			maxK = (n - 1 - base) / stride
+		}
+		// -1 and maxK+1 fall outside [0, n) unless the geometry allows.
+		idx := make([]int32, len(raw))
+		for k, v := range raw {
+			idx[k] = int32(int(v)%(maxK+3)) - 1
+		}
+		got, want := New(n), New(n)
+		for _, v := range pre {
+			got.Set(int(v) % n)
+			want.Set(int(v) % n)
+		}
+
+		run := func(fn func(dst []int64) []int64) (out []int64, backing []int64, panicked bool) {
+			backing = make([]int64, 1, len(idx)+1)
+			backing[0] = -7
+			defer func() { panicked = recover() != nil }()
+			return fn(backing), backing, false
+		}
+		gotOut, gotBack, gotPanic := run(func(dst []int64) []int64 {
+			return AppendNewlySet(got, dst, base, stride, idx)
+		})
+		wantOut, wantBack, wantPanic := run(func(dst []int64) []int64 {
+			return refAppendNewlySet(want, dst, base, stride, idx)
+		})
+		if gotPanic != wantPanic || !reflect.DeepEqual(got.words, want.words) {
+			return false
+		}
+		if gotPanic {
+			// Neither returned: compare what each appended into the
+			// shared-capacity backing array before panicking.
+			return reflect.DeepEqual(gotBack[:cap(gotBack)], wantBack[:cap(wantBack)])
+		}
+		return reflect.DeepEqual(gotOut, wantOut) && gotOut[0] == -7
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendNewlySetPanicsOutOfRange pins the range check on a
+// stride that walks off the end and on a negative index.
+func TestAppendNewlySetPanicsOutOfRange(t *testing.T) {
+	for name, c := range map[string]struct {
+		base, stride int
+		idx          []int32
+	}{
+		"past end": {base: 3, stride: 4, idx: []int32{0, 1, 2}},
+		"negative": {base: 0, stride: 1, idx: []int32{2, -1}},
+	} {
+		b := New(10)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+			}()
+			AppendNewlySet(b, []int64{}, c.base, c.stride, c.idx)
+		}()
 	}
 }
 

@@ -282,93 +282,73 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	// Record per-block ownership so that a later random phase (and the
 	// exec runtime) can query it. The loops below touch exactly the
 	// freshly shipped blocks.
-	mark := func(set *bitset.Bitset, row, col int) { set.Set(row*n + col) }
+	a, b, c := s.inst.aKnown[w], s.inst.bKnown[w], s.inst.cKnown[w]
 	if okI {
 		for _, kk := range st.kKnown {
-			mark(s.inst.aKnown[w], i, int(kk))
+			a.Set(i*n + int(kk))
 		}
 		for _, jj := range st.jKnown {
-			mark(s.inst.cKnown[w], i, int(jj))
+			c.Set(i*n + int(jj))
 		}
 		if okK {
-			mark(s.inst.aKnown[w], i, k)
+			a.Set(i*n + k)
 		}
 		if okJ {
-			mark(s.inst.cKnown[w], i, j)
+			c.Set(i*n + j)
 		}
 	}
 	if okJ {
 		for _, kk := range st.kKnown {
-			mark(s.inst.bKnown[w], int(kk), j)
+			b.Set(int(kk)*n + j)
 		}
 		for _, ii := range st.iKnown {
-			mark(s.inst.cKnown[w], int(ii), j)
+			c.Set(int(ii)*n + j)
 		}
 		if okK {
-			mark(s.inst.bKnown[w], k, j)
+			b.Set(k*n + j)
 		}
 	}
 	if okK {
 		for _, jj := range st.jKnown {
-			mark(s.inst.bKnown[w], k, int(jj))
+			b.Set(k*n + int(jj))
 		}
 		for _, ii := range st.iKnown {
-			mark(s.inst.aKnown[w], int(ii), k)
+			a.Set(int(ii)*n + k)
 		}
 	}
 
 	// Enumerate the newly covered cube region I'×J'×K' \ I×J×K as
 	// three disjoint slabs (fresh-i slab, fresh-j slab, fresh-k slab).
-	tasks := buf[:0]
-	try := func(ti, tj, tk int) {
-		t := TaskID(ti, tj, tk, n)
-		if s.inst.markProcessed(t) {
-			tasks = append(tasks, t)
-		}
-	}
-	withNewJ := func(fn func(jj int)) {
-		for _, jj := range st.jKnown {
-			fn(int(jj))
-		}
-		if okJ {
-			fn(j)
-		}
-	}
-	withNewK := func(fn func(kk int)) {
-		for _, kk := range st.kKnown {
-			fn(int(kk))
-		}
-		if okK {
-			fn(k)
-		}
-	}
-	if okI {
-		withNewJ(func(jj int) {
-			withNewK(func(kk int) { try(i, jj, kk) })
-		})
-	}
-	if okJ {
-		for _, ii := range st.iKnown { // old I only: fresh i handled above
-			withNewK(func(kk int) { try(int(ii), j, kk) })
-		}
-	}
-	if okK {
-		for _, ii := range st.iKnown {
-			for _, jj := range st.jKnown { // old I × old J only
-				try(int(ii), int(jj), k)
-			}
-		}
-	}
-
-	if okI {
-		st.iKnown = append(st.iKnown, int32(i))
-	}
+	// k is TaskID's stride-1 dimension, so each (i, j) pair's run over
+	// K' is one AppendNewlySet; the fresh indices join J and K first,
+	// last in their lists, as the enumeration order requires.
 	if okJ {
 		st.jKnown = append(st.jKnown, int32(j))
 	}
 	if okK {
 		st.kKnown = append(st.kKnown, int32(k))
 	}
+	tasks := buf[:0]
+	processed := s.inst.processed
+	if okI {
+		for _, jj := range st.jKnown {
+			tasks = bitset.AppendNewlySet(processed, tasks, (i*n+int(jj))*n, 1, st.kKnown)
+		}
+	}
+	if okJ {
+		for _, ii := range st.iKnown { // old I only: fresh i handled above
+			tasks = bitset.AppendNewlySet(processed, tasks, (int(ii)*n+j)*n, 1, st.kKnown)
+		}
+	}
+	if okK {
+		for _, ii := range st.iKnown { // old I × old J only
+			tasks = bitset.AppendNewlySet(processed, tasks, int(ii)*n*n+k, n, st.jKnown[:oldJ])
+		}
+	}
+	if okI {
+		st.iKnown = append(st.iKnown, int32(i))
+	}
+	s.inst.remaining -= len(tasks)
 	return core.Assignment{Tasks: tasks, Blocks: blocks}, true
 }
 

@@ -266,41 +266,27 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	tasks := buf[:0]
 	blocks := 0
 	n := s.inst.n
+	processed := s.inst.processed
+	if okJ {
+		st.jKnown = append(st.jKnown, int32(j))
+	}
 	if okI {
 		blocks++
 		s.inst.aKnown[w].Set(i)
-		// Row i against every known column (including the fresh j).
-		for _, jj := range st.jKnown {
-			t := TaskID(i, int(jj), n)
-			if s.inst.markProcessed(t) {
-				tasks = append(tasks, t)
-			}
-		}
-		if okJ {
-			t := TaskID(i, j, n)
-			if s.inst.markProcessed(t) {
-				tasks = append(tasks, t)
-			}
-		}
+		// Row i against every known column, the fresh j last.
+		tasks = bitset.AppendNewlySet(processed, tasks, i*n, 1, st.jKnown)
 	}
 	if okJ {
 		blocks++
 		s.inst.bKnown[w].Set(j)
 		// Column j against every previously known row (the pair (i,j)
 		// was handled above).
-		for _, ii := range st.iKnown {
-			t := TaskID(int(ii), j, n)
-			if s.inst.markProcessed(t) {
-				tasks = append(tasks, t)
-			}
-		}
+		tasks = bitset.AppendNewlySet(processed, tasks, j, n, st.iKnown)
 	}
 	if okI {
 		st.iKnown = append(st.iKnown, int32(i))
 	}
-	if okJ {
-		st.jKnown = append(st.jKnown, int32(j))
-	}
+	s.inst.remaining -= len(tasks)
 	return core.Assignment{Tasks: tasks, Blocks: blocks}, true
 }
 
