@@ -393,11 +393,15 @@ func (s *TwoPhases) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	return core.Assignment{Tasks: append(buf[:0], t), Blocks: inst.receive(w, t)}, true
 }
 
+// switchPhase hands the end game to the random pool. Phase 2 needs only
+// the ownership bitsets, so every worker's I and J lists and draw pools
+// are dropped here, and the state codec writes each worker absent.
 func (s *TwoPhases) switchPhase() {
 	inst := s.dyn.inst
 	s.switched = true
 	s.phase1 = inst.n*inst.n - inst.remaining
 	s.pool = core.NewTaskPool(inst.unprocessedTasks())
+	clear(s.dyn.dyn)
 }
 
 // Phase1Tasks implements core.PhaseObserver.

@@ -2,6 +2,7 @@ package outer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -141,6 +142,43 @@ func checkSteps(t *testing.T, label string, live, ref snapScheduler, refNext fun
 	}
 	if !bytes.Equal(live.AppendState(nil), ref.AppendState(nil)) {
 		t.Fatalf("%s: final driver state differs from the reference", label)
+	}
+}
+
+// TestSwitchDropsPhase1State: from the phase switch to drain, a
+// TwoPhases run keeps no worker's phase-1 state, and its state codec
+// writes every worker absent.
+func TestSwitchDropsPhase1State(t *testing.T) {
+	switched := 0
+	for seed := uint64(1); seed <= 100; seed++ {
+		pick := rng.NewStream(seed, 1)
+		n, p := 2+pick.Intn(20), 1+pick.Intn(8)
+		s := NewTwoPhases(n, p, 1+pick.Intn(n*n-1), rng.New(seed))
+		for w := 0; s.Remaining() > 0; w = (w + 1) % p {
+			s.Next(w)
+			if !s.switched {
+				continue
+			}
+			for v := range s.dyn.dyn {
+				if !reflect.DeepEqual(s.dyn.dyn[v], dynState{}) {
+					t.Fatalf("seed %d: worker %d keeps its phase-1 state after the switch", seed, v)
+				}
+			}
+			want := s.dyn.inst.appendState(nil)
+			for range p {
+				want = core.AppendBool(want, false)
+			}
+			want = binary.AppendUvarint(core.AppendBool(want, true), uint64(s.phase1))
+			if got := s.AppendState(nil); !bytes.Equal(got, s.pool.AppendState(want)) {
+				t.Fatalf("seed %d: switched state does not write every worker absent", seed)
+			}
+		}
+		if s.switched {
+			switched++
+		}
+	}
+	if switched < 50 {
+		t.Fatalf("only %d of 100 runs switched", switched)
 	}
 }
 

@@ -14,10 +14,11 @@ import "hetsched/internal/core"
 // Deletion uses backward-shift compaction rather than tombstones: the
 // table churns one delete per completed task against one insert per
 // granted task for the lifetime of a run, and tombstones would
-// degenerate every probe chain at exactly that workload. The table
-// never shrinks; a run's table peaks at its maximum in-flight batch
-// volume and stays there, which is the steady-state-allocation-free
-// contract the AllocsPerRun guards pin.
+// degenerate every probe chain at exactly that workload. A live run's
+// table never shrinks: it peaks at its maximum in-flight batch volume
+// and stays there, which is the steady-state-allocation-free contract
+// the AllocsPerRun guards pin. Once the run answers done, the host
+// drops the empty table for its zero value.
 //
 // Not safe for concurrent use; the owning stripe's mutex serializes
 // access.

@@ -199,7 +199,8 @@ type hostStripe struct {
 // returned Assignment.Tasks aliases it; alternating buffers give the
 // caller one full poll of grace before the backing array is reused),
 // tmp holds one driver step and doubles as the sort scratch of the
-// large-report duplicate check.
+// large-report duplicate check. A poll answered done resets the slot to
+// its zero value.
 type workerSlot struct {
 	acc  [2][]core.Task
 	flip uint8
@@ -787,7 +788,15 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 	if !granted {
 		status := StatusWait
 		if h.drv.Remaining() == 0 && h.outstandingCount.Load() == 0 {
+			// The run is over for good: nothing is left to grant and
+			// nothing outstanding can be reported or reclaimed. Release
+			// what only served grants: w's poll scratch and, once empty,
+			// its stripe's table (put rebuilds one if ever needed).
 			status = StatusDone
+			*slot = workerSlot{}
+			if st.outstanding.n == 0 {
+				st.outstanding = grantTable{}
+			}
 		}
 		h.noteStateLocked(now)
 		if h.ev != nil {
@@ -1038,10 +1047,6 @@ func (h *Host) Unfence() { h.fence.Store(fenceNone) }
 // commitFence marks the handoff complete: the run now lives on the
 // destination and every late poll here draws a deterministic 410.
 func (h *Host) commitFence() { h.fence.Store(fenceCommitted) }
-
-// Fenced reports whether the host is currently fenced (pending or
-// committed).
-func (h *Host) Fenced() bool { return h.fence.Load() != fenceNone }
 
 // State returns the host's lifecycle view: created before the first
 // valid worker poll, complete once the driver is drained and every

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"hetsched/internal/core"
+	"hetsched/internal/events"
 )
 
 // dupReport builds a duplicate-free completion report of k tasks with
@@ -127,6 +130,42 @@ func BenchmarkHostNext(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkRunFootprint reports the heap a drained run keeps until the
+// registry sweeps it, in B/run: the benchmark's poll shape (outer
+// 2phases, n=128, p=64, batch 1) built as Options.NewRun builds it, with
+// an event stream attached, drained by the round-robin script. Every
+// drained run stays referenced; the live heap after a collection, less
+// the live heap before the first run, is divided by the runs.
+func BenchmarkRunFootprint(b *testing.B) {
+	clk := newVclock()
+	opts := Options{Events: events.NewBus(0), Now: clk.now}
+	runs := make([]*Run, 0, b.N)
+	before := liveHeap()
+	for i := 0; i < b.N; i++ {
+		q := CreateRunRequest{Kernel: KernelOuter, Strategy: "2phases", N: 128, P: 64, Seed: uint64(i) + 1, Batch: 1}
+		if err := q.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		run, err := opts.NewRun(fmt.Sprintf("footprint-%d", i), &q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		driveScript(b, run, clk, 0)
+		runs = append(runs, run)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(liveHeap()-before)/float64(b.N), "B/run")
+	runtime.KeepAlive(runs)
+}
+
+// liveHeap collects garbage and returns the bytes still allocated.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func BenchmarkDupScan16(b *testing.B)    { benchDup(b, 16, forceScan) }

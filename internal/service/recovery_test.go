@@ -539,6 +539,71 @@ func TestRecoveryFailureFailsClosed(t *testing.T) {
 	}
 }
 
+// testdata/hsn2 holds one snapshot, written by the last version that
+// kept every worker's phase-1 state past an outer 2phases run's phase
+// switch: a run of hsn2Request polled hsn2Rounds rounds by pollRound
+// (one second a poll), by which point it has switched, then
+// checkpointed.
+var hsn2Request = CreateRunRequest{Kernel: KernelOuter, Strategy: "2phases", N: 8, P: 3, Seed: 5, Batch: 2, Beta: 0.5}
+
+const (
+	hsn2Rounds = 3
+	hsn2File   = "snap-r-hsn2-000000000000000a.snap"
+)
+
+func hsn2Snapshot(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "hsn2", hsn2File))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestRecoverSwitchedSnapshotWithPhase1State: the hsn2 snapshot
+// restores as it is — its driver state re-encodes byte for byte, though
+// a run switched today writes every worker absent — and drains to the
+// ledger of the uninterrupted twin.
+func TestRecoverSwitchedSnapshotWithPhase1State(t *testing.T) {
+	raw := hsn2Snapshot(t)
+	snap, err := durable.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, hsn2File), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clk := newVclock()
+	clk.adv(time.Duration(hsn2Rounds*hsn2Request.P) * time.Second)
+	w := newWorld(t, dir, clk, true)
+	if _, err := w.opts.Recover(w.reg, w.jr); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	got, ok := w.reg.Get(snap.ID)
+	if !ok {
+		t.Fatal("run lost in recovery")
+	}
+	if again := appendState(got.Host.drv); !bytes.Equal(again, snap.Driver) {
+		t.Fatalf("restored driver state re-encodes to %d bytes, not the %d restored", len(again), len(snap.Driver))
+	}
+
+	twin, twinClk := twinRun(t, hsn2Request)
+	twinPend := pending{}
+	pollRound(t, twin, twinClk, twinPend, hsn2Rounds, time.Second)
+	if st := twin.Host.Stats(); st.Phase1Tasks >= st.Total-st.Remaining {
+		t.Fatalf("the twin has served no phase-2 task after %d rounds", hsn2Rounds)
+	}
+	if today := appendState(twin.Host.drv); len(today) >= len(snap.Driver) {
+		t.Fatalf("the twin's driver state is %d bytes, the fixture's %d: the fixture carries no phase-1 state", len(today), len(snap.Driver))
+	}
+	pend := pending{}
+	for wk, ts := range twinPend {
+		pend[wk] = append([]core.Task(nil), ts...)
+	}
+	compareRuns(t, got, twin, clk, twinClk, pend, twinPend)
+}
+
 // TestRecoverRefusesOpLogSnapshot pins the fail-stop on a snapshot of
 // the retired op-log format (testdata/hsn1 holds one, written by the
 // last version that used it): recovery over it fails, naming the file,

@@ -24,33 +24,50 @@ func sizedRun(t *testing.T) (*world, *Run) {
 	})
 }
 
-// driveScript polls run round-robin, skipping workers already told
-// done, each poll reporting the batch the worker holds and advancing
-// the clock 20µs. It stops after maxPolls polls (0: once every worker
-// has been told done) and returns the polls made.
-func driveScript(t *testing.T, run *Run, clk *vclock, maxPolls int) int {
-	t.Helper()
-	held := make([][]core.Task, run.P)
-	done := make([]bool, run.P)
-	polls, left, w := 0, run.P, 0
-	for left > 0 && (maxPolls == 0 || polls < maxPolls) {
-		for done[w] {
-			w = (w + 1) % run.P
+// script is the round-robin poll script: the batch each worker holds,
+// who has been told done, and whose turn it is.
+type script struct {
+	held    [][]core.Task
+	done    []bool
+	left, w int
+}
+
+func newScript(p int) *script {
+	return &script{held: make([][]core.Task, p), done: make([]bool, p), left: p}
+}
+
+// drive polls run round-robin, skipping workers already told done, each
+// poll reporting the batch the worker holds and advancing the clock
+// 20µs. It stops after maxPolls polls (0: once every worker has been
+// told done) and returns the polls made. A later drive resumes where it
+// stopped, on the same run or on its copy on another host.
+func (s *script) drive(tb testing.TB, run *Run, clk *vclock, maxPolls int) int {
+	tb.Helper()
+	polls := 0
+	for s.left > 0 && (maxPolls == 0 || polls < maxPolls) {
+		for s.done[s.w] {
+			s.w = (s.w + 1) % run.P
 		}
 		clk.adv(20 * time.Microsecond)
-		a, status, err := run.Host.Next(w, held[w])
+		a, status, err := run.Host.Next(s.w, s.held[s.w])
 		if err != nil {
-			t.Fatalf("poll %d, worker %d: %v", polls, w, err)
+			tb.Fatalf("poll %d, worker %d: %v", polls, s.w, err)
 		}
-		held[w] = append(held[w][:0], a.Tasks...)
+		s.held[s.w] = append(s.held[s.w][:0], a.Tasks...)
 		if status == StatusDone {
-			done[w] = true
-			left--
+			s.done[s.w] = true
+			s.left--
 		}
 		polls++
-		w = (w + 1) % run.P
+		s.w = (s.w + 1) % run.P
 	}
 	return polls
+}
+
+// driveScript runs a fresh script on run.
+func driveScript(tb testing.TB, run *Run, clk *vclock, maxPolls int) int {
+	tb.Helper()
+	return newScript(run.P).drive(tb, run, clk, maxPolls)
 }
 
 // scriptPolls is the length of the drained script.
@@ -84,14 +101,16 @@ func TestJournalBytesPerPoll(t *testing.T) {
 
 // TestSnapshotBytes pins the snapshot of the run at 90% of its script,
 // which is where the benchmark's recover workload hands a run over, and
-// the driver state inside it there and at 50%.
+// the driver state inside it there and at 50%. The run has switched to
+// its random phase by 90%, so the driver state there no longer carries
+// the per-worker index sets of phase 1.
 func TestSnapshotBytes(t *testing.T) {
 	for _, tc := range []struct {
 		polls            int
 		snapshot, driver int // bytes; 0: not pinned
 	}{
 		{scriptPolls / 2, 0, 20690},
-		{scriptPolls * 9 / 10, 109192, 20922},
+		{scriptPolls * 9 / 10, 92680, 4410},
 	} {
 		w, run := sizedRun(t)
 		driveScript(t, run, w.clk, tc.polls)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/durable"
 	"hetsched/internal/rng"
 )
 
@@ -185,6 +186,17 @@ func FuzzDriverState(f *testing.F) {
 			d.Complete(w%q.P, a.Tasks)
 		}
 		f.Add(uint8(i), uint8(q.N-1), uint8(q.P-1), appendState(d))
+	}
+	// A switched outer 2phases state that still carries every worker's
+	// phase-1 state, as older versions wrote it (testdata/hsn2).
+	snap, err := durable.DecodeSnapshot(hsn2Snapshot(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, e := range stateDrivers {
+		if e.kernel == hsn2Request.Kernel && e.strategy == hsn2Request.Strategy {
+			f.Add(uint8(i), uint8(hsn2Request.N-1), uint8(hsn2Request.P-1), snap.Driver)
+		}
 	}
 	f.Fuzz(func(t *testing.T, entry, n, p uint8, state []byte) {
 		e := stateDrivers[int(entry)%len(stateDrivers)]
