@@ -10,9 +10,9 @@
 //	clustersim -scenario herd -p 2000
 //
 // Scenarios come from the shared corpus (the same scripts the go-test
-// matrix runs); -mode http drives the full HTTP/JSON path through an
-// in-process listener and must produce the identical hash as -mode
-// direct for equal seeds.
+// matrix runs); -mode http drives the full HTTP/JSON path through
+// loopback listeners in front of the router and each host, and must
+// produce the identical hash as -mode direct for equal seeds.
 //
 // -events <path> attaches a recording full-stream subscriber to every
 // run and dumps the complete event ledger — every assignment,

@@ -3,88 +3,179 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
 	"time"
 
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
 	"hetsched/internal/events"
+	"hetsched/internal/federation"
 	"hetsched/internal/service"
 	"hetsched/internal/trace"
 )
 
 // backend is the seam between the event loop and the scheduler
-// service. Both implementations drive the *real* service code — the
-// direct backend calls service.Host/Registry methods in process, the
-// HTTP backend speaks full JSON to a loopback server — so every
-// scenario can run against either and must produce the identical
-// deterministic outcome (TestModesAgree pins that).
-type backend interface {
-	// create registers the run and returns its wire info.
-	create(spec RunSpec) (service.RunInfo, error)
-	// next is one worker poll: report completed, receive a verdict.
-	// conflict is the 409 lease-expired answer (the batch is lost to a
-	// reassignment and the worker must drop it); any other non-OK
-	// answer is a scenario bug and surfaces as err. A granted batch is
-	// written into grantBuf (append from length 0, growing it at most
-	// once per worker in steady state) — the caller owns the buffer
-	// and must not alias it with completed; r.tasks is only valid
-	// until the buffer's next reuse.
-	next(run int, worker int, completed, grantBuf []core.Task) (r nextResult, conflict bool, err error)
-	// sweep runs one registry janitor pass (every live host's, in a
-	// federated backend).
-	sweep()
-	// stats and traceOf snapshot the run's collectors.
-	stats(run int) (service.StatsResponse, error)
-	traceOf(run int) (*trace.Trace, error)
-	// busFor is the event bus of the host serving run: scripted
-	// subscribers attach to it in process in both modes (the SSE wire
-	// framing is pinned by internal/service's own tests).
-	busFor(run int) *events.Bus
-	// busTotals sums published/dropped across every host's bus.
-	busTotals() (published, dropped uint64)
-	// ownerOf is the topology index of the host serving run; -1 for
-	// the single-host backends.
-	ownerOf(run int) int
-	// crashHost kills an entire host: its runs lose their master and
-	// every later poll against them reports hostDown. Federated
-	// backends only.
-	crashHost(host int) error
-	// migrate moves one run to the host at index dest through the
-	// router's explicit-move primitive (fence, ship, replay, override).
-	// Federated backends only.
-	migrate(run, dest int) error
-	// ringChange steps the placement epoch, migrating every run whose
-	// owner moved; with a crashed journaled host it also scavenges that
-	// host's runs from its journal directory (the death path).
-	// Federated backends only.
-	ringChange(epoch uint64) error
-	// checkpoint seals the master's journal generation and snapshots
-	// every registered run. Journaled single-host backends only.
-	checkpoint() error
-	// crashMaster kills the master without flushing anything beyond
-	// what group commit already wrote, then restarts it from its
-	// journal directory: snapshots load, the tail replays, and the
-	// restarted master serves the exact pre-crash state. Journaled
-	// single-host backends only.
-	crashMaster() error
-	// placement snapshots the run ids as seen through the router and
-	// as held by each live host, for the placement invariants. The
-	// single-host backends return nils.
-	placement() (router []string, perHost [][]string, err error)
-	close()
+// service: max(1, Scenario.Hosts) real service.Servers behind one real
+// federation.Router, all on the scenario's virtual clock. A single host
+// is a one-host federation — the ring has one target and every run
+// lands on host 0 — so every topology takes the same code. The Mode is
+// the transport:
+//
+//   - Direct resolves a run through Router.Lookup (ring owner, then the
+//     owner's in-process registry) and calls Host.Next: no sockets, fast
+//     enough for 100k-worker fleets.
+//   - HTTP puts a loopServer — the request loop cmd/schedd serves with —
+//     in front of the router and of each host, and speaks the real JSON
+//     protocol one synchronous request at a time: every poll crosses
+//     client → router → owning host, so strict decoding, the proxy's
+//     status mapping and its 503 host-down path are inside the
+//     deterministic loop.
+//
+// Equal seeds must produce bit-identical outcomes in both transports
+// (TestModesAgree, TestFederatedModesAgree and the goldens pin that).
+type backend struct {
+	mode  Mode
+	ttl   time.Duration
+	now   func() time.Time
+	names []string
+	// dirs[i] is host i's journal directory ("host-<i>" under the
+	// scenario's), empty when the scenario is journal-less; jrs[i] is
+	// its open write-ahead log.
+	dirs  []string
+	jrs   []*durable.Log
+	hosts []*service.Server
+	rt    *federation.Router
+	// hts[i] fronts host i and rts the router; HTTP transport only.
+	hts []*loopServer
+	rts *loopServer
+	// dead marks crashed hosts; scavenged marks the dead whose journal a
+	// RingChange already recovered into the fleet — a second one must
+	// not re-import their runs.
+	dead      []bool
+	scavenged []bool
+	// ids[run] is the run's id once it has been created.
+	ids []string
 }
 
-// nextResult is a backend-neutral NextResponse.
+// nextResult is a transport-neutral NextResponse.
 type nextResult struct {
 	status string
 	tasks  []core.Task
 	blocks int
 	// hostDown reports the poll found no live master: the run's host
-	// crashed (federated 503 / dead in-process host). The other fields
-	// are meaningless when set.
+	// crashed (the router's 503, or a dead in-process host). The other
+	// fields are meaningless when set.
 	hostDown bool
+}
+
+// errHostDown is lookup's answer for a run whose owning host crashed.
+var errHostDown = errors.New("host is down")
+
+// newBackend starts the fleet: one server per host (each with its own
+// journal under journalDir when that is set), one listener per server
+// in HTTP mode, and the router over them at the scenario's ring epoch.
+func newBackend(sc Scenario, mode Mode, now func() time.Time, journalDir string) (*backend, error) {
+	n := max(1, sc.Hosts)
+	b := &backend{
+		mode:      mode,
+		ttl:       sc.TTL,
+		now:       now,
+		names:     federation.HostNames(n),
+		dirs:      make([]string, n),
+		jrs:       make([]*durable.Log, n),
+		hosts:     make([]*service.Server, n),
+		dead:      make([]bool, n),
+		scavenged: make([]bool, n),
+		ids:       make([]string, len(sc.Runs)),
+	}
+	if mode == HTTP {
+		b.hts = make([]*loopServer, n)
+	}
+	for i := range b.hosts {
+		if journalDir != "" {
+			b.dirs[i] = filepath.Join(journalDir, fmt.Sprintf("host-%d", i))
+			if err := os.MkdirAll(b.dirs[i], 0o755); err != nil {
+				b.close()
+				return nil, err
+			}
+		}
+		if err := b.start(i); err != nil {
+			b.close()
+			return nil, err
+		}
+	}
+	if err := b.route(sc.RingEpoch); err != nil {
+		b.close()
+		return nil, err
+	}
+	return b, nil
+}
+
+// start brings host i up: its journal reopened (a restarted host
+// recovers from it synchronously inside service.New, as `schedd
+// -journal-dir` does at boot) and, in HTTP mode, its listener.
+func (b *backend) start(i int) (err error) {
+	if b.dirs[i] != "" {
+		if b.jrs[i], err = durable.Open(b.dirs[i]); err != nil {
+			return err
+		}
+	}
+	b.hosts[i] = service.New(service.Options{TTL: ttlOption(b.ttl), GCInterval: -1, Now: b.now, Journal: b.jrs[i]})
+	if err := b.hosts[i].RecoveryErr(); err != nil {
+		return fmt.Errorf("cluster: recovering host %d: %w", i, err)
+	}
+	if b.mode == HTTP {
+		b.hts[i], err = newLoopServer(b.hosts[i])
+	}
+	return err
+}
+
+// route (re)builds the router over the current servers at epoch and,
+// in HTTP mode, puts it behind a fresh listener.
+func (b *backend) route(epoch uint64) (err error) {
+	targets := make([]federation.Target, len(b.hosts))
+	for i, svc := range b.hosts {
+		targets[i] = federation.Target{Name: b.names[i], JournalDir: b.dirs[i]}
+		if b.mode == HTTP {
+			targets[i].URL = b.hts[i].URL
+		} else {
+			targets[i].Server = svc
+		}
+	}
+	if b.rt, err = federation.NewRouter(targets, federation.Options{Epoch: epoch}); err != nil {
+		return err
+	}
+	if b.mode == HTTP {
+		if b.rts != nil {
+			b.rts.Close()
+		}
+		b.rts, err = newLoopServer(b.rt)
+	}
+	return err
+}
+
+// kill stops host i's listener and server. Its journal stays open until
+// the scenario ends: a SIGKILL leaves the directory behind, and
+// RecoverHost reads it cold.
+func (b *backend) kill(i int) {
+	if b.mode == HTTP {
+		b.hts[i].Close()
+	}
+	b.hosts[i].Close()
+}
+
+// ttlOption maps the scenario's "0 disables" convention onto
+// service.Options' "0 means default, negative disables".
+func ttlOption(ttl time.Duration) time.Duration {
+	if ttl <= 0 {
+		return -1
+	}
+	return ttl
 }
 
 // leaseDuration mirrors service.Options.NewRun's lease derivation (0
@@ -111,274 +202,20 @@ func (spec RunSpec) request() service.CreateRunRequest {
 	}
 }
 
-// --- direct backend ----------------------------------------------------
-
-// directBackend drives Host and Registry in process: the transport-free
-// mode, fast enough for 10k-worker fleets. With a journal directory it
-// is also the transport-free durability harness: every mutation is
-// journaled through the registry exactly as the server journals it, and
-// crashMaster rebuilds the registry from disk.
-type directBackend struct {
-	reg  *service.Registry
-	runs []*service.Run
-	ids  []string
-	now  func() time.Time
-	evs  *events.Bus
-	ttl  time.Duration
-	dir  string
-	jr   *durable.Log
-}
-
-func newDirectBackend(ttl time.Duration, now func() time.Time, journalDir string) (*directBackend, error) {
-	b := &directBackend{
-		reg: service.NewRegistryWithClock(8, ttl, now),
-		now: now,
-		evs: events.NewBus(0),
-		ttl: ttl,
-		dir: journalDir,
-	}
-	b.reg.AttachBus(b.evs)
-	if journalDir != "" {
-		jr, err := durable.Open(journalDir)
-		if err != nil {
-			return nil, err
-		}
-		b.jr = jr
-		b.reg.AttachJournal(jr)
-	}
-	return b, nil
-}
-
-func (b *directBackend) create(spec RunSpec) (service.RunInfo, error) {
-	q := spec.request()
-	if err := q.Validate(); err != nil {
-		return service.RunInfo{}, err
-	}
-	// The server's own run constructor (service.Options.NewRun) with
-	// the same defaults opts.fill() would produce, so the direct mode
-	// cannot drift from handleCreate. Registration goes through AddNew
-	// — the same durable-before-visible path handleCreate uses — so a
-	// journaled scenario's creates are on disk before any poll.
-	run, err := service.Options{DefaultBatch: 1, Now: b.now, Events: b.evs}.NewRun(b.reg.NewID(), &q)
-	if err != nil {
-		return service.RunInfo{}, err
-	}
-	added, err := b.reg.AddNew(run)
-	if err != nil {
-		return service.RunInfo{}, fmt.Errorf("journaling run %q: %w", run.ID, err)
-	}
-	if !added {
-		return service.RunInfo{}, fmt.Errorf("run %q already exists", run.ID)
-	}
-	b.runs = append(b.runs, run)
-	b.ids = append(b.ids, run.ID)
-	return run.Info(), nil
-}
-
-// lookup mirrors the server's liveness check: a run the sweep expired
-// answers like the HTTP path's 410/404 would, so scenarios that arm
-// the TTL fail identically in both modes instead of direct mode
-// silently serving a swept run from its retained pointer.
-func (b *directBackend) lookup(run int) (*service.Run, error) {
-	r := b.runs[run]
-	if r.Expired() {
-		return nil, fmt.Errorf("run %q is expired", r.ID)
-	}
-	if _, ok := b.reg.Get(r.ID); !ok {
-		return nil, fmt.Errorf("unknown run %q (swept)", r.ID)
-	}
-	return r, nil
-}
-
-func (b *directBackend) next(run, worker int, completed, grantBuf []core.Task) (nextResult, bool, error) {
-	r, err := b.lookup(run)
-	if err != nil {
-		return nextResult{}, false, err
-	}
-	a, status, err := r.Host.Next(worker, completed)
-	if err != nil {
-		if _, is := err.(*service.LeaseExpiredError); is {
-			return nextResult{}, true, nil
-		}
-		return nextResult{}, false, err
-	}
-	// The assignment's Tasks alias Host-internal per-worker buffers
-	// that are overwritten on a later poll; the worker retains its
-	// batch across events, so copy — into the caller's recycled grant
-	// buffer, which makes the steady-state poll loop allocation-free.
-	res := nextResult{status: status, blocks: a.Blocks}
-	if len(a.Tasks) > 0 {
-		res.tasks = append(grantBuf, a.Tasks...)
-	}
-	return res, false, nil
-}
-
-func (b *directBackend) sweep() { b.reg.Sweep() }
-
-func (b *directBackend) stats(run int) (service.StatsResponse, error) {
-	r, err := b.lookup(run)
-	if err != nil {
-		return service.StatsResponse{}, err
-	}
-	return r.Host.Stats(), nil
-}
-
-func (b *directBackend) traceOf(run int) (*trace.Trace, error) {
-	r, err := b.lookup(run)
-	if err != nil {
-		return nil, err
-	}
-	return r.Host.Trace(), nil
-}
-
-func (b *directBackend) busFor(int) *events.Bus { return b.evs }
-
-func (b *directBackend) busTotals() (uint64, uint64) { return b.evs.Published(), b.evs.Dropped() }
-
-func (b *directBackend) ownerOf(int) int { return -1 }
-
-func (b *directBackend) crashHost(host int) error {
-	return fmt.Errorf("cluster: single-host backend cannot crash host %d", host)
-}
-
-func (b *directBackend) migrate(run, dest int) error {
-	return fmt.Errorf("cluster: single-host backend cannot migrate run %d", run)
-}
-
-func (b *directBackend) ringChange(epoch uint64) error {
-	return fmt.Errorf("cluster: single-host backend has no ring")
-}
-
-func (b *directBackend) checkpoint() error {
-	if b.jr == nil {
-		return fmt.Errorf("cluster: checkpoint without a journal")
-	}
-	return b.reg.Checkpoint()
-}
-
-func (b *directBackend) crashMaster() error {
-	if b.jr == nil {
-		return fmt.Errorf("cluster: master crash without a journal")
-	}
-	// SIGKILL the master: drop the registry on the floor — nothing is
-	// flushed beyond what Commit already wrote — then reopen the
-	// journal directory and recover through the same Options.Recover
-	// path cmd/schedd uses at startup.
-	b.jr.Close()
-	jr, err := durable.Open(b.dir)
-	if err != nil {
-		return err
-	}
-	b.jr = jr
-	reg := service.NewRegistryWithClock(8, b.ttl, b.now)
-	reg.AttachBus(b.evs)
-	reg.AttachJournal(jr)
-	if _, err := (service.Options{Now: b.now, Events: b.evs}).Recover(reg, jr); err != nil {
-		return fmt.Errorf("cluster: recovering master: %w", err)
-	}
-	b.reg = reg
-	// Re-resolve the retained run pointers against the recovered
-	// registry. A run the durable state no longer knows (swept before
-	// the crash) keeps its old pointer; lookup's registry check fails
-	// it exactly as before the crash.
-	for i, id := range b.ids {
-		if run, ok := reg.Get(id); ok {
-			b.runs[i] = run
-		}
-	}
-	return nil
-}
-
-func (b *directBackend) placement() ([]string, [][]string, error) { return nil, nil, nil }
-
-func (b *directBackend) close() {
-	if b.jr != nil {
-		b.jr.Close()
-	}
-}
-
-// --- HTTP backend ------------------------------------------------------
-
-// httpBackend runs the full service.Server behind a loopback listener,
-// served as cmd/schedd serves it (loopServer), and speaks the real JSON
-// protocol, one synchronous request at a time
-// — so the wire path (strict decoding, status mapping, response
-// construction) is inside the deterministic loop. The virtual clock is
-// injected through service.Options.Now; the server's own janitor is
-// disabled and sweeps are driven by the event loop.
-type httpBackend struct {
-	svc    *service.Server
-	ts     *loopServer
-	client *http.Client
-	ids    []string
-	ttl    time.Duration
-	now    func() time.Time
-	dir    string
-	jr     *durable.Log
-}
-
-func newHTTPBackend(ttl time.Duration, now func() time.Time, journalDir string) (*httpBackend, error) {
-	b := &httpBackend{ttl: ttl, now: now, dir: journalDir}
-	if journalDir != "" {
-		jr, err := durable.Open(journalDir)
-		if err != nil {
-			return nil, err
-		}
-		b.jr = jr
-	}
-	b.svc = service.New(b.options())
-	if err := b.listen(); err != nil {
-		b.close()
-		return nil, err
-	}
-	return b, nil
-}
-
-// listen puts the current server behind a fresh listener.
-func (b *httpBackend) listen() (err error) {
-	if b.ts, err = newLoopServer(b.svc); err != nil {
-		return err
-	}
-	b.client = b.ts.Client()
-	return nil
-}
-
-// options builds the server options of one master life: the same knobs
-// on every restart, only the reopened journal handle differing.
-func (b *httpBackend) options() service.Options {
-	return service.Options{
-		TTL:        ttlOption(b.ttl),
-		GCInterval: -1,
-		Now:        b.now,
-		Journal:    b.jr,
-	}
-}
-
-// ttlOption maps the scenario's "0 disables" convention onto
-// service.Options' "0 means default, negative disables".
-func ttlOption(ttl time.Duration) time.Duration {
-	if ttl <= 0 {
-		return -1
-	}
-	return ttl
-}
-
-func (b *httpBackend) do(method, path string, in, out any) (int, error) {
-	var body *bytes.Reader
+// do is one synchronous request through the router's listener.
+func (b *backend) do(method, path string, in, out any) (int, error) {
+	var body []byte
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return 0, err
 		}
-		body = bytes.NewReader(buf)
-	} else {
-		body = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequest(method, b.ts.URL+path, body)
+	req, err := http.NewRequest(method, b.rts.URL+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	resp, err := b.client.Do(req)
+	resp, err := b.rts.Client().Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -391,20 +228,120 @@ func (b *httpBackend) do(method, path string, in, out any) (int, error) {
 	return resp.StatusCode, nil
 }
 
-func (b *httpBackend) create(spec RunSpec) (service.RunInfo, error) {
-	var info service.RunInfo
-	code, err := b.do("POST", "/v1/runs", spec.request(), &info)
-	if err == nil && code != http.StatusCreated {
-		err = fmt.Errorf("create run: status %d", code)
+// get is a GET through the router that must answer 200.
+func (b *backend) get(path string, out any) error {
+	code, err := b.do("GET", path, nil, out)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("GET %s: status %d", path, code)
 	}
+	return err
+}
+
+// create registers run and returns its wire info. An unpinned id is
+// minted by host 0's registry in direct mode and by the router over
+// HTTP; either way it is wall-clock salted and kept out of Hash().
+func (b *backend) create(run int, spec RunSpec) (service.RunInfo, error) {
+	q := spec.request()
+	if b.mode == HTTP {
+		var info service.RunInfo
+		code, err := b.do("POST", "/v1/runs", q, &info)
+		if err == nil && code != http.StatusCreated {
+			err = fmt.Errorf("create run %q: status %d", q.ID, code)
+		}
+		if err != nil {
+			return service.RunInfo{}, err
+		}
+		b.ids[run] = info.ID
+		return info, nil
+	}
+	if err := q.Validate(); err != nil {
+		return service.RunInfo{}, err
+	}
+	if q.ID == "" {
+		q.ID = b.hosts[0].Registry().NewID()
+	}
+	owner := b.rt.OwnerOf(q.ID)
+	if b.dead[owner] {
+		return service.RunInfo{}, fmt.Errorf("run %q arrives on crashed host %d", q.ID, owner)
+	}
+	svc := b.hosts[owner]
+	// The server's own run constructor (service.Options.NewRun) with the
+	// defaults its options fill in, registered through AddNew — the
+	// durable-before-visible path handleCreate uses — so direct mode
+	// cannot drift from the wire and a journaled create is on disk
+	// before any poll.
+	r, err := service.Options{DefaultBatch: 1, Now: b.now, Events: svc.Bus()}.NewRun(q.ID, &q)
 	if err != nil {
 		return service.RunInfo{}, err
 	}
-	b.ids = append(b.ids, info.ID)
-	return info, nil
+	added, err := svc.Registry().AddNew(r)
+	if err != nil {
+		return service.RunInfo{}, fmt.Errorf("journaling run %q on host %d: %w", q.ID, owner, err)
+	}
+	if !added {
+		return service.RunInfo{}, fmt.Errorf("run %q already exists on host %d", q.ID, owner)
+	}
+	b.ids[run] = q.ID
+	return r.Info(), nil
 }
 
-func (b *httpBackend) next(run, worker int, completed, grantBuf []core.Task) (nextResult, bool, error) {
+// lookup routes a direct-mode request the way the router does — ring
+// owner (or override), then the owner's registry — and mirrors the
+// server's liveness checks, so a swept or expired run fails as the
+// HTTP path's 404/410 would instead of being served from a stale
+// pointer.
+func (b *backend) lookup(run int) (*service.Run, error) {
+	id := b.ids[run]
+	r, owner, ok := b.rt.Lookup(id)
+	if b.dead[owner] {
+		return nil, errHostDown
+	}
+	if !ok {
+		return nil, fmt.Errorf("unknown run %q (swept)", id)
+	}
+	if r.Expired() {
+		return nil, fmt.Errorf("run %q is expired", id)
+	}
+	return r, nil
+}
+
+// next is one worker poll: report completed, receive a verdict.
+// conflict is the 409 lease-expired answer (the batch is lost to a
+// reassignment and the worker must drop it); any other non-OK answer is
+// a scenario bug and surfaces as err. A granted batch is written into
+// grantBuf (append from length 0, growing it at most once per worker in
+// steady state) — the caller owns the buffer and must not alias it with
+// completed; r.tasks is only valid until the buffer's next reuse.
+func (b *backend) next(run, worker int, completed, grantBuf []core.Task) (nextResult, bool, error) {
+	if b.mode == HTTP {
+		return b.nextHTTP(run, worker, completed, grantBuf)
+	}
+	r, err := b.lookup(run)
+	if errors.Is(err, errHostDown) {
+		return nextResult{hostDown: true}, false, nil
+	}
+	if err != nil {
+		return nextResult{}, false, err
+	}
+	a, status, err := r.Host.Next(worker, completed)
+	if err != nil {
+		if _, is := err.(*service.LeaseExpiredError); is {
+			return nextResult{}, true, nil
+		}
+		return nextResult{}, false, err
+	}
+	// The assignment's Tasks alias Host-internal per-worker buffers that
+	// a later poll overwrites; the worker retains its batch across
+	// events, so copy — into the caller's recycled grant buffer, which
+	// keeps the steady-state poll loop allocation-free.
+	res := nextResult{status: status, blocks: a.Blocks}
+	if len(a.Tasks) > 0 {
+		res.tasks = append(grantBuf, a.Tasks...)
+	}
+	return res, false, nil
+}
+
+func (b *backend) nextHTTP(run, worker int, completed, grantBuf []core.Task) (nextResult, bool, error) {
 	q := service.NextRequest{Worker: worker}
 	if len(completed) > 0 {
 		q.Completed = make([]int64, len(completed))
@@ -421,6 +358,9 @@ func (b *httpBackend) next(run, worker int, completed, grantBuf []core.Task) (ne
 	case http.StatusOK:
 	case http.StatusConflict:
 		return nextResult{}, true, nil
+	case http.StatusServiceUnavailable:
+		// The router's owner-unreachable answer: the run's host is gone.
+		return nextResult{hostDown: true}, false, nil
 	default:
 		return nextResult{}, false, fmt.Errorf("worker %d poll: status %d", worker, code)
 	}
@@ -434,85 +374,178 @@ func (b *httpBackend) next(run, worker int, completed, grantBuf []core.Task) (ne
 	return r, false, nil
 }
 
-func (b *httpBackend) sweep() { b.svc.SweepNow() }
-
-func (b *httpBackend) stats(run int) (service.StatsResponse, error) {
+// stats and traceOf snapshot the run's collectors.
+func (b *backend) stats(run int) (service.StatsResponse, error) {
 	var st service.StatsResponse
-	code, err := b.do("GET", "/v1/runs/"+b.ids[run]+"/stats", nil, &st)
-	if err == nil && code != http.StatusOK {
-		err = fmt.Errorf("stats: status %d", code)
+	if b.mode == HTTP {
+		return st, b.get("/v1/runs/"+b.ids[run]+"/stats", &st)
 	}
-	return st, err
-}
-
-func (b *httpBackend) traceOf(run int) (*trace.Trace, error) {
-	var tr service.TraceResponse
-	code, err := b.do("GET", "/v1/runs/"+b.ids[run]+"/trace", nil, &tr)
-	if err == nil && code != http.StatusOK {
-		err = fmt.Errorf("trace: status %d", code)
-	}
-	return tr.Trace, err
-}
-
-func (b *httpBackend) busFor(int) *events.Bus { return b.svc.Bus() }
-
-func (b *httpBackend) busTotals() (uint64, uint64) {
-	return b.svc.Bus().Published(), b.svc.Bus().Dropped()
-}
-
-func (b *httpBackend) ownerOf(int) int { return -1 }
-
-func (b *httpBackend) crashHost(host int) error {
-	return fmt.Errorf("cluster: single-host backend cannot crash host %d", host)
-}
-
-func (b *httpBackend) migrate(run, dest int) error {
-	return fmt.Errorf("cluster: single-host backend cannot migrate run %d", run)
-}
-
-func (b *httpBackend) ringChange(epoch uint64) error {
-	return fmt.Errorf("cluster: single-host backend has no ring")
-}
-
-func (b *httpBackend) checkpoint() error {
-	if b.jr == nil {
-		return fmt.Errorf("cluster: checkpoint without a journal")
-	}
-	return b.svc.Checkpoint()
-}
-
-func (b *httpBackend) crashMaster() error {
-	if b.jr == nil {
-		return fmt.Errorf("cluster: master crash without a journal")
-	}
-	// Tear the whole wire stack down — listener, server, journal
-	// handle — and bring a fresh one up over the same directory. The
-	// new server recovers synchronously inside service.New, exactly as
-	// `schedd -journal-dir` does at boot, so the first post-crash poll
-	// already sees the replayed state.
-	b.ts.Close()
-	b.svc.Close()
-	b.jr.Close()
-	jr, err := durable.Open(b.dir)
+	r, err := b.lookup(run)
 	if err != nil {
+		return st, err
+	}
+	return r.Host.Stats(), nil
+}
+
+func (b *backend) traceOf(run int) (*trace.Trace, error) {
+	if b.mode == HTTP {
+		var tr service.TraceResponse
+		err := b.get("/v1/runs/"+b.ids[run]+"/trace", &tr)
+		return tr.Trace, err
+	}
+	r, err := b.lookup(run)
+	if err != nil {
+		return nil, err
+	}
+	return r.Host.Trace(), nil
+}
+
+// sweep runs one janitor pass on every live host.
+func (b *backend) sweep() {
+	for i, svc := range b.hosts {
+		if !b.dead[i] {
+			svc.SweepNow()
+		}
+	}
+}
+
+// ownerOf is the index of the host the router places run on right now
+// (-1 before the run is created).
+func (b *backend) ownerOf(run int) int {
+	if b.ids[run] == "" {
+		return -1
+	}
+	return b.rt.OwnerOf(b.ids[run])
+}
+
+// busFor is the event bus of the host serving run: scripted subscribers
+// attach to it in process in both modes (the SSE wire framing is pinned
+// by internal/service's own tests).
+func (b *backend) busFor(run int) *events.Bus { return b.hosts[b.ownerOf(run)].Bus() }
+
+// busTotals sums published/dropped across every host's bus.
+func (b *backend) busTotals() (published, dropped uint64) {
+	for _, svc := range b.hosts {
+		published += svc.Bus().Published()
+		dropped += svc.Bus().Dropped()
+	}
+	return published, dropped
+}
+
+// crashHost kills an entire host: its runs lose their master and every
+// later poll against them reports hostDown. The router is not told: an
+// un-scavenged run must keep routing to the corpse, not divert to a
+// live host that never imported it. A later RingChange marks the host
+// down as part of recovering it.
+func (b *backend) crashHost(host int) {
+	if !b.dead[host] {
+		b.dead[host] = true
+		b.kill(host)
+	}
+}
+
+// migrate moves one run to host dest through the router's
+// explicit-move primitive (fence, ship, replay, override).
+func (b *backend) migrate(run, dest int) error {
+	return b.rt.MigrateRun(b.ids[run], b.names[dest])
+}
+
+// ringChange steps the placement epoch, migrating every run whose owner
+// moved. Crashed journaled hosts are scavenged first — their runs come
+// back from disk into their new owners; a journal-less corpse's runs
+// stay lost.
+func (b *backend) ringChange(epoch uint64) error {
+	// Mark every corpse down before scavenging any: the recovered runs'
+	// new homes come from the live-owner walk, which must steer around
+	// all of them, not just the host currently being recovered.
+	for i := range b.hosts {
+		if b.dead[i] && !b.scavenged[i] && b.jrs[i] != nil {
+			if _, err := b.rt.MarkDown(b.names[i]); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range b.hosts {
+		if b.dead[i] && !b.scavenged[i] && b.jrs[i] != nil {
+			if err := b.rt.RecoverHost(b.names[i], epoch); err != nil {
+				return err
+			}
+			b.scavenged[i] = true
+		}
+	}
+	if b.rt.Ring().Epoch() != epoch {
+		return b.rt.SetEpoch(epoch)
+	}
+	return nil
+}
+
+// checkpoint seals host 0's journal generation and snapshots every run
+// on it.
+func (b *backend) checkpoint() error { return b.hosts[0].Checkpoint() }
+
+// crashMaster kills host 0 without flushing anything beyond what group
+// commit already wrote — listener, server and journal handle — then
+// restarts it from its journal directory: snapshots load, the tail
+// replays, and the restarted master serves the exact pre-crash state
+// from the first poll on. The router is rebuilt over the new server.
+func (b *backend) crashMaster() error {
+	b.kill(0)
+	b.jrs[0].Close()
+	if err := b.start(0); err != nil {
 		return err
 	}
-	b.jr = jr
-	b.svc = service.New(b.options())
-	if err := b.svc.RecoveryErr(); err != nil {
-		return fmt.Errorf("cluster: recovering master: %w", err)
-	}
-	return b.listen()
+	return b.route(b.rt.Ring().Epoch())
 }
 
-func (b *httpBackend) placement() ([]string, [][]string, error) { return nil, nil, nil }
-
-func (b *httpBackend) close() {
-	if b.ts != nil {
-		b.ts.Close()
+// placement snapshots the run ids as seen through the router and as
+// held by each live host, for the placement invariants. Over HTTP the
+// router's view is its real merged listing, to which an unreachable
+// host contributes nothing; in process, where the router would still
+// read a corpse's registry, it is the union of the live hosts'.
+func (b *backend) placement() (router []string, perHost [][]string, err error) {
+	perHost = make([][]string, len(b.hosts))
+	for i, svc := range b.hosts {
+		if b.dead[i] {
+			continue
+		}
+		for _, r := range svc.Registry().Runs() {
+			perHost[i] = append(perHost[i], r.ID)
+		}
+		if b.mode == Direct {
+			router = append(router, perHost[i]...)
+		}
 	}
-	b.svc.Close()
-	if b.jr != nil {
-		b.jr.Close()
+	if b.mode == HTTP {
+		var list service.RunList
+		if err = b.get("/v1/runs", &list); err != nil {
+			return nil, nil, err
+		}
+		for _, ri := range list.Runs {
+			router = append(router, ri.ID)
+		}
+	}
+	sort.Strings(router)
+	return router, perHost, nil
+}
+
+// close tears down whatever of the fleet is up; newBackend calls it on
+// a fleet it could not finish.
+func (b *backend) close() {
+	if b.rts != nil {
+		b.rts.Close()
+	}
+	for i, svc := range b.hosts {
+		if svc == nil || b.dead[i] {
+			continue
+		}
+		if b.mode == HTTP && b.hts[i] != nil {
+			b.hts[i].Close()
+		}
+		svc.Close()
+	}
+	for _, jr := range b.jrs {
+		if jr != nil {
+			jr.Close()
+		}
 	}
 }

@@ -42,17 +42,20 @@ import (
 	"hetsched/internal/speeds"
 )
 
-// Mode selects how scenarios reach the service.
+// Mode selects the transport scenarios reach the service by; the
+// topology (Scenario.Hosts) is the same either way.
 type Mode int
 
 const (
-	// Direct calls Host/Registry methods in process: the transport-free
-	// mode, fast enough for 10k-worker fleets.
+	// Direct routes through the router in process and calls Host
+	// methods: the transport-free mode, fast enough for 100k-worker
+	// fleets.
 	Direct Mode = iota
-	// HTTP speaks the full JSON protocol through an httptest server,
-	// one synchronous request per event, so strict decoding, status
-	// mapping and response construction are inside the deterministic
-	// loop.
+	// HTTP speaks the full JSON protocol to the router over a loopback
+	// socket, and the router to the owning host over another, both
+	// served through the request loop as cmd/schedd serves them; one
+	// synchronous request per event, so strict decoding, status mapping
+	// and response construction are inside the deterministic loop.
 	HTTP
 )
 
@@ -219,7 +222,7 @@ type harness struct {
 	sc      Scenario
 	mode    Mode
 	clock   *clock
-	backend backend
+	backend *backend
 	q       evHeap
 	seq     uint64
 	runs    []*runState
@@ -251,14 +254,16 @@ func Run(sc Scenario, mode Mode) (*Result, error) {
 	if err := validate(sc); err != nil {
 		return nil, err
 	}
+	if mode != Direct && mode != HTTP {
+		return nil, fmt.Errorf("cluster: unknown mode %d", mode)
+	}
 	h := &harness{sc: sc, mode: mode, clock: &clock{t: epoch}, slabs: slabPool.Get().(*slabs)}
 	h.q.h = h.slabs.heap[:0]
 	defer h.release()
-	// A journaled scenario gets a private on-disk journal directory for
-	// the write-ahead logs and snapshots: the single master's, or one
-	// host-<i> subdirectory per federated host. MasterCrash and
-	// RingChange recover from it. Removed with the scenario —
-	// durability is being tested, not accumulated.
+	// A journaled scenario gets a private on-disk journal directory, one
+	// host-<i> subdirectory of write-ahead log and snapshots per host.
+	// MasterCrash and RingChange recover from it. Removed with the
+	// scenario — durability is being tested, not accumulated.
 	var journalDir string
 	if sc.Journal {
 		dir, err := os.MkdirTemp("", "hetsched-cluster-journal-")
@@ -268,23 +273,12 @@ func Run(sc Scenario, mode Mode) (*Result, error) {
 		journalDir = dir
 		defer os.RemoveAll(dir)
 	}
-	var berr error
-	switch {
-	case mode == Direct && sc.Hosts > 1:
-		h.backend, berr = newFederatedDirectBackend(sc.Hosts, sc.RingEpoch, sc.TTL, h.clock.now, journalDir)
-	case mode == Direct:
-		h.backend, berr = newDirectBackend(sc.TTL, h.clock.now, journalDir)
-	case mode == HTTP && sc.Hosts > 1:
-		h.backend, berr = newFederatedHTTPBackend(sc.Hosts, sc.RingEpoch, sc.TTL, h.clock.now, journalDir)
-	case mode == HTTP:
-		h.backend, berr = newHTTPBackend(sc.TTL, h.clock.now, journalDir)
-	default:
-		return nil, fmt.Errorf("cluster: unknown mode %d", mode)
+	b, err := newBackend(sc, mode, h.clock.now, journalDir)
+	if err != nil {
+		return nil, err
 	}
-	if berr != nil {
-		return nil, berr
-	}
-	defer h.backend.close()
+	h.backend = b
+	defer b.close()
 
 	// Platform speed models are drawn at setup in run order, so the
 	// scenario seed alone pins every fleet regardless of arrival
@@ -457,7 +451,7 @@ func (h *harness) dispatch(e ev) error {
 // thundering herd — and the FIFO tie-break serves it in worker order.
 func (h *harness) arrive(run int) error {
 	rs := h.runs[run]
-	info, err := h.backend.create(rs.spec)
+	info, err := h.backend.create(run, rs.spec)
 	if err != nil {
 		return fmt.Errorf("cluster: creating run %d: %w", run, err)
 	}
@@ -696,7 +690,8 @@ func (h *harness) applyScript(e Event) error {
 		// Kill the host; each of its runs stands down as its workers
 		// discover the outage on their next polls (scheduled polls of
 		// executing workers, janitor wakes for parked fleets).
-		return h.backend.crashHost(e.Host)
+		h.backend.crashHost(e.Host)
+		return nil
 	case Checkpoint:
 		return h.backend.checkpoint()
 	case MasterCrash:
@@ -784,7 +779,7 @@ func (h *harness) collect() (*Result, error) {
 	res := &Result{
 		Scenario:     h.sc,
 		Mode:         h.mode,
-		Hosts:        h.sc.Hosts,
+		Hosts:        len(h.backend.hosts),
 		Events:       h.events,
 		Polls:        h.polls,
 		FinalVirtual: time.Duration(h.nowNs),
@@ -876,10 +871,3 @@ func totalWork(kernel string, n int) float64 {
 	}
 	return 0
 }
-
-// interface check: both single-host backends satisfy the seam (the
-// federated pair checks itself in federated.go).
-var (
-	_ backend = (*directBackend)(nil)
-	_ backend = (*httpBackend)(nil)
-)

@@ -154,7 +154,7 @@ func Herd100k(seed uint64) Scenario {
 }
 
 // Herd1M is the stretch smoke: a million-worker stampede over a small
-// task set. Direct mode only (a million httptest round-trips buys
+// task set. Direct mode only (a million loopback round-trips buy
 // bytes, not coverage) and skipped under -short: the fleet slab alone
 // is ~100MB.
 func Herd1M(seed uint64) Scenario {
@@ -231,29 +231,13 @@ func MasterCrashMidRun(seed uint64) Scenario {
 	}
 }
 
-// UninterruptedTwin strips a scenario's master-side durability script
-// — the journal, every Checkpoint and every MasterCrash — while
-// keeping its name, seed, runs and worker-side faults. Its hash is
-// the golden a journaled crash scenario must reproduce exactly.
-func UninterruptedTwin(sc Scenario) Scenario {
-	twin := sc
-	twin.Journal = false
-	twin.Events = nil
-	for _, e := range sc.Events {
-		if e.Kind != Checkpoint && e.Kind != MasterCrash {
-			twin.Events = append(twin.Events, e)
-		}
-	}
-	return twin
-}
-
 // Federated4x25k is the federated flagship: four flat outer runs,
 // 25,000 workers each (100k total), pinned ids fed-0..fed-3 that the
 // epoch-1 consistent-hash ring spreads one-per-host across a 4-host
 // fleet (owners 3, 0, 2, 1). Arrivals stagger by 10ms so the
 // registration stampedes land host by host. The hash must be
 // bit-identical between the in-process router and the full
-// httptest-per-host wire topology.
+// listener-per-host wire topology.
 func Federated4x25k(seed uint64) Scenario {
 	sc := Scenario{
 		Name:      "federated-4x25k",
@@ -283,7 +267,7 @@ func Federated4x25k(seed uint64) Scenario {
 // zero Lost: the crashed host's run is resurrected from its journal
 // (snapshot-ship-replay via the death path), its workers' polls
 // absorbing hostDown 503s until the recovery RingChange lands. The
-// outcome must hash bit-identically between direct and httptest
+// outcome must hash bit-identically between direct and HTTP
 // transports — migration is exact or it is broken.
 func FederatedMigrate(seed uint64) Scenario {
 	sc := Scenario{

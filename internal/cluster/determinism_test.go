@@ -135,3 +135,19 @@ func TestAcceptance1kDriftCholeskyCrashes(t *testing.T) {
 	t.Logf("1k-worker drift Cholesky with crashes: %d tasks, %d reclaims, %d polls, %v virtual, %v wall (2 runs)",
 		st.Total, st.Reclaimed, a.Polls, a.FinalVirtual, elapsed)
 }
+
+// UninterruptedTwin strips a scenario's master-side durability script
+// — the journal, every Checkpoint and every MasterCrash — while
+// keeping its name, seed, runs and worker-side faults. Its hash is
+// the golden a journaled crash scenario must reproduce exactly.
+func UninterruptedTwin(sc Scenario) Scenario {
+	twin := sc
+	twin.Journal = false
+	twin.Events = nil
+	for _, e := range sc.Events {
+		if e.Kind != Checkpoint && e.Kind != MasterCrash {
+			twin.Events = append(twin.Events, e)
+		}
+	}
+	return twin
+}

@@ -36,9 +36,9 @@ type RunResult struct {
 	// Arrived is false when the scenario ended before the run's
 	// arrival instant.
 	Arrived bool
-	// HostIdx is the federated topology index of the host that served
-	// the run (-1 in single-host scenarios). The placement invariant
-	// asserts it equals the consistent-hash ring's owner.
+	// HostIdx is the index of the host that served the run — always 0
+	// on a single host, -1 if the run never arrived. The placement
+	// invariant asserts it equals the run's effective ring owner.
 	HostIdx int
 	// Lost reports the run's host crashed mid-run (HostCrash event):
 	// its fleet retired as polls discovered the outage, and no final
@@ -67,11 +67,13 @@ type Result struct {
 	// the raw material of the subscriber conservation law. Federated
 	// scenarios sum across every host's bus.
 	BusPublished, BusDropped uint64
-	// Hosts is the federated topology size (0 or 1: single-host).
+	// Hosts is the topology size, max(1, Scenario.Hosts).
 	Hosts int
-	// RouterRuns is the run-id set visible through the router's list
-	// endpoint at collection; HostRuns[h] is host h's own registry
-	// view. Both are sorted. Single-host scenarios leave them nil.
+	// RouterRuns is the sorted run-id set visible through the router at
+	// collection (its list endpoint in HTTP mode, the live hosts'
+	// registries in direct mode); HostRuns[h] is host h's own registry
+	// view (nil for a crashed host). A single host is a one-host
+	// federation and fills both.
 	RouterRuns []string
 	HostRuns   [][]string
 }
@@ -96,7 +98,9 @@ type Result struct {
 //     dropped == published (the bus's conservation law), and loss-free
 //     full-stream observers witnessed exactly the counters — one
 //     completion event per task, assignment counts summing to
-//     Assigned, reclaim and conflict events matching the ledgers.
+//     Assigned, reclaim and conflict events matching the ledgers;
+//   - placement, on every topology (a single host is a one-host
+//     federation): see checkPlacement.
 func (res *Result) CheckInvariants() error {
 	for i := range res.Runs {
 		rr := &res.Runs[i]
@@ -125,10 +129,8 @@ func (res *Result) CheckInvariants() error {
 			}
 		}
 	}
-	if res.Hosts > 1 {
-		if err := res.checkPlacement(); err != nil {
-			return fmt.Errorf("placement: %w", err)
-		}
+	if err := res.checkPlacement(); err != nil {
+		return fmt.Errorf("placement: %w", err)
 	}
 	return nil
 }
@@ -156,7 +158,8 @@ func (rr *RunResult) checkLost() error {
 // HostCrash, Migrate, RingChange — against the consistent-hash ring,
 // reproducing the router's own rules (explicit-move overrides first,
 // then the live-owner walk around scavenged corpses) to compute where
-// every run must sit when the scenario ends.
+// every created run must sit when the scenario ends, keyed by the id
+// the service echoed (a pinned RunID, or the one minted for it).
 func (res *Result) expectedOwners() (map[string]int, error) {
 	sc := res.Scenario
 	names := federation.HostNames(res.Hosts)
@@ -164,9 +167,11 @@ func (res *Result) expectedOwners() (map[string]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	owners := make(map[string]int, len(sc.Runs))
-	for _, r := range sc.Runs {
-		owners[r.RunID] = ring.Owner(r.RunID)
+	owners := make(map[string]int, len(res.Runs))
+	for i := range res.Runs {
+		if id := res.Runs[i].Info.ID; id != "" {
+			owners[id] = ring.Owner(id)
+		}
 	}
 	var down uint64
 	crashed := make([]bool, res.Hosts)
@@ -176,7 +181,9 @@ func (res *Result) expectedOwners() (map[string]int, error) {
 		case HostCrash:
 			crashed[e.Host] = true
 		case Migrate:
-			owners[sc.Runs[e.Run].RunID] = e.Host
+			if id := res.Runs[e.Run].Info.ID; id != "" {
+				owners[id] = e.Host
+			}
 		case RingChange:
 			// All newly-dead hosts go down before any run is re-placed,
 			// mirroring the backend's scavenge order.
@@ -205,10 +212,10 @@ func (res *Result) expectedOwners() (map[string]int, error) {
 	return owners, nil
 }
 
-// checkPlacement asserts the federated topology invariants: every run
-// is held only by its effective owner — the consistent-hash ring
-// owner, adjusted for every scripted migration, ring-epoch step and
-// crash scavenge — no run appears on two hosts, and the router's
+// checkPlacement asserts the topology invariants: every run is held
+// only by its effective owner — the consistent-hash ring owner,
+// adjusted for every scripted migration, ring-epoch step and crash
+// scavenge — no run appears on two hosts, and the router's
 // fleet-wide view is exactly the union of the live hosts' registries.
 func (res *Result) checkPlacement() error {
 	expected, err := res.expectedOwners()
@@ -251,10 +258,10 @@ func (res *Result) checkPlacement() error {
 			if !rr.Arrived || rr.Lost {
 				continue
 			}
-			if h, ok := seen[rr.Spec.RunID]; !ok {
-				return fmt.Errorf("run %q (index %d) missing from every live host", rr.Spec.RunID, i)
+			if h, ok := seen[rr.Info.ID]; !ok {
+				return fmt.Errorf("run %q (index %d) missing from every live host", rr.Info.ID, i)
 			} else if h != rr.HostIdx {
-				return fmt.Errorf("run %q served by host %d but held by host %d", rr.Spec.RunID, rr.HostIdx, h)
+				return fmt.Errorf("run %q served by host %d but held by host %d", rr.Info.ID, rr.HostIdx, h)
 			}
 		}
 	}

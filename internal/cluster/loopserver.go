@@ -10,11 +10,11 @@ import (
 )
 
 // loopServer serves a handler the way cmd/schedd does — through the
-// request loop, on a loopback listener — behind the surface the HTTP
-// backends used of httptest.Server. The harness's polls are therefore
-// answered by the handler's ServePoll and everything else by net/http
-// over the same handler, and every direct == HTTP golden pins the loop
-// against the transport-free path.
+// request loop, on a loopback listener — behind the small surface the
+// HTTP transport needs (URL, Client, Close). The harness's polls are
+// therefore answered by the handler's ServePoll and everything else by
+// net/http over the same handler, and every direct == HTTP golden pins
+// the loop against the transport-free path.
 type loopServer struct {
 	URL    string
 	srv    *pollserve.Server

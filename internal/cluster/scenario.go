@@ -80,7 +80,7 @@ type RunSpec struct {
 	// RunID pins the run identifier. Required when Scenario.Hosts > 1:
 	// consistent-hash placement is a pure function of the id, so a
 	// hash-pinned federated scenario needs wall-clock-free ids.
-	// Single-host scenarios leave it empty (the registry mints one).
+	// Single-host scenarios may leave it empty (the service mints one).
 	RunID string
 	// Kernel and Strategy name the workload exactly as on the wire
 	// (service.KernelOuter, ... ; empty Strategy takes the API
@@ -284,7 +284,7 @@ type Scenario struct {
 	Seed uint64
 	// Hosts selects the federated topology: that many schedd hosts
 	// behind a consistent-hash router, runs placed by their pinned
-	// RunID. 0 or 1 is the classic single-host harness.
+	// RunID. 0 or 1 is a single host: a one-host federation.
 	Hosts int
 	// RingEpoch is the placement-ring epoch (federation.NewRing):
 	// pinned here so a federated scenario's placement — and therefore

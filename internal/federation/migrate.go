@@ -236,7 +236,7 @@ func (rt *Router) migrateRemote(src, dst *Target, id string) error {
 }
 
 // MarkDown flags the named target as dead: placement steers around it
-// (OwnerLive) until MarkUp. Returns the target's index.
+// (OwnerLive) from then on. Returns the target's index.
 func (rt *Router) MarkDown(name string) (int, error) {
 	i, err := rt.targetIndex(name)
 	if err != nil {
@@ -249,21 +249,6 @@ func (rt *Router) MarkDown(name string) (int, error) {
 		old := rt.down.Load()
 		if rt.down.CompareAndSwap(old, old|1<<uint(i)) {
 			return i, nil
-		}
-	}
-}
-
-// MarkUp clears a target's dead flag (it rejoined with an empty or
-// freshly-recovered state; the ring routes to it again).
-func (rt *Router) MarkUp(name string) error {
-	i, err := rt.targetIndex(name)
-	if err != nil {
-		return err
-	}
-	for {
-		old := rt.down.Load()
-		if rt.down.CompareAndSwap(old, old&^(1<<uint(i))) {
-			return nil
 		}
 	}
 }

@@ -188,10 +188,6 @@ func (rt *Router) owner(id string) int {
 	return rt.ring.Load().Owner(id)
 }
 
-// Targets returns the fronted hosts (aliasing the router's slice; do
-// not mutate).
-func (rt *Router) Targets() []Target { return rt.targets }
-
 // Lookup routes id through the ring and fetches the run from the
 // owning host's in-process registry: the transport-free poll-
 // forwarding path of direct mode — one ring lookup plus one sharded

@@ -132,7 +132,11 @@ func (o *Options) fill() {
 type Server struct {
 	opts Options
 	reg  *Registry
-	mux  *http.ServeMux
+	// mux routes ServeHTTP; built on its first request, since pattern
+	// registration costs more than the rest of New and an in-process
+	// caller (the cluster harness's direct mode) never serves HTTP.
+	mux     *http.ServeMux
+	muxOnce sync.Once
 
 	// recovering gates the API while the journal is being replayed
 	// (503 + Retry-After); recovered releases the janitor, which must
@@ -167,7 +171,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		reg:       NewRegistryWithClock(opts.Shards, opts.TTL, opts.Now),
-		mux:       http.NewServeMux(),
 		recovered: make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -175,25 +178,6 @@ func New(opts Options) *Server {
 	if opts.Journal != nil {
 		s.reg.AttachJournal(opts.Journal)
 	}
-	s.mux.HandleFunc("POST /v1/runs", s.handleCreate)
-	s.mux.HandleFunc("GET /v1/runs", s.handleList)
-	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleInfo)
-	s.mux.HandleFunc("DELETE /v1/runs/{id}", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/runs/{id}/next", s.handleNext)
-	s.mux.HandleFunc("POST /v1/runs/{id}/migrate", s.handleMigrate)
-	s.mux.HandleFunc("POST /v1/runs/import", s.handleImport)
-	s.mux.HandleFunc("GET /v1/runs/{id}/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
-	s.mux.HandleFunc("GET /v1/events", s.handleFirehose)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/ui", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write(ui.Dashboard)
-	})
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
 	if opts.Journal == nil {
 		close(s.recovered)
 	} else if opts.AsyncRecover {
@@ -264,7 +248,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	s.muxOnce.Do(s.routes)
 	s.mux.ServeHTTP(w, r)
+}
+
+// routes builds the mux ServeHTTP dispatches through.
+func (s *Server) routes() {
+	s.mux = http.NewServeMux()
+	s.mux.HandleFunc("POST /v1/runs", s.handleCreate)
+	s.mux.HandleFunc("GET /v1/runs", s.handleList)
+	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleInfo)
+	s.mux.HandleFunc("DELETE /v1/runs/{id}", s.handleDelete)
+	s.mux.HandleFunc("POST /v1/runs/{id}/next", s.handleNext)
+	s.mux.HandleFunc("POST /v1/runs/{id}/migrate", s.handleMigrate)
+	s.mux.HandleFunc("POST /v1/runs/import", s.handleImport)
+	s.mux.HandleFunc("GET /v1/runs/{id}/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
+	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
+	s.mux.HandleFunc("GET /v1/events", s.handleFirehose)
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/ui", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Write(ui.Dashboard)
+	})
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
 }
 
 // gate is the 503 every endpoint but /healthz answers while the journal
