@@ -133,7 +133,9 @@ func (t *Trace) Gantt(width int) string {
 		if s.End <= s.Start {
 			continue
 		}
-		first := int(s.Start / bucket)
+		// A served run recovered on a clock behind its start has
+		// segments before time 0; the chart starts at 0.
+		first := max(int(s.Start/bucket), 0)
 		last := int(s.End / bucket)
 		if last >= width {
 			last = width - 1

@@ -103,3 +103,15 @@ func TestCommTimelinePanics(t *testing.T) {
 	}()
 	tr.CommTimeline(0)
 }
+
+func TestGanttSegmentsBeforeZero(t *testing.T) {
+	tr := &Trace{P: 2, Segments: []Segment{
+		{Proc: 0, Start: -3, End: -1, Tasks: 1},
+		{Proc: 1, Start: -1, End: 4, Tasks: 1},
+	}}
+	out := tr.Gantt(10)
+	lines := strings.Split(out, "\n")
+	if !strings.Contains(out, "makespan 4.000") || strings.Contains(lines[1], "█") || strings.Count(lines[2], "█") != 10 {
+		t.Fatalf("segments before time 0 rendered wrongly:\n%s", out)
+	}
+}
