@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -295,6 +297,16 @@ func goldenDriver() []byte {
 	return d.AppendState(nil)
 }
 
+// goldenTrace has a closed record, an open one, and a start before
+// the run's.
+func goldenTrace() trace.Log {
+	var l trace.Log
+	l.SetEnd(l.Append(0, 0, 2, 6), 1_500_000_000)
+	l.Append(1, 500_000_000, 1, 2)
+	l.SetEnd(l.Append(0, -2_000_000_000, 1, 2), -1)
+	return l
+}
+
 // goldenSnapshot exercises every field of the snapshot codec.
 func goldenSnapshot() *RunSnapshot {
 	return &RunSnapshot{
@@ -310,10 +322,7 @@ func goldenSnapshot() *RunSnapshot {
 			{Requests: 3, Tasks: 4, Blocks: 12, Reclaimed: 1},
 			{Requests: 2, Tasks: 3, Blocks: 8},
 		},
-		Segments: []trace.Segment{
-			{Proc: 0, Start: 0, End: 1.5, Tasks: 2, Blocks: 6},
-			{Proc: 1, Start: 0.5, End: 0.5, Tasks: 1, Blocks: 2},
-		},
+		Trace:  goldenTrace(),
 		Open:   []int32{-1, 1},
 		Grants: []Grant{{Task: 3, ExpiryNs: 9000, Worker: 1}, {Task: 5, ExpiryNs: 9500, Worker: 0}},
 		Stains: []Stain{{Task: 2, Worker: 0}},
@@ -339,7 +348,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if got.ID != s.ID || got.Mutations != s.Mutations || got.Expired != s.Expired {
 				t.Fatalf("header fields diverge: %+v vs %+v", got, s)
 			}
-			if !reflect.DeepEqual(got.Grants, s.Grants) || !reflect.DeepEqual(got.Segments, s.Segments) {
+			if !reflect.DeepEqual(got.Grants, s.Grants) || !reflect.DeepEqual(got.Trace, s.Trace) {
 				t.Fatalf("slices diverge: %+v vs %+v", got, s)
 			}
 		})
@@ -359,6 +368,42 @@ func TestSnapshotDamageRejected(t *testing.T) {
 		bad[i] ^= 0x40
 		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("snapshot with byte %d flipped decoded", i)
+		}
+	}
+}
+
+// TestSnapshotTraceCanonical: the decoder accepts a trace only in the
+// one form the encoder writes it. The snapshot has two workers and one
+// open record at 0; each case rewrites its trace section — count(u32)
+// recLen(u32) records ends — and re-seals the CRC.
+func TestSnapshotTraceCanonical(t *testing.T) {
+	var one trace.Log
+	one.Append(1, 0, 1, 1)
+	s := &RunSnapshot{ID: "r", Request: []byte(`{}`), Workers: make([]WorkerCounters, 2), Trace: one}
+	enc := AppendSnapshot(nil, s)
+	at := 4 + 2 + len(s.ID) + 8 + 1 + 4 + len(s.Request) + 15*8 + 4 + 4 + 32*len(s.Workers)
+	section := []byte{1, 0, 0, 0, 4, 0, 0, 0, 0, 1, 1, 1, 0}
+	if !bytes.Equal(enc[at:at+len(section)], section) {
+		t.Fatalf("trace section at %d is %x, want %x", at, enc[at:at+len(section)], section)
+	}
+	if _, err := DecodeSnapshot(enc); err != nil {
+		t.Fatalf("the untouched snapshot: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		section []byte
+	}{
+		{"non-minimal end", []byte{1, 0, 0, 0, 4, 0, 0, 0, 0, 1, 1, 1, 0x80, 0}},
+		{"non-minimal start", []byte{1, 0, 0, 0, 5, 0, 0, 0, 0x80, 0, 1, 1, 1, 0}},
+		{"one record short", []byte{2, 0, 0, 0, 4, 0, 0, 0, 0, 1, 1, 1, 0, 0}},
+		{"bytes past the records", []byte{1, 0, 0, 0, 5, 0, 0, 0, 0, 1, 1, 1, 0, 0}},
+		{"proc past the workers", []byte{1, 0, 0, 0, 4, 0, 0, 0, 0, 2, 1, 1, 0}},
+		{"count past MaxInt32", []byte{1, 0, 0, 0, 8, 0, 0, 0, 0, 1, 0x80, 0x80, 0x80, 0x80, 8, 1, 0}},
+	} {
+		bad := append(append(append([]byte(nil), enc[:at]...), tc.section...), enc[at+len(section):len(enc)-4]...)
+		bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(bad, crcTable))
+		if got, err := DecodeSnapshot(bad); err == nil {
+			t.Errorf("%s: decoded, trace %+v", tc.name, got.Trace.Trace(2).Segments)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hetsched/internal/core"
@@ -109,9 +110,39 @@ func FuzzJournalDecode(f *testing.F) {
 	})
 }
 
+// hsn2Fixture is a snapshot the last HSN2 writer wrote (the service's
+// recovery tests restore it).
+func hsn2Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "service", "testdata", "hsn2", "snap-r-hsn2-000000000000000a.snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// roundTrips checks what the decoder accepted, s decoded from b: an
+// HSN3 b re-encodes bit-identically; an HSN2 b re-encodes as HSN3,
+// which decodes to s again.
+func roundTrips(t *testing.T, s *RunSnapshot, b []byte) {
+	t.Helper()
+	re := AppendSnapshot(nil, s)
+	if string(b[:4]) == string(hsn2Magic[:]) {
+		again, err := DecodeSnapshot(re)
+		if err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("accepted HSN2 snapshot does not survive HSN3:\n in  %+v\n out %+v (%v)", s, again, err)
+		}
+		return
+	}
+	if !bytes.Equal(re, b) {
+		t.Fatalf("accepted snapshot is not canonical:\n in  %x\n out %x", b, re)
+	}
+}
+
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to the snapshot decoder:
-// it must never panic, and anything it accepts must re-encode
-// bit-identically.
+// it must never panic, anything it accepts as HSN3 must re-encode
+// bit-identically, and an HSN2 snapshot it accepts must decode from
+// its HSN3 re-encoding to what it decoded to.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(AppendSnapshot(nil, goldenSnapshot()))
 	f.Add(AppendSnapshot(nil, &RunSnapshot{ID: "r0", Mutations: 1, Request: []byte(`{}`)}))
@@ -121,15 +152,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	damaged := AppendSnapshot(nil, goldenSnapshot())
 	damaged[len(damaged)/3] ^= 0x01
 	f.Add(damaged)
+	f.Add(hsn2Fixture(f))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSnapshot(b)
 		if err != nil {
 			return
 		}
-		re := AppendSnapshot(nil, s)
-		if !bytes.Equal(re, b) {
-			t.Fatalf("accepted snapshot is not canonical:\n in  %x\n out %x", b, re)
-		}
+		roundTrips(t, s, b)
 	})
 }

@@ -61,9 +61,9 @@ type RunSnapshot struct {
 	BatchMean, BatchM2, BatchMin, BatchMax float64
 	BatchHist                              []int64
 
-	Workers  []WorkerCounters
-	Segments []trace.Segment
-	Open     []int32 // per-worker open trace segment index, -1 when closed
+	Workers []WorkerCounters
+	Trace   trace.Log // every assignment, as the host keeps it
+	Open    []int32   // per-worker open trace record index, -1 when closed
 
 	Grants []Grant
 	Stains []Stain
@@ -71,13 +71,29 @@ type RunSnapshot struct {
 	Driver []byte
 }
 
-// Snapshot file format: magic, fixed-width little-endian fields in
-// struct order (u16 length-prefixed ID, u32 length-prefixed slices),
-// and a trailing CRC-32C over everything before it. The encoding is
-// canonical — every field has exactly one representation — so
-// encode(decode(b)) == b for any accepted b (FuzzSnapshotRoundTrip
-// pins this).
-var snapMagic = [4]byte{'H', 'S', 'N', '2'}
+// Snapshot file format (HSN3): magic, fields in struct order, and a
+// trailing CRC-32C over everything before it. Fields are fixed-width
+// little-endian (u16 length-prefixed ID, u32 length-prefixed slices)
+// except the trace:
+//
+//	trace := count(u32) recLen(u32) records end*
+//
+// records are the trace.Log's bytes verbatim (count records), and each
+// end is the zigzag varint of the record's end minus the previous
+// record's end (the first's minus 0), all in nanoseconds. The encoding
+// is canonical — every field has exactly one representation, varints
+// included — so encode(decode(b)) == b for any accepted HSN3 b
+// (FuzzSnapshotRoundTrip pins this).
+//
+// HSN2, the previous format, differs only in the trace: count(u32) and
+// five 8-byte words per segment (proc, start and end as float64
+// seconds, tasks, blocks). It still decodes — every time through the
+// exact inverse of Duration.Seconds — and re-encodes as HSN3; a time
+// that no nanosecond count renders to fails with ErrInexactTrace.
+var (
+	snapMagic = [4]byte{'H', 'S', 'N', '3'}
+	hsn2Magic = [4]byte{'H', 'S', 'N', '2'}
+)
 
 // retiredMagic opens the snapshots of the retired format, which carried
 // the driver as a log of its calls to replay; they are refused.
@@ -88,6 +104,12 @@ var retiredMagic = [4]byte{'H', 'S', 'N', '1'}
 // fall back to an older snapshot or a pruned journal and lose
 // acknowledged state without a word.
 var ErrOpLogSnapshot = errors.New("snapshot was written in the retired op-log format (HSN1), which this version cannot restore")
+
+// ErrInexactTrace rejects an HSN2 snapshot whose trace holds a time, in
+// float seconds, that no nanosecond count renders to. Such a file was
+// not written by a host; like ErrOpLogSnapshot it fails recovery and
+// imports rather than being skipped.
+var ErrInexactTrace = errors.New("HSN2 snapshot holds a trace time no nanosecond count renders to")
 
 // maxSnapshotSlice bounds every slice length a decoder will accept.
 const maxSnapshotSlice = 1 << 26
@@ -131,13 +153,13 @@ func AppendSnapshot(dst []byte, s *RunSnapshot) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Blocks))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Reclaimed))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Segments)))
-	for _, seg := range s.Segments {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(seg.Proc)))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(seg.Start))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(seg.End))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(seg.Tasks)))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(seg.Blocks)))
+	ends := s.Trace.Ends()
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ends)))
+	dst = appendBytes(dst, s.Trace.Records())
+	prev := int64(0)
+	for _, e := range ends {
+		dst = binary.AppendVarint(dst, e-prev)
+		prev = e
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Open)))
 	for _, v := range s.Open {
@@ -201,6 +223,20 @@ func (r *snapReader) u64() uint64 {
 	return v
 }
 
+// varint reads a zigzag varint, which must be in its shortest form.
+func (r *snapReader) varint() int64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Varint(r.data[r.i:])
+	if n <= 0 || (n > 1 && r.data[r.i+n-1] == 0) {
+		r.bad = true
+		return 0
+	}
+	r.i += n
+	return v
+}
+
 func (r *snapReader) i64() int64   { return int64(r.u64()) }
 func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *snapReader) sliceLen() int {
@@ -222,16 +258,19 @@ func (r *snapReader) bytes(n int) []byte {
 	return b
 }
 
-// DecodeSnapshot parses an encoded snapshot. It is total on arbitrary
-// bytes and rejects any damage: bad magic, truncation, trailing bytes,
-// non-canonical booleans and CRC mismatches all fail with an error.
+// DecodeSnapshot parses an encoded snapshot, HSN3 or HSN2. It is total
+// on arbitrary bytes and rejects any damage: bad magic, truncation,
+// trailing bytes, non-canonical booleans and varints, a trace that
+// does not parse (trace.ParseLog) and CRC mismatches all fail with an
+// error.
 func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 	if len(b) >= len(retiredMagic) && string(b[:4]) == string(retiredMagic[:]) {
 		return nil, fmt.Errorf("durable: %w", ErrOpLogSnapshot)
 	}
-	if len(b) < len(snapMagic)+4 || string(b[:4]) != string(snapMagic[:]) {
+	if len(b) < len(snapMagic)+4 || (string(b[:4]) != string(snapMagic[:]) && string(b[:4]) != string(hsn2Magic[:])) {
 		return nil, fmt.Errorf("durable: not a snapshot")
 	}
+	hsn2 := string(b[:4]) == string(hsn2Magic[:])
 	body, tail := b[:len(b)-4], b[len(b)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("durable: snapshot CRC mismatch")
@@ -277,17 +316,12 @@ func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 			}
 		}
 	}
-	if n := r.sliceLen(); n > 0 && !r.bad {
-		s.Segments = make([]trace.Segment, n)
-		for i := range s.Segments {
-			s.Segments[i] = trace.Segment{
-				Proc:   int(r.i64()),
-				Start:  r.f64(),
-				End:    r.f64(),
-				Tasks:  int(r.i64()),
-				Blocks: int(r.i64()),
-			}
-		}
+	readTrace := r.hsn3Trace
+	if hsn2 {
+		readTrace = r.hsn2Trace
+	}
+	if err := readTrace(&s.Trace, len(s.Workers)); err != nil {
+		return nil, err
 	}
 	if n := r.sliceLen(); n > 0 && !r.bad {
 		s.Open = make([]int32, n)
@@ -321,6 +355,47 @@ func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 		return nil, fmt.Errorf("durable: %d trailing bytes in snapshot", len(body)-r.i)
 	}
 	return s, nil
+}
+
+// hsn3Trace reads a trace — count, records, end deltas — into l over p
+// workers.
+func (r *snapReader) hsn3Trace(l *trace.Log, p int) error {
+	n := r.sliceLen()
+	recs := append([]byte(nil), r.bytes(r.sliceLen())...)
+	ends := make([]int64, n)
+	prev := int64(0)
+	for i := range ends {
+		prev += r.varint()
+		ends[i] = prev
+	}
+	if r.bad {
+		return nil // reported as truncation
+	}
+	tl, err := trace.ParseLog(recs, ends, p)
+	if err != nil {
+		return fmt.Errorf("durable: snapshot trace: %w", err)
+	}
+	*l = tl
+	return nil
+}
+
+// hsn2Trace reads an HSN2 trace — n segments of proc, start and end in
+// float seconds, tasks and blocks — into l over p workers.
+func (r *snapReader) hsn2Trace(l *trace.Log, p int) error {
+	n := r.sliceLen()
+	for i := 0; i < n && !r.bad; i++ {
+		proc, start, end, tasks, blocks := r.i64(), r.f64(), r.f64(), r.i64(), r.i64()
+		if proc < 0 || proc >= int64(p) || tasks < 0 || tasks > math.MaxInt32 || blocks < 0 || blocks > math.MaxInt32 {
+			return fmt.Errorf("durable: snapshot segment %d is out of range", i)
+		}
+		startNs, ok1 := trace.SecondsToNs(start)
+		endNs, ok2 := trace.SecondsToNs(end)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("durable: %w", ErrInexactTrace)
+		}
+		l.SetEnd(l.Append(int(proc), startNs, int(tasks), int(blocks)), endNs)
+	}
+	return nil
 }
 
 // WriteSnapshot atomically persists s into the journal directory as
@@ -380,15 +455,18 @@ func (l *Log) LoadSnapshots() (map[string]*RunSnapshot, error) {
 }
 
 // readSnapshot reads one snapshot file: nil when it is unreadable or
-// damaged, an error only when it is in the retired format.
+// damaged, an error only when it is in the retired format or is an
+// HSN2 file with an inexact trace time.
 func readSnapshot(dir string, sf snapFile) (*RunSnapshot, error) {
 	data, err := os.ReadFile(filepath.Join(dir, sf.name))
 	if err != nil {
 		return nil, nil
 	}
 	s, err := DecodeSnapshot(data)
-	if errors.Is(err, ErrOpLogSnapshot) {
-		return nil, fmt.Errorf("durable: %s: %w", sf.name, ErrOpLogSnapshot)
+	for _, fatal := range [...]error{ErrOpLogSnapshot, ErrInexactTrace} {
+		if errors.Is(err, fatal) {
+			return nil, fmt.Errorf("durable: %s: %w", sf.name, fatal)
+		}
 	}
 	if err != nil || s.ID != sf.id {
 		return nil, nil

@@ -17,7 +17,7 @@ import (
 //
 //	transfer := magic "HTX1"
 //	            flag(u8)                 1 = snapshot present, 0 = absent
-//	            [snapLen(u32) snapshot]  when flag == 1 (HSN2 encoding, own CRC)
+//	            [snapLen(u32) snapshot]  when flag == 1 (HSN3 encoding, own CRC)
 //	            frame*                   journal frames: len(u32) crc(u32) mutation
 //
 // The frames carry the run's journal tail: every mutation with a
@@ -34,7 +34,8 @@ import (
 // op-log format (ErrOpLogSnapshot) and any structural inconsistency
 // with an error. The encoding is canonical, so
 // AppendTransfer(nil, DecodeTransfer(b)) == b for any accepted b
-// (FuzzTransferDecode pins both properties).
+// (FuzzTransferDecode pins both properties) — except that a snapshot
+// an older host wrote as HSN2 is re-encoded as HSN3.
 var transferMagic = [4]byte{'H', 'T', 'X', '1'}
 
 // AppendTransfer appends the transfer encoding of (snap, tail) to dst.

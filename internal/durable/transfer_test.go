@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -213,7 +215,9 @@ func TestExtractTransferSweptAndMissing(t *testing.T) {
 //	canonical — any accepted stream re-encodes bit-for-bit:
 //	            AppendTransfer(nil, DecodeTransfer(b)) == b, so the
 //	            destination's re-export of an imported run reproduces
-//	            the source's stream exactly.
+//	            the source's stream exactly. A stream embedding an
+//	            HSN2 snapshot, which only an older host writes,
+//	            re-encodes with HSN3 and decodes to the same run.
 func FuzzTransferDecode(f *testing.F) {
 	recorded := recordedMigration(f)
 	f.Add(recorded)
@@ -231,6 +235,8 @@ func FuzzTransferDecode(f *testing.F) {
 	f.Add([]byte("HTX1"))
 	f.Add([]byte("HTX1\x00"))
 	f.Add([]byte("HTX1\x01\x00\x00\x00\x00"))
+	hsn2 := hsn2Fixture(f)
+	f.Add(append(binary.LittleEndian.AppendUint32([]byte("HTX1\x01"), uint32(len(hsn2))), hsn2...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, tail, err := DecodeTransfer(b)
@@ -240,7 +246,15 @@ func FuzzTransferDecode(f *testing.F) {
 		if snap == nil && len(tail) == 0 {
 			t.Fatalf("accepted stream with neither snapshot nor tail")
 		}
-		if re := AppendTransfer(nil, snap, tail); !bytes.Equal(re, b) {
+		re := AppendTransfer(nil, snap, tail)
+		if snap != nil && string(b[9:13]) == string(hsn2Magic[:]) {
+			s2, tail2, err := DecodeTransfer(re)
+			if err != nil || !reflect.DeepEqual(s2, snap) || !reflect.DeepEqual(tail2, tail) {
+				t.Fatalf("accepted transfer with an HSN2 snapshot does not survive HSN3 (%v)", err)
+			}
+			return
+		}
+		if !bytes.Equal(re, b) {
 			t.Fatalf("accepted transfer is not canonical:\n in  %x\n out %x", b, re)
 		}
 	})

@@ -279,10 +279,10 @@ type Stream struct {
 // rec is the retention ring's compact storage form of an Event:
 // pointer-free, so rings are never scanned by the GC and the
 // per-publish ring store carries no write barrier — the idle-stream
-// publish cost is a flat 40-byte store. Run is implicit (the stream);
+// publish cost is a flat 32-byte store. Run is implicit (the stream),
+// and so is Seq (the slot: event seq lives at (seq-1) % len(ring));
 // State is interned per stream.
 type rec struct {
-	seq    uint64
 	timeNs int64
 	task   int64
 	typ    Type
@@ -294,7 +294,7 @@ type rec struct {
 
 // pack converts a stamped event to its ring form (mu held).
 func (st *Stream) pack(e Event) rec {
-	r := rec{seq: e.Seq, timeNs: e.TimeNs, task: e.Task, typ: e.Type,
+	r := rec{timeNs: e.TimeNs, task: e.Task, typ: e.Type,
 		worker: int32(e.Worker), count: int32(e.Count), blocks: int32(e.Blocks)}
 	if e.State != "" {
 		for i, known := range st.states {
@@ -314,9 +314,10 @@ func (st *Stream) pack(e Event) rec {
 	return r
 }
 
-// unpack restores the wire event from its ring form (mu held).
-func (st *Stream) unpack(r rec) Event {
-	e := Event{Seq: r.seq, TimeNs: r.timeNs, Run: st.run, Type: r.typ,
+// unpack restores the wire event with sequence number seq from its ring
+// form (mu held).
+func (st *Stream) unpack(r rec, seq uint64) Event {
+	e := Event{Seq: seq, TimeNs: r.timeNs, Run: st.run, Type: r.typ,
 		Worker: int(r.worker), Task: r.task, Count: int(r.count), Blocks: int(r.blocks)}
 	if r.state != 0 {
 		e.State = st.states[r.state-1]
@@ -428,7 +429,7 @@ func (st *Stream) Subscribe(after uint64, buffer int) *Subscriber {
 		first = published - uint64(len(s.buf)) + 1
 	}
 	for seq := first; seq <= published; seq++ {
-		s.buf[s.n] = st.unpack(st.ring[int((seq-1)%uint64(len(st.ring)))])
+		s.buf[s.n] = st.unpack(st.ring[int((seq-1)%uint64(len(st.ring)))], seq)
 		s.n++
 	}
 	if s.n > 0 {

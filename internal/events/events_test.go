@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func publishN(st *Stream, n int) {
@@ -232,5 +233,13 @@ func TestConcurrentPublishDrain(t *testing.T) {
 	wg.Wait()
 	if got := b.Published(); got != runs*perRun {
 		t.Fatalf("published %d, want %d", got, runs*perRun)
+	}
+}
+
+// TestRingRecordSize pins the retention ring's record at 32 bytes: a
+// run's eager 1,024-slot ring is 32 KB.
+func TestRingRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(rec{}); got != 32 {
+		t.Fatalf("ring record is %d bytes, want 32", got)
 	}
 }

@@ -145,7 +145,7 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 			Reclaimed: int64(w.Reclaimed),
 		}
 	}
-	s.Segments = append(s.Segments[:0], h.tr.Segments...)
+	s.Trace = h.tr.Clone()
 	s.Open = make([]int32, len(h.open))
 	for i, idx := range h.open {
 		s.Open[i] = int32(idx)
@@ -209,10 +209,10 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot, jr *
 		h.workers[i].Blocks = int(wc.Blocks)
 		h.workers[i].Reclaimed = int(wc.Reclaimed)
 	}
-	h.tr.Segments = append(h.tr.Segments[:0], s.Segments...)
+	h.tr = s.Trace // adopted: the snapshot is not used after restore
 	for w, idx := range s.Open {
-		if int(idx) >= len(h.tr.Segments) {
-			return nil, fmt.Errorf("service: snapshot of %q has open segment %d past trace length %d", s.ID, idx, len(h.tr.Segments))
+		if int(idx) >= h.tr.Len() {
+			return nil, fmt.Errorf("service: snapshot of %q has open segment %d past trace length %d", s.ID, idx, h.tr.Len())
 		}
 		h.open[w] = int(idx)
 	}

@@ -38,7 +38,7 @@ import (
 //
 // The Host also owns the run's collectors: the per-worker load
 // counters, a stats.Accumulator over served batch sizes, and a
-// wall-clock trace.Trace of every assignment.
+// wall-clock trace.Log of every assignment, which Trace renders.
 //
 // Ownership contract of Next's return value: the returned
 // Assignment.Tasks aliases one of two per-worker grant buffers that
@@ -152,8 +152,8 @@ type Host struct {
 	// reclamation, not the TTL, is the mechanism that survives that.
 	last     time.Time
 	lastPoll time.Time
-	tr       *trace.Trace
-	open     []int // per-worker index into tr.Segments of the open segment, -1 when none
+	tr       trace.Log
+	open     []int // per-worker index into tr of the open segment, -1 when none
 
 	// now is the host's time source. Every timestamp the host takes —
 	// lease deadlines, trace segment boundaries, makespan, the TTL's
@@ -352,7 +352,6 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 		stripeMask: nstripes - 1,
 		slots:      make([]workerSlot, p),
 		workers:    make([]WorkerStats, p),
-		tr:         trace.New(p),
 		open:       make([]int, p),
 		now:        now,
 	}
@@ -751,7 +750,7 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		h.completed += len(completed)
 		h.workers[w].Tasks += len(completed)
 		if idx := h.open[w]; idx >= 0 {
-			h.tr.Segments[idx].End = now.Sub(h.start).Seconds()
+			h.tr.SetEnd(idx, int64(now.Sub(h.start)))
 			h.open[w] = -1
 		}
 		h.last = now
@@ -831,15 +830,14 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 			Count: len(acc), Blocks: blocks})
 	}
 	if len(acc) > 0 {
-		at := now.Sub(h.start).Seconds()
+		at := int64(now.Sub(h.start))
 		// A worker that re-polls without reporting holds two batches at
 		// once; close the older segment now rather than orphaning it
 		// with End == Start forever.
 		if idx := h.open[w]; idx >= 0 {
-			h.tr.Segments[idx].End = at
+			h.tr.SetEnd(idx, at)
 		}
-		h.tr.Add(trace.Segment{Proc: w, Start: at, End: at, Tasks: len(acc), Blocks: blocks})
-		h.open[w] = len(h.tr.Segments) - 1
+		h.open[w] = h.tr.Append(w, at, len(acc), blocks)
 	}
 	h.noteStateLocked(now)
 	if h.ev != nil {
@@ -985,7 +983,7 @@ func (h *Host) reclaimLocked(now time.Time) int {
 			stillHolds[int(worker)] = true
 		})
 	}
-	at := now.Sub(h.start).Seconds()
+	at := int64(now.Sub(h.start))
 	// The sort grouped each (presumed dead) worker's tasks into one
 	// contiguous ascending run; hand each run to the driver in one
 	// Reassign.
@@ -1011,7 +1009,7 @@ func (h *Host) reclaimLocked(now time.Time) int {
 		// by expiry, not completion — at reclaim time. A reassignment
 		// opens a fresh segment under the new owner as usual.
 		if idx := h.open[w]; idx >= 0 && !stillHolds[w] {
-			h.tr.Segments[idx].End = at
+			h.tr.SetEnd(idx, at)
 			h.open[w] = -1
 		}
 		lo = hi
@@ -1122,9 +1120,7 @@ func (h *Host) Stats() StatsResponse {
 func (h *Host) Trace() *trace.Trace {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	t := trace.New(h.tr.P)
-	t.Segments = append(t.Segments, h.tr.Segments...)
-	return t
+	return h.tr.Trace(h.p)
 }
 
 // LastActivity returns the time of the last valid worker poll of any

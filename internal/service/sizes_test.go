@@ -110,7 +110,7 @@ func TestSnapshotBytes(t *testing.T) {
 		snapshot, driver int // bytes; 0: not pinned
 	}{
 		{scriptPolls / 2, 0, 20690},
-		{scriptPolls * 9 / 10, 92680, 4410},
+		{scriptPolls * 9 / 10, 27369, 4410},
 	} {
 		w, run := sizedRun(t)
 		driveScript(t, run, w.clk, tc.polls)
@@ -121,5 +121,21 @@ func TestSnapshotBytes(t *testing.T) {
 		if got := len(durable.AppendSnapshot(nil, snap)); tc.snapshot != 0 && got != tc.snapshot {
 			t.Errorf("snapshot after %d polls is %d bytes, want %d; a change that moves this states the new value in CHANGES.md", tc.polls, got, tc.snapshot)
 		}
+	}
+}
+
+// TestTraceBytes pins the trace the drained run keeps in memory: its
+// varint records and their int64 ends, beside the segment count.
+// As 40-byte trace.Segments the same trace took 88,880 bytes.
+func TestTraceBytes(t *testing.T) {
+	const segments, want = 2222, 31108
+	w, run := sizedRun(t)
+	driveScript(t, run, w.clk, 0)
+	if got := run.Host.tr.Len(); got != segments {
+		t.Errorf("drained run has %d trace segments, want %d", got, segments)
+	}
+	if got := len(run.Host.tr.Records()) + 8*len(run.Host.tr.Ends()); got != want {
+		t.Errorf("drained run keeps %d trace bytes = %.2f per segment, want %d; a change that moves this states the new value in CHANGES.md",
+			got, float64(got)/segments, want)
 	}
 }

@@ -1,12 +1,11 @@
-// Package trace records the timeline of a simulated run — who was
-// assigned what, when, and how much data it cost — and renders it as a
-// text Gantt chart and per-processor summaries. It plugs into the
-// simulator through sim.RunObserved.
+// Package trace records the timeline of a run — who was assigned what,
+// when, and how much data it cost — and renders it as a text Gantt
+// chart. A simulated run's Recorder plugs into the simulator through
+// sim.RunObserved; a served run keeps its timeline as a Log.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hetsched/internal/sim"
@@ -29,18 +28,6 @@ type Segment struct {
 type Trace struct {
 	P        int       `json:"p"`
 	Segments []Segment `json:"segments"`
-}
-
-// New returns an empty trace over p processors, for collectors that
-// are not driven by the simulator (the service host records wall-clock
-// segments directly).
-func New(p int) *Trace {
-	return &Trace{P: p}
-}
-
-// Add appends one segment.
-func (t *Trace) Add(s Segment) {
-	t.Segments = append(t.Segments, s)
 }
 
 // Recorder accumulates a Trace from simulator observations. Because
@@ -94,19 +81,6 @@ func (t *Trace) Makespan() float64 {
 		}
 	}
 	return worst
-}
-
-// PerProc returns per-processor totals (tasks, blocks, busy time).
-func (t *Trace) PerProc() (tasks, blocks []int, busy []float64) {
-	tasks = make([]int, t.P)
-	blocks = make([]int, t.P)
-	busy = make([]float64, t.P)
-	for _, s := range t.Segments {
-		tasks[s.Proc] += s.Tasks
-		blocks[s.Proc] += s.Blocks
-		busy[s.Proc] += s.End - s.Start
-	}
-	return
 }
 
 // Gantt renders the trace as a text chart with one row per processor
@@ -168,30 +142,6 @@ func (t *Trace) Gantt(width int) string {
 	}
 	fmt.Fprintf(&sb, "time: 0 .. %.3f\n", mk)
 	return sb.String()
-}
-
-// CommTimeline returns cumulative communication volume sampled at the
-// given number of points across the makespan — the shape of the
-// master's outgoing traffic over time.
-func (t *Trace) CommTimeline(points int) []float64 {
-	if points <= 0 {
-		panic("trace: non-positive point count")
-	}
-	segs := append([]Segment(nil), t.Segments...)
-	sort.Slice(segs, func(a, b int) bool { return segs[a].Start < segs[b].Start })
-	mk := t.Makespan()
-	out := make([]float64, points)
-	cum := 0.0
-	si := 0
-	for i := 0; i < points; i++ {
-		tp := mk * float64(i+1) / float64(points)
-		for si < len(segs) && segs[si].Start <= tp {
-			cum += float64(segs[si].Blocks)
-			si++
-		}
-		out[i] = cum
-	}
-	return out
 }
 
 func minF(a, b float64) float64 {
