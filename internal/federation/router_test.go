@@ -19,41 +19,16 @@ import (
 // mode: every target carries a Server handle).
 func newDirectFleet(t *testing.T, n int) (*Router, []*service.Server) {
 	t.Helper()
-	names := HostNames(n)
-	servers := make([]*service.Server, n)
-	targets := make([]Target, n)
-	for i := range servers {
-		servers[i] = service.New(service.Options{GCInterval: -1})
-		t.Cleanup(servers[i].Close)
-		targets[i] = Target{Name: names[i], Server: servers[i]}
-	}
-	rt, err := NewRouter(targets, Options{Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt, servers
+	f := newFleet(t, n, func(int) bool { return false }, false)
+	return f.rt, f.servers
 }
 
 // newHTTPFleet builds n hosts behind httptest servers and a router
 // proxying to their URLs (daemon mode).
 func newHTTPFleet(t testing.TB, n int) (*Router, []*service.Server, []*httptest.Server) {
 	t.Helper()
-	names := HostNames(n)
-	servers := make([]*service.Server, n)
-	backends := make([]*httptest.Server, n)
-	targets := make([]Target, n)
-	for i := range servers {
-		servers[i] = service.New(service.Options{GCInterval: -1})
-		t.Cleanup(servers[i].Close)
-		backends[i] = httptest.NewServer(servers[i])
-		t.Cleanup(backends[i].Close)
-		targets[i] = Target{Name: names[i], URL: backends[i].URL}
-	}
-	rt, err := NewRouter(targets, Options{Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt, servers, backends
+	f := newFleet(t, n, func(int) bool { return true }, false)
+	return f.rt, f.servers, f.backends
 }
 
 // idOwnedBy returns a run id the ring places on host k.
