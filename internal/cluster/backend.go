@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -202,7 +203,8 @@ func (spec RunSpec) request() service.CreateRunRequest {
 	}
 }
 
-// do is one synchronous request through the router's listener.
+// do is one synchronous request through the router: its listener over
+// HTTP, its ServeHTTP in process.
 func (b *backend) do(method, path string, in, out any) (int, error) {
 	var body []byte
 	if in != nil {
@@ -211,13 +213,19 @@ func (b *backend) do(method, path string, in, out any) (int, error) {
 			return 0, err
 		}
 	}
-	req, err := http.NewRequest(method, b.rts.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	resp, err := b.rts.Client().Do(req)
-	if err != nil {
-		return 0, err
+	var resp *http.Response
+	if b.mode == HTTP {
+		req, err := http.NewRequest(method, b.rts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		if resp, err = b.rts.Client().Do(req); err != nil {
+			return 0, err
+		}
+	} else {
+		rec := httptest.NewRecorder()
+		b.rt.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		resp = rec.Result()
 	}
 	defer resp.Body.Close()
 	if out != nil && resp.StatusCode < 300 {
@@ -237,52 +245,24 @@ func (b *backend) get(path string, out any) error {
 	return err
 }
 
-// create registers run and returns its wire info. An unpinned id is
-// minted by host 0's registry in direct mode and by the router over
-// HTTP; either way it is wall-clock salted and kept out of Hash().
+// create registers run through the router, as a client would, and
+// returns its wire info. An unpinned id is minted by the router; it is
+// wall-clock salted and kept out of Hash().
 func (b *backend) create(run int, spec RunSpec) (service.RunInfo, error) {
-	q := spec.request()
-	if b.mode == HTTP {
-		var info service.RunInfo
-		code, err := b.do("POST", "/v1/runs", q, &info)
-		if err == nil && code != http.StatusCreated {
-			err = fmt.Errorf("create run %q: status %d", q.ID, code)
-		}
-		if err != nil {
-			return service.RunInfo{}, err
-		}
-		b.ids[run] = info.ID
-		return info, nil
+	var info service.RunInfo
+	code, err := b.do("POST", "/v1/runs", spec.request(), &info)
+	if err == nil && code != http.StatusCreated {
+		err = fmt.Errorf("create run %q: status %d", spec.RunID, code)
 	}
-	if err := q.Validate(); err != nil {
-		return service.RunInfo{}, err
-	}
-	if q.ID == "" {
-		q.ID = b.hosts[0].Registry().NewID()
-	}
-	owner := b.rt.OwnerOf(q.ID)
-	if b.dead[owner] {
-		return service.RunInfo{}, fmt.Errorf("run %q arrives on crashed host %d", q.ID, owner)
-	}
-	svc := b.hosts[owner]
-	// The server's own run constructor (service.Options.NewRun) with the
-	// defaults its options fill in, registered through AddNew — the
-	// durable-before-visible path handleCreate uses — so direct mode
-	// cannot drift from the wire and a journaled create is on disk
-	// before any poll.
-	r, err := service.Options{DefaultBatch: 1, Now: b.now, Events: svc.Bus()}.NewRun(q.ID, &q)
 	if err != nil {
 		return service.RunInfo{}, err
 	}
-	added, err := svc.Registry().AddNew(r)
-	if err != nil {
-		return service.RunInfo{}, fmt.Errorf("journaling run %q on host %d: %w", q.ID, owner, err)
+	if owner := b.rt.OwnerOf(info.ID); b.dead[owner] {
+		// In process the router reaches a crashed host's server too.
+		return service.RunInfo{}, fmt.Errorf("run %q arrives on crashed host %d", info.ID, owner)
 	}
-	if !added {
-		return service.RunInfo{}, fmt.Errorf("run %q already exists on host %d", q.ID, owner)
-	}
-	b.ids[run] = q.ID
-	return r.Info(), nil
+	b.ids[run] = info.ID
+	return info, nil
 }
 
 // lookup routes a direct-mode request the way the router does — ring

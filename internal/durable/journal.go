@@ -117,16 +117,6 @@ func Open(dir string) (*Log, error) {
 	}, nil
 }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Gen returns the generation currently open for appends.
-func (l *Log) Gen() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
 // AppendPoll buffers one accepted-poll mutation. Allocation-free once
 // the commit buffer has grown to its working size.
 func (l *Log) AppendPoll(run string, seq uint64, timeNs int64, worker int32, completed []core.Task) {

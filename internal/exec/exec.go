@@ -29,7 +29,6 @@ import (
 	"hetsched/internal/core"
 	"hetsched/internal/linalg"
 	"hetsched/internal/matmul"
-	"hetsched/internal/outer"
 )
 
 // Options configures a runtime execution.
@@ -185,22 +184,6 @@ func run(sched core.Scheduler, opts Options, execute func(w int, t core.Task)) *
 		return nil
 	})
 	return res
-}
-
-// RunOuter executes the outer product M = a·bᵀ under sched and returns
-// the computed blocked matrix. Distinct tasks write distinct M blocks,
-// so workers write into the shared result directly.
-func RunOuter(sched core.Scheduler, a, b *linalg.BlockedVector, opts Options) (*linalg.BlockedMatrix, *Result) {
-	if a.N != b.N || a.L != b.L {
-		panic("exec: vector shape mismatch")
-	}
-	n := a.N
-	m := linalg.NewBlockedMatrix(n, a.L)
-	res := run(sched, opts, func(w int, t core.Task) {
-		i, j := outer.Decode(t, n)
-		linalg.OuterUpdate(a.Blocks[i], b.Blocks[j], m.Block(i, j))
-	})
-	return m, res
 }
 
 // RunGemm executes C = A·B under sched and returns the computed

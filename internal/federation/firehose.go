@@ -102,21 +102,11 @@ func (rt *Router) handleFirehose(w http.ResponseWriter, r *http.Request) {
 
 	sink := &sseSink{w: w, fl: fl, max: max, done: make(chan struct{})}
 	var pumps sync.WaitGroup
-	for i := range rt.targets {
-		t := &rt.targets[i]
+	for _, p := range rt.peers {
 		pumps.Add(1)
-		if t.Server != nil {
-			sub := t.Server.Bus().SubscribeFirehose(0)
-			go func() {
-				defer pumps.Done()
-				defer sub.Close()
-				pumpBus(sink, sub)
-			}()
-			continue
-		}
 		go func() {
 			defer pumps.Done()
-			rt.pumpSSE(sink, r, t)
+			p.pump(sink, r)
 		}()
 	}
 
@@ -146,9 +136,11 @@ func (rt *Router) handleFirehose(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// pumpBus drains an in-process firehose subscriber into the sink,
-// framing events exactly as the single-host serveSSE does.
-func pumpBus(sink *sseSink, sub *events.Subscriber) {
+// pump drains the host's firehose into the sink, framing events
+// exactly as the single-host serveSSE does.
+func (p *local) pump(sink *sseSink, _ *http.Request) {
+	sub := p.srv.Bus().SubscribeFirehose(0)
+	defer sub.Close()
 	var (
 		buf      []events.Event
 		frame    bytes.Buffer
@@ -187,23 +179,23 @@ func pumpBus(sink *sseSink, sub *events.Subscriber) {
 	}
 }
 
-// pumpSSE streams a remote host's /v1/events and re-frames it into
+// pump streams the remote host's /v1/events and re-frames it into
 // the sink: lines accumulate until the blank frame terminator, then
 // the whole frame forwards atomically (so interleaved hosts never
 // tear each other's frames). The remote's own heartbeats and terminal
 // end frames are absorbed — the fan-in has its own heartbeat, and the
 // merged stream ends only when every host's does.
-func (rt *Router) pumpSSE(sink *sseSink, r *http.Request, t *Target) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, t.URL+"/v1/events", nil)
+func (p *remote) pump(sink *sseSink, r *http.Request) {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.url+"/v1/events", nil)
 	if err != nil {
 		return
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := p.client.Do(req)
 	if err != nil {
 		// Unreachable host: surface it in-stream (headers are gone) and
 		// let the merged stream continue with the reachable fleet.
 		var frame bytes.Buffer
-		fmt.Fprintf(&frame, "event: unreachable\ndata: {\"host\":%q}\n\n", t.Name)
+		fmt.Fprintf(&frame, "event: unreachable\ndata: {\"host\":%q}\n\n", p.name)
 		sink.frame(frame.Bytes(), false)
 		return
 	}

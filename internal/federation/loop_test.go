@@ -112,7 +112,7 @@ func TestRouterLoopSharesTheHop(t *testing.T) {
 			}
 		}
 	}
-	up := rt.ups[0]
+	up := rt.hop(0)
 	if d, r, f := up.dials.Load(), up.reuses.Load(), up.failures.Load(); d != 2 || r != 2*uint64(len(replies))-2 || f != 0 {
 		t.Errorf("dials=%d reuses=%d failures=%d, want 2 (one after Connection: close), %d and 0", d, r, f, 2*len(replies)-2)
 	}
@@ -153,10 +153,10 @@ func TestRouterLoopPeerFailures(t *testing.T) {
 			if got := peer.requests.Load(); got != 1 {
 				t.Errorf("peer saw %d requests, want exactly 1", got)
 			}
-			if f := rt.ups[0].failures.Load(); f != 1 {
+			if f := rt.hop(0).failures.Load(); f != 1 {
 				t.Errorf("failures = %d, want 1", f)
 			}
-			if n := len(rt.ups[0].idle); n != 0 {
+			if n := len(rt.hop(0).idle); n != 0 {
 				t.Errorf("%d pooled connections after a failure, want 0", n)
 			}
 		})
@@ -172,7 +172,7 @@ func TestRouterLoopPeerRestart(t *testing.T) {
 	t.Cleanup(srv.Close)
 	addr, stop := serveLoop(t, srv, nil)
 	rt := routerOver(t, "http://"+addr, Options{})
-	createVia(t, rt, "restart")
+	createVia(t, srv, "restart")
 	if status, _, body := loopPoll(t, rt, "restart", `{"worker":0}`); status != http.StatusOK {
 		t.Fatalf("first poll: status %d body %s", status, body)
 	}
@@ -185,9 +185,34 @@ func TestRouterLoopPeerRestart(t *testing.T) {
 	if status, _, body := loopPoll(t, rt, "restart", `{"worker":1}`); status != http.StatusOK {
 		t.Fatalf("poll after the restart: status %d body %s", status, body)
 	}
-	up := rt.ups[0]
+	up := rt.hop(0)
 	if d, r, s, f := up.dials.Load(), up.reuses.Load(), up.stale.Load(), up.failures.Load(); d != 2 || r != 0 || s != 1 || f != 0 {
 		t.Errorf("dials=%d reuses=%d stale=%d failures=%d, want 2, 0, 1 and 0", d, r, s, f)
+	}
+	if got := srv.Metrics().LoopPolls; got != 2 {
+		t.Errorf("the host's loop answered %d polls, want 2", got)
+	}
+}
+
+// TestRouterCreateKeepsPollsOnTheLoop: a run created through the router
+// takes the hop like any per-run request, on a connection the hop then
+// closes — a host's request loop hands a connection that carried a
+// create to net/http for good, and a pooled one would take the run's
+// polls with it.
+func TestRouterCreateKeepsPollsOnTheLoop(t *testing.T) {
+	srv := service.New(service.Options{GCInterval: -1})
+	t.Cleanup(srv.Close)
+	addr, _ := serveLoop(t, srv, nil)
+	rt := routerOver(t, "http://"+addr, Options{})
+	createVia(t, rt, "on-the-loop")
+	for w := 0; w < 2; w++ {
+		if status, _, body := loopPoll(t, rt, "on-the-loop", `{"worker":0}`); status != http.StatusOK {
+			t.Fatalf("poll %d: status %d body %s", w, status, body)
+		}
+	}
+	up := rt.hop(0)
+	if d, r := up.dials.Load(), up.reuses.Load(); d != 2 || r != 1 {
+		t.Errorf("dials=%d reuses=%d, want 2 (the create's, then the polls') and 1", d, r)
 	}
 	if got := srv.Metrics().LoopPolls; got != 2 {
 		t.Errorf("the host's loop answered %d polls, want 2", got)
@@ -230,7 +255,7 @@ func TestRouterLoopRefusals(t *testing.T) {
 		t.Errorf("host down: %d %q Retry-After %q through the loop, %d %q %q through net/http",
 			status, body, hdr.Get("Retry-After"), rec.Code, rec.Body, rec.Header().Get("Retry-After"))
 	}
-	if f := down.ups[0].failures.Load(); f != 2 {
+	if f := down.hop(0).failures.Load(); f != 2 {
 		t.Errorf("failures = %d, want 2", f)
 	}
 }

@@ -58,46 +58,37 @@ func (rt *Router) SetEpoch(epoch uint64) error {
 
 // plan enumerates every run the fleet holds and returns the ones whose
 // owner under next differs from the target currently holding them.
-// Hosts marked down hold nothing reachable (their runs come back via
-// RecoverHost); an unreachable live host is an error — rebalancing
-// around a host we cannot export from would strand its runs behind a
-// ring that routes elsewhere.
+// Expired runs stay behind: they are deleted or timed out, and the
+// sweep removes them from their host. Hosts marked down hold nothing
+// reachable (their runs come back via RecoverHost); an unreachable live
+// host is an error — rebalancing around a host we cannot export from
+// would strand its runs behind a ring that routes elsewhere.
 func (rt *Router) plan(next *Ring) ([]move, error) {
 	down := rt.down.Load()
 	var moves []move
-	for i := range rt.targets {
+	for i, p := range rt.peers {
 		if down&(1<<uint(i)) != 0 {
 			continue
 		}
-		t := &rt.targets[i]
-		var ids []string
-		if t.Server != nil {
-			for _, run := range t.Server.Registry().Runs() {
-				if !run.Expired() {
-					ids = append(ids, run.ID)
-				}
-			}
-		} else {
-			var part service.RunList
-			if err := rt.getJSON(t, "/v1/runs", &part); err != nil {
-				return nil, fmt.Errorf("federation: listing runs on %q: %w", t.Name, err)
-			}
-			for _, info := range part.Runs {
-				ids = append(ids, info.ID)
-			}
+		infos, err := p.runs()
+		if err != nil {
+			return nil, fmt.Errorf("federation: listing runs on %q: %w", rt.targets[i].Name, err)
 		}
-		for _, id := range ids {
-			if dst := rt.ownerOn(next, id, down); dst != i {
-				moves = append(moves, move{id: id, src: i, dst: dst})
+		for _, info := range infos {
+			if info.State == service.StateExpired {
+				continue
+			}
+			if dst := ownerOn(next, info.ID, down); dst != i {
+				moves = append(moves, move{id: info.ID, src: i, dst: dst})
 			}
 		}
 	}
 	return moves, nil
 }
 
-// ownerOn is OwnerLive on an arbitrary ring (the next ring during a
-// handoff, before it is published).
-func (rt *Router) ownerOn(r *Ring, id string, down uint64) int {
+// ownerOn is OwnerLive on an arbitrary ring (the live one, or the next
+// during a handoff, before it is published).
+func ownerOn(r *Ring, id string, down uint64) int {
 	if down != 0 {
 		return r.OwnerLive(id, down)
 	}
@@ -172,7 +163,8 @@ func (rt *Router) MigrateRun(id, dstName string) error {
 			next[k] = v
 		}
 	}
-	if rt.downAware(di, id) {
+	if ownerOn(rt.ring.Load(), id, rt.down.Load()) == di {
+		// The ring already places the run there.
 		delete(next, id)
 	} else {
 		next[id] = int32(di)
@@ -185,54 +177,10 @@ func (rt *Router) MigrateRun(id, dstName string) error {
 	return nil
 }
 
-// downAware reports whether dst is already where the ring (with the
-// current down mask) would place id — in which case no override is
-// needed.
-func (rt *Router) downAware(dst int, id string) bool {
-	if mask := rt.down.Load(); mask != 0 {
-		return rt.ring.Load().OwnerLive(id, mask) == dst
-	}
-	return rt.ring.Load().Owner(id) == dst
-}
-
-// migrate moves one run between targets, picking the transport the
-// topology offers: in-process hand-off when both ends are direct, the
-// source's HTTP migrate endpoint when the source is remote, a direct
-// push to the destination's import endpoint when only the source is
-// in-process.
+// migrate moves one run between targets: the source's peer runs the
+// migration and the destination's peer imports the stream.
 func (rt *Router) migrate(mv move) error {
-	src, dst := &rt.targets[mv.src], &rt.targets[mv.dst]
-	switch {
-	case src.Server != nil && dst.Server != nil:
-		return src.Server.MigrateTo(mv.id, dst.Server)
-	case src.Server != nil && dst.URL != "":
-		return src.Server.MigrateToURL(mv.id, dst.URL)
-	case src.Server == nil && dst.URL != "":
-		return rt.migrateRemote(src, dst, mv.id)
-	default:
-		return fmt.Errorf("destination %q has no URL a remote source can push to", dst.Name)
-	}
-}
-
-// migrateRemote drives a remote source's migrate endpoint: the source
-// does the fence-export-push-commit dance itself; the router only
-// names the destination.
-func (rt *Router) migrateRemote(src, dst *Target, id string) error {
-	body := strings.NewReader(fmt.Sprintf("{\"target\":%q}", dst.URL))
-	req, err := http.NewRequest(http.MethodPost, src.URL+"/v1/runs/"+id+"/migrate", body)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("source %q unreachable: %w", src.Name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("source %q answered %d", src.Name, resp.StatusCode)
-	}
-	return nil
+	return rt.peers[mv.src].migrate(mv.id, rt.peers[mv.dst])
 }
 
 // MarkDown flags the named target as dead: placement steers around it
@@ -242,15 +190,16 @@ func (rt *Router) MarkDown(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return i, rt.markDown(i)
+}
+
+// markDown sets target i's bit in the down mask.
+func (rt *Router) markDown(i int) error {
 	if i >= 64 {
-		return 0, fmt.Errorf("federation: down-mask supports 64 targets, %q is index %d", name, i)
+		return fmt.Errorf("federation: down-mask supports 64 targets, %q is index %d", rt.targets[i].Name, i)
 	}
-	for {
-		old := rt.down.Load()
-		if rt.down.CompareAndSwap(old, old|1<<uint(i)) {
-			return i, nil
-		}
-	}
+	rt.down.Or(1 << uint(i))
+	return nil
 }
 
 func (rt *Router) targetIndex(name string) (int, error) {
@@ -283,14 +232,8 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 	if dt.JournalDir == "" {
 		return fmt.Errorf("federation: target %q has no JournalDir to recover from", dead)
 	}
-	if di >= 64 {
-		return fmt.Errorf("federation: down-mask supports 64 targets, %q is index %d", dead, di)
-	}
-	for {
-		old := rt.down.Load()
-		if rt.down.CompareAndSwap(old, old|1<<uint(di)) {
-			break
-		}
+	if err := rt.markDown(di); err != nil {
+		return err
 	}
 	down := rt.down.Load()
 	cur := rt.ring.Load()
@@ -308,7 +251,7 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 	// live hosts' runs may move too — fold both into one handoff.
 	var moves []move
 	for _, id := range ids {
-		moves = append(moves, move{id: id, src: di, dst: rt.ownerOn(next, id, down)})
+		moves = append(moves, move{id: id, src: di, dst: ownerOn(next, id, down)})
 	}
 	liveMoves := []move(nil)
 	if next != cur {
@@ -329,7 +272,7 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 	}
 	var errs []string
 	for _, mv := range moves {
-		if err := rt.recoverRun(dt, &rt.targets[mv.dst], mv.id); err != nil {
+		if err := rt.recoverRun(dt.JournalDir, mv); err != nil {
 			// The source is dead, so there is nowhere to strand the run:
 			// it stays on disk in the dead journal dir for a retry.
 			errs = append(errs, fmt.Sprintf("%s: %v", mv.id, err))
@@ -414,14 +357,11 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	ring := rt.ring.Load()
 	st := RingStatus{Epoch: ring.Epoch(), Vnodes: ring.Vnodes(), Hosts: ring.Hosts(), LoopPolls: rt.loopPolls.Load()}
 	mask := rt.down.Load()
-	for i := range rt.targets {
+	for i, p := range rt.peers {
 		if i < 64 && mask&(1<<uint(i)) != 0 {
 			st.Down = append(st.Down, rt.targets[i].Name)
 		}
-		if up := rt.ups[i]; up != nil {
-			st.Upstream = append(st.Upstream, UpstreamStatus{Host: rt.targets[i].Name,
-				Dials: up.dials.Load(), Reuses: up.reuses.Load(), Stale: up.stale.Load(), Failures: up.failures.Load()})
-		}
+		st.Upstream = p.status(st.Upstream)
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -477,20 +417,16 @@ func (rt *Router) decodeAdmin(w http.ResponseWriter, r *http.Request, out any) b
 	return true
 }
 
-// recoverRun scavenges one run from a dead target's journal directory
-// and imports it into dst. The source cannot fence or commit — it is
+// recoverRun scavenges run mv.id from the dead source's journal
+// directory dir and imports it into mv.dst. The source cannot fence or commit — it is
 // dead — so exactly-once rests on the import being idempotent-checked
 // (a duplicate id refuses) and on the dead host staying down-masked:
 // if the process resurrects with its stale copy, the ring never routes
 // a poll to it, and its TTL janitor sweeps the orphan.
-func (rt *Router) recoverRun(src, dst *Target, id string) error {
-	stream, err := durable.ExtractTransfer(src.JournalDir, id)
+func (rt *Router) recoverRun(dir string, mv move) error {
+	stream, err := durable.ExtractTransfer(dir, mv.id)
 	if err != nil {
 		return err
 	}
-	if dst.Server != nil {
-		_, err := dst.Server.ImportRun(stream)
-		return err
-	}
-	return service.PushTransfer(rt.client, dst.URL, stream)
+	return rt.peers[mv.dst].importRun(stream)
 }

@@ -21,8 +21,10 @@ import (
 )
 
 // Target is one schedd host behind the router. Exactly one of Server
-// (in-process handle, direct mode) and URL (base URL of a remote
-// daemon, e.g. "http://10.0.0.7:8080") must be set.
+// and URL must be set: Server names a host in this process (the router
+// calls it directly), URL a remote daemon's base URL (e.g.
+// "http://10.0.0.7:8080", reached over HTTP). NewRouter reads which one
+// once and builds the target's peer from it.
 type Target struct {
 	// Name is the host's ring identity: placement hashes it, and the
 	// aggregated metrics label per-run rows with it. Every router
@@ -44,12 +46,13 @@ type Options struct {
 	Vnodes int
 	// Epoch is the placement epoch; all routers of a fleet must agree.
 	Epoch uint64
-	// Client issues the router's cold calls to URL targets: run
-	// creation, the /v1/runs and /v1/metrics fan-in, the firehose and
-	// the migrate/import calls of a rebalance (default: a dedicated
+	// Client issues the router's cold calls to URL targets: the
+	// /v1/runs and /v1/metrics fan-in, the firehose, and the migrate and
+	// import calls of a rebalance or a recovery (default: a dedicated
 	// client with a 10s response-header budget and no overall timeout).
-	// Forwarded per-run requests, polls among them, do not go through
-	// it: they take the router's own upstream hop (upstream.go).
+	// Run creation and every per-run request, polls among them, do not
+	// go through it: they take the router's own upstream hop
+	// (upstream.go).
 	Client *http.Client
 	// RetryAfter is the hint returned with 503 when an owning host is
 	// unreachable (default 1s).
@@ -64,14 +67,14 @@ type Options struct {
 // Router fronts a fleet of schedd hosts behind the single-host HTTP
 // surface. Per-run endpoints — polls included — are routed by the run
 // id in the URL path (the protocol keeps the id out of the body
-// precisely so routing needs no decode) and passed through untouched:
-// in direct mode the owning host's handler is invoked on the original
-// request and response writer (zero copies, zero allocations added to
-// the PR 7 poll path); in daemon mode the request goes out whole, in
-// one write on a pooled keep-alive connection, and the answer comes
-// back on the handler's goroutine (upstream.go) — bodies opaque, JSON
-// and application/x-schedd-frame alike, with Content-Type, Accept and
-// Last-Event-ID forwarded, event streams flushed as they arrive.
+// precisely so routing needs no decode) and handed to the owner's peer
+// (peer.go) untouched: an in-process host's handler is invoked on the
+// original request and response writer (zero copies, zero allocations
+// added to the host's own poll path); a remote host's request goes out
+// whole, in one write on a pooled keep-alive connection, and the answer
+// comes back on the handler's goroutine (upstream.go) — bodies opaque,
+// JSON and application/x-schedd-frame alike, with Content-Type, Accept
+// and Last-Event-ID forwarded, event streams flushed as they arrive.
 //
 // Fleet-level endpoints are aggregated: POST /v1/runs assigns an id
 // (when the client did not pin one) and places the run on its ring
@@ -83,10 +86,10 @@ type Router struct {
 	// rebalance, so the hot path pays one pointer load, no lock.
 	ring    atomic.Pointer[Ring]
 	targets []Target
-	// ups[i] is the upstream hop of targets[i]; nil in direct mode.
-	ups    []*upstream
-	opts   Options
-	client *http.Client
+	// peers[i] is how the router reaches targets[i] (peer.go).
+	peers []peer
+	opts  Options
+	maxPoll int64 // MaxPollBody's answer, fixed by NewRouter
 
 	// handoffMu serializes rebalances (SetEpoch, RecoverHost,
 	// MigrateRun); moving holds the run ids mid-handoff (nil when none
@@ -115,31 +118,6 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("federation: router needs at least one target")
 	}
-	names := make([]string, len(targets))
-	ups := make([]*upstream, len(targets))
-	for i := range targets {
-		if (targets[i].Server == nil) == (targets[i].URL == "") {
-			return nil, fmt.Errorf("federation: target %d must set exactly one of Server and URL", i)
-		}
-		if targets[i].URL != "" {
-			up, err := newUpstream(targets[i].URL)
-			if err != nil {
-				return nil, fmt.Errorf("federation: target %d: %w", i, err)
-			}
-			ups[i] = up
-		}
-		if targets[i].Name == "" {
-			targets[i].Name = targets[i].URL
-		}
-		if targets[i].Name == "" {
-			return nil, fmt.Errorf("federation: target %d needs a Name", i)
-		}
-		names[i] = targets[i].Name
-	}
-	ring, err := NewRing(names, opts.Vnodes, opts.Epoch)
-	if err != nil {
-		return nil, err
-	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
@@ -154,12 +132,40 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 		}}
 	}
 	rt := &Router{
-		targets: append([]Target(nil), targets...),
-		ups:     ups,
+		peers:   make([]peer, len(targets)),
 		opts:    opts,
-		client:  client,
+		maxPoll: opts.MaxBodyBytes,
 		idrng:   rng.New(uint64(time.Now().UnixNano())),
 	}
+	names := make([]string, len(targets))
+	for i := range targets {
+		t := &targets[i]
+		if (t.Server == nil) == (t.URL == "") {
+			return nil, fmt.Errorf("federation: target %d must set exactly one of Server and URL", i)
+		}
+		if t.Name == "" {
+			t.Name = t.URL
+		}
+		if t.Name == "" {
+			return nil, fmt.Errorf("federation: target %d needs a Name", i)
+		}
+		if t.Server != nil {
+			rt.peers[i] = &local{name: t.Name, srv: t.Server}
+			rt.maxPoll = min(rt.maxPoll, t.Server.MaxPollBody())
+		} else {
+			up, err := newUpstream(t.URL)
+			if err != nil {
+				return nil, fmt.Errorf("federation: target %d: %w", i, err)
+			}
+			rt.peers[i] = &remote{upstream: up, name: t.Name, url: t.URL, client: client}
+		}
+		names[i] = t.Name
+	}
+	ring, err := NewRing(names, opts.Vnodes, opts.Epoch)
+	if err != nil {
+		return nil, err
+	}
+	rt.targets = append([]Target(nil), targets...)
 	rt.ring.Store(ring)
 	return rt, nil
 }
@@ -182,25 +188,18 @@ func (rt *Router) owner(id string) int {
 			return int(o)
 		}
 	}
-	if mask := rt.down.Load(); mask != 0 {
-		return rt.ring.Load().OwnerLive(id, mask)
-	}
-	return rt.ring.Load().Owner(id)
+	return ownerOn(rt.ring.Load(), id, rt.down.Load())
 }
 
 // Lookup routes id through the ring and fetches the run from the
 // owning host's in-process registry: the transport-free poll-
-// forwarding path of direct mode — one ring lookup plus one sharded
-// map read, zero allocations (TestRouterLookupNextAllocFree pins it).
-// ok is false when the run is unknown on its owner or the owner is a
-// remote target (daemon mode has no in-process handle to return).
+// forwarding path of in-process fleets — one ring lookup plus one
+// sharded map read, zero allocations (TestRouterLookupNextAllocFree
+// pins it). ok is false when the run is unknown on its owner or the
+// owner is a remote target, which has no in-process handle to return.
 func (rt *Router) Lookup(id string) (run *service.Run, owner int, ok bool) {
 	owner = rt.owner(id)
-	t := &rt.targets[owner]
-	if t.Server == nil {
-		return nil, owner, false
-	}
-	run, ok = t.Server.Registry().Get(id)
+	run, ok = rt.peers[owner].lookup(id)
 	return run, owner, ok
 }
 
@@ -217,12 +216,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			id = rest[:i]
 		}
 		if id != "" {
-			if m := rt.moving.Load(); m != nil && (*m)[id] {
-				// Mid-handoff: neither copy may serve this run right now.
-				// A deterministic 503 with a hint beats racing the
-				// transfer; the next retry lands on the new owner.
-				w.Header().Set("Retry-After", strconv.Itoa(int((rt.opts.RetryAfter+time.Second-1)/time.Second)))
-				errJSON(w, http.StatusServiceUnavailable, fmt.Sprintf("run %q is migrating; retry", id))
+			if rt.isMoving(id) {
+				rt.unavailable(w, movingMsg(id))
 				return
 			}
 			rt.forward(w, r, rt.owner(id))
@@ -276,31 +271,21 @@ func (rt *Router) retryAfter() string {
 }
 
 // MaxPollBody implements pollserve.Handler: the router's own cap, and
-// in direct mode no more than its hosts take.
-func (rt *Router) MaxPollBody() int64 {
-	max := rt.opts.MaxBodyBytes
-	for i := range rt.targets {
-		if srv := rt.targets[i].Server; srv != nil {
-			max = min(max, srv.MaxPollBody())
-		}
-	}
-	return max
-}
+// no more than an in-process host takes.
+func (rt *Router) MaxPollBody() int64 { return rt.maxPoll }
 
 // ServePoll implements pollserve.Handler: ServeHTTP's per-run branch
 // for a poll the request loop read off the socket itself. A poll for a
 // URL target goes from the loop's buffer to the upstream hop and back,
-// through net/http nowhere.
+// through net/http nowhere; one for an in-process host is its
+// ServePoll.
 func (rt *Router) ServePoll(dst []byte, r *pollserve.Request) []byte {
 	rt.loopPolls.Add(1)
 	if rt.isMoving(r.ID) {
 		return appendRefusal(dst, http.StatusServiceUnavailable, rt.retryAfter(), movingMsg(r.ID))
 	}
 	owner := rt.owner(r.ID)
-	if srv := rt.targets[owner].Server; srv != nil {
-		return srv.ServePoll(dst, r)
-	}
-	if out, err := rt.ups[owner].poll(dst, r); err == nil {
+	if out, err := rt.peers[owner].poll(dst, r); err == nil {
 		return out
 	}
 	return appendRefusal(dst, http.StatusServiceUnavailable, rt.retryAfter(), rt.unreachableMsg(owner))
@@ -314,23 +299,19 @@ func appendRefusal(dst []byte, status int, retryAfter, msg string) []byte {
 	return append(dst, body...)
 }
 
-// forward hands the request to target owner: direct delegation for an
-// in-process host (the handler sees the original request — a 404 for
-// an unknown run id is the host's own answer passing through), the
-// upstream hop for a remote one.
+// forward hands the request to target owner's peer: an in-process
+// host's handler sees the original request (a 404 for an unknown run id
+// is the host's own answer passing through), a remote one's request
+// takes the upstream hop.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, owner int) {
-	if srv := rt.targets[owner].Server; srv != nil {
-		srv.ServeHTTP(w, r)
-		return
-	}
-	switch err := rt.ups[owner].forward(w, r, rt.opts.MaxBodyBytes); {
+	switch err := rt.peers[owner].forward(w, r, rt.opts.MaxBodyBytes); {
 	case err == nil:
 	case err == errBodyTooLarge:
 		errJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", rt.opts.MaxBodyBytes))
 	case errors.Is(err, errClientBody):
 		errJSON(w, http.StatusBadRequest, err.Error())
 	default:
-		rt.unreachable(w, owner)
+		rt.unavailable(w, rt.unreachableMsg(owner))
 	}
 }
 
@@ -345,25 +326,25 @@ var proxyHeaders = [...]string{"Content-Type", "Accept", "Last-Event-Id", "Cache
 // contentTypeIdx, as in respHeaders.
 const acceptIdx = 1
 
-// unreachable answers for an owning host that could not be reached or
-// did not answer: a deterministic 503 with a Retry-After hint. The raw
-// transport error is deliberately not echoed — it varies by OS and
-// timing, and the client's correct move (back off, retry, let the
-// fleet operator restart the host) does not depend on it.
-func (rt *Router) unreachable(w http.ResponseWriter, owner int) {
+// unavailable answers with the router's own 503 and a Retry-After hint:
+// a run mid-handoff, or an owning host that could not be reached or did
+// not answer.
+func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", rt.retryAfter())
-	errJSON(w, http.StatusServiceUnavailable, rt.unreachableMsg(owner))
+	errJSON(w, http.StatusServiceUnavailable, msg)
 }
 
-// unreachableMsg counts one failure of target owner and words the 503.
+// unreachableMsg words the 503 for an owning host the hop gave up on.
+// The raw transport error is deliberately not echoed — it varies by OS
+// and timing, and the client's correct move (back off, retry, let the
+// fleet operator restart the host) does not depend on it.
 func (rt *Router) unreachableMsg(owner int) string {
-	rt.ups[owner].failures.Add(1)
 	return fmt.Sprintf("schedd host %q unreachable", rt.targets[owner].Name)
 }
 
 // handleCreate is the placement cold path: decode the request (the
 // one body the router reads), mint an id unless the client pinned
-// one, and forward to the ring owner of that id.
+// one, and forward the re-encoded request to the owner of that id.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var q service.CreateRunRequest
 	r.Body = http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
@@ -384,34 +365,14 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusInternalServerError, fmt.Sprintf("encoding request: %v", err))
 		return
 	}
-	t := &rt.targets[owner]
-	if t.Server != nil {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/runs", bytes.NewReader(body))
-		if err != nil {
-			errJSON(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		t.Server.ServeHTTP(w, req)
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, t.URL+"/v1/runs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/runs", bytes.NewReader(body))
 	if err != nil {
 		errJSON(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.unreachable(w, owner)
-		return
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	req.Close = true // a URL target's hop does not pool the connection
+	rt.forward(w, req, owner)
 }
 
 // newID mints a router-assigned run id: same shape as the registry's
@@ -432,17 +393,9 @@ func (rt *Router) newID() string {
 // are unreachable too); the reachable fleet's view stays useful.
 func (rt *Router) handleList(w http.ResponseWriter, _ *http.Request) {
 	list := service.RunList{Runs: []service.RunInfo{}}
-	for i := range rt.targets {
-		t := &rt.targets[i]
-		if t.Server != nil {
-			for _, run := range t.Server.Registry().Runs() {
-				list.Runs = append(list.Runs, run.Info())
-			}
-			continue
-		}
-		var part service.RunList
-		if err := rt.getJSON(t, "/v1/runs", &part); err == nil {
-			list.Runs = append(list.Runs, part.Runs...)
+	for _, p := range rt.peers {
+		if part, err := p.runs(); err == nil {
+			list.Runs = append(list.Runs, part...)
 		}
 	}
 	sort.Slice(list.Runs, func(i, j int) bool {
@@ -462,12 +415,9 @@ func (rt *Router) handleList(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := service.MetricsResponse{Hosts: len(rt.targets), PerRun: []service.StatsResponse{}}
 	var merged service.BatchHistogram
-	for i := range rt.targets {
-		t := &rt.targets[i]
-		var tm service.MetricsResponse
-		if t.Server != nil {
-			tm = t.Server.Metrics()
-		} else if err := rt.getJSON(t, "/v1/metrics", &tm); err != nil {
+	for i, p := range rt.peers {
+		tm, err := p.metrics()
+		if err != nil {
 			continue
 		}
 		m.Runs += tm.Runs
@@ -484,7 +434,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.Subscribers += tm.Subscribers
 		merged.Merge(tm.BatchSizes)
 		for _, st := range tm.PerRun {
-			st.Host = t.Name
+			st.Host = rt.targets[i].Name
 			m.PerRun = append(m.PerRun, st)
 		}
 	}
@@ -500,21 +450,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	default:
 		errJSON(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (json or prometheus)", format))
 	}
-}
-
-// getJSON fetches path from a remote target. A peer's answer is decoded
-// tolerantly, unlike a client's request: on a fleet mid-upgrade a newer
-// peer may add a field, and that must not drop it from the fleet view.
-func (rt *Router) getJSON(t *Target, path string, out any) error {
-	resp, err := rt.client.Get(t.URL + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

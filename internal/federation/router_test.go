@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -228,7 +229,9 @@ func TestRouterContentNegotiation(t *testing.T) {
 	}
 
 	// Frame in, frame out: complete the JSON grant and ask for more.
-	frame := service.AppendNextRequestFrame(nil, 1, nil)
+	// The router passes frames through opaque, so they are spelled out
+	// here: magic "S1", type 1 (request), worker 1 (zigzag 2), no tasks.
+	frame := []byte("S1\x01\x02\x00")
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/runs/"+id+"/next", bytes.NewReader(frame))
 	req.Header.Set("Content-Type", service.ContentTypeFrame)
 	req.Header.Set("Accept", service.ContentTypeFrame)
@@ -241,12 +244,16 @@ func TestRouterContentNegotiation(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("Content-Type") != service.ContentTypeFrame {
 		t.Fatalf("frame next: status %d content-type %q body %q", resp2.StatusCode, resp2.Header.Get("Content-Type"), body2)
 	}
-	fr, err := service.DecodeNextResponseFrame(body2)
-	if err != nil {
-		t.Fatalf("decoding frame response: %v", err)
+	// Magic, type 2 (response), status 1 (ok), a task count, the tasks
+	// and blocks as varints, the lease as 8 bytes, and nothing after.
+	rest, ok := bytes.CutPrefix(body2, []byte("S1\x02\x01"))
+	n, k := binary.Uvarint(rest)
+	for i := uint64(0); ok && k > 0 && i <= n; i++ {
+		rest = rest[k:]
+		_, k = binary.Uvarint(rest)
 	}
-	if fr.Status != service.StatusOK || len(fr.Tasks) == 0 {
-		t.Fatalf("frame next response: %+v", fr)
+	if !ok || n == 0 || k <= 0 || len(rest) != k+8 {
+		t.Fatalf("frame next response %q: want an ok grant", body2)
 	}
 }
 

@@ -150,6 +150,7 @@ func TestRouterTopologies(t *testing.T) {
 		"drain a: 64 tasks once true",
 		"stats a: 200 64/64 complete",
 		"migrate minted: ok held by [dst] routed true",
+		"delete gone: 200",
 		"set epoch 2: ok, 0 parked",
 		"placement: a true, minted true, b true",
 		"recover b's host: ok moved true",
@@ -174,8 +175,9 @@ func TestRouterTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// a changes owner at epoch 2; b is on host 1 after it.
+			// a and gone change owner at epoch 2; b is on host 1 after it.
 			a := idWhere(t, "a", func(id string) bool { return ring1.Owner(id) == 0 && ring2.Owner(id) != 0 })
+			gone := idWhere(t, "gone", func(id string) bool { return ring1.Owner(id) == 2 && ring2.Owner(id) != 2 })
 			b := idWhere(t, "b", func(id string) bool { return ring2.Owner(id) == 1 })
 
 			rec := poll(rt, http.MethodPost, "/v1/runs", runBody(a))
@@ -213,6 +215,9 @@ func TestRouterTopologies(t *testing.T) {
 			for w := range pending {
 				pending[w] = pollVia(t, rt, b, w, nil).Tasks
 			}
+			createVia(t, rt, gone)
+			rec = poll(rt, http.MethodDelete, "/v1/runs/"+gone, "")
+			logf("delete gone: %d", rec.Code)
 
 			err = rt.SetEpoch(2)
 			if err != nil {

@@ -87,6 +87,9 @@ type upstream struct {
 	mu   sync.Mutex
 	idle []*upConn // most recently used last
 
+	// failures counts the requests the hop gave up on (a refused dial, a
+	// lost connection, an answer not understood); the router answers
+	// each with its 503.
 	dials, reuses, stale, failures atomic.Uint64
 }
 
@@ -245,6 +248,7 @@ func appendRequest[S ~string | ~[]byte](dst []byte, up *upstream, method string,
 // been executed there. Otherwise the caller releases uc.
 func (up *upstream) exchange(req []byte, method string) (uc *upConn, h respHead, b []byte, short bool, err error) {
 	if uc, err = up.get(); err != nil {
+		up.failures.Add(1)
 		return nil, h, nil, false, err
 	}
 	if _, err = uc.c.Write(req); err == nil {
@@ -260,6 +264,7 @@ func (up *upstream) exchange(req []byte, method string) (uc *upConn, h respHead,
 	}
 	if err != nil {
 		uc.c.Close()
+		up.failures.Add(1)
 		return nil, h, nil, false, err
 	}
 	return uc, h, b, short, nil
@@ -293,8 +298,12 @@ func (up *upstream) forward(w http.ResponseWriter, r *http.Request, maxBody int6
 	if err != nil {
 		return err
 	}
+	// A request marked Close keeps its connection out of the pool, as
+	// http.Transport does: the router's create is one, since a peer's
+	// request loop hands a connection that carried anything but a poll
+	// to net/http for good.
 	reusable := false
-	defer func() { up.release(uc, reusable) }()
+	defer func() { up.release(uc, reusable && !r.Close) }()
 	for i, name := range respHeaders {
 		if h.fwd[i] != "" {
 			w.Header().Set(name, h.fwd[i])
@@ -353,6 +362,7 @@ func (up *upstream) poll(dst []byte, r *pollserve.Request) ([]byte, error) {
 	}
 	if h.chunked || h.length < 0 || h.length > maxPollAnswer {
 		uc.c.Close()
+		up.failures.Add(1)
 		return dst, errBadHead
 	}
 	out := pollserve.AppendHead(dst, h.status, h.fwd[contentTypeIdx], h.fwd[retryAfterIdx], int(h.length))
@@ -364,6 +374,7 @@ func (up *upstream) poll(dst []byte, r *pollserve.Request) ([]byte, error) {
 		out = slices.Grow(out, int(h.length))[:n+int(h.length)]
 		if _, err := io.ReadFull(uc.br, out[n:]); err != nil {
 			uc.c.Close()
+			up.failures.Add(1)
 			return dst, err
 		}
 	}

@@ -214,6 +214,9 @@ func routerOver(t *testing.T, url string, opts Options) *Router {
 	return rt
 }
 
+// hop is the upstream of URL target i.
+func (rt *Router) hop(i int) *upstream { return rt.peers[i].(*remote).upstream }
+
 func poll(rt http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	if body != "" {
@@ -275,7 +278,7 @@ func TestRouterProxyFraming(t *testing.T) {
 					t.Errorf("request %d: %s = %q, want %q", i, c.header[0], rec.Header().Get(c.header[0]), c.header[1])
 				}
 			}
-			if got := rt.ups[0].dials.Load(); got != c.wantDials {
+			if got := rt.hop(0).dials.Load(); got != c.wantDials {
 				t.Errorf("%d dials for two requests, want %d", got, c.wantDials)
 			}
 			if got := peer.requests.Load(); got != 2 {
@@ -333,9 +336,9 @@ func (c countingConn) Write(b []byte) (int, error) {
 // TestRouterProxyOneWritePerPoll pins the point of the hop: a forwarded
 // poll, head and body, leaves in one Write.
 func TestRouterProxyOneWritePerPoll(t *testing.T) {
-	rt, _, _ := newHTTPFleet(t, 1)
+	rt, servers, _ := newHTTPFleet(t, 1)
 	var writes atomic.Int64
-	up := rt.ups[0]
+	up := rt.hop(0)
 	dial := up.dial
 	up.dial = func(network, addr string) (net.Conn, error) {
 		c, err := dial(network, addr)
@@ -344,7 +347,7 @@ func TestRouterProxyOneWritePerPoll(t *testing.T) {
 		}
 		return countingConn{c.(*net.TCPConn), &writes}, nil
 	}
-	createVia(t, rt, "one-write")
+	createVia(t, servers[0], "one-write")
 	const polls = 50
 	for i := 0; i < polls; i++ {
 		if rec := poll(rt, http.MethodPost, "/v1/runs/one-write/next", `{"worker":0}`); rec.Code != http.StatusOK {
@@ -387,7 +390,7 @@ func TestRouterProxyPeerDropsMidResponse(t *testing.T) {
 			if got := peer.requests.Load(); got != 1 {
 				t.Errorf("peer saw %d requests, want exactly 1", got)
 			}
-			if f := rt.ups[0].failures.Load(); f != 1 {
+			if f := rt.hop(0).failures.Load(); f != 1 {
 				t.Errorf("failures = %d, want 1", f)
 			}
 		})
@@ -414,7 +417,7 @@ func TestRouterProxyPeerRestart(t *testing.T) {
 	}
 	ts := start(ln)
 	rt := routerOver(t, "http://"+addr, Options{})
-	createVia(t, rt, "restart")
+	createVia(t, srv, "restart")
 	if rec := poll(rt, http.MethodPost, "/v1/runs/restart/next", `{"worker":0}`); rec.Code != http.StatusOK {
 		t.Fatalf("first poll: status %d body %s", rec.Code, rec.Body)
 	}
@@ -433,7 +436,7 @@ func TestRouterProxyPeerRestart(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	// The create goes through Options.Client, the two polls through the hop.
+	// The run is created on the host itself, the two polls go through the hop.
 	want := []UpstreamStatus{{Host: "host-0", Dials: 2, Reuses: 0, Stale: 1, Failures: 0}}
 	if len(st.Upstream) != 1 || st.Upstream[0] != want[0] {
 		t.Errorf("/v1/ring upstream = %+v, want %+v", st.Upstream, want)
@@ -477,7 +480,7 @@ func TestRouterProxyHTTPSTarget(t *testing.T) {
 	ts.StartTLS()
 	t.Cleanup(ts.Close)
 	rt := routerOver(t, ts.URL, Options{})
-	if rt.ups[0].tls == nil {
+	if rt.hop(0).tls == nil {
 		t.Fatalf("target %s not dialed with TLS", ts.URL)
 	}
 	if rec := poll(rt, http.MethodGet, "/v1/runs/r/stats", ""); rec.Code != http.StatusServiceUnavailable {
@@ -538,7 +541,7 @@ func TestRouterSSEClientDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := len(rt.ups[0].idle); n != 0 {
+	if n := len(rt.hop(0).idle); n != 0 {
 		t.Errorf("%d pooled connections after an abandoned stream, want 0", n)
 	}
 }
@@ -570,7 +573,7 @@ func TestRouterProxyHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	up := rt.ups[0]
+	up := rt.hop(0)
 	if got := peer.requests.Load(); got != workers*each {
 		t.Errorf("peer executed %d requests, want exactly %d", got, workers*each)
 	}

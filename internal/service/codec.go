@@ -57,8 +57,6 @@ var statusCodes = map[string]byte{
 	StatusDone: 3,
 }
 
-var statusNames = [4]string{0: "", 1: StatusOK, 2: StatusWait, 3: StatusDone}
-
 // --- JSON fast path ---------------------------------------------------
 
 // jsonSpace reports JSON insignificant whitespace.
@@ -315,29 +313,7 @@ func (r *frameReader) uvarint() uint64 {
 
 func (r *frameReader) svarint() int64 { return unzigzag(r.uvarint()) }
 
-func (r *frameReader) float64() float64 {
-	if r.i+8 > len(r.data) {
-		r.bad = true
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.i:]))
-	r.i += 8
-	return v
-}
-
 func (r *frameReader) done() bool { return !r.bad && r.i == len(r.data) }
-
-// AppendNextRequestFrame appends the binary-frame encoding of a poll
-// request to dst.
-func AppendNextRequestFrame(dst []byte, worker int64, completed []int64) []byte {
-	dst = append(dst, frameMagic0, frameMagic1, frameReq)
-	dst = appendUvarint(dst, zigzag(worker))
-	dst = appendUvarint(dst, uint64(len(completed)))
-	for _, t := range completed {
-		dst = appendUvarint(dst, zigzag(t))
-	}
-	return dst
-}
 
 // appendNextResponseFrame is the server-side response framing, built
 // from the host's native types like the JSON fast path. ok=false means
@@ -357,21 +333,6 @@ func appendNextResponseFrame(dst []byte, status string, tasks []core.Task, block
 	var lease [8]byte
 	binary.LittleEndian.PutUint64(lease[:], math.Float64bits(leaseSeconds))
 	return append(dst, lease[:]...), true
-}
-
-// AppendNextResponseFrame appends the binary-frame encoding of a poll
-// response to dst. Statuses outside the protocol's three reject rather
-// than silently truncating the enum.
-func AppendNextResponseFrame(dst []byte, resp *NextResponse) ([]byte, error) {
-	tasks := make([]core.Task, len(resp.Tasks))
-	for i, t := range resp.Tasks {
-		tasks[i] = core.Task(t)
-	}
-	out, ok := appendNextResponseFrame(dst, resp.Status, tasks, resp.Blocks, resp.LeaseSeconds)
-	if !ok {
-		return dst, fmt.Errorf("frame: status %q has no wire code", resp.Status)
-	}
-	return out, nil
 }
 
 // decodeNextRequestFrame parses a poll-request frame, appending the
@@ -404,58 +365,4 @@ func decodeNextRequestFrame(data []byte, buf []core.Task) (worker int64, complet
 		return 0, completed[:0], fmt.Errorf("frame: %d trailing bytes", len(data)-r.i)
 	}
 	return worker, completed, nil
-}
-
-// DecodeNextRequestFrame parses a poll-request frame into the wire
-// struct.
-func DecodeNextRequestFrame(data []byte) (NextRequest, error) {
-	worker, completed, err := decodeNextRequestFrame(data, nil)
-	if err != nil {
-		return NextRequest{}, err
-	}
-	q := NextRequest{Worker: int(worker)}
-	if len(completed) > 0 {
-		q.Completed = make([]int64, len(completed))
-		for i, t := range completed {
-			q.Completed[i] = int64(t)
-		}
-	}
-	return q, nil
-}
-
-// DecodeNextResponseFrame parses a poll-response frame into the wire
-// struct. The lease field is decoded unconditionally (the frame always
-// carries it); zero means what an absent JSON field means.
-func DecodeNextResponseFrame(data []byte) (NextResponse, error) {
-	if len(data) < 4 || data[0] != frameMagic0 || data[1] != frameMagic1 {
-		return NextResponse{}, fmt.Errorf("frame: bad magic")
-	}
-	if data[2] != frameResp {
-		return NextResponse{}, fmt.Errorf("frame: message type %#02x is not a response", data[2])
-	}
-	code := data[3]
-	if int(code) >= len(statusNames) || statusNames[code] == "" {
-		return NextResponse{}, fmt.Errorf("frame: unknown status code %d", code)
-	}
-	r := frameReader{data: data, i: 4}
-	count := r.uvarint()
-	if count > uint64(len(data)) {
-		return NextResponse{}, fmt.Errorf("frame: task count %d exceeds frame size", count)
-	}
-	resp := NextResponse{Status: statusNames[code]}
-	if count > 0 {
-		resp.Tasks = make([]int64, 0, count)
-		for k := uint64(0); k < count; k++ {
-			resp.Tasks = append(resp.Tasks, r.svarint())
-		}
-	}
-	resp.Blocks = int(r.svarint())
-	resp.LeaseSeconds = r.float64()
-	if !r.done() {
-		if r.bad {
-			return NextResponse{}, fmt.Errorf("frame: truncated response")
-		}
-		return NextResponse{}, fmt.Errorf("frame: %d trailing bytes", len(data)-r.i)
-	}
-	return resp, nil
 }

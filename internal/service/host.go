@@ -286,35 +286,6 @@ func (e *JournalError) Unwrap() error { return e.Err }
 // anything past a batch-sized report switches to the O(k log k) sort.
 const smallReport = 16
 
-// dupInReport returns a task reported more than once in completed, if
-// any. Reports of length ≤ smallReport use the quadratic scan; longer
-// ones build a map. The poll path uses the allocation-free
-// (*workerSlot).dup instead; this standalone form remains for the
-// cutoff benchmarks.
-func dupInReport(completed []core.Task) (core.Task, bool) {
-	if len(completed) <= 1 {
-		return 0, false
-	}
-	if len(completed) <= smallReport {
-		for i := 1; i < len(completed); i++ {
-			for j := 0; j < i; j++ {
-				if completed[i] == completed[j] {
-					return completed[i], true
-				}
-			}
-		}
-		return 0, false
-	}
-	seen := make(map[core.Task]struct{}, len(completed))
-	for _, t := range completed {
-		if _, dup := seen[t]; dup {
-			return t, true
-		}
-		seen[t] = struct{}{}
-	}
-	return 0, false
-}
-
 // NewHost wraps drv, serving batches of about batch tasks per Next
 // call (batch < 1 is treated as 1; see Next for the exact batch-size
 // contract). A positive lease arms task reclamation: an assignment not

@@ -11,6 +11,35 @@ import (
 	"hetsched/internal/events"
 )
 
+// dupInReport returns a task reported more than once in completed, if
+// any. Reports of length ≤ smallReport use the quadratic scan the poll
+// path runs (Host.apply); longer ones build a map, where the poll path
+// finds duplicates in its fused validate-and-apply loop instead. This
+// standalone form is for the cutoff test and benchmarks.
+func dupInReport(completed []core.Task) (core.Task, bool) {
+	if len(completed) <= 1 {
+		return 0, false
+	}
+	if len(completed) <= smallReport {
+		for i := 1; i < len(completed); i++ {
+			for j := 0; j < i; j++ {
+				if completed[i] == completed[j] {
+					return completed[i], true
+				}
+			}
+		}
+		return 0, false
+	}
+	seen := make(map[core.Task]struct{}, len(completed))
+	for _, t := range completed {
+		if _, dup := seen[t]; dup {
+			return t, true
+		}
+		seen[t] = struct{}{}
+	}
+	return 0, false
+}
+
 // dupReport builds a duplicate-free completion report of k tasks with
 // realistic (non-contiguous) identifiers.
 func dupReport(k int) []core.Task {

@@ -18,7 +18,7 @@ import (
 // stream through the exact recovery path and atomically takes
 // ownership. The federation router orchestrates which runs move where
 // (internal/federation); this layer only knows how to move one run
-// correctly.
+// correctly, in one body (Migrate) whoever asks.
 //
 // Protocol (three-phase, source-driven):
 //
@@ -209,33 +209,20 @@ func applyTail(run *Run, tail []core.Mutation) error {
 	return nil
 }
 
-// MigrateTo moves run id from s to dst in-process — the direct-mode
-// twin of the HTTP migrate endpoint, used by the federation router's
-// in-process targets and the cluster harness. On any import failure
-// the source unfences and keeps serving; the run is never in limbo.
-func (s *Server) MigrateTo(id string, dst *Server) error {
+// Migrate moves run id off this host, the one body every migration
+// takes: fence and export the run (BeginMigrate), hand the stream to
+// push, then commit the departure (CommitMigrate) or, when push fails,
+// unfence and keep serving (AbortMigrate) — the run is never in limbo.
+// push delivers the stream to the destination: its ImportRun in process,
+// PushTransfer to a remote host's import endpoint.
+func (s *Server) Migrate(id string, push func(stream []byte) error) error {
 	stream, err := s.BeginMigrate(id)
 	if err != nil {
 		return err
 	}
-	if _, err := dst.ImportRun(stream); err != nil {
+	if err := push(stream); err != nil {
 		s.AbortMigrate(id)
 		return err
-	}
-	return s.CommitMigrate(id)
-}
-
-// MigrateToURL moves run id from s to the host at target (a base
-// URL) — the push half of the HTTP migrate endpoint, exported for the
-// federation router's mixed direct-to-daemon topologies.
-func (s *Server) MigrateToURL(id, target string) error {
-	stream, err := s.BeginMigrate(id)
-	if err != nil {
-		return err
-	}
-	if err := PushTransfer(s.migrateClient(), target, stream); err != nil {
-		s.AbortMigrate(id)
-		return fmt.Errorf("service: pushing %q to %s: %w", id, target, err)
 	}
 	return s.CommitMigrate(id)
 }
@@ -252,11 +239,10 @@ type migrateResponse struct {
 	Target string `json:"target"`
 }
 
-// handleMigrate serves POST /v1/runs/{id}/migrate on the source: fence
-// and export the run, push the stream to the target's import endpoint,
-// and commit or abort by the target's verdict. The push uses the
-// server's migration client (Options.MigrateClient, default
-// http.DefaultClient), so tests and the router can inject transports.
+// handleMigrate serves POST /v1/runs/{id}/migrate on the source:
+// Migrate, pushing the stream to the target's import endpoint with the
+// server's migration client (Options.MigrateClient, default a client
+// with a 30s timeout), so tests can inject transports.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var q migrateRequest
@@ -269,32 +255,31 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "migrate needs a target base URL")
 		return
 	}
-	stream, err := s.BeginMigrate(id)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrMigrating):
-			writeError(w, http.StatusConflict, err.Error())
-		case errors.Is(err, ErrMigrated):
-			writeError(w, http.StatusGone, err.Error())
-		case errors.Is(err, ErrRunNotFound):
-			writeError(w, http.StatusNotFound, err.Error())
-		default:
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		}
-		return
-	}
-	if err := PushTransfer(s.migrateClient(), q.Target, stream); err != nil {
-		s.AbortMigrate(id)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("migrating %q to %s: %v", id, q.Target, err))
-		return
-	}
-	if err := s.CommitMigrate(id); err != nil {
+	var pushed bool
+	var pushErr error
+	err := s.Migrate(id, func(stream []byte) error {
+		pushed = true
+		pushErr = PushTransfer(s.migrateClient(), q.Target, stream)
+		return pushErr
+	})
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, migrateResponse{ID: id, Target: q.Target})
+	case pushErr != nil:
+		writeError(w, http.StatusBadGateway, fmt.Sprintf("migrating %q to %s: %v", id, q.Target, pushErr))
+	case pushed:
 		// The destination owns the run now; a commit failure here is a
 		// journaling problem on the source, not a failed migration.
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+	case errors.Is(err, ErrMigrating):
+		writeError(w, http.StatusConflict, err.Error())
+	case errors.Is(err, ErrMigrated):
+		writeError(w, http.StatusGone, err.Error())
+	case errors.Is(err, ErrRunNotFound):
+		writeError(w, http.StatusNotFound, err.Error())
+	default:
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	}
-	writeJSON(w, http.StatusOK, migrateResponse{ID: id, Target: q.Target})
 }
 
 // handleImport serves POST /v1/runs/import on the destination: the
@@ -323,8 +308,9 @@ func (s *Server) migrateClient() *http.Client {
 }
 
 // PushTransfer POSTs one transfer stream to the import endpoint of the
-// host at target (a base URL). Exported for the federation router's
-// death path, which pushes scavenged streams on a dead source's behalf.
+// host at target (a base URL). Exported for the federation router,
+// whose remote targets import through it: a run migrating to one, or
+// scavenged from a dead host's journal.
 func PushTransfer(client *http.Client, target string, stream []byte) error {
 	req, err := http.NewRequest("POST", target+"/v1/runs/import", bytes.NewReader(stream))
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // can be interrupted — source killed mid-transfer, destination killed
 // mid-replay, the same run migrated twice, a stale owner poked after
 // the fence — must resolve to exactly-once accounting and
-// deterministic rejections, through both the in-process (MigrateTo)
-// and the HTTP (POST /v1/runs/{id}/migrate) paths.
+// deterministic rejections, through both the in-process (Migrate into
+// ImportRun) and the HTTP (POST /v1/runs/{id}/migrate) paths.
 
 // migrateWorld is a pair of journaled servers behind httptest
 // listeners, the minimal two-host fleet a migration needs.
@@ -45,6 +45,15 @@ func newJournaledServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(svc)
 	t.Cleanup(func() { ts.Close(); svc.Close(); jr.Close() })
 	return svc, ts
+}
+
+// importInto is the in-process push: the stream goes straight to dst's
+// ImportRun.
+func importInto(dst *Server) func([]byte) error {
+	return func(stream []byte) error {
+		_, err := dst.ImportRun(stream)
+		return err
+	}
 }
 
 // seedRun creates a small flat run on src and drives every worker
@@ -179,7 +188,7 @@ func TestMigrateDirect(t *testing.T) {
 	w := newMigrateWorld(t)
 	info, pending, accepted := w.seedRun(t)
 
-	if err := w.src.MigrateTo(info.ID, w.dst); err != nil {
+	if err := w.src.Migrate(info.ID, importInto(w.dst)); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	if _, ok := w.src.Registry().Get(info.ID); ok {
@@ -398,7 +407,7 @@ func TestMigrateReplayedLeases(t *testing.T) {
 
 	srcRun, _ := w.src.Registry().Get(info.ID)
 	before := srcRun.Host.Stats()
-	if err := w.src.MigrateTo(info.ID, w.dst); err != nil {
+	if err := w.src.Migrate(info.ID, importInto(w.dst)); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	dstRun, _ := w.dst.Registry().Get(info.ID)
@@ -419,7 +428,7 @@ func TestMigrateStaleDirectPointer(t *testing.T) {
 	info, _, _ := w.seedRun(t)
 	stale, _ := w.src.Registry().Get(info.ID)
 
-	if err := w.src.MigrateTo(info.ID, w.dst); err != nil {
+	if err := w.src.Migrate(info.ID, importInto(w.dst)); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	_, _, err := stale.Host.Next(0, nil)

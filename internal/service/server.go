@@ -80,8 +80,7 @@ type Options struct {
 	RecoverGate <-chan struct{}
 	// MigrateClient is the HTTP client the migrate endpoint uses to push
 	// transfer streams to a destination host (nil selects a default
-	// client with a 30s timeout). The federation router and tests inject
-	// transports here.
+	// client with a 30s timeout). Tests inject transports here.
 	MigrateClient *http.Client
 }
 
