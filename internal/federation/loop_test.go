@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -194,28 +195,33 @@ func TestRouterLoopPeerRestart(t *testing.T) {
 	}
 }
 
-// TestRouterCreateKeepsPollsOnTheLoop: a run created through the router
-// takes the hop like any per-run request, on a connection the hop then
-// closes — a host's request loop hands a connection that carried a
-// create to net/http for good, and a pooled one would take the run's
-// polls with it.
+// TestRouterCreateKeepsPollsOnTheLoop: a host's request loop hands a
+// connection to net/http for good at its first request that is not a
+// poll, so the hop keeps those requests — a create through the router,
+// a stats read — on connections of their own, and every poll on the
+// pooled poll connection is still answered by the loop.
 func TestRouterCreateKeepsPollsOnTheLoop(t *testing.T) {
 	srv := service.New(service.Options{GCInterval: -1})
 	t.Cleanup(srv.Close)
 	addr, _ := serveLoop(t, srv, nil)
 	rt := routerOver(t, "http://"+addr, Options{})
 	createVia(t, rt, "on-the-loop")
-	for w := 0; w < 2; w++ {
-		if status, _, body := loopPoll(t, rt, "on-the-loop", `{"worker":0}`); status != http.StatusOK {
+	for w := 0; w < 3; w++ {
+		if status, _, body := loopPoll(t, rt, "on-the-loop", fmt.Sprintf(`{"worker":%d}`, w)); status != http.StatusOK {
 			t.Fatalf("poll %d: status %d body %s", w, status, body)
+		}
+		if w == 1 {
+			if rec := poll(rt, http.MethodGet, "/v1/runs/on-the-loop/stats", ""); rec.Code != http.StatusOK {
+				t.Fatalf("stats: status %d body %s", rec.Code, rec.Body)
+			}
 		}
 	}
 	up := rt.hop(0)
-	if d, r := up.dials.Load(), up.reuses.Load(); d != 2 || r != 1 {
-		t.Errorf("dials=%d reuses=%d, want 2 (the create's, then the polls') and 1", d, r)
+	if d, r := up.dials.Load(), up.reuses.Load(); d != 2 || r != 3 {
+		t.Errorf("dials=%d reuses=%d, want 2 (one per class) and 3", d, r)
 	}
-	if got := srv.Metrics().LoopPolls; got != 2 {
-		t.Errorf("the host's loop answered %d polls, want 2", got)
+	if got := srv.Metrics().LoopPolls; got != 3 {
+		t.Errorf("the host's loop answered %d polls, want 3", got)
 	}
 }
 

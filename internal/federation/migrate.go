@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"hetsched/internal/durable"
@@ -103,14 +104,7 @@ func ownerOn(r *Ring, id string, down uint64) int {
 // decided, and a stranded run is at least still being served by a live
 // host that the next SetEpoch or an operator retry can move.
 func (rt *Router) handoff(next *Ring, moves []move) error {
-	if len(moves) > 0 {
-		m := make(map[string]bool, len(moves))
-		for _, mv := range moves {
-			m[mv.id] = true
-		}
-		rt.moving.Store(&m)
-		defer rt.moving.Store(nil)
-	}
+	defer rt.publishMoving(moves)()
 	var errs []string
 	stranded := make(map[string]int32)
 	for _, mv := range moves {
@@ -122,11 +116,7 @@ func (rt *Router) handoff(next *Ring, moves []move) error {
 	// The fleet now matches the new ring (plan enumerated actual
 	// placement, holders included runs parked in the override table), so
 	// the table resets to just the strandings.
-	if len(stranded) > 0 {
-		rt.overrides.Store(&stranded)
-	} else {
-		rt.overrides.Store(nil)
-	}
+	rt.setOverrides(stranded)
 	rt.ring.Store(next)
 	if len(errs) > 0 {
 		return fmt.Errorf("federation: %d of %d migrations failed: %s", len(errs), len(moves), strings.Join(errs, "; "))
@@ -151,9 +141,7 @@ func (rt *Router) MigrateRun(id, dstName string) error {
 	if src == di {
 		return nil
 	}
-	m := map[string]bool{id: true}
-	rt.moving.Store(&m)
-	defer rt.moving.Store(nil)
+	defer rt.publishMoving([]move{{id: id}})()
 	if err := rt.migrate(move{id: id, src: src, dst: di}); err != nil {
 		return err
 	}
@@ -169,12 +157,33 @@ func (rt *Router) MigrateRun(id, dstName string) error {
 	} else {
 		next[id] = int32(di)
 	}
-	if len(next) > 0 {
-		rt.overrides.Store(&next)
-	} else {
-		rt.overrides.Store(nil)
-	}
+	rt.setOverrides(next)
 	return nil
+}
+
+// publishMoving marks the runs of moves mid-handoff, so that the router
+// answers their polls with 503 + Retry-After, until the returned func
+// clears the set.
+func (rt *Router) publishMoving(moves []move) (clear func()) {
+	if len(moves) == 0 {
+		return func() {}
+	}
+	m := make(map[string]bool, len(moves))
+	for _, mv := range moves {
+		m[mv.id] = true
+	}
+	rt.moving.Store(&m)
+	return func() { rt.moving.Store(nil) }
+}
+
+// setOverrides publishes the override table: nil when empty, so the
+// steady path pays one nil check.
+func (rt *Router) setOverrides(m map[string]int32) {
+	if len(m) == 0 {
+		rt.overrides.Store(nil)
+		return
+	}
+	rt.overrides.Store(&m)
 }
 
 // migrate moves one run between targets: the source's peer runs the
@@ -259,17 +268,7 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 			return err
 		}
 	}
-	if len(moves)+len(liveMoves) > 0 {
-		m := make(map[string]bool, len(moves)+len(liveMoves))
-		for _, mv := range moves {
-			m[mv.id] = true
-		}
-		for _, mv := range liveMoves {
-			m[mv.id] = true
-		}
-		rt.moving.Store(&m)
-		defer rt.moving.Store(nil)
-	}
+	defer rt.publishMoving(slices.Concat(moves, liveMoves))()
 	var errs []string
 	for _, mv := range moves {
 		if err := rt.recoverRun(dt.JournalDir, mv); err != nil {
@@ -301,11 +300,7 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 			errs = append(errs, fmt.Sprintf("%s: %v", mv.id, err))
 		}
 	}
-	if len(stranded) > 0 {
-		rt.overrides.Store(&stranded)
-	} else {
-		rt.overrides.Store(nil)
-	}
+	rt.setOverrides(stranded)
 	rt.ring.Store(next)
 	if len(errs) > 0 {
 		return fmt.Errorf("federation: recovering %q: %d runs failed: %s", dead, len(errs), strings.Join(errs, "; "))

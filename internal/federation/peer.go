@@ -108,12 +108,7 @@ func (p *remote) migrate(id string, dst peer) error {
 		return fmt.Errorf("destination %q has no URL a remote source can push to", dst.(*local).name)
 	}
 	body := strings.NewReader(fmt.Sprintf("{\"target\":%q}", d.url))
-	req, err := http.NewRequest(http.MethodPost, p.url+"/v1/runs/"+id+"/migrate", body)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
+	resp, err := p.client.Post(p.url+"/v1/runs/"+id+"/migrate", "application/json", body)
 	if err != nil {
 		return fmt.Errorf("source %q unreachable: %w", p.name, err)
 	}

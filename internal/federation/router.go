@@ -87,8 +87,8 @@ type Router struct {
 	ring    atomic.Pointer[Ring]
 	targets []Target
 	// peers[i] is how the router reaches targets[i] (peer.go).
-	peers []peer
-	opts  Options
+	peers   []peer
+	opts    Options
 	maxPoll int64 // MaxPollBody's answer, fixed by NewRouter
 
 	// handoffMu serializes rebalances (SetEpoch, RecoverHost,
@@ -371,7 +371,6 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Close = true // a URL target's hop does not pool the connection
 	rt.forward(w, req, owner)
 }
 

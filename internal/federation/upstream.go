@@ -84,8 +84,13 @@ type upstream struct {
 	// dial is the seam tests count writes through.
 	dial func(network, addr string) (net.Conn, error)
 
-	mu   sync.Mutex
-	idle []*upConn // most recently used last
+	mu sync.Mutex
+	// idle and cold are the pooled connections, most recently used last:
+	// idle those that have carried only polls, cold the rest. A host's
+	// request loop hands a connection to net/http for good at its first
+	// request that is not a poll, so the other requests keep to
+	// connections of their own and no poll pays for net/http.
+	idle, cold []*upConn
 
 	// failures counts the requests the hop gave up on (a refused dial, a
 	// lost connection, an answer not understood); the router answers
@@ -95,8 +100,9 @@ type upstream struct {
 
 // upConn is one keep-alive connection, used by one request at a time.
 type upConn struct {
-	c  net.Conn
-	br *bufio.Reader
+	c    net.Conn
+	br   *bufio.Reader
+	cold bool // pooled in upstream.cold
 	// probe is the idle check on the socket under c (probe_*.go).
 	probe idleProbe
 }
@@ -122,18 +128,20 @@ func newUpstream(base string) (*upstream, error) {
 }
 
 // get returns a connection to send one request on, its deadline set:
-// the most recently used idle one that is still open, else a new one.
-func (up *upstream) get() (*upConn, error) {
+// the most recently used one of the pool the request's class takes that
+// is still open, else a new one.
+func (up *upstream) get(cold bool) (*upConn, error) {
 	deadline := time.Now().Add(headerBudget)
+	pool := up.pool(cold)
 	for {
 		up.mu.Lock()
-		n := len(up.idle)
+		n := len(*pool)
 		if n == 0 {
 			up.mu.Unlock()
 			break
 		}
-		uc := up.idle[n-1]
-		up.idle = up.idle[:n-1]
+		uc := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
 		up.mu.Unlock()
 		if uc.alive() && uc.c.SetDeadline(deadline) == nil {
 			up.reuses.Add(1)
@@ -160,9 +168,18 @@ func (up *upstream) get() (*upConn, error) {
 		c = tc
 	}
 	up.dials.Add(1)
-	uc := &upConn{c: c, br: bufio.NewReader(c)}
+	uc := &upConn{c: c, br: bufio.NewReader(c), cold: cold}
 	uc.probe.init(raw)
 	return uc, nil
+}
+
+// pool is the idle list of a class of requests: cold for anything but
+// a poll.
+func (up *upstream) pool(cold bool) *[]*upConn {
+	if cold {
+		return &up.cold
+	}
+	return &up.idle
 }
 
 // alive reports whether an idle connection is still open and silent: a
@@ -188,9 +205,10 @@ func quietWithin(c net.Conn, wait time.Duration) bool {
 
 // put returns a connection whose response was read to its end.
 func (up *upstream) put(uc *upConn) {
+	pool := up.pool(uc.cold)
 	up.mu.Lock()
-	if len(up.idle) < maxIdleConns {
-		up.idle = append(up.idle, uc)
+	if len(*pool) < maxIdleConns {
+		*pool = append(*pool, uc)
 		uc = nil
 	}
 	up.mu.Unlock()
@@ -246,8 +264,8 @@ func appendRequest[S ~string | ~[]byte](dst []byte, up *upstream, method string,
 // 503. On an error the connection is already closed; the target could
 // not be reached or did not answer in HTTP, and the request may have
 // been executed there. Otherwise the caller releases uc.
-func (up *upstream) exchange(req []byte, method string) (uc *upConn, h respHead, b []byte, short bool, err error) {
-	if uc, err = up.get(); err != nil {
+func (up *upstream) exchange(req []byte, method string, cold bool) (uc *upConn, h respHead, b []byte, short bool, err error) {
+	if uc, err = up.get(cold); err != nil {
 		up.failures.Add(1)
 		return nil, h, nil, false, err
 	}
@@ -294,16 +312,12 @@ func (up *upstream) forward(w http.ResponseWriter, r *http.Request, maxBody int6
 	req := appendRequest(sc.req[:0], up, r.Method, &hdr, sc.body, r.URL.RequestURI())
 	sc.req = req
 
-	uc, h, b, short, err := up.exchange(req, r.Method)
+	uc, h, b, short, err := up.exchange(req, r.Method, !isPoll(r))
 	if err != nil {
 		return err
 	}
-	// A request marked Close keeps its connection out of the pool, as
-	// http.Transport does: the router's create is one, since a peer's
-	// request loop hands a connection that carried anything but a poll
-	// to net/http for good.
 	reusable := false
-	defer func() { up.release(uc, reusable && !r.Close) }()
+	defer func() { up.release(uc, reusable) }()
 	for i, name := range respHeaders {
 		if h.fwd[i] != "" {
 			w.Header().Set(name, h.fwd[i])
@@ -356,7 +370,7 @@ func (up *upstream) poll(dst []byte, r *pollserve.Request) ([]byte, error) {
 	defer scratchPool.Put(sc)
 	hdr := [len(proxyHeaders)][]byte{contentTypeIdx: r.ContentType, acceptIdx: r.Accept}
 	sc.req = appendRequest(sc.req[:0], up, http.MethodPost, &hdr, r.Body, "/v1/runs/", r.ID, "/next")
-	uc, h, b, short, err := up.exchange(sc.req, http.MethodPost)
+	uc, h, b, short, err := up.exchange(sc.req, http.MethodPost, false)
 	if err != nil {
 		return dst, err
 	}
@@ -380,6 +394,14 @@ func (up *upstream) poll(dst []byte, r *pollserve.Request) ([]byte, error) {
 	}
 	up.release(uc, !h.close)
 	return out, nil
+}
+
+// isPoll reports whether r is a poll, POST /v1/runs/{id}/next: a
+// request a host's loop answers itself.
+func isPoll(r *http.Request) bool {
+	id, run := strings.CutPrefix(r.URL.Path, "/v1/runs/")
+	id, next := strings.CutSuffix(id, "/next")
+	return r.Method == http.MethodPost && run && next && id != "" && !strings.Contains(id, "/")
 }
 
 // readCapped appends all of r to dst, or fails with errBodyTooLarge

@@ -541,7 +541,7 @@ func TestRouterSSEClientDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := len(rt.hop(0).idle); n != 0 {
+	if n := len(rt.hop(0).idle) + len(rt.hop(0).cold); n != 0 {
 		t.Errorf("%d pooled connections after an abandoned stream, want 0", n)
 	}
 }
