@@ -3,10 +3,14 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetsched/internal/core"
@@ -15,17 +19,15 @@ import (
 	"hetsched/internal/trace"
 )
 
-// collect replays l into a slice.
+// collect reopens l, as recovery would, and returns the tail of the
+// one run its directory holds.
 func collect(t *testing.T, l *Log) []core.Mutation {
 	t.Helper()
-	var out []core.Mutation
-	if err := l.Replay(func(m core.Mutation) error {
-		out = append(out, m)
-		return nil
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
+	runs, err := ReadRuns(reopen(t, l).Dir())
+	if err != nil || len(runs) != 1 || runs[0].Err != nil {
+		t.Fatalf("ReadRuns = %+v, %v; want one run", runs, err)
 	}
-	return out
+	return runs[0].Tail
 }
 
 // reopen closes l and opens the directory again, as recovery would.
@@ -47,6 +49,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	defer l.Close()
 	l.AppendCreate("r1", 1, 100, []byte(`{"id":"r1"}`))
 	l.AppendPoll("r1", 2, 200, 0, nil)
 	l.AppendPoll("r1", 3, 300, 1, []core.Task{7, 9})
@@ -56,7 +59,17 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	got := collect(t, reopen(t, l))
+	data, err := os.ReadFile(filepath.Join(l.Dir(), segmentName(l.Gen())))
+	if err != nil {
+		t.Fatalf("read segment: %v", err)
+	}
+	var got []core.Mutation
+	if _, err := DecodeFrames(data, func(m core.Mutation) error {
+		got = append(got, m)
+		return nil
+	}); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
 	want := []core.Mutation{
 		{Op: core.MutCreate, Run: "r1", Seq: 1, TimeNs: 100, Worker: -1, Payload: []byte(`{"id":"r1"}`)},
 		{Op: core.MutPoll, Run: "r1", Seq: 2, TimeNs: 200, Worker: 0},
@@ -131,12 +144,11 @@ func TestJournalTornTailTruncated(t *testing.T) {
 			if err := os.WriteFile(seg, tc.mangle(data), 0o644); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			nl, err := Open(l.Dir())
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
+			runs, err := ReadRuns(l.Dir())
+			if err != nil || len(runs) != 1 {
+				t.Fatalf("ReadRuns = %+v, %v; want one run", runs, err)
 			}
-			defer nl.Close()
-			got := collect(t, nl)
+			got := runs[0].Tail
 			if len(got) != tc.survive {
 				t.Fatalf("replayed %d mutations, want %d", len(got), tc.survive)
 			}
@@ -189,7 +201,7 @@ func TestJournalTornInteriorGenerationReplaysLaterGenerations(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	got := collect(t, reopen(t, l))
+	got := collect(t, l)
 	want := []uint64{1, 2, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d mutations (%+v), want seqs %v", len(got), got, want)
@@ -231,7 +243,7 @@ func TestJournalDamagedGenerationSealedOnCommit(t *testing.T) {
 	if got := l.Gen(); got != gen+1 {
 		t.Fatalf("generation after damaged commit = %d, want %d (sealed and rotated)", got, gen+1)
 	}
-	got := collect(t, reopen(t, l))
+	got := collect(t, l)
 	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Fatalf("replayed %+v, want seqs [1 2]", got)
 	}
@@ -274,16 +286,15 @@ func TestJournalRotateAndPrune(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	got := collect(t, reopen(t, l))
-	if len(got) != 1 || got[0].Seq != 3 {
-		t.Fatalf("replay after prune = %+v, want only seq 3", got)
+	runs, err := ReadRuns(reopen(t, l).Dir())
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("ReadRuns = %+v, %v; want r1 alone", runs, err)
 	}
-	ss, err := l.LoadSnapshots()
-	if err != nil {
-		t.Fatalf("load snapshots: %v", err)
+	if s := runs[0].Snap; s == nil || s.Mutations != 2 {
+		t.Fatalf("read snapshot %+v, want r1@2", s)
 	}
-	if len(ss) != 1 || ss["r1"] == nil || ss["r1"].Mutations != 2 {
-		t.Fatalf("loaded snapshots = %+v, want r1@2", ss)
+	if got := runs[0].Tail; len(got) != 1 || got[0].Seq != 3 {
+		t.Fatalf("tail after prune = %+v, want only seq 3", got)
 	}
 }
 
@@ -408,29 +419,264 @@ func TestSnapshotTraceCanonical(t *testing.T) {
 	}
 }
 
-func TestLoadSnapshotsSkipsDamaged(t *testing.T) {
-	l, err := Open(t.TempDir())
+// hsn2Inexact is an HSN2 snapshot of run r1 whose one trace segment
+// starts at a time, in float seconds, that no nanosecond count renders
+// to. It is built from the HSN3 encoding of the same run with an empty
+// trace: the formats differ only in that section.
+func hsn2Inexact() []byte {
+	s := &RunSnapshot{ID: "r1", Mutations: 4, Request: []byte(`{}`), Workers: make([]WorkerCounters, 1)}
+	enc := AppendSnapshot(nil, s)
+	at := 4 + 2 + len(s.ID) + 8 + 1 + 4 + len(s.Request) + 15*8 + 4 + 4 + 32*len(s.Workers)
+	b := append([]byte("HSN2"), enc[4:at]...)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	for _, w := range []uint64{0, math.Float64bits(0.5e-9), math.Float64bits(1), 1, 1} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	b = append(b, enc[at+8:len(enc)-4]...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// describe renders what ReadRuns returned, one line a run: its id, the
+// snapshot's watermark, the tail's sequence numbers, or its error.
+func describe(runs []StoredRun) []string {
+	out := make([]string, 0, len(runs))
+	for _, r := range runs {
+		line := r.ID
+		if r.Err != nil {
+			line += " error: " + r.Err.Error()
+		}
+		if r.Snap != nil {
+			line += fmt.Sprintf(" snap %d", r.Snap.Mutations)
+		}
+		for i, m := range r.Tail {
+			if i == 0 {
+				line += " tail"
+			}
+			line += fmt.Sprintf(" %d", m.Seq)
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+// TestReadRuns has one row per rule of the reader. Each row journals
+// into a fresh directory (committed after setup) and names the runs
+// the reader must return, in order; a run's error must contain the
+// text after "error: ", and errIs must be in its chain.
+func TestReadRuns(t *testing.T) {
+	snap := func(t *testing.T, l *Log, id string, seq uint64) {
+		if err := l.WriteSnapshot(&RunSnapshot{ID: id, Mutations: seq, Request: []byte(`{}`)}); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+	}
+	polls := func(l *Log, id string, seqs ...uint64) {
+		for _, seq := range seqs {
+			l.AppendPoll(id, seq, int64(seq)*100, 0, nil)
+		}
+	}
+	hsn1, err := os.ReadFile(filepath.Join("..", "service", "testdata", "hsn1", "snap-r-hsn1-0000000000000005.snap"))
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatal(err)
 	}
-	defer l.Close()
-	good := goldenSnapshot()
-	good.Mutations = 5
-	if err := l.WriteSnapshot(good); err != nil {
-		t.Fatalf("write: %v", err)
+	cases := []struct {
+		name    string
+		setup   func(t *testing.T, l *Log)
+		want    []string
+		errIs   error
+		callErr string
+	}{
+		{
+			name: "a run without a snapshot opens with its create",
+			setup: func(t *testing.T, l *Log) {
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+				polls(l, "r1", 2, 3)
+			},
+			want: []string{"r1 tail 1 2 3"},
+		},
+		{
+			name: "live runs in id order, a snapshot alone among them",
+			setup: func(t *testing.T, l *Log) {
+				l.AppendCreate("gone", 1, 100, []byte(`{}`))
+				l.AppendCreate("alive", 1, 110, []byte(`{}`))
+				l.AppendSwept("gone", 2, 120)
+				snap(t, l, "frozen", 7)
+			},
+			want: []string{"alive tail 1", "frozen snap 7"},
+		},
+		{
+			name: "the tail starts above the snapshot's watermark",
+			setup: func(t *testing.T, l *Log) {
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+				polls(l, "r1", 2, 3, 4)
+				snap(t, l, "r1", 2)
+				snap(t, l, "r1", 1)
+			},
+			want: []string{"r1 snap 2 tail 3 4"},
+		},
+		{
+			name: "a damaged snapshot is skipped for an older one",
+			setup: func(t *testing.T, l *Log) {
+				snap(t, l, "r1", 5)
+				torn := AppendSnapshot(nil, &RunSnapshot{ID: "r1", Mutations: 9, Request: []byte(`{}`)})
+				if err := os.WriteFile(filepath.Join(l.Dir(), snapshotName("r1", 9)), torn[:len(torn)/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				polls(l, "r1", 6)
+			},
+			want: []string{"r1 snap 5 tail 6"},
+		},
+		{
+			name: "an HSN1 snapshot fails its run by file name",
+			setup: func(t *testing.T, l *Log) {
+				if err := os.WriteFile(filepath.Join(l.Dir(), "snap-r-hsn1-0000000000000005.snap"), hsn1, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				snap(t, l, "r-hsn1", 9)
+				l.AppendCreate("r2", 1, 100, []byte(`{}`))
+			},
+			want:  []string{"r-hsn1 error: snap-r-hsn1-0000000000000005.snap", "r2 tail 1"},
+			errIs: ErrOpLogSnapshot,
+		},
+		{
+			name: "an inexact HSN2 snapshot fails its run by file name",
+			setup: func(t *testing.T, l *Log) {
+				if err := os.WriteFile(filepath.Join(l.Dir(), snapshotName("r1", 4)), hsn2Inexact(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+			},
+			want:  []string{"r1 error: " + snapshotName("r1", 4)},
+			errIs: ErrInexactTrace,
+		},
+		{
+			name: "a torn tail ends only its own generation",
+			setup: func(t *testing.T, l *Log) {
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+				polls(l, "r1", 2, 3)
+				sealed, err := l.Rotate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg := filepath.Join(l.Dir(), segmentName(sealed))
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(seg, data[:len(data)-3], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				polls(l, "r1", 3, 4)
+			},
+			want: []string{"r1 tail 1 2 3 4"},
+		},
+		{
+			name: "records at or below the watermark are skipped, MutSwept included",
+			setup: func(t *testing.T, l *Log) {
+				// Migrated away at seq 3, back at seq 4 (the import's own).
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+				polls(l, "r1", 2)
+				l.AppendSwept("r1", 3, 300)
+				snap(t, l, "r1", 4)
+				polls(l, "r1", 5, 2)
+			},
+			want: []string{"r1 snap 4 tail 5"},
+		},
+		{
+			name: "a record written twice is read once",
+			setup: func(t *testing.T, l *Log) {
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+				polls(l, "r1", 2, 2, 3)
+			},
+			want: []string{"r1 tail 1 2 3"},
+		},
+		{
+			name: "a gap is that run's error",
+			setup: func(t *testing.T, l *Log) {
+				l.AppendCreate("r1", 1, 100, []byte(`{}`))
+				l.AppendCreate("r2", 1, 100, []byte(`{}`))
+				polls(l, "r1", 2, 4, 5)
+				polls(l, "r2", 2)
+			},
+			want: []string{"r1 error: journal gap for run r1: have 2, next record is 4", "r2 tail 1 2"},
+		},
+		{
+			name: "MutSwept drops the run and a seq-1 create starts it again",
+			setup: func(t *testing.T, l *Log) {
+				snap(t, l, "r1", 2)
+				polls(l, "r1", 3)
+				l.AppendSwept("r1", 4, 400)
+				polls(l, "r1", 5)
+				l.AppendCreate("r1", 1, 500, []byte(`{}`))
+				polls(l, "r1", 2)
+				l.AppendCreate("r2", 1, 100, []byte(`{}`))
+				l.AppendSwept("r2", 2, 200)
+			},
+			want: []string{"r1 tail 1 2"},
+		},
+		{
+			name: "records of an unknown run are ignored",
+			setup: func(t *testing.T, l *Log) {
+				polls(l, "ghost", 5, 6)
+				l.AppendSwept("ghost", 7, 700)
+			},
+			want: []string{},
+		},
+		{
+			name: "a CRC-valid frame that does not decode fails the call",
+			setup: func(t *testing.T, l *Log) {
+				body := []byte{0xff}
+				frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+				frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crcTable))
+				if err := os.WriteFile(filepath.Join(l.Dir(), segmentName(l.Gen()+1)), append(frame, body...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			callErr: "frame at offset 0",
+		},
+		{
+			name: "a directory it cannot read fails the call",
+			setup: func(t *testing.T, l *Log) {
+				if err := os.RemoveAll(l.Dir()); err != nil {
+					t.Fatal(err)
+				}
+			},
+			callErr: "no such file or directory",
+		},
 	}
-	// A later snapshot whose write the crash interrupted: valid name,
-	// torn content.
-	torn := AppendSnapshot(nil, goldenSnapshot())
-	if err := os.WriteFile(filepath.Join(l.Dir(), snapshotName(good.ID, 9)), torn[:len(torn)/2], 0o644); err != nil {
-		t.Fatalf("write torn: %v", err)
-	}
-	ss, err := l.LoadSnapshots()
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	s := ss[good.ID]
-	if s == nil || s.Mutations != 5 {
-		t.Fatalf("loaded %+v, want the intact seq-5 snapshot (older + longer tail wins)", s)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer l.Close()
+			tc.setup(t, l)
+			if err := l.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			runs, err := ReadRuns(l.Dir())
+			if tc.callErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.callErr) {
+					t.Fatalf("ReadRuns error %v, want one containing %q", err, tc.callErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ReadRuns: %v", err)
+			}
+			got := describe(runs)
+			if len(got) != len(tc.want) {
+				t.Fatalf("ReadRuns returned %q, want %q", got, tc.want)
+			}
+			for i, want := range tc.want {
+				id, msg, isErr := strings.Cut(want, " error: ")
+				if !isErr && got[i] != want || isErr && (!strings.HasPrefix(got[i], id+" error: ") || !strings.Contains(got[i], msg)) {
+					t.Fatalf("run %d is %q, want %q", i, got[i], want)
+				}
+				if isErr && tc.errIs != nil && !errors.Is(runs[i].Err, tc.errIs) {
+					t.Fatalf("run %s error %v, want %v", id, runs[i].Err, tc.errIs)
+				}
+			}
+		})
 	}
 }

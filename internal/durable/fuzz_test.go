@@ -12,7 +12,10 @@ import (
 
 // FuzzJournalDecode feeds arbitrary bytes to the frame decoder: it must
 // never panic, must consume only CRC-valid frames, and everything it
-// does consume must re-frame to the identical bytes.
+// does consume must re-frame to the identical bytes. The consumed
+// frames, written as one generation, must read back (ReadRuns) into
+// runs that each ship as a transfer stream DecodeTransfer accepts and
+// decodes back to the same run.
 func FuzzJournalDecode(f *testing.F) {
 	// Seed with a real committed segment covering every record type.
 	dir := f.TempDir()
@@ -58,6 +61,24 @@ func FuzzJournalDecode(f *testing.F) {
 			// contract.
 			return
 		}
+		runDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(runDir, segmentName(1)), b[:consumed], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runs, err := ReadRuns(runDir)
+		if err != nil {
+			t.Fatalf("ReadRuns over frames DecodeFrames accepted: %v", err)
+		}
+		for _, r := range runs {
+			if r.Err != nil {
+				continue
+			}
+			snap, tail, err := DecodeTransfer(AppendTransfer(nil, r.Snap, r.Tail))
+			if err != nil || snap != nil || !reflect.DeepEqual(tail, r.Tail) {
+				t.Fatalf("run %s does not survive a transfer stream (%v):\n read %+v\n back %+v", r.ID, err, r.Tail, tail)
+			}
+		}
+
 		// Everything consumed must re-encode to the same bytes via a
 		// fresh journal — decode is the inverse of append.
 		dir := t.TempDir()

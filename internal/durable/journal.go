@@ -20,13 +20,13 @@
 // run, then deletes the older generations and superseded snapshots.
 // Snapshots are versioned and written atomically (tmp + fsync +
 // rename), so a crash mid-checkpoint leaves the previous snapshot and
-// a longer journal suffix — recovery picks the highest valid snapshot
-// per run and replays every record with a per-run sequence number
-// above its watermark. Torn or corrupt journal tails are detected by
-// CRC: replay ends the damaged generation at its last valid frame and
-// continues with the next generation (acknowledged records appended
-// after an earlier crash live there); appends after recovery go to a
-// fresh generation, never into a damaged file.
+// a longer journal suffix. ReadRuns is the one way back: per run, the
+// highest valid snapshot and every record above its watermark. Torn or
+// corrupt journal tails are detected by CRC: the reader ends the
+// damaged generation at its last valid frame and continues with the
+// next generation (acknowledged records appended after an earlier
+// crash live there); appends after recovery go to a fresh generation,
+// never into a damaged file.
 package durable
 
 import (
@@ -89,7 +89,7 @@ type Log struct {
 
 // Open opens (creating if needed) the journal directory and starts a
 // fresh generation for appends. Records from earlier generations are
-// readable via Replay until a Checkpoint prunes them; Open itself
+// readable via ReadRuns until a Checkpoint prunes them; Open itself
 // never modifies existing files, so a failed recovery can always be
 // retried against intact data.
 func Open(dir string) (*Log, error) {
@@ -116,6 +116,9 @@ func Open(dir string) (*Log, error) {
 		syncEvery: DefaultSyncEvery,
 	}, nil
 }
+
+// Dir returns the journal directory.
+func (l *Log) Dir() string { return l.dir }
 
 // AppendPoll buffers one accepted-poll mutation. Allocation-free once
 // the commit buffer has grown to its working size.
@@ -326,44 +329,110 @@ func (l *Log) Prune(throughGen uint64, keep map[string]uint64) error {
 	return firstErr
 }
 
-// Replay streams every decodable mutation from the generations sealed
-// before the one currently open for appends, in journal order. A torn
-// or corrupt frame ends its own generation at the last valid frame (the
-// write a crash or write error interrupted — everything after it in
-// that generation is unacknowledged by construction) and replay
-// continues with the next generation: a process that crashed on a torn
-// gen N and then appended acknowledged mutations to gen N+1 must not
-// have N+1 silently dropped on the next restart. Genuine mid-file loss
-// of acknowledged records is not silently absorbed — the consumer's
-// per-run sequence check (service.Recover) turns the resulting hole
-// into a hard recovery error. A CRC-valid frame that fails to decode is
-// reported as an error, as is any error returned by fn, which aborts
-// the replay.
-func (l *Log) Replay(fn func(core.Mutation) error) error {
-	l.mu.Lock()
-	cur := l.gen
-	dir := l.dir
-	l.mu.Unlock()
-	gens, _, err := scanDir(dir)
+// StoredRun is one live run as a journal directory holds it, which is
+// what a transfer stream carries: the best valid snapshot (nil when
+// none survives) and the contiguous tail of records above its
+// watermark, opening with the run's MutCreate when there is no
+// snapshot. Err, when set, is why the run cannot be read back, and
+// Snap and Tail are then nil.
+type StoredRun struct {
+	ID   string
+	Snap *RunSnapshot
+	Tail []core.Mutation
+	Err  error
+}
+
+// ReadRuns reads a journal directory back in one pass and returns
+// every live run in it, in id order. It owns every per-run rule:
+//
+//   - A run's highest-watermark snapshot that decodes wins; a damaged
+//     one (the residue of a crash mid-checkpoint) is skipped in favour
+//     of an older one. A snapshot in the retired HSN1 format, or an
+//     HSN2 one with an inexact trace time, is the run's error, naming
+//     the file.
+//   - Generations are read in order, and a torn or corrupt frame ends
+//     only its own generation: a process that crashed on a torn gen N
+//     and then acknowledged records into gen N+1 keeps them.
+//   - A record at or below the run's watermark (its snapshot's, then
+//     its last tail record's) is skipped, MutSwept included: it is
+//     inside the snapshot or a damaged-generation retry wrote it twice.
+//   - The record after the watermark joins the tail; any later one is
+//     a gap, the run's error.
+//   - MutSwept drops the run (swept, or migrated away), and a later
+//     MutCreate with sequence 1 starts it again.
+//   - Records of a run with neither a snapshot nor a create are
+//     ignored: the run was swept and a checkpoint pruned its state.
+//
+// A directory or generation it cannot read, or a CRC-valid frame that
+// does not decode, fails the whole call.
+func ReadRuns(dir string) ([]StoredRun, error) {
+	gens, snaps, err := scanDir(dir)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	runs := make(map[string]*StoredRun)
+	for _, sf := range snaps {
+		s, err := readSnapshot(dir, sf)
+		switch r := runs[sf.id]; {
+		case err != nil:
+			runs[sf.id] = &StoredRun{ID: sf.id, Err: err}
+		case s == nil || r != nil && (r.Err != nil || r.Snap.Mutations >= s.Mutations):
+			// Damaged, or no better than what the run already has.
+		default:
+			runs[sf.id] = &StoredRun{ID: sf.id, Snap: s}
+		}
 	}
 	for _, g := range gens {
-		if g >= cur {
-			continue
-		}
 		data, err := os.ReadFile(filepath.Join(dir, segmentName(g)))
 		if err != nil {
-			return fmt.Errorf("durable: %w", err)
+			return nil, fmt.Errorf("durable: %w", err)
 		}
-		// A torn tail (consumed < len(data)) ends this generation at its
-		// last valid frame; later generations still replay — see the
-		// contract above.
-		if _, err := DecodeFrames(data, fn); err != nil {
-			return err
+		if _, err := DecodeFrames(data, func(m core.Mutation) error {
+			r := runs[m.Run]
+			if r == nil {
+				r = &StoredRun{ID: m.Run}
+				runs[m.Run] = r
+			}
+			r.add(m)
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	out := make([]StoredRun, 0, len(runs))
+	for _, r := range runs {
+		if r.Err != nil || r.live() {
+			out = append(out, *r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
+}
+
+func (r *StoredRun) live() bool { return r.Snap != nil || len(r.Tail) > 0 }
+
+// add applies ReadRuns's sequence rules to one journal record of r.
+func (r *StoredRun) add(m core.Mutation) {
+	var seq uint64
+	if n := len(r.Tail); n > 0 {
+		seq = r.Tail[n-1].Seq
+	} else if r.Snap != nil {
+		seq = r.Snap.Mutations
+	}
+	switch {
+	case r.Err != nil:
+	case !r.live():
+		if m.Op == core.MutCreate && m.Seq == 1 {
+			r.Tail = append(r.Tail, m)
+		}
+	case m.Seq <= seq:
+	case m.Seq != seq+1:
+		*r = StoredRun{ID: r.ID, Err: fmt.Errorf("durable: journal gap for run %s: have %d, next record is %d", r.ID, seq, m.Seq)}
+	case m.Op == core.MutSwept:
+		*r = StoredRun{ID: r.ID}
+	default:
+		r.Tail = append(r.Tail, m)
+	}
 }
 
 // DecodeFrames iterates the journal frames in b, invoking fn for each

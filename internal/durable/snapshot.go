@@ -428,32 +428,6 @@ func (l *Log) WriteSnapshot(s *RunSnapshot) error {
 	return nil
 }
 
-// LoadSnapshots reads every snapshot in the journal directory and
-// returns the highest-watermark valid snapshot per run. Damaged files
-// — the residue of a crash mid-checkpoint — are skipped: the older
-// snapshot plus the longer journal suffix wins. A file in the retired
-// op-log format fails the load (ErrOpLogSnapshot), naming the file.
-func (l *Log) LoadSnapshots() (map[string]*RunSnapshot, error) {
-	_, snaps, err := scanDir(l.dir)
-	if err != nil {
-		return nil, err
-	}
-	best := make(map[string]*RunSnapshot)
-	for _, sf := range snaps {
-		s, err := readSnapshot(l.dir, sf)
-		if err != nil {
-			return nil, err
-		}
-		if s == nil {
-			continue
-		}
-		if prev, ok := best[sf.id]; !ok || prev.Mutations < s.Mutations {
-			best[s.ID] = s
-		}
-	}
-	return best, nil
-}
-
 // readSnapshot reads one snapshot file: nil when it is unreadable or
 // damaged, an error only when it is in the retired format or is an
 // HSN2 file with an inexact trace time.

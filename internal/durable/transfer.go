@@ -4,16 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"hetsched/internal/core"
 )
 
 // Transfer stream format: a self-contained encoding of one run's full
 // durable state, built to be shipped between federated hosts during a
-// live migration or scavenged from a dead host's journal directory.
+// live migration or scavenged from a dead host's journal directory
+// (ReadRuns reads each run there back as a stream holds it).
 //
 //	transfer := magic "HTX1"
 //	            flag(u8)                 1 = snapshot present, 0 = absent
@@ -137,117 +135,4 @@ func DecodeTransfer(b []byte) (*RunSnapshot, []core.Mutation, error) {
 		return nil, nil, fmt.Errorf("durable: empty transfer stream")
 	}
 	return snap, tail, nil
-}
-
-// TransferRuns lists the run ids present in a journal directory —
-// every run with a snapshot or a MutCreate record and no MutSwept
-// after it. It reads the directory cold (no open Log needed), so a
-// surviving host can enumerate what a dead peer's journal still owes.
-func TransferRuns(dir string) ([]string, error) {
-	gens, snaps, err := scanDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	present := make(map[string]bool)
-	for _, sf := range snaps {
-		present[sf.id] = true
-	}
-	for _, g := range gens {
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(g)))
-		if err != nil {
-			return nil, fmt.Errorf("durable: %w", err)
-		}
-		if _, err := DecodeFrames(data, func(m core.Mutation) error {
-			switch m.Op {
-			case core.MutCreate:
-				present[m.Run] = true
-			case core.MutSwept:
-				delete(present, m.Run)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	ids := make([]string, 0, len(present))
-	for id := range present {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// ExtractTransfer scavenges one run's transfer stream from a journal
-// directory without an open Log: the highest-watermark valid snapshot
-// (if any) plus every journal record above it, across all generations
-// in order. A snapshot of the run in the retired op-log format fails
-// the extraction, as it fails recovery. This is the death path — the new ring owner of a crashed
-// host's run rebuilds the stream the dead process can no longer serve.
-// Duplicate records (the residue of a damaged-generation retry) are
-// skipped at the sequence watermark exactly as recovery skips them; a
-// genuine gap in acknowledged records is a hard error. A MutSwept
-// record means the run already left this directory (swept or migrated
-// away) and extraction fails.
-func ExtractTransfer(dir, id string) ([]byte, error) {
-	gens, snapFiles, err := scanDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var snap *RunSnapshot
-	for _, sf := range snapFiles {
-		if sf.id != id {
-			continue
-		}
-		s, err := readSnapshot(dir, sf)
-		if err != nil {
-			return nil, err
-		}
-		if s != nil && (snap == nil || snap.Mutations < s.Mutations) {
-			snap = s
-		}
-	}
-	var watermark uint64
-	if snap != nil {
-		watermark = snap.Mutations
-	}
-	var tail []core.Mutation
-	seq := watermark
-	created := snap != nil
-	swept := false
-	for _, g := range gens {
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(g)))
-		if err != nil {
-			return nil, fmt.Errorf("durable: %w", err)
-		}
-		if _, err := DecodeFrames(data, func(m core.Mutation) error {
-			if m.Run != id || swept {
-				return nil
-			}
-			if m.Op == core.MutSwept {
-				swept = true
-				return nil
-			}
-			if m.Op == core.MutCreate {
-				created = true
-			}
-			if m.Seq <= seq {
-				return nil // duplicate from a damaged-generation retry
-			}
-			if m.Seq != seq+1 {
-				return fmt.Errorf("durable: journal gap for run %s: have %d, next record is %d", id, seq, m.Seq)
-			}
-			seq = m.Seq
-			tail = append(tail, m)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if swept {
-		return nil, fmt.Errorf("durable: run %s was swept or migrated away from %s", id, dir)
-	}
-	if !created {
-		return nil, fmt.Errorf("durable: run %s not found in %s", id, dir)
-	}
-	return AppendTransfer(nil, snap, tail), nil
 }

@@ -38,11 +38,11 @@ func recordedMigration(t testing.TB) []byte {
 	if err := l.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	stream, err := ExtractTransfer(dir, "mig-r1")
-	if err != nil {
-		t.Fatalf("extract: %v", err)
+	runs, err := ReadRuns(dir)
+	if err != nil || len(runs) != 1 || runs[0].Err != nil {
+		t.Fatalf("ReadRuns = %+v, %v; want mig-r1 alone", runs, err)
 	}
-	return stream
+	return AppendTransfer(nil, runs[0].Snap, runs[0].Tail)
 }
 
 func TestTransferRoundTrip(t *testing.T) {
@@ -122,88 +122,6 @@ func TestDecodeTransferRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestTransferRuns(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer l.Close()
-	l.AppendCreate("alive", 1, 100, []byte(`{}`))
-	l.AppendCreate("gone", 1, 110, []byte(`{}`))
-	l.AppendSwept("gone", 2, 120)
-	if err := l.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	// A snapshot alone (journal generations pruned) still counts.
-	if err := l.WriteSnapshot(&RunSnapshot{ID: "frozen", Mutations: 7, Request: []byte(`{}`)}); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	ids, err := TransferRuns(dir)
-	if err != nil {
-		t.Fatalf("transfer runs: %v", err)
-	}
-	if len(ids) != 2 || ids[0] != "alive" || ids[1] != "frozen" {
-		t.Fatalf("TransferRuns = %v, want [alive frozen]", ids)
-	}
-}
-
-func TestExtractTransferDupAndGap(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer l.Close()
-	l.AppendCreate("r1", 1, 100, []byte(`{}`))
-	l.AppendPoll("r1", 2, 200, 0, nil)
-	// Residue of a damaged-generation retry: seq 2 written again.
-	l.AppendPoll("r1", 2, 200, 0, nil)
-	l.AppendPoll("r1", 3, 300, 1, nil)
-	if err := l.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	stream, err := ExtractTransfer(dir, "r1")
-	if err != nil {
-		t.Fatalf("extract: %v", err)
-	}
-	_, tail, err := DecodeTransfer(stream)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(tail) != 3 || tail[2].Seq != 3 {
-		t.Fatalf("duplicate not skipped: tail %+v", tail)
-	}
-
-	l.AppendPoll("r1", 5, 500, 0, nil) // gap: seq 4 never acknowledged
-	if err := l.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if _, err := ExtractTransfer(dir, "r1"); err == nil || !strings.Contains(err.Error(), "journal gap") {
-		t.Fatalf("gap extraction error = %v, want journal gap", err)
-	}
-}
-
-func TestExtractTransferSweptAndMissing(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer l.Close()
-	l.AppendCreate("r1", 1, 100, []byte(`{}`))
-	l.AppendSwept("r1", 2, 200)
-	if err := l.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if _, err := ExtractTransfer(dir, "r1"); err == nil || !strings.Contains(err.Error(), "swept or migrated away") {
-		t.Fatalf("swept extraction error = %v, want swept", err)
-	}
-	if _, err := ExtractTransfer(dir, "nope"); err == nil || !strings.Contains(err.Error(), "not found") {
-		t.Fatalf("missing extraction error = %v, want not found", err)
 	}
 }
 

@@ -226,10 +226,15 @@ func (rt *Router) targetIndex(name string) (int, error) {
 // declared lost. The dead host is marked down first, so placement —
 // including the recovered runs' new homes — steers around it; epoch
 // optionally steps the ring in the same handoff (pass the current
-// epoch to keep it). Each run is extracted (durable.ExtractTransfer:
-// best snapshot plus contiguous journal tail, CRC-checked) and
-// imported into its owner; runs that fail to extract or import are
-// reported in the error, not silently dropped.
+// epoch to keep it). The directory is read back once
+// (durable.ReadRuns: per run, the best snapshot and the contiguous
+// journal tail above it), and each run ships to its owner as a
+// transfer stream; runs the reader or the import refuses are reported
+// in the error, not silently dropped. The source cannot fence or
+// commit — it is dead — so exactly-once rests on the import refusing a
+// duplicate id and on the dead host staying down-masked: if the
+// process resurrects with its stale copy, the ring never routes a poll
+// to it, and its TTL janitor sweeps the orphan.
 func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 	rt.handoffMu.Lock()
 	defer rt.handoffMu.Unlock()
@@ -252,15 +257,15 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 			return err
 		}
 	}
-	ids, err := durable.TransferRuns(dt.JournalDir)
+	runs, err := durable.ReadRuns(dt.JournalDir)
 	if err != nil {
 		return fmt.Errorf("federation: scanning %q journal: %w", dead, err)
 	}
 	// Everything the dead host owed moves, and if the epoch stepped,
 	// live hosts' runs may move too — fold both into one handoff.
 	var moves []move
-	for _, id := range ids {
-		moves = append(moves, move{id: id, src: di, dst: ownerOn(next, id, down)})
+	for _, r := range runs {
+		moves = append(moves, move{id: r.ID, src: di, dst: ownerOn(next, r.ID, down)})
 	}
 	liveMoves := []move(nil)
 	if next != cur {
@@ -270,8 +275,12 @@ func (rt *Router) RecoverHost(dead string, epoch uint64) error {
 	}
 	defer rt.publishMoving(slices.Concat(moves, liveMoves))()
 	var errs []string
-	for _, mv := range moves {
-		if err := rt.recoverRun(dt.JournalDir, mv); err != nil {
+	for i, mv := range moves {
+		err := runs[i].Err
+		if err == nil {
+			err = rt.peers[mv.dst].importRun(durable.AppendTransfer(nil, runs[i].Snap, runs[i].Tail))
+		}
+		if err != nil {
 			// The source is dead, so there is nowhere to strand the run:
 			// it stays on disk in the dead journal dir for a retry.
 			errs = append(errs, fmt.Sprintf("%s: %v", mv.id, err))
@@ -410,18 +419,4 @@ func (rt *Router) decodeAdmin(w http.ResponseWriter, r *http.Request, out any) b
 		return false
 	}
 	return true
-}
-
-// recoverRun scavenges run mv.id from the dead source's journal
-// directory dir and imports it into mv.dst. The source cannot fence or commit — it is
-// dead — so exactly-once rests on the import being idempotent-checked
-// (a duplicate id refuses) and on the dead host staying down-masked:
-// if the process resurrects with its stale copy, the ring never routes
-// a poll to it, and its TTL janitor sweeps the orphan.
-func (rt *Router) recoverRun(dir string, mv move) error {
-	stream, err := durable.ExtractTransfer(dir, mv.id)
-	if err != nil {
-		return err
-	}
-	return rt.peers[mv.dst].importRun(stream)
 }

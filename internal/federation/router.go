@@ -35,8 +35,8 @@ type Target struct {
 	URL    string
 	// JournalDir, when set, is the host's journal directory as seen
 	// from the router's filesystem. RecoverHost scavenges a crashed
-	// target's runs from it (durable.ExtractTransfer) into their new
-	// ring owners; without it a crash still loses the dead host's runs.
+	// target's runs from it (durable.ReadRuns) into their new ring
+	// owners; without it a crash still loses the dead host's runs.
 	JournalDir string
 }
 

@@ -14,8 +14,7 @@ import (
 // This file is the service half of internal/durable: the canonical
 // creation record journaled by MutCreate and the Host snapshot/restore
 // pair. The journal appends themselves live on the mutation path
-// (host.go, registry.go); the replay loop that consumes all of this is
-// recover.go.
+// (host.go, registry.go); rebuild in recover.go consumes all of this.
 
 // createRecord is the canonical resolved creation payload: the
 // validated request with every server-side default already applied
@@ -105,13 +104,6 @@ func (rec createRecord) lease() time.Duration {
 
 // --- Host snapshot / restore -----------------------------------------
 
-// applyReclaim replays a journaled reclaim pass at its recorded
-// instant; the live twin is the gate in apply/ReclaimExpired feeding
-// reclaimAll with the live clock.
-func (h *Host) applyReclaim(timeNs int64) int {
-	return h.reclaimAll(time.Unix(0, timeNs))
-}
-
 // fillSnapshot captures the host-owned durable state and the driver's
 // own state into s: a consistent cut at watermark h.muts, taken under
 // every stripe plus the core lock (the same atomicity as Stats). Grants
@@ -174,12 +166,19 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 	}
 }
 
-// restoreHost rebuilds a Host from a snapshot: drv must already hold
-// the snapshot's driver state. The returned host is in
-// replay mode (journal appends suppressed, clock frozen at the
-// snapshot instant is irrelevant — every subsequent apply carries its
-// recorded timestamp); finishRecovery flips it live.
-func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot, jr *durable.Log) (*Host, error) {
+// restoreHost rebuilds a Host, and the driver drv inside it, from a
+// snapshot: drv is fresh from the run's creation record and is handed
+// the snapshot's driver state. The host's clock is frozen at the run's
+// creation; rebuild replays the tail at recorded instants and then
+// flips the host live.
+func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Host, error) {
+	sn, ok := drv.(core.Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("service: driver %s has no state codec", drv.Name())
+	}
+	if err := sn.RestoreState(s.Driver); err != nil {
+		return nil, fmt.Errorf("service: driver state of %q: %w", s.ID, err)
+	}
 	created := time.Unix(0, rec.CreatedNs)
 	h := NewHostWithClock(drv, rec.Batch, rec.lease(), func() time.Time { return created })
 	if len(s.Workers) != h.p || len(s.Open) != h.p {
@@ -188,9 +187,6 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot, jr *
 	if len(s.BatchHist) > batchBuckets {
 		return nil, fmt.Errorf("service: snapshot of %q has %d histogram buckets, host has %d", s.ID, len(s.BatchHist), batchBuckets)
 	}
-	h.jr = jr
-	h.runID = s.ID
-	h.replay = true
 	h.muts = s.Mutations
 	h.start = time.Unix(0, s.StartNs)
 	h.last = time.Unix(0, s.LastNs)
@@ -242,15 +238,6 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot, jr *
 	}
 	h.lastState = h.stateLocked()
 	return h, nil
-}
-
-// finishRecovery flips a replayed host live: journal appends resume
-// (continuing the mutation sequence the crashed process left off) and
-// the clock becomes the caller's. Recovery is single-threaded, so no
-// poll can race this.
-func (h *Host) finishRecovery(now func() time.Time) {
-	h.replay = false
-	h.now = now
 }
 
 // snapshot cuts a full RunSnapshot of the run.

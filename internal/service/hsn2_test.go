@@ -50,7 +50,7 @@ func hsn2Trace(tb testing.TB, raw []byte) ([]trace.Segment, int) {
 
 // TestHSN2SnapshotRestoresExactly: the hsn2 fixture's restored trace
 // equals, float for float, the segments the file stores; a checkpoint
-// after the restore writes HSN3; and ExtractTransfer over a directory
+// after the restore writes HSN3; and the scavenge of a directory
 // holding the fixture yields a stream ImportRun accepts, with the same
 // trace.
 func TestHSN2SnapshotRestoresExactly(t *testing.T) {
@@ -64,9 +64,9 @@ func TestHSN2SnapshotRestoresExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stream, err := durable.ExtractTransfer(dir, "r-hsn2")
+	stream, err := scavenge(dir, "r-hsn2")
 	if err != nil {
-		t.Fatalf("ExtractTransfer: %v", err)
+		t.Fatalf("scavenge: %v", err)
 	}
 	if magic := string(stream[9:13]); magic != "HSN3" {
 		t.Fatalf("the extracted stream embeds a %s snapshot, want HSN3", magic)
@@ -125,7 +125,7 @@ func TestHSN2InexactTraceFailsStop(t *testing.T) {
 	if _, err := w.opts.Recover(w.reg, w.jr); !errors.Is(err, durable.ErrInexactTrace) || !strings.Contains(err.Error(), hsn2File) {
 		t.Fatalf("Recover = %v, want %v naming %s", err, durable.ErrInexactTrace, hsn2File)
 	}
-	if _, err := durable.ExtractTransfer(dir, "r-hsn2"); !errors.Is(err, durable.ErrInexactTrace) {
-		t.Fatalf("ExtractTransfer = %v, want %v", err, durable.ErrInexactTrace)
+	if _, err := scavenge(dir, "r-hsn2"); !errors.Is(err, durable.ErrInexactTrace) || !strings.Contains(err.Error(), hsn2File) {
+		t.Fatalf("scavenge = %v, want %v naming %s", err, durable.ErrInexactTrace, hsn2File)
 	}
 }

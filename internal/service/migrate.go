@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"hetsched/internal/core"
 	"hetsched/internal/durable"
 )
 
@@ -22,11 +21,11 @@ import (
 //
 // Protocol (three-phase, source-driven):
 //
-//	BeginMigrate  fence the run (polls draw 409), cut snapshot, encode
+//	beginMigrate  fence the run (polls draw 409), cut snapshot, encode
 //	ImportRun     destination decodes, replays, registers (durable first)
-//	CommitMigrate source journals the departure (MutSwept), removes the
+//	commitMigrate source journals the departure (MutSwept), removes the
 //	              run and leaves a tombstone (polls draw 410)
-//	AbortMigrate  destination failed: unfence, resume serving — no state
+//	abortMigrate  destination failed: unfence, resume serving — no state
 //	              was lost because none ever left memory
 //
 // The fence is the exactly-once guarantee across the handoff: from
@@ -55,12 +54,12 @@ var ErrMigrated = errors.New("service: run migrated away")
 // ErrRunNotFound reports a Begin on a run this host does not hold.
 var ErrRunNotFound = errors.New("service: unknown run")
 
-// BeginMigrate fences run id and returns its transfer stream: the
+// beginMigrate fences run id and returns its transfer stream: the
 // run's full state as of this instant, encoded for ImportRun on the
 // destination. The run rejects every mutation until the caller
-// resolves the handoff with CommitMigrate (destination acknowledged)
-// or AbortMigrate (handoff failed; resume serving).
-func (s *Server) BeginMigrate(id string) ([]byte, error) {
+// resolves the handoff with commitMigrate (destination acknowledged)
+// or abortMigrate (handoff failed; resume serving).
+func (s *Server) beginMigrate(id string) ([]byte, error) {
 	select {
 	case <-s.recovered:
 	default:
@@ -82,22 +81,22 @@ func (s *Server) BeginMigrate(id string) ([]byte, error) {
 	return durable.AppendTransfer(nil, run.snapshot(), nil), nil
 }
 
-// AbortMigrate resumes serving a run whose handoff failed. The fence
-// guaranteed nothing mutated since BeginMigrate, so the shipped bytes
+// abortMigrate resumes serving a run whose handoff failed. The fence
+// guaranteed nothing mutated since beginMigrate, so the shipped bytes
 // simply become garbage and the source copy stays authoritative.
-func (s *Server) AbortMigrate(id string) {
+func (s *Server) abortMigrate(id string) {
 	if run, ok := s.reg.Get(id); ok {
 		run.Host.Unfence()
 	}
 }
 
-// CommitMigrate finalizes a handoff the destination acknowledged: the
+// commitMigrate finalizes a handoff the destination acknowledged: the
 // departure is journaled (MutSwept — a restart of this host must not
 // resurrect a run that lives elsewhere), the run leaves the registry
 // with a tombstone behind it, and its event stream closes with a
 // terminal run_swept. Late polls draw 410 from the tombstone (or from
 // the committed fence if they already hold the run pointer).
-func (s *Server) CommitMigrate(id string) error {
+func (s *Server) commitMigrate(id string) error {
 	run, ok := s.reg.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrRunNotFound, id)
@@ -121,11 +120,15 @@ func (s *Server) CommitMigrate(id string) error {
 }
 
 // ImportRun installs a transferred run on this host: decode the
-// stream, rebuild the run through the same snapshot-restore and
-// apply()-replay path crash recovery uses, make it durable (snapshot
-// into this host's journal, when one is attached), and register it.
-// Returns the installed run. A run with the same id already present —
-// a double migrate, or a stale copy — refuses the import.
+// stream, rebuild the run through the body crash recovery uses, make
+// it durable (snapshot into this host's journal, when one is
+// attached), and register it. The import is the run's next mutation:
+// it takes the next sequence number, so the snapshot sits above every
+// record an earlier stay here journaled, the departure's MutSwept
+// included, and a restart reads the returned run back instead of
+// dropping it. Returns the installed run. A run with the same id
+// already present — a double migrate, or a stale copy — refuses the
+// import.
 func (s *Server) ImportRun(stream []byte) (*Run, error) {
 	select {
 	case <-s.recovered:
@@ -136,32 +139,13 @@ func (s *Server) ImportRun(stream []byte) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var run *Run
-	if snap != nil {
-		run, err = restoreRun(snap, s.opts.Journal)
-		if err != nil {
-			return nil, fmt.Errorf("service: importing %q: %w", snap.ID, err)
-		}
-	} else {
-		// Snapshot-less stream (scavenged from a journal that never
-		// checkpointed): tail[0] is the MutCreate, validated by the
-		// decoder.
-		rec, err := decodeCreateRecord(tail[0].Payload)
-		if err != nil {
-			return nil, err
-		}
-		run, err = replayCreate(rec, s.opts.Journal)
-		if err != nil {
-			return nil, fmt.Errorf("service: importing %q: %w", rec.ID, err)
-		}
-		tail = tail[1:]
+	run, err := rebuild(snap, tail, s.opts.Journal, s.opts.Now)
+	if err != nil {
+		return nil, err
 	}
-	if err := applyTail(run, tail); err != nil {
-		return nil, fmt.Errorf("service: importing %q: %w", run.ID, err)
-	}
-	run.Host.finishRecovery(s.opts.Now)
+	run.Host.muts++
 	if s.opts.Journal != nil {
-		// Durable before visible, the AddNew discipline: the imported
+		// Durable before visible, the addNew discipline: the imported
 		// state is persisted as a snapshot at its watermark before any
 		// worker can learn the run lives here, so a crash right after
 		// the import recovers exactly what was acknowledged.
@@ -176,55 +160,22 @@ func (s *Server) ImportRun(stream []byte) (*Run, error) {
 	return run, nil
 }
 
-// applyTail replays a transfer stream's journal tail into an imported
-// run, record by record through the same apply path recovery uses.
-// The decoder already guaranteed contiguity; the checks here are the
-// same divergence tripwires as Recover's.
-func applyTail(run *Run, tail []core.Mutation) error {
-	h := run.Host
-	for _, m := range tail {
-		if m.Seq <= h.muts {
-			continue
-		}
-		if m.Seq != h.muts+1 {
-			return fmt.Errorf("transfer gap: record %d after watermark %d", m.Seq, h.muts)
-		}
-		switch m.Op {
-		case core.MutPoll:
-			if _, _, err := h.apply(m.TimeNs, int(m.Worker), m.Tasks); err != nil {
-				return fmt.Errorf("replaying poll %d: %w", m.Seq, err)
-			}
-		case core.MutReclaim:
-			h.applyReclaim(m.TimeNs)
-		case core.MutExpire:
-			h.muts = m.Seq
-			run.Expire()
-		default:
-			return fmt.Errorf("transfer tail has unexpected op %v at seq %d", m.Op, m.Seq)
-		}
-		if h.muts != m.Seq {
-			return fmt.Errorf("transfer replay diverged at record %d (watermark %d)", m.Seq, h.muts)
-		}
-	}
-	return nil
-}
-
 // Migrate moves run id off this host, the one body every migration
-// takes: fence and export the run (BeginMigrate), hand the stream to
-// push, then commit the departure (CommitMigrate) or, when push fails,
-// unfence and keep serving (AbortMigrate) — the run is never in limbo.
+// takes: fence and export the run (beginMigrate), hand the stream to
+// push, then commit the departure (commitMigrate) or, when push fails,
+// unfence and keep serving (abortMigrate) — the run is never in limbo.
 // push delivers the stream to the destination: its ImportRun in process,
 // PushTransfer to a remote host's import endpoint.
 func (s *Server) Migrate(id string, push func(stream []byte) error) error {
-	stream, err := s.BeginMigrate(id)
+	stream, err := s.beginMigrate(id)
 	if err != nil {
 		return err
 	}
 	if err := push(stream); err != nil {
-		s.AbortMigrate(id)
+		s.abortMigrate(id)
 		return err
 	}
-	return s.CommitMigrate(id)
+	return s.commitMigrate(id)
 }
 
 // migrateRequest is the body of POST /v1/runs/{id}/migrate: the base

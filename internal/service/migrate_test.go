@@ -208,7 +208,7 @@ func TestMigrateDirect(t *testing.T) {
 	}
 }
 
-// TestMigrateFencePending: between BeginMigrate and the commit, the
+// TestMigrateFencePending: between beginMigrate and the commit, the
 // source answers every poll 409 with a Retry-After hint — the handoff
 // window is a retry, not an error — and an abort reopens the run with
 // nothing lost.
@@ -216,7 +216,7 @@ func TestMigrateFencePending(t *testing.T) {
 	w := newMigrateWorld(t)
 	info, pending, accepted := w.seedRun(t)
 
-	stream, err := w.src.BeginMigrate(info.ID)
+	stream, err := w.src.beginMigrate(info.ID)
 	if err != nil {
 		t.Fatalf("begin: %v", err)
 	}
@@ -243,11 +243,11 @@ func TestMigrateFencePending(t *testing.T) {
 	}
 
 	// Double-migrate while in flight: the second Begin refuses.
-	if _, err := w.src.BeginMigrate(info.ID); !errors.Is(err, ErrMigrating) {
+	if _, err := w.src.beginMigrate(info.ID); !errors.Is(err, ErrMigrating) {
 		t.Fatalf("concurrent begin: %v, want ErrMigrating", err)
 	}
 
-	w.src.AbortMigrate(info.ID)
+	w.src.abortMigrate(info.ID)
 	drainOn(t, w.srcTS.URL, info, pending, accepted)
 	checkExactlyOnce(t, accepted, info.Total)
 }
@@ -256,12 +256,12 @@ func TestMigrateFencePending(t *testing.T) {
 // exporting but before the destination ever saw the stream. Nothing
 // was journaled about the aborted handoff, so a restart of the source
 // serves the run exactly as before — and the death path can still
-// extract the run from the directory the corpse left behind.
+// read the run back from the directory the corpse left behind.
 func TestMigrateSourceCrashMidTransfer(t *testing.T) {
 	w := newMigrateWorld(t)
 	info, pending, accepted := w.seedRun(t)
 
-	if _, err := w.src.BeginMigrate(info.ID); err != nil {
+	if _, err := w.src.beginMigrate(info.ID); err != nil {
 		t.Fatalf("begin: %v", err)
 	}
 	// SIGKILL: the stream never reaches the destination, the process
@@ -270,21 +270,56 @@ func TestMigrateSourceCrashMidTransfer(t *testing.T) {
 	w.src.Close()
 
 	// The scavenger's view of the corpse's directory still owes the run.
-	ids, err := durable.TransferRuns(w.srcDir)
+	runs, err := durable.ReadRuns(w.srcDir)
 	if err != nil {
 		t.Fatalf("scanning dead source: %v", err)
 	}
-	if len(ids) != 1 || ids[0] != info.ID {
-		t.Fatalf("dead source owes %v, want [%s]", ids, info.ID)
+	if len(runs) != 1 || runs[0].ID != info.ID {
+		t.Fatalf("dead source owes %+v, want [%s]", runs, info.ID)
 	}
-	stream, err := durable.ExtractTransfer(w.srcDir, info.ID)
-	if err != nil {
-		t.Fatalf("extracting from dead source: %v", err)
+	if runs[0].Err != nil {
+		t.Fatalf("extracting from dead source: %v", runs[0].Err)
 	}
+	stream := durable.AppendTransfer(nil, runs[0].Snap, runs[0].Tail)
 	if _, err := w.dst.ImportRun(stream); err != nil {
 		t.Fatalf("importing scavenged stream: %v", err)
 	}
 	drainOn(t, w.dstTS.URL, info, pending, accepted)
+	checkExactlyOnce(t, accepted, info.Total)
+}
+
+// TestMigrateReturnSurvivesRestart: a run migrated A→B and straight
+// back to A, with no poll on B, survives a restart of A on its
+// directory. A's journal holds the departure's MutSwept; the returning
+// import takes the next sequence number, so its snapshot sits above
+// that record, and both the restart and the death path's reader keep
+// the run.
+func TestMigrateReturnSurvivesRestart(t *testing.T) {
+	w := newMigrateWorld(t)
+	info, pending, accepted := w.seedRun(t)
+
+	if err := w.src.Migrate(info.ID, importInto(w.dst)); err != nil {
+		t.Fatalf("migrate A→B: %v", err)
+	}
+	if err := w.dst.Migrate(info.ID, importInto(w.src)); err != nil {
+		t.Fatalf("migrate B→A: %v", err)
+	}
+	// SIGKILL A: only its journal directory survives.
+	w.srcTS.Close()
+	w.src.Close()
+
+	reborn, rebornTS := newJournaledServer(t, w.srcDir)
+	if err := reborn.RecoveryErr(); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if _, ok := reborn.Registry().Get(info.ID); !ok {
+		t.Fatal("restarted A lost the run")
+	}
+	runs, err := durable.ReadRuns(w.srcDir)
+	if err != nil || len(runs) != 1 || runs[0].ID != info.ID || runs[0].Err != nil {
+		t.Fatalf("the reader lists %+v (%v), want [%s]", runs, err, info.ID)
+	}
+	drainOn(t, rebornTS.URL, info, pending, accepted)
 	checkExactlyOnce(t, accepted, info.Total)
 }
 
@@ -298,7 +333,7 @@ func TestMigrateSourceRestartAfterBegin(t *testing.T) {
 		ID: "mig-r", Kernel: KernelOuter, N: 4, P: 2, Seed: 3, Batch: 2,
 	})
 	accepted := make(map[int64]int)
-	if _, err := src.BeginMigrate(info.ID); err != nil {
+	if _, err := src.beginMigrate(info.ID); err != nil {
 		t.Fatalf("begin: %v", err)
 	}
 	srcTS.Close()
@@ -366,7 +401,7 @@ func TestMigrateDoubleImport(t *testing.T) {
 	w := newMigrateWorld(t)
 	info, _, _ := w.seedRun(t)
 
-	stream, err := w.src.BeginMigrate(info.ID)
+	stream, err := w.src.beginMigrate(info.ID)
 	if err != nil {
 		t.Fatalf("begin: %v", err)
 	}
@@ -391,7 +426,7 @@ func TestMigrateDoubleImport(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("wire duplicate import: status %d, want 409", resp.StatusCode)
 	}
-	if err := w.src.CommitMigrate(info.ID); err != nil {
+	if err := w.src.commitMigrate(info.ID); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 }

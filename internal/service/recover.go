@@ -2,22 +2,17 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
 )
 
-// Recover rebuilds the registry from the journal directory: first every
-// run's latest snapshot (driver rebuilt from the journaled creation
-// record and handed its persisted state, then the host state restored
-// around it), then the journal tail replayed — each
-// record fed through the same apply path the live server uses, with its
-// recorded timestamp. Records at or below a run's snapshot watermark
-// are skipped; records for runs the durable state has already swept are
-// ignored (see Registry.Checkpoint). It returns the number of runs
-// live in the registry afterwards.
+// Recover rebuilds the registry from the journal directory: every run
+// durable.ReadRuns reads back, in id order, is rebuilt and registered.
+// The first run the reader or the rebuild refuses stops recovery,
+// naming the run. It returns the number of runs live in the registry
+// afterwards.
 //
 // Recovery is single-threaded and must complete before the registry
 // serves traffic (Server.New enforces this, synchronously or behind
@@ -27,87 +22,21 @@ func (o Options) Recover(g *Registry, jr *durable.Log) (int, error) {
 	if now == nil {
 		now = time.Now
 	}
-	snaps, err := jr.LoadSnapshots()
+	runs, err := durable.ReadRuns(jr.Dir())
 	if err != nil {
 		return 0, err
 	}
-	// Sorted IDs so recovery builds drivers (and draws their internal
-	// RNG streams) in a deterministic order run to run.
-	ids := make([]string, 0, len(snaps))
-	for id := range snaps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		run, err := restoreRun(snaps[id], jr)
+	for _, sr := range runs {
+		if sr.Err != nil {
+			return 0, fmt.Errorf("service: run %q: %w", sr.ID, sr.Err)
+		}
+		run, err := rebuild(sr.Snap, sr.Tail, jr, now)
 		if err != nil {
-			return 0, fmt.Errorf("restoring run %q: %w", id, err)
+			return 0, err
 		}
 		g.Add(run)
-	}
-	err = jr.Replay(func(m core.Mutation) error {
-		run, ok := g.Get(m.Run)
-		if m.Op == core.MutCreate {
-			if ok {
-				return nil // superseded by the run's snapshot
-			}
-			rec, err := decodeCreateRecord(m.Payload)
-			if err != nil {
-				return err
-			}
-			run, err := replayCreate(rec, jr)
-			if err != nil {
-				return fmt.Errorf("replaying create of %q: %w", m.Run, err)
-			}
-			g.Add(run)
-			return nil
-		}
-		if !ok {
-			// The run's durable state was pruned after a sweep; its
-			// trailing lifecycle records describe a corpse.
-			return nil
-		}
-		h := run.Host
-		if m.Seq <= h.muts {
-			return nil // already inside the snapshot's watermark
-		}
-		if m.Seq != h.muts+1 {
-			return fmt.Errorf("run %q: journal gap: record %d after watermark %d", m.Run, m.Seq, h.muts)
-		}
-		switch m.Op {
-		case core.MutPoll:
-			if _, _, err := h.apply(m.TimeNs, int(m.Worker), m.Tasks); err != nil {
-				return fmt.Errorf("run %q: replaying poll %d: %w", m.Run, m.Seq, err)
-			}
-		case core.MutReclaim:
-			h.applyReclaim(m.TimeNs)
-		case core.MutExpire:
-			h.muts = m.Seq
-			run.Expire()
-		case core.MutSwept:
-			h.muts = m.Seq
-			run.Expire()
-			g.Remove(m.Run)
-			return nil
-		default:
-			return fmt.Errorf("run %q: unexpected journal op %v", m.Run, m.Op)
-		}
-		if h.muts != m.Seq {
-			// A replayed reclaim that found nothing to reclaim: the live
-			// pass mutated, so identical pre-state must too.
-			return fmt.Errorf("run %q: replay diverged at record %d (watermark %d)", m.Run, m.Seq, h.muts)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	// Flip every recovered run live: journal appends resume, the clock
-	// becomes the server's, and the run rejoins the event plane (no
-	// synthetic run_created — the run is old, not new).
-	runs := g.Runs()
-	for _, run := range runs {
-		run.Host.finishRecovery(now)
+		// The run rejoins the event plane, with no synthetic
+		// run_created: the run is old, not new.
 		if o.Events != nil {
 			run.Host.AttachEvents(o.Events.Run(run.ID))
 		}
@@ -115,56 +44,43 @@ func (o Options) Recover(g *Registry, jr *durable.Log) (int, error) {
 	return len(runs), nil
 }
 
-// restoreRun rebuilds one run from its snapshot.
-func restoreRun(s *durable.RunSnapshot, jr *durable.Log) (*Run, error) {
-	rec, err := decodeCreateRecord(s.Request)
+// rebuild reconstructs one run from what a journal directory or a
+// transfer stream holds (durable.ReadRuns, durable.DecodeTransfer): the
+// run restored from snap, or created from the MutCreate that opens a
+// snapshot-less tail, then every further record replayed at its
+// recorded instant through the code the live server runs. The driver is
+// built from the journaled creation record, so a restarted daemon with
+// other defaults still rebuilds the run as it was created. The run
+// comes back live: journaling into jr, continuing the sequence where
+// the tail ends, on the clock now.
+func rebuild(snap *durable.RunSnapshot, tail []core.Mutation, jr *durable.Log, now func() time.Time) (*Run, error) {
+	var payload []byte
+	if snap != nil {
+		payload = snap.Request
+	} else {
+		payload, tail = tail[0].Payload, tail[1:]
+	}
+	rec, err := decodeCreateRecord(payload)
 	if err != nil {
 		return nil, err
 	}
 	q := rec.request()
 	drv, err := NewDriver(&q)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: run %q: %w", rec.ID, err)
 	}
-	sn, ok := drv.(core.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("service: driver %s has no state codec", drv.Name())
+	var h *Host
+	if snap != nil {
+		if h, err = restoreHost(drv, rec, snap); err != nil {
+			return nil, err
+		}
+	} else {
+		created := time.Unix(0, rec.CreatedNs)
+		h = NewHostWithClock(drv, rec.Batch, rec.lease(), func() time.Time { return created })
+		h.muts = 1
 	}
-	if err := sn.RestoreState(s.Driver); err != nil {
-		return nil, fmt.Errorf("service: driver state of %q: %w", s.ID, err)
-	}
-	h, err := restoreHost(drv, rec, s, jr)
-	if err != nil {
-		return nil, err
-	}
-	run := runFromRecord(rec, h)
-	if s.Expired {
-		run.Expire()
-	}
-	return run, nil
-}
-
-// replayCreate rebuilds a run that has no snapshot yet from its
-// journaled creation record alone; the tail replay then feeds it every
-// poll it ever served. The host starts in replay mode with the create
-// holding sequence 1, exactly as AddNew journaled it.
-func replayCreate(rec createRecord, jr *durable.Log) (*Run, error) {
-	q := rec.request()
-	drv, err := NewDriver(&q)
-	if err != nil {
-		return nil, err
-	}
-	created := time.Unix(0, rec.CreatedNs)
-	h := NewHostWithClock(drv, rec.Batch, rec.lease(), func() time.Time { return created })
-	h.jr = jr
-	h.runID = rec.ID
-	h.replay = true
-	h.muts = 1
-	return runFromRecord(rec, h), nil
-}
-
-func runFromRecord(rec createRecord, h *Host) *Run {
-	return &Run{
+	h.jr, h.runID, h.replay = jr, rec.ID, true
+	run := &Run{
 		ID:       rec.ID,
 		Kernel:   rec.Kernel,
 		Strategy: rec.Strategy,
@@ -175,4 +91,30 @@ func runFromRecord(rec createRecord, h *Host) *Run {
 		Created:  time.Unix(0, rec.CreatedNs),
 		Host:     h,
 	}
+	if snap != nil && snap.Expired {
+		run.Expire()
+	}
+	for _, m := range tail {
+		switch m.Op {
+		case core.MutPoll:
+			if _, _, err := h.apply(m.TimeNs, int(m.Worker), m.Tasks); err != nil {
+				return nil, fmt.Errorf("service: run %q: replaying poll %d: %w", rec.ID, m.Seq, err)
+			}
+		case core.MutReclaim:
+			h.reclaimAll(time.Unix(0, m.TimeNs))
+		case core.MutExpire:
+			h.muts++
+			run.Expire()
+		default:
+			return nil, fmt.Errorf("service: run %q: unexpected op %v at record %d", rec.ID, m.Op, m.Seq)
+		}
+		if h.muts != m.Seq {
+			// A replayed reclaim that found nothing to reclaim: the live
+			// pass mutated, so identical pre-state must too.
+			return nil, fmt.Errorf("service: run %q: replay diverged at record %d (watermark %d)", rec.ID, m.Seq, h.muts)
+		}
+	}
+	h.replay = false
+	h.now = now
+	return run, nil
 }

@@ -66,7 +66,7 @@ func (w *world) create(id string, q CreateRunRequest) *Run {
 	if err != nil {
 		w.t.Fatalf("new run: %v", err)
 	}
-	added, err := w.reg.AddNew(run)
+	added, err := w.reg.addNew(run)
 	if err != nil {
 		w.t.Fatalf("journaling run %q: %v", id, err)
 	}
@@ -88,6 +88,25 @@ func (w *world) crashRecover() *world {
 		w.t.Fatalf("recover: %v", err)
 	}
 	return nw
+}
+
+// scavenge reads dir back the way the death path does (one
+// durable.ReadRuns) and returns run id's transfer stream, or the
+// reader's error for it.
+func scavenge(dir, id string) ([]byte, error) {
+	runs, err := durable.ReadRuns(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range runs {
+		if r.ID == id {
+			if r.Err != nil {
+				return nil, r.Err
+			}
+			return durable.AppendTransfer(nil, r.Snap, r.Tail), nil
+		}
+	}
+	return nil, fmt.Errorf("run %s is not in %s", id, dir)
 }
 
 // pollPattern drives every worker round-robin, each poll reporting the
@@ -636,8 +655,8 @@ func TestRecoverRefusesOpLogSnapshot(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("GET /v1/runs after refused recovery = %d, want 503", rec.Code)
 	}
-	if _, err := durable.ExtractTransfer(dir, "r-hsn1"); !errors.Is(err, durable.ErrOpLogSnapshot) {
-		t.Fatalf("ExtractTransfer = %v, want %v", err, durable.ErrOpLogSnapshot)
+	if _, err := scavenge(dir, "r-hsn1"); !errors.Is(err, durable.ErrOpLogSnapshot) {
+		t.Fatalf("scavenge = %v, want %v", err, durable.ErrOpLogSnapshot)
 	}
 
 	// A transfer stream embedding it: magic, flag 1, length, snapshot.

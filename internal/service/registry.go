@@ -150,9 +150,9 @@ func (g *Registry) shardFor(id string) *registryShard {
 	return g.shards[int(h%uint32(len(g.shards)))]
 }
 
-// NewID returns a fresh run identifier: a monotone sequence number
+// newID returns a fresh run identifier: a monotone sequence number
 // plus a random suffix so IDs are not guessable across restarts.
-func (g *Registry) NewID() string {
+func (g *Registry) newID() string {
 	g.idmu.Lock()
 	suffix := g.idrng.Uint64()
 	g.idmu.Unlock()
@@ -167,7 +167,7 @@ func (g *Registry) Add(run *Run) {
 	s.mu.Unlock()
 }
 
-// AddNew registers run under its ID unless one is already present,
+// addNew registers run under its ID unless one is already present,
 // reporting whether it was added. Pinned IDs (CreateRunRequest.ID) go
 // through it so a duplicate answers 409 instead of silently replacing
 // the original run.
@@ -183,7 +183,7 @@ func (g *Registry) Add(run *Run) {
 // group-commit buffer, so a later successful commit can still land it —
 // a restart may then resurrect the refused run as an idle one, which
 // the TTL sweep collects; durable-before-visible is never violated.
-func (g *Registry) AddNew(run *Run) (bool, error) {
+func (g *Registry) addNew(run *Run) (bool, error) {
 	s := g.shardFor(run.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,8 +385,9 @@ func (g *Registry) RecordExpire(run *Run) error {
 //
 // A run swept between Rotate and the snapshot pass simply is not
 // snapshotted, and Prune drops its records with the sealed
-// generations; its MutSwept record in the live generation then refers
-// to a run recovery has never heard of, which replay ignores.
+// generations; its MutSwept record in the live generation then belongs
+// to a run with neither snapshot nor create, which durable.ReadRuns
+// ignores.
 func (g *Registry) Checkpoint() error {
 	if g.jr == nil {
 		return nil

@@ -375,10 +375,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	id := q.ID
 	if id == "" {
-		id = s.reg.NewID()
+		id = s.reg.newID()
 	} else if _, exists := s.reg.Get(id); exists {
 		// Early duplicate check so the common conflict never constructs
-		// a driver or publishes a spurious run_created; the AddNew below
+		// a driver or publishes a spurious run_created; the addNew below
 		// closes the remaining race window.
 		writeError(w, http.StatusConflict, fmt.Sprintf("run %q already exists", id))
 		return
@@ -388,7 +388,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	added, err := s.reg.AddNew(run)
+	added, err := s.reg.addNew(run)
 	if err != nil {
 		// The create never became durable, so the run was not
 		// registered; the client must not poll a run that a restart can

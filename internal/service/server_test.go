@@ -297,7 +297,7 @@ func TestRegistrySharding(t *testing.T) {
 	g := NewRegistry(4, 0)
 	ids := make([]string, 100)
 	for i := range ids {
-		ids[i] = g.NewID()
+		ids[i] = g.newID()
 		g.Add(&Run{ID: ids[i], Created: time.Unix(int64(i), 0), Host: NewHost(
 			core.NewSchedulerDriver(outer.NewRandom(2, 1, rng.New(1).Split())), 1, 0)})
 	}
