@@ -1,11 +1,17 @@
 package sim_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"hetsched/internal/core"
+	"hetsched/internal/durable"
 	"hetsched/internal/rng"
 	"hetsched/internal/service"
 	"hetsched/internal/sim"
@@ -24,9 +30,9 @@ var kernelStrategies = []struct{ kernel, strategy string }{
 // randomRun draws a run of kernel/strategy from r: its shape, seed and
 // (for 2phases, half the time) an explicit beta, and a fixed or drifting
 // platform. newDriver and newModel build fresh, identical instances on
-// every call.
-func randomRun(t *testing.T, kernel, strategy string, drift bool, r *rng.PCG) (newDriver func() core.Driver, newModel func() speeds.Model) {
-	req := service.CreateRunRequest{Kernel: kernel, Strategy: strategy, P: 1 + r.Intn(8), Seed: r.Uint64()}
+// every call; req is the creation request newDriver builds from.
+func randomRun(t *testing.T, kernel, strategy string, drift bool, r *rng.PCG) (newDriver func() core.Driver, newModel func() speeds.Model, req service.CreateRunRequest) {
+	req = service.CreateRunRequest{Kernel: kernel, Strategy: strategy, P: 1 + r.Intn(8), Seed: r.Uint64()}
 	switch kernel {
 	case "outer":
 		req.N = 1 + r.Intn(30)
@@ -53,7 +59,7 @@ func randomRun(t *testing.T, kernel, strategy string, drift bool, r *rng.PCG) (n
 		}
 		return speeds.NewFixed(init)
 	}
-	return newDriver, newModel
+	return newDriver, newModel, req
 }
 
 // TestRunDriverMatchesReference runs every kernel × strategy through
@@ -70,7 +76,7 @@ func TestRunDriverMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%s/drift=%v", ks.kernel, ks.strategy, drift), func(t *testing.T) {
 				r := rng.New(uint64(len(ks.kernel)*31 + len(ks.strategy)))
 				for i := 0; i < seeds; i++ {
-					newDriver, newModel := randomRun(t, ks.kernel, ks.strategy, drift, r)
+					newDriver, newModel, _ := randomRun(t, ks.kernel, ks.strategy, drift, r)
 					got := sim.RunDriver(newDriver(), newModel())
 					want := sim.RefRunDriver(newDriver(), newModel())
 					for _, f := range []struct {
@@ -91,6 +97,213 @@ func TestRunDriverMatchesReference(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// servedDriver serves a driver through a service.Host at batch 1.
+// Complete is a Host.Next poll carrying the report, and Next hands over
+// the grant that poll made, or polls for one. A grant not yet handed
+// over counts in Remaining: the host grants inside the poll that
+// reports, so without it the master would retire the worker and lose
+// the batch.
+type servedDriver struct {
+	t     *testing.T
+	drv   core.Driver // a twin of the driver inside h: its shape and task costs
+	h     *service.Host
+	held  []core.Assignment
+	has   []bool
+	nheld int
+	polls int
+	// afterPoll, when set, runs after every poll; it may replace h.
+	afterPoll func(d *servedDriver)
+}
+
+func newServed(t *testing.T, drv core.Driver, h *service.Host) *servedDriver {
+	return &servedDriver{t: t, drv: drv, h: h, held: make([]core.Assignment, drv.P()), has: make([]bool, drv.P())}
+}
+
+func (d *servedDriver) poll(w int, report []core.Task) {
+	a, status, err := d.h.Next(w, report)
+	if err != nil {
+		d.t.Fatalf("poll %d by worker %d: %v", d.polls, w, err)
+	}
+	d.polls++
+	if status == service.StatusOK {
+		d.held[w], d.has[w] = a, true
+		d.nheld++
+	}
+	if d.afterPoll != nil {
+		d.afterPoll(d)
+	}
+}
+
+func (d *servedDriver) Complete(w int, ts []core.Task) { d.poll(w, ts) }
+
+func (d *servedDriver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
+	if !d.has[w] {
+		d.poll(w, nil)
+	}
+	if !d.has[w] {
+		return core.Assignment{}, false
+	}
+	d.has[w] = false
+	d.nheld--
+	return core.Assignment{Tasks: append(buf[:0], d.held[w].Tasks...), Blocks: d.held[w].Blocks}, true
+}
+
+func (d *servedDriver) Next(w int) (core.Assignment, bool) { return d.NextInto(w, nil) }
+func (d *servedDriver) Remaining() int                     { return d.h.Stats().Remaining + d.nheld }
+func (d *servedDriver) Total() int                         { return d.drv.Total() }
+func (d *servedDriver) P() int                             { return d.drv.P() }
+func (d *servedDriver) Name() string                       { return d.drv.Name() }
+
+func (d *servedDriver) TaskCost(t core.Task) float64 {
+	if c, ok := d.drv.(core.TaskCoster); ok {
+		return c.TaskCost(t)
+	}
+	return 1
+}
+
+// journaledRun is one run of a journaled service.Server on a frozen
+// clock, so a lease never expires. open starts the server on dir,
+// recovering whatever the journal holds; closing and opening again is
+// a crash and restart.
+type journaledRun struct {
+	t   *testing.T
+	dir string
+	id  string
+	jr  *durable.Log
+	srv *service.Server
+}
+
+func frozenClock() time.Time { return time.Unix(1000, 0) }
+
+// newJournaledRun creates req's run at batch 1 under a lease of an hour.
+func newJournaledRun(t *testing.T, req service.CreateRunRequest) (*journaledRun, *service.Host) {
+	j := &journaledRun{t: t, dir: t.TempDir(), id: "served"}
+	j.open()
+	req.ID, req.Batch, req.LeaseSeconds = j.id, 1, 3600
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	j.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	t.Cleanup(j.close)
+	return j, j.host()
+}
+
+func (j *journaledRun) open() {
+	jr, err := durable.Open(j.dir)
+	if err != nil {
+		j.t.Fatal(err)
+	}
+	j.jr = jr
+	j.srv = service.New(service.Options{GCInterval: -1, TTL: -1, Now: frozenClock, Journal: jr})
+	if err := j.srv.RecoveryErr(); err != nil {
+		j.t.Fatalf("recover: %v", err)
+	}
+}
+
+func (j *journaledRun) close() {
+	j.srv.Close()
+	j.jr.Close()
+}
+
+func (j *journaledRun) host() *service.Host {
+	run, ok := j.srv.Registry().Get(j.id)
+	if !ok {
+		j.t.Fatalf("run %q is not registered", j.id)
+	}
+	return run.Host
+}
+
+// TestServedMatchesSimulated serves every kernel × strategy through a
+// service.Host under sim.RunDriver and requires what the bare driver
+// gives: the same ledger, makespan, wait time and schedule, and a host
+// ledger that counts the blocks and requests the simulator counts. The
+// host is bare; or a journaled server's, with events attached and a
+// lease that never expires; or that, crashed at a random poll and
+// recovered from the journal and a snapshot cut at an earlier one.
+func TestServedMatchesSimulated(t *testing.T) {
+	seeds := 50
+	if testing.Short() {
+		seeds = 5
+	}
+	for _, v := range []struct {
+		name               string
+		journaled, crashes bool
+	}{{"bare", false, false}, {"journaled", true, false}, {"recovered", true, true}} {
+		for _, ks := range kernelStrategies {
+			for _, drift := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s-%s/drift=%v", v.name, ks.kernel, ks.strategy, drift), func(t *testing.T) {
+					r := rng.New(uint64(len(ks.kernel)*31 + len(ks.strategy)))
+					for i := 0; i < seeds; i++ {
+						newDriver, newModel, req := randomRun(t, ks.kernel, ks.strategy, drift, r)
+						want := sim.RunDriver(newDriver(), newModel())
+						var d *servedDriver
+						crashed := false
+						if !v.journaled {
+							drv := newDriver()
+							d = newServed(t, drv, service.NewHost(drv, 1, 0))
+						} else {
+							j, h := newJournaledRun(t, req)
+							d = newServed(t, newDriver(), h)
+							if v.crashes {
+								// Every grant takes a poll, so the crash comes.
+								crash := 1 + r.Intn(want.Requests)
+								cut := r.Intn(crash)
+								d.afterPoll = func(d *servedDriver) {
+									switch d.polls {
+									case cut:
+										if err := j.srv.Checkpoint(); err != nil {
+											t.Fatalf("checkpoint: %v", err)
+										}
+									case crash:
+										crashed = true
+										j.close()
+										j.open()
+										d.h = j.host()
+									}
+								}
+							}
+						}
+						got := sim.RunDriver(d, newModel())
+						if crashed != v.crashes {
+							t.Fatalf("run %d: crashed %v, want %v", i, crashed, v.crashes)
+						}
+						st := d.h.Stats()
+						blocksPer := make([]int, len(st.Workers))
+						for w, ws := range st.Workers {
+							blocksPer[w] = ws.Blocks
+						}
+						for _, f := range []struct {
+							name      string
+							got, want any
+						}{
+							{"Blocks", got.Blocks, want.Blocks},
+							{"BlocksPer", got.BlocksPer, want.BlocksPer},
+							{"TasksPer", got.TasksPer, want.TasksPer},
+							{"Requests", got.Requests, want.Requests},
+							{"Makespan", got.Makespan, want.Makespan},
+							{"WaitTime", got.WaitTime, want.WaitTime},
+							{"Schedule", got.Schedule, want.Schedule},
+							{"host Blocks", st.Blocks, want.Blocks},
+							{"host Workers[].Blocks", blocksPer, want.BlocksPer},
+							{"host Requests", st.Requests, want.Requests},
+							{"host State", st.State, service.StateComplete},
+						} {
+							if !reflect.DeepEqual(f.got, f.want) {
+								t.Fatalf("run %d: %s %v, simulated %v", i, f.name, f.got, f.want)
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -145,7 +358,7 @@ func TestMasterNeverPollsADrainedDriver(t *testing.T) {
 	r := rng.New(11)
 	for _, ks := range kernelStrategies {
 		for i := 0; i < 5; i++ {
-			newDriver, newModel := randomRun(t, ks.kernel, ks.strategy, i%2 == 1, r)
+			newDriver, newModel, _ := randomRun(t, ks.kernel, ks.strategy, i%2 == 1, r)
 			cd := &countingDriver{Driver: newDriver()}
 			m := sim.RunDriver(cd, newModel())
 			if cd.drained != 0 || cd.calls < m.Requests {
