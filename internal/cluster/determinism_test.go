@@ -109,7 +109,9 @@ func TestMasterCrashRecoveryExact(t *testing.T) {
 // Cholesky fleet with a 50-crash mid-run wave completes
 // deterministically — same seed, identical hash — with every invariant
 // (exactly-once, lease accounting, analysis makespan bound) checked,
-// in well under two seconds of wall clock.
+// in well under two seconds of wall clock. The budget holds for a
+// plain build; under the race detector the determinism and drain
+// checks still run, the budget does not.
 func TestAcceptance1kDriftCholeskyCrashes(t *testing.T) {
 	start := time.Now()
 	sc := Acceptance(1)
@@ -129,7 +131,7 @@ func TestAcceptance1kDriftCholeskyCrashes(t *testing.T) {
 	}
 	// Both runs (each with 1000 workers, drift, crashes, full HTTP-free
 	// drain + invariant check) must fit the < 2s budget together.
-	if elapsed > 2*time.Second {
+	if !raceDetector && elapsed > 2*time.Second {
 		t.Fatalf("acceptance scenario took %v, budget 2s", elapsed)
 	}
 	t.Logf("1k-worker drift Cholesky with crashes: %d tasks, %d reclaims, %d polls, %v virtual, %v wall (2 runs)",

@@ -18,11 +18,15 @@ import (
 // caller serializes access (the service wraps it in a mutex-guarded
 // Host, the simulator runs in one goroutine anyway).
 type Driver interface {
-	// Next computes the next assignment for worker w in [0, P()).
-	// ok=false with Remaining() > 0 means "nothing schedulable right
-	// now": the worker should retry after some completion is reported
-	// (DAG kernels only). ok=false with Remaining() == 0 means the run
-	// is drained and the worker can retire.
+	// NextInto computes the next assignment for worker w in [0, P()),
+	// building its Tasks in buf[:0] under Scheduler.NextInto's
+	// ownership rule. ok=false with Remaining() > 0 means "nothing
+	// schedulable right now": the worker should retry after some
+	// completion is reported (DAG kernels only). ok=false with
+	// Remaining() == 0 means the run is drained and the worker can
+	// retire.
+	NextInto(w int, buf TaskBuf) (a Assignment, ok bool)
+	// Next is NextInto(w, nil): the assignment owns a fresh slice.
 	Next(w int) (a Assignment, ok bool)
 	// Complete reports that worker w finished executing ts. Flat
 	// schedulers ignore it; DAG drivers use it to bump tile versions
@@ -38,19 +42,6 @@ type Driver interface {
 	P() int
 	// Name returns the strategy name as used in the paper's figures.
 	Name() string
-}
-
-// BufferedDriver is the Driver analogue of BufferedScheduler: NextInto
-// behaves exactly like Next but builds the assignment's Tasks slice in
-// buf[:0], growing it when the capacity is insufficient. The ownership
-// contract matches BufferedScheduler: the returned Assignment.Tasks
-// aliases buf (or its regrown replacement), so it is only valid until
-// the next NextInto call with the same buffer.
-type BufferedDriver interface {
-	Driver
-	// NextInto computes the next assignment for worker w, appending
-	// the batch's tasks to buf[:0].
-	NextInto(w int, buf TaskBuf) (a Assignment, ok bool)
 }
 
 // TaskCoster is implemented by drivers whose tasks have heterogeneous
@@ -92,7 +83,6 @@ type Reassigner interface {
 // re-charge; see dag.Driver.Reassign).
 type SchedulerDriver struct {
 	s       Scheduler
-	bs      BufferedScheduler // s's NextInto; nil when it has none
 	requeue []Task
 }
 
@@ -102,14 +92,13 @@ func NewSchedulerDriver(s Scheduler) *SchedulerDriver {
 	if s == nil {
 		panic("core: nil scheduler")
 	}
-	bs, _ := s.(BufferedScheduler)
-	return &SchedulerDriver{s: s, bs: bs}
+	return &SchedulerDriver{s: s}
 }
 
 // popRequeue serves the oldest reclaimed task, if any. One task per
 // allocation step mirrors the granularity of the flat schedulers'
-// cheapest strategies, so the host's batching loop stays in control of
-// assignment sizes.
+// cheapest strategies, so the master's batch target stays in control
+// of assignment sizes.
 func (d *SchedulerDriver) popRequeue(buf TaskBuf) (Assignment, bool) {
 	if len(d.requeue) == 0 {
 		return Assignment{}, false
@@ -122,26 +111,16 @@ func (d *SchedulerDriver) popRequeue(buf TaskBuf) (Assignment, bool) {
 	return Assignment{Tasks: append(buf[:0], t)}, true
 }
 
-// Next implements Driver, serving reclaimed tasks before stepping the
-// wrapped scheduler.
-func (d *SchedulerDriver) Next(w int) (Assignment, bool) {
-	if a, ok := d.popRequeue(nil); ok {
-		return a, true
-	}
-	return d.s.Next(w)
-}
+// Next implements Driver.
+func (d *SchedulerDriver) Next(w int) (Assignment, bool) { return d.NextInto(w, nil) }
 
-// NextInto implements BufferedDriver when the wrapped scheduler is
-// buffered; otherwise it falls back to the allocating Next path (the
-// assignment is still correct, it just does not reuse buf).
+// NextInto implements Driver, serving reclaimed tasks before stepping
+// the wrapped scheduler.
 func (d *SchedulerDriver) NextInto(w int, buf TaskBuf) (Assignment, bool) {
 	if a, ok := d.popRequeue(buf); ok {
 		return a, true
 	}
-	if d.bs != nil {
-		return d.bs.NextInto(w, buf)
-	}
-	return d.s.Next(w)
+	return d.s.NextInto(w, buf)
 }
 
 // Complete implements Driver as a no-op.

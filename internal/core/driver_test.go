@@ -8,18 +8,19 @@ type stubScheduler struct {
 	next, total int
 }
 
-func (s *stubScheduler) Next(w int) (Assignment, bool) {
+func (s *stubScheduler) NextInto(w int, buf TaskBuf) (Assignment, bool) {
 	if s.next >= s.total {
 		return Assignment{}, false
 	}
 	t := Task(s.next)
 	s.next++
-	return Assignment{Tasks: []Task{t}, Blocks: 1}, true
+	return Assignment{Tasks: append(buf[:0], t), Blocks: 1}, true
 }
-func (s *stubScheduler) Remaining() int { return s.total - s.next }
-func (s *stubScheduler) Total() int     { return s.total }
-func (s *stubScheduler) P() int         { return 2 }
-func (s *stubScheduler) Name() string   { return "Stub" }
+func (s *stubScheduler) Next(w int) (Assignment, bool) { return s.NextInto(w, nil) }
+func (s *stubScheduler) Remaining() int                { return s.total - s.next }
+func (s *stubScheduler) Total() int                    { return s.total }
+func (s *stubScheduler) P() int                        { return 2 }
+func (s *stubScheduler) Name() string                  { return "Stub" }
 
 // TestSchedulerDriverRequeue pins the host-level requeue that backs
 // lease reclamation for the flat kernels: reassigned tasks are served

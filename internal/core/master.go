@@ -3,15 +3,15 @@ package core
 import "hetsched/internal/bitset"
 
 // Master is the paper's demand-driven master, and the one copy of its
-// contract that the substrates step: an idle worker asks; the master
+// contract that every substrate steps: an idle worker asks; the master
 // applies the completions it reports, then serves it; a worker with
 // nothing schedulable parks until a later completion lets a retry serve
 // it; and once the driver is drained every worker that asks, parked or
 // not, retires. The simulator's event loop (sim.RunDriver, under
-// sim.Run too) and the runtime's channel loop (internal/exec) both call
-// it, so the runtime's numeric tests verify the master the simulator
-// measures. service.Host keeps a body of its own, with leases, stripes
-// and a journal, under the same contract.
+// sim.Run too), the runtime's channel loop (internal/exec) and the
+// network service (service.Host, which adds leases, stripes and a
+// journal around it) all call it, so the runtime's numeric tests and
+// the served runs exercise the master the simulator measures.
 //
 // Grant order is part of every schedule: the requester is served first,
 // then the parked workers in index order. A drained driver is never
@@ -20,16 +20,19 @@ import "hetsched/internal/bitset"
 // Like the Driver it owns, a Master is a single-goroutine state machine.
 type Master struct {
 	drv     Driver
-	bd      BufferedDriver // drv's NextInto; nil when it has none
 	parked  *bitset.Bitset
 	nParked int
+	// tmp builds the steps of a batch past its first.
+	tmp TaskBuf
 
-	// The ledger of granted assignments: how many there were, the blocks
-	// they shipped, in total and per worker, and the tasks per worker.
-	Requests  int
-	Blocks    int
-	BlocksPer []int
-	TasksPer  []int
+	// The ledger of granted batches: how many there were and the tasks
+	// and blocks they shipped, in total and per worker.
+	Requests    int
+	Assigned    int
+	Blocks      int
+	RequestsPer []int
+	TasksPer    []int
+	BlocksPer   []int
 }
 
 // Status is Serve's answer to a worker.
@@ -49,13 +52,12 @@ const (
 // empty ledger.
 func NewMaster(drv Driver) *Master {
 	p := drv.P()
-	bd, _ := drv.(BufferedDriver)
 	return &Master{
-		drv:       drv,
-		bd:        bd,
-		parked:    bitset.New(p),
-		BlocksPer: make([]int, p),
-		TasksPer:  make([]int, p),
+		drv:         drv,
+		parked:      bitset.New(p),
+		RequestsPer: make([]int, p),
+		TasksPer:    make([]int, p),
+		BlocksPer:   make([]int, p),
 	}
 }
 
@@ -67,33 +69,42 @@ func (m *Master) Complete(w int, ts []Task) {
 	}
 }
 
-// Serve answers worker w's request. A granted assignment is built in
-// buf when the driver is a BufferedDriver, with BufferedDriver's
-// ownership rule. A parked worker stays parked until a Serve grants or
-// retires it.
-func (m *Master) Serve(w int, buf TaskBuf) (Assignment, Status) {
+// Serve answers worker w's request with a batch built in buf, under
+// Driver.NextInto's ownership rule. The driver is stepped until the
+// batch holds batch tasks, has taken batch steps, or the driver has
+// nothing more to give. The target is a cutoff, not a clamp: a step is
+// indivisible, since its blocks pay for all of its tasks, so a batch
+// can exceed the target by one step's tasks minus one. A batch of 1
+// is one step, built in buf without a copy. A parked worker stays
+// parked until a Serve grants or retires it.
+func (m *Master) Serve(w, batch int, buf TaskBuf) (Assignment, Status) {
 	if m.drv.Remaining() == 0 {
 		m.unpark(w)
 		return Assignment{}, Retired
 	}
-	var a Assignment
-	var ok bool
-	if m.bd != nil {
-		a, ok = m.bd.NextInto(w, buf)
-	} else {
-		a, ok = m.drv.Next(w)
-	}
+	a, ok := m.drv.NextInto(w, buf)
 	if !ok {
 		if m.parked.SetIfClear(w) {
 			m.nParked++
 		}
 		return Assignment{}, Parked
 	}
+	for steps := 1; steps < batch && len(a.Tasks) < batch && m.drv.Remaining() > 0; steps++ {
+		na, ok := m.drv.NextInto(w, m.tmp)
+		if !ok {
+			break
+		}
+		m.tmp = na.Tasks[:0]
+		a.Tasks = append(a.Tasks, na.Tasks...)
+		a.Blocks += na.Blocks
+	}
 	m.unpark(w)
 	m.Requests++
+	m.Assigned += len(a.Tasks)
 	m.Blocks += a.Blocks
-	m.BlocksPer[w] += a.Blocks
+	m.RequestsPer[w]++
 	m.TasksPer[w] += len(a.Tasks)
+	m.BlocksPer[w] += a.Blocks
 	return a, Granted
 }
 

@@ -14,15 +14,17 @@ type fanDriver struct {
 	asked     []int
 }
 
-func (d *fanDriver) Next(w int) (Assignment, bool) {
+func (d *fanDriver) NextInto(w int, buf TaskBuf) (Assignment, bool) {
 	d.asked = append(d.asked, w)
 	if len(d.ready) == 0 {
 		return Assignment{}, false
 	}
 	t := d.ready[0]
 	d.ready = d.ready[1:]
-	return Assignment{Tasks: []Task{t}, Blocks: 1}, true
+	return Assignment{Tasks: append(buf[:0], t), Blocks: 1}, true
 }
+
+func (d *fanDriver) Next(w int) (Assignment, bool) { return d.NextInto(w, nil) }
 
 func (d *fanDriver) Complete(_ int, ts []Task) {
 	for _, t := range ts {
@@ -47,7 +49,7 @@ func TestMasterContract(t *testing.T) {
 	m := NewMaster(d)
 	var got []Status
 	serve := func(w int) {
-		_, st := m.Serve(w, nil)
+		_, st := m.Serve(w, 1, nil)
 		got = append(got, st)
 	}
 	step := func(w int, ts []Task, want ...Status) {
@@ -73,9 +75,10 @@ func TestMasterContract(t *testing.T) {
 	if want := []int{0, 1, 2, 0, 1, 2, 0, 0, 2}; !reflect.DeepEqual(d.asked, want) {
 		t.Fatalf("driver asked by %v, want %v", d.asked, want)
 	}
-	if m.Requests != 3 || m.Blocks != 3 || !reflect.DeepEqual(m.TasksPer, []int{2, 1, 0}) ||
-		!reflect.DeepEqual(m.BlocksPer, []int{2, 1, 0}) {
-		t.Fatalf("ledger: requests %d, blocks %d %v, tasks %v", m.Requests, m.Blocks, m.BlocksPer, m.TasksPer)
+	if m.Requests != 3 || m.Assigned != 3 || m.Blocks != 3 || !reflect.DeepEqual(m.RequestsPer, []int{2, 1, 0}) ||
+		!reflect.DeepEqual(m.TasksPer, []int{2, 1, 0}) || !reflect.DeepEqual(m.BlocksPer, []int{2, 1, 0}) {
+		t.Fatalf("ledger: requests %d %v, tasks %d %v, blocks %d %v",
+			m.Requests, m.RequestsPer, m.Assigned, m.TasksPer, m.Blocks, m.BlocksPer)
 	}
 	called := false
 	m.Retry(func(int) { called = true })

@@ -32,13 +32,20 @@ type Assignment struct {
 // are called from a single goroutine (the master); implementations
 // need no internal locking.
 type Scheduler interface {
-	// Next computes the next assignment for worker w in [0, P()).
-	// ok is false when no unprocessed task remains; the returned
-	// assignment is then empty. An assignment may contain zero tasks
-	// with Blocks > 0: the data-aware strategies sometimes ship fresh
-	// blocks whose whole row/column of tasks happens to be already
+	// NextInto computes the next assignment for worker w in [0, P()),
+	// building its Tasks in buf[:0] and growing it when the capacity is
+	// insufficient. ok is false when no unprocessed task remains; the
+	// returned assignment is then empty. An assignment may contain zero
+	// tasks with Blocks > 0: the data-aware strategies sometimes ship
+	// fresh blocks whose whole row/column of tasks happens to be already
 	// processed — exactly the end-game inefficiency the two-phase
 	// variants fix.
+	//
+	// Ownership: the returned Tasks aliases buf (or its regrown
+	// replacement, which the caller should store back for reuse), so it
+	// is only valid until the next NextInto call with the same buffer.
+	NextInto(w int, buf TaskBuf) (a Assignment, ok bool)
+	// Next is NextInto(w, nil): the assignment owns a fresh slice.
 	Next(w int) (a Assignment, ok bool)
 	// Remaining returns the number of unprocessed tasks.
 	Remaining() int
@@ -50,29 +57,11 @@ type Scheduler interface {
 	Name() string
 }
 
-// TaskBuf is a reusable assignment-task buffer. A driver loop that
-// calls a BufferedScheduler keeps one TaskBuf per worker and passes it
-// to NextInto on every request, so the scheduler appends tasks into
-// recycled capacity instead of allocating a fresh slice per
-// assignment. The zero value is ready to use.
+// TaskBuf is a reusable assignment-task buffer. A driver loop keeps one
+// TaskBuf per worker and passes it to NextInto on every request, so the
+// scheduler appends tasks into recycled capacity instead of allocating
+// a fresh slice per assignment. The zero value is ready to use.
 type TaskBuf []Task
-
-// BufferedScheduler is an optional extension of Scheduler for
-// allocation-free driver loops: NextInto behaves exactly like Next but
-// builds the assignment's Tasks slice in buf[:0], growing it when the
-// capacity is insufficient.
-//
-// Ownership contract: the returned Assignment.Tasks aliases buf (or
-// its regrown replacement, which the caller should store back for
-// reuse), so it is only valid until the next NextInto call with the
-// same buffer. Callers that retain assignments must copy the slice —
-// or simply call Next, which always allocates.
-type BufferedScheduler interface {
-	Scheduler
-	// NextInto computes the next assignment for worker w, appending
-	// the batch's tasks to buf[:0].
-	NextInto(w int, buf TaskBuf) (a Assignment, ok bool)
-}
 
 // PhaseObserver is implemented by two-phase schedulers that want to
 // report when they switched strategies; the experiment harness uses it

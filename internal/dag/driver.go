@@ -60,7 +60,7 @@ func (d *Driver) Next(w int) (core.Assignment, bool) {
 	return d.NextInto(w, nil)
 }
 
-// NextInto implements core.BufferedDriver: the single-task batch is
+// NextInto implements core.Driver: the single-task batch is
 // appended to buf[:0], so a driving loop that recycles one buffer per
 // worker keeps the assignment path allocation-free.
 func (d *Driver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {

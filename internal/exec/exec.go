@@ -107,7 +107,7 @@ func runDriver(drv core.Driver, opts Options, execute func(w int, t core.Task) e
 		// answer serves worker w; each worker's assignment gets its own
 		// task slice, which it reports back as its completions.
 		answer := func(w int) {
-			switch a, st := ms.Serve(w, nil); st {
+			switch a, st := ms.Serve(w, 1, nil); st {
 			case core.Granted:
 				replies[w] <- grant{a: a, ok: true}
 			case core.Retired:

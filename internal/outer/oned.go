@@ -32,7 +32,7 @@ func NewDynamic1D(n, p int, r *rng.PCG) *Dynamic1D {
 // tasks.
 func (s *Dynamic1D) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil) }
 
-// NextInto implements core.BufferedScheduler.
+// NextInto implements core.Scheduler.
 func (s *Dynamic1D) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if s.inst.remaining == 0 {
 		return core.Assignment{}, false

@@ -127,7 +127,7 @@ func NewRandom(n, p int, r *rng.PCG) *Random {
 // Next implements core.Scheduler.
 func (s *Random) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil) }
 
-// NextInto implements core.BufferedScheduler.
+// NextInto implements core.Scheduler.
 func (s *Random) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	t, ok := s.pool.Draw(s.inst.r, nil)
 	if !ok {
@@ -166,7 +166,7 @@ func NewSorted(n, p int, r *rng.PCG) *Sorted {
 // Next implements core.Scheduler.
 func (s *Sorted) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil) }
 
-// NextInto implements core.BufferedScheduler.
+// NextInto implements core.Scheduler.
 func (s *Sorted) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	n2 := s.inst.n * s.inst.n
 	for s.cursor < n2 && s.inst.processed.Test(s.cursor) {
@@ -239,7 +239,7 @@ func NewDynamic(n, p int, r *rng.PCG) *Dynamic {
 // for worker w.
 func (s *Dynamic) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil) }
 
-// NextInto implements core.BufferedScheduler.
+// NextInto implements core.Scheduler.
 func (s *Dynamic) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if s.inst.remaining == 0 {
 		return core.Assignment{}, false
@@ -376,7 +376,7 @@ func ThresholdFromPhase1Fraction(frac float64, n int) int {
 // Next implements core.Scheduler.
 func (s *TwoPhases) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil) }
 
-// NextInto implements core.BufferedScheduler.
+// NextInto implements core.Scheduler.
 func (s *TwoPhases) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	inst := s.dyn.inst
 	if !s.switched && inst.remaining > 0 && inst.remaining <= s.threshold {

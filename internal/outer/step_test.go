@@ -89,7 +89,7 @@ func refTwoPhasesNext(s *TwoPhases, w int, buf core.TaskBuf) (core.Assignment, b
 
 // snapScheduler is what the step test compares of a strategy.
 type snapScheduler interface {
-	core.BufferedScheduler
+	core.Scheduler
 	core.Snapshotter
 }
 

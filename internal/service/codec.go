@@ -214,29 +214,10 @@ func parseNextRequest(data []byte, buf []core.Task) (worker int64, completed []c
 	return worker, completed, true
 }
 
-// appendJSONString writes s as a JSON string if it needs no escaping
-// under the stdlib's rules (which escape <, >, & for HTML safety along
-// with controls, quotes and backslashes). ok=false sends the caller to
-// the stdlib encoder.
-func appendJSONString(dst []byte, s string) ([]byte, bool) {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return dst, false
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"'), true
-}
-
 // appendJSONFloat replicates encoding/json's float formatting: %f
 // unless the magnitude calls for %e, whose exponent then loses a
-// leading zero ("e-09" → "e-9").
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return dst, false // stdlib errors on these; the caller handles it
-	}
+// leading zero ("e-09" → "e-9"). f must be finite, as a lease is.
+func appendJSONFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -249,20 +230,18 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
 			dst = dst[:n-1]
 		}
 	}
-	return dst, true
+	return dst
 }
 
 // appendNextResponseJSON writes the poll response exactly as
 // json.NewEncoder would (including the trailing newline), building it
 // from the host's native types so the hot path never materializes a
-// NextResponse or a []int64 copy. ok=false (exotic status string,
-// non-finite lease) sends the caller to the stdlib path.
-func appendNextResponseJSON(dst []byte, status string, tasks []core.Task, blocks int, leaseSeconds float64) ([]byte, bool) {
-	var ok bool
-	dst = append(dst, `{"status":`...)
-	if dst, ok = appendJSONString(dst, status); !ok {
-		return dst, false
-	}
+// NextResponse or a []int64 copy. status is one of the protocol's
+// three, which need no escaping, and the lease is finite.
+func appendNextResponseJSON(dst []byte, status string, tasks []core.Task, blocks int, leaseSeconds float64) []byte {
+	dst = append(dst, `{"status":"`...)
+	dst = append(dst, status...)
+	dst = append(dst, '"')
 	if len(tasks) > 0 {
 		dst = append(dst, `,"tasks":[`...)
 		for k, t := range tasks {
@@ -277,11 +256,9 @@ func appendNextResponseJSON(dst []byte, status string, tasks []core.Task, blocks
 	dst = strconv.AppendInt(dst, int64(blocks), 10)
 	if leaseSeconds != 0 {
 		dst = append(dst, `,"lease_seconds":`...)
-		if dst, ok = appendJSONFloat(dst, leaseSeconds); !ok {
-			return dst, false
-		}
+		dst = appendJSONFloat(dst, leaseSeconds)
 	}
-	return append(dst, '}', '\n'), true
+	return append(dst, '}', '\n')
 }
 
 // --- Binary frame -----------------------------------------------------
@@ -316,15 +293,10 @@ func (r *frameReader) svarint() int64 { return unzigzag(r.uvarint()) }
 func (r *frameReader) done() bool { return !r.bad && r.i == len(r.data) }
 
 // appendNextResponseFrame is the server-side response framing, built
-// from the host's native types like the JSON fast path. ok=false means
-// the status has no frame code (cannot happen for host-produced
-// statuses) and the caller must answer in JSON.
-func appendNextResponseFrame(dst []byte, status string, tasks []core.Task, blocks int, leaseSeconds float64) ([]byte, bool) {
-	code, ok := statusCodes[status]
-	if !ok {
-		return dst, false
-	}
-	dst = append(dst, frameMagic0, frameMagic1, frameResp, code)
+// from the host's native types like the JSON fast path. status is one
+// of the protocol's three.
+func appendNextResponseFrame(dst []byte, status string, tasks []core.Task, blocks int, leaseSeconds float64) []byte {
+	dst = append(dst, frameMagic0, frameMagic1, frameResp, statusCodes[status])
 	dst = appendUvarint(dst, uint64(len(tasks)))
 	for _, t := range tasks {
 		dst = appendUvarint(dst, zigzag(int64(t)))
@@ -332,7 +304,7 @@ func appendNextResponseFrame(dst []byte, status string, tasks []core.Task, block
 	dst = appendUvarint(dst, zigzag(int64(blocks)))
 	var lease [8]byte
 	binary.LittleEndian.PutUint64(lease[:], math.Float64bits(leaseSeconds))
-	return append(dst, lease[:]...), true
+	return append(dst, lease[:]...)
 }
 
 // decodeNextRequestFrame parses a poll-request frame, appending the

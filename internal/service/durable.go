@@ -119,11 +119,11 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 	s.StartNs = h.start.UnixNano()
 	s.LastNs = h.last.UnixNano()
 	s.LastPollNs = h.lastPoll.UnixNano()
-	s.Assigned = int64(h.assigned)
+	s.Assigned = int64(h.ms.Assigned)
 	s.Completed = int64(h.completed)
 	s.Reclaimed = int64(h.reclaimed)
-	s.Blocks = int64(h.blocks)
-	s.Requests = int64(h.requests)
+	s.Blocks = int64(h.ms.Blocks)
+	s.Requests = int64(h.ms.Requests)
 	s.Polls = int64(h.polls)
 	n, mean, m2, lo, hi := h.batchAcc.State()
 	s.BatchN, s.BatchMean, s.BatchM2, s.BatchMin, s.BatchMax = int64(n), mean, m2, lo, hi
@@ -131,9 +131,9 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 	s.Workers = make([]durable.WorkerCounters, len(h.workers))
 	for i, w := range h.workers {
 		s.Workers[i] = durable.WorkerCounters{
-			Requests:  int64(w.Requests),
+			Requests:  int64(h.ms.RequestsPer[i]),
 			Tasks:     int64(w.Tasks),
-			Blocks:    int64(w.Blocks),
+			Blocks:    int64(h.ms.BlocksPer[i]),
 			Reclaimed: int64(w.Reclaimed),
 		}
 	}
@@ -170,7 +170,9 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 // snapshot: drv is fresh from the run's creation record and is handed
 // the snapshot's driver state. The host's clock is frozen at the run's
 // creation; rebuild replays the tail at recorded instants and then
-// flips the host live.
+// flips the host live. The master's ledger comes back from the
+// snapshot's counters, except TasksPer, which no snapshot holds and
+// the Host never reads.
 func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Host, error) {
 	sn, ok := drv.(core.Snapshotter)
 	if !ok {
@@ -191,18 +193,18 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Ho
 	h.start = time.Unix(0, s.StartNs)
 	h.last = time.Unix(0, s.LastNs)
 	h.lastPoll = time.Unix(0, s.LastPollNs)
-	h.assigned = int(s.Assigned)
+	h.ms.Assigned = int(s.Assigned)
 	h.completed = int(s.Completed)
 	h.reclaimed = int(s.Reclaimed)
-	h.blocks = int(s.Blocks)
-	h.requests = int(s.Requests)
+	h.ms.Blocks = int(s.Blocks)
+	h.ms.Requests = int(s.Requests)
 	h.polls = int(s.Polls)
 	h.batchAcc = stats.RestoreAccumulator(int(s.BatchN), s.BatchMean, s.BatchM2, s.BatchMin, s.BatchMax)
 	copy(h.batchHist[:], s.BatchHist)
 	for i, wc := range s.Workers {
-		h.workers[i].Requests = int(wc.Requests)
+		h.ms.RequestsPer[i] = int(wc.Requests)
 		h.workers[i].Tasks = int(wc.Tasks)
-		h.workers[i].Blocks = int(wc.Blocks)
+		h.ms.BlocksPer[i] = int(wc.Blocks)
 		h.workers[i].Reclaimed = int(wc.Reclaimed)
 	}
 	h.tr = s.Trace // adopted: the snapshot is not used after restore

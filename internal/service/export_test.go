@@ -36,11 +36,10 @@ func AppendNextResponseFrame(dst []byte, resp *NextResponse) ([]byte, error) {
 	for i, t := range resp.Tasks {
 		tasks[i] = core.Task(t)
 	}
-	out, ok := appendNextResponseFrame(dst, resp.Status, tasks, resp.Blocks, resp.LeaseSeconds)
-	if !ok {
+	if _, ok := statusCodes[resp.Status]; !ok {
 		return dst, fmt.Errorf("frame: status %q has no wire code", resp.Status)
 	}
-	return out, nil
+	return appendNextResponseFrame(dst, resp.Status, tasks, resp.Blocks, resp.LeaseSeconds), nil
 }
 
 // DecodeNextRequestFrame parses a poll-request frame into the wire

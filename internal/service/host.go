@@ -25,10 +25,10 @@ import (
 //     Every grant to worker w lives in stripe(w) — the owner's-stripe
 //     invariant — so report validation, duplicate detection and
 //     completion deletes for w touch only stripe(w)'s lock.
-//   - The core mutex (mu) owns the driver itself — a core.Driver is a
-//     single-goroutine state machine, so stepping it is irreducibly
-//     serial — plus the global counters, the batch statistics, the
-//     trace and the event-hook batch buffer.
+//   - The core mutex (mu) owns the driver and the core.Master that
+//     steps it — a core.Driver is a single-goroutine state machine, so
+//     stepping it is irreducibly serial — plus the global counters,
+//     the batch statistics, the trace and the event-hook batch buffer.
 //
 // Lock order is stripes (ascending index) before core; a poll takes
 // stripe(w) then core, and the multi-stripe operations (lease reclaim,
@@ -36,9 +36,12 @@ import (
 // outstanding count and the earliest-lease lower bound are atomics so
 // the done-check and the lease fast path never touch foreign stripes.
 //
-// The Host also owns the run's collectors: the per-worker load
-// counters, a stats.Accumulator over served batch sizes, and a
-// wall-clock trace.Log of every assignment, which Trace renders.
+// The grant itself is core.Master's, the one the simulator steps: it
+// serves a worker's batch and keeps the ledger of requests, tasks and
+// blocks granted. The Host keeps what the master lacks: the stripes,
+// leases and reclaim, the journal, the completed/reclaimed/poll
+// counters, a stats.Accumulator and histogram over served batch sizes,
+// and a wall-clock trace.Log of every assignment, which Trace renders.
 //
 // Ownership contract of Next's return value: the returned
 // Assignment.Tasks aliases one of two per-worker grant buffers that
@@ -51,10 +54,8 @@ import (
 // concurrently (a real worker is one client awaiting one response at
 // a time).
 type Host struct {
-	drv core.Driver
-	// bdrv is drv's buffered fast path, nil when the driver cannot
-	// build assignments into a caller buffer (every current driver can).
-	bdrv  core.BufferedDriver
+	drv   core.Driver
+	ms    *core.Master // drv's master, under mu
 	p     int
 	batch int
 
@@ -85,18 +86,17 @@ type Host struct {
 	// stripe plus core (the reclaim pass).
 	nextExpiryNs atomic.Int64
 
-	// mu is the core lock: the driver, the global counters, the batch
-	// statistics, the trace, the clock marks, and the event buffer.
+	// mu is the core lock: the driver and its master, the global
+	// counters, the batch statistics, the trace, the clock marks, and
+	// the event buffer.
 	mu        sync.Mutex
-	assigned  int
 	completed int
 	reclaimed int
-	blocks    int
-	requests  int
 	polls     int
-	// workers[w] is guarded by stripe(w)'s lock on the poll path; the
-	// multi-stripe operations (reclaim, Stats) touch it holding every
-	// stripe.
+	// workers[w] holds w's completed and reclaimed tasks; its requests
+	// and blocks are the master's. Guarded by stripe(w)'s lock on the
+	// poll path; the multi-stripe operations (reclaim, Stats) touch it
+	// holding every stripe.
 	workers  []WorkerStats
 	batchAcc stats.Accumulator
 	// batchHist counts served batch sizes in power-of-two buckets
@@ -195,16 +195,13 @@ type hostStripe struct {
 }
 
 // workerSlot is worker w's private poll scratch, touched only while
-// stripe(w) is held: acc[flip] accumulates the granted batch (the
-// returned Assignment.Tasks aliases it; alternating buffers give the
-// caller one full poll of grace before the backing array is reused),
-// tmp holds one driver step and doubles as the sort scratch of the
-// large-report duplicate check. A poll answered done resets the slot to
-// its zero value.
+// stripe(w) is held: the master builds the granted batch in acc[flip]
+// (the returned Assignment.Tasks aliases it; alternating buffers give
+// the caller one full poll of grace before the backing array is
+// reused). A poll answered done resets the slot to its zero value.
 type workerSlot struct {
-	acc  [2][]core.Task
+	acc  [2]core.TaskBuf
 	flip uint8
-	tmp  []core.Task
 	// undo journals the fused loop's deletions so a rejected report can
 	// restore the outstanding table exactly.
 	undo []gtSlot
@@ -274,18 +271,6 @@ func (e *JournalError) Error() string {
 
 func (e *JournalError) Unwrap() error { return e.Err }
 
-// smallReport is the completion-report size up to which duplicate
-// detection uses an allocation-free O(k²) scan instead of sorting a
-// scratch copy. Measured on the reference container (BenchmarkDupScan16
-// ≈ 99 ns, 0 allocs vs BenchmarkDupScanMap16 ≈ 403 ns, 3 allocs; k=17
-// variants alongside, see host_bench_test.go), the scan wins
-// comfortably at and just past the cutoff — the true crossover sits far
-// higher. The constant is therefore a worst-case bound, not a tuning
-// point: a malicious or oversized report (up to maxBatch = 4096 tasks)
-// must not buy k²/2 ≈ 8M comparisons under the run's stripe lock, so
-// anything past a batch-sized report switches to the O(k log k) sort.
-const smallReport = 16
-
 // NewHost wraps drv, serving batches of about batch tasks per Next
 // call (batch < 1 is treated as 1; see Next for the exact batch-size
 // contract). A positive lease arms task reclamation: an assignment not
@@ -316,6 +301,7 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 	}
 	h := &Host{
 		drv:        drv,
+		ms:         core.NewMaster(drv),
 		p:          p,
 		batch:      batch,
 		lease:      lease,
@@ -338,7 +324,6 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 	} else if mapHint > 1024 {
 		mapHint = 1024
 	}
-	h.bdrv, _ = drv.(core.BufferedDriver)
 	armed := false
 	if lease > 0 {
 		if ra, ok := drv.(core.Reassigner); ok {
@@ -522,9 +507,8 @@ func (h *Host) Lease() time.Duration { return h.lease }
 // construction, so no lock is needed).
 func (h *Host) Total() int { return h.drv.Total() }
 
-// Next applies worker w's completion report, then computes its next
-// assignment: the driver is stepped until the accumulated batch
-// reaches the batch size or the driver has nothing more to give. The
+// Next applies worker w's completion report, then has the master serve
+// w a batch of about the configured size (core.Master.Serve). The
 // returned status tells the worker whether to execute (StatusOK), back
 // off and retry (StatusWait) or retire (StatusDone). Errors indicate a
 // malformed request (bad worker index, completion of a task the worker
@@ -540,12 +524,12 @@ func (h *Host) Total() int { return h.drv.Total() }
 // The returned Assignment.Tasks aliases w's reusable grant buffer and
 // is valid until w's next poll; see the ownership contract on Host.
 //
-// Batch-size contract: the driver is stepped until the batch reaches
-// the configured size, but one driver step is indivisible — its block
-// accounting covers the whole multi-task assignment — so the granted
-// batch can exceed the target by up to one step's size minus one task.
-// Drivers that serve single-task steps (all current kernels) never
-// overshoot; TestHostBatchTargetNotClamped pins the general contract.
+// Batch-size contract: Master.Serve's cutoff. One driver step is
+// indivisible — its block accounting covers the whole multi-task
+// assignment — so the granted batch can exceed the target by up to one
+// step's size minus one task. Drivers that serve single-task steps
+// (all current kernels) never overshoot; TestHostBatchTargetNotClamped
+// pins the general contract.
 //
 // When leases are armed, every poll first reclaims expired assignments
 // (cost: one atomic load and a comparison unless something actually
@@ -602,30 +586,14 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		st.mu.Unlock()
 		return core.Assignment{}, "", &MigratedError{Run: h.runID, Done: f == fenceCommitted}
 	}
-	// Small reports get the quadratic duplicate pre-scan so a
-	// hand-written malformed request draws the duplicate diagnosis
-	// regardless of what else is wrong with it. Large reports skip it:
-	// the fused loop below detects duplicates as they collide with
-	// their own deletion, without an O(k log k) pass over the happy
-	// path. Rejection must be whole-report atomic in every case — a
-	// duplicate slipping through would panic the DAG coordinators with
-	// the run state half-updated.
-	if len(completed) > 1 && len(completed) <= smallReport {
-		for i := 1; i < len(completed); i++ {
-			for j := 0; j < i; j++ {
-				if completed[i] == completed[j] {
-					st.mu.Unlock()
-					return core.Assignment{}, "", fmt.Errorf("task %d reported complete twice in one request", completed[i])
-				}
-			}
-		}
-	}
 	// Fused validate-and-apply: each owned task is deleted from the
 	// outstanding table as it is validated — one map lookup chain per
 	// task instead of separate validate and apply passes — and the
 	// deletions are journaled so any rejection rolls the table back
 	// untouched. The journal lives in the worker's slot, so the happy
-	// path stays allocation-free.
+	// path stays allocation-free. Rejection is whole-report atomic: a
+	// duplicate slipping through would panic the DAG coordinators with
+	// the run state half-updated.
 	undo := slot.undo[:0]
 	for idx, t := range completed {
 		s, found, took := st.outstanding.takeOwned(t, int32(w))
@@ -634,10 +602,19 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 			continue
 		}
 		// Rejection. Diagnose under the stripe (everything relevant is
-		// stripe-local), then restore the journaled deletions.
+		// stripe-local), then restore the journaled deletions. A
+		// duplicate of a task this loop already consumed surfaces as a
+		// miss; the prefix scan (error path only) tells it apart from a
+		// stale or reclaimed task.
 		var rejected error
 		conflict := false
-		if st.reclaimedFrom != nil {
+		for j := 0; j < idx; j++ {
+			if completed[j] == t {
+				rejected = fmt.Errorf("task %d reported complete twice in one request", t)
+				break
+			}
+		}
+		if rejected == nil && st.reclaimedFrom != nil {
 			if _, rec := st.reclaimedFrom[taskOwner{t, w}]; rec {
 				rejected = &LeaseExpiredError{Task: t}
 				conflict = true
@@ -645,17 +622,6 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		}
 		if rejected == nil && found {
 			rejected = fmt.Errorf("task %d is outstanding for worker %d, not %d", t, s.worker, w)
-		}
-		if rejected == nil {
-			// A duplicate of a task this loop already consumed surfaces
-			// as a miss; the prefix scan (error path only) tells it
-			// apart from a genuinely stale report.
-			for j := 0; j < idx; j++ {
-				if completed[j] == t {
-					rejected = fmt.Errorf("task %d reported complete twice in one request", t)
-					break
-				}
-			}
 		}
 		for _, u := range undo {
 			st.outstanding.put(core.Task(u.task), u.worker, u.expiryNs)
@@ -710,7 +676,7 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 	h.lastPoll = now
 	h.polls++
 	if len(completed) > 0 {
-		h.drv.Complete(w, completed)
+		h.ms.Complete(w, completed)
 		if h.ev != nil {
 			for _, t := range completed {
 				// One event per task, so exactly-once accounting is
@@ -727,54 +693,44 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		h.last = now
 	}
 
-	// Grant: step the driver into the worker's reusable buffers. The
-	// report is fully consumed and the buffers alternate, so the batch
-	// the caller is still holding (usually the one it just reported
-	// from) is not the one being overwritten.
-	slot.flip ^= 1
-	acc := slot.acc[slot.flip][:0]
-	blocks := 0
-	granted := false
-	for steps := 0; steps < h.batch && len(acc) < h.batch; steps++ {
-		var na core.Assignment
-		var ok bool
-		if h.bdrv != nil {
-			na, ok = h.bdrv.NextInto(w, slot.tmp)
-			if ok && na.Tasks != nil {
-				// NextInto may have regrown the buffer; keep the larger one.
-				slot.tmp = na.Tasks[:0]
-			}
-		} else {
-			na, ok = h.drv.Next(w)
-		}
-		if !ok {
-			break
-		}
-		granted = true
-		acc = append(acc, na.Tasks...)
-		blocks += na.Blocks
+	a, status := h.grantLocked(now, w, st, slot)
+	h.noteStateLocked(now)
+	if h.ev != nil {
+		h.flushEventsLocked()
 	}
-	slot.acc[slot.flip] = acc
-	if !granted {
-		status := StatusWait
-		if h.drv.Remaining() == 0 && h.outstandingCount.Load() == 0 {
-			// The run is over for good: nothing is left to grant and
-			// nothing outstanding can be reported or reclaimed. Release
-			// what only served grants: w's poll scratch and, once empty,
-			// its stripe's table (put rebuilds one if ever needed).
-			status = StatusDone
-			*slot = workerSlot{}
-			if st.outstanding.n == 0 {
-				st.outstanding = grantTable{}
-			}
+	h.mu.Unlock()
+	st.mu.Unlock()
+	return a, status, nil
+}
+
+// grantLocked is apply's grant phase, run under stripe(w) and mu: the
+// master serves w, and the host leases, counts and traces the batch.
+// The batch is built in w's reusable buffers. The report is fully
+// consumed and the buffers alternate, so the batch the caller is still
+// holding (usually the one it just reported from) is not the one being
+// overwritten.
+func (h *Host) grantLocked(now time.Time, w int, st *hostStripe, slot *workerSlot) (core.Assignment, string) {
+	slot.flip ^= 1
+	a, served := h.ms.Serve(w, h.batch, slot.acc[slot.flip])
+	switch {
+	case served == core.Parked:
+		return core.Assignment{}, StatusWait
+	case served == core.Retired && h.outstandingCount.Load() > 0:
+		// A drained driver may still be handed reclaimed tasks.
+		return core.Assignment{}, StatusWait
+	case served == core.Retired:
+		// The run is over for good: nothing is left to grant and
+		// nothing outstanding can be reported or reclaimed. Release
+		// what only served grants: w's poll scratch and, once empty,
+		// its stripe's table (put rebuilds one if ever needed).
+		*slot = workerSlot{}
+		if st.outstanding.n == 0 {
+			st.outstanding = grantTable{}
 		}
-		h.noteStateLocked(now)
-		if h.ev != nil {
-			h.flushEventsLocked()
-		}
-		h.mu.Unlock()
-		st.mu.Unlock()
-		return core.Assignment{}, status, nil
+		return core.Assignment{}, StatusDone
+	}
+	if a.Tasks != nil {
+		slot.acc[slot.flip] = a.Tasks // keep a regrown buffer
 	}
 
 	var expNs int64
@@ -784,43 +740,30 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 			h.nextExpiryNs.Store(expNs) // serialized: all writers hold mu
 		}
 	}
-	for _, t := range acc {
+	n := len(a.Tasks)
+	for _, t := range a.Tasks {
 		st.outstanding.put(t, int32(w), expNs)
 	}
-	h.outstandingCount.Add(int64(len(acc)))
-	h.assigned += len(acc)
-	h.blocks += blocks
-	h.requests++
-	h.workers[w].Requests++
-	h.workers[w].Blocks += blocks
-	h.batchAcc.Add(float64(len(acc)))
-	h.batchHist[batchBucket(len(acc))]++
+	h.outstandingCount.Add(int64(n))
+	h.batchAcc.Add(float64(n))
+	h.batchHist[batchBucket(n)]++
 	h.last = now
 	if h.ev != nil {
 		h.evBuf = append(h.evBuf, events.Event{Type: events.TypeAssign, TimeNs: now.UnixNano(), Worker: w, Task: -1,
-			Count: len(acc), Blocks: blocks})
+			Count: n, Blocks: a.Blocks})
 	}
-	if len(acc) > 0 {
-		at := int64(now.Sub(h.start))
-		// A worker that re-polls without reporting holds two batches at
-		// once; close the older segment now rather than orphaning it
-		// with End == Start forever.
-		if idx := h.open[w]; idx >= 0 {
-			h.tr.SetEnd(idx, at)
-		}
-		h.open[w] = h.tr.Append(w, at, len(acc), blocks)
+	if n == 0 {
+		return core.Assignment{Blocks: a.Blocks}, StatusOK
 	}
-	h.noteStateLocked(now)
-	if h.ev != nil {
-		h.flushEventsLocked()
+	at := int64(now.Sub(h.start))
+	// A worker that re-polls without reporting holds two batches at
+	// once; close the older segment now rather than orphaning it with
+	// End == Start forever.
+	if idx := h.open[w]; idx >= 0 {
+		h.tr.SetEnd(idx, at)
 	}
-	h.mu.Unlock()
-	st.mu.Unlock()
-	a := core.Assignment{Blocks: blocks}
-	if len(acc) > 0 {
-		a.Tasks = acc
-	}
-	return a, StatusOK, nil
+	h.open[w] = h.tr.Append(w, at, n, a.Blocks)
+	return a, StatusOK
 }
 
 // staleReportError diagnoses a reported task that is not outstanding
@@ -1057,19 +1000,23 @@ func (h *Host) Stats() StatsResponse {
 	resp := StatsResponse{
 		State:           h.stateLocked(),
 		Total:           h.drv.Total(),
-		Assigned:        h.assigned,
+		Assigned:        h.ms.Assigned,
 		Completed:       h.completed,
 		Outstanding:     outstanding,
 		Remaining:       h.drv.Remaining(),
 		Reclaimed:       h.reclaimed,
 		LeaseSeconds:    h.lease.Seconds(),
-		Blocks:          h.blocks,
-		Requests:        h.requests,
+		Blocks:          h.ms.Blocks,
+		Requests:        h.ms.Requests,
 		Polls:           h.polls,
 		Phase1Tasks:     -1,
 		ElapsedSeconds:  now.Sub(h.start).Seconds(),
 		MakespanSeconds: h.last.Sub(h.start).Seconds(),
 		Workers:         append([]WorkerStats(nil), h.workers...),
+	}
+	for w := range resp.Workers {
+		resp.Workers[w].Requests = h.ms.RequestsPer[w]
+		resp.Workers[w].Blocks = h.ms.BlocksPer[w]
 	}
 	// Polls per second over the run's elapsed time (0 before the clock
 	// first advances — a zero denominator must not leak NaN into JSON).

@@ -291,12 +291,15 @@ func TestLeaseDisabledKeepsLegacyBehavior(t *testing.T) {
 // reported "created".
 type waitDriver struct{ grants int }
 
-func (d *waitDriver) Next(w int) (core.Assignment, bool) { return core.Assignment{}, false }
-func (d *waitDriver) Complete(int, []core.Task)          {}
-func (d *waitDriver) Remaining() int                     { return 1 }
-func (d *waitDriver) Total() int                         { return 1 }
-func (d *waitDriver) P() int                             { return 2 }
-func (d *waitDriver) Name() string                       { return "WaitStub" }
+func (d *waitDriver) NextInto(int, core.TaskBuf) (core.Assignment, bool) {
+	return core.Assignment{}, false
+}
+func (d *waitDriver) Next(int) (core.Assignment, bool) { return core.Assignment{}, false }
+func (d *waitDriver) Complete(int, []core.Task)        {}
+func (d *waitDriver) Remaining() int                   { return 1 }
+func (d *waitDriver) Total() int                       { return 1 }
+func (d *waitDriver) P() int                           { return 2 }
+func (d *waitDriver) Name() string                     { return "WaitStub" }
 
 // TestStateReflectsPollsNotGrants pins the satellite fix: a run whose
 // workers have polled — even if every poll drew wait — is draining,
@@ -321,28 +324,29 @@ func TestStateReflectsPollsNotGrants(t *testing.T) {
 	}
 }
 
-// multiStepDriver grants `step` tasks per Next call, modeling a driver
+// multiStepDriver grants `step` tasks per step, modeling a driver
 // whose allocation step is coarser than one task.
 type multiStepDriver struct {
 	next, total, step int
 }
 
-func (d *multiStepDriver) Next(w int) (core.Assignment, bool) {
+func (d *multiStepDriver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if d.next >= d.total {
 		return core.Assignment{}, false
 	}
-	var a core.Assignment
+	a := core.Assignment{Tasks: buf[:0]}
 	for i := 0; i < d.step && d.next < d.total; i++ {
 		a.Tasks = append(a.Tasks, core.Task(d.next))
 		d.next++
 	}
 	return a, true
 }
-func (d *multiStepDriver) Complete(int, []core.Task) {}
-func (d *multiStepDriver) Remaining() int            { return d.total - d.next }
-func (d *multiStepDriver) Total() int                { return d.total }
-func (d *multiStepDriver) P() int                    { return 1 }
-func (d *multiStepDriver) Name() string              { return "MultiStep" }
+func (d *multiStepDriver) Next(w int) (core.Assignment, bool) { return d.NextInto(w, nil) }
+func (d *multiStepDriver) Complete(int, []core.Task)          {}
+func (d *multiStepDriver) Remaining() int                     { return d.total - d.next }
+func (d *multiStepDriver) Total() int                         { return d.total }
+func (d *multiStepDriver) P() int                             { return 1 }
+func (d *multiStepDriver) Name() string                       { return "MultiStep" }
 
 // TestHostBatchTargetNotClamped pins the batch-size contract from the
 // Next doc comment: the batch target is a cutoff, not a clamp. A

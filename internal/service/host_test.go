@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -251,22 +252,57 @@ func TestHostRejectsDuplicateInOneReport(t *testing.T) {
 	}
 }
 
-// TestHostRejectsDuplicateInLargeReport exercises the map-based
-// duplicate check used for reports above the small-report scan
-// threshold.
-func TestHostRejectsDuplicateInLargeReport(t *testing.T) {
-	const batch = 2 * smallReport
-	drv := core.NewSchedulerDriver(outer.NewRandom(8, 2, rng.New(1).Split()))
-	h := NewHost(drv, batch, 0)
-	a, status, err := h.Next(0, nil)
-	if err != nil || status != StatusOK || len(a.Tasks) != batch {
-		t.Fatalf("Next = %v/%v/%v, want %d tasks", a, status, err, batch)
+// TestHostRejectsDuplicateInReport: a report naming a task twice is
+// rejected whole, at every size the fused validate-and-apply loop sees,
+// wherever the duplicate sits and whether or not the task is still
+// owned. Worker 0 holds two batches and has completed a third; each row
+// must draw an error, apply nothing, and leave the honest report of
+// both held batches acceptable afterwards.
+func TestHostRejectsDuplicateInReport(t *testing.T) {
+	const batch = 32
+	cases := []struct {
+		name   string
+		report func(held, stale []core.Task, k int) []core.Task
+	}{
+		{"owned duplicate", func(held, _ []core.Task, k int) []core.Task {
+			return append([]core.Task{held[0], held[0]}, held[1:k-1]...)
+		}},
+		{"stale duplicate", func(held, stale []core.Task, k int) []core.Task {
+			return append([]core.Task{stale[0], stale[0]}, held[:k-2]...)
+		}},
+		{"duplicate after a valid prefix", func(held, _ []core.Task, k int) []core.Task {
+			return append(append([]core.Task(nil), held[:k-1]...), held[0])
+		}},
 	}
-	dup := append(append([]core.Task(nil), a.Tasks...), a.Tasks[0])
-	if _, _, err := h.Next(0, dup); err == nil {
-		t.Fatal("duplicate completion within one large report accepted")
-	}
-	if _, _, err := h.Next(0, a.Tasks); err != nil {
-		t.Fatalf("honest completion rejected after failed duplicate report: %v", err)
+	for _, k := range []int{2, 16, 17, 2 * batch} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(t *testing.T) {
+				h := NewHost(core.NewSchedulerDriver(outer.NewRandom(16, 2, rng.New(1).Split())), batch, 0)
+				stale, _ := mustNext(t, h, 0, nil)
+				stale.Tasks = append([]core.Task(nil), stale.Tasks...)
+				first, _ := mustNext(t, h, 0, stale.Tasks)
+				held := append([]core.Task(nil), first.Tasks...)
+				second, _ := mustNext(t, h, 0, nil)
+				held = append(held, second.Tasks...)
+				if len(held) != 2*batch {
+					t.Fatalf("worker 0 holds %d tasks, want %d", len(held), 2*batch)
+				}
+				before := h.Stats()
+				if _, _, err := h.Next(0, c.report(held, stale.Tasks, k)); err == nil {
+					t.Fatal("report with a duplicate accepted")
+				}
+				if after := h.Stats(); after.Completed != before.Completed || after.Outstanding != before.Outstanding ||
+					after.Polls != before.Polls {
+					t.Fatalf("rejected report applied: completed %d→%d, outstanding %d→%d, polls %d→%d",
+						before.Completed, after.Completed, before.Outstanding, after.Outstanding, before.Polls, after.Polls)
+				}
+				if _, _, err := h.Next(0, held); err != nil {
+					t.Fatalf("honest report rejected after the duplicate: %v", err)
+				}
+				if got := h.Stats().Completed; got != before.Completed+2*batch {
+					t.Fatalf("completed %d after the honest report, want %d", got, before.Completed+2*batch)
+				}
+			})
+		}
 	}
 }

@@ -666,29 +666,11 @@ func (s *Server) poll(sc *nextScratch, id string, framed, acceptFrame bool, body
 		lease = run.Host.Lease().Seconds()
 	}
 	if acceptFrame {
-		if out, ok := appendNextResponseFrame(sc.out[:0], status, a.Tasks, a.Blocks, lease); ok {
-			sc.out = out
-			return pollAnswer{code: http.StatusOK, frame: true, body: out}
-		}
+		sc.out = appendNextResponseFrame(sc.out[:0], status, a.Tasks, a.Blocks, lease)
+		return pollAnswer{code: http.StatusOK, frame: true, body: sc.out}
 	}
-	if out, ok := appendNextResponseJSON(sc.out[:0], status, a.Tasks, a.Blocks, lease); ok {
-		sc.out = out
-		return pollAnswer{code: http.StatusOK, body: out}
-	}
-	// Exotic response values (unreachable for host-produced statuses):
-	// fall back to the stdlib encoder.
-	resp := NextResponse{Status: status, Blocks: a.Blocks, LeaseSeconds: lease}
-	if len(a.Tasks) > 0 {
-		resp.Tasks = make([]int64, len(a.Tasks))
-		for i, t := range a.Tasks {
-			resp.Tasks[i] = int64(t)
-		}
-	}
-	out, err := json.Marshal(resp)
-	if err != nil {
-		return refuse(http.StatusInternalServerError, "", fmt.Sprintf("encoding response: %v", err))
-	}
-	return pollAnswer{code: http.StatusOK, body: append(out, '\n')}
+	sc.out = appendNextResponseJSON(sc.out[:0], status, a.Tasks, a.Blocks, lease)
+	return pollAnswer{code: http.StatusOK, body: sc.out}
 }
 
 // handleNext carries a poll that came through net/http.

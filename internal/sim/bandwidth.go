@@ -88,7 +88,7 @@ func RunBandwidth(sched core.Scheduler, model speeds.Model, bandwidth float64, l
 	// drained. Several of w's assignments may be in flight, so each gets
 	// a fresh task slice.
 	request := func(w int, now float64) bool {
-		a, st := ms.Serve(w, nil)
+		a, st := ms.Serve(w, 1, nil)
 		if st != core.Granted {
 			return false
 		}

@@ -322,15 +322,12 @@ func (d *countingDriver) count() {
 	}
 }
 
-func (d *countingDriver) Next(w int) (core.Assignment, bool) {
-	d.count()
-	return d.Driver.Next(w)
-}
-
 func (d *countingDriver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	d.count()
-	return d.Driver.(core.BufferedDriver).NextInto(w, buf)
+	return d.Driver.NextInto(w, buf)
 }
+
+func (d *countingDriver) Next(w int) (core.Assignment, bool) { return d.NextInto(w, nil) }
 
 func (d *countingDriver) TaskCost(t core.Task) float64 {
 	if c, ok := d.Driver.(core.TaskCoster); ok {
@@ -339,31 +336,40 @@ func (d *countingDriver) TaskCost(t core.Task) float64 {
 	return 1
 }
 
-// TestMasterNeverPollsADrainedDriver counts the master's requests. A
-// flat run, whose requests never find nothing schedulable, asks exactly
-// once per grant even at p=1000, where most workers find the driver
-// drained; and no run of any kernel asks a drained driver.
+// TestMasterNeverPollsADrainedDriver counts the master's requests, of
+// a bare driver and of one served through a service.Host. A flat run,
+// whose requests never find nothing schedulable, asks exactly once per
+// grant even at p=1000, where most workers find the driver drained; and
+// no run of any kernel asks a drained driver.
 func TestMasterNeverPollsADrainedDriver(t *testing.T) {
-	drv, err := service.NewDriver(&service.CreateRunRequest{Kernel: "outer", Strategy: "dynamic", N: 60, P: 1000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd := &countingDriver{Driver: drv}
-	m := sim.RunDriver(cd, speeds.NewFixed(speeds.UniformRange(1000, 10, 100, rng.New(3))))
-	if cd.calls != m.Requests || cd.drained != 0 {
-		t.Fatalf("p=1000 flat run: %d requests to the driver (%d of them drained) for %d grants",
-			cd.calls, cd.drained, m.Requests)
-	}
+	for _, served := range []bool{false, true} {
+		run := func(cd *countingDriver, model speeds.Model) *sim.Metrics {
+			if !served {
+				return sim.RunDriver(cd, model)
+			}
+			return sim.RunDriver(newServed(t, cd, service.NewHost(cd, 1, 0)), model)
+		}
+		drv, err := service.NewDriver(&service.CreateRunRequest{Kernel: "outer", Strategy: "dynamic", N: 60, P: 1000, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd := &countingDriver{Driver: drv}
+		m := run(cd, speeds.NewFixed(speeds.UniformRange(1000, 10, 100, rng.New(3))))
+		if cd.calls != m.Requests || cd.drained != 0 {
+			t.Fatalf("served=%v p=1000 flat run: %d requests to the driver (%d of them drained) for %d grants",
+				served, cd.calls, cd.drained, m.Requests)
+		}
 
-	r := rng.New(11)
-	for _, ks := range kernelStrategies {
-		for i := 0; i < 5; i++ {
-			newDriver, newModel, _ := randomRun(t, ks.kernel, ks.strategy, i%2 == 1, r)
-			cd := &countingDriver{Driver: newDriver()}
-			m := sim.RunDriver(cd, newModel())
-			if cd.drained != 0 || cd.calls < m.Requests {
-				t.Fatalf("%s-%s run %d: %d requests to the driver (%d of them drained) for %d grants",
-					ks.kernel, ks.strategy, i, cd.calls, cd.drained, m.Requests)
+		r := rng.New(11)
+		for _, ks := range kernelStrategies {
+			for i := 0; i < 5; i++ {
+				newDriver, newModel, _ := randomRun(t, ks.kernel, ks.strategy, i%2 == 1, r)
+				cd := &countingDriver{Driver: newDriver()}
+				m := run(cd, newModel())
+				if cd.drained != 0 || cd.calls < m.Requests {
+					t.Fatalf("served=%v %s-%s run %d: %d requests to the driver (%d of them drained) for %d grants",
+						served, ks.kernel, ks.strategy, i, cd.calls, cd.drained, m.Requests)
+				}
 			}
 		}
 	}

@@ -139,8 +139,8 @@ func RunDriver(drv core.Driver, model speeds.Model) *Metrics {
 //
 // Each processor's batch slot holds the batch it is computing; at its
 // completion event the slot is reported to the driver and then handed
-// back as the buffer of the processor's next request, so drivers
-// implementing core.BufferedDriver run allocation-free.
+// back as the buffer of the processor's next request, so the loop runs
+// allocation-free.
 func run(drv core.Driver, model speeds.Model, observe func(Observation), record bool) *Metrics {
 	p := drv.P()
 	if p != model.P() {
@@ -167,7 +167,7 @@ func run(drv core.Driver, model speeds.Model, observe func(Observation), record 
 	var now float64
 	// serve answers processor w at time now, timing a granted batch.
 	serve := func(w int) core.Status {
-		a, st := ms.Serve(w, batch[w])
+		a, st := ms.Serve(w, 1, batch[w])
 		if st != core.Granted {
 			return st
 		}

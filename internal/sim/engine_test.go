@@ -16,18 +16,19 @@ type stubScheduler struct {
 	total, given, workers int
 }
 
-func (s *stubScheduler) Next(w int) (core.Assignment, bool) {
+func (s *stubScheduler) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if s.given >= s.total {
 		return core.Assignment{}, false
 	}
 	t := core.Task(s.given)
 	s.given++
-	return core.Assignment{Tasks: []core.Task{t}, Blocks: 1}, true
+	return core.Assignment{Tasks: append(buf[:0], t), Blocks: 1}, true
 }
-func (s *stubScheduler) Remaining() int { return s.total - s.given }
-func (s *stubScheduler) Total() int     { return s.total }
-func (s *stubScheduler) P() int         { return s.workers }
-func (s *stubScheduler) Name() string   { return "stub" }
+func (s *stubScheduler) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil) }
+func (s *stubScheduler) Remaining() int                     { return s.total - s.given }
+func (s *stubScheduler) Total() int                         { return s.total }
+func (s *stubScheduler) P() int                             { return s.workers }
+func (s *stubScheduler) Name() string                       { return "stub" }
 
 func TestRunProcessesEverything(t *testing.T) {
 	sched := &stubScheduler{total: 1000, workers: 4}

@@ -191,11 +191,7 @@ func refRunDriver(drv core.Driver, model speeds.Model) *refDriverMetrics {
 		Schedule:  make([]core.Task, 0, drv.Total()),
 	}
 
-	bd, buffered := drv.(core.BufferedDriver)
-	var bufs []core.TaskBuf
-	if buffered {
-		bufs = make([]core.TaskBuf, p)
-	}
+	bufs := make([]core.TaskBuf, p)
 	coster, costed := drv.(core.TaskCoster)
 
 	q := eventHeap[refCompletionEvent]{ev: make([]refCompletionEvent, 0, p)}
@@ -206,15 +202,9 @@ func refRunDriver(drv core.Driver, model speeds.Model) *refDriverMetrics {
 	// assign gives worker w a batch at time now if possible, pushing
 	// its completion event.
 	assign := func(w int, now float64) bool {
-		var a core.Assignment
-		var ok bool
-		if buffered {
-			a, ok = bd.NextInto(w, bufs[w])
-			if ok {
-				bufs[w] = a.Tasks // retain grown capacity
-			}
-		} else {
-			a, ok = drv.Next(w)
+		a, ok := drv.NextInto(w, bufs[w])
+		if ok {
+			bufs[w] = a.Tasks // retain grown capacity
 		}
 		if !ok {
 			return false
