@@ -165,39 +165,29 @@ func (d *servedDriver) TaskCost(t core.Task) float64 {
 	return 1
 }
 
-// journaledRun is one run of a journaled service.Server on a frozen
-// clock, so a lease never expires. open starts the server on dir,
-// recovering whatever the journal holds; closing and opening again is
-// a crash and restart.
-type journaledRun struct {
+// journaled is a journaled service.Server on a frozen clock, so a
+// lease never expires. open starts the server on dir, recovering
+// whatever the journal holds; closing and opening again is a crash and
+// restart.
+type journaled struct {
 	t   *testing.T
 	dir string
-	id  string
 	jr  *durable.Log
 	srv *service.Server
 }
 
+const servedID = "served"
+
 func frozenClock() time.Time { return time.Unix(1000, 0) }
 
-// newJournaledRun creates req's run at batch 1 under a lease of an hour.
-func newJournaledRun(t *testing.T, req service.CreateRunRequest) (*journaledRun, *service.Host) {
-	j := &journaledRun{t: t, dir: t.TempDir(), id: "served"}
+func newJournaled(t *testing.T) *journaled {
+	j := &journaled{t: t, dir: t.TempDir()}
 	j.open()
-	req.ID, req.Batch, req.LeaseSeconds = j.id, 1, 3600
-	body, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	j.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("create: %d %s", rec.Code, rec.Body)
-	}
 	t.Cleanup(j.close)
-	return j, j.host()
+	return j
 }
 
-func (j *journaledRun) open() {
+func (j *journaled) open() {
 	jr, err := durable.Open(j.dir)
 	if err != nil {
 		j.t.Fatal(err)
@@ -209,15 +199,30 @@ func (j *journaledRun) open() {
 	}
 }
 
-func (j *journaledRun) close() {
+func (j *journaled) close() {
 	j.srv.Close()
 	j.jr.Close()
 }
 
-func (j *journaledRun) host() *service.Host {
-	run, ok := j.srv.Registry().Get(j.id)
+// create creates req's run at batch 1 under a lease of an hour.
+func (j *journaled) create(req service.CreateRunRequest) *service.Host {
+	req.ID, req.Batch, req.LeaseSeconds = servedID, 1, 3600
+	body, err := json.Marshal(&req)
+	if err != nil {
+		j.t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	j.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		j.t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	return j.host()
+}
+
+func (j *journaled) host() *service.Host {
+	run, ok := j.srv.Registry().Get(servedID)
 	if !ok {
-		j.t.Fatalf("run %q is not registered", j.id)
+		j.t.Fatalf("run %q is not registered", servedID)
 	}
 	return run.Host
 }
@@ -227,17 +232,36 @@ func (j *journaledRun) host() *service.Host {
 // gives: the same ledger, makespan, wait time and schedule, and a host
 // ledger that counts the blocks and requests the simulator counts. The
 // host is bare; or a journaled server's, with events attached and a
-// lease that never expires; or that, crashed at a random poll and
-// recovered from the journal and a snapshot cut at an earlier one.
+// lease that never expires; or that, checkpointed at a random poll
+// and, at a later one, crashed and recovered from the journal and the
+// snapshot, or migrated to another server.
 func TestServedMatchesSimulated(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 5
 	}
+	recovered := func(_ *testing.T, j *journaled) *service.Host {
+		j.close()
+		j.open()
+		return j.host()
+	}
+	migrated := func(t *testing.T, j *journaled) *service.Host {
+		dst := newJournaled(t)
+		if err := j.srv.Migrate(servedID, func(b []byte) error {
+			_, err := dst.srv.ImportRun(b)
+			return err
+		}); err != nil {
+			t.Fatalf("migrate: %v", err)
+		}
+		return dst.host()
+	}
 	for _, v := range []struct {
-		name               string
-		journaled, crashes bool
-	}{{"bare", false, false}, {"journaled", true, false}, {"recovered", true, true}} {
+		name      string
+		journaled bool
+		// event, when set, runs at a random poll and returns the host
+		// that serves the run from then on.
+		event func(*testing.T, *journaled) *service.Host
+	}{{"bare", false, nil}, {"journaled", true, nil}, {"recovered", true, recovered}, {"migrated", true, migrated}} {
 		for _, ks := range kernelStrategies {
 			for _, drift := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s-%s/drift=%v", v.name, ks.kernel, ks.strategy, drift), func(t *testing.T) {
@@ -246,35 +270,33 @@ func TestServedMatchesSimulated(t *testing.T) {
 						newDriver, newModel, req := randomRun(t, ks.kernel, ks.strategy, drift, r)
 						want := sim.RunDriver(newDriver(), newModel())
 						var d *servedDriver
-						crashed := false
+						fired := false
 						if !v.journaled {
 							drv := newDriver()
 							d = newServed(t, drv, service.NewHost(drv, 1, 0))
 						} else {
-							j, h := newJournaledRun(t, req)
-							d = newServed(t, newDriver(), h)
-							if v.crashes {
-								// Every grant takes a poll, so the crash comes.
-								crash := 1 + r.Intn(want.Requests)
-								cut := r.Intn(crash)
+							j := newJournaled(t)
+							d = newServed(t, newDriver(), j.create(req))
+							if v.event != nil {
+								// Every grant takes a poll, so the event comes.
+								at := 1 + r.Intn(want.Requests)
+								cut := r.Intn(at)
 								d.afterPoll = func(d *servedDriver) {
 									switch d.polls {
 									case cut:
 										if err := j.srv.Checkpoint(); err != nil {
 											t.Fatalf("checkpoint: %v", err)
 										}
-									case crash:
-										crashed = true
-										j.close()
-										j.open()
-										d.h = j.host()
+									case at:
+										fired = true
+										d.h = v.event(t, j)
 									}
 								}
 							}
 						}
 						got := sim.RunDriver(d, newModel())
-						if crashed != v.crashes {
-							t.Fatalf("run %d: crashed %v, want %v", i, crashed, v.crashes)
+						if fired != (v.event != nil) {
+							t.Fatalf("run %d: the event fired %v", i, fired)
 						}
 						st := d.h.Stats()
 						blocksPer := make([]int, len(st.Workers))
