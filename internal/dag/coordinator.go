@@ -1,13 +1,15 @@
 package dag
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"hetsched/internal/rng"
 )
 
 // Coordinator is the kernel-agnostic master-side state of a DAG run:
-// the ready set, one write-lock bit per tile, one bit per worker × tile
+// the ready set, one write-lock bit per tile, one bit per tile × worker
 // saying what would have to be shipped, and the ready-task selection
 // policy. It is driven either by the virtual-time engine
 // (sim.RunDriver via Driver), by the real concurrent runtime
@@ -29,6 +31,7 @@ type Coordinator struct {
 	k      Kernel
 	policy Policy
 	r      *rng.PCG
+	p      int
 
 	// ready[i] is described by cand[i]; the two are appended to and
 	// swap-removed together. The order is part of every schedule: ties
@@ -36,16 +39,56 @@ type Coordinator struct {
 	ready []Task
 	cand  []candidate
 
-	// Bitsets over tile ids plus one spare last bit, index k.Tiles(),
-	// that is never set: the unused entries of a candidate point at it.
-	words    int      // words per set
+	// Tile sets carry one spare last tile, index k.Tiles(), that is
+	// never set: the unused entries of a candidate point at it.
+	words    int      // words of inFlight
 	spare    uint32   // k.Tiles()
 	inFlight []uint64 // a writing task is currently assigned
-	missing  []uint64 // p sets, worker-major: w lacks the tile's current contents
+	// missing is tile-major: tile id's row is the pw words from id·pw,
+	// with bit w set while w lacks the tile's current contents, so a
+	// completion rewrites one row. The spare tile's row is all zero;
+	// full is the last word of a row in which every worker's bit is set.
+	pw      int
+	full    uint64
+	missing []uint64
+
+	ix *costIndex // LocalityReady only
 
 	buf  []int
 	done int
 }
+
+// costIndex keeps LocalityReady's costs between picks. Each worker may
+// hold a row, a byte per ready position, current up to its own last
+// pick; one shared log lists the positions whose cost may since have
+// changed for every worker: a task entering the ready set, the task a
+// swap-remove moves, and each ready task reading a tile a completion
+// rewrote, found through a list per tile of the input slots that read
+// it. A pick replays its worker's part of the log, or, when that is
+// longer than the ready set, computes the costs during the scan; a
+// worker that far behind gives its row up, so the rows held are those
+// of the workers that ask often. A ship changes only the picker's
+// costs and updates its row in place.
+type costIndex struct {
+	rows   []byte  // stride bytes per row
+	stride int     // a multiple of 64 and at least len(ready)
+	rowOf  []int32 // per worker: the row it holds, or -1
+	free   []int32 // rows no worker holds
+	seen   []int   // per worker: the log sequence number of its last pick, or -1
+
+	log  []uint32 // ready positions, oldest first
+	base int      // the sequence number of log[0]
+
+	// The input slot 3i+j is ready[i]'s input j; head[id] is the first
+	// slot reading tile id and links[s] links slot s to the others of
+	// its tile, -1 ending a list.
+	head  []int32
+	links []link
+
+	replays, fills, trims int // counted for tests
+}
+
+type link struct{ next, prev int32 }
 
 // The most tiles a task may read and write (see the Kernel contract).
 const (
@@ -69,6 +112,13 @@ func bit(set []uint64, i uint32) uint64 { return set[i>>6] >> (i & 63) & 1 }
 func setBit(set []uint64, i uint32)     { set[i>>6] |= 1 << (i & 63) }
 func clearBit(set []uint64, i uint32)   { set[i>>6] &^= 1 << (i & 63) }
 
+// cost is the number of cd's input tiles the worker whose bit is bit
+// sh of word wi of a row lacks.
+func (c *Coordinator) cost(cd *candidate, wi int, sh uint) uint64 {
+	m, pw := c.missing, c.pw
+	return m[int(cd.in[0])*pw+wi]>>sh&1 + m[int(cd.in[1])*pw+wi]>>sh&1 + m[int(cd.in[2])*pw+wi]>>sh&1
+}
+
 // NewCoordinator creates a coordinator for kernel k on p workers.
 func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 	if k == nil {
@@ -84,32 +134,68 @@ func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 		panic("dag: unknown policy")
 	}
 	tiles := k.Tiles()
-	words := tiles/64 + 1
+	words, pw := tiles/64+1, (p+63)/64
 	c := &Coordinator{
 		k:        k,
 		policy:   policy,
 		r:        r,
+		p:        p,
 		words:    words,
 		spare:    uint32(tiles),
 		inFlight: make([]uint64, words),
-		missing:  make([]uint64, p*words),
+		pw:       pw,
+		full:     ^uint64(0) >> (64*pw - p),
+		missing:  make([]uint64, (tiles+1)*pw),
 	}
-	for i := range c.missing {
-		c.missing[i] = ^uint64(0)
-		if i%words == words-1 {
-			c.missing[i] = 1<<(c.spare&63) - 1 // the bits below the spare
+	for id := 0; id < tiles; id++ {
+		c.fillRow(id)
+	}
+	if policy == LocalityReady {
+		c.ix = &costIndex{
+			rowOf: make([]int32, p),
+			free:  make([]int32, 0, p),
+			seen:  make([]int, p),
+			head:  make([]int32, tiles),
 		}
+		c.ix.fit(1)
+		c.ix.reset()
 	}
 	c.ready = c.k.InitialReady(c.ready)
 	c.describeReady()
 	return c
 }
 
+// fillRow sets every worker's bit of tile id's row.
+func (c *Coordinator) fillRow(id int) {
+	row := c.missing[id*c.pw : (id+1)*c.pw]
+	for i := range row {
+		row[i] = ^uint64(0)
+	}
+	row[len(row)-1] = c.full
+}
+
+// reset empties the index: no worker holds a row or has picked, no
+// slot is linked, the log is empty.
+func (x *costIndex) reset() {
+	x.free = x.free[:0]
+	for s := range int32(len(x.rows) / x.stride) {
+		x.free = append(x.free, s)
+	}
+	for w := range x.rowOf {
+		x.rowOf[w], x.seen[w] = -1, -1
+	}
+	for id := range x.head {
+		x.head[id] = -1
+	}
+	x.log, x.base = x.log[:0], 0
+}
+
 // describeReady fills cand for the tasks appended to ready since the
 // last call, and is where a kernel that breaks the Kernel contract is
 // caught: by name, before the task can be scanned.
 func (c *Coordinator) describeReady() {
-	for _, t := range c.ready[len(c.cand):] {
+	for i := len(c.cand); i < len(c.ready); i++ {
+		t := c.ready[i]
 		cd := candidate{
 			in:    [maxInputs]uint32{c.spare, c.spare, c.spare},
 			out:   [maxOutputs]uint32{c.spare, c.spare},
@@ -120,6 +206,48 @@ func (c *Coordinator) describeReady() {
 		c.buf = c.k.OutputTiles(t, c.buf[:0])
 		c.copyIDs(cd.out[:], t, "output")
 		c.cand = append(c.cand, cd)
+		if x := c.ix; x != nil {
+			x.fit(i + 1)
+			for j, id := range cd.in {
+				if id != c.spare {
+					x.link(int32(maxInputs*i+j), id)
+				}
+			}
+			x.log = append(x.log, uint32(i))
+		}
+	}
+}
+
+func (x *costIndex) link(s int32, id uint32) {
+	h := x.head[id]
+	x.links[s] = link{next: h, prev: -1}
+	if h >= 0 {
+		x.links[h].prev = s
+	}
+	x.head[id] = s
+}
+
+func (x *costIndex) unlink(s int32, id uint32) {
+	x.relink(x.links[s], id, x.links[s].next, x.links[s].prev)
+}
+
+// move puts slot to where slot from is in tile id's list.
+func (x *costIndex) move(from, to int32, id uint32) {
+	l := x.links[from]
+	x.links[to] = l
+	x.relink(l, id, to, to)
+}
+
+// relink points the slot before l (or, l being first, the head of
+// tile id's list) forward to n and the slot after l back to p.
+func (x *costIndex) relink(l link, id uint32, n, p int32) {
+	if l.prev >= 0 {
+		x.links[l.prev].next = n
+	} else {
+		x.head[id] = n
+	}
+	if l.next >= 0 {
+		x.links[l.next].prev = p
 	}
 }
 
@@ -159,15 +287,18 @@ func (c *Coordinator) Completed() int { return c.done }
 // ok is false when no ready task is currently schedulable (the worker
 // should wait for a completion, or retire if Done).
 //
-// The pick scans the whole ready set, in order. A candidate is
+// The pick is a scan of the ready set, in order. A candidate is
 // schedulable when none of its output tiles has a writer in flight,
 // and costs the blocks w misses of its inputs; ties are broken by one
-// reservoir draw per tied candidate after the first.
+// reservoir draw per tied candidate after the first. LocalityReady's
+// scan reads costs kept between picks and skips the candidates that
+// cannot win (see cheapest).
 func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
-	miss := c.missing[w*c.words : (w+1)*c.words]
+	wi, sh := w>>6, uint(w&63)
 	busy := c.inFlight
 	bestIdx := -1
 	ties := 0
+	var row []byte
 	switch c.policy {
 	case RandomReady:
 		for idx := range c.cand {
@@ -181,23 +312,7 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 			}
 		}
 	case LocalityReady:
-		// Above any real cost, so the first schedulable candidate wins.
-		bestCost := uint64(maxInputs + 1)
-		for idx := range c.cand {
-			cd := &c.cand[idx]
-			cost := bit(miss, cd.in[0]) + bit(miss, cd.in[1]) + bit(miss, cd.in[2])
-			if cost > bestCost || bit(busy, cd.out[0])|bit(busy, cd.out[1]) != 0 {
-				continue
-			}
-			if cost < bestCost {
-				bestIdx, bestCost, ties = idx, cost, 1
-			} else {
-				ties++
-				if c.r.Intn(ties) == 0 {
-					bestIdx = idx
-				}
-			}
-		}
+		row, bestIdx = c.cheapest(w)
 	case CriticalPathReady:
 		bestCost, bestKey := uint64(0), 0
 		for idx := range c.cand {
@@ -205,7 +320,7 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 			if bit(busy, cd.out[0])|bit(busy, cd.out[1]) != 0 {
 				continue
 			}
-			cost := bit(miss, cd.in[0]) + bit(miss, cd.in[1]) + bit(miss, cd.in[2])
+			cost := c.cost(cd, wi, sh)
 			key := cd.depth
 			if bestIdx < 0 || key < bestKey || (key == bestKey && cost < bestCost) {
 				bestIdx, bestKey, bestCost, ties = idx, key, cost, 1
@@ -221,9 +336,7 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 		return Task{}, 0, false
 	}
 	t, cd := c.ready[bestIdx], c.cand[bestIdx]
-	last := len(c.ready) - 1
-	c.ready[bestIdx], c.cand[bestIdx] = c.ready[last], c.cand[last]
-	c.ready, c.cand = c.ready[:last], c.cand[:last]
+	c.removeReady(bestIdx)
 
 	for _, id := range cd.out {
 		if id != c.spare {
@@ -231,12 +344,178 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 		}
 	}
 	for _, id := range cd.in {
-		if bit(miss, id) != 0 { // never the spare bit
-			clearBit(miss, id)
+		m := &c.missing[int(id)*c.pw+wi]
+		if *m>>sh&1 != 0 { // never the spare row
+			*m &^= 1 << sh
 			shipped++
+			if row != nil {
+				for s := c.ix.head[id]; s >= 0; s = c.ix.links[s].next {
+					i := s / maxInputs
+					row[i] = byte(c.cost(&c.cand[i], wi, sh))
+				}
+			}
 		}
 	}
+	c.trimLog()
 	return t, shipped, true
+}
+
+// cheapest is LocalityReady's scan for worker w: the index of the
+// task it picks, or -1, and w's row if it holds one.
+//
+// The row is brought current first: the log since w's last pick is
+// replayed into it, or, when that is longer than the ready set, the
+// scan computes every cost as it goes (and stores it if w holds a row).
+// The scan reads eight costs a word and visits, in order, only the
+// candidates that cost no more than the best so far when their word is
+// read; the visit checks the cost again, since the best may have
+// dropped within the word. A candidate it skips costs more than the
+// best, which only falls, so it would never have been drawn for: the
+// draws are those of a visit of every candidate.
+func (c *Coordinator) cheapest(w int) (row []byte, bestIdx int) {
+	x := c.ix
+	n := len(c.cand)
+	wi, sh := w>>6, uint(w&63)
+	seen, seq := x.seen[w], x.base+len(x.log)
+	x.seen[w] = seq
+	r := x.rowOf[w]
+	fill := true
+	switch {
+	case seen < x.base || seq-seen > n:
+		if r >= 0 {
+			x.free = append(x.free, r)
+			x.rowOf[w], r = -1, -1
+		}
+		x.fills++
+	case r < 0:
+		r = x.takeRow(w)
+		x.fills++
+	default:
+		fill = false
+		x.replays++
+	}
+	if r >= 0 {
+		row = x.rows[int(r)*x.stride : int(r+1)*x.stride]
+	}
+	if !fill {
+		for _, i := range x.log[seen-x.base:] {
+			if int(i) < n {
+				row[i] = byte(c.cost(&c.cand[i], wi, sh))
+			}
+		}
+	}
+
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	busy := c.inFlight
+	bestIdx = -1
+	// Above any real cost, so the first schedulable candidate wins.
+	bestCost := uint64(maxInputs + 1)
+	ties := 0
+	for base := 0; base < n; base += 8 {
+		var costs uint64
+		if fill {
+			for i := base; i < min(base+8, n); i++ {
+				costs |= c.cost(&c.cand[i], wi, sh) << (8 * (i - base))
+			}
+			if row != nil {
+				binary.LittleEndian.PutUint64(row[base:], costs)
+			}
+		} else {
+			costs = binary.LittleEndian.Uint64(row[base:])
+		}
+		// The high bit of each byte that is at most bestCost.
+		m := ^((costs | hi) - lo*(bestCost+1)) & hi
+		if n-base < 8 {
+			m &= 1<<(8*(n-base)) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m) - 7
+			idx, cost := base+b>>3, costs>>b&0xff
+			cd := &c.cand[idx]
+			if cost > bestCost || bit(busy, cd.out[0])|bit(busy, cd.out[1]) != 0 {
+				continue
+			}
+			if cost < bestCost {
+				bestIdx, bestCost, ties = idx, cost, 1
+			} else {
+				ties++
+				if c.r.Intn(ties) == 0 {
+					bestIdx = idx
+				}
+			}
+		}
+	}
+	return row, bestIdx
+}
+
+// takeRow gives worker w a row, a free one if there is one.
+func (x *costIndex) takeRow(w int) int32 {
+	var r int32
+	if k := len(x.free); k > 0 {
+		r, x.free = x.free[k-1], x.free[:k-1]
+	} else {
+		r = int32(len(x.rows) / x.stride)
+		if len(x.rows) == cap(x.rows) {
+			x.rows = append(make([]byte, 0, 2*len(x.rows)+x.stride), x.rows...)
+		}
+		x.rows = x.rows[:len(x.rows)+x.stride]
+	}
+	x.rowOf[w] = r
+	return r
+}
+
+// fit makes room for n ready tasks: rows of at least n bytes, their
+// input slots, and a log of twice that, where it is trimmed, plus what
+// one call may add before the trim.
+func (x *costIndex) fit(n int) {
+	if n <= x.stride {
+		return
+	}
+	stride := max(2*x.stride, (n+63)&^63)
+	rows := make([]byte, len(x.rows)/max(x.stride, 1)*stride)
+	for r := 0; r*x.stride < len(x.rows); r++ {
+		copy(rows[r*stride:], x.rows[r*x.stride:(r+1)*x.stride])
+	}
+	links := make([]link, maxInputs*stride)
+	copy(links, x.links)
+	log := make([]uint32, len(x.log), 3*stride)
+	copy(log, x.log)
+	x.rows, x.stride, x.links, x.log = rows, stride, links, log
+}
+
+// trimLog drops what no worker will replay: a worker more than one
+// ready set behind computes its costs afresh.
+func (c *Coordinator) trimLog() {
+	x := c.ix
+	if x == nil || len(x.log) <= 2*len(c.ready) {
+		return
+	}
+	drop := len(x.log) - len(c.ready)
+	x.log = x.log[:copy(x.log, x.log[drop:])]
+	x.base += drop
+	x.trims++
+}
+
+// removeReady swap-removes ready[i]: the last task takes its place.
+func (c *Coordinator) removeReady(i int) {
+	last := len(c.ready) - 1
+	if x := c.ix; x != nil {
+		for j, id := range c.cand[i].in {
+			if id != c.spare {
+				x.unlink(int32(maxInputs*i+j), id)
+			}
+		}
+		if i != last {
+			for j, id := range c.cand[last].in {
+				if id != c.spare {
+					x.move(int32(maxInputs*last+j), int32(maxInputs*i+j), id)
+				}
+			}
+			x.log = append(x.log, uint32(i))
+		}
+	}
+	c.ready[i], c.cand[i] = c.ready[last], c.cand[last]
+	c.ready, c.cand = c.ready[:last], c.cand[:last]
 }
 
 // unlockOutputs releases the write locks of t, which must be assigned,
@@ -270,12 +549,16 @@ func (c *Coordinator) Reassign(t Task) {
 func (c *Coordinator) Complete(w int, t Task) {
 	c.unlockOutputs(t, "completing")
 	for _, id := range c.buf {
-		for set := c.missing; len(set) > 0; set = set[c.words:] {
-			setBit(set, uint32(id))
+		c.fillRow(id)
+		c.missing[id*c.pw+w>>6] &^= 1 << (w & 63)
+		if x := c.ix; x != nil {
+			for s := x.head[id]; s >= 0; s = x.links[s].next {
+				x.log = append(x.log, uint32(s/maxInputs))
+			}
 		}
-		clearBit(c.missing[w*c.words:(w+1)*c.words], uint32(id))
 	}
 	c.done++
 	c.ready = c.k.Complete(t, c.ready)
 	c.describeReady()
+	c.trimLog()
 }

@@ -188,8 +188,9 @@ type granted struct {
 // task and one hands a random outstanding task back (with nothing
 // outstanding they all ask). The rngs are compared every hundredth
 // call and at the end, by their next draw: equal picks reached by a
-// different number of tie-break draws would diverge there.
-func differential(tb testing.TB, mk func(n int) dag.Kernel, policy dag.Policy, n, p int, seed uint64, next func() (uint32, bool)) {
+// different number of tie-break draws would diverge there. It returns
+// the coordinator it drove.
+func differential(tb testing.TB, mk func(n int) dag.Kernel, policy dag.Policy, n, p int, seed uint64, next func() (uint32, bool)) *dag.Coordinator {
 	ra, rb := rng.New(seed), rng.New(seed)
 	got := dag.NewCoordinator(mk(n), p, policy, ra)
 	ref := newRefCoordinator(mk(n), p, policy, rb)
@@ -240,31 +241,42 @@ func differential(tb testing.TB, mk func(n int) dag.Kernel, policy dag.Policy, n
 		}
 	}
 	sameDraw(call)
+	return got
 }
 
 // TestCoordinatorAgainstReference: same picks, same shipped blocks and
 // same draws as the reference, on scripts that complete out of order
 // and reassign, for every kernel × policy × n in 3..12 × p in
-// {1, 2, 5, 16} × 50 seeds (5 under -short), each driven to drain.
+// {1, 2, 5, 16, 65, 130} × 50 seeds (5 under -short), each driven to
+// drain. At 65 and 130 workers a tile's holdings span two and three
+// words. The LocalityReady runs must between them have replayed the
+// log, filled a row and trimmed the log.
 func TestCoordinatorAgainstReference(t *testing.T) {
 	seeds := uint64(50)
 	if testing.Short() {
 		seeds = 5
 	}
+	var replays, fills, trims int
 	for _, k := range diffKernels {
 		for _, policy := range diffPolicies {
 			t.Run(k.name+"/"+policy.String(), func(t *testing.T) {
 				for n := 3; n <= 12; n++ {
-					for _, p := range []int{1, 2, 5, 16} {
+					for _, p := range []int{1, 2, 5, 16, 65, 130} {
 						for seed := uint64(1); seed <= seeds; seed++ {
 							script := rng.New(seed<<16 | uint64(n)<<8 | uint64(p))
-							differential(t, k.mk, policy, n, p, seed, func() (uint32, bool) { return script.Uint32(), true })
+							c := differential(t, k.mk, policy, n, p, seed, func() (uint32, bool) { return script.Uint32(), true })
+							r, f, tr := c.IndexCounts()
+							replays, fills, trims = replays+r, fills+f, trims+tr
 						}
 					}
 				}
 			})
 		}
 	}
+	if replays == 0 || fills == 0 || trims == 0 {
+		t.Fatalf("the LocalityReady runs made %d replays, %d fills, %d log trims; want each above zero", replays, fills, trims)
+	}
+	t.Logf("LocalityReady: %d replays, %d fills, %d log trims", replays, fills, trims)
 }
 
 // FuzzCoordinatorAgainstReference is the same comparison with the
@@ -274,9 +286,10 @@ func FuzzCoordinatorAgainstReference(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(6), uint8(4), uint64(1), []byte("\x04\x00\x14\x00\x24\x00\x01\x00\x04\x00\x00\x00\x04\x01"))
 	f.Add(uint8(1), uint8(2), uint8(5), uint8(16), uint64(7), []byte("4444111144440000444411114444"))
 	f.Add(uint8(2), uint8(0), uint8(12), uint8(2), uint64(3), []byte{9, 0, 9, 1, 9, 0, 3, 0, 9, 1, 0, 0, 9, 1, 9, 0})
+	f.Add(uint8(0), uint8(1), uint8(9), uint8(99), uint64(5), []byte("4e4f441b4c4d11f44a0049f54x4y"))
 	f.Fuzz(func(t *testing.T, kernel, policy, n, p uint8, seed uint64, script []byte) {
 		k := diffKernels[int(kernel)%len(diffKernels)]
-		differential(t, k.mk, diffPolicies[int(policy)%len(diffPolicies)], 1+int(n)%12, 1+int(p)%16, seed, func() (uint32, bool) {
+		differential(t, k.mk, diffPolicies[int(policy)%len(diffPolicies)], 1+int(n)%12, 1+int(p)%130, seed, func() (uint32, bool) {
 			if len(script) < 2 {
 				return 0, false
 			}

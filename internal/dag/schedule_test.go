@@ -22,10 +22,11 @@ func benchSpeeds(p int) *speeds.Fixed {
 	return speeds.NewFixed(s)
 }
 
-// benchDriver builds the driver the benchmark's `figures` workload
-// builds: the served construction path, p = 16, seed 7.
-func benchDriver(tb testing.TB, kernel, strategy string, n int) core.Driver {
-	drv, err := service.NewDriver(&service.CreateRunRequest{Kernel: kernel, Strategy: strategy, N: n, P: 16, Seed: 7})
+// benchDriver builds a driver the way the benchmark's `figures`
+// workload builds its three (at p = 16): the served construction path,
+// seed 7.
+func benchDriver(tb testing.TB, kernel, strategy string, n, p int) core.Driver {
+	drv, err := service.NewDriver(&service.CreateRunRequest{Kernel: kernel, Strategy: strategy, N: n, P: p, Seed: 7})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestBenchmarkScaleSchedules(t *testing.T) {
 		{"qr", "critpath", 36, "802033683391b2e3", 16361},
 	} {
 		t.Run(fmt.Sprintf("%s-%s-n%d", c.kernel, c.strategy, c.n), func(t *testing.T) {
-			m := sim.RunDriver(benchDriver(t, c.kernel, c.strategy, c.n), benchSpeeds(16))
+			m := sim.RunDriver(benchDriver(t, c.kernel, c.strategy, c.n, 16), benchSpeeds(16))
 			h := fnv.New64a()
 			var b [8]byte
 			for _, task := range m.Schedule {

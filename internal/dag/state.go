@@ -2,6 +2,7 @@ package dag
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"hetsched/internal/core"
@@ -24,8 +25,16 @@ func (c *Coordinator) AppendState(dst []byte) []byte {
 	for _, w := range c.inFlight {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	for _, w := range c.missing {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
+	// missing is written worker-major, a tile set per worker.
+	off := len(dst)
+	dst = append(dst, make([]byte, 8*c.p*c.words)...)
+	for id := 0; id < int(c.spare); id++ {
+		for wi, word := range c.missing[id*c.pw : (id+1)*c.pw] {
+			for ; word != 0; word &= word - 1 {
+				w := 64*wi + bits.TrailingZeros64(word)
+				dst[off+8*(w*c.words+id>>6)+id&63>>3] |= 1 << (id & 7)
+			}
+		}
 	}
 	return c.k.AppendState(dst)
 }
@@ -60,8 +69,16 @@ func (c *Coordinator) RestoreState(src []byte) error {
 		r.Failf("dag: a task is ready twice")
 	}
 	c.restoreWords(r, c.inFlight, "in-flight")
-	for set := c.missing; len(set) > 0; set = set[c.words:] {
-		c.restoreWords(r, set[:c.words], "missing")
+	clear(c.missing)
+	set := make([]uint64, c.words)
+	for w := 0; w < c.p && r.Ok(); w++ {
+		c.restoreWords(r, set, "missing")
+		for i, word := range set {
+			for ; word != 0 && r.Ok(); word &= word - 1 {
+				id := 64*i + bits.TrailingZeros64(word)
+				c.missing[id*c.pw+w>>6] |= 1 << (w & 63)
+			}
+		}
 	}
 	if r.Ok() {
 		if err := c.k.RestoreState(r.Rest(), c.ready); err != nil {
@@ -72,6 +89,9 @@ func (c *Coordinator) RestoreState(src []byte) error {
 		return err
 	}
 	c.cand = c.cand[:0]
+	if c.ix != nil {
+		c.ix.reset()
+	}
 	c.describeReady()
 	return nil
 }

@@ -96,21 +96,25 @@ func (p *PCG) Uint64() uint64 {
 
 // Intn returns a uniformly distributed int in [0, n). It panics if
 // n <= 0. Lemire's nearly-divisionless rejection method keeps the
-// distribution exactly uniform.
+// distribution exactly uniform: the rejection threshold, 2³² mod n, is
+// below n, so it is computed only for a draw whose low word is. A
+// bound past 2³²−1 is Int63n's.
 func (p *PCG) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
+	if uint64(n) > math.MaxUint32 {
+		return int(p.Int63n(int64(n)))
+	}
 	bound := uint32(n)
-	// Lemire multiply-shift with rejection of the biased low range.
-	threshold := -bound % bound
-	for {
-		r := p.Uint32()
-		m := uint64(r) * uint64(bound)
-		if uint32(m) >= threshold {
-			return int(m >> 32)
+	m := uint64(p.Uint32()) * uint64(bound)
+	if uint32(m) < bound {
+		threshold := -bound % bound
+		for uint32(m) < threshold {
+			m = uint64(p.Uint32()) * uint64(bound)
 		}
 	}
+	return int(m >> 32)
 }
 
 // Int63n returns a uniformly distributed int64 in [0, n). It panics if

@@ -80,6 +80,68 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
+// refIntn is Intn as it was first written, computing the rejection
+// threshold on every draw: the oracle for the values and the number of
+// draws of the form that computes it only when a draw may be rejected.
+func refIntn(p *PCG, n int) int {
+	bound := uint32(n)
+	threshold := -bound % bound
+	for {
+		r := p.Uint32()
+		m := uint64(r) * uint64(bound)
+		if uint32(m) >= threshold {
+			return int(m >> 32)
+		}
+	}
+}
+
+// TestIntnMatchesReference: the same values and the same generator
+// position as refIntn over a million draws at each bound, among them
+// the bounds whose threshold is largest (2³¹+1) and the widest one.
+func TestIntnMatchesReference(t *testing.T) {
+	draws := 1000000
+	if testing.Short() {
+		draws = 100000
+	}
+	for _, n := range []int{1, 2, 3, 7, 1<<31 - 1, 1 << 31, 1<<31 + 1, math.MaxUint32, 0} {
+		a, b, bounds := New(uint64(n)+11), New(uint64(n)+11), New(17)
+		for i := 0; i < draws; i++ {
+			bound := n
+			if bound == 0 { // a random bound at every draw
+				bound = 1 + bounds.Intn(math.MaxUint32)
+			}
+			if got, want := a.Intn(bound), refIntn(b, bound); got != want {
+				t.Fatalf("draw %d: Intn(%d) = %d, reference %d", i, bound, got, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("n=%d: after %d draws the generator is at %+v, the reference at %+v", n, draws, *a, *b)
+		}
+	}
+}
+
+// TestIntnAboveUint32: a bound past 2³²−1 is not truncated to its low
+// 32 bits; it draws what Int63n draws.
+func TestIntnAboveUint32(t *testing.T) {
+	for _, n := range []int{1 << 32, 1<<32 + 5, 1 << 40, math.MaxInt64} {
+		a, b := New(9), New(9)
+		top := 0
+		for i := 0; i < 1000; i++ {
+			v := a.Intn(n)
+			if v < 0 || v >= n {
+				t.Fatalf("Intn(%d) = %d out of range", n, v)
+			}
+			if w := int(b.Int63n(int64(n))); v != w {
+				t.Fatalf("draw %d: Intn(%d) = %d, Int63n %d", i, n, v, w)
+			}
+			top = max(top, v)
+		}
+		if top < n/2 {
+			t.Fatalf("Intn(%d): largest of 1000 draws is %d", n, top)
+		}
+	}
+}
+
 func TestInt63nRange(t *testing.T) {
 	r := New(5)
 	for _, n := range []int64{1, 10, math.MaxUint32 + 5, 1 << 40} {
