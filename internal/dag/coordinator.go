@@ -65,15 +65,15 @@ type Coordinator struct {
 // swap-remove moves, and each ready task reading a tile a completion
 // rewrote, found through a list per tile of the input slots that read
 // it. A pick replays its worker's part of the log, or, when that is
-// longer than the ready set, computes the costs during the scan; a
-// worker that far behind gives its row up, so the rows held are those
-// of the workers that ask often. A ship changes only the picker's
-// costs and updates its row in place.
+// longer than the ready set, computes the costs during the scan. A
+// worker gets a row at the first pick that finds it that close, so one
+// that is always further behind, as when p is far above the ready
+// set, holds none. A ship changes only the picker's costs and updates
+// its row in place.
 type costIndex struct {
 	rows   []byte  // stride bytes per row
 	stride int     // a multiple of 64 and at least len(ready)
 	rowOf  []int32 // per worker: the row it holds, or -1
-	free   []int32 // rows no worker holds
 	seen   []int   // per worker: the log sequence number of its last pick, or -1
 
 	log  []uint32 // ready positions, oldest first
@@ -153,9 +153,11 @@ func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 	if policy == LocalityReady {
 		c.ix = &costIndex{
 			rowOf: make([]int32, p),
-			free:  make([]int32, 0, p),
 			seen:  make([]int, p),
 			head:  make([]int32, tiles),
+		}
+		for w := range c.ix.rowOf {
+			c.ix.rowOf[w] = -1
 		}
 		c.ix.fit(1)
 		c.ix.reset()
@@ -174,15 +176,11 @@ func (c *Coordinator) fillRow(id int) {
 	row[len(row)-1] = c.full
 }
 
-// reset empties the index: no worker holds a row or has picked, no
-// slot is linked, the log is empty.
+// reset empties the index: no worker has picked, so every row is to
+// be filled, no slot is linked, and the log is empty.
 func (x *costIndex) reset() {
-	x.free = x.free[:0]
-	for s := range int32(len(x.rows) / x.stride) {
-		x.free = append(x.free, s)
-	}
-	for w := range x.rowOf {
-		x.rowOf[w], x.seen[w] = -1, -1
+	for w := range x.seen {
+		x.seen[w] = -1
 	}
 	for id := range x.head {
 		x.head[id] = -1
@@ -294,6 +292,9 @@ func (c *Coordinator) Completed() int { return c.done }
 // scan reads costs kept between picks and skips the candidates that
 // cannot win (see cheapest).
 func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
+	if len(c.cand) == 0 {
+		return Task{}, 0, false
+	}
 	wi, sh := w>>6, uint(w&63)
 	busy := c.inFlight
 	bestIdx := -1
@@ -379,30 +380,22 @@ func (c *Coordinator) cheapest(w int) (row []byte, bestIdx int) {
 	seen, seq := x.seen[w], x.base+len(x.log)
 	x.seen[w] = seq
 	r := x.rowOf[w]
-	fill := true
-	switch {
-	case seen < x.base || seq-seen > n:
-		if r >= 0 {
-			x.free = append(x.free, r)
-			x.rowOf[w], r = -1, -1
-		}
-		x.fills++
-	case r < 0:
-		r = x.takeRow(w)
-		x.fills++
-	default:
-		fill = false
-		x.replays++
+	fill := seen < x.base || seq-seen > n
+	if r < 0 && !fill {
+		r, fill = x.newRow(w), true
 	}
 	if r >= 0 {
 		row = x.rows[int(r)*x.stride : int(r+1)*x.stride]
 	}
-	if !fill {
+	if fill {
+		x.fills++
+	} else {
 		for _, i := range x.log[seen-x.base:] {
 			if int(i) < n {
 				row[i] = byte(c.cost(&c.cand[i], wi, sh))
 			}
 		}
+		x.replays++
 	}
 
 	const lo, hi = 0x0101010101010101, 0x8080808080808080
@@ -448,18 +441,13 @@ func (c *Coordinator) cheapest(w int) (row []byte, bestIdx int) {
 	return row, bestIdx
 }
 
-// takeRow gives worker w a row, a free one if there is one.
-func (x *costIndex) takeRow(w int) int32 {
-	var r int32
-	if k := len(x.free); k > 0 {
-		r, x.free = x.free[k-1], x.free[:k-1]
-	} else {
-		r = int32(len(x.rows) / x.stride)
-		if len(x.rows) == cap(x.rows) {
-			x.rows = append(make([]byte, 0, 2*len(x.rows)+x.stride), x.rows...)
-		}
-		x.rows = x.rows[:len(x.rows)+x.stride]
+// newRow gives worker w a row of its own.
+func (x *costIndex) newRow(w int) int32 {
+	r := int32(len(x.rows) / x.stride)
+	if len(x.rows) == cap(x.rows) {
+		x.rows = append(make([]byte, 0, 2*len(x.rows)+x.stride), x.rows...)
 	}
+	x.rows = x.rows[:len(x.rows)+x.stride]
 	x.rowOf[w] = r
 	return r
 }
