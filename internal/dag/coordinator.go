@@ -444,10 +444,7 @@ func (c *Coordinator) cheapest(w int) (row []byte, bestIdx int) {
 // newRow gives worker w a row of its own.
 func (x *costIndex) newRow(w int) int32 {
 	r := int32(len(x.rows) / x.stride)
-	if len(x.rows) == cap(x.rows) {
-		x.rows = append(make([]byte, 0, 2*len(x.rows)+x.stride), x.rows...)
-	}
-	x.rows = x.rows[:len(x.rows)+x.stride]
+	x.rows = append(x.rows, make([]byte, x.stride)...)
 	x.rowOf[w] = r
 	return r
 }
