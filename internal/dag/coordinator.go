@@ -52,7 +52,10 @@ type Coordinator struct {
 	full    uint64
 	missing []uint64
 
-	ix *costIndex // LocalityReady only
+	// index is LocalityReady's cost index, and ix points at it while
+	// the ready set is long enough for it to pay (see switchIndex).
+	index costIndex
+	ix    *costIndex
 
 	buf  []int
 	done int
@@ -63,32 +66,29 @@ type Coordinator struct {
 // pick; one shared log lists the positions whose cost may since have
 // changed for every worker: a task entering the ready set, the task a
 // swap-remove moves, and each ready task reading a tile a completion
-// rewrote, found through a list per tile of the input slots that read
-// it. A pick replays its worker's part of the log, or, when that is
-// longer than the ready set, computes the costs during the scan. A
-// worker gets a row at the first pick that finds it that close, so one
-// that is always further behind, as when p is far above the ready
-// set, holds none. A ship changes only the picker's costs and updates
-// its row in place.
+// rewrote, found through the set of positions reading each tile. A
+// pick replays its worker's part of the log, or, when that is longer
+// than the ready set, computes the costs during the scan. A worker gets
+// a row at the first pick that finds it that close, so one that is
+// always further behind, as when p is far above the ready set, holds
+// none. A ship changes only the picker's costs and updates its row in
+// place.
 type costIndex struct {
 	rows   []byte  // stride bytes per row
 	stride int     // a multiple of 64 and at least len(ready)
 	rowOf  []int32 // per worker: the row it holds, or -1
-	seen   []int   // per worker: the log sequence number of its last pick, or -1
+	seen   []int   // per worker: the log sequence number of its last pick
 
 	log  []uint32 // ready positions, oldest first
 	base int      // the sequence number of log[0]
 
-	// The input slot 3i+j is ready[i]'s input j; head[id] is the first
-	// slot reading tile id and links[s] links slot s to the others of
-	// its tile, -1 ending a list.
-	head  []int32
-	links []link
+	// readers holds a set of ready positions per tile, stride bits
+	// each: the tasks reading the tile. The spare tile's set takes the
+	// unused entries of a candidate and is never read.
+	readers []uint64
 
 	replays, fills, trims int // counted for tests
 }
-
-type link struct{ next, prev int32 }
 
 // The most tiles a task may read and write (see the Kernel contract).
 const (
@@ -151,16 +151,16 @@ func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 		c.fillRow(id)
 	}
 	if policy == LocalityReady {
-		c.ix = &costIndex{
-			rowOf: make([]int32, p),
-			seen:  make([]int, p),
-			head:  make([]int32, tiles),
+		c.index = costIndex{
+			stride:  64,
+			rowOf:   make([]int32, p),
+			seen:    make([]int, p),
+			log:     make([]uint32, 0, 3*64),
+			readers: make([]uint64, tiles+1),
 		}
-		for w := range c.ix.rowOf {
-			c.ix.rowOf[w] = -1
+		for w := range c.index.rowOf {
+			c.index.rowOf[w] = -1
 		}
-		c.ix.fit(1)
-		c.ix.reset()
 	}
 	c.ready = c.k.InitialReady(c.ready)
 	c.describeReady()
@@ -174,18 +174,6 @@ func (c *Coordinator) fillRow(id int) {
 		row[i] = ^uint64(0)
 	}
 	row[len(row)-1] = c.full
-}
-
-// reset empties the index: no worker has picked, so every row is to
-// be filled, no slot is linked, and the log is empty.
-func (x *costIndex) reset() {
-	for w := range x.seen {
-		x.seen[w] = -1
-	}
-	for id := range x.head {
-		x.head[id] = -1
-	}
-	x.log, x.base = x.log[:0], 0
 }
 
 // describeReady fills cand for the tasks appended to ready since the
@@ -206,47 +194,29 @@ func (c *Coordinator) describeReady() {
 		c.cand = append(c.cand, cd)
 		if x := c.ix; x != nil {
 			x.fit(i + 1)
-			for j, id := range cd.in {
-				if id != c.spare {
-					x.link(int32(maxInputs*i+j), id)
-				}
-			}
+			x.mark(&c.cand[i], i, true)
 			x.log = append(x.log, uint32(i))
 		}
 	}
 }
 
-func (x *costIndex) link(s int32, id uint32) {
-	h := x.head[id]
-	x.links[s] = link{next: h, prev: -1}
-	if h >= 0 {
-		x.links[h].prev = s
+// mark adds position i to, or removes it from, the readers of each
+// of cd's input tiles.
+func (x *costIndex) mark(cd *candidate, i int, read bool) {
+	sw := x.stride >> 6
+	for _, id := range cd.in {
+		if read {
+			x.readers[int(id)*sw+i>>6] |= 1 << (i & 63)
+		} else {
+			x.readers[int(id)*sw+i>>6] &^= 1 << (i & 63)
+		}
 	}
-	x.head[id] = s
 }
 
-func (x *costIndex) unlink(s int32, id uint32) {
-	x.relink(x.links[s], id, x.links[s].next, x.links[s].prev)
-}
-
-// move puts slot to where slot from is in tile id's list.
-func (x *costIndex) move(from, to int32, id uint32) {
-	l := x.links[from]
-	x.links[to] = l
-	x.relink(l, id, to, to)
-}
-
-// relink points the slot before l (or, l being first, the head of
-// tile id's list) forward to n and the slot after l back to p.
-func (x *costIndex) relink(l link, id uint32, n, p int32) {
-	if l.prev >= 0 {
-		x.links[l.prev].next = n
-	} else {
-		x.head[id] = n
-	}
-	if l.next >= 0 {
-		x.links[l.next].prev = p
-	}
+// readersOf is the set of ready positions whose task reads tile id.
+func (x *costIndex) readersOf(id uint32) []uint64 {
+	sw := x.stride >> 6
+	return x.readers[int(id)*sw : int(id+1)*sw]
 }
 
 func (c *Coordinator) copyIDs(dst []uint32, t Task, what string) {
@@ -313,6 +283,7 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 			}
 		}
 	case LocalityReady:
+		c.switchIndex()
 		row, bestIdx = c.cheapest(w)
 	case CriticalPathReady:
 		bestCost, bestKey := uint64(0), 0
@@ -350,9 +321,11 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 			*m &^= 1 << sh
 			shipped++
 			if row != nil {
-				for s := c.ix.head[id]; s >= 0; s = c.ix.links[s].next {
-					i := s / maxInputs
-					row[i] = byte(c.cost(&c.cand[i], wi, sh))
+				for k, set := range c.ix.readersOf(id) {
+					for ; set != 0; set &= set - 1 {
+						i := k<<6 + bits.TrailingZeros64(set)
+						row[i] = byte(c.cost(&c.cand[i], wi, sh))
+					}
 				}
 			}
 		}
@@ -361,61 +334,101 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 	return t, shipped, true
 }
 
+// indexFrom is the ready-set length below which LocalityReady keeps no
+// index: a scan of that few candidates costs less than keeping the
+// index current through every change (qr n=16 at p=4, fourteen ready
+// tasks a pick, ran 15% slower with the index than with the scan).
+const indexFrom = 16
+
+// switchIndex turns the index on when the ready set reaches twice
+// indexFrom, so that it is rebuilt only after at least indexFrom tasks
+// entered the ready set, and off when the set falls below indexFrom.
+func (c *Coordinator) switchIndex() {
+	n := len(c.cand)
+	switch {
+	case c.ix == nil && n >= 2*indexFrom:
+		x := &c.index
+		// Every worker's last pick is now before the log's start, so
+		// each fills its row first.
+		x.base += len(x.log) + 1
+		x.log = x.log[:0]
+		x.fit(n)
+		clear(x.readers)
+		for i := range c.cand {
+			x.mark(&c.cand[i], i, true)
+		}
+		c.ix = x
+	case c.ix != nil && n < indexFrom:
+		c.ix = nil
+	}
+}
+
 // cheapest is LocalityReady's scan for worker w: the index of the
 // task it picks, or -1, and w's row if it holds one.
 //
-// The row is brought current first: the log since w's last pick is
-// replayed into it, or, when that is longer than the ready set, the
-// scan computes every cost as it goes (and stores it if w holds a row).
-// The scan reads eight costs a word and visits, in order, only the
-// candidates that cost no more than the best so far when their word is
-// read; the visit checks the cost again, since the best may have
-// dropped within the word. A candidate it skips costs more than the
-// best, which only falls, so it would never have been drawn for: the
-// draws are those of a visit of every candidate.
+// With the index on, the row is brought current first by replaying
+// the log since w's last pick, and the scan reads eight costs a word
+// and visits, in order, only the candidates that cost no more than the
+// best so far when their word is read; the visit checks the cost
+// again, since the best may have dropped within the word. A candidate
+// it skips costs more than the best, which only falls, so it would
+// never have been drawn for: the draws are those of a visit of every
+// candidate. When the log since w's last pick is longer than the ready
+// set, or the index is off, the scan computes every cost as it goes
+// (and stores it if w holds a row) and visits every candidate.
 func (c *Coordinator) cheapest(w int) (row []byte, bestIdx int) {
-	x := c.ix
 	n := len(c.cand)
 	wi, sh := w>>6, uint(w&63)
-	seen, seq := x.seen[w], x.base+len(x.log)
-	x.seen[w] = seq
-	r := x.rowOf[w]
-	fill := seen < x.base || seq-seen > n
-	if r < 0 && !fill {
-		r, fill = x.newRow(w), true
-	}
-	if r >= 0 {
-		row = x.rows[int(r)*x.stride : int(r+1)*x.stride]
-	}
-	if fill {
-		x.fills++
-	} else {
-		for _, i := range x.log[seen-x.base:] {
-			if int(i) < n {
-				row[i] = byte(c.cost(&c.cand[i], wi, sh))
-			}
+	fill := true
+	if x := c.ix; x != nil {
+		seen, seq := x.seen[w], x.base+len(x.log)
+		x.seen[w] = seq
+		r := x.rowOf[w]
+		fill = seen < x.base || seq-seen > n
+		if r < 0 && !fill {
+			r, fill = x.newRow(w), true
 		}
-		x.replays++
+		if r >= 0 {
+			row = x.rows[int(r)*x.stride : int(r+1)*x.stride]
+		}
+		if fill {
+			x.fills++
+		} else {
+			for _, i := range x.log[seen-x.base:] {
+				if int(i) < n {
+					row[i] = byte(c.cost(&c.cand[i], wi, sh))
+				}
+			}
+			x.replays++
+		}
 	}
 
-	const lo, hi = 0x0101010101010101, 0x8080808080808080
 	busy := c.inFlight
 	bestIdx = -1
 	// Above any real cost, so the first schedulable candidate wins.
 	bestCost := uint64(maxInputs + 1)
 	ties := 0
-	for base := 0; base < n; base += 8 {
-		var costs uint64
-		if fill {
-			for i := base; i < min(base+8, n); i++ {
-				costs |= c.cost(&c.cand[i], wi, sh) << (8 * (i - base))
-			}
+	if fill {
+		for idx := range c.cand {
+			cd := &c.cand[idx]
+			cost := c.cost(cd, wi, sh)
 			if row != nil {
-				binary.LittleEndian.PutUint64(row[base:], costs)
+				row[idx] = byte(cost)
 			}
-		} else {
-			costs = binary.LittleEndian.Uint64(row[base:])
+			if cost > bestCost || bit(busy, cd.out[0])|bit(busy, cd.out[1]) != 0 {
+				continue
+			}
+			if cost < bestCost {
+				bestIdx, bestCost, ties = idx, cost, 1
+			} else if ties++; c.r.Intn(ties) == 0 {
+				bestIdx = idx
+			}
 		}
+		return row, bestIdx
+	}
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	for base := 0; base < n; base += 8 {
+		costs := binary.LittleEndian.Uint64(row[base:])
 		// The high bit of each byte that is at most bestCost.
 		m := ^((costs | hi) - lo*(bestCost+1)) & hi
 		if n-base < 8 {
@@ -430,11 +443,8 @@ func (c *Coordinator) cheapest(w int) (row []byte, bestIdx int) {
 			}
 			if cost < bestCost {
 				bestIdx, bestCost, ties = idx, cost, 1
-			} else {
-				ties++
-				if c.r.Intn(ties) == 0 {
-					bestIdx = idx
-				}
+			} else if ties++; c.r.Intn(ties) == 0 {
+				bestIdx = idx
 			}
 		}
 	}
@@ -449,23 +459,26 @@ func (x *costIndex) newRow(w int) int32 {
 	return r
 }
 
-// fit makes room for n ready tasks: rows of at least n bytes, their
-// input slots, and a log of twice that, where it is trimmed, plus what
-// one call may add before the trim.
+// fit makes room for n ready tasks: rows of at least n bytes, reader
+// sets of as many bits, and a log of twice that, where it is trimmed,
+// plus what one call may add before the trim.
 func (x *costIndex) fit(n int) {
 	if n <= x.stride {
 		return
 	}
 	stride := max(2*x.stride, (n+63)&^63)
-	rows := make([]byte, len(x.rows)/max(x.stride, 1)*stride)
+	rows := make([]byte, len(x.rows)/x.stride*stride)
 	for r := 0; r*x.stride < len(x.rows); r++ {
 		copy(rows[r*stride:], x.rows[r*x.stride:(r+1)*x.stride])
 	}
-	links := make([]link, maxInputs*stride)
-	copy(links, x.links)
+	sw, old := stride>>6, x.stride>>6
+	readers := make([]uint64, len(x.readers)/old*sw)
+	for id := 0; id*old < len(x.readers); id++ {
+		copy(readers[id*sw:], x.readers[id*old:(id+1)*old])
+	}
 	log := make([]uint32, len(x.log), 3*stride)
 	copy(log, x.log)
-	x.rows, x.stride, x.links, x.log = rows, stride, links, log
+	x.rows, x.stride, x.readers, x.log = rows, stride, readers, log
 }
 
 // trimLog drops what no worker will replay: a worker more than one
@@ -485,17 +498,10 @@ func (c *Coordinator) trimLog() {
 func (c *Coordinator) removeReady(i int) {
 	last := len(c.ready) - 1
 	if x := c.ix; x != nil {
-		for j, id := range c.cand[i].in {
-			if id != c.spare {
-				x.unlink(int32(maxInputs*i+j), id)
-			}
-		}
+		x.mark(&c.cand[i], i, false)
 		if i != last {
-			for j, id := range c.cand[last].in {
-				if id != c.spare {
-					x.move(int32(maxInputs*last+j), int32(maxInputs*i+j), id)
-				}
-			}
+			x.mark(&c.cand[last], last, false)
+			x.mark(&c.cand[last], i, true)
 			x.log = append(x.log, uint32(i))
 		}
 	}
@@ -537,8 +543,10 @@ func (c *Coordinator) Complete(w int, t Task) {
 		c.fillRow(id)
 		c.missing[id*c.pw+w>>6] &^= 1 << (w & 63)
 		if x := c.ix; x != nil {
-			for s := x.head[id]; s >= 0; s = x.links[s].next {
-				x.log = append(x.log, uint32(s/maxInputs))
+			for k, set := range x.readersOf(uint32(id)) {
+				for ; set != 0; set &= set - 1 {
+					x.log = append(x.log, uint32(k<<6+bits.TrailingZeros64(set)))
+				}
 			}
 		}
 	}

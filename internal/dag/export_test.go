@@ -5,10 +5,7 @@ func (c *Coordinator) ReadyLen() int { return len(c.ready) }
 
 // IndexCounts reports how often LocalityReady picks replayed the log
 // and filled a row, and how often the log was trimmed; all zero under
-// the other policies, which keep no index.
+// the other policies, which keep no index, and while it is off.
 func (c *Coordinator) IndexCounts() (replays, fills, trims int) {
-	if c.ix == nil {
-		return 0, 0, 0
-	}
-	return c.ix.replays, c.ix.fills, c.ix.trims
+	return c.index.replays, c.index.fills, c.index.trims
 }

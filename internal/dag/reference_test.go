@@ -247,10 +247,12 @@ func differential(tb testing.TB, mk func(n int) dag.Kernel, policy dag.Policy, n
 // TestCoordinatorAgainstReference: same picks, same shipped blocks and
 // same draws as the reference, on scripts that complete out of order
 // and reassign, for every kernel × policy × n in 3..12 × p in
-// {1, 2, 5, 16, 65, 130} × 50 seeds (5 under -short), each driven to
-// drain. At 65 and 130 workers a tile's holdings span two and three
-// words. The LocalityReady runs must between them have replayed the
-// log, filled a row and trimmed the log.
+// {1, 2, 5, 16, 65, 130} × 50 seeds (5 under -short), and n = 20 on a
+// tenth of the seeds, each driven to drain. At 65 and 130 workers a
+// tile's holdings span two and three words; at n = 20 the ready set
+// grows long enough for LocalityReady to turn its index on and off
+// within a run. The LocalityReady runs must between them have replayed
+// the log, filled a row and trimmed the log.
 func TestCoordinatorAgainstReference(t *testing.T) {
 	seeds := uint64(50)
 	if testing.Short() {
@@ -260,9 +262,13 @@ func TestCoordinatorAgainstReference(t *testing.T) {
 	for _, k := range diffKernels {
 		for _, policy := range diffPolicies {
 			t.Run(k.name+"/"+policy.String(), func(t *testing.T) {
-				for n := 3; n <= 12; n++ {
+				for _, n := range []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 20} {
+					nseeds := seeds
+					if n == 20 {
+						nseeds = max(seeds/10, 1)
+					}
 					for _, p := range []int{1, 2, 5, 16, 65, 130} {
-						for seed := uint64(1); seed <= seeds; seed++ {
+						for seed := uint64(1); seed <= nseeds; seed++ {
 							script := rng.New(seed<<16 | uint64(n)<<8 | uint64(p))
 							c := differential(t, k.mk, policy, n, p, seed, func() (uint32, bool) { return script.Uint32(), true })
 							r, f, tr := c.IndexCounts()

@@ -89,9 +89,7 @@ func (c *Coordinator) RestoreState(src []byte) error {
 		return err
 	}
 	c.cand = c.cand[:0]
-	if c.ix != nil {
-		c.ix.reset()
-	}
+	c.ix = nil // rebuilt by the next pick that wants it
 	c.describeReady()
 	return nil
 }
