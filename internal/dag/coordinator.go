@@ -66,7 +66,7 @@ type Coordinator struct {
 // pick; one shared log lists the positions whose cost may since have
 // changed for every worker: a task entering the ready set, the task a
 // swap-remove moves, and each ready task reading a tile a completion
-// rewrote, found through the set of positions reading each tile. A
+// rewrote, found through a list per tile of the slots reading it. A
 // pick replays its worker's part of the log, or, when that is longer
 // than the ready set, computes the costs during the scan. A worker gets
 // a row at the first pick that finds it that close, so one that is
@@ -82,13 +82,17 @@ type costIndex struct {
 	log  []uint32 // ready positions, oldest first
 	base int      // the sequence number of log[0]
 
-	// readers holds a set of ready positions per tile, stride bits
-	// each: the tasks reading the tile. The spare tile's set takes the
-	// unused entries of a candidate and is never read.
-	readers []uint64
+	// The input slot 3i+j is ready[i]'s input j. head[id] is the first
+	// slot reading tile id and links[s] joins slot s to the others of
+	// its tile, -1 ending a list. The spare tile's list takes the
+	// unused slots and is never walked.
+	head  []int32
+	links []link
 
 	replays, fills, trims int // counted for tests
 }
+
+type link struct{ next, prev int32 }
 
 // The most tiles a task may read and write (see the Kernel contract).
 const (
@@ -152,11 +156,12 @@ func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 	}
 	if policy == LocalityReady {
 		c.index = costIndex{
-			stride:  64,
-			rowOf:   make([]int32, p),
-			seen:    make([]int, p),
-			log:     make([]uint32, 0, 3*64),
-			readers: make([]uint64, tiles+1),
+			stride: 64,
+			rowOf:  make([]int32, p),
+			seen:   make([]int, p),
+			log:    make([]uint32, 0, 3*64),
+			head:   make([]int32, tiles+1),
+			links:  make([]link, maxInputs*64),
 		}
 		for w := range c.index.rowOf {
 			c.index.rowOf[w] = -1
@@ -200,23 +205,30 @@ func (c *Coordinator) describeReady() {
 	}
 }
 
-// mark adds position i to, or removes it from, the readers of each
-// of cd's input tiles.
+// mark links the slots of position i, whose task is cd, into the
+// lists of cd's input tiles, or with read false unlinks them.
 func (x *costIndex) mark(cd *candidate, i int, read bool) {
-	sw := x.stride >> 6
-	for _, id := range cd.in {
+	for j, id := range cd.in {
+		s := int32(maxInputs*i + j)
 		if read {
-			x.readers[int(id)*sw+i>>6] |= 1 << (i & 63)
+			h := x.head[id]
+			x.links[s] = link{next: h, prev: -1}
+			if h >= 0 {
+				x.links[h].prev = s
+			}
+			x.head[id] = s
+			continue
+		}
+		l := x.links[s]
+		if l.prev >= 0 {
+			x.links[l.prev].next = l.next
 		} else {
-			x.readers[int(id)*sw+i>>6] &^= 1 << (i & 63)
+			x.head[id] = l.next
+		}
+		if l.next >= 0 {
+			x.links[l.next].prev = l.prev
 		}
 	}
-}
-
-// readersOf is the set of ready positions whose task reads tile id.
-func (x *costIndex) readersOf(id uint32) []uint64 {
-	sw := x.stride >> 6
-	return x.readers[int(id)*sw : int(id+1)*sw]
 }
 
 func (c *Coordinator) copyIDs(dst []uint32, t Task, what string) {
@@ -321,11 +333,9 @@ func (c *Coordinator) TryAssign(w int) (t Task, shipped int, ok bool) {
 			*m &^= 1 << sh
 			shipped++
 			if row != nil {
-				for k, set := range c.ix.readersOf(id) {
-					for ; set != 0; set &= set - 1 {
-						i := k<<6 + bits.TrailingZeros64(set)
-						row[i] = byte(c.cost(&c.cand[i], wi, sh))
-					}
+				for s := c.ix.head[id]; s >= 0; s = c.ix.links[s].next {
+					i := s / maxInputs
+					row[i] = byte(c.cost(&c.cand[i], wi, sh))
 				}
 			}
 		}
@@ -353,7 +363,9 @@ func (c *Coordinator) switchIndex() {
 		x.base += len(x.log) + 1
 		x.log = x.log[:0]
 		x.fit(n)
-		clear(x.readers)
+		for id := range x.head {
+			x.head[id] = -1
+		}
 		for i := range c.cand {
 			x.mark(&c.cand[i], i, true)
 		}
@@ -459,9 +471,9 @@ func (x *costIndex) newRow(w int) int32 {
 	return r
 }
 
-// fit makes room for n ready tasks: rows of at least n bytes, reader
-// sets of as many bits, and a log of twice that, where it is trimmed,
-// plus what one call may add before the trim.
+// fit makes room for n ready tasks: rows of at least n bytes, their
+// input slots, and a log of twice that, where it is trimmed, plus what
+// one call may add before the trim.
 func (x *costIndex) fit(n int) {
 	if n <= x.stride {
 		return
@@ -471,14 +483,11 @@ func (x *costIndex) fit(n int) {
 	for r := 0; r*x.stride < len(x.rows); r++ {
 		copy(rows[r*stride:], x.rows[r*x.stride:(r+1)*x.stride])
 	}
-	sw, old := stride>>6, x.stride>>6
-	readers := make([]uint64, len(x.readers)/old*sw)
-	for id := 0; id*old < len(x.readers); id++ {
-		copy(readers[id*sw:], x.readers[id*old:(id+1)*old])
-	}
+	links := make([]link, maxInputs*stride)
+	copy(links, x.links)
 	log := make([]uint32, len(x.log), 3*stride)
 	copy(log, x.log)
-	x.rows, x.stride, x.readers, x.log = rows, stride, readers, log
+	x.rows, x.stride, x.links, x.log = rows, stride, links, log
 }
 
 // trimLog drops what no worker will replay: a worker more than one
@@ -543,10 +552,8 @@ func (c *Coordinator) Complete(w int, t Task) {
 		c.fillRow(id)
 		c.missing[id*c.pw+w>>6] &^= 1 << (w & 63)
 		if x := c.ix; x != nil {
-			for k, set := range x.readersOf(uint32(id)) {
-				for ; set != 0; set &= set - 1 {
-					x.log = append(x.log, uint32(k<<6+bits.TrailingZeros64(set)))
-				}
+			for s := x.head[id]; s >= 0; s = x.links[s].next {
+				x.log = append(x.log, uint32(s/maxInputs))
 			}
 		}
 	}
