@@ -44,6 +44,15 @@ var quickHashes = map[string]string{
 	"sec36":          "b98e57528748b280",
 }
 
+// fullHashes pins the DAG experiments at their full (non-Quick) sizes,
+// seed 7: the Quick sizes leave the larger grids and processor counts
+// of the sweep unpinned.
+var fullHashes = map[string]string{
+	"abl-cholesky": "05fb52382eec1510",
+	"abl-lu":       "e0362c3a798552ae",
+	"abl-qr":       "583c39c4b82a1a54",
+}
+
 // hashResult hashes every field of res: labels, series names, the bits
 // of every point, notes and ticks in key order.
 func hashResult(res *plot.Result) string {
@@ -104,6 +113,18 @@ func TestQuickResultsPinned(t *testing.T) {
 			}
 			if got := hashResult(exp.Run(Config{Seed: 7, Quick: true, Workers: 1})); got != want {
 				t.Fatalf("Quick result hash %s, pinned %s", got, want)
+			}
+		})
+	}
+}
+
+// TestFullDAGResultsPinned checks the DAG experiments' full-size
+// results at seed 7 against their pinned hashes.
+func TestFullDAGResultsPinned(t *testing.T) {
+	for id, want := range fullHashes {
+		t.Run(id, func(t *testing.T) {
+			if got := hashResult(Registry[id].Run(Config{Seed: 7, Workers: 1})); got != want {
+				t.Fatalf("full result hash %s, pinned %s", got, want)
 			}
 		})
 	}
