@@ -9,16 +9,17 @@
 //	sim -kernel lu -n 16 -p 16 -strategy critpath -seed 7 -verify
 //	sim -kernel qr -n 16 -p 16 -strategy locality -seed 7
 //
-// -beta sets the two-phase switch parameter (0 takes the analysis'
-// optimum for the drawn platform), -gantt renders a flat run as a text
-// Gantt chart, and -verify replays a Cholesky or LU schedule on a real
-// matrix and prints the residual.
+// -beta sets the switch parameter of a flat 2phases run (0 takes the
+// analysis' optimum for the drawn platform), -gantt renders a flat run
+// as a text Gantt chart, and -verify replays a Cholesky or LU schedule
+// on a real matrix and prints the residual.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/cholesky"
@@ -44,13 +45,6 @@ var kernels = map[string]struct {
 	"cholesky": {24, 16, "locality"},
 	"lu":       {24, 16, "locality"},
 	"qr":       {16, 16, "locality"},
-}
-
-// policies maps the DAG kernels' strategy names to ready-task policies.
-var policies = map[string]dag.Policy{
-	"random":   dag.RandomReady,
-	"locality": dag.LocalityReady,
-	"critpath": dag.CriticalPathReady,
 }
 
 func main() {
@@ -81,16 +75,14 @@ func main() {
 		fail(2, "-gantt needs -kernel outer or matmul")
 	case *verify && *kernel != "cholesky" && *kernel != "lu":
 		fail(2, "-verify needs -kernel cholesky or lu")
+	case *beta != 0 && (!flat || *strategy != "2phases"):
+		fail(2, "-beta needs -kernel outer or matmul with -strategy 2phases")
 	}
 	if flat {
 		simulateFlat(*kernel, *strategy, *beta, *gantt, opts)
 		return
 	}
-	pol, ok := policies[*strategy]
-	if !ok {
-		fail(2, "unknown strategy %q", *strategy)
-	}
-	simulateDAG(*kernel, pol, *verify, opts)
+	simulateDAG(*kernel, *strategy, *verify, opts)
 }
 
 func fail(code int, format string, args ...any) {
@@ -144,43 +136,46 @@ func simulateFlat(kernel, strategy string, beta float64, gantt bool, opts *exper
 	}
 }
 
-// simulateDAG runs a DAG kernel through its Simulate, and with verify
+// simulateDAG runs a DAG kernel through sim.RunDriver, and with verify
 // replays the schedule on a real matrix.
-func simulateDAG(kernel string, pol dag.Policy, verify bool, opts *experiments.SimFlags) {
+func simulateDAG(kernel, strategy string, verify bool, opts *experiments.SimFlags) {
 	n := opts.N
 	root, init, _ := opts.Platform()
-	model := speeds.NewFixed(init)
-	var tasks, blocks int
-	var makespan, work, cp, wait float64
-	var replay func(*linalg.BlockedMatrix) error
-	switch kernel {
-	case "cholesky":
-		m := cholesky.Simulate(n, pol, model, root.Split())
-		tasks, blocks, makespan, work, cp, wait = cholesky.TaskCount(n), m.Blocks, m.Makespan, m.WorkBound, m.CPBound, m.WaitTime
-		replay = func(a *linalg.BlockedMatrix) error { return cholesky.Replay(m.Schedule, a) }
-	case "lu":
-		m := lu.Simulate(n, pol, model, root.Split())
-		tasks, blocks, makespan, work, cp, wait = lu.TaskCount(n), m.Blocks, m.Makespan, m.WorkBound, m.CPBound, m.WaitTime
-		replay = func(a *linalg.BlockedMatrix) error { return lu.Replay(m.Schedule, a) }
-	default:
-		m := qr.Simulate(n, pol, model, root.Split())
-		tasks, blocks, makespan, work, cp, wait = qr.TaskCount(n), m.Blocks, m.Makespan, m.WorkBound, m.CPBound, m.WaitTime
+	drv, err := service.BuildDriver(&service.CreateRunRequest{Kernel: kernel, Strategy: strategy, N: n, P: opts.P}, root.Split())
+	if err != nil {
+		fail(2, "%v", err)
 	}
-	fmt.Printf("policy              %s\n", pol)
-	fmt.Printf("tasks               %d\n", tasks)
-	fmt.Printf("communication       %d tile transfers\n", blocks)
-	fmt.Printf("makespan            %.4f time units\n", makespan)
-	fmt.Printf("work bound          %.4f (efficiency %.3f)\n", work, work/makespan)
+	m := sim.RunDriver(drv, speeds.NewFixed(init))
+
+	totalWork, criticalPath := cholesky.TotalWork, cholesky.CriticalPath
+	switch kernel {
+	case "lu":
+		totalWork, criticalPath = lu.TotalWork, lu.CriticalPath
+	case "qr":
+		totalWork, criticalPath = qr.TotalWork, qr.CriticalPath
+	}
+	sumSpeed, maxSpeed := 0.0, 0.0
+	for _, s := range init {
+		sumSpeed += s
+		maxSpeed = max(maxSpeed, s)
+	}
+	work, cp := totalWork(n)/sumSpeed, criticalPath(n)/maxSpeed
+	d := drv.(*dag.Driver)
+	fmt.Printf("policy              %s\n", strings.TrimPrefix(d.Name(), d.Coordinator().Kernel().Name()))
+	fmt.Printf("tasks               %d\n", drv.Total())
+	fmt.Printf("communication       %d tile transfers\n", m.Blocks)
+	fmt.Printf("makespan            %.4f time units\n", m.Makespan)
+	fmt.Printf("work bound          %.4f (efficiency %.3f)\n", work, work/m.Makespan)
 	fmt.Printf("critical-path bound %.4f\n", cp)
-	fmt.Printf("total wait time     %.4f worker-time units\n", wait)
+	fmt.Printf("total wait time     %.4f worker-time units\n", m.WaitTime)
 	if !verify {
 		return
 	}
 
 	const l = 4
-	fill, residual, label := linalg.RandomSPD, linalg.CholeskyResidual, "|A − L·Lᵀ|"
+	fill, replay, residual, label := linalg.RandomSPD, cholesky.Replay, linalg.CholeskyResidual, "|A − L·Lᵀ|"
 	if kernel == "lu" {
-		fill, residual, label = linalg.RandomDominant, linalg.LUResidual, "|A − L·U|"
+		fill, replay, residual, label = linalg.RandomDominant, lu.Replay, linalg.LUResidual, "|A − L·U|"
 	}
 	a := linalg.NewBlockedMatrix(n, l)
 	fill(a, root.Split())
@@ -188,7 +183,7 @@ func simulateDAG(kernel string, pol dag.Policy, verify bool, opts *experiments.S
 	for i, blk := range a.Blocks {
 		copy(factored.Blocks[i].Data, blk.Data)
 	}
-	if err := replay(factored); err != nil {
+	if err := replay(m.Schedule, factored); err != nil {
 		fail(1, "replay: %v", err)
 	}
 	fmt.Printf("numeric residual    %.3e (%s)\n", residual(a, factored), label)

@@ -10,14 +10,15 @@
 // to wait; the demand-driven engine here extends the paper's model
 // with task readiness and per-tile write serialization.
 //
-// The package is a thin dag.Kernel definition: it describes the task
-// graph (tile reads, writes, costs, readiness progression) while the
-// generic engine in internal/dag supplies the ready set, the record of
-// what each worker holds with re-ship accounting, and the ready-task
-// selection policies. The same kernel therefore runs on all three
-// substrates: the virtual-time simulator (Simulate, via
-// sim.RunDriver), the real goroutine runtime (exec.RunCholesky) and
-// the scheduler service (kernel "cholesky").
+// The package is a dag.Kernel definition plus its numerics: NewKernel
+// describes the task graph (tile reads, writes, costs, readiness
+// progression), Apply runs one task's tile kernel, and the generic
+// engine in internal/dag supplies the ready set, the record of what
+// each worker holds with re-ship accounting, and the ready-task
+// selection policies. Every substrate drives dag.NewDriver(NewKernel(n),
+// …): the virtual-time simulator (sim.RunDriver, whose schedule Replay
+// verifies), the real goroutine runtime (exec.RunCholesky) and the
+// scheduler service (kernel "cholesky").
 package cholesky
 
 import "fmt"

@@ -2,10 +2,14 @@ package cholesky
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 	"hetsched/internal/rng"
+	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
 )
 
@@ -53,16 +57,31 @@ func TestCostsAndBounds(t *testing.T) {
 	}
 }
 
-func allPolicies() []Policy {
-	return []Policy{RandomReady, LocalityReady, CriticalPathReady}
+func allPolicies() []dag.Policy {
+	return []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady}
 }
+
+// simulate runs an n-tile factorization on fixed speeds s under the
+// generic engine and returns the run with its Σcost/Σspeed and
+// critical-path/max-speed lower bounds on the makespan.
+func simulate(n int, pol dag.Policy, s []float64, r *rng.PCG) (m *sim.Metrics, work, cp float64) {
+	m = sim.RunDriver(dag.NewDriver(NewKernel(n), len(s), pol, r), speeds.NewFixed(s))
+	sum, max := 0.0, 0.0
+	for _, v := range s {
+		sum += v
+		max = math.Max(max, v)
+	}
+	return m, TotalWork(n) / sum, CriticalPath(n) / max
+}
+
+func decode(ct core.Task, n int) Task { return fromDAG(dag.DecodeTask(ct, n)) }
 
 func TestSimulateCompletesAllTasks(t *testing.T) {
 	root := rng.New(1)
 	const n, p = 8, 4
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	for _, pol := range allPolicies() {
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, work, cp := simulate(n, pol, s, root.Split())
 		if len(m.Schedule) != TaskCount(n) {
 			t.Fatalf("%v: %d tasks completed, want %d", pol, len(m.Schedule), TaskCount(n))
 		}
@@ -73,14 +92,14 @@ func TestSimulateCompletesAllTasks(t *testing.T) {
 		if total != TaskCount(n) {
 			t.Fatalf("%v: per-worker tasks sum %d", pol, total)
 		}
-		if m.Makespan < m.WorkBound-1e-9 {
-			t.Fatalf("%v: makespan %g below work bound %g", pol, m.Makespan, m.WorkBound)
+		if m.Makespan < work-1e-9 {
+			t.Fatalf("%v: makespan %g below work bound %g", pol, m.Makespan, work)
 		}
-		if m.Makespan < m.CPBound-1e-9 {
-			t.Fatalf("%v: makespan %g below critical-path bound %g", pol, m.Makespan, m.CPBound)
+		if m.Makespan < cp-1e-9 {
+			t.Fatalf("%v: makespan %g below critical-path bound %g", pol, m.Makespan, cp)
 		}
-		if m.Efficiency() <= 0 || m.Efficiency() > 1 {
-			t.Fatalf("%v: efficiency %g out of (0,1]", pol, m.Efficiency())
+		if eff := work / m.Makespan; eff <= 0 || eff > 1 {
+			t.Fatalf("%v: efficiency %g out of (0,1]", pol, eff)
 		}
 	}
 }
@@ -92,11 +111,12 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 	const n, p = 10, 5
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	for _, pol := range allPolicies() {
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(n, pol, s, root.Split())
 		potrfDone := make([]bool, n)
 		trsmDone := make([]bool, n*n)
 		updates := make([]int, n*n)
-		for _, task := range m.Schedule {
+		for _, ct := range m.Schedule {
+			task := decode(ct, n)
 			switch task.Kind {
 			case Potrf:
 				if updates[task.K*n+task.K] != task.K {
@@ -135,12 +155,19 @@ func TestNumericReplay(t *testing.T) {
 			copy(work.Blocks[i].Data, blk.Data)
 		}
 		s := speeds.UniformRange(p, 10, 100, root.Split())
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(n, pol, s, root.Split())
 		if err := Replay(m.Schedule, work); err != nil {
 			t.Fatalf("%v: replay: %v", pol, err)
 		}
 		if res := linalg.CholeskyResidual(a, work); res > 1e-8 {
 			t.Fatalf("%v: |A − L·Lᵀ| = %g", pol, res)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if slices.ContainsFunc(work.Block(i, j).Data, func(v float64) bool { return v != 0 }) {
+					t.Fatalf("%v: upper tile (%d,%d) not cleared", pol, i, j)
+				}
+			}
 		}
 	}
 }
@@ -149,8 +176,8 @@ func TestLocalityReducesComm(t *testing.T) {
 	root := rng.New(4)
 	const n, p = 16, 6
 	s := speeds.UniformRange(p, 10, 100, root.Split())
-	rnd := Simulate(n, RandomReady, speeds.NewFixed(s), root.Split())
-	loc := Simulate(n, LocalityReady, speeds.NewFixed(s), root.Split())
+	rnd, _, _ := simulate(n, dag.RandomReady, s, root.Split())
+	loc, _, _ := simulate(n, dag.LocalityReady, s, root.Split())
 	if loc.Blocks >= rnd.Blocks {
 		t.Fatalf("LocalityReady shipped %d blocks, RandomReady %d; expected locality to win",
 			loc.Blocks, rnd.Blocks)
@@ -162,7 +189,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int, float64) {
 		root := rng.New(9)
 		s := speeds.UniformRange(p, 10, 100, root.Split())
-		m := Simulate(n, LocalityReady, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(n, dag.LocalityReady, s, root.Split())
 		return m.Blocks, m.Makespan
 	}
 	b1, mk1 := run()
@@ -174,23 +201,23 @@ func TestDeterminism(t *testing.T) {
 
 func TestSingleTile(t *testing.T) {
 	root := rng.New(5)
-	m := Simulate(1, RandomReady, speeds.NewFixed([]float64{10}), root)
-	if len(m.Schedule) != 1 || m.Schedule[0].Kind != Potrf {
+	m, _, _ := simulate(1, dag.RandomReady, []float64{10}, root)
+	if len(m.Schedule) != 1 || decode(m.Schedule[0], 1).Kind != Potrf {
 		t.Fatalf("n=1 schedule = %v", m.Schedule)
 	}
 }
 
 func TestReplayRejectsBadSchedule(t *testing.T) {
 	m := linalg.NewBlockedMatrix(3, 2)
-	if err := Replay([]Task{{Kind: Potrf}}, m); err == nil {
+	if err := Replay([]core.Task{0}, m); err == nil {
 		t.Fatal("short schedule not rejected")
 	}
 }
 
 func TestValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"n=0":     func() { Simulate(0, RandomReady, speeds.NewFixed([]float64{1}), rng.New(1)) },
-		"nil rng": func() { Simulate(2, RandomReady, speeds.NewFixed([]float64{1}), nil) },
+		"n=0":     func() { simulate(0, dag.RandomReady, []float64{1}, rng.New(1)) },
+		"nil rng": func() { simulate(2, dag.RandomReady, []float64{1}, nil) },
 	} {
 		func() {
 			defer func() {

@@ -5,7 +5,10 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/rng"
+	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
 )
 
@@ -15,15 +18,16 @@ import (
 type goldenRun struct {
 	seed           uint64
 	n, p           int
-	policy         Policy
+	policy         dag.Policy
 	blocks         int
 	makespan, wait float64
 	schedHash      uint64
 }
 
-func scheduleHash(schedule []Task) uint64 {
+func scheduleHash(schedule []core.Task, n int) uint64 {
 	h := fnv.New64a()
-	for _, t := range schedule {
+	for _, ct := range schedule {
+		t := dag.DecodeTask(ct, n)
 		fmt.Fprintf(h, "%d,%d,%d,%d;", t.Kind, t.I, t.J, t.K)
 	}
 	return h.Sum64()
@@ -77,12 +81,12 @@ func TestGoldenMetrics(t *testing.T) {
 	for _, g := range golden {
 		root := rng.New(g.seed)
 		s := speeds.UniformRange(g.p, 10, 100, root.Split())
-		m := Simulate(g.n, g.policy, speeds.NewFixed(s), root.Split())
+		m := sim.RunDriver(dag.NewDriver(NewKernel(g.n), g.p, g.policy, root.Split()), speeds.NewFixed(s))
 		if m.Blocks != g.blocks || m.Makespan != g.makespan || m.WaitTime != g.wait {
 			t.Errorf("seed=%d n=%d p=%d %v: got (blocks=%d makespan=%.17g wait=%.17g), want (%d, %.17g, %.17g)",
 				g.seed, g.n, g.p, g.policy, m.Blocks, m.Makespan, m.WaitTime, g.blocks, g.makespan, g.wait)
 		}
-		if h := scheduleHash(m.Schedule); h != g.schedHash {
+		if h := scheduleHash(m.Schedule, g.n); h != g.schedHash {
 			t.Errorf("seed=%d n=%d p=%d %v: schedule hash %#x, want %#x",
 				g.seed, g.n, g.p, g.policy, h, g.schedHash)
 		}

@@ -3,47 +3,52 @@ package cholesky
 import (
 	"fmt"
 
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 )
 
-// Replay applies a completion-order schedule sequentially to a real
-// blocked SPD matrix, turning its lower triangle into the Cholesky
-// factor. Because the simulated engine only completes a task when its
-// dependencies completed (and serializes writes per tile), any
-// Metrics.Schedule is a valid sequential order; replaying it and
-// checking the residual against the original matrix verifies the DAG
-// bookkeeping end to end.
-func Replay(schedule []Task, m *linalg.BlockedMatrix) error {
-	n := m.N
-	if len(schedule) != TaskCount(n) {
-		return fmt.Errorf("cholesky: schedule has %d tasks, want %d for n=%d",
-			len(schedule), TaskCount(n), n)
-	}
-	for _, t := range schedule {
-		switch t.Kind {
-		case Potrf:
-			if err := linalg.CholBlock(m.Block(t.K, t.K)); err != nil {
-				return fmt.Errorf("cholesky: %s: %w", t, err)
-			}
-		case Trsm:
-			linalg.TrsmBlock(m.Block(t.I, t.K), m.Block(t.K, t.K))
-		case Update:
-			if t.I == t.J {
-				linalg.SyrkBlock(m.Block(t.I, t.I), m.Block(t.I, t.K))
-			} else {
-				linalg.GemmTransBlock(m.Block(t.I, t.J), m.Block(t.I, t.K), m.Block(t.J, t.K))
-			}
-		default:
-			return fmt.Errorf("cholesky: unknown task kind %d", t.Kind)
+// Apply runs the tile kernel of the encoded task ct on m in place.
+// POTRF(k) also zeroes the upper tiles of row k, which no other task
+// reads or writes, so a completed factorization leaves a clean L.
+func Apply(ct core.Task, m *linalg.BlockedMatrix) error {
+	t := fromDAG(dag.DecodeTask(ct, m.N))
+	switch t.Kind {
+	case Potrf:
+		if err := linalg.CholBlock(m.Block(t.K, t.K)); err != nil {
+			return fmt.Errorf("cholesky: %s: %w", t, err)
 		}
+		for j := t.K + 1; j < m.N; j++ {
+			clear(m.Block(t.K, j).Data)
+		}
+	case Trsm:
+		linalg.TrsmBlock(m.Block(t.I, t.K), m.Block(t.K, t.K))
+	case Update:
+		if t.I == t.J {
+			linalg.SyrkBlock(m.Block(t.I, t.I), m.Block(t.I, t.K))
+		} else {
+			linalg.GemmTransBlock(m.Block(t.I, t.J), m.Block(t.I, t.K), m.Block(t.J, t.K))
+		}
+	default:
+		return fmt.Errorf("cholesky: unknown task kind %d", t.Kind)
 	}
-	// Zero the upper block triangle for a clean L.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			blk := m.Block(i, j)
-			for idx := range blk.Data {
-				blk.Data[idx] = 0
-			}
+	return nil
+}
+
+// Replay applies a completion-order schedule sequentially to a real
+// blocked SPD matrix, turning it into its Cholesky factor. Because
+// the engine only completes a task when its dependencies completed
+// (and serializes writes per tile), any sim.Metrics.Schedule is a
+// valid sequential order; replaying it and checking the residual
+// against the original matrix verifies the DAG bookkeeping end to end.
+func Replay(schedule []core.Task, m *linalg.BlockedMatrix) error {
+	if len(schedule) != TaskCount(m.N) {
+		return fmt.Errorf("cholesky: schedule has %d tasks, want %d for n=%d",
+			len(schedule), TaskCount(m.N), m.N)
+	}
+	for _, ct := range schedule {
+		if err := Apply(ct, m); err != nil {
+			return err
 		}
 	}
 	return nil

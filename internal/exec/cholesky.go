@@ -3,6 +3,7 @@ package exec
 import (
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 	"hetsched/internal/rng"
 )
@@ -19,37 +20,7 @@ import (
 // task in flight per tile) and from the DAG itself (input tiles are
 // final when read); the tests run this under the race detector and
 // verify the factorization numerically against the input matrix.
-func RunCholesky(a *linalg.BlockedMatrix, workers int, policy cholesky.Policy, r *rng.PCG) (*Result, error) {
-	n := a.N
-	drv := cholesky.NewDriver(n, workers, policy, r)
-	res, err := runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error {
-		t := cholesky.DecodeTask(ct, n)
-		switch t.Kind {
-		case cholesky.Potrf:
-			return linalg.CholBlock(a.Block(t.K, t.K))
-		case cholesky.Trsm:
-			linalg.TrsmBlock(a.Block(t.I, t.K), a.Block(t.K, t.K))
-		case cholesky.Update:
-			if t.I == t.J {
-				linalg.SyrkBlock(a.Block(t.I, t.I), a.Block(t.I, t.K))
-			} else {
-				linalg.GemmTransBlock(a.Block(t.I, t.J), a.Block(t.I, t.K), a.Block(t.J, t.K))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Zero the upper block triangle for a clean L.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			blk := a.Block(i, j)
-			for idx := range blk.Data {
-				blk.Data[idx] = 0
-			}
-		}
-	}
-	return res, nil
+func RunCholesky(a *linalg.BlockedMatrix, workers int, policy dag.Policy, r *rng.PCG) (*Result, error) {
+	drv := dag.NewDriver(cholesky.NewKernel(a.N), workers, policy, r)
+	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error { return cholesky.Apply(ct, a) })
 }

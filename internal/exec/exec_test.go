@@ -197,9 +197,7 @@ func TestRunCholeskyCorrectAllPolicies(t *testing.T) {
 	a := linalg.NewBlockedMatrix(n, l)
 	linalg.RandomSPD(a, root.Split())
 
-	for _, pol := range []cholesky.Policy{
-		cholesky.RandomReady, cholesky.LocalityReady, cholesky.CriticalPathReady,
-	} {
+	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
 		work := linalg.NewBlockedMatrix(n, l)
 		for i, blk := range a.Blocks {
 			copy(work.Blocks[i].Data, blk.Data)
@@ -229,7 +227,7 @@ func TestRunCholeskyRejectsIndefinite(t *testing.T) {
 	for i := 0; i < n*l; i++ {
 		a.Block(i/l, i/l).Set(i%l, i%l, -1)
 	}
-	if _, err := RunCholesky(a, p, cholesky.RandomReady, root.Split()); err == nil {
+	if _, err := RunCholesky(a, p, dag.RandomReady, root.Split()); err == nil {
 		t.Fatal("indefinite matrix did not produce an error")
 	}
 }
@@ -246,7 +244,7 @@ func TestRunCholeskySingleWorkerMatchesSerial(t *testing.T) {
 		copy(concurrent.Blocks[i].Data, blk.Data)
 		copy(serial.Blocks[i].Data, blk.Data)
 	}
-	if _, err := RunCholesky(concurrent, 1, cholesky.LocalityReady, root.Split()); err != nil {
+	if _, err := RunCholesky(concurrent, 1, dag.LocalityReady, root.Split()); err != nil {
 		t.Fatal(err)
 	}
 	if err := linalg.TiledCholesky(serial); err != nil {
@@ -263,7 +261,7 @@ func TestRunLUCorrectAllPolicies(t *testing.T) {
 	a := linalg.NewBlockedMatrix(n, l)
 	linalg.RandomDominant(a, root.Split())
 
-	for _, pol := range []lu.Policy{lu.RandomReady, lu.LocalityReady, lu.CriticalPathReady} {
+	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
 		work := linalg.NewBlockedMatrix(n, l)
 		for i, blk := range a.Blocks {
 			copy(work.Blocks[i].Data, blk.Data)
@@ -297,7 +295,7 @@ func TestRunLUMatchesSerial(t *testing.T) {
 		copy(concurrent.Blocks[i].Data, blk.Data)
 		copy(serial.Blocks[i].Data, blk.Data)
 	}
-	if _, err := RunLU(concurrent, 3, lu.CriticalPathReady, root.Split()); err != nil {
+	if _, err := RunLU(concurrent, 3, dag.CriticalPathReady, root.Split()); err != nil {
 		t.Fatal(err)
 	}
 	if err := linalg.TiledLU(serial); err != nil {
@@ -332,7 +330,7 @@ func TestExecMatchesSimOneWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(t, res, sim.RunDriver(cholesky.NewDriver(n, 1, pol, rng.New(2)), one))
+			same(t, res, sim.RunDriver(dag.NewDriver(cholesky.NewKernel(n), 1, pol, rng.New(2)), one))
 		})
 		t.Run("lu-"+pol.String(), func(t *testing.T) {
 			a := linalg.NewBlockedMatrix(n, l)
@@ -341,7 +339,7 @@ func TestExecMatchesSimOneWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(t, res, sim.RunDriver(lu.NewDriver(n, 1, pol, rng.New(2)), one))
+			same(t, res, sim.RunDriver(dag.NewDriver(lu.NewKernel(n), 1, pol, rng.New(2)), one))
 		})
 	}
 	for name, build := range matrixBuilders(n, 1) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 	"hetsched/internal/lu"
 	"hetsched/internal/outer"
@@ -31,21 +32,7 @@ func RunOuter(sched core.Scheduler, a, b *linalg.BlockedVector, opts Options) (*
 // its packed L\U factors using real worker goroutines driven by the
 // generic DAG driver — the LU counterpart of RunCholesky, sharing the
 // same master loop.
-func RunLU(a *linalg.BlockedMatrix, workers int, policy lu.Policy, r *rng.PCG) (*Result, error) {
-	n := a.N
-	drv := lu.NewDriver(n, workers, policy, r)
-	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error {
-		t := lu.DecodeTask(ct, n)
-		switch t.Kind {
-		case lu.Getrf:
-			return linalg.GetrfBlock(a.Block(t.K, t.K))
-		case lu.TrsmRow:
-			linalg.TrsmLowerUnitBlock(a.Block(t.K, t.J), a.Block(t.K, t.K))
-		case lu.TrsmCol:
-			linalg.TrsmUpperBlock(a.Block(t.I, t.K), a.Block(t.K, t.K))
-		case lu.Gemm:
-			linalg.GemmSubBlock(a.Block(t.I, t.J), a.Block(t.I, t.K), a.Block(t.K, t.J))
-		}
-		return nil
-	})
+func RunLU(a *linalg.BlockedMatrix, workers int, policy dag.Policy, r *rng.PCG) (*Result, error) {
+	drv := dag.NewDriver(lu.NewKernel(a.N), workers, policy, r)
+	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error { return lu.Apply(ct, a) })
 }

@@ -119,8 +119,12 @@ func TestQuickResultsPinned(t *testing.T) {
 }
 
 // TestFullDAGResultsPinned checks the DAG experiments' full-size
-// results at seed 7 against their pinned hashes.
+// results at seed 7 against their pinned hashes. It is skipped under
+// -short, where the Quick pins stand for it.
 func TestFullDAGResultsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweeps")
+	}
 	for id, want := range fullHashes {
 		t.Run(id, func(t *testing.T) {
 			if got := hashResult(Registry[id].Run(Config{Seed: 7, Workers: 1})); got != want {

@@ -7,18 +7,6 @@ import (
 	"hetsched/internal/dag"
 )
 
-// Policy selects which schedulable ready task a requesting worker
-// gets; the policies are shared by every DAG kernel and live in
-// internal/dag.
-type Policy = dag.Policy
-
-// Ready-task selection policies.
-const (
-	RandomReady       = dag.RandomReady
-	LocalityReady     = dag.LocalityReady
-	CriticalPathReady = dag.CriticalPathReady
-)
-
 // toDAG and fromDAG convert between the kernel's task type (which
 // carries the LU-specific methods) and the engine's.
 func toDAG(t Task) dag.Task   { return dag.Task{Kind: dag.Kind(t.Kind), I: t.I, J: t.J, K: t.K} }

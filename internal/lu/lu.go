@@ -6,12 +6,12 @@
 // Cholesky's (both triangles are active), making it a second test of
 // the dependency-aware demand-driven engine.
 //
-// The structure mirrors package cholesky: the package is a thin
-// dag.Kernel definition (task graph, tile reads/writes, costs), while
-// the generic engine in internal/dag supplies the ready set, the
-// record of what each worker holds and the selection policies.
-// Simulate drives the kernel in virtual time via sim.RunDriver; Replay
-// validates a completion order numerically.
+// The structure mirrors package cholesky: NewKernel is the dag.Kernel
+// (task graph, tile reads/writes, costs), Apply runs one task's tile
+// kernel, and the generic engine in internal/dag supplies the ready
+// set, the record of what each worker holds and the selection
+// policies. sim.RunDriver(dag.NewDriver(NewKernel(n), …), …) runs it in
+// virtual time; Replay validates a completion order numerically.
 package lu
 
 import "fmt"

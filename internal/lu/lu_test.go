@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 	"hetsched/internal/rng"
+	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
 )
 
@@ -29,24 +32,39 @@ func TestWorkAndCriticalPath(t *testing.T) {
 	}
 }
 
-func allPolicies() []Policy {
-	return []Policy{RandomReady, LocalityReady, CriticalPathReady}
+func allPolicies() []dag.Policy {
+	return []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady}
 }
+
+// simulate runs an n-tile factorization on fixed speeds s under the
+// generic engine and returns the run with its Σcost/Σspeed and
+// critical-path/max-speed lower bounds on the makespan.
+func simulate(n int, pol dag.Policy, s []float64, r *rng.PCG) (m *sim.Metrics, work, cp float64) {
+	m = sim.RunDriver(dag.NewDriver(NewKernel(n), len(s), pol, r), speeds.NewFixed(s))
+	sum, max := 0.0, 0.0
+	for _, v := range s {
+		sum += v
+		max = math.Max(max, v)
+	}
+	return m, TotalWork(n) / sum, CriticalPath(n) / max
+}
+
+func decode(ct core.Task, n int) Task { return fromDAG(dag.DecodeTask(ct, n)) }
 
 func TestSimulateCompletesAllTasks(t *testing.T) {
 	root := rng.New(1)
 	const n, p = 8, 4
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	for _, pol := range allPolicies() {
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, work, cp := simulate(n, pol, s, root.Split())
 		if len(m.Schedule) != TaskCount(n) {
 			t.Fatalf("%v: %d tasks, want %d", pol, len(m.Schedule), TaskCount(n))
 		}
-		if m.Makespan < m.WorkBound-1e-9 || m.Makespan < m.CPBound-1e-9 {
-			t.Fatalf("%v: makespan %g below bounds (%g, %g)", pol, m.Makespan, m.WorkBound, m.CPBound)
+		if m.Makespan < work-1e-9 || m.Makespan < cp-1e-9 {
+			t.Fatalf("%v: makespan %g below bounds (%g, %g)", pol, m.Makespan, work, cp)
 		}
-		if m.Efficiency() <= 0 || m.Efficiency() > 1 {
-			t.Fatalf("%v: efficiency %g", pol, m.Efficiency())
+		if eff := work / m.Makespan; eff <= 0 || eff > 1 {
+			t.Fatalf("%v: efficiency %g", pol, eff)
 		}
 	}
 }
@@ -56,7 +74,7 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 	const n, p = 10, 5
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	for _, pol := range allPolicies() {
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(n, pol, s, root.Split())
 		getrf := make([]bool, n)
 		rowDone := make([]bool, n*n)
 		colDone := make([]bool, n*n)
@@ -67,7 +85,8 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 			}
 			return b
 		}
-		for _, task := range m.Schedule {
+		for _, ct := range m.Schedule {
+			task := decode(ct, n)
 			switch task.Kind {
 			case Getrf:
 				if gemms[task.K*n+task.K] != task.K {
@@ -112,7 +131,7 @@ func TestNumericReplay(t *testing.T) {
 			copy(work.Blocks[i].Data, blk.Data)
 		}
 		s := speeds.UniformRange(p, 10, 100, root.Split())
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(n, pol, s, root.Split())
 		if err := Replay(m.Schedule, work); err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -126,8 +145,8 @@ func TestLocalityReducesComm(t *testing.T) {
 	root := rng.New(4)
 	const n, p = 14, 6
 	s := speeds.UniformRange(p, 10, 100, root.Split())
-	rnd := Simulate(n, RandomReady, speeds.NewFixed(s), root.Split())
-	loc := Simulate(n, LocalityReady, speeds.NewFixed(s), root.Split())
+	rnd, _, _ := simulate(n, dag.RandomReady, s, root.Split())
+	loc, _, _ := simulate(n, dag.LocalityReady, s, root.Split())
 	if loc.Blocks >= rnd.Blocks {
 		t.Fatalf("LocalityReady shipped %d, RandomReady %d", loc.Blocks, rnd.Blocks)
 	}
@@ -137,7 +156,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int, float64) {
 		root := rng.New(9)
 		s := speeds.UniformRange(4, 10, 100, root.Split())
-		m := Simulate(10, CriticalPathReady, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(10, dag.CriticalPathReady, s, root.Split())
 		return m.Blocks, m.Makespan
 	}
 	b1, mk1 := run()
@@ -148,24 +167,24 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSingleTile(t *testing.T) {
-	m := Simulate(1, RandomReady, speeds.NewFixed([]float64{5}), rng.New(5))
-	if len(m.Schedule) != 1 || m.Schedule[0].Kind != Getrf {
+	m, _, _ := simulate(1, dag.RandomReady, []float64{5}, rng.New(5))
+	if len(m.Schedule) != 1 || decode(m.Schedule[0], 1).Kind != Getrf {
 		t.Fatalf("n=1 schedule = %v", m.Schedule)
 	}
 }
 
 func TestReplayRejectsBadSchedule(t *testing.T) {
 	m := linalg.NewBlockedMatrix(3, 2)
-	if err := Replay([]Task{{Kind: Getrf}}, m); err == nil {
+	if err := Replay([]core.Task{0}, m); err == nil {
 		t.Fatal("short schedule not rejected")
 	}
 }
 
 func TestValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"n=0":     func() { NewCoordinator(0, 2, RandomReady, rng.New(1)) },
-		"p=0":     func() { NewCoordinator(2, 0, RandomReady, rng.New(1)) },
-		"nil rng": func() { NewCoordinator(2, 2, RandomReady, nil) },
+		"n=0":     func() { dag.NewDriver(NewKernel(0), 2, dag.RandomReady, rng.New(1)) },
+		"p=0":     func() { dag.NewDriver(NewKernel(2), 0, dag.RandomReady, rng.New(1)) },
+		"nil rng": func() { dag.NewDriver(NewKernel(2), 2, dag.RandomReady, nil) },
 	} {
 		func() {
 			defer func() {

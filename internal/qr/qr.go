@@ -9,10 +9,10 @@
 // kernel exercises the engine's multi-output write serialization and
 // re-ship accounting.
 //
-// The kernel is simulation-level: it is wired through the virtual-time
-// simulator (Simulate via sim.RunDriver) and the scheduler service
-// (kernel "qr"), with communication volume, makespan and wait-time
-// accounting; no numeric tile kernels are attached.
+// The kernel is simulation-level: dag.NewDriver(NewKernel(n), …) runs
+// it under the virtual-time simulator (sim.RunDriver) and the
+// scheduler service (kernel "qr"), with communication volume, makespan
+// and wait-time accounting; no numeric tile kernels are attached.
 //
 // Task graph at step k (sequential TS chain down each panel):
 //

@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/rng"
+	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
 )
 
@@ -45,16 +48,31 @@ func TestWorkAndCriticalPath(t *testing.T) {
 	}
 }
 
-func allPolicies() []Policy {
-	return []Policy{RandomReady, LocalityReady, CriticalPathReady}
+func allPolicies() []dag.Policy {
+	return []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady}
 }
+
+// simulate runs an n-tile factorization on fixed speeds s under the
+// generic engine and returns the run with its Σcost/Σspeed and
+// critical-path/max-speed lower bounds on the makespan.
+func simulate(n int, pol dag.Policy, s []float64, r *rng.PCG) (m *sim.Metrics, work, cp float64) {
+	m = sim.RunDriver(dag.NewDriver(NewKernel(n), len(s), pol, r), speeds.NewFixed(s))
+	sum, max := 0.0, 0.0
+	for _, v := range s {
+		sum += v
+		max = math.Max(max, v)
+	}
+	return m, TotalWork(n) / sum, CriticalPath(n) / max
+}
+
+func decode(ct core.Task, n int) Task { return fromDAG(dag.DecodeTask(ct, n)) }
 
 func TestSimulateCompletesAllTasks(t *testing.T) {
 	root := rng.New(1)
 	const n, p = 8, 4
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	for _, pol := range allPolicies() {
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, work, cp := simulate(n, pol, s, root.Split())
 		if len(m.Schedule) != TaskCount(n) {
 			t.Fatalf("%v: %d tasks, want %d", pol, len(m.Schedule), TaskCount(n))
 		}
@@ -65,11 +83,11 @@ func TestSimulateCompletesAllTasks(t *testing.T) {
 		if total != TaskCount(n) {
 			t.Fatalf("%v: per-worker tasks sum %d", pol, total)
 		}
-		if m.Makespan < m.WorkBound-1e-9 || m.Makespan < m.CPBound-1e-9 {
-			t.Fatalf("%v: makespan %g below bounds (%g, %g)", pol, m.Makespan, m.WorkBound, m.CPBound)
+		if m.Makespan < work-1e-9 || m.Makespan < cp-1e-9 {
+			t.Fatalf("%v: makespan %g below bounds (%g, %g)", pol, m.Makespan, work, cp)
 		}
-		if m.Efficiency() <= 0 || m.Efficiency() > 1 {
-			t.Fatalf("%v: efficiency %g", pol, m.Efficiency())
+		if eff := work / m.Makespan; eff <= 0 || eff > 1 {
+			t.Fatalf("%v: efficiency %g", pol, eff)
 		}
 	}
 }
@@ -81,12 +99,13 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 	const n, p = 9, 5
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	for _, pol := range allPolicies() {
-		m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+		m, _, _ := simulate(n, pol, s, root.Split())
 		geqrt := make([]bool, n)
 		tsqrt := make([]bool, n*n)
 		ormqr := make([]bool, n*n)
 		updates := make([]int, n*n)
-		for _, task := range m.Schedule {
+		for _, ct := range m.Schedule {
+			task := decode(ct, n)
 			switch task.Kind {
 			case Geqrt:
 				if updates[task.K*n+task.K] != task.K {
@@ -146,8 +165,8 @@ func TestLocalityReducesComm(t *testing.T) {
 	root := rng.New(4)
 	const n, p = 12, 6
 	s := speeds.UniformRange(p, 10, 100, root.Split())
-	rnd := Simulate(n, RandomReady, speeds.NewFixed(s), root.Split())
-	loc := Simulate(n, LocalityReady, speeds.NewFixed(s), root.Split())
+	rnd, _, _ := simulate(n, dag.RandomReady, s, root.Split())
+	loc, _, _ := simulate(n, dag.LocalityReady, s, root.Split())
 	if loc.Blocks >= rnd.Blocks {
 		t.Fatalf("LocalityReady shipped %d, RandomReady %d", loc.Blocks, rnd.Blocks)
 	}
@@ -162,12 +181,12 @@ func TestDeterminism(t *testing.T) {
 		type out struct {
 			blocks int
 			mk     float64
-			sched  []Task
+			sched  []core.Task
 		}
 		run := func() out {
 			root := rng.New(9)
 			s := speeds.UniformRange(p, 10, 100, root.Split())
-			m := Simulate(n, pol, speeds.NewFixed(s), root.Split())
+			m, _, _ := simulate(n, pol, s, root.Split())
 			return out{m.Blocks, m.Makespan, m.Schedule}
 		}
 		a, b := run(), run()
@@ -176,15 +195,15 @@ func TestDeterminism(t *testing.T) {
 		}
 		for i := range a.sched {
 			if a.sched[i] != b.sched[i] {
-				t.Fatalf("%v: schedules diverge at %d: %s vs %s", pol, i, a.sched[i], b.sched[i])
+				t.Fatalf("%v: schedules diverge at %d: %s vs %s", pol, i, decode(a.sched[i], n), decode(b.sched[i], n))
 			}
 		}
 	}
 }
 
 func TestSingleTile(t *testing.T) {
-	m := Simulate(1, RandomReady, speeds.NewFixed([]float64{5}), rng.New(5))
-	if len(m.Schedule) != 1 || m.Schedule[0].Kind != Geqrt {
+	m, _, _ := simulate(1, dag.RandomReady, []float64{5}, rng.New(5))
+	if len(m.Schedule) != 1 || decode(m.Schedule[0], 1).Kind != Geqrt {
 		t.Fatalf("n=1 schedule = %v", m.Schedule)
 	}
 }
@@ -192,7 +211,7 @@ func TestSingleTile(t *testing.T) {
 func TestValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"n=0":     func() { NewKernel(0) },
-		"nil rng": func() { Simulate(2, RandomReady, speeds.NewFixed([]float64{1}), nil) },
+		"nil rng": func() { simulate(2, dag.RandomReady, []float64{1}, nil) },
 	} {
 		func() {
 			defer func() {

@@ -8,6 +8,7 @@ import (
 
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -59,7 +60,7 @@ func mustNext(t *testing.T, h *Host, w int, completed []core.Task) (core.Assignm
 func TestLeaseExpiryMidRunDAG(t *testing.T) {
 	const n, p = 4, 3
 	const lease = 30 * time.Second
-	drv := cholesky.NewDriver(n, p, cholesky.LocalityReady, rng.New(7).Split())
+	drv := dag.NewDriver(cholesky.NewKernel(n), p, dag.LocalityReady, rng.New(7).Split())
 	h, clock := newLeaseHost(t, drv, 1, lease)
 
 	// Worker 0 takes POTRF(0) — the only initially ready task — and

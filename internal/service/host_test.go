@@ -8,6 +8,7 @@ import (
 
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/durable"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
@@ -133,19 +134,18 @@ func TestHostConcurrentDrainOuter(t *testing.T) {
 
 func TestHostConcurrentDrainCholesky(t *testing.T) {
 	const n, p = 10, 5
-	drv := cholesky.NewDriver(n, p, cholesky.LocalityReady, rng.New(5).Split())
+	drv := dag.NewDriver(cholesky.NewKernel(n), p, dag.LocalityReady, rng.New(5).Split())
 	h := NewHost(drv, 2, 0)
 	got := hammer(t, h)
 	total := cholesky.TaskCount(n)
-	seen := make(map[cholesky.Task]bool)
+	seen := make(map[core.Task]bool)
 	count := 0
 	for _, tasks := range got {
 		for _, task := range tasks {
-			dt := cholesky.DecodeTask(task, n)
-			if seen[dt] {
-				t.Fatalf("task %v assigned twice", dt)
+			if seen[task] {
+				t.Fatalf("task %v assigned twice", dag.DecodeTask(task, n))
 			}
-			seen[dt] = true
+			seen[task] = true
 			count++
 		}
 	}
@@ -235,7 +235,7 @@ func TestHostRejectsMalformedRequests(t *testing.T) {
 // per-element check, then panic the coordinator on the second apply
 // and wedge the run with the mutex-protected state half-updated.
 func TestHostRejectsDuplicateInOneReport(t *testing.T) {
-	drv := cholesky.NewDriver(4, 2, cholesky.LocalityReady, rng.New(1).Split())
+	drv := dag.NewDriver(cholesky.NewKernel(4), 2, dag.LocalityReady, rng.New(1).Split())
 	h := NewHost(drv, 1, 0)
 	a, status, err := h.Next(0, nil)
 	if err != nil || status != StatusOK || len(a.Tasks) != 1 {
