@@ -178,7 +178,10 @@ func refAppendNewlySet(b *Bitset, dst []int64, base, stride int, idx []int32) []
 // end up set, the same indices are appended in the same order after
 // what dst held, and an index out of range panics in both at the same
 // point (the bits and appends before it are equal). idx repeats values
-// often, and stride 0 sends every index to base.
+// often, and stride 0 sends every index to base. dst is a slice with
+// room for every index, one with room for half of them, or nil; the
+// results are compared with reflect.DeepEqual, so a nil result where
+// the loop returns nil counts.
 func TestAppendNewlySetMatchesSetIfClear(t *testing.T) {
 	f := func(nRaw uint16, baseRaw, strideRaw uint8, raw []uint8, pre []uint16) bool {
 		n := int(nRaw%300) + 1
@@ -193,33 +196,43 @@ func TestAppendNewlySetMatchesSetIfClear(t *testing.T) {
 		for k, v := range raw {
 			idx[k] = int32(int(v)%(maxK+3)) - 1
 		}
-		got, want := New(n), New(n)
-		for _, v := range pre {
-			got.Set(int(v) % n)
-			want.Set(int(v) % n)
-		}
+		for _, room := range []int{len(idx), len(idx) / 2, -1} {
+			got, want := New(n), New(n)
+			for _, v := range pre {
+				got.Set(int(v) % n)
+				want.Set(int(v) % n)
+			}
 
-		run := func(fn func(dst []int64) []int64) (out []int64, backing []int64, panicked bool) {
-			backing = make([]int64, 1, len(idx)+1)
-			backing[0] = -7
-			defer func() { panicked = recover() != nil }()
-			return fn(backing), backing, false
+			run := func(fn func(dst []int64) []int64) (out []int64, backing []int64, panicked bool) {
+				if room >= 0 {
+					backing = make([]int64, 1, room+1)
+					backing[0] = -7
+				}
+				defer func() { panicked = recover() != nil }()
+				return fn(backing), backing, false
+			}
+			gotOut, gotBack, gotPanic := run(func(dst []int64) []int64 {
+				return AppendNewlySet(got, dst, base, stride, idx)
+			})
+			wantOut, wantBack, wantPanic := run(func(dst []int64) []int64 {
+				return refAppendNewlySet(want, dst, base, stride, idx)
+			})
+			if gotPanic != wantPanic || !reflect.DeepEqual(got.words, want.words) {
+				return false
+			}
+			if gotPanic {
+				// Neither returned: compare what each appended into the
+				// caller's backing array before panicking.
+				if !reflect.DeepEqual(gotBack[:cap(gotBack)], wantBack[:cap(wantBack)]) {
+					return false
+				}
+				continue
+			}
+			if !reflect.DeepEqual(gotOut, wantOut) || room >= 0 && gotOut[0] != -7 {
+				return false
+			}
 		}
-		gotOut, gotBack, gotPanic := run(func(dst []int64) []int64 {
-			return AppendNewlySet(got, dst, base, stride, idx)
-		})
-		wantOut, wantBack, wantPanic := run(func(dst []int64) []int64 {
-			return refAppendNewlySet(want, dst, base, stride, idx)
-		})
-		if gotPanic != wantPanic || !reflect.DeepEqual(got.words, want.words) {
-			return false
-		}
-		if gotPanic {
-			// Neither returned: compare what each appended into the
-			// shared-capacity backing array before panicking.
-			return reflect.DeepEqual(gotBack[:cap(gotBack)], wantBack[:cap(wantBack)])
-		}
-		return reflect.DeepEqual(gotOut, wantOut) && gotOut[0] == -7
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
