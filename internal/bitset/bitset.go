@@ -79,7 +79,43 @@ func (b *Bitset) SetIfClear(i int) bool {
 // It is a SetIfClear loop, range check included, without the call per
 // index: the dynamic strategies enumerate the tasks a fresh row or
 // column covers this way.
+//
+// It takes idx 64 indices at a time, in two passes. The first only
+// reads the set and has no data-dependent branch: it keeps, on the
+// stack, each index whose bit is clear. The second sets those bits and
+// appends them, dropping a repeat of one it set earlier, so dst sees
+// the SetIfClear loop's appends and no other write. An index out of
+// range hands its chunk and the rest to that loop before any of the
+// chunk is set, so the panic comes at the same point.
 func AppendNewlySet[T ~int64](b *Bitset, dst []T, base, stride int, idx []int32) []T {
+	var cand [64]T
+	for len(idx) > 0 {
+		chunk := idx[:min(len(idx), len(cand))]
+		n := 0
+		for _, k := range chunk {
+			i := base + stride*int(k)
+			if uint(i) >= uint(b.n) {
+				return appendNewlySetChecked(b, dst, base, stride, idx)
+			}
+			cand[n] = T(i)
+			n += int(b.words[i>>6]>>uint(i&63)&1 ^ 1)
+		}
+		for _, t := range cand[:n] {
+			w, m := int(t)>>6, uint64(1)<<uint(t&63)
+			if b.words[w]&m == 0 {
+				b.words[w] |= m
+				dst = append(dst, t)
+			}
+		}
+		idx = idx[len(chunk):]
+	}
+	return dst
+}
+
+// appendNewlySetChecked is AppendNewlySet as a SetIfClear loop: it
+// panics at the first index out of range, with the indices before it
+// inserted and appended.
+func appendNewlySetChecked[T ~int64](b *Bitset, dst []T, base, stride int, idx []int32) []T {
 	for _, k := range idx {
 		i := base + stride*int(k)
 		b.check(i)

@@ -178,12 +178,14 @@ func refAppendNewlySet(b *Bitset, dst []int64, base, stride int, idx []int32) []
 // end up set, the same indices are appended in the same order after
 // what dst held, and an index out of range panics in both at the same
 // point (the bits and appends before it are equal). idx repeats values
-// often, and stride 0 sends every index to base. dst is a slice with
+// often, stride 0 sends every index to base, and idx often spans more
+// than one of AppendNewlySet's 64-index chunks. dst is a slice with
 // room for every index, one with room for half of them, or nil; the
 // results are compared with reflect.DeepEqual, so a nil result where
 // the loop returns nil counts.
 func TestAppendNewlySetMatchesSetIfClear(t *testing.T) {
-	f := func(nRaw uint16, baseRaw, strideRaw uint8, raw []uint8, pre []uint16) bool {
+	f := func(nRaw uint16, baseRaw, strideRaw uint8, raw, raw2, raw3 []uint8, pre []uint16) bool {
+		raw = append(append(raw, raw2...), raw3...)
 		n := int(nRaw%300) + 1
 		base := int(baseRaw) % n
 		stride := int(strideRaw % 8)

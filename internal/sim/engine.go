@@ -78,7 +78,7 @@ func (m *Metrics) Imbalance(model speeds.Model) float64 {
 }
 
 // event is a processor becoming idle at a given virtual time. The batch
-// it completes lives beside the heap, in the loop's per-processor slot,
+// it completes lives beside the queue, in the loop's per-processor slot,
 // which keeps an event at 24 bytes.
 type event struct {
 	t    float64
@@ -155,14 +155,8 @@ func run(drv core.Driver, model speeds.Model, observe func(Observation), record 
 	batch := make([]core.TaskBuf, p)
 	idleSince := make([]float64, p)
 
-	// Equal times in ascending seq order already satisfy the heap
-	// invariant, so the initial queue needs no sifting.
-	q := eventHeap[event]{ev: make([]event, 0, p)}
-	var seq uint64
-	for k := 0; k < p; k++ {
-		q.ev = append(q.ev, event{t: 0, proc: k, seq: seq})
-		seq++
-	}
+	q := newProcQueue(p)
+	seq := uint64(p)
 
 	var now float64
 	// serve answers processor w at time now, timing a granted batch.
@@ -188,7 +182,7 @@ func run(drv core.Driver, model speeds.Model, observe func(Observation), record 
 			}
 			model.OnTaskDone(w)
 		}
-		q.push(event{t: t, proc: w, seq: seq})
+		q.set(event{t: t, proc: w, seq: seq})
 		seq++
 		return core.Granted
 	}
@@ -198,8 +192,7 @@ func run(drv core.Driver, model speeds.Model, observe func(Observation), record 
 		}
 	}
 
-	for q.len() > 0 {
-		e := q.pop()
+	for e := q.top(); e.proc >= 0; e = q.top() {
 		now = e.t
 		done := batch[e.proc]
 		if len(done) > 0 {
@@ -212,8 +205,13 @@ func run(drv core.Driver, model speeds.Model, observe func(Observation), record 
 				m.Makespan = now
 			}
 		}
-		if serve(e.proc) == core.Parked {
-			idleSince[e.proc] = now
+		// A processor that is not granted leaves the queue before the
+		// retry, which may serve it afresh.
+		if st := serve(e.proc); st != core.Granted {
+			if st == core.Parked {
+				idleSince[e.proc] = now
+			}
+			q.remove(e.proc)
 		}
 		if len(done) > 0 {
 			ms.Retry(retry)

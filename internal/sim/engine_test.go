@@ -171,3 +171,41 @@ func TestEventHeapMatchesSortedOrder(t *testing.T) {
 		live = live[:len(live)-1]
 	}
 }
+
+// TestProcQueueMatchesScan drives the per-processor queue with random
+// interleavings of set (insert and replace), remove and top, times
+// drawn from a small range so that ties on t are common, and checks
+// every top against a linear scan of the pending events for the
+// minimum (t, seq).
+func TestProcQueueMatchesScan(t *testing.T) {
+	r := rng.New(43)
+	for _, p := range []int{1, 3, 64, 100, 129} {
+		q := newProcQueue(p)
+		pending := make([]event, p)
+		for w := range pending {
+			pending[w] = event{t: 0, proc: w, seq: uint64(w)}
+		}
+		seq := uint64(p)
+		for step := 0; step < 20*p+200; step++ {
+			switch w := r.Intn(p); r.Intn(4) {
+			case 0, 1:
+				e := event{t: float64(r.Intn(8)), proc: w, seq: seq}
+				seq++
+				q.set(e)
+				pending[w] = e
+			case 2:
+				q.remove(w)
+				pending[w] = noEvent
+			}
+			want := noEvent
+			for _, e := range pending {
+				if e.before(want) {
+					want = e
+				}
+			}
+			if got := q.top(); got != want {
+				t.Fatalf("p=%d step %d: top %+v, scan %+v", p, step, got, want)
+			}
+		}
+	}
+}

@@ -1,13 +1,13 @@
 package sim
 
 // eventHeap is a hand-rolled index-based binary min-heap over a flat
-// event slice. It replaces container/heap for the engine's hot loop:
-// the interface-based API boxes every pushed and popped element
-// through interface{} (one heap allocation each), which dominated the
-// simulator's allocation profile. Elements provide their own strict
-// ordering via before; ties must be broken (the engines use a
-// monotonic sequence number), making the order total and the pop
-// sequence identical to container/heap's for the same comparator.
+// event slice, RunBandwidth's queue: a worker there has several
+// arrivals pending at once, so run's one-leaf-per-processor tree does
+// not fit. Unlike container/heap it boxes no element through an
+// interface. Elements provide their own strict ordering via before;
+// ties must be broken (the engines use a monotonic sequence number),
+// making the order total and the pop sequence identical to
+// container/heap's for the same comparator.
 type eventHeap[E interface{ before(E) bool }] struct {
 	ev []E
 }

@@ -26,7 +26,7 @@ func referenceRun(sched core.Scheduler, model speeds.Model) *Metrics {
 		Phase1Tasks: -1,
 	}
 	idleAt := make([]float64, p)
-	arrival := make([]uint64, p) // FIFO tie-break, mirroring the heap's seq
+	arrival := make([]uint64, p) // FIFO tie-break, mirroring the queue's seq
 	var stamp uint64
 	for w := range arrival {
 		arrival[w] = stamp
@@ -102,8 +102,7 @@ var flatStrategies = []struct {
 	}},
 }
 
-// TestEngineMatchesReference cross-validates the heap-based engine
-// against the naive scan-based reference on identical scheduler
+// TestEngineMatchesReference cross-validates the engine against the naive scan-based reference on identical scheduler
 // streams, for every flat strategy on fixed and drifting speeds: every
 // field of Metrics — the ledger, FinishPer, Makespan, Requests and
 // Phase1Tasks — must agree exactly.
