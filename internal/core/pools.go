@@ -81,9 +81,8 @@ func (p *IndexPool) RestoreState(r *StateReader, n int, drawn []int32) []int32 {
 	return drawn
 }
 
-// TaskPool holds a multiset-free pool of task identifiers supporting
-// O(1) uniform random draws with removal and O(1) deletion of tasks
-// that other processors processed in the meantime (lazy deletion).
+// TaskPool holds a pool of task identifiers supporting O(1) uniform
+// random draws with removal.
 //
 // The random single-task strategies (RandomOuter/RandomMatrix and the
 // second phase of the two-phase strategies) draw from a TaskPool; the
@@ -99,27 +98,21 @@ func NewTaskPool(tasks []Task) *TaskPool {
 	return &TaskPool{tasks: tasks}
 }
 
-// Draw removes and returns a uniformly random task, skipping (and
-// discarding) tasks for which skip returns true. ok is false when the
-// pool is exhausted.
-func (p *TaskPool) Draw(r *rng.PCG, skip func(Task) bool) (t Task, ok bool) {
-	for {
-		n := len(p.tasks)
-		if n == 0 {
-			return 0, false
-		}
-		at := r.Intn(n)
-		v := p.tasks[at]
-		p.tasks[at] = p.tasks[n-1]
-		p.tasks = p.tasks[:n-1]
-		if skip == nil || !skip(v) {
-			return v, true
-		}
+// Draw removes and returns a uniformly random task. ok is false when
+// the pool is exhausted.
+func (p *TaskPool) Draw(r *rng.PCG) (t Task, ok bool) {
+	n := len(p.tasks)
+	if n == 0 {
+		return 0, false
 	}
+	at := r.Intn(n)
+	v := p.tasks[at]
+	p.tasks[at] = p.tasks[n-1]
+	p.tasks = p.tasks[:n-1]
+	return v, true
 }
 
-// Len returns the number of tasks still in the pool (including tasks
-// that would be skipped at draw time).
+// Len returns the number of tasks still in the pool.
 func (p *TaskPool) Len() int { return len(p.tasks) }
 
 // AppendState appends the pool's tasks in slice order, which draws

@@ -52,7 +52,7 @@ func TestTaskPoolDraw(t *testing.T) {
 	p := NewTaskPool(append([]Task(nil), tasks...))
 	got := map[Task]bool{}
 	for i := 0; i < len(tasks); i++ {
-		v, ok := p.Draw(r, nil)
+		v, ok := p.Draw(r)
 		if !ok {
 			t.Fatal("pool drained early")
 		}
@@ -61,28 +61,8 @@ func TestTaskPoolDraw(t *testing.T) {
 		}
 		got[v] = true
 	}
-	if _, ok := p.Draw(r, nil); ok {
+	if _, ok := p.Draw(r); ok {
 		t.Fatal("draw from empty pool succeeded")
-	}
-}
-
-func TestTaskPoolSkip(t *testing.T) {
-	r := rng.New(3)
-	p := NewTaskPool([]Task{1, 2, 3, 4, 5, 6})
-	// Skip even tasks: they must be discarded, never returned.
-	var odd []Task
-	for {
-		v, ok := p.Draw(r, func(t Task) bool { return t%2 == 0 })
-		if !ok {
-			break
-		}
-		if v%2 == 0 {
-			t.Fatalf("skipped task %d returned", v)
-		}
-		odd = append(odd, v)
-	}
-	if len(odd) != 3 {
-		t.Fatalf("got %d odd tasks, want 3", len(odd))
 	}
 }
 
@@ -98,7 +78,7 @@ func TestTaskPoolProperty(t *testing.T) {
 		p := NewTaskPool(tasks)
 		r := rng.New(seed)
 		for {
-			v, ok := p.Draw(r, nil)
+			v, ok := p.Draw(r)
 			if !ok {
 				break
 			}

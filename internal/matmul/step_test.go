@@ -149,7 +149,7 @@ func refTwoPhasesNext(s *TwoPhases, w int, buf core.TaskBuf) (core.Assignment, b
 	if !s.switched {
 		return refDynamicNext(s.dyn, w, buf)
 	}
-	t, ok := s.pool.Draw(inst.r, nil)
+	t, ok := s.pool.Draw(inst.r)
 	if !ok {
 		return core.Assignment{}, false
 	}

@@ -129,7 +129,7 @@ func (s *Random) Next(w int) (core.Assignment, bool) { return s.NextInto(w, nil)
 
 // NextInto implements core.Scheduler.
 func (s *Random) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
-	t, ok := s.pool.Draw(s.inst.r, nil)
+	t, ok := s.pool.Draw(s.inst.r)
 	if !ok {
 		return core.Assignment{}, false
 	}
@@ -385,7 +385,7 @@ func (s *TwoPhases) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if !s.switched {
 		return s.dyn.NextInto(w, buf)
 	}
-	t, ok := s.pool.Draw(inst.r, nil)
+	t, ok := s.pool.Draw(inst.r)
 	if !ok {
 		return core.Assignment{}, false
 	}
