@@ -135,7 +135,11 @@ func RunBandwidth(sched core.Scheduler, model speeds.Model, bandwidth float64, l
 		}
 		t := now
 		for range a.Tasks {
-			t += 1 / model.Speed(w)
+			s := model.Speed(w)
+			if s <= 0 {
+				panic("sim: non-positive speed")
+			}
+			t += 1 / s
 			model.OnTaskDone(w)
 		}
 		q.push(bwEvent{t: t, kind: evCompute, w: w, a: a, seq: seq})
