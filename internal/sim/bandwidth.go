@@ -136,7 +136,7 @@ func RunBandwidth(sched core.Scheduler, model speeds.Model, bandwidth float64, l
 		t := now
 		for range a.Tasks {
 			s := model.Speed(w)
-			if s <= 0 {
+			if !(s > 0) {
 				panic("sim: non-positive speed")
 			}
 			t += 1 / s

@@ -120,32 +120,38 @@ func TestBandwidthValidation(t *testing.T) {
 	}
 }
 
-// stalledModel is a fixed platform on which processor 1's speed is 0,
-// a model that breaks Model's contract.
-type stalledModel struct{ *speeds.Fixed }
+// stalledModel is a fixed platform on which processor 1's speed is v,
+// a value that breaks Model's contract.
+type stalledModel struct {
+	*speeds.Fixed
+	v float64
+}
 
 func (m stalledModel) Speed(k int) float64 {
 	if k == 1 {
-		return 0
+		return m.v
 	}
 	return m.Fixed.Speed(k)
 }
 
 // TestNonPositiveSpeedPanics checks that both engines refuse a speed of
-// 0 by name instead of timing a batch at +Inf.
+// 0, a negative one or NaN by name, instead of timing a batch at +Inf,
+// backwards or at NaN.
 func TestNonPositiveSpeedPanics(t *testing.T) {
-	model := stalledModel{speeds.NewFixed([]float64{1, 1})}
-	for name, fn := range map[string]func(){
-		"Run":          func() { Run(outer.NewRandom(4, 2, rng.New(7)), model) },
-		"RunBandwidth": func() { RunBandwidth(outer.NewRandom(4, 2, rng.New(7)), model, 1, 1) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r != "sim: non-positive speed" {
-					t.Fatalf("%s: recovered %v, want the non-positive speed panic", name, r)
-				}
+	for _, v := range []float64{0, -1, math.NaN()} {
+		model := stalledModel{speeds.NewFixed([]float64{1, 1}), v}
+		for name, fn := range map[string]func(){
+			"Run":          func() { Run(outer.NewRandom(4, 2, rng.New(7)), model) },
+			"RunBandwidth": func() { RunBandwidth(outer.NewRandom(4, 2, rng.New(7)), model, 1, 1) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != "sim: non-positive speed" {
+						t.Fatalf("%s, speed %v: recovered %v, want the non-positive speed panic", name, v, r)
+					}
+				}()
+				fn()
 			}()
-			fn()
-		}()
+		}
 	}
 }

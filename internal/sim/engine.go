@@ -172,7 +172,7 @@ func run(drv core.Driver, model speeds.Model, observe func(Observation), record 
 		t := now
 		for _, task := range a.Tasks {
 			s := model.Speed(w)
-			if s <= 0 {
+			if !(s > 0) {
 				panic("sim: non-positive speed")
 			}
 			if costed {

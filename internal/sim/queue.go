@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // procQueue is the event loop's queue: a winner tree with one leaf per
 // processor, which is all run needs, since a processor never has more
@@ -53,14 +56,25 @@ func (q *procQueue) set(e event) { q.update(len(q.node)/2+e.proc, e) }
 func (q *procQueue) remove(w int) { q.update(len(q.node)/2+w, noEvent) }
 
 // update stores e at leaf i and replays the matches on its path.
+//
+// A match has no branch, which would be mispredicted at about half the
+// levels: event times are never negative or NaN (run refuses a speed
+// that is not positive), so t's bits order as t does, and (t, seq)
+// compares as one 128-bit number. The borrow of s − e is 1 exactly
+// when s.before(e), and its mask selects s.
 func (q *procQueue) update(i int, e event) {
 	node := q.node
 	node[i] = e
-	for i > 1 {
-		if s := node[i^1]; s.before(e) {
-			e = s
+	for ; i > 1; i >>= 1 {
+		s := node[i^1]
+		_, b := bits.Sub64(s.seq, e.seq, 0)
+		_, b = bits.Sub64(math.Float64bits(s.t), math.Float64bits(e.t), b)
+		m := -b
+		e = event{
+			t:    math.Float64frombits(math.Float64bits(e.t)&^m | math.Float64bits(s.t)&m),
+			proc: e.proc&^int(m) | s.proc&int(m),
+			seq:  e.seq&^m | s.seq&m,
 		}
-		i >>= 1
-		node[i] = e
+		node[i>>1] = e
 	}
 }
