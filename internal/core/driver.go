@@ -33,6 +33,13 @@ type Driver interface {
 	// and move newly ready tasks into the ready set. Every task must
 	// have been previously assigned to w by Next.
 	Complete(w int, ts []Task)
+	// Reassign returns tasks that were granted to worker w but will
+	// never be completed by it (the worker is presumed dead: its lease
+	// expired) to the schedulable pool, so later calls to Next can hand
+	// them to surviving workers. Every task must have been granted to w
+	// and neither completed nor already reassigned; the driver serves
+	// it again exactly once.
+	Reassign(w int, ts []Task)
 	// Remaining returns the number of tasks not yet retired: not yet
 	// allocated for flat kernels, not yet completed for DAG kernels.
 	Remaining() int
@@ -52,22 +59,6 @@ type TaskCoster interface {
 	// TaskCost returns the relative cost of t in elementary block-task
 	// units (always > 0).
 	TaskCost(t Task) float64
-}
-
-// Reassigner is an optional Driver capability used for fault
-// tolerance: Reassign returns tasks that were granted to worker w by
-// Next but will never be completed by it (the worker is presumed dead
-// — its lease expired) to the driver's schedulable pool, so later Next
-// calls can hand them to surviving workers.
-//
-// Contract: every reassigned task must have been granted to w and not
-// completed or already reassigned; the driver serves it again exactly
-// once. Like every other Driver method, Reassign is called from the
-// single goroutine (or under the single lock) that owns the driver.
-type Reassigner interface {
-	// Reassign feeds the abandoned tasks ts, previously granted to
-	// worker w, back into the schedulable pool.
-	Reassign(w int, ts []Task)
 }
 
 // SchedulerDriver adapts a plain Scheduler to the Driver interface:
@@ -126,7 +117,7 @@ func (d *SchedulerDriver) NextInto(w int, buf TaskBuf) (Assignment, bool) {
 // Complete implements Driver as a no-op.
 func (d *SchedulerDriver) Complete(int, []Task) {}
 
-// Reassign implements Reassigner: the abandoned tasks enter the
+// Reassign implements Driver: the abandoned tasks enter the
 // requeue, which Next drains (oldest first) before stepping the
 // scheduler.
 func (d *SchedulerDriver) Reassign(_ int, ts []Task) {

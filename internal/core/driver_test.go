@@ -28,7 +28,6 @@ func (s *stubScheduler) Name() string                  { return "Stub" }
 // and count toward Remaining until they are handed back out.
 func TestSchedulerDriverRequeue(t *testing.T) {
 	d := NewSchedulerDriver(&stubScheduler{total: 4})
-	var _ Reassigner = d
 
 	a0, _ := d.Next(0)
 	a1, _ := d.Next(0)

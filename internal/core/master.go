@@ -25,14 +25,20 @@ type Master struct {
 	// tmp builds the steps of a batch past its first.
 	tmp TaskBuf
 
-	// The ledger of granted batches: how many there were and the tasks
-	// and blocks they shipped, in total and per worker.
-	Requests    int
-	Assigned    int
-	Blocks      int
-	RequestsPer []int
-	TasksPer    []int
-	BlocksPer   []int
+	// The task ledger, in total and per worker: the granted batches,
+	// the tasks and blocks they shipped, and what became of the tasks,
+	// completed or reclaimed. Every granted task is one of completed,
+	// reclaimed or still held: Assigned = Completed + Reclaimed + held.
+	Requests     int
+	Assigned     int
+	Blocks       int
+	Completed    int
+	Reclaimed    int
+	RequestsPer  []int
+	TasksPer     []int
+	BlocksPer    []int
+	CompletedPer []int
+	ReclaimedPer []int
 }
 
 // Status is Serve's answer to a worker.
@@ -53,11 +59,13 @@ const (
 func NewMaster(drv Driver) *Master {
 	p := drv.P()
 	return &Master{
-		drv:         drv,
-		parked:      bitset.New(p),
-		RequestsPer: make([]int, p),
-		TasksPer:    make([]int, p),
-		BlocksPer:   make([]int, p),
+		drv:          drv,
+		parked:       bitset.New(p),
+		RequestsPer:  make([]int, p),
+		TasksPer:     make([]int, p),
+		BlocksPer:    make([]int, p),
+		CompletedPer: make([]int, p),
+		ReclaimedPer: make([]int, p),
 	}
 }
 
@@ -66,6 +74,19 @@ func NewMaster(drv Driver) *Master {
 func (m *Master) Complete(w int, ts []Task) {
 	if len(ts) > 0 {
 		m.drv.Complete(w, ts)
+		m.Completed += len(ts)
+		m.CompletedPer[w] += len(ts)
+	}
+}
+
+// Abandon hands ts, granted to worker w and never to be completed by
+// it, back to the driver for reassignment. An empty ts changes
+// nothing. The parked workers are not retried.
+func (m *Master) Abandon(w int, ts []Task) {
+	if len(ts) > 0 {
+		m.drv.Reassign(w, ts)
+		m.Reclaimed += len(ts)
+		m.ReclaimedPer[w] += len(ts)
 	}
 }
 
@@ -110,8 +131,10 @@ func (m *Master) Serve(w, batch int, buf TaskBuf) (Assignment, Status) {
 
 // Retry calls serve for every parked worker, in index order; serve is
 // expected to Serve it. Call it after serving the requester whose
-// completion was just applied: a completion is the only event that can
-// make a parked worker's request succeed or, at drain, retire it.
+// completion was just applied: a completion can make a parked worker's
+// request succeed or, at drain, retire it. So can an Abandon, but its
+// one caller, service.Host, never retries: a worker it answers wait
+// polls again.
 func (m *Master) Retry(serve func(w int)) {
 	if m.nParked == 0 {
 		return

@@ -330,12 +330,11 @@ func TestCoordinatorReassignValidation(t *testing.T) {
 	}
 }
 
-// TestDriverReassign drives the core.Reassigner capability through the
-// encoded-task Driver interface, as the service host does.
+// TestDriverReassign drives Reassign through the encoded-task Driver
+// interface, as the service host does.
 func TestDriverReassign(t *testing.T) {
 	const n, p = 4, 2
 	drv := NewDriver(&chainKernel{n: n}, p, LocalityReady, rng.New(3))
-	var _ core.Reassigner = drv
 
 	a, ok := drv.Next(0)
 	if !ok || len(a.Tasks) != 1 {

@@ -81,7 +81,7 @@ func (d *Driver) Complete(w int, ts []core.Task) {
 	}
 }
 
-// Reassign implements core.Reassigner: each abandoned task re-enters
+// Reassign implements core.Driver: each abandoned task re-enters
 // the coordinator's ready set with its per-tile write locks released.
 // The worker index is unused — the coordinator's per-worker bitsets
 // already record what the abandoned worker was shipped, so a

@@ -149,10 +149,15 @@ type NextResponse struct {
 
 // WorkerStats is the per-worker slice of StatsResponse.
 type WorkerStats struct {
-	Worker   int `json:"worker"`
+	// Worker is the worker's index.
+	Worker int `json:"worker"`
+	// Requests counts the batches granted to this worker.
 	Requests int `json:"requests"`
-	Tasks    int `json:"tasks"`
-	Blocks   int `json:"blocks"`
+	// Tasks counts the tasks this worker reported complete, not the
+	// tasks granted to it.
+	Tasks int `json:"tasks"`
+	// Blocks counts the blocks shipped to this worker.
+	Blocks int `json:"blocks"`
 	// Reclaimed counts tasks taken back from this worker by lease
 	// expiry.
 	Reclaimed int `json:"reclaimed,omitempty"`

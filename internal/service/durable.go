@@ -120,21 +120,21 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 	s.LastNs = h.last.UnixNano()
 	s.LastPollNs = h.lastPoll.UnixNano()
 	s.Assigned = int64(h.ms.Assigned)
-	s.Completed = int64(h.completed)
-	s.Reclaimed = int64(h.reclaimed)
+	s.Completed = int64(h.ms.Completed)
+	s.Reclaimed = int64(h.ms.Reclaimed)
 	s.Blocks = int64(h.ms.Blocks)
 	s.Requests = int64(h.ms.Requests)
 	s.Polls = int64(h.polls)
 	n, mean, m2, lo, hi := h.batchAcc.State()
 	s.BatchN, s.BatchMean, s.BatchM2, s.BatchMin, s.BatchMax = int64(n), mean, m2, lo, hi
 	s.BatchHist = append([]int64(nil), h.batchHist[:]...)
-	s.Workers = make([]durable.WorkerCounters, len(h.workers))
-	for i, w := range h.workers {
+	s.Workers = make([]durable.WorkerCounters, h.p)
+	for i := range s.Workers {
 		s.Workers[i] = durable.WorkerCounters{
 			Requests:  int64(h.ms.RequestsPer[i]),
-			Tasks:     int64(w.Tasks),
+			Tasks:     int64(h.ms.CompletedPer[i]),
 			Blocks:    int64(h.ms.BlocksPer[i]),
-			Reclaimed: int64(w.Reclaimed),
+			Reclaimed: int64(h.ms.ReclaimedPer[i]),
 		}
 	}
 	s.Trace = h.tr.Clone()
@@ -171,8 +171,8 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 // the snapshot's driver state. The host's clock is frozen at the run's
 // creation; rebuild replays the tail at recorded instants and then
 // flips the host live. The master's ledger comes back from the
-// snapshot's counters, except TasksPer, which no snapshot holds and
-// the Host never reads.
+// snapshot's counters; a worker's granted tasks are those it completed,
+// lost to a reclaim or still holds.
 func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Host, error) {
 	sn, ok := drv.(core.Snapshotter)
 	if !ok {
@@ -194,8 +194,8 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Ho
 	h.last = time.Unix(0, s.LastNs)
 	h.lastPoll = time.Unix(0, s.LastPollNs)
 	h.ms.Assigned = int(s.Assigned)
-	h.completed = int(s.Completed)
-	h.reclaimed = int(s.Reclaimed)
+	h.ms.Completed = int(s.Completed)
+	h.ms.Reclaimed = int(s.Reclaimed)
 	h.ms.Blocks = int(s.Blocks)
 	h.ms.Requests = int(s.Requests)
 	h.polls = int(s.Polls)
@@ -203,9 +203,10 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Ho
 	copy(h.batchHist[:], s.BatchHist)
 	for i, wc := range s.Workers {
 		h.ms.RequestsPer[i] = int(wc.Requests)
-		h.workers[i].Tasks = int(wc.Tasks)
+		h.ms.CompletedPer[i] = int(wc.Tasks)
 		h.ms.BlocksPer[i] = int(wc.Blocks)
-		h.workers[i].Reclaimed = int(wc.Reclaimed)
+		h.ms.ReclaimedPer[i] = int(wc.Reclaimed)
+		h.ms.TasksPer[i] = int(wc.Tasks + wc.Reclaimed)
 	}
 	h.tr = s.Trace // adopted: the snapshot is not used after restore
 	for w, idx := range s.Open {
@@ -221,6 +222,7 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Ho
 			return nil, fmt.Errorf("service: snapshot of %q grants task %d to worker %d of %d", s.ID, g.Task, w, h.p)
 		}
 		h.stripe(w).outstanding.put(core.Task(g.Task), g.Worker, g.ExpiryNs)
+		h.ms.TasksPer[w]++
 		if g.ExpiryNs > 0 && (nextNs == 0 || g.ExpiryNs < nextNs) {
 			nextNs = g.ExpiryNs
 		}

@@ -6,11 +6,32 @@ import (
 	"math"
 
 	"hetsched/internal/core"
+	"hetsched/internal/durable"
 )
 
 // Fenced reports whether the host is currently fenced (pending or
 // committed). Only the migration tests ask.
 func (h *Host) Fenced() bool { return h.fence.Load() != fenceNone }
+
+// restoreFromSnapshot cuts run's snapshot, round-trips it through its
+// HSN3 bytes and restores a host from it on a fresh driver, as
+// recovery does before it replays the journal's tail.
+func restoreFromSnapshot(run *Run) (*Host, error) {
+	s, err := durable.DecodeSnapshot(durable.AppendSnapshot(nil, run.snapshot()))
+	if err != nil {
+		return nil, err
+	}
+	rec, err := decodeCreateRecord(s.Request)
+	if err != nil {
+		return nil, err
+	}
+	q := rec.request()
+	drv, err := NewDriver(&q)
+	if err != nil {
+		return nil, err
+	}
+	return restoreHost(drv, rec, s)
+}
 
 // The binary frame's client half: the server decodes requests and
 // encodes responses (codec.go); the tests also build requests and read

@@ -37,11 +37,11 @@ import (
 // the done-check and the lease fast path never touch foreign stripes.
 //
 // The grant itself is core.Master's, the one the simulator steps: it
-// serves a worker's batch and keeps the ledger of requests, tasks and
-// blocks granted. The Host keeps what the master lacks: the stripes,
-// leases and reclaim, the journal, the completed/reclaimed/poll
-// counters, a stats.Accumulator and histogram over served batch sizes,
-// and a wall-clock trace.Log of every assignment, which Trace renders.
+// serves a worker's batch and keeps the task ledger of requests,
+// grants, blocks, completions and reclaims. The Host keeps what the
+// master lacks: the stripes, leases, the journal, the poll counter, a
+// stats.Accumulator and histogram over served batch sizes, and a
+// wall-clock trace.Log of every assignment, which Trace renders.
 //
 // Ownership contract of Next's return value: the returned
 // Assignment.Tasks aliases one of two per-worker grant buffers that
@@ -61,10 +61,7 @@ type Host struct {
 
 	// lease is how long a granted assignment stays owned by its worker
 	// before the host may reclaim it (0 disables reclamation).
-	// reassigner is the driver's reclaim capability; leases are inert
-	// when the driver does not provide one.
-	lease      time.Duration
-	reassigner core.Reassigner
+	lease time.Duration
 
 	stripes    []hostStripe
 	stripeMask int
@@ -86,18 +83,11 @@ type Host struct {
 	// stripe plus core (the reclaim pass).
 	nextExpiryNs atomic.Int64
 
-	// mu is the core lock: the driver and its master, the global
-	// counters, the batch statistics, the trace, the clock marks, and
-	// the event buffer.
-	mu        sync.Mutex
-	completed int
-	reclaimed int
-	polls     int
-	// workers[w] holds w's completed and reclaimed tasks; its requests
-	// and blocks are the master's. Guarded by stripe(w)'s lock on the
-	// poll path; the multi-stripe operations (reclaim, Stats) touch it
-	// holding every stripe.
-	workers  []WorkerStats
+	// mu is the core lock: the driver and its master, the poll count,
+	// the batch statistics, the trace, the clock marks, and the event
+	// buffer.
+	mu       sync.Mutex
+	polls    int
 	batchAcc stats.Accumulator
 	// batchHist counts served batch sizes in power-of-two buckets
 	// (bucket i covers (2^(i-1), 2^i] tasks; the last bucket absorbs
@@ -275,10 +265,9 @@ func (e *JournalError) Unwrap() error { return e.Err }
 // call (batch < 1 is treated as 1; see Next for the exact batch-size
 // contract). A positive lease arms task reclamation: an assignment not
 // reported back within lease is taken from its worker and fed back to
-// the driver for reassignment, provided the driver implements
-// core.Reassigner (both core.SchedulerDriver and dag.Driver do);
-// lease <= 0 disables reclamation and preserves the original
-// trust-the-worker behavior.
+// the driver for reassignment (core.Driver.Reassign); lease <= 0
+// disables reclamation and preserves the original trust-the-worker
+// behavior.
 func NewHost(drv core.Driver, batch int, lease time.Duration) *Host {
 	return NewHostWithClock(drv, batch, lease, time.Now)
 }
@@ -308,7 +297,6 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 		stripes:    make([]hostStripe, nstripes),
 		stripeMask: nstripes - 1,
 		slots:      make([]workerSlot, p),
-		workers:    make([]WorkerStats, p),
 		open:       make([]int, p),
 		now:        now,
 	}
@@ -324,23 +312,13 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 	} else if mapHint > 1024 {
 		mapHint = 1024
 	}
-	armed := false
-	if lease > 0 {
-		if ra, ok := drv.(core.Reassigner); ok {
-			h.reassigner = ra
-			armed = true
-		} else {
-			h.lease = 0 // the driver cannot take tasks back
-		}
-	}
 	for i := range h.stripes {
 		h.stripes[i].outstanding.init(mapHint)
-		if armed {
+		if lease > 0 {
 			h.stripes[i].reclaimedFrom = make(map[taskOwner]struct{})
 		}
 	}
-	for w := range h.workers {
-		h.workers[w].Worker = w
+	for w := range h.open {
 		h.open[w] = -1
 	}
 	h.start = h.now()
@@ -684,8 +662,6 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeComplete, TimeNs: now.UnixNano(), Worker: w, Task: int64(t)})
 			}
 		}
-		h.completed += len(completed)
-		h.workers[w].Tasks += len(completed)
 		if idx := h.open[w]; idx >= 0 {
 			h.tr.SetEnd(idx, int64(now.Sub(h.start)))
 			h.open[w] = -1
@@ -911,9 +887,7 @@ func (h *Host) reclaimLocked(now time.Time) int {
 		for _, eg := range expired[lo:hi] {
 			ts = append(ts, eg.task)
 		}
-		h.reassigner.Reassign(w, ts)
-		h.reclaimed += len(ts)
-		h.workers[w].Reclaimed += len(ts)
+		h.ms.Abandon(w, ts)
 		if h.ev != nil {
 			for _, t := range ts {
 				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeReclaim, TimeNs: now.UnixNano(), Worker: w, Task: int64(t)})
@@ -1001,10 +975,10 @@ func (h *Host) Stats() StatsResponse {
 		State:           h.stateLocked(),
 		Total:           h.drv.Total(),
 		Assigned:        h.ms.Assigned,
-		Completed:       h.completed,
+		Completed:       h.ms.Completed,
 		Outstanding:     outstanding,
 		Remaining:       h.drv.Remaining(),
-		Reclaimed:       h.reclaimed,
+		Reclaimed:       h.ms.Reclaimed,
 		LeaseSeconds:    h.lease.Seconds(),
 		Blocks:          h.ms.Blocks,
 		Requests:        h.ms.Requests,
@@ -1012,11 +986,11 @@ func (h *Host) Stats() StatsResponse {
 		Phase1Tasks:     -1,
 		ElapsedSeconds:  now.Sub(h.start).Seconds(),
 		MakespanSeconds: h.last.Sub(h.start).Seconds(),
-		Workers:         append([]WorkerStats(nil), h.workers...),
+		Workers:         make([]WorkerStats, h.p),
 	}
 	for w := range resp.Workers {
-		resp.Workers[w].Requests = h.ms.RequestsPer[w]
-		resp.Workers[w].Blocks = h.ms.BlocksPer[w]
+		resp.Workers[w] = WorkerStats{Worker: w, Requests: h.ms.RequestsPer[w], Tasks: h.ms.CompletedPer[w],
+			Blocks: h.ms.BlocksPer[w], Reclaimed: h.ms.ReclaimedPer[w]}
 	}
 	// Polls per second over the run's elapsed time (0 before the clock
 	// first advances — a zero denominator must not leak NaN into JSON).

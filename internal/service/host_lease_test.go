@@ -297,6 +297,7 @@ func (d *waitDriver) NextInto(int, core.TaskBuf) (core.Assignment, bool) {
 }
 func (d *waitDriver) Next(int) (core.Assignment, bool) { return core.Assignment{}, false }
 func (d *waitDriver) Complete(int, []core.Task)        {}
+func (d *waitDriver) Reassign(int, []core.Task)        {}
 func (d *waitDriver) Remaining() int                   { return 1 }
 func (d *waitDriver) Total() int                       { return 1 }
 func (d *waitDriver) P() int                           { return 2 }
@@ -344,6 +345,7 @@ func (d *multiStepDriver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bo
 }
 func (d *multiStepDriver) Next(w int) (core.Assignment, bool) { return d.NextInto(w, nil) }
 func (d *multiStepDriver) Complete(int, []core.Task)          {}
+func (d *multiStepDriver) Reassign(int, []core.Task)          {}
 func (d *multiStepDriver) Remaining() int                     { return d.total - d.next }
 func (d *multiStepDriver) Total() int                         { return d.total }
 func (d *multiStepDriver) P() int                             { return 1 }

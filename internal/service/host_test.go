@@ -19,7 +19,7 @@ import (
 // each worker was assigned.
 func hammer(t *testing.T, h *Host) [][]core.Task {
 	t.Helper()
-	p := len(h.workers)
+	p := h.p
 	got := make([][]core.Task, p)
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {

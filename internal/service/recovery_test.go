@@ -372,6 +372,71 @@ func TestRecoverExpiredLeasesReclaimImmediately(t *testing.T) {
 	}
 }
 
+// TestRestoredMasterLedger restores a host from the snapshot of a run
+// driven part way, with one reclaim and grants still held, and checks
+// that the restored master's ledger equals the live one field for
+// field, per-worker grants included.
+func TestRestoredMasterLedger(t *testing.T) {
+	for _, q := range []CreateRunRequest{
+		{Kernel: KernelOuter, N: 6, P: 3, Seed: 7, Batch: 2, LeaseSeconds: 30},
+		recoveryReq,
+	} {
+		t.Run(q.Kernel, func(t *testing.T) {
+			clk := newVclock()
+			run := newWorld(t, "", clk, false).create("r-ledger", q)
+			pend := pending{}
+			// Worker w is granted at 10(w+1) s, so 45 s in, only worker
+			// 0's lease has expired.
+			pollRound(t, run, clk, pend, 1, 10*time.Second)
+			clk.adv(15 * time.Second)
+			if n := run.Host.ReclaimExpired(); n == 0 || n != len(pend[0]) {
+				t.Fatalf("reclaimed %d tasks, want worker 0's %d", n, len(pend[0]))
+			}
+			pend[0] = nil
+			pollRound(t, run, clk, pend, 2, time.Second)
+
+			live := run.Host.ms
+			if live.Completed == 0 || live.Reclaimed == 0 || live.Assigned == live.Completed+live.Reclaimed {
+				t.Fatalf("ledger too thin to test: assigned %d, completed %d, reclaimed %d",
+					live.Assigned, live.Completed, live.Reclaimed)
+			}
+			h, err := restoreFromSnapshot(run)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			got := h.ms
+			for _, f := range []struct {
+				name      string
+				got, want int
+			}{
+				{"Requests", got.Requests, live.Requests},
+				{"Assigned", got.Assigned, live.Assigned},
+				{"Blocks", got.Blocks, live.Blocks},
+				{"Completed", got.Completed, live.Completed},
+				{"Reclaimed", got.Reclaimed, live.Reclaimed},
+			} {
+				if f.got != f.want {
+					t.Errorf("restored %s = %d, live %d", f.name, f.got, f.want)
+				}
+			}
+			for _, f := range []struct {
+				name      string
+				got, want []int
+			}{
+				{"RequestsPer", got.RequestsPer, live.RequestsPer},
+				{"TasksPer", got.TasksPer, live.TasksPer},
+				{"BlocksPer", got.BlocksPer, live.BlocksPer},
+				{"CompletedPer", got.CompletedPer, live.CompletedPer},
+				{"ReclaimedPer", got.ReclaimedPer, live.ReclaimedPer},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("restored %s = %v, live %v", f.name, f.got, f.want)
+				}
+			}
+		})
+	}
+}
+
 // TestRecoverLifecycleRecords covers the registry-level records: an
 // explicit expiry survives a crash, and a swept run stays gone.
 func TestRecoverLifecycleRecords(t *testing.T) {

@@ -120,7 +120,7 @@ func stateDifferential(t *testing.T, q CreateRunRequest, seed uint64) {
 				switch {
 				case d == nil:
 				case op == 0:
-					d.(core.Reassigner).Reassign(g.w, g.ts)
+					d.Reassign(g.w, g.ts)
 				default:
 					d.Complete(g.w, g.ts)
 				}

@@ -140,6 +140,12 @@ func (d *servedDriver) poll(w int, report []core.Task) {
 
 func (d *servedDriver) Complete(w int, ts []core.Task) { d.poll(w, ts) }
 
+// Reassign fails the test: only the host's leases take a batch back,
+// and the simulator never abandons one.
+func (d *servedDriver) Reassign(w int, ts []core.Task) {
+	d.t.Fatalf("worker %d abandoned %v: a served batch is only reclaimed by the host", w, ts)
+}
+
 func (d *servedDriver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if !d.has[w] {
 		d.poll(w, nil)
