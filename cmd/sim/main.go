@@ -28,48 +28,45 @@ import (
 	"hetsched/internal/experiments"
 	"hetsched/internal/linalg"
 	"hetsched/internal/lu"
-	"hetsched/internal/qr"
 	"hetsched/internal/service"
 	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
 	"hetsched/internal/trace"
 )
 
-// kernels holds each kernel's default shape and strategy.
-var kernels = map[string]struct {
-	n, p     int
-	strategy string
-}{
-	"outer":    {100, 20, "2phases"},
-	"matmul":   {40, 100, "2phases"},
-	"cholesky": {24, 16, "locality"},
-	"lu":       {24, 16, "locality"},
-	"qr":       {16, 16, "locality"},
+// shapes holds each kernel's default n and p.
+var shapes = map[string]struct{ n, p int }{
+	"outer":    {100, 20},
+	"matmul":   {40, 100},
+	"cholesky": {24, 16},
+	"lu":       {24, 16},
+	"qr":       {16, 16},
 }
 
 func main() {
-	kernel := flag.String("kernel", "outer", "outer | matmul | cholesky | lu | qr")
+	kernelHelp, strategyHelp := usage()
+	kernel := flag.String("kernel", "outer", kernelHelp)
 	opts := experiments.RegisterSimFlags(flag.CommandLine)
-	strategy := flag.String("strategy", "", "outer, matmul: random | sorted | dynamic | 2phases (default); cholesky, lu, qr: random | locality (default) | critpath")
+	strategy := flag.String("strategy", "", strategyHelp)
 	beta := flag.Float64("beta", 0, "two-phase beta (0 = optimize analytically)")
 	gantt := flag.Bool("gantt", false, "outer, matmul: render a text Gantt chart of the run")
 	verify := flag.Bool("verify", false, "cholesky, lu: replay the schedule on a real matrix (tile size 4)")
 	flag.Parse()
 
-	def, ok := kernels[*kernel]
-	if !ok {
+	k := service.LookupKernel(*kernel)
+	if k == nil {
 		fail(2, "unknown kernel %q", *kernel)
 	}
 	if opts.N == 0 {
-		opts.N = def.n
+		opts.N = shapes[*kernel].n
 	}
 	if opts.P == 0 {
-		opts.P = def.p
+		opts.P = shapes[*kernel].p
 	}
 	if *strategy == "" {
-		*strategy = def.strategy
+		*strategy = k.Default
 	}
-	flat := *kernel == "outer" || *kernel == "matmul"
+	flat := k.NewDAG == nil
 	switch {
 	case *gantt && !flat:
 		fail(2, "-gantt needs -kernel outer or matmul")
@@ -82,7 +79,25 @@ func main() {
 		simulateFlat(*kernel, *strategy, *beta, *gantt, opts)
 		return
 	}
-	simulateDAG(*kernel, *strategy, *verify, opts)
+	simulateDAG(k, *strategy, *verify, opts)
+}
+
+// usage describes -kernel and -strategy from service.Kernels.
+func usage() (kernels, strategies string) {
+	var ks, ss []string
+	for _, k := range service.Kernels {
+		ks = append(ks, k.Name)
+		var names []string
+		for _, s := range k.Strategies {
+			name := s.Name
+			if name == k.Default {
+				name += " (default)"
+			}
+			names = append(names, name)
+		}
+		ss = append(ss, k.Name+": "+strings.Join(names, " | "))
+	}
+	return strings.Join(ks, " | "), strings.Join(ss, "; ")
 }
 
 func fail(code int, format string, args ...any) {
@@ -138,28 +153,21 @@ func simulateFlat(kernel, strategy string, beta float64, gantt bool, opts *exper
 
 // simulateDAG runs a DAG kernel through sim.RunDriver, and with verify
 // replays the schedule on a real matrix.
-func simulateDAG(kernel, strategy string, verify bool, opts *experiments.SimFlags) {
+func simulateDAG(k *service.Kernel, strategy string, verify bool, opts *experiments.SimFlags) {
 	n := opts.N
 	root, init, _ := opts.Platform()
-	drv, err := service.BuildDriver(&service.CreateRunRequest{Kernel: kernel, Strategy: strategy, N: n, P: opts.P}, root.Split())
+	drv, err := service.BuildDriver(&service.CreateRunRequest{Kernel: k.Name, Strategy: strategy, N: n, P: opts.P}, root.Split())
 	if err != nil {
 		fail(2, "%v", err)
 	}
 	m := sim.RunDriver(drv, speeds.NewFixed(init))
 
-	totalWork, criticalPath := cholesky.TotalWork, cholesky.CriticalPath
-	switch kernel {
-	case "lu":
-		totalWork, criticalPath = lu.TotalWork, lu.CriticalPath
-	case "qr":
-		totalWork, criticalPath = qr.TotalWork, qr.CriticalPath
-	}
 	sumSpeed, maxSpeed := 0.0, 0.0
 	for _, s := range init {
 		sumSpeed += s
 		maxSpeed = max(maxSpeed, s)
 	}
-	work, cp := totalWork(n)/sumSpeed, criticalPath(n)/maxSpeed
+	work, cp := k.TotalWork(n)/sumSpeed, k.CriticalPath(n)/maxSpeed
 	d := drv.(*dag.Driver)
 	fmt.Printf("policy              %s\n", strings.TrimPrefix(d.Name(), d.Coordinator().Kernel().Name()))
 	fmt.Printf("tasks               %d\n", drv.Total())
@@ -174,7 +182,7 @@ func simulateDAG(kernel, strategy string, verify bool, opts *experiments.SimFlag
 
 	const l = 4
 	fill, replay, residual, label := linalg.RandomSPD, cholesky.Replay, linalg.CholeskyResidual, "|A − L·Lᵀ|"
-	if kernel == "lu" {
+	if k.Name == service.KernelLU {
 		fill, replay, residual, label = linalg.RandomDominant, lu.Replay, linalg.LUResidual, "|A − L·U|"
 	}
 	a := linalg.NewBlockedMatrix(n, l)

@@ -32,11 +32,7 @@ import (
 	"sync"
 	"time"
 
-	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
-	"hetsched/internal/dag"
-	"hetsched/internal/lu"
-	"hetsched/internal/qr"
 	"hetsched/internal/rng"
 	"hetsched/internal/service"
 	"hetsched/internal/speeds"
@@ -286,13 +282,14 @@ func Run(sc Scenario, mode Mode) (*Result, error) {
 	root := rng.New(sc.Seed)
 	for i, spec := range sc.Runs {
 		model := spec.Speeds.build(spec.P, root.Split())
+		k := service.LookupKernel(spec.Kernel)
 		h.runs = append(h.runs, &runState{
 			idx:     i,
 			spec:    spec,
 			model:   model,
 			initial: model.Initial(),
-			coster:  costerFor(spec.Kernel, spec.N),
-			isDAG:   isDAGKernel(spec.Kernel),
+			coster:  k.Coster(spec.N),
+			isDAG:   k.NewDAG != nil,
 			leaseNs: int64(leaseDuration(spec.LeaseSeconds)),
 			workers: h.slabs.fleet(spec.P),
 			// accepted and busyNs escape into the Result, so they are
@@ -340,6 +337,11 @@ func Run(sc Scenario, mode Mode) (*Result, error) {
 func validate(sc Scenario) error {
 	if len(sc.Runs) == 0 {
 		return fmt.Errorf("cluster: scenario %q has no runs", sc.Name)
+	}
+	for i, r := range sc.Runs {
+		if service.LookupKernel(r.Kernel) == nil {
+			return fmt.Errorf("cluster: run %d has the unknown kernel %q", i, r.Kernel)
+		}
 	}
 	if sc.Hosts > 1 {
 		// Federated placement hashes the run id, so every run needs a
@@ -823,51 +825,4 @@ func (h *harness) collect() (*Result, error) {
 		res.Runs = append(res.Runs, rr)
 	}
 	return res, nil
-}
-
-// isDAGKernel reports whether kernel releases tasks on completions.
-func isDAGKernel(kernel string) bool {
-	switch kernel {
-	case service.KernelCholesky, service.KernelLU, service.KernelQR:
-		return true
-	}
-	return false
-}
-
-// costerFor builds the per-task cost function the harness charges as
-// execution time. DAG kernel costs are stateless functions of the
-// encoded task, so a bare kernel instance prices tasks for both
-// harness modes without touching the run's real coordinator; flat
-// kernels are uniform (nil → cost 1).
-func costerFor(kernel string, n int) func(core.Task) float64 {
-	var k dag.Kernel
-	switch kernel {
-	case service.KernelCholesky:
-		k = cholesky.NewKernel(n)
-	case service.KernelLU:
-		k = lu.NewKernel(n)
-	case service.KernelQR:
-		k = qr.NewKernel(n)
-	default:
-		return nil
-	}
-	return func(ct core.Task) float64 { return k.Cost(dag.DecodeTask(ct, n)) }
-}
-
-// totalWork returns the kernel's total work in the same units the
-// coster charges, for the makespan lower bound.
-func totalWork(kernel string, n int) float64 {
-	switch kernel {
-	case service.KernelOuter:
-		return float64(n) * float64(n)
-	case service.KernelMatmul:
-		return float64(n) * float64(n) * float64(n)
-	case service.KernelCholesky:
-		return cholesky.TotalWork(n)
-	case service.KernelLU:
-		return lu.TotalWork(n)
-	case service.KernelQR:
-		return qr.TotalWork(n)
-	}
-	return 0
 }

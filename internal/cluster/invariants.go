@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"hetsched/internal/analysis"
 	"hetsched/internal/core"
 	"hetsched/internal/federation"
 	"hetsched/internal/service"
@@ -356,7 +355,8 @@ func (rr *RunResult) check() error {
 	for _, s := range rr.InitialSpeeds {
 		sumSpeed += s
 	}
-	if work := totalWork(rr.Spec.Kernel, rr.Spec.N); work > 0 && sumSpeed > 0 {
+	k := service.LookupKernel(rr.Spec.Kernel)
+	if work := k.TotalWork(rr.Spec.N); work > 0 && sumSpeed > 0 {
 		lb := work/(sumSpeed*rr.maxFactor) - slack
 		if st.MakespanSeconds < lb {
 			return fmt.Errorf("makespan %g s beats the work bound %g s", st.MakespanSeconds, lb)
@@ -373,19 +373,12 @@ func (rr *RunResult) check() error {
 	// communication lower bound (a reclaimed flat task is re-granted
 	// with no block charge — the original shipment went to the dead
 	// worker — so the bound only binds when nothing was reclaimed).
-	if st.Reclaimed == 0 {
+	if k.APosterioriLB != nil && st.Reclaimed == 0 {
 		tasksPer := make([]int, len(st.Workers))
 		for i, ws := range st.Workers {
 			tasksPer[i] = ws.Tasks
 		}
-		var lb float64
-		switch rr.Spec.Kernel {
-		case service.KernelOuter:
-			lb = analysis.APosterioriLBOuter(tasksPer)
-		case service.KernelMatmul:
-			lb = analysis.APosterioriLBMatrix(tasksPer)
-		}
-		if lb > 0 && float64(st.Blocks)+1e-6 < lb {
+		if lb := k.APosterioriLB(tasksPer); lb > 0 && float64(st.Blocks)+1e-6 < lb {
 			return fmt.Errorf("shipped %d blocks, below the a-posteriori lower bound %g", st.Blocks, lb)
 		}
 	}

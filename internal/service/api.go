@@ -264,11 +264,11 @@ func (q *CreateRunRequest) Validate() error {
 	if err := ValidateRunID(q.ID); q.ID != "" && err != nil {
 		return err
 	}
-	switch q.Kernel {
-	case KernelOuter, KernelMatmul, KernelCholesky, KernelLU, KernelQR:
-	case "":
+	k := LookupKernel(q.Kernel)
+	if q.Kernel == "" {
 		return errors.New("missing kernel")
-	default:
+	}
+	if k == nil {
 		return fmt.Errorf("unknown kernel %q", q.Kernel)
 	}
 	if q.N <= 0 || q.P <= 0 {
@@ -290,14 +290,9 @@ func (q *CreateRunRequest) Validate() error {
 		return fmt.Errorf("lease_seconds=%g exceeds the cap of %d", q.LeaseSeconds, maxLeaseSeconds)
 	}
 	if q.Strategy == "" {
-		switch q.Kernel {
-		case KernelCholesky, KernelLU, KernelQR:
-			q.Strategy = "locality"
-		default:
-			q.Strategy = "2phases"
-		}
+		q.Strategy = k.Default
 	}
-	if total, limit := q.taskCount(), int64(maxTasks); total > limit {
+	if total, limit := q.taskCount(k), int64(maxTasks); total > limit {
 		return fmt.Errorf("instance too large: %d tasks exceeds the per-run cap of %d", total, limit)
 	}
 	return nil
@@ -350,15 +345,11 @@ const (
 	maxLeaseSeconds = 86400
 )
 
-func (q *CreateRunRequest) taskCount() int64 {
+// taskCount is the task count run creation admits q on.
+func (q *CreateRunRequest) taskCount(k *Kernel) int64 {
 	n := int64(q.N)
-	if n > 1<<20 { // avoid overflow below; far over the cap regardless
+	if n > 1<<20 { // avoid overflow in admitTasks; far over the cap regardless
 		return maxTasks + 1
 	}
-	if q.Kernel == KernelOuter {
-		return n * n
-	}
-	// matmul exactly n³; a conservative upper bound for the DAG
-	// kernels (Θ(n³/6) Cholesky, Θ(n³/3) LU and QR).
-	return n * n * n
+	return k.admitTasks(n)
 }

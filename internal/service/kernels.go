@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 
+	"hetsched/internal/analysis"
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
@@ -13,12 +14,151 @@ import (
 	"hetsched/internal/rng"
 )
 
-// dagPolicies maps the wire strategy names of the DAG kernels to the
-// shared ready-task selection policies.
-var dagPolicies = map[string]dag.Policy{
-	"random":   dag.RandomReady,
-	"locality": dag.LocalityReady,
-	"critpath": dag.CriticalPathReady,
+// Kernel is everything known about one kernel by name: its strategies
+// and how to build their drivers, and the bounds a run of it is
+// checked against. Run creation, the cluster harness and cmd/sim all
+// read Kernels, so a kernel — or a rule about every kernel — is added
+// here once.
+type Kernel struct {
+	Name string
+	// Strategies are the kernel's wire strategy names, each with its
+	// driver constructor; Default is the one an empty Strategy takes.
+	Strategies []Strategy
+	Default    string
+	// NewDAG builds a DAG kernel's task graph on an n×n tile grid; nil
+	// for the flat kernels, whose tasks all cost 1.
+	NewDAG func(n int) dag.Kernel
+	// TotalWork is the work of an instance of size n, in the units its
+	// tasks cost.
+	TotalWork func(n int) float64
+	// CriticalPath is the cost of the longest dependency chain (DAG
+	// kernels only).
+	CriticalPath func(n int) float64
+	// APosterioriLB is the communication lower bound given the tasks
+	// each worker processed (flat kernels only).
+	APosterioriLB func(tasksPer []int) float64
+	// admitTasks is the task count run creation admits n on: exact for
+	// the flat kernels, the conservative n³ for the DAG kernels
+	// (Θ(n³/6) Cholesky, Θ(n³/3) LU and QR).
+	admitTasks func(n int64) int64
+}
+
+// Strategy is one wire strategy name and how to build its driver.
+type Strategy struct {
+	Name  string
+	build func(k *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver
+}
+
+// Kernels holds one entry per kernel, in the order the CLI lists them.
+var Kernels = []Kernel{
+	{
+		Name: KernelOuter,
+		Strategies: []Strategy{
+			{"random", flat(outer.NewRandom)},
+			{"sorted", flat(outer.NewSorted)},
+			{"dynamic", flat(outer.NewDynamic)},
+			{"2phases", twoPhases(outer.NewTwoPhases, outer.ThresholdFromBeta, outer.NewTwoPhasesAuto)},
+		},
+		Default:       "2phases",
+		TotalWork:     func(n int) float64 { return float64(n) * float64(n) },
+		APosterioriLB: analysis.APosterioriLBOuter,
+		admitTasks:    func(n int64) int64 { return n * n },
+	},
+	{
+		Name: KernelMatmul,
+		Strategies: []Strategy{
+			{"random", flat(matmul.NewRandom)},
+			{"sorted", flat(matmul.NewSorted)},
+			{"dynamic", flat(matmul.NewDynamic)},
+			{"2phases", twoPhases(matmul.NewTwoPhases, matmul.ThresholdFromBeta, matmul.NewTwoPhasesAuto)},
+		},
+		Default:       "2phases",
+		TotalWork:     func(n int) float64 { return float64(n) * float64(n) * float64(n) },
+		APosterioriLB: analysis.APosterioriLBMatrix,
+		admitTasks:    cube,
+	},
+	{
+		Name:         KernelCholesky,
+		Strategies:   dagStrategies,
+		Default:      "locality",
+		NewDAG:       func(n int) dag.Kernel { return cholesky.NewKernel(n) },
+		TotalWork:    cholesky.TotalWork,
+		CriticalPath: cholesky.CriticalPath,
+		admitTasks:   cube,
+	},
+	{
+		Name:         KernelLU,
+		Strategies:   dagStrategies,
+		Default:      "locality",
+		NewDAG:       func(n int) dag.Kernel { return lu.NewKernel(n) },
+		TotalWork:    lu.TotalWork,
+		CriticalPath: lu.CriticalPath,
+		admitTasks:   cube,
+	},
+	{
+		Name:         KernelQR,
+		Strategies:   dagStrategies,
+		Default:      "locality",
+		NewDAG:       func(n int) dag.Kernel { return qr.NewKernel(n) },
+		TotalWork:    qr.TotalWork,
+		CriticalPath: qr.CriticalPath,
+		admitTasks:   cube,
+	},
+}
+
+// LookupKernel returns the Kernels entry named name, or nil.
+func LookupKernel(name string) *Kernel {
+	for i := range Kernels {
+		if Kernels[i].Name == name {
+			return &Kernels[i]
+		}
+	}
+	return nil
+}
+
+// Coster prices a task of an instance of size n as the simulator
+// does, from a task graph of its own, so the run's coordinator is never
+// touched; nil for the flat kernels (every task costs 1).
+func (k *Kernel) Coster(n int) func(core.Task) float64 {
+	if k.NewDAG == nil {
+		return nil
+	}
+	g := k.NewDAG(n)
+	return func(t core.Task) float64 { return g.Cost(dag.DecodeTask(t, n)) }
+}
+
+func cube(n int64) int64 { return n * n * n }
+
+// dagStrategies are the DAG kernels' strategies: every DAG kernel runs
+// the one generic engine under one of its ready-task policies.
+var dagStrategies = []Strategy{
+	{"random", dagPolicy(dag.RandomReady)},
+	{"locality", dagPolicy(dag.LocalityReady)},
+	{"critpath", dagPolicy(dag.CriticalPathReady)},
+}
+
+func dagPolicy(policy dag.Policy) func(*Kernel, *CreateRunRequest, *rng.PCG) core.Driver {
+	return func(k *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver {
+		return dag.NewDriver(k.NewDAG(q.N), q.P, policy, r)
+	}
+}
+
+// flat wraps a flat strategy's constructor.
+func flat[S core.Scheduler](newS func(n, p int, r *rng.PCG) S) func(*Kernel, *CreateRunRequest, *rng.PCG) core.Driver {
+	return func(_ *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver {
+		return core.NewSchedulerDriver(newS(q.N, q.P, r))
+	}
+}
+
+// twoPhases wraps a flat two-phase strategy: a positive Beta fixes its
+// switch threshold, zero lets the analysis choose it.
+func twoPhases[S core.Scheduler](fixed func(n, p, threshold int, r *rng.PCG) S, threshold func(beta float64, n int) int, auto func(n, p int, r *rng.PCG) S) func(*Kernel, *CreateRunRequest, *rng.PCG) core.Driver {
+	return func(_ *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver {
+		if q.Beta > 0 {
+			return core.NewSchedulerDriver(fixed(q.N, q.P, threshold(q.Beta, q.N), r))
+		}
+		return core.NewSchedulerDriver(auto(q.N, q.P, r))
+	}
 }
 
 // NewDriver constructs the core.Driver described by a validated
@@ -35,49 +175,11 @@ func NewDriver(q *CreateRunRequest) (core.Driver, error) {
 // BuildDriver is NewDriver with the scheduler rng r supplied by the
 // caller, who owns its derivation; q.Seed is not read.
 func BuildDriver(q *CreateRunRequest, r *rng.PCG) (core.Driver, error) {
-	switch q.Kernel {
-	case KernelOuter:
-		switch q.Strategy {
-		case "random":
-			return core.NewSchedulerDriver(outer.NewRandom(q.N, q.P, r)), nil
-		case "sorted":
-			return core.NewSchedulerDriver(outer.NewSorted(q.N, q.P, r)), nil
-		case "dynamic":
-			return core.NewSchedulerDriver(outer.NewDynamic(q.N, q.P, r)), nil
-		case "2phases":
-			if q.Beta > 0 {
-				return core.NewSchedulerDriver(outer.NewTwoPhases(q.N, q.P, outer.ThresholdFromBeta(q.Beta, q.N), r)), nil
+	if k := LookupKernel(q.Kernel); k != nil {
+		for _, s := range k.Strategies {
+			if s.Name == q.Strategy {
+				return s.build(k, q, r), nil
 			}
-			return core.NewSchedulerDriver(outer.NewTwoPhasesAuto(q.N, q.P, r)), nil
-		}
-	case KernelMatmul:
-		switch q.Strategy {
-		case "random":
-			return core.NewSchedulerDriver(matmul.NewRandom(q.N, q.P, r)), nil
-		case "sorted":
-			return core.NewSchedulerDriver(matmul.NewSorted(q.N, q.P, r)), nil
-		case "dynamic":
-			return core.NewSchedulerDriver(matmul.NewDynamic(q.N, q.P, r)), nil
-		case "2phases":
-			if q.Beta > 0 {
-				return core.NewSchedulerDriver(matmul.NewTwoPhases(q.N, q.P, matmul.ThresholdFromBeta(q.Beta, q.N), r)), nil
-			}
-			return core.NewSchedulerDriver(matmul.NewTwoPhasesAuto(q.N, q.P, r)), nil
-		}
-	case KernelCholesky, KernelLU, KernelQR:
-		// All DAG kernels share the generic engine: only the kernel
-		// definition differs.
-		if policy, ok := dagPolicies[q.Strategy]; ok {
-			var k dag.Kernel
-			switch q.Kernel {
-			case KernelCholesky:
-				k = cholesky.NewKernel(q.N)
-			case KernelLU:
-				k = lu.NewKernel(q.N)
-			default:
-				k = qr.NewKernel(q.N)
-			}
-			return dag.NewDriver(k, q.P, policy, r), nil
 		}
 	}
 	return nil, fmt.Errorf("kernel %q has no strategy %q", q.Kernel, q.Strategy)

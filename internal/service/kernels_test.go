@@ -77,3 +77,33 @@ func TestKernelAdmission(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelsBuild builds every Kernels entry × strategy and checks
+// that the run it makes has no more tasks than creation admitted it on.
+func TestKernelsBuild(t *testing.T) {
+	for _, k := range Kernels {
+		if LookupKernel(k.Name) == nil {
+			t.Errorf("%s: not found by name", k.Name)
+		}
+		var hasDefault bool
+		for _, s := range k.Strategies {
+			hasDefault = hasDefault || s.Name == k.Default
+			for _, n := range []int{1, 2, 5, 16} {
+				q := CreateRunRequest{Kernel: k.Name, Strategy: s.Name, N: n, P: 3}
+				if err := q.Validate(); err != nil {
+					t.Fatalf("%s-%s n=%d: %v", k.Name, s.Name, n, err)
+				}
+				drv, err := NewDriver(&q)
+				if err != nil {
+					t.Fatalf("%s-%s n=%d: %v", k.Name, s.Name, n, err)
+				}
+				if total, admitted := drv.Total(), k.admitTasks(int64(n)); int64(total) > admitted {
+					t.Errorf("%s-%s n=%d: %d tasks, admitted on %d", k.Name, s.Name, n, total, admitted)
+				}
+			}
+		}
+		if !hasDefault {
+			t.Errorf("%s: default strategy %q is not one of its strategies", k.Name, k.Default)
+		}
+	}
+}

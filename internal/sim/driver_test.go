@@ -18,14 +18,16 @@ import (
 	"hetsched/internal/speeds"
 )
 
-// kernelStrategies lists every kernel × strategy the service builds.
-var kernelStrategies = []struct{ kernel, strategy string }{
-	{"outer", "random"}, {"outer", "sorted"}, {"outer", "dynamic"}, {"outer", "2phases"},
-	{"matmul", "random"}, {"matmul", "sorted"}, {"matmul", "dynamic"}, {"matmul", "2phases"},
-	{"cholesky", "random"}, {"cholesky", "locality"}, {"cholesky", "critpath"},
-	{"lu", "random"}, {"lu", "locality"}, {"lu", "critpath"},
-	{"qr", "random"}, {"qr", "locality"}, {"qr", "critpath"},
-}
+// kernelStrategies lists every kernel × strategy the service builds,
+// in service.Kernels' order.
+var kernelStrategies = func() (ks []struct{ kernel, strategy string }) {
+	for _, k := range service.Kernels {
+		for _, s := range k.Strategies {
+			ks = append(ks, struct{ kernel, strategy string }{k.Name, s.Name})
+		}
+	}
+	return ks
+}()
 
 // randomRun draws a run of kernel/strategy from r: its shape, seed and
 // (for 2phases, half the time) an explicit beta, and a fixed or drifting
