@@ -110,14 +110,15 @@ func TestDataAwareBeatsRandom(t *testing.T) {
 
 // TestAnalysisTracksSimulation encodes the paper's headline claim
 // (Figs 4, 5): the ODE analysis predicts the two-phase strategy's
-// communication volume closely.
+// communication volume closely. At Quick size this seed's largest
+// error is 3.0%, and seeds 1–20 reach 3.8%.
 func TestAnalysisTracksSimulation(t *testing.T) {
 	res := Fig4(Config{Seed: 2, Quick: true, Reps: 4})
 	two := findSeries(t, res, "DynamicOuter2Phases")
 	ana := findSeries(t, res, "Analysis")
 	for i := range two.Points {
 		rel := math.Abs(two.Points[i].Y-ana.Points[i].Y) / two.Points[i].Y
-		if rel > 0.12 {
+		if rel > 0.05 {
 			t.Fatalf("p=%g: analysis %.3f vs simulation %.3f (%.1f%% off)",
 				two.Points[i].X, ana.Points[i].Y, two.Points[i].Y, 100*rel)
 		}
@@ -125,16 +126,57 @@ func TestAnalysisTracksSimulation(t *testing.T) {
 }
 
 // TestMatrixAnalysisTracksSimulation is the matrix counterpart
-// (Figs 9, 10).
+// (Figs 9, 10). At Quick size this seed's largest error is 1.3%, and
+// seeds 1–20 reach 2.4%.
 func TestMatrixAnalysisTracksSimulation(t *testing.T) {
 	res := Fig9(Config{Seed: 3, Quick: true, Reps: 3})
 	two := findSeries(t, res, "DynamicMatrix2Phases")
 	ana := findSeries(t, res, "Analysis")
 	for i := range two.Points {
 		rel := math.Abs(two.Points[i].Y-ana.Points[i].Y) / two.Points[i].Y
-		if rel > 0.20 {
+		if rel > 0.035 {
 			t.Fatalf("p=%g: analysis %.3f vs simulation %.3f (%.1f%% off)",
 				two.Points[i].X, ana.Points[i].Y, two.Points[i].Y, 100*rel)
+		}
+	}
+}
+
+// TestAnalysisTracksSimulationFull gates the same claim at full size
+// over seeds 200–204: the analysis is within 3% of the simulated
+// two-phase strategy at every point of Figs 4 and 9, and within 1.25%
+// (outer) and 0.75% (matmul) on average over the points. Over seeds
+// 200–219 the largest errors were 2.17% and 1.34%, the mean errors
+// 0.73% and 0.34%, and no single seed's mean exceeded 0.96% and 0.50%.
+func TestAnalysisTracksSimulationFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size figures")
+	}
+	for _, c := range []struct {
+		fig     func(Config) *plot.Result
+		series  string
+		maxMean float64
+	}{
+		{Fig4, "DynamicOuter2Phases", 0.0125},
+		{Fig9, "DynamicMatrix2Phases", 0.0075},
+	} {
+		var sum float64
+		var points int
+		for seed := uint64(200); seed < 205; seed++ {
+			res := c.fig(Config{Seed: seed})
+			two := findSeries(t, res, c.series)
+			ana := findSeries(t, res, "Analysis")
+			for i := range two.Points {
+				rel := math.Abs(two.Points[i].Y-ana.Points[i].Y) / two.Points[i].Y
+				if rel > 0.03 {
+					t.Errorf("%s seed %d p=%g: analysis %.3f vs simulation %.3f (%.2f%% off)",
+						res.ID, seed, two.Points[i].X, ana.Points[i].Y, two.Points[i].Y, 100*rel)
+				}
+				sum += rel
+				points++
+			}
+		}
+		if mean := sum / float64(points); mean > c.maxMean {
+			t.Errorf("%s: mean error %.3f%% over %d points, bound %.2f%%", c.series, 100*mean, points, 100*c.maxMean)
 		}
 	}
 }
