@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -44,10 +45,18 @@ var shapes = map[string]struct{ n, p int }{
 }
 
 func main() {
-	kernelHelp, strategyHelp := usage()
-	kernel := flag.String("kernel", "outer", kernelHelp)
+	var kernels, strategies []string
+	for _, k := range service.Kernels {
+		kernels = append(kernels, k.Name)
+		var names []string
+		for _, s := range k.Strategies {
+			names = append(names, s.Name)
+		}
+		strategies = append(strategies, fmt.Sprintf("%s: %s (default %s)", k.Name, strings.Join(names, " | "), k.Default))
+	}
+	kernel := flag.String("kernel", "outer", strings.Join(kernels, " | "))
 	opts := experiments.RegisterSimFlags(flag.CommandLine)
-	strategy := flag.String("strategy", "", strategyHelp)
+	strategy := flag.String("strategy", "", strings.Join(strategies, "; "))
 	beta := flag.Float64("beta", 0, "two-phase beta (0 = optimize analytically)")
 	gantt := flag.Bool("gantt", false, "outer, matmul: render a text Gantt chart of the run")
 	verify := flag.Bool("verify", false, "cholesky, lu: replay the schedule on a real matrix (tile size 4)")
@@ -57,15 +66,9 @@ func main() {
 	if k == nil {
 		fail(2, "unknown kernel %q", *kernel)
 	}
-	if opts.N == 0 {
-		opts.N = shapes[*kernel].n
-	}
-	if opts.P == 0 {
-		opts.P = shapes[*kernel].p
-	}
-	if *strategy == "" {
-		*strategy = k.Default
-	}
+	opts.N = cmp.Or(opts.N, shapes[*kernel].n)
+	opts.P = cmp.Or(opts.P, shapes[*kernel].p)
+	*strategy = cmp.Or(*strategy, k.Default)
 	flat := k.NewDAG == nil
 	switch {
 	case *gantt && !flat:
@@ -80,24 +83,6 @@ func main() {
 		return
 	}
 	simulateDAG(k, *strategy, *verify, opts)
-}
-
-// usage describes -kernel and -strategy from service.Kernels.
-func usage() (kernels, strategies string) {
-	var ks, ss []string
-	for _, k := range service.Kernels {
-		ks = append(ks, k.Name)
-		var names []string
-		for _, s := range k.Strategies {
-			name := s.Name
-			if name == k.Default {
-				name += " (default)"
-			}
-			names = append(names, name)
-		}
-		ss = append(ss, k.Name+": "+strings.Join(names, " | "))
-	}
-	return strings.Join(ks, " | "), strings.Join(ss, "; ")
 }
 
 func fail(code int, format string, args ...any) {

@@ -27,6 +27,7 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -289,11 +290,13 @@ func (q *CreateRunRequest) Validate() error {
 	if q.LeaseSeconds > maxLeaseSeconds {
 		return fmt.Errorf("lease_seconds=%g exceeds the cap of %d", q.LeaseSeconds, maxLeaseSeconds)
 	}
-	if q.Strategy == "" {
-		q.Strategy = k.Default
+	q.Strategy = cmp.Or(q.Strategy, k.Default)
+	total := int64(maxTasks + 1) // n above 2²⁰ overflows admitTasks, and is far over the cap
+	if q.N <= 1<<20 {
+		total = k.admitTasks(int64(q.N))
 	}
-	if total, limit := q.taskCount(k), int64(maxTasks); total > limit {
-		return fmt.Errorf("instance too large: %d tasks exceeds the per-run cap of %d", total, limit)
+	if total > maxTasks {
+		return fmt.Errorf("instance too large: %d tasks exceeds the per-run cap of %d", total, maxTasks)
 	}
 	return nil
 }
@@ -344,12 +347,3 @@ const (
 	// the wedge-forever behavior leases exist to fix.
 	maxLeaseSeconds = 86400
 )
-
-// taskCount is the task count run creation admits q on.
-func (q *CreateRunRequest) taskCount(k *Kernel) int64 {
-	n := int64(q.N)
-	if n > 1<<20 { // avoid overflow in admitTasks; far over the cap regardless
-		return maxTasks + 1
-	}
-	return k.admitTasks(n)
-}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/cholesky"
@@ -15,50 +16,38 @@ import (
 )
 
 // Kernel is everything known about one kernel by name: its strategies
-// and how to build their drivers, and the bounds a run of it is
-// checked against. Run creation, the cluster harness and cmd/sim all
-// read Kernels, so a kernel — or a rule about every kernel — is added
-// here once.
+// and the bounds a run of it is checked against. Run creation, the
+// cluster harness and cmd/sim all read Kernels, so a kernel, or a rule
+// about every kernel, is written once.
 type Kernel struct {
-	Name string
-	// Strategies are the kernel's wire strategy names, each with its
-	// driver constructor; Default is the one an empty Strategy takes.
+	Name       string
 	Strategies []Strategy
-	Default    string
-	// NewDAG builds a DAG kernel's task graph on an n×n tile grid; nil
-	// for the flat kernels, whose tasks all cost 1.
-	NewDAG func(n int) dag.Kernel
-	// TotalWork is the work of an instance of size n, in the units its
-	// tasks cost.
-	TotalWork func(n int) float64
-	// CriticalPath is the cost of the longest dependency chain (DAG
-	// kernels only).
-	CriticalPath func(n int) float64
-	// APosterioriLB is the communication lower bound given the tasks
-	// each worker processed (flat kernels only).
-	APosterioriLB func(tasksPer []int) float64
+	Default    string // the strategy an empty one takes
+	// NewDAG builds a DAG kernel's task graph on n×n tiles; nil for
+	// the flat kernels, whose tasks all cost 1.
+	NewDAG        func(n int) dag.Kernel
+	TotalWork     func(n int) float64          // in the units its tasks cost
+	CriticalPath  func(n int) float64          // DAG kernels only
+	APosterioriLB func(tasksPer []int) float64 // flat kernels only: the fewest blocks those task counts ship
 	// admitTasks is the task count run creation admits n on: exact for
-	// the flat kernels, the conservative n³ for the DAG kernels
-	// (Θ(n³/6) Cholesky, Θ(n³/3) LU and QR).
+	// the flat kernels, the conservative n³ for the DAG kernels.
 	admitTasks func(n int64) int64
 }
 
 // Strategy is one wire strategy name and how to build its driver.
 type Strategy struct {
 	Name  string
-	build func(k *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver
+	build builder
 }
+
+type builder func(q *CreateRunRequest, r *rng.PCG) core.Driver
 
 // Kernels holds one entry per kernel, in the order the CLI lists them.
 var Kernels = []Kernel{
 	{
 		Name: KernelOuter,
-		Strategies: []Strategy{
-			{"random", flat(outer.NewRandom)},
-			{"sorted", flat(outer.NewSorted)},
-			{"dynamic", flat(outer.NewDynamic)},
-			{"2phases", twoPhases(outer.NewTwoPhases, outer.ThresholdFromBeta, outer.NewTwoPhasesAuto)},
-		},
+		Strategies: flatStrategies(outer.NewRandom, outer.NewSorted, outer.NewDynamic,
+			outer.NewTwoPhases, outer.ThresholdFromBeta, outer.NewTwoPhasesAuto),
 		Default:       "2phases",
 		TotalWork:     func(n int) float64 { return float64(n) * float64(n) },
 		APosterioriLB: analysis.APosterioriLBOuter,
@@ -66,52 +55,22 @@ var Kernels = []Kernel{
 	},
 	{
 		Name: KernelMatmul,
-		Strategies: []Strategy{
-			{"random", flat(matmul.NewRandom)},
-			{"sorted", flat(matmul.NewSorted)},
-			{"dynamic", flat(matmul.NewDynamic)},
-			{"2phases", twoPhases(matmul.NewTwoPhases, matmul.ThresholdFromBeta, matmul.NewTwoPhasesAuto)},
-		},
+		Strategies: flatStrategies(matmul.NewRandom, matmul.NewSorted, matmul.NewDynamic,
+			matmul.NewTwoPhases, matmul.ThresholdFromBeta, matmul.NewTwoPhasesAuto),
 		Default:       "2phases",
 		TotalWork:     func(n int) float64 { return float64(n) * float64(n) * float64(n) },
 		APosterioriLB: analysis.APosterioriLBMatrix,
-		admitTasks:    cube,
+		admitTasks:    func(n int64) int64 { return n * n * n },
 	},
-	{
-		Name:         KernelCholesky,
-		Strategies:   dagStrategies,
-		Default:      "locality",
-		NewDAG:       func(n int) dag.Kernel { return cholesky.NewKernel(n) },
-		TotalWork:    cholesky.TotalWork,
-		CriticalPath: cholesky.CriticalPath,
-		admitTasks:   cube,
-	},
-	{
-		Name:         KernelLU,
-		Strategies:   dagStrategies,
-		Default:      "locality",
-		NewDAG:       func(n int) dag.Kernel { return lu.NewKernel(n) },
-		TotalWork:    lu.TotalWork,
-		CriticalPath: lu.CriticalPath,
-		admitTasks:   cube,
-	},
-	{
-		Name:         KernelQR,
-		Strategies:   dagStrategies,
-		Default:      "locality",
-		NewDAG:       func(n int) dag.Kernel { return qr.NewKernel(n) },
-		TotalWork:    qr.TotalWork,
-		CriticalPath: qr.CriticalPath,
-		admitTasks:   cube,
-	},
+	dagKernel(KernelCholesky, cholesky.NewKernel, cholesky.TotalWork, cholesky.CriticalPath),
+	dagKernel(KernelLU, lu.NewKernel, lu.TotalWork, lu.CriticalPath),
+	dagKernel(KernelQR, qr.NewKernel, qr.TotalWork, qr.CriticalPath),
 }
 
 // LookupKernel returns the Kernels entry named name, or nil.
 func LookupKernel(name string) *Kernel {
-	for i := range Kernels {
-		if Kernels[i].Name == name {
-			return &Kernels[i]
-		}
+	if i := slices.IndexFunc(Kernels, func(k Kernel) bool { return k.Name == name }); i >= 0 {
+		return &Kernels[i]
 	}
 	return nil
 }
@@ -127,38 +86,49 @@ func (k *Kernel) Coster(n int) func(core.Task) float64 {
 	return func(t core.Task) float64 { return g.Cost(dag.DecodeTask(t, n)) }
 }
 
-func cube(n int64) int64 { return n * n * n }
-
-// dagStrategies are the DAG kernels' strategies: every DAG kernel runs
-// the one generic engine under one of its ready-task policies.
-var dagStrategies = []Strategy{
-	{"random", dagPolicy(dag.RandomReady)},
-	{"locality", dagPolicy(dag.LocalityReady)},
-	{"critpath", dagPolicy(dag.CriticalPathReady)},
-}
-
-func dagPolicy(policy dag.Policy) func(*Kernel, *CreateRunRequest, *rng.PCG) core.Driver {
-	return func(k *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver {
-		return dag.NewDriver(k.NewDAG(q.N), q.P, policy, r)
+// dagKernel is the entry of a DAG kernel: its strategies run the
+// generic engine under one of the ready-task policies.
+func dagKernel(name string, newDAG func(n int) dag.Kernel, work, criticalPath func(n int) float64) Kernel {
+	policy := func(policy dag.Policy) builder {
+		return func(q *CreateRunRequest, r *rng.PCG) core.Driver { return dag.NewDriver(newDAG(q.N), q.P, policy, r) }
+	}
+	return Kernel{
+		Name: name,
+		Strategies: []Strategy{
+			{"random", policy(dag.RandomReady)},
+			{"locality", policy(dag.LocalityReady)},
+			{"critpath", policy(dag.CriticalPathReady)},
+		},
+		Default:      "locality",
+		NewDAG:       newDAG,
+		TotalWork:    work,
+		CriticalPath: criticalPath,
+		admitTasks:   func(n int64) int64 { return n * n * n },
 	}
 }
 
-// flat wraps a flat strategy's constructor.
-func flat[S core.Scheduler](newS func(n, p int, r *rng.PCG) S) func(*Kernel, *CreateRunRequest, *rng.PCG) core.Driver {
-	return func(_ *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver {
-		return core.NewSchedulerDriver(newS(q.N, q.P, r))
+// flatStrategies are a flat kernel's strategies, from its
+// constructors. 2phases takes its switch threshold from a positive
+// Beta, and lets the analysis choose it when Beta is 0.
+func flatStrategies[R, S, D, T core.Scheduler](
+	random func(n, p int, r *rng.PCG) R, sorted func(n, p int, r *rng.PCG) S, dynamic func(n, p int, r *rng.PCG) D,
+	twoPhases func(n, p, threshold int, r *rng.PCG) T, threshold func(beta float64, n int) int, auto func(n, p int, r *rng.PCG) T,
+) []Strategy {
+	return []Strategy{
+		{"random", flat(random)},
+		{"sorted", flat(sorted)},
+		{"dynamic", flat(dynamic)},
+		{"2phases", func(q *CreateRunRequest, r *rng.PCG) core.Driver {
+			if q.Beta > 0 {
+				return core.NewSchedulerDriver(twoPhases(q.N, q.P, threshold(q.Beta, q.N), r))
+			}
+			return flat(auto)(q, r)
+		}},
 	}
 }
 
-// twoPhases wraps a flat two-phase strategy: a positive Beta fixes its
-// switch threshold, zero lets the analysis choose it.
-func twoPhases[S core.Scheduler](fixed func(n, p, threshold int, r *rng.PCG) S, threshold func(beta float64, n int) int, auto func(n, p int, r *rng.PCG) S) func(*Kernel, *CreateRunRequest, *rng.PCG) core.Driver {
-	return func(_ *Kernel, q *CreateRunRequest, r *rng.PCG) core.Driver {
-		if q.Beta > 0 {
-			return core.NewSchedulerDriver(fixed(q.N, q.P, threshold(q.Beta, q.N), r))
-		}
-		return core.NewSchedulerDriver(auto(q.N, q.P, r))
-	}
+func flat[S core.Scheduler](newS func(n, p int, r *rng.PCG) S) builder {
+	return func(q *CreateRunRequest, r *rng.PCG) core.Driver { return core.NewSchedulerDriver(newS(q.N, q.P, r)) }
 }
 
 // NewDriver constructs the core.Driver described by a validated
@@ -176,10 +146,8 @@ func NewDriver(q *CreateRunRequest) (core.Driver, error) {
 // caller, who owns its derivation; q.Seed is not read.
 func BuildDriver(q *CreateRunRequest, r *rng.PCG) (core.Driver, error) {
 	if k := LookupKernel(q.Kernel); k != nil {
-		for _, s := range k.Strategies {
-			if s.Name == q.Strategy {
-				return s.build(k, q, r), nil
-			}
+		if i := slices.IndexFunc(k.Strategies, func(s Strategy) bool { return s.Name == q.Strategy }); i >= 0 {
+			return k.Strategies[i].build(q, r), nil
 		}
 	}
 	return nil, fmt.Errorf("kernel %q has no strategy %q", q.Kernel, q.Strategy)
