@@ -81,9 +81,9 @@ func TestKernelAdmission(t *testing.T) {
 // TestKernelsBuild builds every Kernels entry × strategy and checks
 // that the run it makes has no more tasks than creation admitted it on.
 func TestKernelsBuild(t *testing.T) {
-	for _, k := range Kernels {
-		if LookupKernel(k.Name) == nil {
-			t.Errorf("%s: not found by name", k.Name)
+	for i, k := range Kernels {
+		if LookupKernel(k.Name) != &Kernels[i] {
+			t.Errorf("%s: the name does not find this entry", k.Name)
 		}
 		var hasDefault bool
 		for _, s := range k.Strategies {
