@@ -2,7 +2,7 @@
 // HTTP: clients create runs, workers poll for task batches and report
 // completions, observers read live statistics and traces.
 //
-//	schedd -addr :8080 -shards 16 -batch 4 -ttl 15m -lease 30s
+//	schedd -addr :8080 -batch 4 -ttl 15m -lease 30s
 //
 // Create a run and pull one assignment:
 //
@@ -88,7 +88,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 8, "run-registry shard count")
 	batch := flag.Int("batch", 1, "default tasks per worker request (the paper's batching knob)")
 	ttl := flag.Duration("ttl", 15*time.Minute, "expire runs idle for longer than this (0 = never)")
 	gc := flag.Duration("gc", time.Minute, "garbage-collection interval (0 = disabled)")
@@ -138,7 +137,7 @@ func main() {
 		if *peers != "" {
 			log.Fatalf("schedd: -peers needs -router")
 		}
-		opts := service.Options{Shards: *shards, DefaultBatch: *batch, TTL: *ttl, GCInterval: *gc,
+		opts := service.Options{DefaultBatch: *batch, TTL: *ttl, GCInterval: *gc,
 			DefaultLease: *lease, EventsBuffer: *eventsBuffer}
 		if *ttl == 0 {
 			opts.TTL = -1
@@ -167,7 +166,7 @@ func main() {
 		svc := service.New(opts)
 		defer svc.Close()
 		handler = svc
-		log.Printf("schedd: listening on %s (shards=%d batch=%d ttl=%v)", *addr, *shards, *batch, *ttl)
+		log.Printf("schedd: listening on %s (batch=%d ttl=%v)", *addr, *batch, *ttl)
 	}
 
 	// Both modes listen through the request loop: it answers the poll

@@ -130,7 +130,7 @@ func TestPartitionedWorkerDraws409(t *testing.T) {
 
 // TestBurstyArrivalsShareRegistry: multiple runs arriving in bursts
 // against one registry, each with its own fleet, all complete with
-// clean accounting (the multi-run path: sharded lookups, per-run
+// clean accounting (the multi-run path: registry lookups, per-run
 // clocks, janitor over many runs).
 func TestBurstyArrivalsShareRegistry(t *testing.T) {
 	sc := ThunderingHerd(16, 9)

@@ -253,11 +253,11 @@ func TestRouterLoopRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Close() // nobody listens there now
-	down := routerOver(t, "http://"+ln.Addr().String(), Options{RetryAfter: 2500 * time.Millisecond})
+	down := routerOver(t, "http://"+ln.Addr().String(), Options{})
 	rec = poll(down, http.MethodPost, "/v1/runs/r/next", `{"worker":0}`)
 	status, hdr, body = loopPoll(t, down, "r", `{"worker":0}`)
 	if status != http.StatusServiceUnavailable || status != rec.Code || body != rec.Body.String() ||
-		hdr.Get("Retry-After") != "3" || hdr.Get("Retry-After") != rec.Header().Get("Retry-After") {
+		hdr.Get("Retry-After") != "1" || hdr.Get("Retry-After") != rec.Header().Get("Retry-After") {
 		t.Errorf("host down: %d %q Retry-After %q through the loop, %d %q %q through net/http",
 			status, body, hdr.Get("Retry-After"), rec.Code, rec.Body, rec.Header().Get("Retry-After"))
 	}

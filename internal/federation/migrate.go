@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hetsched/internal/durable"
+	"hetsched/internal/pollserve"
 	"hetsched/internal/service"
 )
 
@@ -413,7 +414,7 @@ func (rt *Router) decodeAdmin(w http.ResponseWriter, r *http.Request, out any) b
 		errJSON(w, http.StatusMethodNotAllowed, "method not allowed")
 		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, pollserve.MaxBody)
 	if err := service.DecodeStrict(r.Body, out); err != nil {
 		errJSON(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return false

@@ -16,7 +16,7 @@ import (
 type peer interface {
 	// forward serves r from the target. A non-nil error means nothing
 	// has been written to w (upstream.forward's contract).
-	forward(w http.ResponseWriter, r *http.Request, maxBody int64) error
+	forward(w http.ResponseWriter, r *http.Request) error
 	// poll answers a poll the request loop read off its socket; on an
 	// error dst comes back as it went and nothing was answered.
 	poll(dst []byte, r *pollserve.Request) ([]byte, error)
@@ -42,7 +42,7 @@ type local struct {
 	srv  *service.Server
 }
 
-func (p *local) forward(w http.ResponseWriter, r *http.Request, _ int64) error {
+func (p *local) forward(w http.ResponseWriter, r *http.Request) error {
 	p.srv.ServeHTTP(w, r)
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,23 +45,11 @@ type Options struct {
 	Vnodes int
 	// Epoch is the placement epoch; all routers of a fleet must agree.
 	Epoch uint64
-	// Client issues the router's cold calls to URL targets: the
-	// /v1/runs and /v1/metrics fan-in, the firehose, and the migrate and
-	// import calls of a rebalance or a recovery (default: a dedicated
-	// client with a 10s response-header budget and no overall timeout).
-	// Run creation and every per-run request, polls among them, do not
-	// go through it: they take the router's own upstream hop
-	// (upstream.go).
-	Client *http.Client
-	// RetryAfter is the hint returned with 503 when an owning host is
-	// unreachable (default 1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes caps the request bodies the router reads: the create
-	// and admin requests it decodes, and every body it forwards to a
-	// URL target, which is read whole so that it leaves in one write;
-	// a longer one answers 413 (default 1 MiB).
-	MaxBodyBytes int64
 }
+
+// retryAfter is the Retry-After value of the router's own 503s: a run
+// mid-handoff, or an owning host that could not be reached.
+const retryAfter = "1"
 
 // Router fronts a fleet of schedd hosts behind the single-host HTTP
 // surface. Per-run endpoints — polls included — are routed by the run
@@ -87,9 +74,7 @@ type Router struct {
 	ring    atomic.Pointer[Ring]
 	targets []Target
 	// peers[i] is how the router reaches targets[i] (peer.go).
-	peers   []peer
-	opts    Options
-	maxPoll int64 // MaxPollBody's answer, fixed by NewRouter
+	peers []peer
 
 	// handoffMu serializes rebalances (SetEpoch, RecoverHost,
 	// MigrateRun); moving holds the run ids mid-handoff (nil when none
@@ -118,24 +103,17 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("federation: router needs at least one target")
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 20
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost:   64,
-			ResponseHeaderTimeout: 10 * time.Second,
-		}}
-	}
+	// The cold calls to URL targets (the /v1/runs and /v1/metrics
+	// fan-in, the firehose, the migrate and import calls of a rebalance
+	// or a recovery) share this client. Run creation and every per-run
+	// request, polls among them, take the upstream hop (upstream.go).
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost:   64,
+		ResponseHeaderTimeout: 10 * time.Second,
+	}}
 	rt := &Router{
-		peers:   make([]peer, len(targets)),
-		opts:    opts,
-		maxPoll: opts.MaxBodyBytes,
-		idrng:   rng.New(uint64(time.Now().UnixNano())),
+		peers: make([]peer, len(targets)),
+		idrng: rng.New(uint64(time.Now().UnixNano())),
 	}
 	names := make([]string, len(targets))
 	for i := range targets {
@@ -151,7 +129,6 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 		}
 		if t.Server != nil {
 			rt.peers[i] = &local{name: t.Name, srv: t.Server}
-			rt.maxPoll = min(rt.maxPoll, t.Server.MaxPollBody())
 		} else {
 			up, err := newUpstream(t.URL)
 			if err != nil {
@@ -194,7 +171,7 @@ func (rt *Router) owner(id string) int {
 // Lookup routes id through the ring and fetches the run from the
 // owning host's in-process registry: the transport-free poll-
 // forwarding path of in-process fleets — one ring lookup plus one
-// sharded map read, zero allocations (TestRouterLookupNextAllocFree
+// map read, zero allocations (TestRouterLookupNextAllocFree
 // pins it). ok is false when the run is unknown on its owner or the
 // owner is a remote target, which has no in-process handle to return.
 func (rt *Router) Lookup(id string) (run *service.Run, owner int, ok bool) {
@@ -265,15 +242,6 @@ func (rt *Router) isMoving(id string) bool {
 
 func movingMsg(id string) string { return fmt.Sprintf("run %q is migrating; retry", id) }
 
-// retryAfter is the Retry-After value of the router's own 503s.
-func (rt *Router) retryAfter() string {
-	return strconv.Itoa(int((rt.opts.RetryAfter + time.Second - 1) / time.Second))
-}
-
-// MaxPollBody implements pollserve.Handler: the router's own cap, and
-// no more than an in-process host takes.
-func (rt *Router) MaxPollBody() int64 { return rt.maxPoll }
-
 // ServePoll implements pollserve.Handler: ServeHTTP's per-run branch
 // for a poll the request loop read off the socket itself. A poll for a
 // URL target goes from the loop's buffer to the upstream hop and back,
@@ -282,20 +250,20 @@ func (rt *Router) MaxPollBody() int64 { return rt.maxPoll }
 func (rt *Router) ServePoll(dst []byte, r *pollserve.Request) []byte {
 	rt.loopPolls.Add(1)
 	if rt.isMoving(r.ID) {
-		return appendRefusal(dst, http.StatusServiceUnavailable, rt.retryAfter(), movingMsg(r.ID))
+		return appendUnavailable(dst, movingMsg(r.ID))
 	}
 	owner := rt.owner(r.ID)
 	if out, err := rt.peers[owner].poll(dst, r); err == nil {
 		return out
 	}
-	return appendRefusal(dst, http.StatusServiceUnavailable, rt.retryAfter(), rt.unreachableMsg(owner))
+	return appendUnavailable(dst, rt.unreachableMsg(owner))
 }
 
-// appendRefusal appends a response of the router's own to a poll: msg
-// as errJSON writes it.
-func appendRefusal(dst []byte, status int, retryAfter, msg string) []byte {
+// appendUnavailable is unavailable for a poll the request loop read: the
+// router's own 503, msg as errJSON writes it.
+func appendUnavailable(dst []byte, msg string) []byte {
 	body := service.ErrorResponse{Error: msg}.Body()
-	dst = pollserve.AppendHead(dst, status, "application/json", retryAfter, len(body))
+	dst = pollserve.AppendHead(dst, http.StatusServiceUnavailable, "application/json", retryAfter, len(body))
 	return append(dst, body...)
 }
 
@@ -304,10 +272,10 @@ func appendRefusal(dst []byte, status int, retryAfter, msg string) []byte {
 // is the host's own answer passing through), a remote one's request
 // takes the upstream hop.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, owner int) {
-	switch err := rt.peers[owner].forward(w, r, rt.opts.MaxBodyBytes); {
+	switch err := rt.peers[owner].forward(w, r); {
 	case err == nil:
 	case err == errBodyTooLarge:
-		errJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", rt.opts.MaxBodyBytes))
+		errJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", pollserve.MaxBody))
 	case errors.Is(err, errClientBody):
 		errJSON(w, http.StatusBadRequest, err.Error())
 	default:
@@ -330,7 +298,7 @@ const acceptIdx = 1
 // a run mid-handoff, or an owning host that could not be reached or did
 // not answer.
 func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", rt.retryAfter())
+	w.Header().Set("Retry-After", retryAfter)
 	errJSON(w, http.StatusServiceUnavailable, msg)
 }
 
@@ -347,7 +315,7 @@ func (rt *Router) unreachableMsg(owner int) string {
 // one, and forward the re-encoded request to the owner of that id.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var q service.CreateRunRequest
-	r.Body = http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, pollserve.MaxBody)
 	if err := service.DecodeStrict(r.Body, &q); err != nil {
 		errJSON(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return

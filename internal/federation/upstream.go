@@ -293,14 +293,14 @@ func (up *upstream) exchange(req []byte, method string, cold bool) (uc *upConn, 
 // errClientBody before anything was sent upstream, anything else is
 // exchange's. Once the response head is on its way to the client a
 // failure can only cut the body short.
-func (up *upstream) forward(w http.ResponseWriter, r *http.Request, maxBody int64) error {
-	if r.ContentLength > maxBody {
+func (up *upstream) forward(w http.ResponseWriter, r *http.Request) error {
+	if r.ContentLength > pollserve.MaxBody {
 		return errBodyTooLarge
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	var err error
-	if sc.body, err = readCapped(sc.body[:0], r.Body, maxBody); err != nil {
+	if sc.body, err = readCapped(sc.body[:0], r.Body, pollserve.MaxBody); err != nil {
 		return err
 	}
 	var hdr [len(proxyHeaders)]string

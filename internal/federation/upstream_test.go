@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"hetsched/internal/pollserve"
 	"hetsched/internal/service"
 )
 
@@ -443,15 +444,15 @@ func TestRouterProxyPeerRestart(t *testing.T) {
 	}
 }
 
-// TestRouterProxyBodyCap: a body over MaxBodyBytes answers 413, length
+// TestRouterProxyBodyCap: a body over pollserve.MaxBody answers 413, length
 // declared or not, and nothing reaches the peer.
 func TestRouterProxyBodyCap(t *testing.T) {
 	peer := newRawPeer(t, func(_ *http.Request, conn net.Conn) bool {
 		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
 		return true
 	})
-	rt := routerOver(t, "http://"+peer.ln.Addr().String(), Options{MaxBodyBytes: 64})
-	body := strings.Repeat("x", 65)
+	rt := routerOver(t, "http://"+peer.ln.Addr().String(), Options{})
+	body := strings.Repeat("x", pollserve.MaxBody+1)
 	for _, declared := range []bool{true, false} {
 		req := httptest.NewRequest(http.MethodPost, "/v1/runs/r/next", strings.NewReader(body))
 		if !declared {
@@ -463,7 +464,7 @@ func TestRouterProxyBodyCap(t *testing.T) {
 			t.Errorf("declared=%v: status %d, want 413", declared, rec.Code)
 		}
 	}
-	if rec := poll(rt, http.MethodPost, "/v1/runs/r/next", body[:64]); rec.Code != http.StatusOK {
+	if rec := poll(rt, http.MethodPost, "/v1/runs/r/next", body[:pollserve.MaxBody]); rec.Code != http.StatusOK {
 		t.Errorf("a body of exactly the cap: status %d, want 200", rec.Code)
 	}
 	if got := peer.requests.Load(); got != 1 {

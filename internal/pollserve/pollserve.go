@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -41,14 +40,16 @@ type Request struct {
 	Body        []byte
 }
 
+// MaxBody caps the request bodies the service and the router read (a
+// transfer stream has a cap of its own). The loop hands a poll over it
+// to the http.Handler, to refuse as it always has.
+const MaxBody = 1 << 20
+
 // Handler is a daemon's handler as the loop needs it: the http.Handler
 // every handed-over connection is served by, and the same poll route
 // without net/http in the way.
 type Handler interface {
 	http.Handler
-	// MaxPollBody is the longest poll body ServePoll takes. A longer one
-	// is handed over, for the http.Handler to refuse as it always has.
-	MaxPollBody() int64
 	// ServePoll appends the complete HTTP/1.1 response to one poll — head
 	// (AppendHead) and body — to dst and returns it.
 	ServePoll(dst []byte, r *Request) []byte
@@ -210,14 +211,12 @@ func (s *Server) loop(c net.Conn) {
 		}
 		s.untrack(c)
 	}()
-	// A request is held in memory whole, so its length must be an int's.
-	maxBody := min(s.h.MaxPollBody(), math.MaxInt32)
 	buf := make([]byte, readSize) // buf[r:w] is read and not consumed
 	r, w := 0, 0
 	var out []byte
 	var req Request
 	for {
-		h, v := readReqHead(buf[r:w], maxBody)
+		h, v := readReqHead(buf[r:w], MaxBody)
 		switch v {
 		case serve:
 			if string(h.id) != req.ID { // the comparison does not allocate; a connection mostly polls one run

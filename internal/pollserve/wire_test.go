@@ -162,7 +162,7 @@ func TestLoopAnswersAsNetHTTP(t *testing.T) {
 	// A clock that stands still, so that a run's stats are the same bytes
 	// on both sides.
 	epoch := time.Unix(1700000000, 0)
-	opts := service.Options{MaxBodyBytes: 256, Now: func() time.Time { return epoch }}
+	opts := service.Options{Now: func() time.Time { return epoch }}
 	ref := httptest.NewServer(newHost(t, opts))
 	t.Cleanup(ref.Close)
 	looped := newHost(t, opts)
@@ -187,7 +187,7 @@ func TestLoopAnswersAsNetHTTP(t *testing.T) {
 	loopRecovering, _ := startLoop(t, loopedRecovering, nil)
 
 	ok := pollReq("live", `{"worker":0}`)
-	big := strings.Repeat(" ", 300)
+	big := strings.Repeat(" ", pollserve.MaxBody+1)
 	scripts := []struct {
 		name       string
 		recovering bool

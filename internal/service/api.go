@@ -7,7 +7,7 @@
 //   - Host: makes one single-goroutine core.Driver safe under
 //     concurrent requests (one mutex, per-request batching — the
 //     paper's multi-task-per-request knob).
-//   - Registry: a sharded in-memory run table with lifecycle
+//   - Registry: an in-memory run table with lifecycle
 //     (created → draining → complete → expired) and TTL garbage
 //     collection.
 //   - Server: the HTTP façade (stdlib net/http only) exposing run

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hetsched/internal/durable"
+	"hetsched/internal/pollserve"
 )
 
 // This file is the host side of live run migration (snapshot-ship-
@@ -191,13 +192,12 @@ type migrateResponse struct {
 }
 
 // handleMigrate serves POST /v1/runs/{id}/migrate on the source:
-// Migrate, pushing the stream to the target's import endpoint with the
-// server's migration client (Options.MigrateClient, default a client
-// with a 30s timeout), so tests can inject transports.
+// Migrate, pushing the stream to the target's import endpoint with a
+// client that gives the push 30s.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var q migrateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, pollserve.MaxBody)
 	if err := DecodeStrict(r.Body, &q); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
@@ -210,7 +210,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var pushErr error
 	err := s.Migrate(id, func(stream []byte) error {
 		pushed = true
-		pushErr = PushTransfer(s.migrateClient(), q.Target, stream)
+		pushErr = PushTransfer(&http.Client{Timeout: 30 * time.Second}, q.Target, stream)
 		return pushErr
 	})
 	switch {
@@ -249,13 +249,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, run.Info())
-}
-
-func (s *Server) migrateClient() *http.Client {
-	if s.opts.MigrateClient != nil {
-		return s.opts.MigrateClient
-	}
-	return &http.Client{Timeout: 30 * time.Second}
 }
 
 // PushTransfer POSTs one transfer stream to the import endpoint of the

@@ -42,7 +42,7 @@ func newWorld(t *testing.T, dir string, clk *vclock, journaled bool) *world {
 	t.Helper()
 	w := &world{t: t, clk: clk, dir: dir}
 	w.opts = Options{DefaultBatch: 2, Now: clk.now}
-	w.reg = NewRegistryWithClock(4, 0, clk.now)
+	w.reg = NewRegistry(0, clk.now)
 	if journaled {
 		jr, err := durable.Open(dir)
 		if err != nil {

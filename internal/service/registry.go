@@ -64,18 +64,17 @@ func (r *Run) Info() RunInfo {
 	}
 }
 
-// Registry is a sharded in-memory run table. Run IDs hash (FNV-1a) to
-// one of the shards, each guarded by its own RWMutex, so lookups on
-// the hot polling path contend neither with each other across runs nor
-// with creation traffic on other shards. TTL-based garbage collection
-// removes expired runs and runs idle for longer than the TTL.
+// Registry is the in-memory run table: one map under one RWMutex.
+// TTL-based garbage collection removes expired runs and runs idle for
+// longer than the TTL.
 type Registry struct {
-	shards []*registryShard
-	ttl    time.Duration
-	now    func() time.Time
+	mu   sync.RWMutex
+	runs map[string]*Run
+	ttl  time.Duration
+	now  func() time.Time
 	// bus, when attached, is told about each run the sweep collects so
 	// its event stream can emit a final run_swept and release
-	// subscribers. Publishing happens outside the shard locks.
+	// subscribers. Publishing happens outside the table lock.
 	bus *events.Bus
 	// jr, when attached, receives the registry-level mutation records:
 	// the create (with its resolved request as payload), the expiry and
@@ -90,44 +89,25 @@ type Registry struct {
 	// tombs records runs that migrated away from this host, so a stale
 	// worker's lookup answers a deterministic 410 ("migrated") instead
 	// of 404. An entry is cleared if the run migrates back. Off the hot
-	// path: lookups consult it only after the shard map missed.
+	// path: lookups consult it only after the run table missed.
 	tombMu sync.Mutex
 	tombs  map[string]bool
 }
 
-type registryShard struct {
-	mu   sync.RWMutex
-	runs map[string]*Run
-}
-
-// NewRegistry builds a registry with the given shard count (minimum 1)
-// and idle TTL (0 disables time-based expiry; explicit Expire still
-// works).
-func NewRegistry(shards int, ttl time.Duration) *Registry {
-	return NewRegistryWithClock(shards, ttl, time.Now)
-}
-
-// NewRegistryWithClock is NewRegistry with an injected time source:
-// the TTL sweep's idleness comparisons use now instead of the wall
-// clock, mirroring the Host's virtual-clock contract, so a harness
-// that owns every run's clock (internal/cluster) also owns the
-// janitor's notion of "idle". Run IDs stay wall-clock-salted — they
-// are opaque identifiers, deliberately outside the deterministic
-// surface.
-func NewRegistryWithClock(shards int, ttl time.Duration, now func() time.Time) *Registry {
-	if shards < 1 {
-		shards = 1
+// NewRegistry builds a registry with the given idle TTL (0 disables
+// time-based expiry; explicit Expire still works) on the time source
+// now: the TTL sweep's idleness comparisons use it instead of the wall
+// clock, mirroring the Host's virtual-clock contract, so a harness that
+// owns every run's clock (internal/cluster) also owns the janitor's
+// notion of "idle". Run IDs stay wall-clock-salted — they are opaque
+// identifiers, deliberately outside the deterministic surface.
+func NewRegistry(ttl time.Duration, now func() time.Time) *Registry {
+	return &Registry{
+		runs:  make(map[string]*Run),
+		ttl:   ttl,
+		now:   now,
+		idrng: rng.New(uint64(time.Now().UnixNano())),
 	}
-	g := &Registry{
-		shards: make([]*registryShard, shards),
-		ttl:    ttl,
-		now:    now,
-		idrng:  rng.New(uint64(time.Now().UnixNano())),
-	}
-	for i := range g.shards {
-		g.shards[i] = &registryShard{runs: make(map[string]*Run)}
-	}
-	return g
 }
 
 // AttachBus wires the registry to an event bus: every run Sweep
@@ -138,17 +118,6 @@ func (g *Registry) AttachBus(b *events.Bus) { g.bus = b }
 // AttachJournal wires the registry (and every run it subsequently
 // creates) to the write-ahead journal. Call before serving traffic.
 func (g *Registry) AttachJournal(jr *durable.Log) { g.jr = jr }
-
-func (g *Registry) shardFor(id string) *registryShard {
-	// Inline FNV-1a: the stdlib hasher would allocate on every lookup,
-	// and this sits on the hot polling path.
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return g.shards[int(h%uint32(len(g.shards)))]
-}
 
 // newID returns a fresh run identifier: a monotone sequence number
 // plus a random suffix so IDs are not guessable across restarts.
@@ -161,10 +130,9 @@ func (g *Registry) newID() string {
 
 // Add registers run under its ID.
 func (g *Registry) Add(run *Run) {
-	s := g.shardFor(run.ID)
-	s.mu.Lock()
-	s.runs[run.ID] = run
-	s.mu.Unlock()
+	g.mu.Lock()
+	g.runs[run.ID] = run
+	g.mu.Unlock()
 }
 
 // addNew registers run under its ID unless one is already present,
@@ -173,7 +141,7 @@ func (g *Registry) Add(run *Run) {
 // the original run.
 //
 // When a journal is attached, the create record is appended and
-// committed while the shard lock is still held, before the run becomes
+// committed while the table lock is still held, before the run becomes
 // reachable: a worker can only learn the run exists after its create
 // is durable, so no journaled poll record can ever precede its run's
 // create record — the invariant replay depends on. A duplicate ID
@@ -184,10 +152,9 @@ func (g *Registry) Add(run *Run) {
 // a restart may then resurrect the refused run as an idle one, which
 // the TTL sweep collects; durable-before-visible is never violated.
 func (g *Registry) addNew(run *Run) (bool, error) {
-	s := g.shardFor(run.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.runs[run.ID]; ok {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, ok := g.runs[run.ID]; ok {
 		return false, nil
 	}
 	if g.jr != nil {
@@ -197,7 +164,7 @@ func (g *Registry) addNew(run *Run) (bool, error) {
 			return false, err
 		}
 	}
-	s.runs[run.ID] = run
+	g.runs[run.ID] = run
 	return true, nil
 }
 
@@ -207,14 +174,13 @@ func (g *Registry) addNew(run *Run) (bool, error) {
 // its snapshot — but a tombstone from an earlier migrate-away of the
 // same run is cleared: the run is back.
 func (g *Registry) AddRecovered(run *Run) bool {
-	s := g.shardFor(run.ID)
-	s.mu.Lock()
-	if _, ok := s.runs[run.ID]; ok {
-		s.mu.Unlock()
+	g.mu.Lock()
+	if _, ok := g.runs[run.ID]; ok {
+		g.mu.Unlock()
 		return false
 	}
-	s.runs[run.ID] = run
-	s.mu.Unlock()
+	g.runs[run.ID] = run
+	g.mu.Unlock()
 	g.tombMu.Lock()
 	delete(g.tombs, run.ID)
 	g.tombMu.Unlock()
@@ -243,49 +209,47 @@ func (g *Registry) MigratedOut(id string) bool {
 
 // Get returns the run with the given ID.
 func (g *Registry) Get(id string) (*Run, bool) {
-	s := g.shardFor(id)
-	s.mu.RLock()
-	run, ok := s.runs[id]
-	s.mu.RUnlock()
+	g.mu.RLock()
+	run, ok := g.runs[id]
+	g.mu.RUnlock()
 	return run, ok
 }
 
 // Remove deletes the run with the given ID.
 func (g *Registry) Remove(id string) {
-	s := g.shardFor(id)
-	s.mu.Lock()
-	delete(s.runs, id)
-	s.mu.Unlock()
+	g.mu.Lock()
+	delete(g.runs, id)
+	g.mu.Unlock()
 }
 
 // Len returns the number of registered runs.
 func (g *Registry) Len() int {
-	n := 0
-	for _, s := range g.shards {
-		s.mu.RLock()
-		n += len(s.runs)
-		s.mu.RUnlock()
-	}
-	return n
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.runs)
 }
 
 // Runs returns every registered run, ordered by creation time then ID
 // for stable listings.
 func (g *Registry) Runs() []*Run {
-	var out []*Run
-	for _, s := range g.shards {
-		s.mu.RLock()
-		for _, run := range s.runs {
-			out = append(out, run)
-		}
-		s.mu.RUnlock()
-	}
+	out := g.list()
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Created.Equal(out[j].Created) {
 			return out[i].Created.Before(out[j].Created)
 		}
 		return out[i].ID < out[j].ID
 	})
+	return out
+}
+
+// list returns every registered run, in no order.
+func (g *Registry) list() []*Run {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]*Run, 0, len(g.runs))
+	for _, run := range g.runs {
+		out = append(out, run)
+	}
 	return out
 }
 
@@ -296,71 +260,59 @@ func (g *Registry) Runs() []*Run {
 // calls it periodically; tests call it directly.
 //
 // Locking: per-run work (lease reclaim, LastActivity) takes each run's
-// Host mutex, so it must not run under the shard write lock — one run
-// stuck behind a long driver step would block every lookup on its
-// shard. The shard is therefore snapshotted under RLock (lookups
-// proceed concurrently), the Host-touching pass runs lock-free with
-// respect to the shard, and only the final deletion of expired runs
+// Host mutex, so it must not run under the table's write lock — one run
+// stuck behind a long driver step would block every lookup. The table
+// is therefore snapshotted under RLock, the Host-touching pass runs
+// without the table lock, and only the final deletion of expired runs
 // takes the write lock, re-checking each candidate in case it was
 // concurrently removed.
 func (g *Registry) Sweep() int {
 	now := g.now()
-	collected := 0
-	for _, s := range g.shards {
-		s.mu.RLock()
-		live := make([]*Run, 0, len(s.runs))
-		for _, run := range s.runs {
-			live = append(live, run)
-		}
-		s.mu.RUnlock()
-
-		var expired []*Run
-		for _, run := range live {
-			if !run.Expired() {
-				// The janitor arm of lease reclamation: polls reclaim
-				// opportunistically, but a run whose workers all died
-				// has no polls left — this pass is what un-wedges it.
-				run.Host.ReclaimExpired()
-				if g.ttl > 0 && now.Sub(run.Host.LastActivity()) > g.ttl {
-					if run.Expire() {
-						run.Host.journalExpire(now.UnixNano())
-					}
+	var expired []*Run
+	for _, run := range g.list() {
+		if !run.Expired() {
+			// The janitor arm of lease reclamation: polls reclaim
+			// opportunistically, but a run whose workers all died has
+			// no polls left — this pass is what un-wedges it.
+			run.Host.ReclaimExpired()
+			if g.ttl > 0 && now.Sub(run.Host.LastActivity()) > g.ttl {
+				if run.Expire() {
+					run.Host.journalExpire(now.UnixNano())
 				}
 			}
-			if run.Expired() {
-				expired = append(expired, run)
-			}
 		}
-		if len(expired) == 0 {
-			continue
-		}
-		s.mu.Lock()
-		removed := expired[:0]
-		for _, run := range expired {
-			if cur, ok := s.runs[run.ID]; ok && cur == run {
-				delete(s.runs, run.ID)
-				removed = append(removed, run)
-				collected++
-			}
-		}
-		s.mu.Unlock()
-		if g.jr != nil {
-			for _, run := range removed {
-				run.Host.journalSwept(now.UnixNano())
-			}
-			// No request to fail behind the janitor: a failed commit is
-			// logged, and the frames stay buffered for the next commit.
-			if err := g.jr.Commit(); err != nil {
-				log.Printf("service: journaling sweep: %v", err)
-			}
-		}
-		if g.bus != nil {
-			for _, run := range removed {
-				g.bus.Swept(run.ID, now.UnixNano())
-			}
+		if run.Expired() {
+			expired = append(expired, run)
 		}
 	}
-	return collected
+	if len(expired) == 0 {
+		return 0
+	}
+	g.mu.Lock()
+	removed := expired[:0]
+	for _, run := range expired {
+		if cur, ok := g.runs[run.ID]; ok && cur == run {
+			delete(g.runs, run.ID)
+			removed = append(removed, run)
+		}
+	}
+	g.mu.Unlock()
+	if g.jr != nil {
+		for _, run := range removed {
+			run.Host.journalSwept(now.UnixNano())
+		}
+		// No request to fail behind the janitor: a failed commit is
+		// logged, and the frames stay buffered for the next commit.
+		if err := g.jr.Commit(); err != nil {
+			log.Printf("service: journaling sweep: %v", err)
+		}
+	}
+	if g.bus != nil {
+		for _, run := range removed {
+			g.bus.Swept(run.ID, now.UnixNano())
+		}
+	}
+	return len(removed)
 }
 
 // RecordExpire journals an explicit expiry (DELETE /v1/runs/{id}); the

@@ -23,8 +23,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Shards is the run-registry shard count (default 8).
-	Shards int
 	// TTL expires runs idle for longer than this (default 15m; a
 	// negative value disables time-based expiry).
 	TTL time.Duration
@@ -40,8 +38,6 @@ type Options struct {
 	// lease are reclaimed and reassigned. 0 disables reclamation by
 	// default (runs can still opt in per creation request).
 	DefaultLease time.Duration
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// Events is the observability bus runs publish to. Server.New
 	// builds one when nil (sized by EventsBuffer); the cluster harness
 	// injects a shared bus so direct mode and scripted subscribers see
@@ -78,16 +74,9 @@ type Options struct {
 	// background replay until the channel is closed — a test hook for
 	// observing the recovering window deterministically.
 	RecoverGate <-chan struct{}
-	// MigrateClient is the HTTP client the migrate endpoint uses to push
-	// transfer streams to a destination host (nil selects a default
-	// client with a 30s timeout). Tests inject transports here.
-	MigrateClient *http.Client
 }
 
 func (o *Options) fill() {
-	if o.Shards == 0 {
-		o.Shards = 8
-	}
 	if o.TTL == 0 {
 		o.TTL = 15 * time.Minute
 	} else if o.TTL < 0 {
@@ -102,9 +91,6 @@ func (o *Options) fill() {
 		o.DefaultBatch = 1
 	} else if o.DefaultBatch > maxBatch {
 		o.DefaultBatch = maxBatch
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -169,7 +155,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:      opts,
-		reg:       NewRegistryWithClock(opts.Shards, opts.TTL, opts.Now),
+		reg:       NewRegistry(opts.TTL, opts.Now),
 		recovered: make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -364,7 +350,7 @@ func (s *Server) janitor() {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var q CreateRunRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, pollserve.MaxBody)
 	if err := DecodeStrict(r.Body, &q); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
@@ -677,7 +663,7 @@ func (s *Server) poll(sc *nextScratch, id string, framed, acceptFrame bool, body
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	sc := nextPool.Get().(*nextScratch)
 	defer putNextScratch(sc)
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, pollserve.MaxBody)
 	var err error
 	sc.body, err = readBody(r.Body, sc.body)
 	a := s.poll(sc, r.PathValue("id"), r.Header.Get("Content-Type") == ContentTypeFrame,
@@ -695,9 +681,6 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 // contentTypeFrame is ContentTypeFrame as the loop's header values are
 // compared with it.
 var contentTypeFrame = []byte(ContentTypeFrame)
-
-// MaxPollBody implements pollserve.Handler.
-func (s *Server) MaxPollBody() int64 { return s.opts.MaxBodyBytes }
 
 // ServePoll implements pollserve.Handler: it carries a poll the request
 // loop read off the socket itself, and appends the response net/http

@@ -293,8 +293,8 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-func TestRegistrySharding(t *testing.T) {
-	g := NewRegistry(4, 0)
+func TestRegistry(t *testing.T) {
+	g := NewRegistry(0, time.Now)
 	ids := make([]string, 100)
 	for i := range ids {
 		ids[i] = g.newID()
@@ -304,7 +304,7 @@ func TestRegistrySharding(t *testing.T) {
 	if g.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", g.Len())
 	}
-	// Every ID resolves through its shard, and listing is ordered.
+	// Every ID resolves, and listing is ordered.
 	for _, id := range ids {
 		if _, ok := g.Get(id); !ok {
 			t.Fatalf("run %s not found", id)
@@ -315,17 +315,6 @@ func TestRegistrySharding(t *testing.T) {
 		if runs[i].Created.Before(runs[i-1].Created) {
 			t.Fatal("listing not ordered by creation time")
 		}
-	}
-	// IDs spread over all shards (with 100 IDs over 4 shards a miss is
-	// astronomically unlikely).
-	used := 0
-	for _, s := range g.shards {
-		if len(s.runs) > 0 {
-			used++
-		}
-	}
-	if used != 4 {
-		t.Errorf("IDs hashed to %d of 4 shards", used)
 	}
 	g.Remove(ids[0])
 	if _, ok := g.Get(ids[0]); ok {

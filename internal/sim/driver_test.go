@@ -1,9 +1,13 @@
 package sim_test
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +16,7 @@ import (
 
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
+	"hetsched/internal/pollserve"
 	"hetsched/internal/rng"
 	"hetsched/internal/service"
 	"hetsched/internal/sim"
@@ -119,6 +124,12 @@ type servedDriver struct {
 	polls int
 	// afterPoll, when set, runs after every poll; it may replace h.
 	afterPoll func(d *servedDriver)
+	// srv, when set, serves every poll as bytes through its ServePoll
+	// (wirePoll), as an S1 frame when frame is set and as JSON if not;
+	// h is then only read for its stats.
+	srv   *service.Server
+	frame bool
+	out   []byte
 }
 
 func newServed(t *testing.T, drv core.Driver, h *service.Host) *servedDriver {
@@ -126,7 +137,14 @@ func newServed(t *testing.T, drv core.Driver, h *service.Host) *servedDriver {
 }
 
 func (d *servedDriver) poll(w int, report []core.Task) {
-	a, status, err := d.h.Next(w, report)
+	var a core.Assignment
+	var status string
+	var err error
+	if d.srv != nil {
+		a, status, err = d.wirePoll(w, report)
+	} else {
+		a, status, err = d.h.Next(w, report)
+	}
 	if err != nil {
 		d.t.Fatalf("poll %d by worker %d: %v", d.polls, w, err)
 	}
@@ -138,6 +156,115 @@ func (d *servedDriver) poll(w int, report []core.Task) {
 	if d.afterPoll != nil {
 		d.afterPoll(d)
 	}
+}
+
+// wirePoll is Host.Next in bytes: the poll is encoded as JSON or as an
+// S1 frame and handed to Server.ServePoll, and the response it appends
+// is parsed back — status line, Content-Length, Content-Type and body,
+// with nothing after it.
+func (d *servedDriver) wirePoll(w int, report []core.Task) (core.Assignment, string, error) {
+	req := pollserve.Request{ID: servedID}
+	contentType := "application/json"
+	if d.frame {
+		contentType = service.ContentTypeFrame
+		req.Accept = []byte(contentType)
+		req.Body = appendFrameRequest(nil, w, report)
+	} else {
+		q := service.NextRequest{Worker: w}
+		for _, t := range report {
+			q.Completed = append(q.Completed, int64(t))
+		}
+		var err error
+		if req.Body, err = json.Marshal(q); err != nil {
+			return core.Assignment{}, "", err
+		}
+	}
+	req.ContentType = []byte(contentType)
+	d.out = d.srv.ServePoll(d.out[:0], &req)
+	br := bufio.NewReader(bytes.NewReader(d.out))
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return core.Assignment{}, "", err
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return core.Assignment{}, "", err
+	}
+	if rest, _ := io.ReadAll(br); len(rest) > 0 {
+		return core.Assignment{}, "", fmt.Errorf("%d bytes after the response", len(rest))
+	}
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		return core.Assignment{}, "", fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	case resp.ContentLength != int64(len(body)):
+		return core.Assignment{}, "", fmt.Errorf("Content-Length %d, body %d bytes", resp.ContentLength, len(body))
+	case resp.Header.Get("Content-Type") != contentType:
+		return core.Assignment{}, "", fmt.Errorf("Content-Type %q, want %q", resp.Header.Get("Content-Type"), contentType)
+	}
+	var nr service.NextResponse
+	if d.frame {
+		nr, err = decodeFrameResponse(body)
+	} else {
+		err = service.DecodeStrict(bytes.NewReader(body), &nr)
+	}
+	if err != nil {
+		return core.Assignment{}, "", err
+	}
+	a := core.Assignment{Blocks: nr.Blocks}
+	for _, t := range nr.Tasks {
+		a.Tasks = append(a.Tasks, core.Task(t))
+	}
+	return a, nr.Status, nil
+}
+
+// appendFrameRequest and decodeFrameResponse are the worker's side of
+// the S1 frame, written from the contract in internal/service/codec.go:
+//
+//	request := 'S' '1' 0x01 zigzag(worker) uvarint(count) zigzag(task)*count
+//	response:= 'S' '1' 0x02 statusByte uvarint(count) zigzag(task)*count
+//	           zigzag(blocks) float64le(lease_seconds)
+func appendFrameRequest(dst []byte, w int, report []core.Task) []byte {
+	dst = append(dst, 'S', '1', 0x01)
+	dst = binary.AppendVarint(dst, int64(w))
+	dst = binary.AppendUvarint(dst, uint64(len(report)))
+	for _, t := range report {
+		dst = binary.AppendVarint(dst, int64(t))
+	}
+	return dst
+}
+
+func decodeFrameResponse(b []byte) (service.NextResponse, error) {
+	var nr service.NextResponse
+	statuses := map[byte]string{1: service.StatusOK, 2: service.StatusWait, 3: service.StatusDone}
+	if len(b) < 4 || string(b[:3]) != "S1\x02" || statuses[b[3]] == "" {
+		return nr, fmt.Errorf("frame: bad head % x", b[:min(len(b), 4)])
+	}
+	nr.Status = statuses[b[3]]
+	b = b[4:]
+	bad := false
+	varint := func() int64 {
+		v, n := binary.Varint(b)
+		if n <= 0 {
+			bad = true
+			return 0
+		}
+		b = b[n:]
+		return v
+	}
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count > uint64(len(b)) {
+		return nr, fmt.Errorf("frame: bad task count")
+	}
+	b = b[n:]
+	for k := uint64(0); k < count; k++ {
+		nr.Tasks = append(nr.Tasks, varint())
+	}
+	nr.Blocks = int(varint())
+	if bad || len(b) != 8 {
+		return nr, fmt.Errorf("frame: truncated or trailing bytes")
+	}
+	nr.LeaseSeconds = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return nr, nil
 }
 
 func (d *servedDriver) Complete(w int, ts []core.Task) { d.poll(w, ts) }
@@ -242,7 +369,9 @@ func (j *journaled) host() *service.Host {
 // host is bare; or a journaled server's, with events attached and a
 // lease that never expires; or that, checkpointed at a random poll
 // and, at a later one, crashed and recovered from the journal and the
-// snapshot, or migrated to another server.
+// snapshot, or migrated to another server; or a journaled server's
+// polled in bytes through Server.ServePoll, as JSON on even seeds and
+// as S1 frames on odd ones (wire, on the short seed count).
 func TestServedMatchesSimulated(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -269,12 +398,18 @@ func TestServedMatchesSimulated(t *testing.T) {
 		// event, when set, runs at a random poll and returns the host
 		// that serves the run from then on.
 		event func(*testing.T, *journaled) *service.Host
-	}{{"bare", false, nil}, {"journaled", true, nil}, {"recovered", true, recovered}, {"migrated", true, migrated}} {
+		wire  bool
+	}{{"bare", false, nil, false}, {"journaled", true, nil, false}, {"recovered", true, recovered, false},
+		{"migrated", true, migrated, false}, {"wire", true, nil, true}} {
+		n := seeds
+		if v.wire {
+			n = min(seeds, 5)
+		}
 		for _, ks := range kernelStrategies {
 			for _, drift := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s-%s/drift=%v", v.name, ks.kernel, ks.strategy, drift), func(t *testing.T) {
 					r := rng.New(uint64(len(ks.kernel)*31 + len(ks.strategy)))
-					for i := 0; i < seeds; i++ {
+					for i := 0; i < n; i++ {
 						newDriver, newModel, req := randomRun(t, ks.kernel, ks.strategy, drift, r)
 						want := sim.RunDriver(newDriver(), newModel())
 						var d *servedDriver
@@ -285,6 +420,9 @@ func TestServedMatchesSimulated(t *testing.T) {
 						} else {
 							j := newJournaled(t)
 							d = newServed(t, newDriver(), j.create(req))
+							if v.wire {
+								d.srv, d.frame = j.srv, i%2 == 1
+							}
 							if v.event != nil {
 								// Every grant takes a poll, so the event comes.
 								at := 1 + r.Intn(want.Requests)
