@@ -1,7 +1,9 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -304,5 +306,69 @@ func TestHostRejectsDuplicateInReport(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHostRejections pins every way Host.Next refuses a report, at
+// p=130: the error each draws, word for word (and the type, for the
+// 409), and that a refused report leaves Stats exactly as it was.
+// Worker 2's batch expired and was reclaimed before the table runs, so
+// it is stained for those tasks; worker 0 holds a fresh batch.
+func TestHostRejections(t *testing.T) {
+	const n, p, batch = 24, 130, 2
+	const lease = 10 * time.Second
+	h, clock := newLeaseHost(t, core.NewSchedulerDriver(outer.NewRandom(n, p, rng.New(1).Split())), batch, lease)
+	lost, _ := mustNext(t, h, 2, nil)
+	lost.Tasks = append([]core.Task(nil), lost.Tasks...)
+	clock.Advance(lease + time.Second)
+	if got := h.ReclaimExpired(); got != batch {
+		t.Fatalf("reclaimed %d tasks, want %d", got, batch)
+	}
+	held, _ := mustNext(t, h, 0, nil)
+	held.Tasks = append([]core.Task(nil), held.Tasks...)
+	granted := map[core.Task]bool{}
+	for _, task := range append(lost.Tasks, held.Tasks...) {
+		granted[task] = true
+	}
+	never := core.Task(0)
+	for granted[never] {
+		never++
+	}
+	a, stained := held.Tasks[0], lost.Tasks[0]
+
+	cases := []struct {
+		name    string
+		worker  int
+		report  []core.Task
+		want    string
+		expired bool // a *LeaseExpiredError, which the server answers 409
+	}{
+		{"worker past the end", p, nil, "worker 130 out of range [0, 130)", false},
+		{"negative worker", -1, nil, "worker -1 out of range [0, 130)", false},
+		{"never assigned", 0, []core.Task{never}, fmt.Sprintf("task %d is not outstanding", never), false},
+		{"valid prefix, then never assigned", 0, []core.Task{a, never}, fmt.Sprintf("task %d is not outstanding", never), false},
+		{"held by w+64", 64, []core.Task{a}, fmt.Sprintf("task %d is outstanding for worker 0, not 64", a), false},
+		{"held by w+1", 1, []core.Task{a}, fmt.Sprintf("task %d is outstanding for worker 0, not 1", a), false},
+		{"duplicate in one report", 0, []core.Task{a, a}, fmt.Sprintf("task %d reported complete twice in one request", a), false},
+		{"lease expired", 2, []core.Task{stained}, fmt.Sprintf("lease expired: task %d was reclaimed from the reporting worker", stained), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := h.Stats()
+			_, _, err := h.Next(c.worker, c.report)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("Next(%d, %v) = %v, want %q", c.worker, c.report, err, c.want)
+			}
+			var lerr *LeaseExpiredError
+			if got := errors.As(err, &lerr); got != c.expired {
+				t.Errorf("error %T is a LeaseExpiredError: %v, want %v", err, got, c.expired)
+			}
+			if after := h.Stats(); !reflect.DeepEqual(after, before) {
+				t.Errorf("rejected report changed Stats:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
+	}
+	if _, _, err := h.Next(0, held.Tasks); err != nil {
+		t.Fatalf("honest report rejected after the refusals: %v", err)
 	}
 }
