@@ -9,7 +9,7 @@ import "hetsched/internal/bitset"
 // it; and once the driver is drained every worker that asks, parked or
 // not, retires. The simulator's event loop (sim.RunDriver, under
 // sim.Run too), the runtime's channel loop (internal/exec) and the
-// network service (service.Host, which adds leases, stripes and a
+// network service (service.Host, which adds a lock, leases and a
 // journal around it) all call it, so the runtime's numeric tests and
 // the served runs exercise the master the simulator measures.
 //

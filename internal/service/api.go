@@ -333,10 +333,9 @@ const maxIDLen = 64
 // with the worker count.
 const (
 	maxTasks = 1 << 24
-	// maxWorkers admits the million-worker fleets the striped host is
-	// sized for; per-worker state (grant slot, counters, ownership
-	// bookkeeping) is a few hundred bytes, so the cap bounds a run's
-	// worker memory at a few hundred MB.
+	// maxWorkers admits million-worker fleets; per-worker state (grant
+	// slot, counters, ownership bookkeeping) is a few hundred bytes, so
+	// the cap bounds a run's worker memory at a few hundred MB.
 	maxWorkers = 1 << 21
 	// maxBatch bounds the work done (and response built) under one
 	// Host lock acquisition; without it a single /next request could

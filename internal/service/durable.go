@@ -106,13 +106,11 @@ func (rec createRecord) lease() time.Duration {
 
 // fillSnapshot captures the host-owned durable state and the driver's
 // own state into s: a consistent cut at watermark h.muts, taken under
-// every stripe plus the core lock (the same atomicity as Stats). Grants
+// mu. Grants
 // and stains are sorted so snapshot bytes are deterministic for a given
 // state. A driver that is not a core.Snapshotter leaves Driver empty,
 // which restore refuses.
 func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
-	h.lockStripes()
-	defer h.unlockStripes()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s.Mutations = h.muts
@@ -143,17 +141,13 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 		s.Open[i] = int32(idx)
 	}
 	s.Grants = s.Grants[:0]
-	for i := range h.stripes {
-		h.stripes[i].outstanding.forEach(func(t core.Task, worker int32, expiryNs int64) {
-			s.Grants = append(s.Grants, durable.Grant{Task: int64(t), ExpiryNs: expiryNs, Worker: worker})
-		})
-	}
+	h.outstanding.forEach(func(t core.Task, worker int32, expiryNs int64) {
+		s.Grants = append(s.Grants, durable.Grant{Task: int64(t), ExpiryNs: expiryNs, Worker: worker})
+	})
 	sort.Slice(s.Grants, func(i, j int) bool { return s.Grants[i].Task < s.Grants[j].Task })
 	s.Stains = s.Stains[:0]
-	for i := range h.stripes {
-		for to := range h.stripes[i].reclaimedFrom {
-			s.Stains = append(s.Stains, durable.Stain{Task: int64(to.task), Worker: int32(to.worker)})
-		}
+	for to := range h.reclaimedFrom {
+		s.Stains = append(s.Stains, durable.Stain{Task: int64(to.task), Worker: int32(to.worker)})
 	}
 	sort.Slice(s.Stains, func(i, j int) bool {
 		if s.Stains[i].Task != s.Stains[j].Task {
@@ -221,24 +215,22 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Ho
 		if w < 0 || w >= h.p {
 			return nil, fmt.Errorf("service: snapshot of %q grants task %d to worker %d of %d", s.ID, g.Task, w, h.p)
 		}
-		h.stripe(w).outstanding.put(core.Task(g.Task), g.Worker, g.ExpiryNs)
+		h.outstanding.put(core.Task(g.Task), g.Worker, g.ExpiryNs)
 		h.ms.TasksPer[w]++
 		if g.ExpiryNs > 0 && (nextNs == 0 || g.ExpiryNs < nextNs) {
 			nextNs = g.ExpiryNs
 		}
 	}
-	h.outstandingCount.Store(int64(len(s.Grants)))
-	h.nextExpiryNs.Store(nextNs)
+	h.nextExpiryNs = nextNs
 	for _, st := range s.Stains {
 		w := int(st.Worker)
 		if w < 0 || w >= h.p {
 			return nil, fmt.Errorf("service: snapshot of %q stains worker %d of %d", s.ID, w, h.p)
 		}
-		sp := h.stripe(w)
-		if sp.reclaimedFrom == nil {
+		if h.reclaimedFrom == nil {
 			return nil, fmt.Errorf("service: snapshot of %q has stains but leases are disarmed", s.ID)
 		}
-		sp.reclaimedFrom[taskOwner{core.Task(st.Task), w}] = struct{}{}
+		h.reclaimedFrom[taskOwner{core.Task(st.Task), w}] = struct{}{}
 	}
 	h.lastState = h.stateLocked()
 	return h, nil

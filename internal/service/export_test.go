@@ -11,7 +11,11 @@ import (
 
 // Fenced reports whether the host is currently fenced (pending or
 // committed). Only the migration tests ask.
-func (h *Host) Fenced() bool { return h.fence.Load() != fenceNone }
+func (h *Host) Fenced() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.fence != fenceNone
+}
 
 // restoreFromSnapshot cuts run's snapshot, round-trips it through its
 // HSN3 bytes and restores a host from it on a fresh driver, as

@@ -17,7 +17,6 @@ import (
 func TestGrantTableDifferential(t *testing.T) {
 	r := rng.New(42)
 	var g grantTable
-	g.init(4)
 	ref := map[int64]gtSlot{}
 
 	check := func(step int) {
@@ -110,11 +109,28 @@ func TestGrantTableDifferential(t *testing.T) {
 	}
 }
 
+// get reports the slot holding t, if any, by probing from its home.
+func (g *grantTable) get(t core.Task) (worker int32, expiryNs int64, ok bool) {
+	if g.n == 0 {
+		return 0, 0, false
+	}
+	i := g.home(int64(t))
+	for {
+		s := &g.slots[i]
+		if s.state != gtFull {
+			return 0, 0, false
+		}
+		if s.task == int64(t) {
+			return s.worker, s.expiryNs, true
+		}
+		i = (i + 1) & g.mask
+	}
+}
+
 // TestGrantTableGrowth fills one table far past its initial size and
 // verifies every entry survives the rehashes, then drains it to zero.
 func TestGrantTableGrowth(t *testing.T) {
 	var g grantTable
-	g.init(0)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		g.put(core.Task(i*7), int32(i%31), int64(i)+1)

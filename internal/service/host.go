@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"log"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hetsched/internal/core"
@@ -17,30 +17,17 @@ import (
 )
 
 // Host makes a single-goroutine core.Driver safe under concurrent
-// requests. The poll path is split across two lock tiers so that the
-// parts of a poll that do not touch the driver do not serialize:
-//
-//   - A power-of-two array of stripes, indexed by worker id, owns the
-//     exactly-once outstanding table and the reclaimed-from stain set.
-//     Every grant to worker w lives in stripe(w) — the owner's-stripe
-//     invariant — so report validation, duplicate detection and
-//     completion deletes for w touch only stripe(w)'s lock.
-//   - The core mutex (mu) owns the driver and the core.Master that
-//     steps it — a core.Driver is a single-goroutine state machine, so
-//     stepping it is irreducibly serial — plus the global counters,
-//     the batch statistics, the trace and the event-hook batch buffer.
-//
-// Lock order is stripes (ascending index) before core; a poll takes
-// stripe(w) then core, and the multi-stripe operations (lease reclaim,
-// Stats) take every stripe in ascending order, then core. The global
-// outstanding count and the earliest-lease lower bound are atomics so
-// the done-check and the lease fast path never touch foreign stripes.
+// requests: one mutex, mu, serializes every poll, as the paper's master
+// is one serial decision point. Under it sit the driver and the
+// core.Master that steps it, the outstanding-grant table, the
+// reclaimed-from stains, the fence, the counters, the trace and the
+// event-hook batch buffer.
 //
 // The grant itself is core.Master's, the one the simulator steps: it
 // serves a worker's batch and keeps the task ledger of requests,
 // grants, blocks, completions and reclaims. The Host keeps what the
-// master lacks: the stripes, leases, the journal, the poll counter, a
-// stats.Accumulator and histogram over served batch sizes, and a
+// master lacks: the grant table, leases, the journal, the poll counter,
+// a stats.Accumulator and histogram over served batch sizes, and a
 // wall-clock trace.Log of every assignment, which Trace renders.
 //
 // Ownership contract of Next's return value: the returned
@@ -63,30 +50,32 @@ type Host struct {
 	// before the host may reclaim it (0 disables reclamation).
 	lease time.Duration
 
-	stripes    []hostStripe
-	stripeMask int
-	slots      []workerSlot
+	// mu guards every field below and the driver and master above.
+	mu    sync.Mutex
+	slots []workerSlot
 
-	// outstandingCount is the total size of every stripe's outstanding
-	// table; the done-check (driver drained and nothing in flight)
-	// reads it without visiting the stripes. Writers hold the owning
-	// stripe's lock; the count is incremented before the core lock is
-	// released on a grant, so a concurrent poll cannot observe a
-	// drained driver with the grant not yet counted.
-	outstandingCount atomic.Int64
+	// outstanding maps every assigned-but-unreported task to the
+	// executing worker plus its lease deadline; completions not present
+	// here are rejected before they can reach (and panic) a DAG
+	// coordinator. A specialized open-addressing table (see
+	// granttable.go): the per-completed-task lookup-and-delete and
+	// per-granted-task insert are the hottest map operations in the
+	// service.
+	outstanding grantTable
+	// reclaimedFrom records (task, worker) pairs whose lease expired
+	// while the worker held the task, so its late completion report is
+	// rejected deterministically (409 lease expired) rather than as a
+	// generic protocol violation. An entry is dropped if the same
+	// worker legitimately completes the task after winning it back.
+	// nil when leases are disabled.
+	reclaimedFrom map[taskOwner]struct{}
 	// nextExpiryNs is a lower bound on the earliest outstanding lease
-	// deadline in UnixNano (0 when none), so the poll hot path pays one
-	// atomic load and a comparison instead of a table scan. It can run
-	// stale-early when the earliest lease completes on time; the scan
-	// it then triggers finds nothing and recomputes the true minimum.
-	// All writes happen under the core mutex (grants) or under every
-	// stripe plus core (the reclaim pass).
-	nextExpiryNs atomic.Int64
+	// deadline in UnixNano (0 when none), so a poll pays one comparison
+	// instead of a table scan. It can run stale-early when the earliest
+	// lease completes on time; the scan it then triggers finds nothing
+	// and recomputes the true minimum.
+	nextExpiryNs int64
 
-	// mu is the core lock: the driver and its master, the poll count,
-	// the batch statistics, the trace, the clock marks, and the event
-	// buffer.
-	mu       sync.Mutex
 	polls    int
 	batchAcc stats.Accumulator
 	// batchHist counts served batch sizes in power-of-two buckets
@@ -98,9 +87,9 @@ type Host struct {
 	// attached (AttachEvents). Every publish is O(1) and non-blocking —
 	// see package events — so the hooks below run under mu without
 	// giving a slow subscriber a handle on the poll hot path. The hooks
-	// accumulate one poll's events in evBuf (guarded by mu) and flush
-	// them in one PublishBatch per core-lock acquisition, paying the
-	// stream synchronization once per poll instead of once per event.
+	// accumulate one poll's events in evBuf and flush them in one
+	// PublishBatch as mu is released (unlock), paying the stream
+	// synchronization once per poll instead of once per event.
 	// lastState tracks the last published lifecycle state so
 	// transitions emit exactly one TypeState event.
 	ev        *events.Stream
@@ -109,11 +98,11 @@ type Host struct {
 
 	// jr is the run's write-ahead journal, nil unless durability is
 	// attached (AttachJournal / restore). Like the event hooks, the
-	// journal rides the core lock: every accepted mutation is framed
-	// into the journal's group-commit buffer under mu — so the on-disk
-	// record order is exactly the mu acquisition order, the true
-	// serialization point of the run — and flushed with one write(2)
-	// after the locks are released. muts is the per-run mutation
+	// journal rides mu: every accepted mutation is framed into the
+	// journal's group-commit buffer under mu — so the on-disk record
+	// order is exactly the mu acquisition order, the true serialization
+	// point of the run — and flushed with one write(2) after mu is
+	// released. muts is the per-run mutation
 	// sequence (the create is 1); snapshots record it as their
 	// watermark. replay suppresses journal appends while recovery is
 	// feeding recorded mutations back through apply — the sequence
@@ -124,13 +113,10 @@ type Host struct {
 	muts   uint64
 	replay bool
 	// fence is the migration gate (fenceNone/fencePending/
-	// fenceCommitted). Checked under the worker's stripe lock on every
-	// apply and under all locks by the reclaim pass, so Fence() —
-	// which sets it and then drains by cycling every lock — fully
-	// serializes against in-flight mutations: after Fence returns, the
-	// state is frozen and fillSnapshot cuts exactly what the
-	// destination will replay.
-	fence atomic.Int32
+	// fenceCommitted), checked by every apply and reclaim pass. Fence
+	// sets it under mu, so once it returns no mutation is in flight and
+	// fillSnapshot cuts exactly what the destination will replay.
+	fence int
 
 	start time.Time
 	// last is the instant of the last granted assignment or applied
@@ -157,38 +143,11 @@ type Host struct {
 	now func() time.Time
 }
 
-// hostStripe is one shard of the per-worker poll state. The stripe for
-// worker w is stripes[w & stripeMask], and — the owner's-stripe
-// invariant — every grant to w is recorded here and nowhere else, so
-// w's validation path never leaves its stripe.
-type hostStripe struct {
-	mu sync.Mutex
-	// outstanding maps every assigned-but-unreported task owned by this
-	// stripe's workers to the executing worker plus its lease deadline;
-	// completions not present here are rejected before they can reach
-	// (and panic) a DAG coordinator. A specialized open-addressing
-	// table (see granttable.go): the per-completed-task
-	// lookup-and-delete and per-granted-task insert are the hottest map
-	// operations in the service.
-	outstanding grantTable
-	// reclaimedFrom records (task, worker) pairs whose lease expired
-	// while the worker held the task, so its late completion report is
-	// rejected deterministically (409 lease expired) rather than as a
-	// generic protocol violation. An entry is dropped if the same
-	// worker legitimately completes the task after winning it back.
-	// Keyed by the reporting worker, so it lives in that worker's
-	// stripe. nil when leases are disabled.
-	reclaimedFrom map[taskOwner]struct{}
-	// pad spaces stripes a cache line apart so neighboring stripe
-	// locks do not false-share under contention.
-	_ [24]byte
-}
-
-// workerSlot is worker w's private poll scratch, touched only while
-// stripe(w) is held: the master builds the granted batch in acc[flip]
-// (the returned Assignment.Tasks aliases it; alternating buffers give
-// the caller one full poll of grace before the backing array is
-// reused). A poll answered done resets the slot to its zero value.
+// workerSlot is worker w's private poll scratch, touched only under
+// mu: the master builds the granted batch in acc[flip] (the returned
+// Assignment.Tasks aliases it; alternating buffers give the caller one
+// full poll of grace before the backing array is reused). A poll
+// answered done resets the slot to its zero value.
 type workerSlot struct {
 	acc  [2]core.TaskBuf
 	flip uint8
@@ -196,10 +155,6 @@ type workerSlot struct {
 	// restore the outstanding table exactly.
 	undo []gtSlot
 }
-
-// maxStripes caps the stripe array: past 64 stripes the poll path is
-// driver-bound, and a 100k-worker run should not pay 100k maps.
-const maxStripes = 64
 
 // taskOwner keys the reclaimedFrom set.
 type taskOwner struct {
@@ -284,39 +239,18 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 		lease = 0
 	}
 	p := drv.P()
-	nstripes := 1
-	for nstripes < p && nstripes < maxStripes {
-		nstripes <<= 1
-	}
 	h := &Host{
-		drv:        drv,
-		ms:         core.NewMaster(drv),
-		p:          p,
-		batch:      batch,
-		lease:      lease,
-		stripes:    make([]hostStripe, nstripes),
-		stripeMask: nstripes - 1,
-		slots:      make([]workerSlot, p),
-		open:       make([]int, p),
-		now:        now,
+		drv:   drv,
+		ms:    core.NewMaster(drv),
+		p:     p,
+		batch: batch,
+		lease: lease,
+		slots: make([]workerSlot, p),
+		open:  make([]int, p),
+		now:   now,
 	}
-	// Pre-grow the outstanding tables so the poll path spends its
-	// steady state deleting and re-inserting into existing capacity
-	// instead of paying rehash allocations mid-run (the AllocsPerRun
-	// guards pin this). The hint is clamped: the tables together hold
-	// about one in-flight batch per worker, but a 100k-worker host must
-	// not pre-pay megabytes it may never use.
-	mapHint := (2*p*batch + nstripes - 1) / nstripes
-	if mapHint < 8 {
-		mapHint = 8
-	} else if mapHint > 1024 {
-		mapHint = 1024
-	}
-	for i := range h.stripes {
-		h.stripes[i].outstanding.init(mapHint)
-		if lease > 0 {
-			h.stripes[i].reclaimedFrom = make(map[taskOwner]struct{})
-		}
+	if lease > 0 {
+		h.reclaimedFrom = make(map[taskOwner]struct{})
 	}
 	for w := range h.open {
 		h.open[w] = -1
@@ -326,25 +260,6 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 	h.lastPoll = h.start
 	h.lastState = StateCreated
 	return h
-}
-
-// stripe returns worker w's stripe (the owner's-stripe invariant hangs
-// off this map being a pure function of w).
-func (h *Host) stripe(w int) *hostStripe { return &h.stripes[w&h.stripeMask] }
-
-// lockStripes / unlockStripes bracket the multi-stripe operations.
-// Ascending acquisition order is the deadlock rule; core (h.mu) is
-// always taken after the stripes.
-func (h *Host) lockStripes() {
-	for i := range h.stripes {
-		h.stripes[i].mu.Lock()
-	}
-}
-
-func (h *Host) unlockStripes() {
-	for i := len(h.stripes) - 1; i >= 0; i-- {
-		h.stripes[i].mu.Unlock()
-	}
 }
 
 // AttachEvents connects the host to its per-run event stream. Call it
@@ -463,15 +378,15 @@ func (h *Host) noteStateLocked(now time.Time) {
 	}
 }
 
-// flushEventsLocked publishes everything the current call queued, in
-// order, under one stream lock acquisition. Called (with mu held) on
-// the way out of every path that can queue events.
-func (h *Host) flushEventsLocked() {
-	if len(h.evBuf) == 0 {
-		return
+// unlock publishes everything the critical section queued, in order,
+// under one stream lock acquisition, then releases mu. Every path that
+// can queue events leaves through it.
+func (h *Host) unlock() {
+	if len(h.evBuf) > 0 {
+		h.ev.PublishBatch(h.evBuf)
+		h.evBuf = h.evBuf[:0]
 	}
-	h.ev.PublishBatch(h.evBuf)
-	h.evBuf = h.evBuf[:0]
+	h.mu.Unlock()
 }
 
 // Batch returns the configured batch size.
@@ -510,21 +425,20 @@ func (h *Host) Total() int { return h.drv.Total() }
 // pins the general contract.
 //
 // When leases are armed, every poll first reclaims expired assignments
-// (cost: one atomic load and a comparison unless something actually
-// expired), so a wedged run heals on the next poll from any surviving
-// worker without waiting for the registry janitor.
+// (cost: one comparison unless something actually expired), so a
+// wedged run heals on the next poll from any surviving worker without
+// waiting for the registry janitor.
 func (h *Host) Next(w int, completed []core.Task) (core.Assignment, string, error) {
 	a, status, err := h.apply(h.now().UnixNano(), w, completed)
 	if err == nil && h.jr != nil && !h.replay {
 		// Group commit: the poll's journal frames (its own record, plus
 		// any reclaim record its lease check produced) hit the kernel
-		// with one write(2) before the response is released — off the
-		// locks, so a concurrent poll's commit may have flushed them
-		// already and this one is a no-op. fsync is amortized inside the
-		// journal. A failed commit fails the poll: the grant already
-		// happened in memory (its lease reclaims it eventually), but the
-		// worker must not act on an acknowledgment that was never made
-		// durable.
+		// with one write(2) before the response is released — off mu, so
+		// a concurrent poll's commit may have flushed them already and
+		// this one is a no-op. fsync is amortized inside the journal. A
+		// failed commit fails the poll: the grant already happened in
+		// memory (its lease reclaims it eventually), but the worker must
+		// not act on an acknowledgment that was never made durable.
 		if cerr := h.jr.Commit(); cerr != nil {
 			return core.Assignment{}, "", &JournalError{Err: cerr}
 		}
@@ -543,108 +457,62 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		return core.Assignment{}, "", fmt.Errorf("worker %d out of range [0, %d)", w, h.p)
 	}
 	now := time.Unix(0, timeNs)
+	h.mu.Lock()
+	defer h.unlock()
+	// Migration fence: either this poll took mu before Fence() did, and
+	// completes before the snapshot is cut, or it is rejected wholesale
+	// before anything mutates.
+	if h.fence != fenceNone {
+		return core.Assignment{}, "", &MigratedError{Run: h.runID, Done: h.fence == fenceCommitted}
+	}
 	// Reclaim before validating: a report racing its own lease expiry
 	// resolves the same way (409) whether it arrives just after this
-	// poll's reclaim or after the janitor's — determinism the tests
-	// pin down to the injected clock. The pass locks every stripe, so
-	// it must run before we take ours.
-	if h.lease > 0 {
-		if e := h.nextExpiryNs.Load(); e != 0 && now.UnixNano() >= e {
-			h.reclaimAll(now)
-		}
-	}
-	st := h.stripe(w)
-	slot := &h.slots[w]
-	st.mu.Lock()
-	// Migration fence: either this poll took the stripe before Fence()
-	// (which drains by cycling every stripe, so the poll completes
-	// before the snapshot is cut) or it arrives after and is rejected
-	// wholesale before anything mutates.
-	if f := h.fence.Load(); f != fenceNone {
-		st.mu.Unlock()
-		return core.Assignment{}, "", &MigratedError{Run: h.runID, Done: f == fenceCommitted}
-	}
+	// poll's reclaim or after the janitor's — determinism the tests pin
+	// down to the injected clock.
+	h.reclaimLocked(now)
 	// Fused validate-and-apply: each owned task is deleted from the
-	// outstanding table as it is validated — one map lookup chain per
-	// task instead of separate validate and apply passes — and the
-	// deletions are journaled so any rejection rolls the table back
-	// untouched. The journal lives in the worker's slot, so the happy
-	// path stays allocation-free. Rejection is whole-report atomic: a
-	// duplicate slipping through would panic the DAG coordinators with
-	// the run state half-updated.
+	// outstanding table as it is validated — one lookup chain per task
+	// instead of separate validate and apply passes — and the deletions
+	// are journaled in the worker's slot, so the happy path stays
+	// allocation-free and any rejection rolls the table back untouched.
+	// Rejection is whole-report atomic: a duplicate slipping through
+	// would panic the DAG coordinators with the run state half-updated.
+	slot := &h.slots[w]
 	undo := slot.undo[:0]
 	for idx, t := range completed {
-		s, found, took := st.outstanding.takeOwned(t, int32(w))
+		s, found, took := h.outstanding.takeOwned(t, int32(w))
 		if took {
 			undo = append(undo, s)
 			continue
 		}
-		// Rejection. Diagnose under the stripe (everything relevant is
-		// stripe-local), then restore the journaled deletions. A
-		// duplicate of a task this loop already consumed surfaces as a
-		// miss; the prefix scan (error path only) tells it apart from a
-		// stale or reclaimed task.
-		var rejected error
-		conflict := false
-		for j := 0; j < idx; j++ {
-			if completed[j] == t {
-				rejected = fmt.Errorf("task %d reported complete twice in one request", t)
-				break
-			}
-		}
-		if rejected == nil && st.reclaimedFrom != nil {
-			if _, rec := st.reclaimedFrom[taskOwner{t, w}]; rec {
-				rejected = &LeaseExpiredError{Task: t}
-				conflict = true
-			}
-		}
-		if rejected == nil && found {
-			rejected = fmt.Errorf("task %d is outstanding for worker %d, not %d", t, s.worker, w)
-		}
 		for _, u := range undo {
-			st.outstanding.put(core.Task(u.task), u.worker, u.expiryNs)
+			h.outstanding.put(core.Task(u.task), u.worker, u.expiryNs)
 		}
 		slot.undo = undo[:0]
-		if conflict && h.ev != nil {
-			h.mu.Lock()
-			h.evBuf = append(h.evBuf, events.Event{Type: events.TypeConflict, TimeNs: now.UnixNano(), Worker: w, Task: int64(t)})
-			h.flushEventsLocked()
-			h.mu.Unlock()
+		// A duplicate of a task this loop already consumed surfaces as a
+		// miss; the prefix scan (error path only) tells it apart from a
+		// stale or reclaimed task.
+		switch _, stained := h.reclaimedFrom[taskOwner{t, w}]; {
+		case slices.Contains(completed[:idx], t):
+			return core.Assignment{}, "", fmt.Errorf("task %d reported complete twice in one request", t)
+		case stained:
+			if h.ev != nil {
+				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeConflict, TimeNs: timeNs, Worker: w, Task: int64(t)})
+			}
+			return core.Assignment{}, "", &LeaseExpiredError{Task: t}
+		case found:
+			return core.Assignment{}, "", fmt.Errorf("task %d is outstanding for worker %d, not %d", t, s.worker, w)
 		}
-		st.mu.Unlock()
-		if rejected == nil {
-			// Not in any stripe-local table: consult the other stripes
-			// for the exact diagnosis (the messages the protocol tests
-			// pin down). Must run with our stripe released — the scan
-			// takes stripe locks and the order discipline is ascending.
-			rejected = h.staleReportError(t, w)
-		}
-		return core.Assignment{}, "", rejected
+		return core.Assignment{}, "", fmt.Errorf("task %d is not outstanding", t)
 	}
 	slot.undo = undo[:0]
 
-	// The report is applied. The global count is decremented before the
-	// driver hears the completion, so a concurrent done-check cannot
-	// observe a drained driver with these tasks still counted in
-	// flight.
-	if len(completed) > 0 {
-		if st.reclaimedFrom != nil {
-			for _, t := range completed {
-				// The worker may have lost this task to an expiry once and
-				// won it back; the legitimate completion clears the stain.
-				delete(st.reclaimedFrom, taskOwner{t, w})
-			}
-		}
-		h.outstandingCount.Add(-int64(len(completed)))
-	}
-
-	h.mu.Lock()
-	// The report is accepted: journal the poll. Under mu — the order
-	// of records on disk must be the order the driver sees the polls —
-	// but only framed into the commit buffer here; the write happens
-	// after the locks drop (see Next). Replayed polls skip the append
-	// (their record is the one being replayed) but still advance the
-	// sequence, so post-recovery polls continue it.
+	// The report is accepted: journal the poll. Under mu — the order of
+	// records on disk must be the order the driver sees the polls — but
+	// only framed into the commit buffer here; the write happens after
+	// mu drops (see Next). Replayed polls skip the append (their record
+	// is the one being replayed) but still advance the sequence, so
+	// post-recovery polls continue it.
 	if h.jr != nil {
 		h.muts++
 		if !h.replay {
@@ -654,12 +522,19 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 	h.lastPoll = now
 	h.polls++
 	if len(completed) > 0 {
+		if h.reclaimedFrom != nil {
+			for _, t := range completed {
+				// The worker may have lost this task to an expiry once and
+				// won it back; the legitimate completion clears the stain.
+				delete(h.reclaimedFrom, taskOwner{t, w})
+			}
+		}
 		h.ms.Complete(w, completed)
 		if h.ev != nil {
 			for _, t := range completed {
 				// One event per task, so exactly-once accounting is
 				// checkable from the stream alone.
-				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeComplete, TimeNs: now.UnixNano(), Worker: w, Task: int64(t)})
+				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeComplete, TimeNs: timeNs, Worker: w, Task: int64(t)})
 			}
 		}
 		if idx := h.open[w]; idx >= 0 {
@@ -669,40 +544,32 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		h.last = now
 	}
 
-	a, status := h.grantLocked(now, w, st, slot)
+	a, status := h.grantLocked(now, w, slot)
 	h.noteStateLocked(now)
-	if h.ev != nil {
-		h.flushEventsLocked()
-	}
-	h.mu.Unlock()
-	st.mu.Unlock()
 	return a, status, nil
 }
 
-// grantLocked is apply's grant phase, run under stripe(w) and mu: the
-// master serves w, and the host leases, counts and traces the batch.
-// The batch is built in w's reusable buffers. The report is fully
-// consumed and the buffers alternate, so the batch the caller is still
-// holding (usually the one it just reported from) is not the one being
-// overwritten.
-func (h *Host) grantLocked(now time.Time, w int, st *hostStripe, slot *workerSlot) (core.Assignment, string) {
+// grantLocked is apply's grant phase, run under mu: the master serves
+// w, and the host leases, counts and traces the batch. The batch is
+// built in w's reusable buffers. The report is fully consumed and the
+// buffers alternate, so the batch the caller is still holding (usually
+// the one it just reported from) is not the one being overwritten.
+func (h *Host) grantLocked(now time.Time, w int, slot *workerSlot) (core.Assignment, string) {
 	slot.flip ^= 1
 	a, served := h.ms.Serve(w, h.batch, slot.acc[slot.flip])
 	switch {
 	case served == core.Parked:
 		return core.Assignment{}, StatusWait
-	case served == core.Retired && h.outstandingCount.Load() > 0:
+	case served == core.Retired && h.outstanding.n > 0:
 		// A drained driver may still be handed reclaimed tasks.
 		return core.Assignment{}, StatusWait
 	case served == core.Retired:
 		// The run is over for good: nothing is left to grant and
 		// nothing outstanding can be reported or reclaimed. Release
-		// what only served grants: w's poll scratch and, once empty,
-		// its stripe's table (put rebuilds one if ever needed).
+		// what only served grants: w's poll scratch and the empty grant
+		// table (put rebuilds one if ever needed).
 		*slot = workerSlot{}
-		if st.outstanding.n == 0 {
-			st.outstanding = grantTable{}
-		}
+		h.outstanding = grantTable{}
 		return core.Assignment{}, StatusDone
 	}
 	if a.Tasks != nil {
@@ -712,15 +579,14 @@ func (h *Host) grantLocked(now time.Time, w int, st *hostStripe, slot *workerSlo
 	var expNs int64
 	if h.lease > 0 {
 		expNs = now.Add(h.lease).UnixNano()
-		if e := h.nextExpiryNs.Load(); e == 0 || expNs < e {
-			h.nextExpiryNs.Store(expNs) // serialized: all writers hold mu
+		if h.nextExpiryNs == 0 || expNs < h.nextExpiryNs {
+			h.nextExpiryNs = expNs
 		}
 	}
 	n := len(a.Tasks)
 	for _, t := range a.Tasks {
-		st.outstanding.put(t, int32(w), expNs)
+		h.outstanding.put(t, int32(w), expNs)
 	}
-	h.outstandingCount.Add(int64(n))
 	h.batchAcc.Add(float64(n))
 	h.batchHist[batchBucket(n)]++
 	h.last = now
@@ -742,38 +608,16 @@ func (h *Host) grantLocked(now time.Time, w int, st *hostStripe, slot *workerSlo
 	return a, StatusOK
 }
 
-// staleReportError diagnoses a reported task that is not outstanding
-// for the reporting worker and not in its stripe: either another
-// worker holds it (in that worker's stripe) or nobody does. The scan
-// takes one stripe lock at a time — the error path mutates nothing, so
-// it does not need a cross-stripe atomic view.
-func (h *Host) staleReportError(t core.Task, w int) error {
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		owner, _, ok := s.outstanding.get(t)
-		s.mu.Unlock()
-		if ok {
-			return fmt.Errorf("task %d is outstanding for worker %d, not %d", t, owner, w)
-		}
-	}
-	return fmt.Errorf("task %d is not outstanding", t)
-}
-
 // ReclaimExpired reclaims every outstanding assignment whose lease
 // deadline has passed, feeding the tasks back to the driver for
 // reassignment, and returns how many tasks were reclaimed. The
 // registry janitor calls it on every sweep so a run whose workers all
 // died still heals; the poll path runs the same check opportunistically.
 func (h *Host) ReclaimExpired() int {
-	if h.lease <= 0 {
-		return 0
-	}
 	now := h.now()
-	if e := h.nextExpiryNs.Load(); e == 0 || now.UnixNano() < e {
-		return 0
-	}
-	n := h.reclaimAll(now)
+	h.mu.Lock()
+	n := h.reclaimLocked(now)
+	h.unlock()
 	if n > 0 && h.jr != nil && !h.replay {
 		// The janitor path has no poll behind it to carry the commit —
 		// and no request to fail when it goes wrong. The frames stay
@@ -786,28 +630,6 @@ func (h *Host) ReclaimExpired() int {
 	return n
 }
 
-// reclaimAll is the full reclaim pass: every stripe locked ascending,
-// then core. Callers have already taken the atomic fast path, so
-// reaching here means some lease has (probably) expired.
-func (h *Host) reclaimAll(now time.Time) int {
-	h.lockStripes()
-	h.mu.Lock()
-	if h.fence.Load() != fenceNone {
-		// A fenced host's grants travel with the snapshot; reclaiming
-		// them here would diverge from what the destination replays.
-		h.mu.Unlock()
-		h.unlockStripes()
-		return 0
-	}
-	n := h.reclaimLocked(now)
-	if h.ev != nil {
-		h.flushEventsLocked()
-	}
-	h.mu.Unlock()
-	h.unlockStripes()
-	return n
-}
-
 // expiredGrant is one reclaim victim; sorting the batch (by worker,
 // then task) makes the reassignment order — and therefore which
 // surviving worker redoes which task — deterministic, where a map walk
@@ -817,35 +639,35 @@ type expiredGrant struct {
 	worker int
 }
 
-// reclaimLocked runs with every stripe and the core mutex held. The
-// caller has already passed the atomic next-expiry gate.
+// reclaimLocked is the reclaim pass, run under mu. It returns at once
+// unless a lease may have expired by now (nextExpiryNs) on an unfenced
+// host: a fenced host's grants travel with the snapshot, and reclaiming
+// them here would diverge from what the destination replays.
 func (h *Host) reclaimLocked(now time.Time) int {
-	if h.lease <= 0 {
+	nowNs := now.UnixNano()
+	if h.lease <= 0 || h.fence != fenceNone || h.nextExpiryNs == 0 || nowNs < h.nextExpiryNs {
 		return 0
 	}
 	var expired []expiredGrant
 	var nextNs int64
-	nowNs := now.UnixNano()
-	for i := range h.stripes {
-		h.stripes[i].outstanding.forEach(func(t core.Task, worker int32, expiryNs int64) {
-			if nowNs >= expiryNs {
-				expired = append(expired, expiredGrant{task: t, worker: int(worker)})
-			} else if nextNs == 0 || expiryNs < nextNs {
-				nextNs = expiryNs
-			}
-		})
-	}
-	h.nextExpiryNs.Store(nextNs)
+	h.outstanding.forEach(func(t core.Task, worker int32, expiryNs int64) {
+		if nowNs >= expiryNs {
+			expired = append(expired, expiredGrant{task: t, worker: int(worker)})
+		} else if nextNs == 0 || expiryNs < nextNs {
+			nextNs = expiryNs
+		}
+	})
+	h.nextExpiryNs = nextNs
 	if len(expired) == 0 {
 		// A scan that found nothing is stateless — it only tightened the
-		// atomic bound — so it is not journaled: replay may legitimately
-		// skip or add such scans without diverging.
+		// bound — so it is not journaled: replay may legitimately skip
+		// or add such scans without diverging.
 		return 0
 	}
 	// Something expired: this pass mutates, so it is a journaled
-	// mutation. Every stripe and mu are held, so the record's position
-	// among the poll records is exactly the pass's position in the
-	// driver's serial history.
+	// mutation. mu is held, so the record's position among the poll
+	// records is exactly the pass's position in the driver's serial
+	// history.
 	if h.jr != nil {
 		h.muts++
 		if !h.replay {
@@ -859,20 +681,16 @@ func (h *Host) reclaimLocked(now time.Time) int {
 		return expired[i].task < expired[j].task
 	})
 	for _, eg := range expired {
-		s := h.stripe(eg.worker)
-		s.outstanding.del(eg.task)
-		s.reclaimedFrom[taskOwner{eg.task, eg.worker}] = struct{}{}
+		h.outstanding.del(eg.task)
+		h.reclaimedFrom[taskOwner{eg.task, eg.worker}] = struct{}{}
 	}
-	h.outstandingCount.Add(-int64(len(expired)))
 	// Workers that still hold an unexpired batch after the deletions:
 	// their open trace segment belongs to that newer, still-leased
 	// batch and must not be closed by the reclaim of an older one.
 	stillHolds := make(map[int]bool)
-	for i := range h.stripes {
-		h.stripes[i].outstanding.forEach(func(_ core.Task, worker int32, _ int64) {
-			stillHolds[int(worker)] = true
-		})
-	}
+	h.outstanding.forEach(func(_ core.Task, worker int32, _ int64) {
+		stillHolds[int(worker)] = true
+	})
 	at := int64(now.Sub(h.start))
 	// The sort grouped each (presumed dead) worker's tasks into one
 	// contiguous ascending run; hand each run to the driver in one
@@ -890,7 +708,7 @@ func (h *Host) reclaimLocked(now time.Time) int {
 		h.ms.Abandon(w, ts)
 		if h.ev != nil {
 			for _, t := range ts {
-				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeReclaim, TimeNs: now.UnixNano(), Worker: w, Task: int64(t)})
+				h.evBuf = append(h.evBuf, events.Event{Type: events.TypeReclaim, TimeNs: nowNs, Worker: w, Task: int64(t)})
 			}
 		}
 		// Close the dead worker's open trace segment: the batch ended —
@@ -910,29 +728,32 @@ func (h *Host) reclaimLocked(now time.Time) int {
 // *MigratedError (409) until Unfence or commitFence resolves the
 // handoff. It reports whether this call won the fence; a false return
 // means a migration is already in flight or committed (the
-// double-migrate guard). On return every in-flight mutation has
-// drained, so a snapshot cut afterwards is the run's final state on
-// this host.
+// double-migrate guard). The flag is set under mu, so on return no
+// mutation is in flight and a snapshot cut afterwards is the run's
+// final state on this host.
 func (h *Host) Fence() bool {
-	if !h.fence.CompareAndSwap(fenceNone, fencePending) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.fence != fenceNone {
 		return false
 	}
-	// Drain: cycling every stripe plus the core lock guarantees no
-	// apply that missed the flag is still mutating.
-	h.lockStripes()
-	h.mu.Lock()
-	h.mu.Unlock()
-	h.unlockStripes()
+	h.fence = fencePending
 	return true
 }
 
 // Unfence aborts a migration: the host resumes serving. Only valid
 // after a successful Fence whose handoff failed.
-func (h *Host) Unfence() { h.fence.Store(fenceNone) }
+func (h *Host) Unfence() { h.setFence(fenceNone) }
 
 // commitFence marks the handoff complete: the run now lives on the
 // destination and every late poll here draws a deterministic 410.
-func (h *Host) commitFence() { h.fence.Store(fenceCommitted) }
+func (h *Host) commitFence() { h.setFence(fenceCommitted) }
+
+func (h *Host) setFence(f int) {
+	h.mu.Lock()
+	h.fence = f
+	h.mu.Unlock()
+}
 
 // State returns the host's lifecycle view: created before the first
 // valid worker poll, complete once the driver is drained and every
@@ -950,33 +771,25 @@ func (h *Host) stateLocked() string {
 	// workers and is no longer "created".
 	case h.polls == 0:
 		return StateCreated
-	case h.drv.Remaining() == 0 && h.outstandingCount.Load() == 0:
+	case h.drv.Remaining() == 0 && h.outstanding.n == 0:
 		return StateComplete
 	default:
 		return StateDraining
 	}
 }
 
-// Stats snapshots the run's counters. ID, kernel and strategy are
-// filled in by the server, which owns the run metadata. The snapshot
-// holds every stripe plus the core lock, so it is as atomic as the
-// old single-mutex one.
+// Stats snapshots the run's counters under mu. ID, kernel and strategy
+// are filled in by the server, which owns the run metadata.
 func (h *Host) Stats() StatsResponse {
-	h.lockStripes()
-	defer h.unlockStripes()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.now()
-	outstanding := 0
-	for i := range h.stripes {
-		outstanding += h.stripes[i].outstanding.n
-	}
 	resp := StatsResponse{
 		State:           h.stateLocked(),
 		Total:           h.drv.Total(),
 		Assigned:        h.ms.Assigned,
 		Completed:       h.ms.Completed,
-		Outstanding:     outstanding,
+		Outstanding:     h.outstanding.n,
 		Remaining:       h.drv.Remaining(),
 		Reclaimed:       h.ms.Reclaimed,
 		LeaseSeconds:    h.lease.Seconds(),

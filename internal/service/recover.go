@@ -101,7 +101,9 @@ func rebuild(snap *durable.RunSnapshot, tail []core.Mutation, jr *durable.Log, n
 				return nil, fmt.Errorf("service: run %q: replaying poll %d: %w", rec.ID, m.Seq, err)
 			}
 		case core.MutReclaim:
-			h.reclaimAll(time.Unix(0, m.TimeNs))
+			h.mu.Lock()
+			h.reclaimLocked(time.Unix(0, m.TimeNs))
+			h.mu.Unlock()
 		case core.MutExpire:
 			h.muts++
 			run.Expire()

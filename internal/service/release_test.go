@@ -10,13 +10,12 @@ import (
 )
 
 // TestDoneReleasesPollScratch: a poll answered done ends the run for
-// good, so it releases the polling worker's scratch and, once empty,
-// its stripe's grant table. A run half driven, then finished where it
-// was, after a crash recovery or after a migration import — leases off
-// and on, with a stripe per worker (p=64) and shared stripes (p=130) —
-// keeps neither once drained, and still answers as before: a re-poll
-// says done without allocating, and a stale report draws the usual
-// diagnosis.
+// good, so it releases the polling worker's scratch and the run's
+// empty grant table. A run half driven, then finished where it was,
+// after a crash recovery or after a migration import — leases off and
+// on, at p=64 and p=130 — keeps neither once drained, and still answers
+// as before: a re-poll says done without allocating, and a stale report
+// draws the usual diagnosis.
 func TestDoneReleasesPollScratch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -63,7 +62,7 @@ func TestDoneReleasesPollScratch(t *testing.T) {
 }
 
 // checkReleased asserts that a drained host holds no worker's poll
-// scratch and no stripe's grant table, then polls it once more: done
+// scratch and no grant table, then polls it once more: done
 // at no allocation, and a stale report of task 0 is not outstanding.
 func checkReleased(t *testing.T, h *Host) {
 	t.Helper()
@@ -72,10 +71,8 @@ func checkReleased(t *testing.T, h *Host) {
 			t.Errorf("worker %d keeps its poll scratch after done", w)
 		}
 	}
-	for i := range h.stripes {
-		if g := &h.stripes[i].outstanding; g.slots != nil {
-			t.Errorf("stripe %d keeps a %d-slot grant table after done", i, len(g.slots))
-		}
+	if g := &h.outstanding; g.slots != nil {
+		t.Errorf("the host keeps a %d-slot grant table after done", len(g.slots))
 	}
 	var status string
 	var err error
