@@ -106,10 +106,9 @@ func (rec createRecord) lease() time.Duration {
 
 // fillSnapshot captures the host-owned durable state and the driver's
 // own state into s: a consistent cut at watermark h.muts, taken under
-// mu. Grants
-// and stains are sorted so snapshot bytes are deterministic for a given
-// state. A driver that is not a core.Snapshotter leaves Driver empty,
-// which restore refuses.
+// mu. Grants and stains are sorted so snapshot bytes are deterministic
+// for a given state. A driver that is not a core.Snapshotter leaves
+// Driver empty, which restore refuses.
 func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -6,13 +6,14 @@ import (
 	"hetsched/internal/core"
 )
 
-// grantTable is a Host's outstanding-assignment table: a linear-probe open-addressing hash map from task id to (worker,
-// lease-expiry) specialized for the poll hot path, where every
-// completed task costs one lookup-and-delete and every granted task
-// one insert. Against the generic Go map it removes the interface
-// hashing, the random iteration (scans here are deterministic given
-// the same operation sequence, which the reclaim pass sorts anyway),
-// and about half the per-operation cost; it allocates only on growth.
+// grantTable is a Host's outstanding-assignment table: a linear-probe
+// open-addressing hash map from task id to (worker, lease-expiry)
+// specialized for the poll hot path, where every completed task costs
+// one lookup-and-delete and every granted task one insert. Against the
+// generic Go map it removes the interface hashing, the random
+// iteration (scans here are deterministic given the same operation
+// sequence, which the reclaim pass sorts anyway), and about half the
+// per-operation cost; it allocates only on growth.
 //
 // Deletion uses backward-shift compaction rather than tombstones: the
 // table churns one delete per completed task against one insert per
