@@ -328,9 +328,11 @@ func ValidateRunID(id string) error {
 const maxIDLen = 64
 
 // maxTasks and maxWorkers bound per-run memory: the processed bitset,
-// pools and outstanding map scale with the task count, and the
+// pools and outstanding grant table scale with the task count, and the
 // per-worker ownership bitsets, load counters and index pools scale
-// with the worker count.
+// with the worker count. At maxTasks grants in flight the grant table
+// holds 2^25 slots of 24 B, 768 MiB, and 1.1 GiB while it grows into
+// them (see grantTable).
 const (
 	maxTasks = 1 << 24
 	// maxWorkers admits million-worker fleets; per-worker state (grant

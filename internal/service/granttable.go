@@ -24,11 +24,14 @@ import (
 // the AllocsPerRun guards pin. Once the run answers done, the host
 // drops the empty table for its zero value.
 //
-// The table grows at load 1/4, not the usual 3/4: one table holds a
-// whole run's grants, and every insert probes, and every delete shifts,
-// to the end of its cluster. On BenchmarkHostNext's serial rows,
+// Below gtSparseMax slots the table grows at load 1/4, not the usual
+// 3/4: one table holds a whole run's grants, and every insert probes,
+// and every delete shifts, to the end of its cluster. On
+// BenchmarkHostNext's serial rows (tables of up to 4,096 slots),
 // growing at 3/4 or 1/2 made a poll 10-20% slower than growing at 1/4;
-// 1/8 was faster still, at twice the slots.
+// 1/8 was faster still, at twice the slots. From gtSparseMax slots on
+// it grows at 3/4, which keeps the largest run's table (maxTasks
+// grants) at 2^25 slots of 24 B, 768 MiB, rather than 1.5 GiB.
 //
 // Not safe for concurrent use; the Host's mutex serializes access.
 type grantTable struct {
@@ -36,6 +39,7 @@ type grantTable struct {
 	mask  uint64
 	shift uint
 	n     int
+	limit int // put grows the table once n reaches limit
 }
 
 // gtSlot is one table slot. state distinguishes an empty slot from a
@@ -54,16 +58,24 @@ const gtFull = 1
 // grants never probe a degenerate table.
 const gtMinSize = 8
 
+// gtSparseMax is the slot count from which the table grows at load 3/4
+// instead of 1/4; it is 16 times the largest table the benchmarks run.
+const gtSparseMax = 1 << 16
+
 func (g *grantTable) reset(size int) {
 	g.slots = make([]gtSlot, size)
 	g.mask = uint64(size - 1)
 	g.shift = 64 - uint(bits.Len64(uint64(size-1)))
 	g.n = 0
+	g.limit = size / 4
+	if size >= gtSparseMax {
+		g.limit = size / 4 * 3
+	}
 }
 
 // home is the preferred slot of task t: Fibonacci hashing spreads the
 // structured task ids (dense ranges, bit-packed DAG coordinates) well
-// enough that linear probing stays short at load 1/4.
+// enough that linear probing stays short at the loads put allows.
 func (g *grantTable) home(t int64) uint64 {
 	return (uint64(t) * 0x9E3779B97F4A7C15) >> g.shift
 }
@@ -100,7 +112,7 @@ func (g *grantTable) takeOwned(t core.Task, w int32) (s gtSlot, found, took bool
 func (g *grantTable) put(t core.Task, worker int32, expiryNs int64) {
 	if g.slots == nil {
 		g.reset(gtMinSize)
-	} else if (g.n+1)*4 > len(g.slots) {
+	} else if g.n >= g.limit {
 		g.grow()
 	}
 	i := g.home(int64(t))

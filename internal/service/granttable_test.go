@@ -18,6 +18,7 @@ func TestGrantTableDifferential(t *testing.T) {
 	r := rng.New(42)
 	var g grantTable
 	ref := map[int64]gtSlot{}
+	maxDisplaced := 0
 
 	check := func(step int) {
 		t.Helper()
@@ -39,6 +40,7 @@ func TestGrantTableDifferential(t *testing.T) {
 		if count != len(ref) {
 			t.Fatalf("step %d: forEach visited %d, ref has %d", step, count, len(ref))
 		}
+		maxDisplaced = max(maxDisplaced, displaced(&g))
 		// Every ref entry must be reachable by probing, not just by scan.
 		for task, want := range ref {
 			worker, expiryNs, ok := g.get(core.Task(task))
@@ -49,8 +51,9 @@ func TestGrantTableDifferential(t *testing.T) {
 		}
 	}
 
-	// Keys drawn from a small universe force probe-chain collisions.
-	key := func() int64 { return int64(r.Intn(97)) }
+	// Keys drawn from a small universe of clustered keys (see
+	// clusteredKey) share one long probe chain at every table size.
+	key := func() int64 { return clusteredKey(int64(r.Intn(97))) }
 
 	for step := 0; step < 3000; step++ {
 		switch r.Intn(5) {
@@ -107,6 +110,30 @@ func TestGrantTableDifferential(t *testing.T) {
 		}
 		check(step)
 	}
+	// The table peaks near 80 resident keys; nearly all must sit off
+	// their home slot, or deletes never shift and the test checks little.
+	if maxDisplaced < 60 {
+		t.Fatalf("at most %d entries ever sat off their home slot, want >= 60", maxDisplaced)
+	}
+}
+
+// clusteredKey returns the i-th multiple of F_24 = 46368. Fibonacci
+// hashing maps i*F_m to about i*φ^-m of the way round the table, so
+// the homes of consecutive keys lie 1/103,682 of the way apart: less
+// than one slot in every table of up to 2^16 slots, where such keys
+// pile into one probe chain.
+func clusteredKey(i int64) int64 { return i * 46368 }
+
+// displaced counts the resident entries that sit off their home slot.
+func displaced(g *grantTable) int {
+	n := 0
+	for i := range g.slots {
+		s := &g.slots[i]
+		if s.state == gtFull && g.home(s.task) != uint64(i) {
+			n++
+		}
+	}
+	return n
 }
 
 // get reports the slot holding t, if any, by probing from its home.
@@ -128,28 +155,54 @@ func (g *grantTable) get(t core.Task) (worker int32, expiryNs int64, ok bool) {
 }
 
 // TestGrantTableGrowth fills one table far past its initial size and
-// verifies every entry survives the rehashes, then drains it to zero.
+// verifies every entry survives the rehashes, then drains it in two
+// passes, checking the survivors after the first. Spread keys cross
+// gtSparseMax, where the table starts growing at load 3/4; clustered
+// keys form one probe chain as long as the table's population.
 func TestGrantTableGrowth(t *testing.T) {
-	var g grantTable
-	const n = 10000
-	for i := 0; i < n; i++ {
-		g.put(core.Task(i*7), int32(i%31), int64(i)+1)
-	}
-	if g.n != n {
-		t.Fatalf("n = %d, want %d", g.n, n)
-	}
-	for i := 0; i < n; i++ {
-		worker, exp, ok := g.get(core.Task(i * 7))
-		if !ok || worker != int32(i%31) || exp != int64(i)+1 {
-			t.Fatalf("get(%d) = (%d,%d,%v)", i*7, worker, exp, ok)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !g.del(core.Task(i * 7)) {
-			t.Fatalf("del(%d) missed", i*7)
-		}
-	}
-	if g.n != 0 {
-		t.Fatalf("drained table has n = %d", g.n)
+	for _, tc := range []struct {
+		name      string
+		n         int
+		key       func(i int) int64
+		slots     int // table size once all n keys are in
+		displaced int // minimum entries off their home slot
+	}{
+		{"spread", 60000, func(i int) int64 { return int64(i) * 7 }, 1 << 17, 0},
+		{"clustered", 4000, func(i int) int64 { return clusteredKey(int64(i)) }, 1 << 14, 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var g grantTable
+			for i := 0; i < tc.n; i++ {
+				g.put(core.Task(tc.key(i)), int32(i%31), int64(i)+1)
+			}
+			if g.n != tc.n || len(g.slots) != tc.slots {
+				t.Fatalf("n = %d in %d slots, want %d in %d", g.n, len(g.slots), tc.n, tc.slots)
+			}
+			if d := displaced(&g); d < tc.displaced {
+				t.Fatalf("%d entries off their home slot, want >= %d", d, tc.displaced)
+			}
+			for i := 0; i < tc.n; i++ {
+				worker, exp, ok := g.get(core.Task(tc.key(i)))
+				if !ok || worker != int32(i%31) || exp != int64(i)+1 {
+					t.Fatalf("get(%d) = (%d,%d,%v)", tc.key(i), worker, exp, ok)
+				}
+			}
+			for pass := 0; pass < 2; pass++ {
+				for i := pass; i < tc.n; i += 2 {
+					if !g.del(core.Task(tc.key(i))) {
+						t.Fatalf("del(%d) missed", tc.key(i))
+					}
+				}
+				for i := 0; i < tc.n; i++ {
+					_, _, ok := g.get(core.Task(tc.key(i)))
+					if want := pass == 0 && i%2 == 1; ok != want {
+						t.Fatalf("pass %d: get(%d) ok=%v, want %v", pass, tc.key(i), ok, want)
+					}
+				}
+			}
+			if g.n != 0 {
+				t.Fatalf("drained table has n = %d", g.n)
+			}
+		})
 	}
 }
