@@ -74,6 +74,37 @@ func (b *Bitset) SetIfClear(i int) bool {
 	return true
 }
 
+// Add inserts i and returns 1 if it was absent, 0 if it was present:
+// SetIfClear without the branch on the old bit, for callers that sum
+// what they insert.
+func (b *Bitset) Add(i int) int {
+	b.check(i)
+	w, s := &b.words[i>>6], uint(i&63)
+	old := *w
+	*w = old | 1<<s
+	return int(old>>s&1 ^ 1)
+}
+
+// countClearIn returns the number of members k of mask whose bit
+// base+k is clear in b: a popcount over b's words from base on, shifted
+// into line with mask's. It panics unless [base, base+mask.Len()) lies
+// in [0, Len()).
+func (b *Bitset) countClearIn(base int, mask *Bitset) int {
+	if base < 0 || base+mask.n > b.n {
+		panic("bitset: index out of range")
+	}
+	words, sh := b.words[base>>6:], uint(base&63)
+	c := 0
+	for m, mw := range mask.words {
+		w := words[m] >> sh
+		if sh != 0 && m+1 < len(words) {
+			w |= words[m+1] << (64 - sh)
+		}
+		c += bits.OnesCount64(mw &^ w)
+	}
+	return c
+}
+
 // AppendNewlySet inserts base+stride·idx[k] into b for each k in
 // order, appending to dst every one that was absent, and returns dst.
 // It is a SetIfClear loop, range check included, without the call per
@@ -88,12 +119,32 @@ func (b *Bitset) SetIfClear(i int) bool {
 // range hands its chunk and the rest to that loop before any of the
 // chunk is set, so the panic comes at the same point.
 func AppendNewlySet[T ~int64](b *Bitset, dst []T, base, stride int, idx []int32) []T {
+	return appendNewlySet(b, dst, base, stride, idx, len(idx))
+}
+
+// AppendNewlySetIn is AppendNewlySet along the run base+idx[k], for
+// distinct idx that are all members of mask. A long idx is first
+// counted against b by countClearIn: none clear skips the run, and the
+// scan stops at the last clear one. dst sees the same appends either
+// way. A member of mask outside idx only makes the count too high, so
+// the scan runs to the end; an index of idx outside mask would end it
+// too early.
+func AppendNewlySetIn[T ~int64](b *Bitset, dst []T, base int, idx []int32, mask *Bitset) []T {
+	if len(idx) <= 2*len(mask.words) {
+		return appendNewlySet(b, dst, base, 1, idx, len(idx))
+	}
+	return appendNewlySet(b, dst, base, 1, idx, b.countClearIn(base, mask))
+}
+
+// appendNewlySet is AppendNewlySet that stops once want indices have
+// passed its first pass clear. want ≥ len(idx) never stops it early.
+func appendNewlySet[T ~int64](b *Bitset, dst []T, base, stride int, idx []int32, want int) []T {
 	var cand [64]T
-	for len(idx) > 0 {
+	for len(idx) > 0 && want > 0 {
 		chunk := idx[:min(len(idx), len(cand))]
-		n := 0
-		for _, k := range chunk {
-			i := base + stride*int(k)
+		n, k := 0, 0
+		for ; k < len(chunk) && n < want; k++ {
+			i := base + stride*int(chunk[k])
 			if uint(i) >= uint(b.n) {
 				return appendNewlySetChecked(b, dst, base, stride, idx)
 			}
@@ -107,7 +158,8 @@ func AppendNewlySet[T ~int64](b *Bitset, dst []T, base, stride int, idx []int32)
 				dst = append(dst, t)
 			}
 		}
-		idx = idx[len(chunk):]
+		want -= n
+		idx = idx[k:]
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -269,5 +270,142 @@ func BenchmarkSetTest(b *testing.B) {
 		idx := (i * 2654435761) & (1<<20 - 1)
 		s.Set(idx)
 		_ = s.Test(idx)
+	}
+}
+
+// fill sets each bit of s with probability num/8, from r.
+func fill(s *Bitset, r *rand.Rand, num int) {
+	for i := 0; i < s.Len(); i++ {
+		if r.Intn(8) < num {
+			s.Set(i)
+		}
+	}
+}
+
+// TestCountClearIn checks the masked popcount against a loop over the
+// mask's members, on rows at unaligned bases, masks of one to three
+// words with a partial last word, and rows that end at the set's last
+// bit, each at several fill densities.
+func TestCountClearIn(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		size, base int
+		maskBits   int
+		wantPanic  bool
+	}{
+		{name: "aligned, one word", size: 256, base: 0, maskBits: 64},
+		{name: "unaligned, partial word", size: 256, base: 5, maskBits: 40},
+		{name: "unaligned, two words", size: 300, base: 70, maskBits: 100},
+		{name: "unaligned, three words", size: 400, base: 13, maskBits: 150},
+		{name: "ends at last bit, unaligned", size: 300, base: 170, maskBits: 130},
+		{name: "ends at last bit, aligned", size: 256, base: 128, maskBits: 128},
+		{name: "ends at last bit, one bit", size: 65, base: 64, maskBits: 1},
+		{name: "whole set", size: 150, base: 0, maskBits: 150},
+		{name: "empty mask", size: 10, base: 10, maskBits: 0},
+		{name: "past the end", size: 100, base: 40, maskBits: 61, wantPanic: true},
+		{name: "negative base", size: 100, base: -1, maskBits: 10, wantPanic: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(tc.size + tc.base)))
+			for num := 0; num <= 8; num += 2 {
+				b, mask := New(tc.size), New(tc.maskBits)
+				fill(b, r, num)
+				fill(mask, r, 8-num/2)
+				want := 0
+				if !tc.wantPanic {
+					for k := 0; k < tc.maskBits; k++ {
+						if mask.Test(k) && !b.Test(tc.base+k) {
+							want++
+						}
+					}
+				}
+				got, panicked := func() (c int, panicked bool) {
+					defer func() { panicked = recover() != nil }()
+					return b.countClearIn(tc.base, mask), false
+				}()
+				if panicked != tc.wantPanic || got != want {
+					t.Fatalf("fill %d/8: got (%d, panic %v), want (%d, panic %v)", num, got, panicked, want, tc.wantPanic)
+				}
+			}
+		})
+	}
+}
+
+// TestAddMatchesSetIfClear: Add returns 1 exactly where SetIfClear
+// returns true, and leaves the same bits set.
+func TestAddMatchesSetIfClear(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int
+		idx  []int
+	}{
+		{name: "one word", size: 10, idx: []int{3, 3, 0, 9, 0}},
+		{name: "word edges", size: 130, idx: []int{63, 64, 63, 127, 128, 129, 64}},
+		{name: "every bit twice", size: 70, idx: append(seq(70), seq(70)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := New(tc.size), New(tc.size)
+			for _, i := range tc.idx {
+				a, s := got.Add(i), want.SetIfClear(i)
+				if (a == 1) != s || a&^1 != 0 {
+					t.Fatalf("index %d: Add %d, SetIfClear %v", i, a, s)
+				}
+			}
+			if !reflect.DeepEqual(got.words, want.words) {
+				t.Fatal("Add and SetIfClear leave different bits set")
+			}
+		})
+	}
+}
+
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// TestAppendNewlySetInMatches: AppendNewlySetIn appends what
+// AppendNewlySet does along the same run and sets the same bits, when
+// its mask holds exactly idx's indices and when it holds more. The
+// lists are short (the plain scan) and long (counted first), and the
+// runs start at unaligned bases and end at the set's last bit.
+func TestAppendNewlySetInMatches(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		size, base, span int
+		listLen          int
+		extra            bool
+	}{
+		{name: "short list", size: 200, base: 7, span: 90, listLen: 4},
+		{name: "long list, exact mask", size: 200, base: 7, span: 90, listLen: 60},
+		{name: "long list, wider mask", size: 200, base: 7, span: 90, listLen: 60, extra: true},
+		{name: "three-word run at the end", size: 1000, base: 850, span: 150, listLen: 140},
+		{name: "full run", size: 128, base: 0, span: 128, listLen: 128},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(tc.size*tc.span + tc.listLen)))
+			for num := 0; num <= 8; num++ {
+				got, want := New(tc.size), New(tc.size)
+				fill(got, r, num)
+				copy(want.words, got.words)
+				perm := r.Perm(tc.span)[:tc.listLen]
+				idx := make([]int32, len(perm))
+				mask := New(tc.span)
+				for k, v := range perm {
+					idx[k] = int32(v)
+					mask.Set(v)
+				}
+				if tc.extra {
+					fill(mask, r, 4)
+				}
+				gotOut := AppendNewlySetIn(got, []int64{-7}, tc.base, idx, mask)
+				wantOut := AppendNewlySet(want, []int64{-7}, tc.base, 1, idx)
+				if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(got.words, want.words) {
+					t.Fatalf("fill %d/8: appended %v, AppendNewlySet %v", num, gotOut, wantOut)
+				}
+			}
+		})
 	}
 }

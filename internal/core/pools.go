@@ -88,9 +88,25 @@ func (p *IndexPool) RestoreState(r *StateReader, n int, drawn []int32) []int32 {
 // second phase of the two-phase strategies) draw from a TaskPool; the
 // pool is rebuilt from the processed bit set when a two-phase strategy
 // switches.
+//
+// A draw reads one slot of a pool of up to millions of tasks, so most
+// draws miss the cache. Draw hides the miss: it runs a copy of the
+// generator aheadDraws draws ahead of *r and prefetches the slot that
+// draw will read. The copy is only a guess. It restarts from *r
+// whenever *r is not the state the last Draw left there, so a foreign
+// draw from r in between costs a wasted prefetch and nothing else.
 type TaskPool struct {
 	tasks []Task
+	// left is the generator state the last Draw returned with, ahead
+	// the same run aheadDraws draws on. The zero left matches no
+	// generator rng.New makes (their stream selectors are odd), so the
+	// first Draw restarts ahead.
+	ahead, left rng.PCG
 }
+
+// aheadDraws is how many draws ahead of its generator a TaskPool
+// prefetches: enough draws to cover a miss to memory.
+const aheadDraws = 4
 
 // NewTaskPool returns a pool containing tasks. The slice is owned by
 // the pool afterwards.
@@ -105,10 +121,20 @@ func (p *TaskPool) Draw(r *rng.PCG) (t Task, ok bool) {
 	if n == 0 {
 		return 0, false
 	}
+	if *r != p.left {
+		p.ahead = *r
+		for k := range min(aheadDraws, n) {
+			p.ahead.Intn(n - k)
+		}
+	}
 	at := r.Intn(n)
+	if m := n - aheadDraws; m > 0 {
+		prefetch(&p.tasks[p.ahead.Intn(m)])
+	}
 	v := p.tasks[at]
 	p.tasks[at] = p.tasks[n-1]
 	p.tasks = p.tasks[:n-1]
+	p.left = *r
 	return v, true
 }
 
@@ -127,7 +153,7 @@ func (p *TaskPool) AppendState(dst []byte) []byte {
 // RestoreState refills the pool with the n tasks AppendState wrote,
 // each of which admit must accept.
 func (p *TaskPool) RestoreState(r *StateReader, n int, admit func(Task) bool) {
-	p.tasks = p.tasks[:0]
+	p.tasks, p.left = p.tasks[:0], rng.PCG{}
 	for i := 0; i < n && r.Ok(); i++ {
 		t := r.Uvarint()
 		if r.Ok() && (t > math.MaxInt64 || !admit(Task(t))) {

@@ -50,10 +50,10 @@ type Instance struct {
 	// index: aKnown[(i,k)], bKnown[(k,j)], cKnown[(i,j)]. The dynamic
 	// strategy maintains these lazily (its ownership is the cross
 	// product of its index sets); the random strategies and phase 2
-	// maintain them eagerly.
-	aKnown []*bitset.Bitset
-	bKnown []*bitset.Bitset
-	cKnown []*bitset.Bitset
+	// maintain them eagerly. Slab-backed, as in internal/outer.
+	aKnown []bitset.Bitset
+	bKnown []bitset.Bitset
+	cKnown []bitset.Bitset
 }
 
 func newInstance(n, p int, r *rng.PCG) *Instance {
@@ -70,14 +70,9 @@ func newInstance(n, p int, r *rng.PCG) *Instance {
 		processed: bitset.New(n3),
 		remaining: n3,
 		r:         r,
-		aKnown:    make([]*bitset.Bitset, p),
-		bKnown:    make([]*bitset.Bitset, p),
-		cKnown:    make([]*bitset.Bitset, p),
-	}
-	for w := 0; w < p; w++ {
-		inst.aKnown[w] = bitset.New(n * n)
-		inst.bKnown[w] = bitset.New(n * n)
-		inst.cKnown[w] = bitset.New(n * n)
+		aKnown:    bitset.NewSlab(p, n*n),
+		bKnown:    bitset.NewSlab(p, n*n),
+		cKnown:    bitset.NewSlab(p, n*n),
 	}
 	return inst
 }
@@ -99,17 +94,7 @@ func (in *Instance) markProcessed(t core.Task) bool {
 func (in *Instance) receive(w int, t core.Task) int {
 	i, j, k := Decode(t, in.n)
 	n := in.n
-	sent := 0
-	if in.aKnown[w].SetIfClear(i*n + k) {
-		sent++
-	}
-	if in.bKnown[w].SetIfClear(k*n + j) {
-		sent++
-	}
-	if in.cKnown[w].SetIfClear(i*n + j) {
-		sent++
-	}
-	return sent
+	return in.aKnown[w].Add(i*n+k) + in.bKnown[w].Add(k*n+j) + in.cKnown[w].Add(i*n+j)
 }
 
 func (in *Instance) unprocessedTasks() []core.Task {
@@ -225,12 +210,16 @@ type dynState struct {
 type Dynamic struct {
 	inst *Instance
 	dyn  []dynState
+	// kSet[w] holds exactly kKnown's indices, the mask against which
+	// a k-run's words count its new tasks. It is derived state: the
+	// state codec writes kKnown and rebuilds it.
+	kSet []bitset.Bitset
 }
 
 // NewDynamic builds a DynamicMatrix scheduler.
 func NewDynamic(n, p int, r *rng.PCG) *Dynamic {
 	inst := newInstance(n, p, r)
-	d := &Dynamic{inst: inst, dyn: make([]dynState, p)}
+	d := &Dynamic{inst: inst, dyn: make([]dynState, p), kSet: bitset.NewSlab(p, n)}
 	for w := 0; w < p; w++ {
 		d.dyn[w] = dynState{
 			iPool: core.NewIndexPool(n),
@@ -282,7 +271,7 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	// Record per-block ownership so that a later random phase (and the
 	// exec runtime) can query it. The loops below touch exactly the
 	// freshly shipped blocks.
-	a, b, c := s.inst.aKnown[w], s.inst.bKnown[w], s.inst.cKnown[w]
+	a, b, c := &s.inst.aKnown[w], &s.inst.bKnown[w], &s.inst.cKnown[w]
 	if okI {
 		for _, kk := range st.kKnown {
 			a.Set(i*n + int(kk))
@@ -320,24 +309,27 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	// Enumerate the newly covered cube region I'×J'×K' \ I×J×K as
 	// three disjoint slabs (fresh-i slab, fresh-j slab, fresh-k slab).
 	// k is TaskID's stride-1 dimension, so each (i, j) pair's run over
-	// K' is one AppendNewlySet; the fresh indices join J and K first,
-	// last in their lists, as the enumeration order requires.
+	// K' is one AppendNewlySetIn, counted against kSet first; the
+	// fresh indices join J and K first, last in their lists, as the
+	// enumeration order requires.
 	if okJ {
 		st.jKnown = append(st.jKnown, int32(j))
 	}
+	kSet := &s.kSet[w]
 	if okK {
 		st.kKnown = append(st.kKnown, int32(k))
+		kSet.Set(k)
 	}
 	tasks := buf[:0]
 	processed := s.inst.processed
 	if okI {
 		for _, jj := range st.jKnown {
-			tasks = bitset.AppendNewlySet(processed, tasks, (i*n+int(jj))*n, 1, st.kKnown)
+			tasks = bitset.AppendNewlySetIn(processed, tasks, (i*n+int(jj))*n, st.kKnown, kSet)
 		}
 	}
 	if okJ {
 		for _, ii := range st.iKnown { // old I only: fresh i handled above
-			tasks = bitset.AppendNewlySet(processed, tasks, (int(ii)*n+j)*n, 1, st.kKnown)
+			tasks = bitset.AppendNewlySetIn(processed, tasks, (int(ii)*n+j)*n, st.kKnown, kSet)
 		}
 	}
 	if okK {

@@ -119,6 +119,10 @@ func (s *Dynamic) restoreWorkers(r *core.StateReader) {
 		st.iKnown = st.iPool.RestoreState(r, n, st.iKnown)
 		st.jKnown = st.jPool.RestoreState(r, n, st.jKnown)
 		st.kKnown = st.kPool.RestoreState(r, n, st.kKnown)
+		s.kSet[w].Reset()
+		for _, k := range st.kKnown {
+			s.kSet[w].Set(int(k))
+		}
 	}
 }
 

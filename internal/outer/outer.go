@@ -84,14 +84,7 @@ func (in *Instance) markProcessed(t core.Task) bool {
 // many had to be shipped.
 func (in *Instance) receive(w int, t core.Task) int {
 	i, j := Decode(t, in.n)
-	sent := 0
-	if in.aKnown[w].SetIfClear(i) {
-		sent++
-	}
-	if in.bKnown[w].SetIfClear(j) {
-		sent++
-	}
-	return sent
+	return in.aKnown[w].Add(i) + in.bKnown[w].Add(j)
 }
 
 // unprocessedTasks returns all tasks not yet processed.
@@ -268,17 +261,19 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	n := s.inst.n
 	processed := s.inst.processed
 	if okJ {
+		blocks++
 		st.jKnown = append(st.jKnown, int32(j))
+		s.inst.bKnown[w].Set(j)
 	}
 	if okI {
 		blocks++
 		s.inst.aKnown[w].Set(i)
-		// Row i against every known column, the fresh j last.
-		tasks = bitset.AppendNewlySet(processed, tasks, i*n, 1, st.jKnown)
+		// Row i against every known column, the fresh j last. The
+		// worker's b set holds exactly those columns, so the row's
+		// words count the new tasks first.
+		tasks = bitset.AppendNewlySetIn(processed, tasks, i*n, st.jKnown, &s.inst.bKnown[w])
 	}
 	if okJ {
-		blocks++
-		s.inst.bKnown[w].Set(j)
 		// Column j against every previously known row (the pair (i,j)
 		// was handled above).
 		tasks = bitset.AppendNewlySet(processed, tasks, j, n, st.iKnown)

@@ -126,7 +126,22 @@ func (s *Dynamic) restoreWorkers(r *core.StateReader) {
 		st.init(n)
 		st.iKnown = st.iPool.RestoreState(r, n, st.iKnown)
 		st.jKnown = st.jPool.RestoreState(r, n, st.jKnown)
+		// A fresh row's tasks are counted against bKnown[w] (step), so
+		// a worker must hold every block its lists name.
+		if r.Ok() && !(holdsAll(&s.inst.aKnown[w], st.iKnown) && holdsAll(&s.inst.bKnown[w], st.jKnown)) {
+			r.Failf("outer: worker %d lists a block it does not hold", w)
+		}
 	}
+}
+
+// holdsAll reports whether every index of known is in set.
+func holdsAll(set *bitset.Bitset, known []int32) bool {
+	for _, k := range known {
+		if !set.Test(int(k)) {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendState implements core.Snapshotter: the phase-1 state, the

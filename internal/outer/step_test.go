@@ -93,18 +93,23 @@ type snapScheduler interface {
 	core.Snapshotter
 }
 
-// TestDynamicStepUnchanged replays 200 seeded runs of DynamicOuter and
+// TestDynamicStepUnchanged replays 200 small and 2 wide (n in 65–150,
+// so a row spans several words at unaligned offsets) seeded runs of DynamicOuter and
 // DynamicOuter2Phases against refStep: every assignment, the final
 // remaining count and the final driver state must be equal. Workers
 // poll in a seeded random order and never complete, so a batch depends
 // only on the step.
 func TestDynamicStepUnchanged(t *testing.T) {
-	const runs = 200
+	const runs, wide = 200, 2
 	for _, name := range []string{"dynamic", "2phases"} {
 		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= runs; seed++ {
+			for seed := uint64(1); seed <= runs+wide; seed++ {
 				pick := rng.NewStream(seed, 1)
-				n, p := 1+pick.Intn(40), 1+pick.Intn(8)
+				n := 1 + pick.Intn(40)
+				if seed > runs {
+					n = 65 + pick.Intn(86)
+				}
+				p := 1 + pick.Intn(8)
 				label := fmt.Sprintf("seed %d (n=%d p=%d)", seed, n, p)
 				switch name {
 				case "dynamic":

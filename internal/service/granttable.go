@@ -58,6 +58,11 @@ const gtFull = 1
 // grants never probe a degenerate table.
 const gtMinSize = 8
 
+// gtPresizeMax caps the table a run's first grant sizes (presize): 4,096
+// slots of 24 B, the largest table the benchmarks run. A bigger fleet's
+// table grows from there as it fills.
+const gtPresizeMax = 1 << 12
+
 // gtSparseMax is the slot count from which the table grows at load 3/4
 // instead of 1/4; it is 16 times the largest table the benchmarks run.
 const gtSparseMax = 1 << 16
@@ -71,6 +76,17 @@ func (g *grantTable) reset(size int) {
 	if size >= gtSparseMax {
 		g.limit = size / 4 * 3
 	}
+}
+
+// presize gives an empty table the slots that hold grants entries
+// below its load limit, at most gtPresizeMax: a table grown from
+// gtMinSize instead reallocates at every doubling on the way.
+func (g *grantTable) presize(grants int) {
+	size := gtMinSize
+	for size < gtPresizeMax && size/4 < grants {
+		size *= 2
+	}
+	g.reset(size)
 }
 
 // home is the preferred slot of task t: Fibonacci hashing spreads the

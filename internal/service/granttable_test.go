@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
 
@@ -202,6 +203,35 @@ func TestGrantTableGrowth(t *testing.T) {
 			}
 			if g.n != 0 {
 				t.Fatalf("drained table has n = %d", g.n)
+			}
+		})
+	}
+}
+
+// TestGrantTablePresize: a run holds no grant table until its first
+// grant, which sizes it for two batches per worker at the sparse load
+// limit, capped at gtPresizeMax slots for a large fleet.
+func TestGrantTablePresize(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		p, batch int
+		slots    int
+	}{
+		{name: "one worker, batch 1", p: 1, batch: 1, slots: gtMinSize},
+		{name: "small fleet", p: 4, batch: 4, slots: 128},
+		{name: "benchmark fleet", p: 64, batch: 4, slots: 2048},
+		{name: "large fleet", p: 100000, batch: 4, slots: gtPresizeMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHost(core.NewSchedulerDriver(outer.NewRandom(4, tc.p, rng.New(1))), tc.batch, 0)
+			if h.outstanding.slots != nil {
+				t.Fatal("an unpolled run holds a grant table")
+			}
+			if _, status, err := h.Next(0, nil); err != nil || status != StatusOK {
+				t.Fatalf("first poll: %s, %v", status, err)
+			}
+			if got := len(h.outstanding.slots); got != tc.slots {
+				t.Fatalf("first grant sized the table at %d slots, want %d", got, tc.slots)
 			}
 		})
 	}

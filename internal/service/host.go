@@ -584,6 +584,11 @@ func (h *Host) grantLocked(now time.Time, w int, slot *workerSlot) (core.Assignm
 		}
 	}
 	n := len(a.Tasks)
+	if h.outstanding.slots == nil && n > 0 {
+		// The run's first grant: room for two batches per worker, as
+		// many as one that re-polls without reporting holds.
+		h.outstanding.presize(2 * h.p * h.batch)
+	}
 	for _, t := range a.Tasks {
 		h.outstanding.put(t, int32(w), expNs)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hetsched/internal/core"
@@ -207,5 +208,33 @@ func TestProcQueueMatchesScan(t *testing.T) {
 				t.Fatalf("p=%d step %d: top %+v, scan %+v", p, step, got, want)
 			}
 		}
+	}
+}
+
+// TestProcQueueTiesAndBound: events tied at time 0 pop in seq order,
+// the initial ones first, and a fleet past the node key's proc field
+// is refused before anything is allocated.
+func TestProcQueueTiesAndBound(t *testing.T) {
+	q := newProcQueue(5)
+	q.set(event{t: 0, proc: 3, seq: 9})
+	q.set(event{t: 0, proc: 1, seq: 7})
+	var got []int
+	for e := q.top(); e.proc >= 0; e = q.top() {
+		got = append(got, e.proc)
+		q.remove(e.proc)
+	}
+	if want := []int{0, 2, 4, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+
+	for _, p := range []int{1 << procBits, 1<<procBits + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("newProcQueue(%d) did not panic", p)
+				}
+			}()
+			newProcQueue(p)
+		}()
 	}
 }

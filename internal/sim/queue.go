@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -11,35 +12,53 @@ import (
 // and 2i+1, and processor w's leaf is node L+w, L the smallest power of
 // two at least p. Every inner node holds the earlier of its children,
 // so the root is the earliest pending event. An absent leaf holds
-// noEvent, which every event precedes.
+// noNode, which every event precedes.
 //
 // set and remove walk one leaf-to-root path, reading one sibling per
 // level; a heap would pay a sift-down to pop and a sift-up to push.
 // (t, seq) is a strict total order, so the pop sequence is the heap's.
 type procQueue struct {
-	node []event
+	node []qnode
 }
+
+// qnode is an event as two integer words: t's bits, and key =
+// seq<<procBits | proc. Event times are never negative or NaN (run
+// refuses a speed that is not positive), so t's bits order as t does;
+// seq is unique, so key orders as seq does. seq counts grants, at most
+// p plus the task count, far below 2^40.
+type qnode struct {
+	t, key uint64
+}
+
+// procBits is the width of proc in a node's key: newProcQueue refuses
+// p ≥ 2^procBits.
+const procBits = 24
+
+var noNode = qnode{t: math.Float64bits(math.Inf(1)), key: math.MaxUint64}
 
 var noEvent = event{t: math.Inf(1), proc: -1, seq: math.MaxUint64}
 
 // newProcQueue returns the queue of p processors, each with an event at
 // time 0, processor k's with seq k.
 func newProcQueue(p int) procQueue {
+	if p >= 1<<procBits {
+		panic(fmt.Sprintf("sim: %d processors, the queue holds fewer than 2^%d", p, procBits))
+	}
 	leaves := 1
 	for leaves < p {
 		leaves *= 2
 	}
-	node := make([]event, 2*leaves)
+	node := make([]qnode, 2*leaves)
 	for w := range leaves {
-		node[leaves+w] = noEvent
+		node[leaves+w] = noNode
 		if w < p {
-			node[leaves+w] = event{t: 0, proc: w, seq: uint64(w)}
+			node[leaves+w] = qnode{t: 0, key: uint64(w)<<procBits | uint64(w)}
 		}
 	}
 	for i := leaves - 1; i >= 1; i-- {
 		node[i] = node[2*i]
-		if node[2*i+1].before(node[i]) {
-			node[i] = node[2*i+1]
+		if r := node[2*i+1]; r.t < node[i].t || r.t == node[i].t && r.key < node[i].key {
+			node[i] = r
 		}
 	}
 	return procQueue{node: node}
@@ -47,34 +66,36 @@ func newProcQueue(p int) procQueue {
 
 // top returns the earliest pending event, or noEvent (proc -1) when no
 // processor has one.
-func (q *procQueue) top() event { return q.node[1] }
+func (q *procQueue) top() event {
+	r := q.node[1]
+	if r.key == noNode.key {
+		return noEvent
+	}
+	return event{t: math.Float64frombits(r.t), proc: int(r.key & (1<<procBits - 1)), seq: r.key >> procBits}
+}
 
 // set makes e its processor's pending event, replacing any it had.
-func (q *procQueue) set(e event) { q.update(len(q.node)/2+e.proc, e) }
+func (q *procQueue) set(e event) {
+	q.update(len(q.node)/2+e.proc, qnode{t: math.Float64bits(e.t), key: e.seq<<procBits | uint64(e.proc)})
+}
 
 // remove clears processor w's pending event.
-func (q *procQueue) remove(w int) { q.update(len(q.node)/2+w, noEvent) }
+func (q *procQueue) remove(w int) { q.update(len(q.node)/2+w, noNode) }
 
 // update stores e at leaf i and replays the matches on its path.
 //
 // A match has no branch, which would be mispredicted at about half the
-// levels: event times are never negative or NaN (run refuses a speed
-// that is not positive), so t's bits order as t does, and (t, seq)
-// compares as one 128-bit number. The borrow of s − e is 1 exactly
-// when s.before(e), and its mask selects s.
-func (q *procQueue) update(i int, e event) {
+// levels: (t, key) compares as one 128-bit number. The borrow of s − e
+// is 1 exactly when s precedes e, and its mask selects s.
+func (q *procQueue) update(i int, e qnode) {
 	node := q.node
 	node[i] = e
 	for ; i > 1; i >>= 1 {
 		s := node[i^1]
-		_, b := bits.Sub64(s.seq, e.seq, 0)
-		_, b = bits.Sub64(math.Float64bits(s.t), math.Float64bits(e.t), b)
+		_, b := bits.Sub64(s.key, e.key, 0)
+		_, b = bits.Sub64(s.t, e.t, b)
 		m := -b
-		e = event{
-			t:    math.Float64frombits(math.Float64bits(e.t)&^m | math.Float64bits(s.t)&m),
-			proc: e.proc&^int(m) | s.proc&int(m),
-			seq:  e.seq&^m | s.seq&m,
-		}
+		e = qnode{t: e.t&^m | s.t&m, key: e.key&^m | s.key&m}
 		node[i>>1] = e
 	}
 }
