@@ -1,11 +1,16 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"hetsched/internal/core"
+	"hetsched/internal/rng"
 )
 
 // TestKernelAdmission pins, per kernel, what run creation admits and
@@ -104,6 +109,74 @@ func TestKernelsBuild(t *testing.T) {
 		}
 		if !hasDefault {
 			t.Errorf("%s: default strategy %q is not one of its strategies", k.Name, k.Default)
+		}
+	}
+}
+
+// TestFlatStatePinned pins the flat kernels' four strategies as run
+// creation builds them (2phases at β = 3): an FNV-64a over
+// every grant's tasks and block count, and the driver state's FNV-64a
+// and length at three cuts — a quarter and a half of the tasks
+// granted, and at most 1/64 left, which is past the 2phases switch.
+// Workers poll in a seeded order and never complete. A change to a
+// flat strategy that moves a draw, a grant, a block count or a state
+// byte shows here.
+func TestFlatStatePinned(t *testing.T) {
+	pins := map[string]string{
+		"outer-random":   "1371fc6278c7f337/2599 6d2c3089f6f17ca9/1836 d30e8d6eb8bb8e3a/344 grants=f29d00fd94d5c517",
+		"outer-sorted":   "f1f3d6c04d5d95f0/299 3e8fdab5b0a55437/299 26fb803050a32e10/299 grants=3fb262b73198213b",
+		"outer-dynamic":  "71d3f0346d2c387f/712 2e491551a767f2c4/712 e7dc4929066ed912/712 grants=116e785bf8745a5f",
+		"outer-2phases":  "9759a8158223ffcd/713 0e21fdbf75a1830c/713 af28aec12c5ca735/354 grants=1fb8af79479de685",
+		"matmul-random":  "f33988275df45daa/3086 2142f16604fda5d5/2261 b9877bd71df55f25/646 grants=a1398987294b1015",
+		"matmul-sorted":  "a17ba3d58c8bb8d9/595 55907f68bd1ae9d6/595 2dbb362d197c8210/595 grants=75180daad409fc81",
+		"matmul-dynamic": "6b9b7feedf5e7f9a/788 ecc2914a7619dbe0/788 39d72d44fab8ada7/788 grants=f0b9891794951879",
+		"matmul-2phases": "37b9fce58d92d2ae/789 6878c186adf09da0/789 d5f4de824fb8bf8a/842 grants=2eb734b8e84ea647",
+	}
+	for _, k := range []struct {
+		kernel string
+		n      int
+	}{{KernelOuter, 40}, {KernelMatmul, 12}} {
+		for _, strategy := range []string{"random", "sorted", "dynamic", "2phases"} {
+			name := k.kernel + "-" + strategy
+			t.Run(name, func(t *testing.T) {
+				q := CreateRunRequest{Kernel: k.kernel, Strategy: strategy, N: k.n, P: 5, Beta: 3}
+				drv, err := BuildDriver(&q, rng.New(17))
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := drv.Total()
+				cuts := []int{total / 4, total / 2, total - total/64}
+				pick := rng.NewStream(17, 1)
+				grants := fnv.New64a()
+				got := ""
+				var buf core.TaskBuf
+				for granted := 0; drv.Remaining() > 0; {
+					a, ok := drv.NextInto(pick.Intn(q.P), buf)
+					if !ok {
+						continue
+					}
+					buf = a.Tasks
+					for _, task := range a.Tasks {
+						grants.Write(binary.AppendUvarint(nil, uint64(task)))
+					}
+					grants.Write(binary.AppendUvarint(nil, uint64(a.Blocks)))
+					granted += len(a.Tasks)
+					for len(cuts) > 0 && granted >= cuts[0] {
+						state := drv.(core.Snapshotter).AppendState(nil)
+						h := fnv.New64a()
+						h.Write(state)
+						got += fmt.Sprintf("%016x/%d ", h.Sum64(), len(state))
+						cuts = cuts[1:]
+						if po, ok := drv.(*core.SchedulerDriver).Unwrap().(core.PhaseObserver); ok && len(cuts) == 0 && po.Phase1Tasks() >= granted {
+							t.Fatalf("the last cut (%d of %d tasks granted) is not past the switch", granted, total)
+						}
+					}
+				}
+				got += fmt.Sprintf("grants=%016x", grants.Sum64())
+				if want := pins[name]; got != want {
+					t.Errorf("got  %s\npinned %s", got, want)
+				}
+			})
 		}
 	}
 }
