@@ -9,8 +9,10 @@
 //   - internal/core     — scheduler/driver abstraction (the paper's contribution, kernel-agnostic part)
 //     and core.Master, the demand-driven master the simulator and the
 //     runtime both step
-//   - internal/outer    — outer-product strategies (Random/Sorted/Dynamic/2Phases)
-//   - internal/matmul   — matrix-multiplication strategies
+//   - internal/flat     — the flat kernels' engine: Random/Sorted/2Phases,
+//     the instance and its state codec, on a kernel's flat.Kernel
+//   - internal/outer, internal/matmul — the two flat kernels: charge
+//     rule and data-aware strategy (Algorithms 1 and 3)
 //   - internal/dag      — generic dependency-aware engine (ready set with
 //     each task's tile ids, one bitset per worker of the tiles it
 //     lacks, policies) behind the DAG kernels

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -34,14 +35,14 @@ func main() {
 	}
 	ideal := float64(n*n) / sumS
 	beta, _ := analysis.OptimalBetaOuter(rs, n)
-	thr := outer.ThresholdFromBeta(beta, n)
+	thr := outer.Kernel.ThresholdFromBeta(beta, n)
 
 	fmt.Printf("p=%d, n=%d, ideal makespan %.2f (pure compute)\n\n", p, n, ideal)
 	fmt.Println("makespan / ideal with prefetch lookahead 2:")
 	fmt.Printf("%12s %22s %14s\n", "bandwidth", "DynamicOuter2Phases", "RandomOuter")
 	for _, bw := range []float64{100, 200, 400, 800, math.Inf(1)} {
-		two := sim.RunBandwidth(outer.NewTwoPhases(n, p, thr, root.Split()), speeds.NewFixed(s), bw, 2)
-		rnd := sim.RunBandwidth(outer.NewRandom(n, p, root.Split()), speeds.NewFixed(s), bw, 2)
+		two := sim.RunBandwidth(flat.NewTwoPhases(outer.Kernel, n, p, thr, root.Split()), speeds.NewFixed(s), bw, 2)
+		rnd := sim.RunBandwidth(flat.NewRandom(outer.Kernel, n, p, root.Split()), speeds.NewFixed(s), bw, 2)
 		label := fmt.Sprintf("%g", bw)
 		if math.IsInf(bw, 1) {
 			label = "∞ (paper)"
@@ -52,7 +53,7 @@ func main() {
 	fmt.Println("\nmakespan / ideal at bandwidth 400, varying prefetch lookahead:")
 	fmt.Printf("%12s %22s\n", "lookahead", "DynamicOuter2Phases")
 	for _, la := range []int{0, 1, 2, 4} {
-		two := sim.RunBandwidth(outer.NewTwoPhases(n, p, thr, root.Split()), speeds.NewFixed(s), 400, la)
+		two := sim.RunBandwidth(flat.NewTwoPhases(outer.Kernel, n, p, thr, root.Split()), speeds.NewFixed(s), 400, la)
 		fmt.Printf("%12d %22.3f\n", la, two.Makespan/ideal)
 	}
 	fmt.Println("\na prefetch window of 1–2 assignments already restores the overlap the paper assumes")

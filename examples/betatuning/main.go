@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -37,7 +38,7 @@ func main() {
 	for b := 2.0; b <= 7.0+1e-9; b += 0.5 {
 		mean := 0.0
 		for rep := 0; rep < reps; rep++ {
-			sched := outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(b, n), root.Split())
+			sched := flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(b, n), root.Split())
 			m := sim.Run(sched, speeds.NewFixed(s))
 			mean += float64(m.Blocks) / lb
 		}
@@ -54,5 +55,5 @@ func main() {
 	fmt.Printf("speed-agnostic tuning  beta_hom = %.4f (homogeneous platform, §3.6)\n", betaHom)
 	fmt.Printf("simulation optimum     beta ≈ %.2f (ratio %.3f)\n", bestSimBeta, bestSim)
 	fmt.Printf("\nthe switch happens when e^(−beta*)·n² ≈ %d of the %d tasks remain\n",
-		outer.ThresholdFromBeta(betaStar, n), n*n)
+		outer.Kernel.ThresholdFromBeta(betaStar, n), n*n)
 }

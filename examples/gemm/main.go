@@ -16,6 +16,7 @@ import (
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/exec"
+	"hetsched/internal/flat"
 	"hetsched/internal/linalg"
 	"hetsched/internal/matmul"
 	"hetsched/internal/rng"
@@ -40,7 +41,7 @@ func main() {
 	b.Fill(root.Split())
 
 	beta, _ := analysis.OptimalBetaMatrix(rs, n)
-	sched := matmul.NewTwoPhases(n, p, matmul.ThresholdFromBeta(beta, n), root.Split())
+	sched := flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(beta, n), root.Split())
 
 	start := time.Now()
 	c, res := exec.RunGemm(sched, a, b, exec.Options{

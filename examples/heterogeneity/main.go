@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -32,9 +33,9 @@ func main() {
 			lb := analysis.LowerBoundOuter(rs, n)
 
 			beta, predicted := analysis.OptimalBetaOuter(rs, n)
-			m2 := sim.Run(outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(beta, n), root.Split()), speeds.NewFixed(s))
+			m2 := sim.Run(flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), root.Split()), speeds.NewFixed(s))
 			md := sim.Run(outer.NewDynamic(n, p, root.Split()), speeds.NewFixed(s))
-			mr := sim.Run(outer.NewRandom(n, p, root.Split()), speeds.NewFixed(s))
+			mr := sim.Run(flat.NewRandom(outer.Kernel, n, p, root.Split()), speeds.NewFixed(s))
 
 			two += float64(m2.Blocks) / lb
 			dyn += float64(md.Blocks) / lb

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -38,12 +39,12 @@ func main() {
 	// predicted volume; the scheduler switches to random allocation
 	// when e^(−beta*)·n² tasks remain.
 	beta, predicted := analysis.OptimalBetaOuter(rs, n)
-	threshold := outer.ThresholdFromBeta(beta, n)
+	threshold := outer.Kernel.ThresholdFromBeta(beta, n)
 	fmt.Printf("analysis: beta* = %.3f → switch threshold %d tasks, predicted ratio %.3f\n\n", beta, threshold, predicted)
 
 	// Simulate the recommended scheduler and the naive baseline.
-	two := sim.Run(outer.NewTwoPhases(n, p, threshold, root.Split()), speeds.NewFixed(s))
-	rnd := sim.Run(outer.NewRandom(n, p, root.Split()), speeds.NewFixed(s))
+	two := sim.Run(flat.NewTwoPhases(outer.Kernel, n, p, threshold, root.Split()), speeds.NewFixed(s))
+	rnd := sim.Run(flat.NewRandom(outer.Kernel, n, p, root.Split()), speeds.NewFixed(s))
 
 	fmt.Printf("%-22s %10s %12s\n", "strategy", "blocks", "vs bound")
 	fmt.Printf("%-22s %10d %12.3f\n", "DynamicOuter2Phases", two.Blocks, float64(two.Blocks)/lb)

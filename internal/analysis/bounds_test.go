@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hetsched/internal/flat"
 	"hetsched/internal/matmul"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
@@ -52,10 +53,10 @@ func TestSimulatedRunsRespectAPosterioriBounds(t *testing.T) {
 
 	const nOuter = 40
 	outerRuns := map[string]*sim.Metrics{
-		"RandomOuter":  sim.Run(outer.NewRandom(nOuter, p, root.Split()), speeds.NewFixed(s)),
-		"SortedOuter":  sim.Run(outer.NewSorted(nOuter, p, root.Split()), speeds.NewFixed(s)),
+		"RandomOuter":  sim.Run(flat.NewRandom(outer.Kernel, nOuter, p, root.Split()), speeds.NewFixed(s)),
+		"SortedOuter":  sim.Run(flat.NewSorted(outer.Kernel, nOuter, p, root.Split()), speeds.NewFixed(s)),
 		"DynamicOuter": sim.Run(outer.NewDynamic(nOuter, p, root.Split()), speeds.NewFixed(s)),
-		"TwoPhases":    sim.Run(outer.NewTwoPhases(nOuter, p, outer.ThresholdFromBeta(4, nOuter), root.Split()), speeds.NewFixed(s)),
+		"TwoPhases":    sim.Run(flat.NewTwoPhases(outer.Kernel, nOuter, p, outer.Kernel.ThresholdFromBeta(4, nOuter), root.Split()), speeds.NewFixed(s)),
 	}
 	for name, m := range outerRuns {
 		lb := analysis.APosterioriLBOuter(m.TasksPer)
@@ -66,9 +67,9 @@ func TestSimulatedRunsRespectAPosterioriBounds(t *testing.T) {
 
 	const nMat = 12
 	matRuns := map[string]*sim.Metrics{
-		"RandomMatrix":  sim.Run(matmul.NewRandom(nMat, p, root.Split()), speeds.NewFixed(s)),
+		"RandomMatrix":  sim.Run(flat.NewRandom(matmul.Kernel, nMat, p, root.Split()), speeds.NewFixed(s)),
 		"DynamicMatrix": sim.Run(matmul.NewDynamic(nMat, p, root.Split()), speeds.NewFixed(s)),
-		"TwoPhases":     sim.Run(matmul.NewTwoPhases(nMat, p, matmul.ThresholdFromBeta(3, nMat), root.Split()), speeds.NewFixed(s)),
+		"TwoPhases":     sim.Run(flat.NewTwoPhases(matmul.Kernel, nMat, p, matmul.Kernel.ThresholdFromBeta(3, nMat), root.Split()), speeds.NewFixed(s)),
 	}
 	for name, m := range matRuns {
 		lb := analysis.APosterioriLBMatrix(m.TasksPer)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/trace"
@@ -301,7 +302,7 @@ func TestJournalRotateAndPrune(t *testing.T) {
 // goldenDriver is the state of a small served driver a few grants in,
 // so the snapshot corpus carries the bytes a real host writes.
 func goldenDriver() []byte {
-	d := core.NewSchedulerDriver(outer.NewTwoPhasesAuto(4, 2, rng.New(1).Split()))
+	d := core.NewSchedulerDriver(flat.NewTwoPhasesAuto(outer.Kernel, 4, 2, rng.New(1).Split()))
 	for w := 0; w < 4; w++ {
 		d.Next(w % 2)
 	}

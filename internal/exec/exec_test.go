@@ -8,6 +8,7 @@ import (
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
+	"hetsched/internal/flat"
 	"hetsched/internal/linalg"
 	"hetsched/internal/lu"
 	"hetsched/internal/matmul"
@@ -19,22 +20,22 @@ import (
 
 func outerBuilders(n, p int) map[string]func(r *rng.PCG) core.Scheduler {
 	return map[string]func(r *rng.PCG) core.Scheduler{
-		"RandomOuter":  func(r *rng.PCG) core.Scheduler { return outer.NewRandom(n, p, r) },
-		"SortedOuter":  func(r *rng.PCG) core.Scheduler { return outer.NewSorted(n, p, r) },
+		"RandomOuter":  func(r *rng.PCG) core.Scheduler { return flat.NewRandom(outer.Kernel, n, p, r) },
+		"SortedOuter":  func(r *rng.PCG) core.Scheduler { return flat.NewSorted(outer.Kernel, n, p, r) },
 		"DynamicOuter": func(r *rng.PCG) core.Scheduler { return outer.NewDynamic(n, p, r) },
 		"DynamicOuter2Phases": func(r *rng.PCG) core.Scheduler {
-			return outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(4, n), r)
+			return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(4, n), r)
 		},
 	}
 }
 
 func matrixBuilders(n, p int) map[string]func(r *rng.PCG) core.Scheduler {
 	return map[string]func(r *rng.PCG) core.Scheduler{
-		"RandomMatrix":  func(r *rng.PCG) core.Scheduler { return matmul.NewRandom(n, p, r) },
-		"SortedMatrix":  func(r *rng.PCG) core.Scheduler { return matmul.NewSorted(n, p, r) },
+		"RandomMatrix":  func(r *rng.PCG) core.Scheduler { return flat.NewRandom(matmul.Kernel, n, p, r) },
+		"SortedMatrix":  func(r *rng.PCG) core.Scheduler { return flat.NewSorted(matmul.Kernel, n, p, r) },
 		"DynamicMatrix": func(r *rng.PCG) core.Scheduler { return matmul.NewDynamic(n, p, r) },
 		"DynamicMatrix2Phases": func(r *rng.PCG) core.Scheduler {
-			return matmul.NewTwoPhases(n, p, matmul.ThresholdFromBeta(3, n), r)
+			return flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(3, n), r)
 		},
 	}
 }
@@ -126,7 +127,7 @@ func TestThrottledSpeedsShiftWork(t *testing.T) {
 	a.Fill(root.Split())
 	b.Fill(root.Split())
 	sp := []float64{1, 20}
-	_, res := RunOuter(outer.NewRandom(n, 2, root.Split()), a, b, Options{
+	_, res := RunOuter(flat.NewRandom(outer.Kernel, n, 2, root.Split()), a, b, Options{
 		Workers:  2,
 		Speeds:   sp,
 		TaskCost: 2 * time.Millisecond,
@@ -146,7 +147,7 @@ func TestWorkerCountMismatchPanics(t *testing.T) {
 	root := rng.New(5)
 	a := linalg.NewBlockedVector(4, 2)
 	b := linalg.NewBlockedVector(4, 2)
-	RunOuter(outer.NewRandom(4, 3, root), a, b, Options{Workers: 2})
+	RunOuter(flat.NewRandom(outer.Kernel, 4, 3, root), a, b, Options{Workers: 2})
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
@@ -158,7 +159,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	}()
 	a := linalg.NewBlockedVector(4, 2)
 	b := linalg.NewBlockedVector(5, 2)
-	RunOuter(outer.NewRandom(4, 2, root), a, b, Options{Workers: 2})
+	RunOuter(flat.NewRandom(outer.Kernel, 4, 2, root), a, b, Options{Workers: 2})
 }
 
 func TestManyWorkersSmallProblem(t *testing.T) {

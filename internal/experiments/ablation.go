@@ -5,6 +5,7 @@ import (
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/partition"
 	"hetsched/internal/plot"
@@ -50,7 +51,7 @@ func AblationStatic(cfg Config) *plot.Result {
 			lb := analysis.LowerBoundOuter(rs, n)
 
 			beta, ratio := analysis.OptimalBetaOuter(rs, n)
-			sched := outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(beta, n), streams[1])
+			sched := flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), streams[1])
 			m := sim.Run(sched, speeds.NewFixed(init))
 
 			part := partition.Columnwise(rs)
@@ -121,7 +122,7 @@ func AblationPhase2(cfg Config) *plot.Result {
 	futs := make([]*rep[float64], len(betas))
 	for i, b := range betas {
 		futs[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(b, n), r)
+			return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(b, n), r)
 		})
 	}
 

@@ -14,6 +14,7 @@ import (
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/matmul"
 	"hetsched/internal/outer"
 	"hetsched/internal/plot"
@@ -113,14 +114,14 @@ func matrixName(st strategyID) string {
 func newOuterScheduler(st strategyID, n, p int, rs []float64, r *rng.PCG) core.Scheduler {
 	switch st {
 	case stRandom:
-		return outer.NewRandom(n, p, r)
+		return flat.NewRandom(outer.Kernel, n, p, r)
 	case stSorted:
-		return outer.NewSorted(n, p, r)
+		return flat.NewSorted(outer.Kernel, n, p, r)
 	case stDynamic:
 		return outer.NewDynamic(n, p, r)
 	case stTwoPhases:
 		beta, _ := analysis.OptimalBetaOuter(rs, n)
-		return outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(beta, n), r)
+		return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), r)
 	}
 	panic("experiments: unknown strategy")
 }
@@ -130,14 +131,14 @@ func newOuterScheduler(st strategyID, n, p int, rs []float64, r *rng.PCG) core.S
 func newMatrixScheduler(st strategyID, n, p int, rs []float64, r *rng.PCG) core.Scheduler {
 	switch st {
 	case stRandom:
-		return matmul.NewRandom(n, p, r)
+		return flat.NewRandom(matmul.Kernel, n, p, r)
 	case stSorted:
-		return matmul.NewSorted(n, p, r)
+		return flat.NewSorted(matmul.Kernel, n, p, r)
 	case stDynamic:
 		return matmul.NewDynamic(n, p, r)
 	case stTwoPhases:
 		beta, _ := analysis.OptimalBetaMatrix(rs, n)
-		return matmul.NewTwoPhases(n, p, matmul.ThresholdFromBeta(beta, n), r)
+		return flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(beta, n), r)
 	}
 	panic("experiments: unknown strategy")
 }

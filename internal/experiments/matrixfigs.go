@@ -5,6 +5,7 @@ import (
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/matmul"
 	"hetsched/internal/plot"
 	"hetsched/internal/rng"
@@ -81,7 +82,7 @@ func Fig11(cfg Config) *plot.Result {
 	betaFuts := make([]*rep[float64], len(betas))
 	for i, b := range betas {
 		betaFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return matmul.NewTwoPhases(n, p, matmul.ThresholdFromBeta(b, n), r)
+			return flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(b, n), r)
 		})
 	}
 	dynFut := measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
@@ -106,7 +107,7 @@ func Fig11(cfg Config) *plot.Result {
 
 	betaStar, _ := analysis.OptimalBetaMatrix(rs, n)
 	betaHom, _ := analysis.OptimalBetaMatrix(speeds.Homogeneous(p), n)
-	thr := matmul.ThresholdFromBeta(betaStar, n)
+	thr := matmul.Kernel.ThresholdFromBeta(betaStar, n)
 	phase1 := 100 * (1 - float64(thr)/float64(n*n*n))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("analysis minimizer beta*=%.4f (paper: 2.95), i.e. %.1f%% of tasks in phase 1 (paper: 94.7%%); beta_hom=%.4f (paper: 2.92)", betaStar, phase1, betaHom))

@@ -5,6 +5,7 @@ import (
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/plot"
 	"hetsched/internal/rng"
@@ -92,7 +93,7 @@ func Fig2(cfg Config) *plot.Result {
 	twoFuts := make([]*rep[float64], len(fracs))
 	for i, frac := range fracs {
 		twoFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return outer.NewTwoPhases(n, p, outer.ThresholdFromPhase1Fraction(frac, n), r)
+			return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromPhase1Fraction(frac, n), r)
 		})
 	}
 	// Reference lines for the pure strategies on the same platform.
@@ -120,7 +121,7 @@ func Fig2(cfg Config) *plot.Result {
 	}
 
 	beta, _ := analysis.OptimalBetaOuter(rs, n)
-	thr := outer.ThresholdFromBeta(beta, n)
+	thr := outer.Kernel.ThresholdFromBeta(beta, n)
 	optFrac := 100 * (1 - float64(thr)/float64(n*n))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("analysis optimum: beta*=%.3f, i.e. %.1f%% of tasks in phase 1", beta, optFrac))
@@ -158,7 +159,7 @@ func Fig6(cfg Config) *plot.Result {
 	betaFuts := make([]*rep[float64], len(betas))
 	for i, b := range betas {
 		betaFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(b, n), r)
+			return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(b, n), r)
 		})
 	}
 	dynFut := measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {

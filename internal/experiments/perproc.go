@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/plot"
 	"hetsched/internal/rng"
@@ -49,7 +50,7 @@ func PerProcessor(cfg Config) *plot.Result {
 	}
 
 	fut := replicate(cfg.pool(), reps, 1, root, func(_ int, streams []*rng.PCG) []int {
-		sched := outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(beta, n), streams[0])
+		sched := flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), streams[0])
 		m := sim.Run(sched, speeds.NewFixed(init))
 		return m.BlocksPer
 	})

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/partition"
 	"hetsched/internal/plot"
@@ -77,7 +78,7 @@ func Robustness(cfg Config) *plot.Result {
 			// Dynamic: speed-agnostic; tuned with the homogeneous β
 			// (§3.6) so it uses no speed information at all.
 			beta, _ := analysis.OptimalBetaOuter(speeds.Homogeneous(p), n)
-			sched := outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(beta, n), streams[2])
+			sched := flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), streams[2])
 			m := sim.Run(sched, speeds.NewFixed(trueSpeeds))
 			return out{static: worst / ideal, dynamic: m.Makespan / ideal}
 		})

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
@@ -50,67 +51,12 @@ func drain(t *testing.T, s core.Scheduler, check func(w int, a core.Assignment))
 
 func builders(n, p int) map[string]func(r *rng.PCG) core.Scheduler {
 	return map[string]func(r *rng.PCG) core.Scheduler{
-		"RandomMatrix":  func(r *rng.PCG) core.Scheduler { return NewRandom(n, p, r) },
-		"SortedMatrix":  func(r *rng.PCG) core.Scheduler { return NewSorted(n, p, r) },
+		"RandomMatrix":  func(r *rng.PCG) core.Scheduler { return flat.NewRandom(Kernel, n, p, r) },
+		"SortedMatrix":  func(r *rng.PCG) core.Scheduler { return flat.NewSorted(Kernel, n, p, r) },
 		"DynamicMatrix": func(r *rng.PCG) core.Scheduler { return NewDynamic(n, p, r) },
 		"DynamicMatrix2Phases": func(r *rng.PCG) core.Scheduler {
-			return NewTwoPhases(n, p, ThresholdFromBeta(3, n), r)
+			return flat.NewTwoPhases(Kernel, n, p, Kernel.ThresholdFromBeta(3, n), r)
 		},
-	}
-}
-
-func TestEveryTaskAssignedExactlyOnce(t *testing.T) {
-	const n, p = 12, 5
-	for name, build := range builders(n, p) {
-		s := build(rng.New(42))
-		seen := make(map[core.Task]bool, n*n*n)
-		tasks, _ := drain(t, s, func(_ int, a core.Assignment) {
-			for _, task := range a.Tasks {
-				if seen[task] {
-					t.Fatalf("%s: task %d assigned twice", name, task)
-				}
-				if task < 0 || int(task) >= n*n*n {
-					t.Fatalf("%s: task %d out of range", name, task)
-				}
-				seen[task] = true
-			}
-		})
-		if tasks != n*n*n {
-			t.Fatalf("%s: %d tasks assigned, want %d", name, tasks, n*n*n)
-		}
-	}
-}
-
-func instanceOf(s core.Scheduler) *Instance {
-	switch sch := s.(type) {
-	case *Random:
-		return sch.inst
-	case *Sorted:
-		return sch.inst
-	case *Dynamic:
-		return sch.inst
-	case *TwoPhases:
-		return sch.dyn.inst
-	}
-	return nil
-}
-
-func TestWorkerAlwaysOwnsTaskInputs(t *testing.T) {
-	const n, p = 10, 4
-	for name, build := range builders(n, p) {
-		s := build(rng.New(7))
-		inst := instanceOf(s)
-		drain(t, s, func(w int, a core.Assignment) {
-			for _, task := range a.Tasks {
-				i, j, k := Decode(task, n)
-				if !inst.aKnown[w].Test(i*n+k) ||
-					!inst.bKnown[w].Test(k*n+j) ||
-					!inst.cKnown[w].Test(i*n+j) {
-					t.Fatalf("%s: worker %d assigned task (%d,%d,%d) without owning its blocks",
-						name, w, i, j, k)
-				}
-			}
-		})
 	}
 }
 
@@ -154,13 +100,13 @@ func TestDynamicOwnershipIsCrossProduct(t *testing.T) {
 		}
 		for r := 0; r < n; r++ {
 			for c := 0; c < n; c++ {
-				if s.inst.aKnown[w].Test(r*n+c) != (inI[r] && inK[c]) {
+				if s.Own[0][w].Test(r*n+c) != (inI[r] && inK[c]) {
 					t.Fatalf("worker %d A ownership (%d,%d) disagrees with I×K", w, r, c)
 				}
-				if s.inst.bKnown[w].Test(r*n+c) != (inK[r] && inJ[c]) {
+				if s.Own[1][w].Test(r*n+c) != (inK[r] && inJ[c]) {
 					t.Fatalf("worker %d B ownership (%d,%d) disagrees with K×J", w, r, c)
 				}
-				if s.inst.cKnown[w].Test(r*n+c) != (inI[r] && inJ[c]) {
+				if s.Own[2][w].Test(r*n+c) != (inI[r] && inJ[c]) {
 					t.Fatalf("worker %d C ownership (%d,%d) disagrees with I×J", w, r, c)
 				}
 			}
@@ -168,21 +114,9 @@ func TestDynamicOwnershipIsCrossProduct(t *testing.T) {
 	}
 }
 
-func TestSortedOrder(t *testing.T) {
-	const n, p = 8, 3
-	s := NewSorted(n, p, rng.New(1))
-	last := core.Task(-1)
-	drain(t, s, func(_ int, a core.Assignment) {
-		if a.Tasks[0] <= last {
-			t.Fatalf("SortedMatrix out of order: %d after %d", a.Tasks[0], last)
-		}
-		last = a.Tasks[0]
-	})
-}
-
 func TestRandomBlocksPerTask(t *testing.T) {
 	const n, p = 10, 3
-	s := NewRandom(n, p, rng.New(2))
+	s := flat.NewRandom(Kernel, n, p, rng.New(2))
 	drain(t, s, func(_ int, a core.Assignment) {
 		if len(a.Tasks) != 1 {
 			t.Fatalf("RandomMatrix returned %d tasks", len(a.Tasks))
@@ -191,48 +125,6 @@ func TestRandomBlocksPerTask(t *testing.T) {
 			t.Fatalf("RandomMatrix shipped %d blocks for one task", a.Blocks)
 		}
 	})
-}
-
-func TestTwoPhasesPhaseAccounting(t *testing.T) {
-	const n, p = 12, 4
-	threshold := 400
-	s := NewTwoPhases(n, p, threshold, rng.New(13))
-	drain(t, s, nil)
-	phase1 := s.Phase1Tasks()
-	if phase1 < n*n*n-threshold || phase1 > n*n*n {
-		t.Fatalf("phase-1 task count %d inconsistent with threshold %d (total %d)",
-			phase1, threshold, n*n*n)
-	}
-	if !s.switched {
-		t.Fatal("two-phase scheduler never switched")
-	}
-}
-
-func TestThresholdHelpers(t *testing.T) {
-	if got := ThresholdFromBeta(0, 20); got != 20*20*20 {
-		t.Fatalf("ThresholdFromBeta(0) = %d, want n³", got)
-	}
-	if got := ThresholdFromBeta(60, 20); got != 0 {
-		t.Fatalf("ThresholdFromBeta(60) = %d, want 0", got)
-	}
-	if got := ThresholdFromPhase1Fraction(0.5, 10); got != 500 {
-		t.Fatalf("fraction 0.5 → threshold %d, want 500", got)
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	const n, p = 10, 4
-	for name, build := range builders(n, p) {
-		run := func() (int, int) {
-			s := build(rng.New(99))
-			return drain(t, s, nil)
-		}
-		t1, b1 := run()
-		t2, b2 := run()
-		if t1 != t2 || b1 != b2 {
-			t.Fatalf("%s not deterministic: (%d,%d) vs (%d,%d)", name, t1, b1, t2, b2)
-		}
-	}
 }
 
 func TestSimulationIntegration(t *testing.T) {
@@ -262,28 +154,11 @@ func TestSimulationIntegration(t *testing.T) {
 	}
 }
 
-func TestConstructorValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"n=0":     func() { NewRandom(0, 3, rng.New(1)) },
-		"p=0":     func() { NewDynamic(10, 0, rng.New(1)) },
-		"nil rng": func() { NewSorted(10, 3, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("constructor with %s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestTwoPhasesAutoCompetitive(t *testing.T) {
 	const n, p = 16, 10
 	root := rng.New(31)
 	s := speeds.UniformRange(p, 10, 100, root.Split())
-	auto := sim.Run(NewTwoPhasesAuto(n, p, rng.New(77)), speeds.NewFixed(s))
+	auto := sim.Run(flat.NewTwoPhasesAuto(Kernel, n, p, rng.New(77)), speeds.NewFixed(s))
 	dynamic := sim.Run(NewDynamic(n, p, rng.New(77)), speeds.NewFixed(s))
 	if auto.Blocks >= dynamic.Blocks {
 		t.Fatalf("speed-agnostic two-phase (%d blocks) did not beat DynamicMatrix (%d)",

@@ -8,22 +8,23 @@ import (
 
 	"hetsched/internal/bitset"
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/rng"
 )
 
 // refStep is Dynamic.step as it was before bitset.AppendNewlySet: one
-// markProcessed, and one decrement of remaining, per candidate task,
+// MarkProcessed, and one decrement of remaining, per candidate task,
 // through closures over the fresh indices.
 func refStep(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
 	st := &s.dyn[w]
-	i, okI := st.iPool.Draw(s.inst.r)
-	j, okJ := st.jPool.Draw(s.inst.r)
-	k, okK := st.kPool.Draw(s.inst.r)
+	i, okI := st.iPool.Draw(s.R)
+	j, okJ := st.jPool.Draw(s.R)
+	k, okK := st.kPool.Draw(s.R)
 	if !okI && !okJ && !okK {
 		return core.Assignment{}, false
 	}
 
-	n := s.inst.n
+	n := s.N
 	oldI, oldJ, oldK := len(st.iKnown), len(st.jKnown), len(st.kKnown)
 	newI, newJ, newK := oldI, oldJ, oldK
 	if okI {
@@ -45,35 +46,35 @@ func refStep(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
 	mark := func(set *bitset.Bitset, row, col int) { set.Set(row*n + col) }
 	if okI {
 		for _, kk := range st.kKnown {
-			mark(&s.inst.aKnown[w], i, int(kk))
+			mark(&s.Own[0][w], i, int(kk))
 		}
 		for _, jj := range st.jKnown {
-			mark(&s.inst.cKnown[w], i, int(jj))
+			mark(&s.Own[2][w], i, int(jj))
 		}
 		if okK {
-			mark(&s.inst.aKnown[w], i, k)
+			mark(&s.Own[0][w], i, k)
 		}
 		if okJ {
-			mark(&s.inst.cKnown[w], i, j)
+			mark(&s.Own[2][w], i, j)
 		}
 	}
 	if okJ {
 		for _, kk := range st.kKnown {
-			mark(&s.inst.bKnown[w], int(kk), j)
+			mark(&s.Own[1][w], int(kk), j)
 		}
 		for _, ii := range st.iKnown {
-			mark(&s.inst.cKnown[w], int(ii), j)
+			mark(&s.Own[2][w], int(ii), j)
 		}
 		if okK {
-			mark(&s.inst.bKnown[w], k, j)
+			mark(&s.Own[1][w], k, j)
 		}
 	}
 	if okK {
 		for _, jj := range st.jKnown {
-			mark(&s.inst.bKnown[w], k, int(jj))
+			mark(&s.Own[1][w], k, int(jj))
 		}
 		for _, ii := range st.iKnown {
-			mark(&s.inst.aKnown[w], int(ii), k)
+			mark(&s.Own[0][w], int(ii), k)
 		}
 	}
 
@@ -82,7 +83,7 @@ func refStep(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
 	tasks := buf[:0]
 	try := func(ti, tj, tk int) {
 		t := TaskID(ti, tj, tk, n)
-		if s.inst.markProcessed(t) {
+		if s.MarkProcessed(t) {
 			tasks = append(tasks, t)
 		}
 	}
@@ -134,27 +135,25 @@ func refStep(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
 
 // refDynamicNext is Dynamic.NextInto over refStep.
 func refDynamicNext(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
-	if s.inst.remaining == 0 {
+	if s.Left == 0 {
 		return core.Assignment{}, false
 	}
 	return refStep(s, w, buf)
 }
 
-// refTwoPhasesNext is TwoPhases.NextInto over refStep.
-func refTwoPhasesNext(s *TwoPhases, w int, buf core.TaskBuf) (core.Assignment, bool) {
-	inst := s.dyn.inst
-	if !s.switched && inst.remaining > 0 && inst.remaining <= s.threshold {
-		s.switchPhase()
-	}
-	if !s.switched {
-		return refDynamicNext(s.dyn, w, buf)
-	}
-	t, ok := s.pool.Draw(inst.r)
-	if !ok {
-		return core.Assignment{}, false
-	}
-	inst.markProcessed(t)
-	return core.Assignment{Tasks: append(buf[:0], t), Blocks: inst.receive(w, t)}, true
+// refKernel is Kernel with refStep for DynamicMatrix's step, so that
+// a flat.TwoPhases on it is DynamicMatrix2Phases over refStep.
+var refKernel = func() *flat.Kernel {
+	k := *Kernel
+	k.NewDynamic = func(in *flat.Instance) flat.Dynamic { return refDynamic{newDynamic(in)} }
+	return &k
+}()
+
+// refDynamic is a Dynamic that steps with refStep.
+type refDynamic struct{ *Dynamic }
+
+func (d refDynamic) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
+	return refDynamicNext(d.Dynamic, w, buf)
 }
 
 // snapScheduler is what the step test compares of a strategy.
@@ -195,9 +194,9 @@ func TestDynamicStepUnchanged(t *testing.T) {
 						most /= 16
 					}
 					th := pick.Intn(most + 1)
-					live, ref := NewTwoPhases(n, p, th, rng.New(seed)), NewTwoPhases(n, p, th, rng.New(seed))
+					live, ref := flat.NewTwoPhases(Kernel, n, p, th, rng.New(seed)), flat.NewTwoPhases(refKernel, n, p, th, rng.New(seed))
 					checkSteps(t, label, live, ref, func(w int) (core.Assignment, bool) {
-						return refTwoPhasesNext(ref, w, nil)
+						return ref.NextInto(w, nil)
 					}, pick)
 				}
 			}

@@ -2,6 +2,7 @@ package outer
 
 import (
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/rng"
 )
 
@@ -16,7 +17,7 @@ import (
 // alone: 1D comm grows like (p+1)·n against the 2D strategies'
 // O(√β·√p·n).
 type Dynamic1D struct {
-	inst *Instance
+	*flat.Instance
 	rows *core.IndexPool // rows not yet assigned to any worker
 }
 
@@ -24,7 +25,7 @@ type Dynamic1D struct {
 // single global pool, so each row is assigned to exactly one worker —
 // the natural 1D block-row partition.
 func NewDynamic1D(n, p int, r *rng.PCG) *Dynamic1D {
-	return &Dynamic1D{inst: newInstance(n, p, r), rows: core.NewIndexPool(n)}
+	return &Dynamic1D{Instance: flat.NewInstance(Kernel, n, p, r), rows: core.NewIndexPool(n)}
 }
 
 // Next implements core.Scheduler: ships one fresh row block a_i plus
@@ -34,39 +35,30 @@ func (s *Dynamic1D) Next(w int) (core.Assignment, bool) { return s.NextInto(w, n
 
 // NextInto implements core.Scheduler.
 func (s *Dynamic1D) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
-	if s.inst.remaining == 0 {
+	if s.Left == 0 {
 		return core.Assignment{}, false
 	}
-	n := s.inst.n
-	i, ok := s.rows.Draw(s.inst.r)
+	n := s.N
+	i, ok := s.rows.Draw(s.R)
 	if !ok {
 		return core.Assignment{}, false
 	}
 	blocks := 0
-	if s.inst.aKnown[w].SetIfClear(i) {
+	if s.Own[0][w].SetIfClear(i) {
 		blocks++
 	}
 	tasks := buf[:0]
 	for j := 0; j < n; j++ {
 		t := TaskID(i, j, n)
-		if s.inst.markProcessed(t) {
+		if s.MarkProcessed(t) {
 			tasks = append(tasks, t)
-			if s.inst.bKnown[w].SetIfClear(j) {
+			if s.Own[1][w].SetIfClear(j) {
 				blocks++
 			}
 		}
 	}
 	return core.Assignment{Tasks: tasks, Blocks: blocks}, true
 }
-
-// Remaining implements core.Scheduler.
-func (s *Dynamic1D) Remaining() int { return s.inst.remaining }
-
-// Total implements core.Scheduler.
-func (s *Dynamic1D) Total() int { return s.inst.n * s.inst.n }
-
-// P implements core.Scheduler.
-func (s *Dynamic1D) P() int { return s.inst.p }
 
 // Name implements core.Scheduler.
 func (s *Dynamic1D) Name() string { return "DynamicOuter1D" }

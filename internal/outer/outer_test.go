@@ -6,6 +6,7 @@ import (
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
@@ -52,64 +53,31 @@ func drain(t *testing.T, s core.Scheduler, check func(w int, a core.Assignment))
 	return tasks, blocks
 }
 
+// instanceOf returns the instance s runs on.
+func instanceOf(s core.Scheduler) *flat.Instance {
+	switch sch := s.(type) {
+	case *flat.Random:
+		return sch.Instance
+	case *flat.Sorted:
+		return sch.Instance
+	case *Dynamic:
+		return sch.Instance
+	case *flat.TwoPhases:
+		return sch.Instance
+	}
+	panic("outer: no instance")
+}
+
 // builders for all four strategies with a mid-range beta for the
 // two-phase one.
 func builders(n, p int) map[string]func(r *rng.PCG) core.Scheduler {
 	return map[string]func(r *rng.PCG) core.Scheduler{
-		"RandomOuter":  func(r *rng.PCG) core.Scheduler { return NewRandom(n, p, r) },
-		"SortedOuter":  func(r *rng.PCG) core.Scheduler { return NewSorted(n, p, r) },
+		"RandomOuter":  func(r *rng.PCG) core.Scheduler { return flat.NewRandom(Kernel, n, p, r) },
+		"SortedOuter":  func(r *rng.PCG) core.Scheduler { return flat.NewSorted(Kernel, n, p, r) },
 		"DynamicOuter": func(r *rng.PCG) core.Scheduler { return NewDynamic(n, p, r) },
 		"DynamicOuter2Phases": func(r *rng.PCG) core.Scheduler {
-			return NewTwoPhases(n, p, ThresholdFromBeta(4, n), r)
+			return flat.NewTwoPhases(Kernel, n, p, Kernel.ThresholdFromBeta(4, n), r)
 		},
-	}
-}
-
-func TestEveryTaskAssignedExactlyOnce(t *testing.T) {
-	const n, p = 30, 7
-	for name, build := range builders(n, p) {
-		s := build(rng.New(42))
-		seen := make(map[core.Task]bool, n*n)
-		tasks, _ := drain(t, s, func(_ int, a core.Assignment) {
-			for _, task := range a.Tasks {
-				if seen[task] {
-					t.Fatalf("%s: task %d assigned twice", name, task)
-				}
-				if task < 0 || int(task) >= n*n {
-					t.Fatalf("%s: task %d out of range", name, task)
-				}
-				seen[task] = true
-			}
-		})
-		if tasks != n*n {
-			t.Fatalf("%s: %d tasks assigned, want %d", name, tasks, n*n)
-		}
-	}
-}
-
-func TestWorkerAlwaysOwnsTaskInputs(t *testing.T) {
-	const n, p = 25, 5
-	for name, build := range builders(n, p) {
-		s := build(rng.New(7))
-		var inst *Instance
-		switch sch := s.(type) {
-		case *Random:
-			inst = sch.inst
-		case *Sorted:
-			inst = sch.inst
-		case *Dynamic:
-			inst = sch.inst
-		case *TwoPhases:
-			inst = sch.dyn.inst
-		}
-		drain(t, s, func(w int, a core.Assignment) {
-			for _, task := range a.Tasks {
-				i, j := Decode(task, n)
-				if !inst.aKnown[w].Test(i) || !inst.bKnown[w].Test(j) {
-					t.Fatalf("%s: worker %d assigned task (%d,%d) without owning its inputs", name, w, i, j)
-				}
-			}
-		})
 	}
 }
 
@@ -126,18 +94,6 @@ func TestSingleTaskStrategiesAssignOneAtATime(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestSortedOrder(t *testing.T) {
-	const n, p = 15, 3
-	s := NewSorted(n, p, rng.New(1))
-	last := core.Task(-1)
-	drain(t, s, func(_ int, a core.Assignment) {
-		if a.Tasks[0] <= last {
-			t.Fatalf("SortedOuter out of order: %d after %d", a.Tasks[0], last)
-		}
-		last = a.Tasks[0]
-	})
 }
 
 func TestDynamicBatchInvariants(t *testing.T) {
@@ -180,23 +136,13 @@ func TestEveryBlockReachesSomeWorker(t *testing.T) {
 	const n, p = 22, 5
 	for name, build := range builders(n, p) {
 		s := build(rng.New(9))
-		var inst *Instance
-		switch sch := s.(type) {
-		case *Random:
-			inst = sch.inst
-		case *Sorted:
-			inst = sch.inst
-		case *Dynamic:
-			inst = sch.inst
-		case *TwoPhases:
-			inst = sch.dyn.inst
-		}
+		inst := instanceOf(s)
 		drain(t, s, nil)
 		for i := 0; i < n; i++ {
 			aOwned, bOwned := false, false
 			for w := 0; w < p; w++ {
-				aOwned = aOwned || inst.aKnown[w].Test(i)
-				bOwned = bOwned || inst.bKnown[w].Test(i)
+				aOwned = aOwned || inst.Own[0][w].Test(i)
+				bOwned = bOwned || inst.Own[1][w].Test(i)
 			}
 			if !aOwned || !bOwned {
 				t.Fatalf("%s: block %d never shipped (a:%v b:%v)", name, i, aOwned, bOwned)
@@ -205,38 +151,20 @@ func TestEveryBlockReachesSomeWorker(t *testing.T) {
 	}
 }
 
-func TestTwoPhasesPhaseAccounting(t *testing.T) {
-	const n, p = 30, 4
-	threshold := 200
-	s := NewTwoPhases(n, p, threshold, rng.New(13))
-	drain(t, s, nil)
-	phase1 := s.Phase1Tasks()
-	if phase1 < n*n-threshold {
-		t.Fatalf("phase 1 handled %d tasks, threshold %d implies at least %d",
-			phase1, threshold, n*n-threshold)
-	}
-	if phase1 > n*n {
-		t.Fatalf("phase 1 handled %d tasks, more than the total %d", phase1, n*n)
-	}
-	if !s.switched {
-		t.Fatal("two-phase scheduler never switched despite positive threshold")
-	}
-}
-
 func TestTwoPhasesExtremes(t *testing.T) {
 	const n, p = 20, 4
 	// Threshold 0: never switches, behaves like DynamicOuter.
-	s0 := NewTwoPhases(n, p, 0, rng.New(1))
+	s0 := flat.NewTwoPhases(Kernel, n, p, 0, rng.New(1))
 	drain(t, s0, func(_ int, a core.Assignment) {
 		if a.Blocks > 2 {
 			t.Fatalf("threshold-0 two-phase shipped %d blocks in one step", a.Blocks)
 		}
 	})
-	if s0.switched {
+	if s0.Phase1Tasks() != n*n {
 		t.Fatal("threshold-0 scheduler switched to phase 2")
 	}
 	// Threshold n²: switches immediately, behaves like RandomOuter.
-	s1 := NewTwoPhases(n, p, n*n, rng.New(2))
+	s1 := flat.NewTwoPhases(Kernel, n, p, n*n, rng.New(2))
 	drain(t, s1, func(_ int, a core.Assignment) {
 		if len(a.Tasks) != 1 {
 			t.Fatalf("threshold-n² two-phase returned %d tasks in one assignment", len(a.Tasks))
@@ -244,42 +172,6 @@ func TestTwoPhasesExtremes(t *testing.T) {
 	})
 	if got := s1.Phase1Tasks(); got != 0 {
 		t.Fatalf("threshold-n² scheduler reports %d phase-1 tasks", got)
-	}
-}
-
-func TestThresholdHelpers(t *testing.T) {
-	if got := ThresholdFromBeta(0, 100); got != 100*100 {
-		t.Fatalf("ThresholdFromBeta(0) = %d, want n²", got)
-	}
-	if got := ThresholdFromBeta(50, 100); got != 0 {
-		t.Fatalf("ThresholdFromBeta(50) = %d, want 0", got)
-	}
-	if got := ThresholdFromPhase1Fraction(1, 100); got != 0 {
-		t.Fatalf("fraction 1 → threshold %d, want 0", got)
-	}
-	if got := ThresholdFromPhase1Fraction(0, 100); got != 100*100 {
-		t.Fatalf("fraction 0 → threshold %d, want n²", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("fraction out of range did not panic")
-		}
-	}()
-	ThresholdFromPhase1Fraction(1.5, 10)
-}
-
-func TestDeterminism(t *testing.T) {
-	const n, p = 25, 6
-	for name, build := range builders(n, p) {
-		run := func() (int, int) {
-			s := build(rng.New(99))
-			return drain(t, s, nil)
-		}
-		t1, b1 := run()
-		t2, b2 := run()
-		if t1 != t2 || b1 != b2 {
-			t.Fatalf("%s not deterministic: (%d,%d) vs (%d,%d)", name, t1, b1, t2, b2)
-		}
 	}
 }
 
@@ -320,26 +212,9 @@ func TestLoadBalanceUnderSimulation(t *testing.T) {
 	const n, p = 60, 8
 	root := rng.New(321)
 	s := speeds.UniformRange(p, 10, 100, root.Split())
-	m := sim.Run(NewRandom(n, p, root.Split()), speeds.NewFixed(s))
+	m := sim.Run(flat.NewRandom(Kernel, n, p, root.Split()), speeds.NewFixed(s))
 	if imb := m.Imbalance(speeds.NewFixed(s)); imb > 0.10 {
 		t.Fatalf("load imbalance %.3f exceeds 10%% for RandomOuter with %d tasks", imb, n*n)
-	}
-}
-
-func TestConstructorValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"n=0":     func() { NewRandom(0, 3, rng.New(1)) },
-		"p=0":     func() { NewDynamic(10, 0, rng.New(1)) },
-		"nil rng": func() { NewSorted(10, 3, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("constructor with %s did not panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
@@ -354,7 +229,7 @@ func TestDynamic1DEveryTaskOnceAndCommBound(t *testing.T) {
 			}
 			seen[task] = true
 			i, j := Decode(task, n)
-			if !s.inst.aKnown[w].Test(i) || !s.inst.bKnown[w].Test(j) {
+			if !s.Own[0][w].Test(i) || !s.Own[1][w].Test(j) {
 				t.Fatalf("Dynamic1D: worker %d lacks inputs of (%d,%d)", w, i, j)
 			}
 		}
@@ -400,11 +275,11 @@ func TestTwoPhasesAutoIsSpeedAgnosticAndCompetitive(t *testing.T) {
 	root := rng.New(31)
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 
-	auto := sim.Run(NewTwoPhasesAuto(n, p, rng.New(77)), speeds.NewFixed(s))
+	auto := sim.Run(flat.NewTwoPhasesAuto(Kernel, n, p, rng.New(77)), speeds.NewFixed(s))
 	// Per-platform tuning for comparison.
 	rs := speeds.Relative(s)
 	beta, _ := analysis.OptimalBetaOuter(rs, n)
-	tuned := sim.Run(NewTwoPhases(n, p, ThresholdFromBeta(beta, n), rng.New(77)), speeds.NewFixed(s))
+	tuned := sim.Run(flat.NewTwoPhases(Kernel, n, p, Kernel.ThresholdFromBeta(beta, n), rng.New(77)), speeds.NewFixed(s))
 
 	if float64(auto.Blocks) > 1.10*float64(tuned.Blocks) {
 		t.Fatalf("speed-agnostic scheduler shipped %d blocks vs %d for tuned (>10%% worse)",

@@ -24,8 +24,7 @@ func TestRestoreRejectsUnheldBlock(t *testing.T) {
 			return s, s
 		}},
 		{"2phases", func() (snapScheduler, *Dynamic) {
-			s := NewTwoPhases(n, p, 0, rng.New(5))
-			return s, s.dyn
+			return newTwoPhases(n, p, 0, rng.New(5))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,47 +8,48 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/rng"
 )
 
 // refStep is Dynamic.step as it was before bitset.AppendNewlySet: one
-// markProcessed, and one decrement of remaining, per candidate task.
+// MarkProcessed, and one decrement of remaining, per candidate task.
 func refStep(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
 	st := &s.dyn[w]
 	if st.iPool == nil {
-		st.init(s.inst.n)
+		st.init(s.N)
 	}
-	i, okI := st.iPool.Draw(s.inst.r)
-	j, okJ := st.jPool.Draw(s.inst.r)
+	i, okI := st.iPool.Draw(s.R)
+	j, okJ := st.jPool.Draw(s.R)
 	if !okI && !okJ {
 		return core.Assignment{}, false
 	}
 
 	tasks := buf[:0]
 	blocks := 0
-	n := s.inst.n
+	n := s.N
 	if okI {
 		blocks++
-		s.inst.aKnown[w].Set(i)
+		s.Own[0][w].Set(i)
 		for _, jj := range st.jKnown {
 			t := TaskID(i, int(jj), n)
-			if s.inst.markProcessed(t) {
+			if s.MarkProcessed(t) {
 				tasks = append(tasks, t)
 			}
 		}
 		if okJ {
 			t := TaskID(i, j, n)
-			if s.inst.markProcessed(t) {
+			if s.MarkProcessed(t) {
 				tasks = append(tasks, t)
 			}
 		}
 	}
 	if okJ {
 		blocks++
-		s.inst.bKnown[w].Set(j)
+		s.Own[1][w].Set(j)
 		for _, ii := range st.iKnown {
 			t := TaskID(int(ii), j, n)
-			if s.inst.markProcessed(t) {
+			if s.MarkProcessed(t) {
 				tasks = append(tasks, t)
 			}
 		}
@@ -64,27 +65,25 @@ func refStep(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
 
 // refDynamicNext is Dynamic.NextInto over refStep.
 func refDynamicNext(s *Dynamic, w int, buf core.TaskBuf) (core.Assignment, bool) {
-	if s.inst.remaining == 0 {
+	if s.Left == 0 {
 		return core.Assignment{}, false
 	}
 	return refStep(s, w, buf)
 }
 
-// refTwoPhasesNext is TwoPhases.NextInto over refStep.
-func refTwoPhasesNext(s *TwoPhases, w int, buf core.TaskBuf) (core.Assignment, bool) {
-	inst := s.dyn.inst
-	if !s.switched && inst.remaining > 0 && inst.remaining <= s.threshold {
-		s.switchPhase()
-	}
-	if !s.switched {
-		return refDynamicNext(s.dyn, w, buf)
-	}
-	t, ok := s.pool.Draw(inst.r)
-	if !ok {
-		return core.Assignment{}, false
-	}
-	inst.markProcessed(t)
-	return core.Assignment{Tasks: append(buf[:0], t), Blocks: inst.receive(w, t)}, true
+// refKernel is Kernel with refStep for DynamicOuter's step, so that
+// a flat.TwoPhases on it is DynamicOuter2Phases over refStep.
+var refKernel = func() *flat.Kernel {
+	k := *Kernel
+	k.NewDynamic = func(in *flat.Instance) flat.Dynamic { return refDynamic{newDynamic(in)} }
+	return &k
+}()
+
+// refDynamic is a Dynamic that steps with refStep.
+type refDynamic struct{ *Dynamic }
+
+func (d refDynamic) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
+	return refDynamicNext(d.Dynamic, w, buf)
 }
 
 // snapScheduler is what the step test compares of a strategy.
@@ -119,9 +118,9 @@ func TestDynamicStepUnchanged(t *testing.T) {
 					}, pick)
 				case "2phases":
 					th := pick.Intn(n*n + 1)
-					live, ref := NewTwoPhases(n, p, th, rng.New(seed)), NewTwoPhases(n, p, th, rng.New(seed))
+					live, ref := flat.NewTwoPhases(Kernel, n, p, th, rng.New(seed)), flat.NewTwoPhases(refKernel, n, p, th, rng.New(seed))
 					checkSteps(t, label, live, ref, func(w int) (core.Assignment, bool) {
-						return refTwoPhasesNext(ref, w, nil)
+						return ref.NextInto(w, nil)
 					}, pick)
 				}
 			}
@@ -150,6 +149,19 @@ func checkSteps(t *testing.T, label string, live, ref snapScheduler, refNext fun
 	}
 }
 
+// newTwoPhases is flat.NewTwoPhases on Kernel, and the Dynamic that is
+// its first phase.
+func newTwoPhases(n, p, threshold int, r *rng.PCG) (*flat.TwoPhases, *Dynamic) {
+	var d *Dynamic
+	k := *Kernel
+	k.NewDynamic = func(in *flat.Instance) flat.Dynamic {
+		d = newDynamic(in)
+		return d
+	}
+	s := flat.NewTwoPhases(&k, n, p, threshold, r)
+	return s, d
+}
+
 // TestSwitchDropsPhase1State: from the phase switch to drain, a
 // TwoPhases run keeps no worker's phase-1 state, and its state codec
 // writes every worker absent.
@@ -158,27 +170,34 @@ func TestSwitchDropsPhase1State(t *testing.T) {
 	for seed := uint64(1); seed <= 100; seed++ {
 		pick := rng.NewStream(seed, 1)
 		n, p := 2+pick.Intn(20), 1+pick.Intn(8)
-		s := NewTwoPhases(n, p, 1+pick.Intn(n*n-1), rng.New(seed))
+		th := 1 + pick.Intn(n*n-1)
+		s, d := newTwoPhases(n, p, th, rng.New(seed))
+		past := false
 		for w := 0; s.Remaining() > 0; w = (w + 1) % p {
+			// A poll with at most th tasks left switches.
+			past = past || s.Remaining() <= th
 			s.Next(w)
-			if !s.switched {
+			if !past {
 				continue
 			}
-			for v := range s.dyn.dyn {
-				if !reflect.DeepEqual(s.dyn.dyn[v], dynState{}) {
+			for v := range d.dyn {
+				if !reflect.DeepEqual(d.dyn[v], dynState{}) {
 					t.Fatalf("seed %d: worker %d keeps its phase-1 state after the switch", seed, v)
 				}
 			}
-			want := s.dyn.inst.appendState(nil)
+			want := d.Append(nil)
 			for range p {
 				want = core.AppendBool(want, false)
 			}
-			want = binary.AppendUvarint(core.AppendBool(want, true), uint64(s.phase1))
-			if got := s.AppendState(nil); !bytes.Equal(got, s.pool.AppendState(want)) {
+			want = binary.AppendUvarint(core.AppendBool(want, true), uint64(s.Phase1Tasks()))
+			// The pool follows: each unprocessed task once.
+			poolBytes := 0
+			d.Processed.ForEachClear(func(t int) { poolBytes += len(binary.AppendUvarint(nil, uint64(t))) })
+			if got := s.AppendState(nil); !bytes.HasPrefix(got, want) || len(got) != len(want)+poolBytes {
 				t.Fatalf("seed %d: switched state does not write every worker absent", seed)
 			}
 		}
-		if s.switched {
+		if past {
 			switched++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
 	"hetsched/internal/events"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -23,7 +24,7 @@ const pollP = 64
 // the run under an id of its own.
 func pollHost(tb testing.TB, seed uint64, lease time.Duration, withEvents bool, jr *durable.Log) *Host {
 	const n, batch = 128, 4
-	drv := core.NewSchedulerDriver(outer.NewTwoPhasesAuto(n, pollP, rng.New(seed).Split()))
+	drv := core.NewSchedulerDriver(flat.NewTwoPhasesAuto(outer.Kernel, n, pollP, rng.New(seed).Split()))
 	h := NewHost(drv, batch, lease)
 	if withEvents {
 		st := events.NewBus(0).Run("alloc-test")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -223,7 +224,7 @@ func TestGrantTablePresize(t *testing.T) {
 		{name: "large fleet", p: 100000, batch: 4, slots: gtPresizeMax},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := NewHost(core.NewSchedulerDriver(outer.NewRandom(4, tc.p, rng.New(1))), tc.batch, 0)
+			h := NewHost(core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 4, tc.p, rng.New(1))), tc.batch, 0)
 			if h.outstanding.slots != nil {
 				t.Fatal("an unpolled run holds a grant table")
 			}

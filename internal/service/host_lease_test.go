@@ -9,6 +9,7 @@ import (
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -138,7 +139,7 @@ func TestLeaseExpiryMidRunDAG(t *testing.T) {
 // (first-reassignment-wins).
 func TestLeaseLateCompletionRejected409(t *testing.T) {
 	const lease = 10 * time.Second
-	drv := core.NewSchedulerDriver(outer.NewRandom(4, 3, rng.New(2).Split()))
+	drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 4, 3, rng.New(2).Split()))
 	h, clock := newLeaseHost(t, drv, 2, lease)
 
 	a0, _ := mustNext(t, h, 0, nil)
@@ -184,7 +185,7 @@ func TestLeaseLateCompletionRejected409(t *testing.T) {
 // legitimate second completion.
 func TestLeaseReclaimedTaskWonBack(t *testing.T) {
 	const lease = 10 * time.Second
-	drv := core.NewSchedulerDriver(outer.NewRandom(2, 1, rng.New(3).Split()))
+	drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 2, 1, rng.New(3).Split()))
 	h, clock := newLeaseHost(t, drv, 1, lease)
 
 	a0, _ := mustNext(t, h, 0, nil)
@@ -215,7 +216,7 @@ func TestLeaseReclaimedTaskWonBack(t *testing.T) {
 func TestLeaseJanitorVsPollReclaimRace(t *testing.T) {
 	const n, p = 6, 4
 	const lease = 5 * time.Second
-	drv := core.NewSchedulerDriver(outer.NewRandom(n, p, rng.New(4).Split()))
+	drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, n, p, rng.New(4).Split()))
 	h, clock := newLeaseHost(t, drv, 4, lease)
 
 	a0, _ := mustNext(t, h, 0, nil) // worker 0 dies holding 4 tasks
@@ -274,7 +275,7 @@ func TestLeaseJanitorVsPollReclaimRace(t *testing.T) {
 // reclaimed, no matter how stale — the pre-lease trust-the-worker
 // contract, still the default.
 func TestLeaseDisabledKeepsLegacyBehavior(t *testing.T) {
-	drv := core.NewSchedulerDriver(outer.NewRandom(2, 2, rng.New(5).Split()))
+	drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 2, 2, rng.New(5).Split()))
 	h, clock := newLeaseHost(t, drv, 1, 0)
 	a0, _ := mustNext(t, h, 0, nil)
 	clock.Advance(365 * 24 * time.Hour)
@@ -379,7 +380,7 @@ func TestHostBatchTargetNotClamped(t *testing.T) {
 // shut at reclaim time.
 func TestLeaseReclaimKeepsNewerBatchSegmentOpen(t *testing.T) {
 	const lease = 10 * time.Second
-	drv := core.NewSchedulerDriver(outer.NewRandom(4, 2, rng.New(6).Split()))
+	drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 4, 2, rng.New(6).Split()))
 	h, clock := newLeaseHost(t, drv, 1, lease)
 
 	a, _ := mustNext(t, h, 0, nil) // batch A at t0

@@ -12,6 +12,7 @@ import (
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
 	"hetsched/internal/durable"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -81,7 +82,7 @@ func TestHostConcurrentDrainOuter(t *testing.T) {
 		host func(t *testing.T) *Host
 	}{
 		{"p10-batch3", 30, func(t *testing.T) *Host {
-			return NewHost(core.NewSchedulerDriver(outer.NewTwoPhasesAuto(30, 10, rng.New(11).Split())), 3, 0)
+			return NewHost(core.NewSchedulerDriver(flat.NewTwoPhasesAuto(outer.Kernel, 30, 10, rng.New(11).Split())), 3, 0)
 		}},
 		// The poll benchmark's host with an event stream and a journal
 		// attached: 64 goroutines on one Host through every hook a
@@ -169,7 +170,7 @@ func TestHostBatchingKnob(t *testing.T) {
 	// drains: requests shrink by ~batch.
 	const n, p = 16, 1
 	requests := func(batch int) int {
-		drv := core.NewSchedulerDriver(outer.NewRandom(n, p, rng.New(3).Split()))
+		drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, n, p, rng.New(3).Split()))
 		h := NewHost(drv, batch, 0)
 		reqs := 0
 		var completed []core.Task
@@ -200,7 +201,7 @@ func TestHostBatchingKnob(t *testing.T) {
 }
 
 func TestHostRejectsMalformedRequests(t *testing.T) {
-	drv := core.NewSchedulerDriver(outer.NewRandom(4, 2, rng.New(1).Split()))
+	drv := core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 4, 2, rng.New(1).Split()))
 	h := NewHost(drv, 1, 0)
 
 	if _, _, err := h.Next(2, nil); err == nil {
@@ -279,7 +280,7 @@ func TestHostRejectsDuplicateInReport(t *testing.T) {
 	for _, k := range []int{2, 16, 17, 2 * batch} {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(t *testing.T) {
-				h := NewHost(core.NewSchedulerDriver(outer.NewRandom(16, 2, rng.New(1).Split())), batch, 0)
+				h := NewHost(core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 16, 2, rng.New(1).Split())), batch, 0)
 				stale, _ := mustNext(t, h, 0, nil)
 				stale.Tasks = append([]core.Task(nil), stale.Tasks...)
 				first, _ := mustNext(t, h, 0, stale.Tasks)
@@ -317,7 +318,7 @@ func TestHostRejectsDuplicateInReport(t *testing.T) {
 func TestHostRejections(t *testing.T) {
 	const n, p, batch = 24, 130, 2
 	const lease = 10 * time.Second
-	h, clock := newLeaseHost(t, core.NewSchedulerDriver(outer.NewRandom(n, p, rng.New(1).Split())), batch, lease)
+	h, clock := newLeaseHost(t, core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, n, p, rng.New(1).Split())), batch, lease)
 	lost, _ := mustNext(t, h, 2, nil)
 	lost.Tasks = append([]core.Task(nil), lost.Tasks...)
 	clock.Advance(lease + time.Second)

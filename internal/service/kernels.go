@@ -8,6 +8,7 @@ import (
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
+	"hetsched/internal/flat"
 	"hetsched/internal/lu"
 	"hetsched/internal/matmul"
 	"hetsched/internal/outer"
@@ -44,24 +45,8 @@ type builder func(q *CreateRunRequest, r *rng.PCG) core.Driver
 
 // Kernels holds one entry per kernel, in the order the CLI lists them.
 var Kernels = []Kernel{
-	{
-		Name: KernelOuter,
-		Strategies: flatStrategies(outer.NewRandom, outer.NewSorted, outer.NewDynamic,
-			outer.NewTwoPhases, outer.ThresholdFromBeta, outer.NewTwoPhasesAuto),
-		Default:       "2phases",
-		TotalWork:     func(n int) float64 { return float64(n) * float64(n) },
-		APosterioriLB: analysis.APosterioriLBOuter,
-		admitTasks:    func(n int64) int64 { return n * n },
-	},
-	{
-		Name: KernelMatmul,
-		Strategies: flatStrategies(matmul.NewRandom, matmul.NewSorted, matmul.NewDynamic,
-			matmul.NewTwoPhases, matmul.ThresholdFromBeta, matmul.NewTwoPhasesAuto),
-		Default:       "2phases",
-		TotalWork:     func(n int) float64 { return float64(n) * float64(n) * float64(n) },
-		APosterioriLB: analysis.APosterioriLBMatrix,
-		admitTasks:    func(n int64) int64 { return n * n * n },
-	},
+	flatKernel(KernelOuter, outer.Kernel, analysis.APosterioriLBOuter),
+	flatKernel(KernelMatmul, matmul.Kernel, analysis.APosterioriLBMatrix),
 	dagKernel(KernelCholesky, cholesky.NewKernel, cholesky.TotalWork, cholesky.CriticalPath),
 	dagKernel(KernelLU, lu.NewKernel, lu.TotalWork, lu.CriticalPath),
 	dagKernel(KernelQR, qr.NewKernel, qr.TotalWork, qr.CriticalPath),
@@ -107,28 +92,34 @@ func dagKernel(name string, newDAG func(n int) dag.Kernel, work, criticalPath fu
 	}
 }
 
-// flatStrategies are a flat kernel's strategies, from its
-// constructors. 2phases takes its switch threshold from a positive
-// Beta, and lets the analysis choose it when Beta is 0.
-func flatStrategies[R, S, D, T core.Scheduler](
-	random func(n, p int, r *rng.PCG) R, sorted func(n, p int, r *rng.PCG) S, dynamic func(n, p int, r *rng.PCG) D,
-	twoPhases func(n, p, threshold int, r *rng.PCG) T, threshold func(beta float64, n int) int, auto func(n, p int, r *rng.PCG) T,
-) []Strategy {
-	return []Strategy{
-		{"random", flat(random)},
-		{"sorted", flat(sorted)},
-		{"dynamic", flat(dynamic)},
-		{"2phases", func(q *CreateRunRequest, r *rng.PCG) core.Driver {
-			if q.Beta > 0 {
-				return core.NewSchedulerDriver(twoPhases(q.N, q.P, threshold(q.Beta, q.N), r))
-			}
-			return flat(auto)(q, r)
-		}},
+// flatKernel is the entry of a flat kernel: the strategies of
+// internal/flat on k. 2phases takes its switch threshold from a
+// positive Beta, and lets the analysis choose it when Beta is 0.
+func flatKernel(name string, k *flat.Kernel, lb func(tasksPer []int) float64) Kernel {
+	return Kernel{
+		Name: name,
+		Strategies: []Strategy{
+			{"random", func(q *CreateRunRequest, r *rng.PCG) core.Driver {
+				return core.NewSchedulerDriver(flat.NewRandom(k, q.N, q.P, r))
+			}},
+			{"sorted", func(q *CreateRunRequest, r *rng.PCG) core.Driver {
+				return core.NewSchedulerDriver(flat.NewSorted(k, q.N, q.P, r))
+			}},
+			{"dynamic", func(q *CreateRunRequest, r *rng.PCG) core.Driver {
+				return core.NewSchedulerDriver(flat.NewDynamic(k, q.N, q.P, r))
+			}},
+			{"2phases", func(q *CreateRunRequest, r *rng.PCG) core.Driver {
+				if q.Beta > 0 {
+					return core.NewSchedulerDriver(flat.NewTwoPhases(k, q.N, q.P, k.ThresholdFromBeta(q.Beta, q.N), r))
+				}
+				return core.NewSchedulerDriver(flat.NewTwoPhasesAuto(k, q.N, q.P, r))
+			}},
+		},
+		Default:       "2phases",
+		TotalWork:     func(n int) float64 { return float64(k.Tasks(n)) },
+		APosterioriLB: lb,
+		admitTasks:    func(n int64) int64 { return int64(k.Tasks(int(n))) },
 	}
-}
-
-func flat[S core.Scheduler](newS func(n, p int, r *rng.PCG) S) builder {
-	return func(q *CreateRunRequest, r *rng.PCG) core.Driver { return core.NewSchedulerDriver(newS(q.N, q.P, r)) }
 }
 
 // NewDriver constructs the core.Driver described by a validated

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 )
@@ -299,7 +300,7 @@ func TestRegistry(t *testing.T) {
 	for i := range ids {
 		ids[i] = g.newID()
 		g.Add(&Run{ID: ids[i], Created: time.Unix(int64(i), 0), Host: NewHost(
-			core.NewSchedulerDriver(outer.NewRandom(2, 1, rng.New(1).Split())), 1, 0)})
+			core.NewSchedulerDriver(flat.NewRandom(outer.Kernel, 2, 1, rng.New(1).Split())), 1, 0)})
 	}
 	if g.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", g.Len())

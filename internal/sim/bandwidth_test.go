@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/speeds"
@@ -18,8 +19,8 @@ func TestBandwidthInfiniteMatchesOverlapAssumption(t *testing.T) {
 	const n, p = 40, 5
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 
-	base := Run(outer.NewRandom(n, p, rng.New(7)), speeds.NewFixed(s))
-	bw0 := RunBandwidth(outer.NewRandom(n, p, rng.New(7)), speeds.NewFixed(s), math.Inf(1), 0)
+	base := Run(flat.NewRandom(outer.Kernel, n, p, rng.New(7)), speeds.NewFixed(s))
+	bw0 := RunBandwidth(flat.NewRandom(outer.Kernel, n, p, rng.New(7)), speeds.NewFixed(s), math.Inf(1), 0)
 
 	if bw0.Blocks != base.Blocks {
 		t.Fatalf("lookahead 0: blocks differ: %d vs %d", bw0.Blocks, base.Blocks)
@@ -31,7 +32,7 @@ func TestBandwidthInfiniteMatchesOverlapAssumption(t *testing.T) {
 		t.Fatalf("infinite bandwidth recorded link busy time %g", bw0.LinkBusy)
 	}
 
-	bw1 := RunBandwidth(outer.NewRandom(n, p, rng.New(7)), speeds.NewFixed(s), math.Inf(1), 1)
+	bw1 := RunBandwidth(flat.NewRandom(outer.Kernel, n, p, rng.New(7)), speeds.NewFixed(s), math.Inf(1), 1)
 	if rel := math.Abs(float64(bw1.Blocks-base.Blocks)) / float64(base.Blocks); rel > 0.05 {
 		t.Fatalf("lookahead 1: blocks %d vs %d (%.1f%% apart)", bw1.Blocks, base.Blocks, 100*rel)
 	}
@@ -63,7 +64,7 @@ func TestLowerBandwidthNeverFaster(t *testing.T) {
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	prev := 0.0
 	for _, bw := range []float64{math.Inf(1), 400, 100, 25} {
-		m := RunBandwidth(outer.NewRandom(n, p, rng.New(11)), speeds.NewFixed(s), bw, 2)
+		m := RunBandwidth(flat.NewRandom(outer.Kernel, n, p, rng.New(11)), speeds.NewFixed(s), bw, 2)
 		if m.Makespan < prev-1e-9 {
 			t.Fatalf("bandwidth %g gave faster makespan %g than a higher bandwidth (%g)",
 				bw, m.Makespan, prev)
@@ -77,8 +78,8 @@ func TestLookaheadHelpsUnderTightBandwidth(t *testing.T) {
 	root := rng.New(4)
 	const n, p = 40, 6
 	s := speeds.UniformRange(p, 10, 100, root.Split())
-	sync := RunBandwidth(outer.NewRandom(n, p, rng.New(13)), speeds.NewFixed(s), 300, 0)
-	pre := RunBandwidth(outer.NewRandom(n, p, rng.New(13)), speeds.NewFixed(s), 300, 3)
+	sync := RunBandwidth(flat.NewRandom(outer.Kernel, n, p, rng.New(13)), speeds.NewFixed(s), 300, 0)
+	pre := RunBandwidth(flat.NewRandom(outer.Kernel, n, p, rng.New(13)), speeds.NewFixed(s), 300, 3)
 	if pre.Makespan >= sync.Makespan {
 		t.Fatalf("lookahead 3 makespan %g not better than synchronous %g", pre.Makespan, sync.Makespan)
 	}
@@ -92,7 +93,7 @@ func TestSevereBandwidthBoundByLink(t *testing.T) {
 	const n, p = 30, 4
 	s := speeds.UniformRange(p, 10, 100, root.Split())
 	const bw = 5.0
-	m := RunBandwidth(outer.NewRandom(n, p, root.Split()), speeds.NewFixed(s), bw, 2)
+	m := RunBandwidth(flat.NewRandom(outer.Kernel, n, p, root.Split()), speeds.NewFixed(s), bw, 2)
 	linkTime := float64(m.Blocks) / bw
 	if m.Makespan < linkTime-1e-6 {
 		t.Fatalf("makespan %g below serialized transfer time %g", m.Makespan, linkTime)
@@ -106,8 +107,8 @@ func TestBandwidthValidation(t *testing.T) {
 	root := rng.New(6)
 	s := speeds.NewFixed([]float64{1, 1})
 	for name, fn := range map[string]func(){
-		"bandwidth 0":  func() { RunBandwidth(outer.NewRandom(4, 2, root), s, 0, 1) },
-		"lookahead -1": func() { RunBandwidth(outer.NewRandom(4, 2, root), s, 1, -1) },
+		"bandwidth 0":  func() { RunBandwidth(flat.NewRandom(outer.Kernel, 4, 2, root), s, 0, 1) },
+		"lookahead -1": func() { RunBandwidth(flat.NewRandom(outer.Kernel, 4, 2, root), s, 1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -141,8 +142,8 @@ func TestNonPositiveSpeedPanics(t *testing.T) {
 	for _, v := range []float64{0, -1, math.NaN()} {
 		model := stalledModel{speeds.NewFixed([]float64{1, 1}), v}
 		for name, fn := range map[string]func(){
-			"Run":          func() { Run(outer.NewRandom(4, 2, rng.New(7)), model) },
-			"RunBandwidth": func() { RunBandwidth(outer.NewRandom(4, 2, rng.New(7)), model, 1, 1) },
+			"Run":          func() { Run(flat.NewRandom(outer.Kernel, 4, 2, rng.New(7)), model) },
+			"RunBandwidth": func() { RunBandwidth(flat.NewRandom(outer.Kernel, 4, 2, rng.New(7)), model, 1, 1) },
 		} {
 			func() {
 				defer func() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/speeds"
@@ -86,7 +87,7 @@ func TestPhase1ReportedOnlyForTwoPhase(t *testing.T) {
 		t.Fatalf("Phase1Tasks = %d for non-two-phase scheduler, want -1", m.Phase1Tasks)
 	}
 
-	two := outer.NewTwoPhases(10, 2, outer.ThresholdFromBeta(3, 10), rng.New(1))
+	two := flat.NewTwoPhases(outer.Kernel, 10, 2, outer.Kernel.ThresholdFromBeta(3, 10), rng.New(1))
 	m2 := Run(two, speeds.NewFixed([]float64{1, 2}))
 	if m2.Phase1Tasks < 0 {
 		t.Fatal("Phase1Tasks not reported for two-phase scheduler")

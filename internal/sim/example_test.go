@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 
+	"hetsched/internal/flat"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -14,7 +15,7 @@ import (
 // volume. Everything is deterministic given the seed.
 func ExampleRun() {
 	s := speeds.NewFixed([]float64{10, 20, 30, 40})
-	sched := outer.NewTwoPhasesAuto(40, 4, rng.New(7))
+	sched := flat.NewTwoPhasesAuto(outer.Kernel, 40, 4, rng.New(7))
 	m := sim.Run(sched, s)
 	total := 0
 	for _, t := range m.TasksPer {

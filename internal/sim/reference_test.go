@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/flat"
 	"hetsched/internal/matmul"
 	"hetsched/internal/outer"
 	"hetsched/internal/rng"
@@ -88,17 +89,17 @@ var flatStrategies = []struct {
 	name  string
 	build func(n, p int, r *rng.PCG) core.Scheduler
 }{
-	{"outer-random", func(n, p int, r *rng.PCG) core.Scheduler { return outer.NewRandom(n, p, r) }},
-	{"outer-sorted", func(n, p int, r *rng.PCG) core.Scheduler { return outer.NewSorted(n, p, r) }},
+	{"outer-random", func(n, p int, r *rng.PCG) core.Scheduler { return flat.NewRandom(outer.Kernel, n, p, r) }},
+	{"outer-sorted", func(n, p int, r *rng.PCG) core.Scheduler { return flat.NewSorted(outer.Kernel, n, p, r) }},
 	{"outer-dynamic", func(n, p int, r *rng.PCG) core.Scheduler { return outer.NewDynamic(n, p, r) }},
 	{"outer-2phases", func(n, p int, r *rng.PCG) core.Scheduler {
-		return outer.NewTwoPhases(n, p, outer.ThresholdFromBeta(4, n), r)
+		return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(4, n), r)
 	}},
-	{"matmul-random", func(n, p int, r *rng.PCG) core.Scheduler { return matmul.NewRandom(n, p, r) }},
-	{"matmul-sorted", func(n, p int, r *rng.PCG) core.Scheduler { return matmul.NewSorted(n, p, r) }},
+	{"matmul-random", func(n, p int, r *rng.PCG) core.Scheduler { return flat.NewRandom(matmul.Kernel, n, p, r) }},
+	{"matmul-sorted", func(n, p int, r *rng.PCG) core.Scheduler { return flat.NewSorted(matmul.Kernel, n, p, r) }},
 	{"matmul-dynamic", func(n, p int, r *rng.PCG) core.Scheduler { return matmul.NewDynamic(n, p, r) }},
 	{"matmul-2phases", func(n, p int, r *rng.PCG) core.Scheduler {
-		return matmul.NewTwoPhases(n, p, matmul.ThresholdFromBeta(3, n), r)
+		return flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(3, n), r)
 	}},
 }
 
@@ -143,8 +144,8 @@ func TestEngineMatchesReferenceRandomStrategy(t *testing.T) {
 		root := rng.New(200 + seed)
 		const p, n = 5, 20
 		s := speeds.UniformRange(p, 10, 100, root.Split())
-		fast := Run(outer.NewRandom(n, p, rng.New(300+seed)), speeds.NewFixed(s))
-		slow := referenceRun(outer.NewRandom(n, p, rng.New(300+seed)), speeds.NewFixed(s))
+		fast := Run(flat.NewRandom(outer.Kernel, n, p, rng.New(300+seed)), speeds.NewFixed(s))
+		slow := referenceRun(flat.NewRandom(outer.Kernel, n, p, rng.New(300+seed)), speeds.NewFixed(s))
 		if fast.Blocks != slow.Blocks || fast.Makespan != slow.Makespan {
 			t.Fatalf("seed %d: engine and reference diverge", seed)
 		}
