@@ -157,56 +157,61 @@ func TestSortedOrder(t *testing.T) {
 }
 
 func TestThresholdHelpers(t *testing.T) {
-	cases := []struct {
-		k    kernel
+	type point struct {
 		what string
 		fn   func(k *flat.Kernel, x float64, n int) int
 		x    float64
 		n    int
 		want int
+	}
+	beta, fraction := (*flat.Kernel).ThresholdFromBeta, (*flat.Kernel).ThresholdFromPhase1Fraction
+	cases := []struct {
+		k      kernel
+		cube   func(x, nf float64) float64 // x·n^d, left to right
+		points []point
 	}{
-		{outerKernel, "beta", (*flat.Kernel).ThresholdFromBeta, 0, 100, 100 * 100},
-		{outerKernel, "beta", (*flat.Kernel).ThresholdFromBeta, 50, 100, 0},
-		{outerKernel, "fraction", (*flat.Kernel).ThresholdFromPhase1Fraction, 1, 100, 0},
-		{outerKernel, "fraction", (*flat.Kernel).ThresholdFromPhase1Fraction, 0, 100, 100 * 100},
-		{matmulKernel, "beta", (*flat.Kernel).ThresholdFromBeta, 0, 20, 20 * 20 * 20},
-		{matmulKernel, "beta", (*flat.Kernel).ThresholdFromBeta, 60, 20, 0},
-		{matmulKernel, "fraction", (*flat.Kernel).ThresholdFromPhase1Fraction, 0.5, 10, 500},
+		{outerKernel, func(x, nf float64) float64 { return x * nf * nf }, []point{
+			{"beta", beta, 0, 100, 100 * 100},
+			{"beta", beta, 50, 100, 0},
+			{"fraction", fraction, 1, 100, 0},
+			{"fraction", fraction, 0, 100, 100 * 100},
+		}},
+		{matmulKernel, func(x, nf float64) float64 { return x * nf * nf * nf }, []point{
+			{"beta", beta, 0, 20, 20 * 20 * 20},
+			{"beta", beta, 60, 20, 0},
+			{"fraction", fraction, 0.5, 10, 500},
+		}},
 	}
 	for _, c := range cases {
-		if got := c.fn(c.k.k, c.x, c.n); got != c.want {
-			t.Errorf("%s: %s %g, n=%d: threshold %d, want %d", c.k.name, c.what, c.x, c.n, got, c.want)
-		}
-	}
-	// Both helpers multiply by float64(n) once per dimension, left to
-	// right: float64(n*n*n) rounds differently and can move a threshold.
-	for n := 1; n <= 300; n += 7 {
-		nf := float64(n)
-		for x := 0.0; x <= 1; x += 1.0 / 64 {
-			beta := 8 * x
-			if got, want := outer.Kernel.ThresholdFromBeta(beta, n), int(math.Floor(math.Exp(-beta)*nf*nf)); got != want {
-				t.Fatalf("outer ThresholdFromBeta(%g, %d) = %d, want %d", beta, n, got, want)
+		t.Run(c.k.name, func(t *testing.T) {
+			k := c.k.k
+			for _, pt := range c.points {
+				if got := pt.fn(k, pt.x, pt.n); got != pt.want {
+					t.Errorf("%s %g, n=%d: threshold %d, want %d", pt.what, pt.x, pt.n, got, pt.want)
+				}
 			}
-			if got, want := matmul.Kernel.ThresholdFromBeta(beta, n), int(math.Floor(math.Exp(-beta)*nf*nf*nf)); got != want {
-				t.Fatalf("matmul ThresholdFromBeta(%g, %d) = %d, want %d", beta, n, got, want)
+			// Both helpers multiply by float64(n) once per dimension, left
+			// to right: float64(n*n*n) rounds differently and can move a
+			// threshold.
+			for n := 1; n <= 300; n += 7 {
+				nf := float64(n)
+				for x := 0.0; x <= 1; x += 1.0 / 64 {
+					b := 8 * x
+					if got, want := k.ThresholdFromBeta(b, n), int(math.Floor(c.cube(math.Exp(-b), nf))); got != want {
+						t.Fatalf("ThresholdFromBeta(%g, %d) = %d, want %d", b, n, got, want)
+					}
+					if got, want := k.ThresholdFromPhase1Fraction(x, n), int(math.Round(c.cube(1-x, nf))); got != want {
+						t.Fatalf("ThresholdFromPhase1Fraction(%g, %d) = %d, want %d", x, n, got, want)
+					}
+				}
 			}
-			if got, want := outer.Kernel.ThresholdFromPhase1Fraction(x, n), int(math.Round((1-x)*nf*nf)); got != want {
-				t.Fatalf("outer ThresholdFromPhase1Fraction(%g, %d) = %d, want %d", x, n, got, want)
-			}
-			if got, want := matmul.Kernel.ThresholdFromPhase1Fraction(x, n), int(math.Round((1-x)*nf*nf*nf)); got != want {
-				t.Fatalf("matmul ThresholdFromPhase1Fraction(%g, %d) = %d, want %d", x, n, got, want)
-			}
-		}
-	}
-	for _, k := range []kernel{outerKernel, matmulKernel} {
-		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: fraction out of range did not panic", k.name)
+					t.Error("fraction out of range did not panic")
 				}
 			}()
-			k.k.ThresholdFromPhase1Fraction(1.5, 10)
-		}()
+			k.ThresholdFromPhase1Fraction(1.5, 10)
+		})
 	}
 }
 
