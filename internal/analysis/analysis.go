@@ -149,11 +149,7 @@ func PaperRatioOuter(beta float64, rs []float64, n int) float64 {
 // minimizer and the minimum normalized volume. Each β costs one pass
 // over rs; the lower bound does not depend on β and is computed once.
 func OptimalBetaOuter(rs []float64, n int) (beta, ratio float64) {
-	lb := LowerBoundOuter(rs, n)
-	return minimize(func(b float64) float64 {
-		v1, v2 := outerVolumes(b, rs, n)
-		return (v1 + v2) / lb
-	})
+	return minimize(func(b float64) (float64, float64) { return outerVolumes(b, rs, n) }, LowerBoundOuter(rs, n))
 }
 
 // RatioOuterHomogeneous is RatioOuter on the homogeneous p-worker
@@ -162,12 +158,20 @@ func OptimalBetaOuter(rs []float64, n int) (beta, ratio float64) {
 // V₂ = e^(−β)·n²·2/(1+x) (the Σrs factor collapses to 1), and
 // LB = 2n·p·√(1/p).
 func RatioOuterHomogeneous(beta float64, p, n int) float64 {
+	v1, v2 := outerVolumesHomogeneous(beta, p, n)
+	return (v1 + v2) / lowerBoundOuterHomogeneous(p, n)
+}
+
+// outerVolumesHomogeneous is (V₁, V₂) of RatioOuterHomogeneous.
+func outerVolumesHomogeneous(beta float64, p, n int) (v1, v2 float64) {
 	pf := float64(p)
 	x := XOuter(beta, 1/pf)
-	v1 := 2 * float64(n) * pf * x
-	v2 := math.Exp(-beta) * float64(n) * float64(n) * 2 / (1 + x)
-	lb := 2 * float64(n) * pf * math.Sqrt(1/pf)
-	return (v1 + v2) / lb
+	return 2 * float64(n) * pf * x, math.Exp(-beta) * float64(n) * float64(n) * 2 / (1 + x)
+}
+
+func lowerBoundOuterHomogeneous(p, n int) float64 {
+	pf := float64(p)
+	return 2 * float64(n) * pf * math.Sqrt(1/pf)
 }
 
 // OptimalBetaOuterHomogeneous is
@@ -176,7 +180,7 @@ func RatioOuterHomogeneous(beta float64, p, n int) float64 {
 // the service evaluates on every run-creation, which must stay cheap
 // for million-worker fleets.
 func OptimalBetaOuterHomogeneous(p, n int) (beta, ratio float64) {
-	return minimize(func(b float64) float64 { return RatioOuterHomogeneous(b, p, n) })
+	return minimize(func(b float64) (float64, float64) { return outerVolumesHomogeneous(b, p, n) }, lowerBoundOuterHomogeneous(p, n))
 }
 
 // SwitchFraction returns e^(−β), the fraction of tasks still
@@ -304,30 +308,35 @@ func PaperRatioMatrix(beta float64, rs []float64, n int) float64 {
 // minimizer and the minimum normalized volume, one pass over rs per β
 // (see OptimalBetaOuter).
 func OptimalBetaMatrix(rs []float64, n int) (beta, ratio float64) {
-	lb := LowerBoundMatrix(rs, n)
-	return minimize(func(b float64) float64 {
-		v1, v2 := matrixVolumes(b, rs, n)
-		return (v1 + v2) / lb
-	})
+	return minimize(func(b float64) (float64, float64) { return matrixVolumes(b, rs, n) }, LowerBoundMatrix(rs, n))
 }
 
 // RatioMatrixHomogeneous is RatioMatrix on the homogeneous p-worker
 // platform in O(1) — see RatioOuterHomogeneous for the collapse.
 func RatioMatrixHomogeneous(beta float64, p, n int) float64 {
+	v1, v2 := matrixVolumesHomogeneous(beta, p, n)
+	return (v1 + v2) / lowerBoundMatrixHomogeneous(p, n)
+}
+
+// matrixVolumesHomogeneous is (V₁, V₂) of RatioMatrixHomogeneous.
+func matrixVolumesHomogeneous(beta float64, p, n int) (v1, v2 float64) {
 	pf := float64(p)
 	x := XMatrix(beta, 1/pf)
 	n2 := float64(n) * float64(n)
-	v1 := 3 * n2 * pf * x * x
-	v2 := math.Exp(-beta) * n2 * float64(n) * 3 * (1 - x*x/(1+x+x*x))
-	lb := 3 * n2 * pf * math.Pow(1/pf, 2.0/3.0)
-	return (v1 + v2) / lb
+	return 3 * n2 * pf * x * x, math.Exp(-beta) * n2 * float64(n) * 3 * (1 - x*x/(1+x+x*x))
+}
+
+func lowerBoundMatrixHomogeneous(p, n int) float64 {
+	pf := float64(p)
+	n2 := float64(n) * float64(n)
+	return 3 * n2 * pf * math.Pow(1/pf, 2.0/3.0)
 }
 
 // OptimalBetaMatrixHomogeneous is
 // OptimalBetaMatrix(speeds.Homogeneous(p), n) without the p-length
 // vector — the matrix kernel's speed-agnostic optimum.
 func OptimalBetaMatrixHomogeneous(p, n int) (beta, ratio float64) {
-	return minimize(func(b float64) float64 { return RatioMatrixHomogeneous(b, p, n) })
+	return minimize(func(b float64) (float64, float64) { return matrixVolumesHomogeneous(b, p, n) }, lowerBoundMatrixHomogeneous(p, n))
 }
 
 // --- Refined phase-2 model (extension / ablation) ----------------------
@@ -378,11 +387,7 @@ func RefinedRatioOuter(beta float64, rs []float64, n int) float64 {
 // OptimalBetaOuterRefined minimizes RefinedRatioOuter, one pass over rs
 // per β (see OptimalBetaOuter).
 func OptimalBetaOuterRefined(rs []float64, n int) (beta, ratio float64) {
-	lb := LowerBoundOuter(rs, n)
-	return minimize(func(b float64) float64 {
-		v1, v2 := refinedOuterVolumes(b, rs, n)
-		return (v1 + v2) / lb
-	})
+	return minimize(func(b float64) (float64, float64) { return refinedOuterVolumes(b, rs, n) }, LowerBoundOuter(rs, n))
 }
 
 // --- 1D baseline (extension) -------------------------------------------
@@ -414,18 +419,70 @@ const (
 	betaHi = 16.0
 )
 
-// minimize finds the minimizer of f over [betaLo, betaHi] with a
-// coarse scan followed by golden-section refinement. f is unimodal in
-// the domain of interest but the coarse scan makes the search robust
-// to flat or slightly noisy tails.
-func minimize(f func(float64) float64) (argmin, min float64) {
-	const coarse = 400
-	bestX, bestY := betaLo, f(betaLo)
-	for i := 1; i <= coarse; i++ {
-		x := betaLo + (betaHi-betaLo)*float64(i)/coarse
-		if y := f(x); y < bestY {
-			bestX, bestY = x, y
+// minimize returns the minimizer of f(β) = (inc(β) + dec(β)) / lb over
+// [betaLo, betaHi] and the minimum, where vol(β) = (inc, dec). It finds
+// the argmin of f over a grid of 401 points, the lowest index on ties,
+// then refines it by golden-section search in the two grid steps
+// around it; f is unimodal in the domain of interest, and the grid
+// keeps the search robust to flat or slightly noisy tails.
+//
+// The grid argmin is found without evaluating the whole grid. inc is
+// nondecreasing in β and dec nonincreasing, for every volume body in
+// this package, so between grid points a < b every f(β) is at least
+// (inc(a) + dec(b)) / lb. minimize evaluates every stride-th point, then
+// bisects only the gaps whose bound could hold a value at or below the
+// best found so far; a skipped gap holds none, so the argmin and every
+// bit of the result are those of scanning all 401 points.
+//
+// The bound holds for exact values; the computed ones are off by
+// rounding. inc and dec are sums of p nonnegative terms, each a few
+// operations good to an ulp or so, and summing p such terms is off by
+// at most (p−1)·u relative (u = 2^−53); the final add and divide add
+// 2u. So a computed f, and a computed bound, is within ε ≈ (p+c)·u of
+// the exact value, and a gap whose computed bound still exceeds the
+// best when multiplied by 1−margin ≤ (1−ε)/(1+ε) holds no computed f
+// at or below it. margin is 2^−20, so ε may reach 2^−21: p up to 2^31
+// with room for the per-term error, including the cancellation in
+// 1 − e^(−β·rs_k), which costs log2(1/(β·rs_k)) bits and stays inside
+// while rs_k ≥ 10^−8. Near the minimum the bound is loose by far more
+// than the margin, so the margin costs almost no evaluations.
+func minimize(vol func(beta float64) (inc, dec float64), lb float64) (argmin, min float64) {
+	const (
+		coarse = 400
+		stride = 16
+		margin = 1.0 / (1 << 20)
+	)
+	var inc, dec [coarse + 1]float64
+	bestI, bestY := 0, 0.0
+	eval := func(i int) {
+		inc[i], dec[i] = vol(betaLo + (betaHi-betaLo)*float64(i)/coarse)
+		if y := (inc[i] + dec[i]) / lb; i == 0 || y < bestY || y == bestY && i < bestI {
+			bestI, bestY = i, y
 		}
+	}
+	type gap struct{ a, b int }
+	var gaps [coarse]gap
+	open := gaps[:0]
+	for i := 0; i <= coarse; i += stride {
+		eval(i)
+		if i > 0 {
+			open = append(open, gap{i - stride, i})
+		}
+	}
+	for len(open) > 0 {
+		g := open[len(open)-1]
+		open = open[:len(open)-1]
+		if g.b-g.a < 2 || (inc[g.a]+dec[g.b])/lb*(1-margin) > bestY {
+			continue
+		}
+		m := (g.a + g.b) / 2
+		eval(m)
+		open = append(open, gap{g.a, m}, gap{m, g.b})
+	}
+	bestX := betaLo + (betaHi-betaLo)*float64(bestI)/coarse
+	f := func(b float64) float64 {
+		i, d := vol(b)
+		return (i + d) / lb
 	}
 	step := (betaHi - betaLo) / coarse
 	lo := math.Max(betaLo, bestX-step)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
 
+	"hetsched/internal/bitset"
 	"hetsched/internal/rng"
 )
 
@@ -87,7 +87,9 @@ func (p *IndexPool) RestoreState(r *StateReader, n int, drawn []int32) []int32 {
 // The random single-task strategies (RandomOuter/RandomMatrix and the
 // second phase of the two-phase strategies) draw from a TaskPool; the
 // pool is rebuilt from the processed bit set when a two-phase strategy
-// switches.
+// switches. It keeps each id in 4 bytes, so a pool never holds a task
+// id of 2^32 or more: a constructor asked for one panics before it
+// allocates, and RestoreState refuses one.
 //
 // A draw reads one slot of a pool of up to millions of tasks, so most
 // draws miss the cache. Draw hides the miss: it runs a copy of the
@@ -96,7 +98,7 @@ func (p *IndexPool) RestoreState(r *StateReader, n int, drawn []int32) []int32 {
 // whenever *r is not the state the last Draw left there, so a foreign
 // draw from r in between costs a wasted prefetch and nothing else.
 type TaskPool struct {
-	tasks []Task
+	ids []uint32
 	// left is the generator state the last Draw returned with, ahead
 	// the same run aheadDraws draws on. The zero left matches no
 	// generator rng.New makes (their stream selectors are odd), so the
@@ -108,16 +110,39 @@ type TaskPool struct {
 // prefetches: enough draws to cover a miss to memory.
 const aheadDraws = 4
 
-// NewTaskPool returns a pool containing tasks. The slice is owned by
-// the pool afterwards.
-func NewTaskPool(tasks []Task) *TaskPool {
-	return &TaskPool{tasks: tasks}
+// maxPoolTasks bounds the tasks a TaskPool can name: ids are uint32.
+const maxPoolTasks = 1 << 32
+
+// checkPoolTasks panics unless every id below n fits a pool slot.
+func checkPoolTasks(n int) {
+	if uint64(n) >= maxPoolTasks {
+		panic("core: task pool over 2^32 or more tasks")
+	}
+}
+
+// NewTaskPool returns a pool holding the tasks 0, 1, …, n−1 in order.
+func NewTaskPool(n int) *TaskPool {
+	checkPoolTasks(n)
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return &TaskPool{ids: ids}
+}
+
+// NewTaskPoolClear returns a pool holding, in increasing order, the
+// tasks of [0, set.Len()) that set does not hold.
+func NewTaskPoolClear(set *bitset.Bitset) *TaskPool {
+	checkPoolTasks(set.Len())
+	ids := make([]uint32, 0, set.Len()-set.Count())
+	set.ForEachClear(func(i int) { ids = append(ids, uint32(i)) })
+	return &TaskPool{ids: ids}
 }
 
 // Draw removes and returns a uniformly random task. ok is false when
 // the pool is exhausted.
 func (p *TaskPool) Draw(r *rng.PCG) (t Task, ok bool) {
-	n := len(p.tasks)
+	n := len(p.ids)
 	if n == 0 {
 		return 0, false
 	}
@@ -129,36 +154,45 @@ func (p *TaskPool) Draw(r *rng.PCG) (t Task, ok bool) {
 	}
 	at := r.Intn(n)
 	if m := n - aheadDraws; m > 0 {
-		prefetch(&p.tasks[p.ahead.Intn(m)])
+		prefetch(&p.ids[p.ahead.Intn(m)])
 	}
-	v := p.tasks[at]
-	p.tasks[at] = p.tasks[n-1]
-	p.tasks = p.tasks[:n-1]
+	v := p.ids[at]
+	p.ids[at] = p.ids[n-1]
+	p.ids = p.ids[:n-1]
 	p.left = *r
-	return v, true
+	return Task(v), true
 }
 
 // Len returns the number of tasks still in the pool.
-func (p *TaskPool) Len() int { return len(p.tasks) }
+func (p *TaskPool) Len() int { return len(p.ids) }
 
 // AppendState appends the pool's tasks in slice order, which draws
 // index into; the owner knows how many there are.
 func (p *TaskPool) AppendState(dst []byte) []byte {
-	for _, t := range p.tasks {
+	for _, t := range p.ids {
 		dst = binary.AppendUvarint(dst, uint64(t))
 	}
 	return dst
 }
 
 // RestoreState refills the pool with the n tasks AppendState wrote,
-// each of which admit must accept.
+// each of which admit must accept and a pool slot must hold. The zero
+// TaskPool restores too.
 func (p *TaskPool) RestoreState(r *StateReader, n int, admit func(Task) bool) {
-	p.tasks, p.left = p.tasks[:0], rng.PCG{}
+	p.left = rng.PCG{}
+	if uint64(n) >= maxPoolTasks {
+		r.Failf("core: task pool of %d tasks, 2^32 or more", n)
+		return
+	}
+	if cap(p.ids) < n {
+		p.ids = make([]uint32, 0, n)
+	}
+	p.ids = p.ids[:0]
 	for i := 0; i < n && r.Ok(); i++ {
 		t := r.Uvarint()
-		if r.Ok() && (t > math.MaxInt64 || !admit(Task(t))) {
+		if r.Ok() && (t >= maxPoolTasks || !admit(Task(t))) {
 			r.Failf("core: task pool holds task %d out of place", t)
 		}
-		p.tasks = append(p.tasks, Task(t))
+		p.ids = append(p.ids, uint32(t))
 	}
 }

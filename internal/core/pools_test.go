@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"hetsched/internal/bitset"
 	"hetsched/internal/rng"
 )
 
@@ -49,7 +53,7 @@ func TestIndexPoolFirstDrawUniform(t *testing.T) {
 func TestTaskPoolDraw(t *testing.T) {
 	r := rng.New(2)
 	tasks := []Task{10, 20, 30, 40}
-	p := NewTaskPool(append([]Task(nil), tasks...))
+	p := poolOf(tasks)
 	got := map[Task]bool{}
 	for i := 0; i < len(tasks); i++ {
 		v, ok := p.Draw(r)
@@ -68,14 +72,14 @@ func TestTaskPoolDraw(t *testing.T) {
 
 func TestTaskPoolProperty(t *testing.T) {
 	// Drawing everything returns exactly the initial multiset.
-	f := func(seed uint64, raw []int16) bool {
+	f := func(seed uint64, raw []uint16) bool {
 		tasks := make([]Task, len(raw))
 		counts := map[Task]int{}
 		for i, v := range raw {
 			tasks[i] = Task(v)
 			counts[Task(v)]++
 		}
-		p := NewTaskPool(tasks)
+		p := poolOf(tasks)
 		r := rng.New(seed)
 		for {
 			v, ok := p.Draw(r)
@@ -94,6 +98,15 @@ func TestTaskPoolProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// poolOf returns a pool holding tasks in order.
+func poolOf(tasks []Task) *TaskPool {
+	ids := make([]uint32, len(tasks))
+	for i, t := range tasks {
+		ids[i] = uint32(t)
+	}
+	return &TaskPool{ids: ids}
 }
 
 // swapRemove is TaskPool.Draw as a plain swap-remove, the reference
@@ -142,7 +155,7 @@ func TestTaskPoolDrawMatchesSwapRemove(t *testing.T) {
 			for i := range tasks {
 				tasks[i] = Task(3 * i)
 			}
-			p := NewTaskPool(append([]Task(nil), tasks...))
+			p := poolOf(tasks)
 			var saved, savedR []byte
 			var savedRef []Task
 			var savedRefR rng.PCG
@@ -157,7 +170,7 @@ func TestTaskPoolDrawMatchesSwapRemove(t *testing.T) {
 				}
 				if tc.rewind && k == tc.n/2 {
 					if tc.fresh {
-						p = NewTaskPool(nil)
+						p = new(TaskPool)
 					}
 					sr := NewStateReader(saved)
 					p.RestoreState(sr, len(savedRef), func(Task) bool { return true })
@@ -173,7 +186,7 @@ func TestTaskPoolDrawMatchesSwapRemove(t *testing.T) {
 					ip, refIP := NewIndexPool(40), NewIndexPool(40)
 					ip.Draw(r)
 					refIP.Draw(&ref)
-					p = NewTaskPool(append([]Task(nil), p.tasks...))
+					p = &TaskPool{ids: append([]uint32(nil), p.ids...)}
 				}
 				got, ok := p.Draw(r)
 				want, wantOK := swapRemove(&tasks, &ref)
@@ -185,5 +198,81 @@ func TestTaskPoolDrawMatchesSwapRemove(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestTaskPoolConstructors(t *testing.T) {
+	set := bitset.New(70)
+	for _, i := range []int{0, 3, 63, 64, 69} {
+		set.Set(i)
+	}
+	var clear []uint32
+	for i := range 70 {
+		if !set.Test(i) {
+			clear = append(clear, uint32(i))
+		}
+	}
+	cases := []struct {
+		name string
+		pool *TaskPool
+		want []uint32
+	}{
+		{name: "empty count", pool: NewTaskPool(0), want: []uint32{}},
+		{name: "count", pool: NewTaskPool(5), want: []uint32{0, 1, 2, 3, 4}},
+		{name: "clear members", pool: NewTaskPoolClear(set), want: clear},
+		{name: "empty set", pool: NewTaskPoolClear(bitset.New(3)), want: []uint32{0, 1, 2}},
+	}
+	for _, c := range cases {
+		if !slices.Equal(c.pool.ids, c.want) || cap(c.pool.ids) != len(c.want) {
+			t.Errorf("%s: ids %v (cap %d), want %v", c.name, c.pool.ids, cap(c.pool.ids), c.want)
+		}
+	}
+}
+
+// TestTaskPoolRefusesWideIDs checks that no pool names a task id a
+// uint32 cannot hold: the constructor panics before it allocates, and
+// RestoreState refuses such a count or id, as it refuses an id its
+// owner does not admit.
+func TestTaskPoolRefusesWideIDs(t *testing.T) {
+	if math.MaxInt < maxPoolTasks {
+		t.Skip("int cannot count 2^32 tasks")
+	}
+	wide := uint64(maxPoolTasks)
+	allocs := testing.AllocsPerRun(1, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewTaskPool(2^32) did not panic")
+			}
+		}()
+		NewTaskPool(int(wide))
+	})
+	if allocs != 0 {
+		t.Errorf("NewTaskPool(2^32) allocated %v times before refusing", allocs)
+	}
+
+	all := func(Task) bool { return true }
+	cases := []struct {
+		name  string
+		n     int
+		state []byte
+		admit func(Task) bool
+		ok    bool
+	}{
+		{name: "in place", n: 2, state: binary.AppendUvarint([]byte{7}, 1<<32-1), admit: all, ok: true},
+		{name: "count 2^32", n: int(wide), admit: all},
+		{name: "id 2^32", n: 1, state: binary.AppendUvarint(nil, 1<<32), admit: all},
+		{name: "id 2^63", n: 1, state: binary.AppendUvarint(nil, 1<<63), admit: all},
+		{name: "out of place", n: 2, state: []byte{7, 5}, admit: func(t Task) bool { return t != 5 }},
+	}
+	for _, c := range cases {
+		p := new(TaskPool)
+		r := NewStateReader(c.state)
+		p.RestoreState(r, c.n, c.admit)
+		if err := r.Done(); (err == nil) != c.ok {
+			t.Errorf("%s: RestoreState error %v, want ok=%v", c.name, err, c.ok)
+		}
+		if uint64(c.n) >= wide && cap(p.ids) != 0 {
+			t.Errorf("%s: RestoreState sized the pool at %d before refusing", c.name, cap(p.ids))
+		}
 	}
 }

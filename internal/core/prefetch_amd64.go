@@ -4,4 +4,4 @@ package core
 // is a hint: it never faults, and nothing waits on it.
 //
 //go:noescape
-func prefetch(addr *Task)
+func prefetch(addr *uint32)

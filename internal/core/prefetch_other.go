@@ -3,4 +3,4 @@
 package core
 
 // prefetch is a no-op where no prefetch instruction is wired in.
-func prefetch(*Task) {}
+func prefetch(*uint32) {}

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"hetsched/internal/analysis"
 	"hetsched/internal/core"
@@ -75,70 +76,48 @@ const (
 	stTwoPhases
 )
 
-var strategyNames = map[strategyID]string{
-	stRandom:    "Random",
-	stSorted:    "Sorted",
-	stDynamic:   "Dynamic",
-	stTwoPhases: "2Phases",
+// kernel is one flat kernel as the experiments run it: the engine's
+// kernel value and the analysis' lower bound, predicted ratio and
+// heterogeneous β optimiser.
+type kernel struct {
+	name        string
+	flat        *flat.Kernel
+	lowerBound  func(rs []float64, n int) float64
+	ratio       func(beta float64, rs []float64, n int) float64
+	optimalBeta func(rs []float64, n int) (beta, ratio float64)
 }
 
-func outerName(st strategyID) string {
+var (
+	outerKernel  = kernel{"outer", outer.Kernel, analysis.LowerBoundOuter, analysis.RatioOuter, analysis.OptimalBetaOuter}
+	matrixKernel = kernel{"matrix", matmul.Kernel, analysis.LowerBoundMatrix, analysis.RatioMatrix, analysis.OptimalBetaMatrix}
+)
+
+// strategyName is the paper's name for strategy st on k.
+func (k kernel) strategyName(st strategyID) string {
 	switch st {
 	case stRandom:
-		return "RandomOuter"
+		return "Random" + k.flat.Name
 	case stSorted:
-		return "SortedOuter"
+		return "Sorted" + k.flat.Name
 	case stDynamic:
-		return "DynamicOuter"
-	default:
-		return "DynamicOuter2Phases"
+		return "Dynamic" + k.flat.Name
 	}
+	return "Dynamic" + k.flat.Name + "2Phases"
 }
 
-func matrixName(st strategyID) string {
+// newScheduler builds k's scheduler for strategy st. Only the two-phase
+// strategy reads beta: it switches at the threshold beta gives, the
+// analysis β* for the platform in the paper's recommended tuning.
+func (k kernel) newScheduler(st strategyID, n, p int, beta float64, r *rng.PCG) core.Scheduler {
 	switch st {
 	case stRandom:
-		return "RandomMatrix"
+		return flat.NewRandom(k.flat, n, p, r)
 	case stSorted:
-		return "SortedMatrix"
+		return flat.NewSorted(k.flat, n, p, r)
 	case stDynamic:
-		return "DynamicMatrix"
-	default:
-		return "DynamicMatrix2Phases"
-	}
-}
-
-// newOuterScheduler builds an outer scheduler. For the two-phase
-// strategy the threshold comes from the analysis β* for the given
-// platform (the paper's recommended tuning).
-func newOuterScheduler(st strategyID, n, p int, rs []float64, r *rng.PCG) core.Scheduler {
-	switch st {
-	case stRandom:
-		return flat.NewRandom(outer.Kernel, n, p, r)
-	case stSorted:
-		return flat.NewSorted(outer.Kernel, n, p, r)
-	case stDynamic:
-		return outer.NewDynamic(n, p, r)
+		return flat.NewDynamic(k.flat, n, p, r)
 	case stTwoPhases:
-		beta, _ := analysis.OptimalBetaOuter(rs, n)
-		return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), r)
-	}
-	panic("experiments: unknown strategy")
-}
-
-// newMatrixScheduler builds a matrix scheduler, mirroring
-// newOuterScheduler.
-func newMatrixScheduler(st strategyID, n, p int, rs []float64, r *rng.PCG) core.Scheduler {
-	switch st {
-	case stRandom:
-		return flat.NewRandom(matmul.Kernel, n, p, r)
-	case stSorted:
-		return flat.NewSorted(matmul.Kernel, n, p, r)
-	case stDynamic:
-		return matmul.NewDynamic(n, p, r)
-	case stTwoPhases:
-		beta, _ := analysis.OptimalBetaMatrix(rs, n)
-		return flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(beta, n), r)
+		return flat.NewTwoPhases(k.flat, n, p, k.flat.ThresholdFromBeta(beta, n), r)
 	}
 	panic("experiments: unknown strategy")
 }
@@ -178,38 +157,6 @@ type measurement struct {
 	analysis stats.Accumulator
 }
 
-// kernel abstracts outer vs matrix so the replication loop is written
-// once.
-type kernel struct {
-	name         string
-	lowerBound   func(rs []float64, n int) float64
-	newScheduler func(st strategyID, n, p int, rs []float64, r *rng.PCG) core.Scheduler
-	ratioAtOpt   func(rs []float64, n int) float64
-	strategyName func(st strategyID) string
-}
-
-var outerKernel = kernel{
-	name:         "outer",
-	lowerBound:   analysis.LowerBoundOuter,
-	newScheduler: newOuterScheduler,
-	ratioAtOpt: func(rs []float64, n int) float64 {
-		_, ratio := analysis.OptimalBetaOuter(rs, n)
-		return ratio
-	},
-	strategyName: outerName,
-}
-
-var matrixKernel = kernel{
-	name:         "matrix",
-	lowerBound:   analysis.LowerBoundMatrix,
-	newScheduler: newMatrixScheduler,
-	ratioAtOpt: func(rs []float64, n int) float64 {
-		_, ratio := analysis.OptimalBetaMatrix(rs, n)
-		return ratio
-	},
-	strategyName: matrixName,
-}
-
 // sweepOut is one replication's contribution to a strategy sweep: the
 // normalized communication volume per strategy (indexed like sts) and
 // the analysis prediction.
@@ -229,14 +176,17 @@ func sweepStrategiesAsync(pl *pool, k kernel, sts []strategyID, n, p, reps int, 
 		rs := speeds.Relative(init)
 		lb := k.lowerBound(rs, n)
 		out := sweepOut{vals: make([]float64, len(sts))}
+		// One optimisation gives both the two-phase threshold and
+		// the analysis prediction.
+		var beta float64
+		if withAnalysis || slices.Contains(sts, stTwoPhases) {
+			beta, out.ana = k.optimalBeta(rs, n)
+		}
 		for si, st := range sts {
 			schedRNG, modelRNG := streams[1+2*si], streams[2+2*si]
-			sched := k.newScheduler(st, n, p, rs, schedRNG)
+			sched := k.newScheduler(st, n, p, beta, schedRNG)
 			m := sim.Run(sched, spec.model(init, modelRNG))
 			out.vals[si] = float64(m.Blocks) / lb
-		}
-		if withAnalysis {
-			out.ana = k.ratioAtOpt(rs, n)
 		}
 		return out
 	})
@@ -315,4 +265,53 @@ func pSweepFigure(cfg Config, id, title string, k kernel, n int, ps []int, sts [
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("%s kernel, n=%d blocks, %d replications per point, speeds %s", k.name, n, reps, defaultPlatform.name))
 	return res
+}
+
+// betaSweepFigure builds the β-sweep figures (Figs 6 and 11): k's
+// two-phase strategy at each β against the analysis prediction and the
+// data-aware strategy alone, on one fixed platform of p workers. It
+// returns the figure and that platform's relative speeds.
+func betaSweepFigure(cfg Config, id, title string, k kernel, n, p int, betas []float64) (*plot.Result, []float64) {
+	root := cfg.figSeed(id)
+	reps := cfg.reps(10)
+
+	// One fixed arbitrary speed distribution, as in the paper.
+	init := defaultPlatform.gen(p, root.Split())
+	rs := speeds.Relative(init)
+	lb := k.lowerBound(rs, n)
+
+	res := &plot.Result{
+		ID:     id,
+		Title:  fmt.Sprintf("%s (p=%d, n=%d)", title, p, n),
+		XLabel: "beta",
+		YLabel: "normalized communication",
+	}
+
+	pl := cfg.pool()
+	betaFuts := make([]*rep[float64], len(betas))
+	for i, b := range betas {
+		betaFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
+			return k.newScheduler(stTwoPhases, n, p, b, r)
+		})
+	}
+	dynFut := measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
+		return k.newScheduler(stDynamic, n, p, 0, r)
+	})
+
+	simSeries := plot.Series{Name: k.strategyName(stTwoPhases)}
+	anaSeries := plot.Series{Name: "Analysis"}
+	for i, b := range betas {
+		s := summarize(betaFuts[i].Wait())
+		simSeries.Points = append(simSeries.Points, plot.Point{X: b, Y: s.Mean, StdDev: s.StdDev})
+		anaSeries.Points = append(anaSeries.Points, plot.Point{X: b, Y: k.ratio(b, rs, n)})
+	}
+
+	dynSeries := plot.Series{Name: k.strategyName(stDynamic)}
+	dynSum := summarize(dynFut.Wait())
+	for _, b := range betas {
+		dynSeries.Points = append(dynSeries.Points, plot.Point{X: b, Y: dynSum.Mean, StdDev: dynSum.StdDev})
+	}
+
+	res.Series = []plot.Series{anaSeries, simSeries, dynSeries}
+	return res, rs
 }

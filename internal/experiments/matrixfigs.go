@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"hetsched/internal/analysis"
-	"hetsched/internal/core"
-	"hetsched/internal/flat"
 	"hetsched/internal/matmul"
 	"hetsched/internal/plot"
-	"hetsched/internal/rng"
 	"hetsched/internal/speeds"
 )
 
@@ -51,18 +48,10 @@ func Fig10(cfg Config) *plot.Result {
 // Fig11 sweeps β for DynamicMatrix2Phases against the analysis on a
 // fixed platform of 100 processors and n=40 blocks (paper Figure 11).
 func Fig11(cfg Config) *plot.Result {
-	root := cfg.figSeed("fig11")
-	n := 40
+	n, p := 40, 100
 	if cfg.Quick {
 		n = 16
 	}
-	p := 100
-	reps := cfg.reps(10)
-
-	init := defaultPlatform.gen(p, root.Split())
-	rs := speeds.Relative(init)
-	lb := analysis.LowerBoundMatrix(rs, n)
-
 	var betas []float64
 	for b := 1.0; b <= 10.0+1e-9; b += 0.5 {
 		betas = append(betas, b)
@@ -70,40 +59,7 @@ func Fig11(cfg Config) *plot.Result {
 	if cfg.Quick {
 		betas = []float64{1, 3, 5, 7, 9}
 	}
-
-	res := &plot.Result{
-		ID:     "fig11",
-		Title:  fmt.Sprintf("matrix multiplication: communication vs beta (p=%d, n=%d)", p, n),
-		XLabel: "beta",
-		YLabel: "normalized communication",
-	}
-
-	pl := cfg.pool()
-	betaFuts := make([]*rep[float64], len(betas))
-	for i, b := range betas {
-		betaFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return flat.NewTwoPhases(matmul.Kernel, n, p, matmul.Kernel.ThresholdFromBeta(b, n), r)
-		})
-	}
-	dynFut := measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-		return matmul.NewDynamic(n, p, r)
-	})
-
-	simSeries := plot.Series{Name: "DynamicMatrix2Phases"}
-	anaSeries := plot.Series{Name: "Analysis"}
-	for i, b := range betas {
-		s := summarize(betaFuts[i].Wait())
-		simSeries.Points = append(simSeries.Points, plot.Point{X: b, Y: s.Mean, StdDev: s.StdDev})
-		anaSeries.Points = append(anaSeries.Points, plot.Point{X: b, Y: analysis.RatioMatrix(b, rs, n)})
-	}
-
-	dynSeries := plot.Series{Name: "DynamicMatrix"}
-	dynSum := summarize(dynFut.Wait())
-	for _, b := range betas {
-		dynSeries.Points = append(dynSeries.Points, plot.Point{X: b, Y: dynSum.Mean, StdDev: dynSum.StdDev})
-	}
-
-	res.Series = []plot.Series{anaSeries, simSeries, dynSeries}
+	res, rs := betaSweepFigure(cfg, "fig11", "matrix multiplication: communication vs beta", matrixKernel, n, p, betas)
 
 	betaStar, _ := analysis.OptimalBetaMatrix(rs, n)
 	betaHom, _ := analysis.OptimalBetaMatrix(speeds.Homogeneous(p), n)

@@ -101,7 +101,7 @@ func Fig2(cfg Config) *plot.Result {
 	refFuts := make([]*rep[float64], len(refSts))
 	for i, st := range refSts {
 		refFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return newOuterScheduler(st, n, p, rs, r)
+			return outerKernel.newScheduler(st, n, p, 0, r)
 		})
 	}
 
@@ -113,7 +113,7 @@ func Fig2(cfg Config) *plot.Result {
 	res.Series = append(res.Series, twoPhase)
 	for i, st := range refSts {
 		s := summarize(refFuts[i].Wait())
-		ref := plot.Series{Name: outerName(st)}
+		ref := plot.Series{Name: outerKernel.strategyName(st)}
 		for _, frac := range fracs {
 			ref.Points = append(ref.Points, plot.Point{X: frac * 100, Y: s.Mean, StdDev: s.StdDev})
 		}
@@ -131,15 +131,7 @@ func Fig2(cfg Config) *plot.Result {
 // Fig6 sweeps β for DynamicOuter2Phases against the analysis
 // prediction on a fixed platform of 20 processors (paper Figure 6).
 func Fig6(cfg Config) *plot.Result {
-	root := cfg.figSeed("fig6")
-	n := outerN(cfg, 100)
-	p := 20
-	reps := cfg.reps(10)
-
-	init := defaultPlatform.gen(p, root.Split())
-	rs := speeds.Relative(init)
-	lb := analysis.LowerBoundOuter(rs, n)
-
+	n, p := outerN(cfg, 100), 20
 	var betas []float64
 	for b := 1.0; b <= 9.0+1e-9; b += 0.25 {
 		betas = append(betas, b)
@@ -147,40 +139,7 @@ func Fig6(cfg Config) *plot.Result {
 	if cfg.Quick {
 		betas = []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	}
-
-	res := &plot.Result{
-		ID:     "fig6",
-		Title:  fmt.Sprintf("outer product: communication vs beta (p=%d, n=%d)", p, n),
-		XLabel: "beta",
-		YLabel: "normalized communication",
-	}
-
-	pl := cfg.pool()
-	betaFuts := make([]*rep[float64], len(betas))
-	for i, b := range betas {
-		betaFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(b, n), r)
-		})
-	}
-	dynFut := measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-		return outer.NewDynamic(n, p, r)
-	})
-
-	simSeries := plot.Series{Name: "DynamicOuter2Phases"}
-	anaSeries := plot.Series{Name: "Analysis"}
-	for i, b := range betas {
-		s := summarize(betaFuts[i].Wait())
-		simSeries.Points = append(simSeries.Points, plot.Point{X: b, Y: s.Mean, StdDev: s.StdDev})
-		anaSeries.Points = append(anaSeries.Points, plot.Point{X: b, Y: analysis.RatioOuter(b, rs, n)})
-	}
-
-	dynSeries := plot.Series{Name: "DynamicOuter"}
-	dynSum := summarize(dynFut.Wait())
-	for _, b := range betas {
-		dynSeries.Points = append(dynSeries.Points, plot.Point{X: b, Y: dynSum.Mean, StdDev: dynSum.StdDev})
-	}
-
-	res.Series = []plot.Series{anaSeries, simSeries, dynSeries}
+	res, rs := betaSweepFigure(cfg, "fig6", "outer product: communication vs beta", outerKernel, n, p, betas)
 
 	betaStar, _ := analysis.OptimalBetaOuter(rs, n)
 	betaHom, _ := analysis.OptimalBetaOuter(speeds.Homogeneous(p), n)
@@ -213,7 +172,7 @@ func Fig7(cfg Config) *plot.Result {
 	sts := []strategyID{stTwoPhases, stDynamic, stRandom, stSorted}
 	series := map[strategyID]*plot.Series{}
 	for _, st := range sts {
-		series[st] = &plot.Series{Name: outerName(st)}
+		series[st] = &plot.Series{Name: outerKernel.strategyName(st)}
 	}
 	anaSeries := &plot.Series{Name: "Analysis"}
 
@@ -298,7 +257,7 @@ func Fig8(cfg Config) *plot.Result {
 	sts := []strategyID{stTwoPhases, stDynamic, stRandom, stSorted}
 	series := map[strategyID]*plot.Series{}
 	for _, st := range sts {
-		series[st] = &plot.Series{Name: outerName(st)}
+		series[st] = &plot.Series{Name: outerKernel.strategyName(st)}
 	}
 	anaSeries := &plot.Series{Name: "Analysis"}
 

@@ -52,7 +52,11 @@ func Overlap(cfg Config) *plot.Result {
 				sumS += v
 			}
 			ideal := float64(n*n) / sumS
-			sched := newOuterScheduler(st, n, p, rs, streams[1])
+			var beta float64
+			if st == stTwoPhases {
+				beta, _ = outerKernel.optimalBeta(rs, n)
+			}
+			sched := outerKernel.newScheduler(st, n, p, beta, streams[1])
 			m := sim.RunBandwidth(sched, speeds.NewFixed(init), bw, la)
 			return m.Makespan / ideal
 		})
@@ -82,7 +86,7 @@ func Overlap(cfg Config) *plot.Result {
 
 	xInf := 2 * bandwidths[len(bandwidths)-2]
 	for si, st := range sts {
-		s := plot.Series{Name: outerName(st) + " (lookahead 2)"}
+		s := plot.Series{Name: outerKernel.strategyName(st) + " (lookahead 2)"}
 		for bi, bw := range bandwidths {
 			x := bw
 			if math.IsInf(bw, 1) {
@@ -94,7 +98,7 @@ func Overlap(cfg Config) *plot.Result {
 		res.Series = append(res.Series, s)
 	}
 	for si, st := range sts {
-		s := plot.Series{Name: fmt.Sprintf("%s (B=%d, vs lookahead)", outerName(st), tightBW)}
+		s := plot.Series{Name: fmt.Sprintf("%s (B=%d, vs lookahead)", outerKernel.strategyName(st), tightBW)}
 		for li, la := range lookaheads {
 			// Encode lookahead on the same x axis, scaled for
 			// readability in the combined chart.

@@ -50,6 +50,11 @@ func Robustness(cfg Config) *plot.Result {
 	static := plot.Series{Name: "StaticColumn (estimated speeds)"}
 	dynamic := plot.Series{Name: "DynamicOuter2Phases"}
 
+	// Dynamic: speed-agnostic; tuned with the homogeneous β (§3.6) so
+	// it uses no speed information at all.
+	beta, _ := analysis.OptimalBetaOuter(speeds.Homogeneous(p), n)
+	threshold := outer.Kernel.ThresholdFromBeta(beta, n)
+
 	type out struct{ static, dynamic float64 }
 	pl := cfg.pool()
 	futs := make([]*rep[out], len(epsilons))
@@ -75,10 +80,7 @@ func Robustness(cfg Config) *plot.Result {
 				worst = math.Max(worst, finish)
 			}
 
-			// Dynamic: speed-agnostic; tuned with the homogeneous β
-			// (§3.6) so it uses no speed information at all.
-			beta, _ := analysis.OptimalBetaOuter(speeds.Homogeneous(p), n)
-			sched := flat.NewTwoPhases(outer.Kernel, n, p, outer.Kernel.ThresholdFromBeta(beta, n), streams[2])
+			sched := flat.NewTwoPhases(outer.Kernel, n, p, threshold, streams[2])
 			m := sim.Run(sched, speeds.NewFixed(trueSpeeds))
 			return out{static: worst / ideal, dynamic: m.Makespan / ideal}
 		})

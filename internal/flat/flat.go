@@ -123,15 +123,6 @@ func (in *Instance) MarkProcessed(t core.Task) bool {
 	return false
 }
 
-// unprocessed returns every task not yet processed, in order.
-func (in *Instance) unprocessed() []core.Task {
-	tasks := make([]core.Task, 0, in.Left)
-	in.Processed.ForEachClear(func(i int) {
-		tasks = append(tasks, core.Task(i))
-	})
-	return tasks
-}
-
 // Append appends the instance's state: the rng, the processed set and,
 // worker by worker, its slab of each input. Left is not written.
 func (in *Instance) Append(dst []byte) []byte {

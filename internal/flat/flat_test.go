@@ -3,6 +3,7 @@ package flat_test
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"hetsched/internal/core"
@@ -192,16 +193,28 @@ func TestThresholdHelpers(t *testing.T) {
 			}
 			// Both helpers multiply by float64(n) once per dimension, left
 			// to right: float64(n*n*n) rounds differently and can move a
-			// threshold.
+			// threshold. The two orders differ only where the product is
+			// within an ulp of an integer, so besides a plain sweep the β
+			// points are ln(n^d/m) for integers m, and the floats either
+			// side of each.
 			for n := 1; n <= 300; n += 7 {
 				nf := float64(n)
-				for x := 0.0; x <= 1; x += 1.0 / 64 {
-					b := 8 * x
+				checkBeta := func(b float64) {
 					if got, want := k.ThresholdFromBeta(b, n), int(math.Floor(c.cube(math.Exp(-b), nf))); got != want {
-						t.Fatalf("ThresholdFromBeta(%g, %d) = %d, want %d", b, n, got, want)
+						t.Fatalf("ThresholdFromBeta(%v, %d) = %d, want %d", b, n, got, want)
 					}
+				}
+				for x := 0.0; x <= 1; x += 1.0 / 64 {
+					checkBeta(8 * x)
 					if got, want := k.ThresholdFromPhase1Fraction(x, n), int(math.Round(c.cube(1-x, nf))); got != want {
 						t.Fatalf("ThresholdFromPhase1Fraction(%g, %d) = %d, want %d", x, n, got, want)
+					}
+				}
+				total := k.Tasks(n)
+				for m := 1; m <= total; m += 1 + total/97 {
+					b := math.Log(float64(total) / float64(m))
+					for _, nb := range []float64{math.Nextafter(b, 0), b, math.Nextafter(b, 100)} {
+						checkBeta(nb)
 					}
 				}
 			}
@@ -213,6 +226,20 @@ func TestThresholdHelpers(t *testing.T) {
 			k.ThresholdFromPhase1Fraction(1.5, 10)
 		})
 	}
+}
+
+// TestNewRandomHeap counts the bytes a Random strategy allocates at
+// outer n=1000: the million-task pool at 4 bytes a task, the processed
+// set and the workers' holdings.
+func TestNewRandomHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := flat.NewRandom(outer.Kernel, 1000, 10, rng.New(1))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4_200_000 {
+		t.Errorf("NewRandom(outer, n=1000) allocated %d bytes, want at most 4,200,000", got)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestTwoPhasesPhaseAccounting(t *testing.T) {

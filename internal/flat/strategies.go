@@ -23,11 +23,7 @@ type Random struct {
 // NewRandom builds k's Random strategy for an n-block run on p workers.
 func NewRandom(k *Kernel, n, p int, r *rng.PCG) *Random {
 	in := NewInstance(k, n, p, r)
-	tasks := make([]core.Task, 0, in.total)
-	for t := 0; t < in.total; t++ {
-		tasks = append(tasks, core.Task(t))
-	}
-	return &Random{Instance: in, pool: core.NewTaskPool(tasks), name: "Random" + k.Name}
+	return &Random{Instance: in, pool: core.NewTaskPool(in.total), name: "Random" + k.Name}
 }
 
 // Next implements core.Scheduler.
@@ -217,7 +213,7 @@ func (s *TwoPhases) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 func (s *TwoPhases) switchPhase() {
 	s.switched = true
 	s.phase1 = s.total - s.Left
-	s.pool = core.NewTaskPool(s.unprocessed())
+	s.pool = core.NewTaskPoolClear(s.Processed)
 	s.dyn.Release()
 }
 
@@ -250,7 +246,7 @@ func (s *TwoPhases) RestoreState(src []byte) error {
 		s.dyn.RestoreWorkers(r)
 		if s.switched = r.Bool(); s.switched {
 			s.phase1 = r.Int(s.total-s.Left, "phase-1 task count")
-			s.pool = core.NewTaskPool(make([]core.Task, 0, s.Left))
+			s.pool = new(core.TaskPool)
 			s.pool.RestoreState(r, s.Left, s.admitUnprocessed())
 		}
 	})
