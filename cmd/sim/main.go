@@ -25,7 +25,6 @@ import (
 	"hetsched/internal/analysis"
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
-	"hetsched/internal/dag"
 	"hetsched/internal/experiments"
 	"hetsched/internal/linalg"
 	"hetsched/internal/lu"
@@ -69,7 +68,7 @@ func main() {
 	opts.N = cmp.Or(opts.N, shapes[*kernel].n)
 	opts.P = cmp.Or(opts.P, shapes[*kernel].p)
 	*strategy = cmp.Or(*strategy, k.Default)
-	flat := k.NewDAG == nil
+	flat := k.DAG == nil
 	switch {
 	case *gantt && !flat:
 		fail(2, "-gantt needs -kernel outer or matmul")
@@ -152,9 +151,8 @@ func simulateDAG(k *service.Kernel, strategy string, verify bool, opts *experime
 		sumSpeed += s
 		maxSpeed = max(maxSpeed, s)
 	}
-	work, cp := k.TotalWork(n)/sumSpeed, k.CriticalPath(n)/maxSpeed
-	d := drv.(*dag.Driver)
-	fmt.Printf("policy              %s\n", strings.TrimPrefix(d.Name(), d.Coordinator().Kernel().Name()))
+	work, cp := k.TotalWork(n)/sumSpeed, k.DAG.CriticalPath(n)/maxSpeed
+	fmt.Printf("policy              %s\n", strings.TrimPrefix(drv.Name(), k.DAG.Name))
 	fmt.Printf("tasks               %d\n", drv.Total())
 	fmt.Printf("communication       %d tile transfers\n", m.Blocks)
 	fmt.Printf("makespan            %.4f time units\n", m.Makespan)

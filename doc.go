@@ -16,9 +16,8 @@
 //   - internal/dag      — generic dependency-aware engine (ready set with
 //     each task's tile ids, one bitset per worker of the tiles it
 //     lacks, policies) behind the DAG kernels
-//   - internal/cholesky, internal/lu, internal/qr — DAG kernels: each
-//     NewKernel for dag.NewDriver, its bounds and, for Cholesky and LU,
-//     the tile numerics (Apply, Replay)
+//   - internal/cholesky, internal/lu, internal/qr — DAG kernels: each a
+//     dag.Kernel value and, for Cholesky and LU, Apply and Replay
 //   - internal/analysis — closed-form ODE solutions, lower bounds, β optimization
 //   - internal/sim      — event-driven heterogeneous platform simulator
 //     (one event loop: sim.Run for flat schedulers, sim.RunDriver for

@@ -36,14 +36,14 @@ func main() {
 	}
 
 	fmt.Printf("tiled Cholesky: %d×%d tiles (%d tasks), %d heterogeneous processors\n\n",
-		n, n, cholesky.TaskCount(n), p)
+		n, n, cholesky.Kernel.Tasks(n), p)
 	fmt.Printf("%-20s %12s %12s %12s\n", "policy", "tiles sent", "makespan", "efficiency")
 
 	var locality []core.Task
 	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
-		drv := dag.NewDriver(cholesky.NewKernel(n), p, pol, root.Split())
+		drv := dag.NewDriver(cholesky.Kernel, n, p, pol, root.Split())
 		m := sim.RunDriver(drv, speeds.NewFixed(s))
-		efficiency := cholesky.TotalWork(n) / sumSpeed / m.Makespan
+		efficiency := cholesky.Kernel.TotalWork(n) / sumSpeed / m.Makespan
 		fmt.Printf("%-20s %12d %12.3f %12.3f\n", pol, m.Blocks, m.Makespan, efficiency)
 		if pol == dag.LocalityReady {
 			locality = m.Schedule

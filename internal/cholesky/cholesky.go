@@ -10,56 +10,46 @@
 // to wait; the demand-driven engine here extends the paper's model
 // with task readiness and per-tile write serialization.
 //
-// The package is a dag.Kernel definition plus its numerics: NewKernel
-// describes the task graph (tile reads, writes, costs, readiness
-// progression), Apply runs one task's tile kernel, and the generic
-// engine in internal/dag supplies the ready set, the record of what
-// each worker holds with re-ship accounting, and the ready-task
-// selection policies. Every substrate drives dag.NewDriver(NewKernel(n),
-// …): the virtual-time simulator (sim.RunDriver, whose schedule Replay
-// verifies), the real goroutine runtime (exec.RunCholesky) and the
-// scheduler service (kernel "cholesky").
+// The package is one dag.Kernel value, the task graph, plus its
+// numerics: Apply runs one task's tile kernel and Replay a schedule.
+// Every substrate drives dag.NewDriver(Kernel, n, …): the virtual-time
+// simulator (sim.RunDriver), the real goroutine runtime
+// (exec.RunCholesky) and the scheduler service (kernel "cholesky").
 package cholesky
 
-import "fmt"
+import (
+	"fmt"
 
-// Kind enumerates the tile kernels.
-type Kind uint8
+	"hetsched/internal/dag"
+)
 
 // Task kinds of the tiled right-looking Cholesky factorization.
 const (
-	Potrf  Kind = iota // factor diagonal tile (K,K)
-	Trsm               // panel solve of tile (I,K) against L(K,K)
-	Update             // trailing update of tile (I,J) with L(I,K)·L(J,K)ᵀ (SYRK when I==J)
+	potrf  dag.Kind = iota // factor diagonal tile (K,K)
+	trsm                   // panel solve of tile (I,K) against L(K,K)
+	update                 // trailing update of tile (I,J) with L(I,K)·L(J,K)ᵀ (SYRK when I==J)
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Potrf:
-		return "POTRF"
-	case Trsm:
-		return "TRSM"
-	case Update:
-		return "UPDATE"
-	}
-	return "?"
+// Kernel is the tiled Cholesky factorization on the generic engine.
+var Kernel = &dag.Kernel{
+	Name:         "Cholesky",
+	Cost:         cost,
+	Format:       format,
+	Tasks:        taskCount,
+	TotalWork:    totalWork,
+	CriticalPath: criticalPath,
+	New:          newProgress,
 }
 
-// Task is one tile kernel invocation.
-type Task struct {
-	Kind    Kind
-	I, J, K int
-}
-
-// Cost returns the relative cost of the task in GEMM-equivalent flop
-// units (POTRF l³/3, TRSM l³, SYRK l³, GEMM 2l³, normalized by l³).
-func (t Task) Cost() float64 {
+// cost is the relative cost of a task in GEMM-equivalent flop units
+// (POTRF l³/3, TRSM l³, SYRK l³, GEMM 2l³, normalized by l³).
+func cost(t dag.Task) float64 {
 	switch t.Kind {
-	case Potrf:
+	case potrf:
 		return 1.0 / 3
-	case Trsm:
+	case trsm:
 		return 1
-	case Update:
+	case update:
 		if t.I == t.J {
 			return 1
 		}
@@ -68,56 +58,53 @@ func (t Task) Cost() float64 {
 	panic("cholesky: unknown task kind")
 }
 
-func (t Task) String() string {
+func format(t dag.Task) string {
 	switch t.Kind {
-	case Potrf:
+	case potrf:
 		return fmt.Sprintf("POTRF(%d)", t.K)
-	case Trsm:
+	case trsm:
 		return fmt.Sprintf("TRSM(%d,%d)", t.I, t.K)
 	default:
 		return fmt.Sprintf("UPDATE(%d,%d,%d)", t.I, t.J, t.K)
 	}
 }
 
-// TaskCount returns the number of tasks of an n-tile factorization:
-// n POTRFs, n(n−1)/2 TRSMs and Σ_k (n−k−1)(n−k)/2 updates.
-func TaskCount(n int) int {
-	potrf := n
-	trsm := n * (n - 1) / 2
+// taskCount is the number of tasks of an n-tile factorization: n
+// POTRFs, n(n−1)/2 TRSMs and Σ_k (n−k−1)(n−k)/2 updates.
+func taskCount(n int) int {
 	upd := 0
 	for k := 0; k < n; k++ {
 		m := n - k - 1
 		upd += m * (m + 1) / 2
 	}
-	return potrf + trsm + upd
+	return n + n*(n-1)/2 + upd
 }
 
-// TotalWork returns the total GEMM-equivalent work of an n-tile
+// totalWork is the total GEMM-equivalent work of an n-tile
 // factorization.
-func TotalWork(n int) float64 {
+func totalWork(n int) float64 {
 	w := 0.0
 	for k := 0; k < n; k++ {
-		w += Task{Kind: Potrf, K: k}.Cost()
+		w += cost(dag.Task{Kind: potrf, K: k})
 		for i := k + 1; i < n; i++ {
-			w += Task{Kind: Trsm, I: i, K: k}.Cost()
+			w += cost(dag.Task{Kind: trsm, I: i, K: k})
 			for j := k + 1; j <= i; j++ {
-				w += Task{Kind: Update, I: i, J: j, K: k}.Cost()
+				w += cost(dag.Task{Kind: update, I: i, J: j, K: k})
 			}
 		}
 	}
 	return w
 }
 
-// CriticalPath returns the length (in GEMM-equivalent units) of the
-// longest dependency chain: POTRF(0) → TRSM(1,0) → UPDATE(1,1,0) →
-// POTRF(1) → …
-func CriticalPath(n int) float64 {
+// criticalPath is the length (in GEMM-equivalent units) of the longest
+// dependency chain: POTRF(0) → TRSM(1,0) → UPDATE(1,1,0) → POTRF(1) → …
+func criticalPath(n int) float64 {
 	cp := 0.0
 	for k := 0; k < n; k++ {
-		cp += Task{Kind: Potrf, K: k}.Cost()
+		cp += cost(dag.Task{Kind: potrf, K: k})
 		if k+1 < n {
-			cp += Task{Kind: Trsm, I: k + 1, K: k}.Cost()
-			cp += Task{Kind: Update, I: k + 1, J: k + 1, K: k}.Cost()
+			cp += cost(dag.Task{Kind: trsm, I: k + 1, K: k})
+			cp += cost(dag.Task{Kind: update, I: k + 1, J: k + 1, K: k})
 		}
 	}
 	return cp

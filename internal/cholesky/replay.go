@@ -12,18 +12,18 @@ import (
 // POTRF(k) also zeroes the upper tiles of row k, which no other task
 // reads or writes, so a completed factorization leaves a clean L.
 func Apply(ct core.Task, m *linalg.BlockedMatrix) error {
-	t := fromDAG(dag.DecodeTask(ct, m.N))
+	t := dag.DecodeTask(ct, m.N)
 	switch t.Kind {
-	case Potrf:
+	case potrf:
 		if err := linalg.CholBlock(m.Block(t.K, t.K)); err != nil {
-			return fmt.Errorf("cholesky: %s: %w", t, err)
+			return fmt.Errorf("cholesky: %s: %w", format(t), err)
 		}
 		for j := t.K + 1; j < m.N; j++ {
 			clear(m.Block(t.K, j).Data)
 		}
-	case Trsm:
+	case trsm:
 		linalg.TrsmBlock(m.Block(t.I, t.K), m.Block(t.K, t.K))
-	case Update:
+	case update:
 		if t.I == t.J {
 			linalg.SyrkBlock(m.Block(t.I, t.I), m.Block(t.I, t.K))
 		} else {
@@ -42,9 +42,9 @@ func Apply(ct core.Task, m *linalg.BlockedMatrix) error {
 // valid sequential order; replaying it and checking the residual
 // against the original matrix verifies the DAG bookkeeping end to end.
 func Replay(schedule []core.Task, m *linalg.BlockedMatrix) error {
-	if len(schedule) != TaskCount(m.N) {
+	if len(schedule) != taskCount(m.N) {
 		return fmt.Errorf("cholesky: schedule has %d tasks, want %d for n=%d",
-			len(schedule), TaskCount(m.N), m.N)
+			len(schedule), taskCount(m.N), m.N)
 	}
 	for _, ct := range schedule {
 		if err := Apply(ct, m); err != nil {

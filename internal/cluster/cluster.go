@@ -289,7 +289,7 @@ func Run(sc Scenario, mode Mode) (*Result, error) {
 			model:   model,
 			initial: model.Initial(),
 			coster:  k.Coster(spec.N),
-			isDAG:   k.NewDAG != nil,
+			isDAG:   k.DAG != nil,
 			leaseNs: int64(leaseDuration(spec.LeaseSeconds)),
 			workers: h.slabs.fleet(spec.P),
 			// accepted and busyNs escape into the Result, so they are

@@ -28,10 +28,12 @@ import (
 // flight cannot be written by another task (per-tile write
 // serialization).
 type Coordinator struct {
-	k      Kernel
-	policy Policy
-	r      *rng.PCG
-	p      int
+	k        *Kernel
+	g        Progress
+	n, total int
+	policy   Policy
+	r        *rng.PCG
+	p        int
 
 	// ready[i] is described by cand[i]; the two are appended to and
 	// swap-removed together. The order is part of every schedule: ties
@@ -39,10 +41,10 @@ type Coordinator struct {
 	ready []Task
 	cand  []candidate
 
-	// Tile sets carry one spare last tile, index k.Tiles(), that is
-	// never set: the unused entries of a candidate point at it.
+	// Tile sets carry one spare last tile, index n², that is never
+	// set: the unused entries of a candidate point at it.
 	words    int      // words of inFlight
-	spare    uint32   // k.Tiles()
+	spare    uint32   // n²
 	inFlight []uint64 // a writing task is currently assigned
 	// missing is tile-major: tile id's row is the pw words from id·pw,
 	// with bit w set while w lacks the tile's current contents, so a
@@ -94,7 +96,7 @@ type costIndex struct {
 
 type link struct{ next, prev int32 }
 
-// The most tiles a task may read and write (see the Kernel contract).
+// The most tiles a task may read and write (see the Progress contract).
 const (
 	maxInputs  = 3
 	maxOutputs = 2
@@ -123,12 +125,13 @@ func (c *Coordinator) cost(cd *candidate, wi int, sh uint) uint64 {
 	return m[int(cd.in[0])*pw+wi]>>sh&1 + m[int(cd.in[1])*pw+wi]>>sh&1 + m[int(cd.in[2])*pw+wi]>>sh&1
 }
 
-// NewCoordinator creates a coordinator for kernel k on p workers.
-func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
+// NewCoordinator creates a coordinator for a run of kernel k on n×n
+// tiles and p workers.
+func NewCoordinator(k *Kernel, n, p int, policy Policy, r *rng.PCG) *Coordinator {
 	if k == nil {
 		panic("dag: nil kernel")
 	}
-	if k.N() <= 0 || p <= 0 {
+	if n <= 0 || p <= 0 {
 		panic("dag: invalid coordinator shape")
 	}
 	if r == nil {
@@ -137,10 +140,13 @@ func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 	if policy != RandomReady && policy != LocalityReady && policy != CriticalPathReady {
 		panic("dag: unknown policy")
 	}
-	tiles := k.Tiles()
+	tiles := n * n
 	words, pw := tiles/64+1, (p+63)/64
 	c := &Coordinator{
 		k:        k,
+		g:        k.New(n),
+		n:        n,
+		total:    k.Tasks(n),
 		policy:   policy,
 		r:        r,
 		p:        p,
@@ -167,7 +173,7 @@ func NewCoordinator(k Kernel, p int, policy Policy, r *rng.PCG) *Coordinator {
 			c.index.rowOf[w] = -1
 		}
 	}
-	c.ready = c.k.InitialReady(c.ready)
+	c.ready = c.g.InitialReady(c.ready)
 	c.describeReady()
 	return c
 }
@@ -182,7 +188,7 @@ func (c *Coordinator) fillRow(id int) {
 }
 
 // describeReady fills cand for the tasks appended to ready since the
-// last call, and is where a kernel that breaks the Kernel contract is
+// last call, and is where a kernel that breaks the Progress contract is
 // caught: by name, before the task can be scanned.
 func (c *Coordinator) describeReady() {
 	for i := len(c.cand); i < len(c.ready); i++ {
@@ -190,11 +196,11 @@ func (c *Coordinator) describeReady() {
 		cd := candidate{
 			in:    [maxInputs]uint32{c.spare, c.spare, c.spare},
 			out:   [maxOutputs]uint32{c.spare, c.spare},
-			depth: c.k.Depth(t),
+			depth: t.K,
 		}
-		c.buf = c.k.InputTiles(t, c.buf[:0])
+		c.buf = c.g.InputTiles(t, c.buf[:0])
 		c.copyIDs(cd.in[:], t, "input")
-		c.buf = c.k.OutputTiles(t, c.buf[:0])
+		c.buf = c.g.OutputTiles(t, c.buf[:0])
 		c.copyIDs(cd.out[:], t, "output")
 		c.cand = append(c.cand, cd)
 		if x := c.ix; x != nil {
@@ -233,27 +239,21 @@ func (x *costIndex) mark(cd *candidate, i int, read bool) {
 
 func (c *Coordinator) copyIDs(dst []uint32, t Task, what string) {
 	if len(c.buf) > len(dst) {
-		panic(fmt.Sprintf("dag: %s task %+v has %d %s tiles, the coordinator holds %d", c.k.Name(), t, len(c.buf), what, len(dst)))
+		panic(fmt.Sprintf("dag: %s task %+v has %d %s tiles, the coordinator holds %d", c.k.Name, t, len(c.buf), what, len(dst)))
 	}
 	for i, id := range c.buf {
 		if id < 0 || id >= int(c.spare) {
-			panic(fmt.Sprintf("dag: %s task %+v has %s tile %d outside [0, %d)", c.k.Name(), t, what, id, c.spare))
+			panic(fmt.Sprintf("dag: %s task %+v has %s tile %d outside [0, %d)", c.k.Name, t, what, id, c.spare))
 		}
 		dst[i] = uint32(id)
 	}
 }
 
-// Kernel returns the kernel driving this run.
-func (c *Coordinator) Kernel() Kernel { return c.k }
-
-// N returns the tile grid dimension.
-func (c *Coordinator) N() int { return c.k.N() }
-
 // Total returns the total task count.
-func (c *Coordinator) Total() int { return c.k.Total() }
+func (c *Coordinator) Total() int { return c.total }
 
 // Done reports whether every task has completed.
-func (c *Coordinator) Done() bool { return c.done == c.k.Total() }
+func (c *Coordinator) Done() bool { return c.done == c.total }
 
 // Pending reports whether tasks remain (ready, running or future).
 func (c *Coordinator) Pending() bool { return !c.Done() }
@@ -521,10 +521,10 @@ func (c *Coordinator) removeReady(i int) {
 // unlockOutputs releases the write locks of t, which must be assigned,
 // and leaves t's output tiles in buf.
 func (c *Coordinator) unlockOutputs(t Task, doing string) {
-	c.buf = c.k.OutputTiles(t, c.buf[:0])
+	c.buf = c.g.OutputTiles(t, c.buf[:0])
 	for _, id := range c.buf {
 		if bit(c.inFlight, uint32(id)) == 0 {
-			panic(fmt.Sprintf("dag: %s %s task whose output tile %d is not in flight", doing, c.k.Name(), id))
+			panic(fmt.Sprintf("dag: %s %s task whose output tile %d is not in flight", doing, c.k.Name, id))
 		}
 		clearBit(c.inFlight, uint32(id))
 	}
@@ -558,7 +558,7 @@ func (c *Coordinator) Complete(w int, t Task) {
 		}
 	}
 	c.done++
-	c.ready = c.k.Complete(t, c.ready)
+	c.ready = c.g.Complete(t, c.ready)
 	c.describeReady()
 	c.trimLog()
 }

@@ -4,9 +4,9 @@
 // QR, ...). It factors out everything those kernels share — the ready
 // set, what each worker holds of each tile with re-ship accounting, the
 // ready-task selection policies, per-tile write serialization and
-// completion-driven release — behind a Kernel interface that describes
-// only the workload: which tiles a task reads and writes, what it
-// costs, and which tasks become ready when it completes.
+// completion-driven release. A kernel package adds one Kernel value
+// that describes only the workload: what a task costs, which tiles it
+// reads and writes, and which tasks become ready when it completes.
 //
 // The split mirrors core.Scheduler for the flat kernels: a Kernel plus
 // the Coordinator is a pure allocation state machine with no notion of
@@ -21,18 +21,37 @@ package dag
 type Kind uint8
 
 // Task is one tile-kernel invocation: a kind plus up to three tile
-// indices whose interpretation the Kernel owns. Kernel packages
-// usually define their own Task type with richer methods and convert.
+// indices whose interpretation the kernel owns. K is the elimination
+// or panel step, the depth CriticalPathReady minimizes first.
 type Task struct {
 	Kind    Kind
 	I, J, K int
 }
 
-// Kernel describes a dependency-aware tiled workload to the generic
-// Coordinator. A Kernel instance carries the DAG progress of exactly
-// one run (Complete mutates it); it knows nothing about workers,
-// what they hold, write locks or policies — those belong to the
-// Coordinator.
+// Kernel is one dependency-aware tiled workload: what is known of its
+// task graph on an n×n tile grid, and how to start a run through it.
+// A run's tiles are the n² slots of the grid, ids in [0, n²).
+type Kernel struct {
+	// Name prefixes Driver.Name; lower-cased, it prefixes the errors
+	// about the kernel's tasks.
+	Name string
+	// Cost is the relative cost of a task in GEMM-equivalent units.
+	Cost func(Task) float64
+	// Format names a task, as in "POTRF(3)".
+	Format func(Task) string
+	// Tasks is the number of tasks on n×n tiles, TotalWork the sum of
+	// their costs and CriticalPath the cost of the longest dependency
+	// chain.
+	Tasks        func(n int) int
+	TotalWork    func(n int) float64
+	CriticalPath func(n int) float64
+	// New returns the progress of a fresh run on n×n tiles.
+	New func(n int) Progress
+}
+
+// Progress is the DAG progress of one run (Complete mutates it); it
+// knows nothing about workers, what they hold, write locks or policies
+// — those belong to the Coordinator.
 //
 // Contract:
 //   - Tasks are identified by value; every task is handed out and
@@ -40,38 +59,20 @@ type Task struct {
 //   - InputTiles must include read-modify-write tiles; OutputTiles
 //     lists every tile the task writes (one for Cholesky/LU, two for
 //     the coupled QR kernels). A task reads at most three tiles and
-//     writes at most two, all in [0, Tiles()): the Coordinator keeps
-//     that many ids beside each ready task and panics, naming the
-//     kernel, on a task that enters the ready set with more or with an
-//     id out of range.
-//   - Depth, InputTiles and OutputTiles are functions of the task
-//     alone: the Coordinator asks once, when the task becomes ready.
+//     writes at most two, all in [0, n²): the Coordinator keeps that
+//     many ids beside each ready task and panics, naming the kernel, on
+//     a task that enters the ready set with more or with an id out of
+//     range.
+//   - InputTiles and OutputTiles are functions of the task alone: the
+//     Coordinator asks once, when the task becomes ready.
 //   - Complete must append each newly ready task exactly once, in a
 //     deterministic order (the order, together with the policy rng,
 //     defines the schedule bit-for-bit).
-//   - InitialReady seeds the ready set (typically the first diagonal
-//     factorization).
 //   - AppendState and RestoreState carry the progress Complete
-//     records, canonically; RestoreState runs on a freshly built
-//     kernel of the same n, never panics, and rejects a ready task
-//     that is not one of the kernel's tasks released by that progress,
-//     before the Coordinator asks for its tiles.
-type Kernel interface {
-	// Name is the workload name used as a prefix in Driver.Name.
-	Name() string
-	// N is the tile-grid dimension.
-	N() int
-	// Tiles is the number of tile slots (the size of the write-lock
-	// and per-worker bitsets; tile ids returned by InputTiles and
-	// OutputTiles are in [0, Tiles())).
-	Tiles() int
-	// Total is the number of tasks of the instance.
-	Total() int
-	// Cost returns the relative cost of t in GEMM-equivalent units.
-	Cost(t Task) float64
-	// Depth is the static priority CriticalPathReady minimizes first
-	// (the elimination/panel step k for the factorization kernels).
-	Depth(t Task) int
+//     records, canonically; RestoreState runs on a fresh progress of
+//     the same n and never panics, nor does Released on a task of the
+//     n-tile task space.
+type Progress interface {
 	// InputTiles appends the tiles t reads (including read-modify-write
 	// outputs) to buf and returns it.
 	InputTiles(t Task, buf []int) []int
@@ -81,13 +82,13 @@ type Kernel interface {
 	InitialReady(ready []Task) []Task
 	// Complete marks t done and appends newly ready tasks to ready.
 	Complete(t Task, ready []Task) []Task
-	// AppendState appends the kernel's progress to dst.
+	// AppendState appends the progress to dst.
 	AppendState(dst []byte) []byte
-	// RestoreState replaces the progress of a freshly built kernel with
-	// the one src holds, and checks that every task of ready is a task
-	// of the kernel that this progress has released and does not record
-	// as completed.
-	RestoreState(src []byte, ready []Task) error
+	// RestoreState replaces the progress with the one src holds.
+	RestoreState(src []byte) error
+	// Released reports whether t is a task of the kernel that this
+	// progress has released and does not record as completed.
+	Released(t Task) bool
 }
 
 // Policy selects which schedulable ready task a requesting worker
@@ -104,7 +105,7 @@ const (
 	// the dependency analogue of the paper's data-aware strategies.
 	LocalityReady
 	// CriticalPathReady picks among the schedulable ready tasks with
-	// the smallest Depth (deepest in the DAG), breaking ties by
+	// the smallest step K (deepest in the DAG), breaking ties by
 	// locality — HEFT-style static priority plus data awareness.
 	CriticalPathReady
 )

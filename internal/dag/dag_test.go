@@ -20,20 +20,29 @@ type chainKernel struct {
 	done int
 }
 
+// chain is the chain workload on n tiles.
+func chain(n int) *Kernel { return testKernel("Chain", n, &chainKernel{n: n}) }
+
+// testKernel is the Kernel of a test progress g with total tasks, each
+// costing 1; every run of it is handed g.
+func testKernel(name string, total int, g Progress) *Kernel {
+	return &Kernel{
+		Name:  name,
+		Cost:  func(Task) float64 { return 1 },
+		Tasks: func(int) int { return total },
+		New:   func(int) Progress { return g },
+	}
+}
+
 // noState gives a test kernel the state methods it never uses.
 type noState struct{}
 
 func (noState) AppendState(dst []byte) []byte { return dst }
-func (noState) RestoreState([]byte, []Task) error {
+func (noState) RestoreState([]byte) error {
 	return fmt.Errorf("dag: test kernel has no state codec")
 }
+func (noState) Released(Task) bool { return false }
 
-func (k *chainKernel) Name() string        { return "Chain" }
-func (k *chainKernel) N() int              { return k.n }
-func (k *chainKernel) Tiles() int          { return k.n }
-func (k *chainKernel) Total() int          { return k.n }
-func (k *chainKernel) Cost(t Task) float64 { return 1 }
-func (k *chainKernel) Depth(t Task) int    { return t.I }
 func (k *chainKernel) InitialReady(r []Task) []Task {
 	return append(r, Task{I: 0})
 }
@@ -60,7 +69,7 @@ func (k *chainKernel) Complete(t Task, ready []Task) []Task {
 
 func TestCoordinatorChain(t *testing.T) {
 	const n, p = 5, 2
-	c := NewCoordinator(&chainKernel{n: n}, p, LocalityReady, rng.New(1))
+	c := NewCoordinator(chain(n), n, p, LocalityReady, rng.New(1))
 	if c.Total() != n || c.Done() {
 		t.Fatalf("fresh coordinator: total=%d done=%v", c.Total(), c.Done())
 	}
@@ -93,8 +102,7 @@ func TestCoordinatorChain(t *testing.T) {
 func TestMultiOutputWriteLockBlocksSecondWriter(t *testing.T) {
 	// Two ready tasks writing an overlapping tile: the second must be
 	// unschedulable while the first is in flight.
-	k := &forkKernel{}
-	c := NewCoordinator(k, 2, RandomReady, rng.New(1))
+	c := NewCoordinator(testKernel("Fork", 2, &forkKernel{}), 2, 2, RandomReady, rng.New(1))
 	t0, _, ok := c.TryAssign(0)
 	if !ok {
 		t.Fatal("no initial assignment")
@@ -112,12 +120,6 @@ func TestMultiOutputWriteLockBlocksSecondWriter(t *testing.T) {
 // both initially ready.
 type forkKernel struct{ noState }
 
-func (k *forkKernel) Name() string        { return "Fork" }
-func (k *forkKernel) N() int              { return 2 }
-func (k *forkKernel) Tiles() int          { return 2 }
-func (k *forkKernel) Total() int          { return 2 }
-func (k *forkKernel) Cost(t Task) float64 { return 1 }
-func (k *forkKernel) Depth(t Task) int    { return 0 }
 func (k *forkKernel) InitialReady(r []Task) []Task {
 	return append(r, Task{I: 0}, Task{I: 1})
 }
@@ -133,7 +135,7 @@ func (k *forkKernel) Complete(t Task, ready []Task) []Task { return ready }
 
 func TestDriverProtocol(t *testing.T) {
 	const n, p = 4, 2
-	drv := NewDriver(&chainKernel{n: n}, p, RandomReady, rng.New(2))
+	drv := NewDriver(chain(n), n, p, RandomReady, rng.New(2))
 	if drv.Name() != "ChainRandomReady" {
 		t.Fatalf("driver name %q", drv.Name())
 	}
@@ -182,19 +184,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// shapeKernel is one ready task over four tiles that reads and writes
-// whatever the test says: the kernels the Kernel contract excludes.
+// shapeKernel is one ready task over four tiles (n = 2) that reads and
+// writes whatever the test says: the kernels the Progress contract
+// excludes.
 type shapeKernel struct {
 	noState
 	in, out []int
 }
 
-func (k *shapeKernel) Name() string                         { return "Shape" }
-func (k *shapeKernel) N() int                               { return 2 }
-func (k *shapeKernel) Tiles() int                           { return 4 }
-func (k *shapeKernel) Total() int                           { return 1 }
-func (k *shapeKernel) Cost(t Task) float64                  { return 1 }
-func (k *shapeKernel) Depth(t Task) int                     { return 0 }
+func shape(in, out []int) *Kernel { return testKernel("Shape", 1, &shapeKernel{in: in, out: out}) }
+
 func (k *shapeKernel) InitialReady(r []Task) []Task         { return append(r, Task{}) }
 func (k *shapeKernel) InputTiles(t Task, buf []int) []int   { return append(buf, k.in...) }
 func (k *shapeKernel) OutputTiles(t Task, buf []int) []int  { return append(buf, k.out...) }
@@ -205,26 +204,26 @@ func TestCoordinatorValidation(t *testing.T) {
 		want string // in the panic's message
 		fn   func()
 	}{
-		"nil kernel": {"", func() { NewCoordinator(nil, 2, RandomReady, rng.New(1)) }},
-		"p=0":        {"", func() { NewCoordinator(&chainKernel{n: 2}, 0, RandomReady, rng.New(1)) }},
-		"nil rng":    {"", func() { NewCoordinator(&chainKernel{n: 2}, 2, RandomReady, nil) }},
+		"nil kernel": {"", func() { NewCoordinator(nil, 2, 2, RandomReady, rng.New(1)) }},
+		"p=0":        {"", func() { NewCoordinator(chain(2), 2, 0, RandomReady, rng.New(1)) }},
+		"nil rng":    {"", func() { NewCoordinator(chain(2), 2, 2, RandomReady, nil) }},
 		"double complete": {"", func() {
-			c := NewCoordinator(&chainKernel{n: 2}, 1, RandomReady, rng.New(1))
+			c := NewCoordinator(chain(2), 2, 1, RandomReady, rng.New(1))
 			task, _, _ := c.TryAssign(0)
 			c.Complete(0, task)
 			c.Complete(0, task)
 		}},
 		// At construction, not at the first schedulable candidate of
 		// some later poll (never, with an empty ready set).
-		"unknown policy": {"unknown policy", func() { NewCoordinator(&emptyKernel{}, 2, Policy(3), rng.New(1)) }},
+		"unknown policy": {"unknown policy", func() { NewCoordinator(testKernel("Empty", 0, &emptyKernel{}), 1, 2, Policy(3), rng.New(1)) }},
 		"four inputs": {"Shape task {Kind:0 I:0 J:0 K:0} has 4 input tiles", func() {
-			NewCoordinator(&shapeKernel{in: []int{0, 1, 2, 3}, out: []int{0}}, 2, LocalityReady, rng.New(1))
+			NewCoordinator(shape([]int{0, 1, 2, 3}, []int{0}), 2, 2, LocalityReady, rng.New(1))
 		}},
 		"three outputs": {"Shape task {Kind:0 I:0 J:0 K:0} has 3 output tiles", func() {
-			NewCoordinator(&shapeKernel{in: []int{0}, out: []int{0, 1, 2}}, 2, LocalityReady, rng.New(1))
+			NewCoordinator(shape([]int{0}, []int{0, 1, 2}), 2, 2, LocalityReady, rng.New(1))
 		}},
-		"tile id = Tiles()": {"Shape task {Kind:0 I:0 J:0 K:0} has input tile 4 outside [0, 4)", func() {
-			NewCoordinator(&shapeKernel{in: []int{0, 4}, out: []int{0}}, 2, LocalityReady, rng.New(1))
+		"tile id = n²": {"Shape task {Kind:0 I:0 J:0 K:0} has input tile 4 outside [0, 4)", func() {
+			NewCoordinator(shape([]int{0, 4}, []int{0}), 2, 2, LocalityReady, rng.New(1))
 		}},
 	} {
 		func() {
@@ -245,7 +244,7 @@ func TestCoordinatorValidation(t *testing.T) {
 // worker without the input tile versions charges re-ship blocks.
 func TestCoordinatorReassign(t *testing.T) {
 	const n, p = 3, 2
-	c := NewCoordinator(&chainKernel{n: n}, p, LocalityReady, rng.New(1))
+	c := NewCoordinator(chain(n), n, p, LocalityReady, rng.New(1))
 
 	// Worker 0 takes task 0 (ships tile 0), then dies.
 	task, shipped, ok := c.TryAssign(0)
@@ -291,7 +290,7 @@ func TestCoordinatorReassign(t *testing.T) {
 // interaction: tile versions do not move on a reclaim, so the
 // abandoned worker winning its own task back re-ships zero blocks.
 func TestCoordinatorReassignSameWorkerShipsNothing(t *testing.T) {
-	c := NewCoordinator(&chainKernel{n: 2}, 1, LocalityReady, rng.New(1))
+	c := NewCoordinator(chain(2), 2, 1, LocalityReady, rng.New(1))
 	task, shipped, _ := c.TryAssign(0)
 	if shipped != 1 {
 		t.Fatalf("initial ship = %d, want 1", shipped)
@@ -309,11 +308,11 @@ func TestCoordinatorReassignSameWorkerShipsNothing(t *testing.T) {
 func TestCoordinatorReassignValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"never assigned": func() {
-			c := NewCoordinator(&chainKernel{n: 2}, 1, RandomReady, rng.New(1))
+			c := NewCoordinator(chain(2), 2, 1, RandomReady, rng.New(1))
 			c.Reassign(Task{I: 0})
 		},
 		"already completed": func() {
-			c := NewCoordinator(&chainKernel{n: 2}, 1, RandomReady, rng.New(1))
+			c := NewCoordinator(chain(2), 2, 1, RandomReady, rng.New(1))
 			task, _, _ := c.TryAssign(0)
 			c.Complete(0, task)
 			c.Reassign(task)
@@ -334,7 +333,7 @@ func TestCoordinatorReassignValidation(t *testing.T) {
 // interface, as the service host does.
 func TestDriverReassign(t *testing.T) {
 	const n, p = 4, 2
-	drv := NewDriver(&chainKernel{n: n}, p, LocalityReady, rng.New(3))
+	drv := NewDriver(chain(n), n, p, LocalityReady, rng.New(3))
 
 	a, ok := drv.Next(0)
 	if !ok || len(a.Tasks) != 1 {

@@ -35,20 +35,16 @@ func DecodeTask(ct core.Task, n int) Task {
 // completion to release new tasks.
 type Driver struct {
 	coord     *Coordinator
-	n, p      int
+	p         int
 	completed int
 	name      string
 }
 
-// NewDriver builds a driver for kernel k on p workers under the given
-// ready-task policy.
-func NewDriver(k Kernel, p int, policy Policy, r *rng.PCG) *Driver {
-	return &Driver{
-		coord: NewCoordinator(k, p, policy, r),
-		n:     k.N(),
-		p:     p,
-		name:  k.Name() + policy.String(),
-	}
+// NewDriver builds a driver for a run of kernel k on n×n tiles and p
+// workers under the given ready-task policy.
+func NewDriver(k *Kernel, n, p int, policy Policy, r *rng.PCG) *Driver {
+	c := NewCoordinator(k, n, p, policy, r)
+	return &Driver{coord: c, p: p, name: k.Name + policy.String()}
 }
 
 // Coordinator returns the coordinator the driver wraps, for callers
@@ -68,7 +64,7 @@ func (d *Driver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	if !ok {
 		return core.Assignment{}, false
 	}
-	return core.Assignment{Tasks: append(buf[:0], EncodeTask(t, d.n)), Blocks: shipped}, true
+	return core.Assignment{Tasks: append(buf[:0], EncodeTask(t, d.coord.n)), Blocks: shipped}, true
 }
 
 // Complete implements core.Driver. Tasks must have been assigned to w
@@ -76,7 +72,7 @@ func (d *Driver) NextInto(w int, buf core.TaskBuf) (core.Assignment, bool) {
 // so network-facing callers must validate first (service.Host does).
 func (d *Driver) Complete(w int, ts []core.Task) {
 	for _, ct := range ts {
-		d.coord.Complete(w, DecodeTask(ct, d.n))
+		d.coord.Complete(w, DecodeTask(ct, d.coord.n))
 		d.completed++
 	}
 }
@@ -92,7 +88,7 @@ func (d *Driver) Complete(w int, ts []core.Task) {
 // that (service.Host's outstanding table does).
 func (d *Driver) Reassign(_ int, ts []core.Task) {
 	for _, ct := range ts {
-		d.coord.Reassign(DecodeTask(ct, d.n))
+		d.coord.Reassign(DecodeTask(ct, d.coord.n))
 	}
 }
 
@@ -100,15 +96,15 @@ func (d *Driver) Reassign(_ int, ts []core.Task) {
 // the encoded task, letting cost-aware substrates account DAG tasks as
 // more than one elementary block operation.
 func (d *Driver) TaskCost(ct core.Task) float64 {
-	return d.coord.k.Cost(DecodeTask(ct, d.n))
+	return d.coord.k.Cost(DecodeTask(ct, d.coord.n))
 }
 
 // Remaining implements core.Driver: the number of tasks not yet
 // completed.
-func (d *Driver) Remaining() int { return d.coord.Total() - d.completed }
+func (d *Driver) Remaining() int { return d.coord.total - d.completed }
 
 // Total implements core.Driver.
-func (d *Driver) Total() int { return d.coord.Total() }
+func (d *Driver) Total() int { return d.coord.total }
 
 // P implements core.Driver.
 func (d *Driver) P() int { return d.p }

@@ -15,12 +15,9 @@ type flatKernel struct {
 	total int
 }
 
-func (k *flatKernel) Name() string        { return "Flat" }
-func (k *flatKernel) N() int              { return k.total }
-func (k *flatKernel) Tiles() int          { return k.total + 1 }
-func (k *flatKernel) Total() int          { return k.total }
-func (k *flatKernel) Cost(t Task) float64 { return 1 }
-func (k *flatKernel) Depth(t Task) int    { return 0 }
+// flat is the flat workload of total tasks, on total×total tiles.
+func flat(total int) *Kernel { return testKernel("Flat", total, &flatKernel{total: total}) }
+
 func (k *flatKernel) InitialReady(r []Task) []Task {
 	for i := 0; i < k.total; i++ {
 		r = append(r, Task{I: i})
@@ -34,15 +31,9 @@ func (k *flatKernel) Complete(t Task, ready []Task) []Task {
 }
 
 // emptyKernel starts with nothing ready (a degenerate but legal DAG
-// shape: Total 0).
+// shape: no tasks).
 type emptyKernel struct{ noState }
 
-func (k *emptyKernel) Name() string                        { return "Empty" }
-func (k *emptyKernel) N() int                              { return 1 }
-func (k *emptyKernel) Tiles() int                          { return 1 }
-func (k *emptyKernel) Total() int                          { return 0 }
-func (k *emptyKernel) Cost(t Task) float64                 { return 1 }
-func (k *emptyKernel) Depth(t Task) int                    { return 0 }
 func (k *emptyKernel) InitialReady(r []Task) []Task        { return r }
 func (k *emptyKernel) InputTiles(t Task, buf []int) []int  { return buf }
 func (k *emptyKernel) OutputTiles(t Task, buf []int) []int { return buf }
@@ -57,7 +48,7 @@ func (k *emptyKernel) Complete(t Task, ready []Task) []Task {
 func TestTryAssignEmptyReadySet(t *testing.T) {
 	for _, policy := range []Policy{RandomReady, LocalityReady, CriticalPathReady} {
 		t.Run(policy.String(), func(t *testing.T) {
-			c := NewCoordinator(&emptyKernel{}, 2, policy, rng.New(1))
+			c := NewCoordinator(testKernel("Empty", 0, &emptyKernel{}), 1, 2, policy, rng.New(1))
 			if _, _, ok := c.TryAssign(0); ok {
 				t.Fatal("assignment from an empty DAG")
 			}
@@ -67,7 +58,7 @@ func TestTryAssignEmptyReadySet(t *testing.T) {
 
 			// Mid-run empty: a single ready chain task in flight leaves
 			// the ready set empty for everyone else.
-			c2 := NewCoordinator(&chainKernel{n: 3}, 2, policy, rng.New(2))
+			c2 := NewCoordinator(chain(3), 3, 2, policy, rng.New(2))
 			if _, _, ok := c2.TryAssign(0); !ok {
 				t.Fatal("no initial assignment")
 			}
@@ -86,8 +77,8 @@ func TestTieBreakDeterminism(t *testing.T) {
 	const total, p, seed = 12, 3, 7
 	for _, policy := range []Policy{RandomReady, LocalityReady, CriticalPathReady} {
 		t.Run(policy.String(), func(t *testing.T) {
-			a := NewCoordinator(&flatKernel{total: total}, p, policy, rng.New(seed))
-			b := NewCoordinator(&flatKernel{total: total}, p, policy, rng.New(seed))
+			a := NewCoordinator(flat(total), total, p, policy, rng.New(seed))
+			b := NewCoordinator(flat(total), total, p, policy, rng.New(seed))
 			for i := 0; i < total; i++ {
 				w := i % p
 				ta, sa, oka := a.TryAssign(w)
@@ -118,7 +109,7 @@ func TestTieBreakSpreadsUnderEqualScores(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			picked := map[int]bool{}
 			for seed := uint64(1); seed <= 40; seed++ {
-				c := NewCoordinator(&flatKernel{total: total}, 1, policy, rng.New(seed))
+				c := NewCoordinator(flat(total), total, 1, policy, rng.New(seed))
 				task, _, ok := c.TryAssign(0)
 				if !ok {
 					t.Fatal("no assignment")
@@ -138,7 +129,7 @@ func TestTieBreakSpreadsUnderEqualScores(t *testing.T) {
 func TestLocalityBreaksTiesOnlyAmongCheapest(t *testing.T) {
 	const total, p = 12, 2
 	for seed := uint64(1); seed <= 20; seed++ {
-		c := NewCoordinator(&flatKernel{total: total}, p, LocalityReady, rng.New(seed))
+		c := NewCoordinator(flat(total), total, p, LocalityReady, rng.New(seed))
 		// Warm worker 0: execute one task, so it holds the shared tile
 		// 0 and one private tile.
 		warm, _, ok := c.TryAssign(0)
@@ -160,12 +151,11 @@ func TestLocalityBreaksTiesOnlyAmongCheapest(t *testing.T) {
 }
 
 // TestCriticalPathPrefersDepthOverLocality: CriticalPathReady must
-// take the smaller Depth even when a shallower task would ship fewer
+// take the smaller step K even when a shallower task would ship fewer
 // blocks; ties on depth fall back to locality.
 func TestCriticalPathPrefersDepthOverLocality(t *testing.T) {
-	k := &depthKernel{}
 	for seed := uint64(1); seed <= 10; seed++ {
-		c := NewCoordinator(k, 1, CriticalPathReady, rng.New(seed))
+		c := NewCoordinator(testKernel("Depth", 2, &depthKernel{}), 2, 1, CriticalPathReady, rng.New(seed))
 		task, _, ok := c.TryAssign(0)
 		if !ok || task.I != 0 {
 			t.Fatalf("seed %d: picked %+v, want the depth-0 task {I:0}", seed, task)
@@ -178,14 +168,8 @@ func TestCriticalPathPrefersDepthOverLocality(t *testing.T) {
 // task 1.
 type depthKernel struct{ noState }
 
-func (k *depthKernel) Name() string        { return "Depth" }
-func (k *depthKernel) N() int              { return 2 }
-func (k *depthKernel) Tiles() int          { return 4 }
-func (k *depthKernel) Total() int          { return 2 }
-func (k *depthKernel) Cost(t Task) float64 { return 1 }
-func (k *depthKernel) Depth(t Task) int    { return t.I }
 func (k *depthKernel) InitialReady(r []Task) []Task {
-	return append(r, Task{I: 0}, Task{I: 1})
+	return append(r, Task{I: 0, K: 0}, Task{I: 1, K: 1})
 }
 func (k *depthKernel) InputTiles(t Task, buf []int) []int {
 	if t.I == 0 {

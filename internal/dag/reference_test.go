@@ -14,12 +14,15 @@ import (
 // refCoordinator is the coordinator of PR 3, the one every DAG golden
 // in this repository was first pinned with, kept as the oracle of the
 // differential test below: int32 tile versions, a p × tiles int32
-// cache, one Kernel.InputTiles call per candidate per poll, the policy
-// switch inside the scan. It is that code verbatim but for the
+// cache, one InputTiles call per candidate per poll, the policy switch
+// inside the scan. It is that code verbatim but for the
 // SingleOutputKernel shortcut, which by its contract answered what
-// OutputTiles answers. Do not make it faster.
+// OutputTiles answers, and for asking a run's progress where it asked
+// the kernel. Do not make it faster.
 type refCoordinator struct {
-	k      dag.Kernel
+	k      *dag.Kernel
+	g      dag.Progress
+	total  int
 	policy dag.Policy
 	r      *rng.PCG
 
@@ -33,10 +36,12 @@ type refCoordinator struct {
 	done    int
 }
 
-func newRefCoordinator(k dag.Kernel, p int, policy dag.Policy, r *rng.PCG) *refCoordinator {
-	tiles := k.Tiles()
+func newRefCoordinator(k *dag.Kernel, n, p int, policy dag.Policy, r *rng.PCG) *refCoordinator {
+	tiles := n * n
 	c := &refCoordinator{
 		k:        k,
+		g:        k.New(n),
+		total:    k.Tasks(n),
 		policy:   policy,
 		r:        r,
 		version:  make([]int32, tiles),
@@ -49,14 +54,14 @@ func newRefCoordinator(k dag.Kernel, p int, policy dag.Policy, r *rng.PCG) *refC
 			c.cache[w][i] = -1
 		}
 	}
-	c.ready = c.k.InitialReady(c.ready)
+	c.ready = c.g.InitialReady(c.ready)
 	return c
 }
 
-func (c *refCoordinator) Done() bool { return c.done == c.k.Total() }
+func (c *refCoordinator) Done() bool { return c.done == c.total }
 
 func (c *refCoordinator) shipCost(w int, t dag.Task) int {
-	c.tileBuf = c.k.InputTiles(t, c.tileBuf[:0])
+	c.tileBuf = c.g.InputTiles(t, c.tileBuf[:0])
 	cost := 0
 	for _, id := range c.tileBuf {
 		if c.cache[w][id] != c.version[id] {
@@ -67,7 +72,7 @@ func (c *refCoordinator) shipCost(w int, t dag.Task) int {
 }
 
 func (c *refCoordinator) schedulable(t dag.Task) bool {
-	c.outBuf = c.k.OutputTiles(t, c.outBuf[:0])
+	c.outBuf = c.g.OutputTiles(t, c.outBuf[:0])
 	for _, id := range c.outBuf {
 		if c.inFlight[id] {
 			return false
@@ -103,7 +108,7 @@ func (c *refCoordinator) TryAssign(w int) (t dag.Task, shipped int, ok bool) {
 			}
 		case dag.CriticalPathReady:
 			cost := c.shipCost(w, cand)
-			key := c.k.Depth(cand)
+			key := cand.K
 			if bestIdx < 0 || key < bestKey || (key == bestKey && cost < bestCost) {
 				bestIdx, bestKey, bestCost, ties = idx, key, cost, 1
 			} else if key == bestKey && cost == bestCost {
@@ -124,11 +129,11 @@ func (c *refCoordinator) TryAssign(w int) (t dag.Task, shipped int, ok bool) {
 	c.ready[bestIdx] = c.ready[last]
 	c.ready = c.ready[:last]
 
-	c.outBuf = c.k.OutputTiles(t, c.outBuf[:0])
+	c.outBuf = c.g.OutputTiles(t, c.outBuf[:0])
 	for _, id := range c.outBuf {
 		c.inFlight[id] = true
 	}
-	c.tileBuf = c.k.InputTiles(t, c.tileBuf[:0])
+	c.tileBuf = c.g.InputTiles(t, c.tileBuf[:0])
 	for _, id := range c.tileBuf {
 		if c.cache[w][id] != c.version[id] {
 			c.cache[w][id] = c.version[id]
@@ -139,10 +144,10 @@ func (c *refCoordinator) TryAssign(w int) (t dag.Task, shipped int, ok bool) {
 }
 
 func (c *refCoordinator) Reassign(t dag.Task) {
-	c.outBuf = c.k.OutputTiles(t, c.outBuf[:0])
+	c.outBuf = c.g.OutputTiles(t, c.outBuf[:0])
 	for _, id := range c.outBuf {
 		if !c.inFlight[id] {
-			panic(fmt.Sprintf("dag: reassigning %s task whose output tile %d is not in flight", c.k.Name(), id))
+			panic(fmt.Sprintf("dag: reassigning %s task whose output tile %d is not in flight", c.k.Name, id))
 		}
 		c.inFlight[id] = false
 	}
@@ -150,27 +155,27 @@ func (c *refCoordinator) Reassign(t dag.Task) {
 }
 
 func (c *refCoordinator) Complete(w int, t dag.Task) {
-	c.outBuf = c.k.OutputTiles(t, c.outBuf[:0])
+	c.outBuf = c.g.OutputTiles(t, c.outBuf[:0])
 	for _, id := range c.outBuf {
 		if !c.inFlight[id] {
-			panic(fmt.Sprintf("dag: completing %s task whose output tile %d is not in flight", c.k.Name(), id))
+			panic(fmt.Sprintf("dag: completing %s task whose output tile %d is not in flight", c.k.Name, id))
 		}
 		c.inFlight[id] = false
 		c.version[id]++
 		c.cache[w][id] = c.version[id]
 	}
 	c.done++
-	c.ready = c.k.Complete(t, c.ready)
+	c.ready = c.g.Complete(t, c.ready)
 }
 
 var (
 	diffKernels = []struct {
-		name string
-		mk   func(n int) dag.Kernel
+		name   string
+		kernel *dag.Kernel
 	}{
-		{"cholesky", cholesky.NewKernel},
-		{"lu", lu.NewKernel},
-		{"qr", qr.NewKernel},
+		{"cholesky", cholesky.Kernel},
+		{"lu", lu.Kernel},
+		{"qr", qr.Kernel},
 	}
 	diffPolicies = []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady}
 )
@@ -190,10 +195,10 @@ type granted struct {
 // call and at the end, by their next draw: equal picks reached by a
 // different number of tie-break draws would diverge there. It returns
 // the coordinator it drove.
-func differential(tb testing.TB, mk func(n int) dag.Kernel, policy dag.Policy, n, p int, seed uint64, next func() (uint32, bool)) *dag.Coordinator {
+func differential(tb testing.TB, k *dag.Kernel, policy dag.Policy, n, p int, seed uint64, next func() (uint32, bool)) *dag.Coordinator {
 	ra, rb := rng.New(seed), rng.New(seed)
-	got := dag.NewCoordinator(mk(n), p, policy, ra)
-	ref := newRefCoordinator(mk(n), p, policy, rb)
+	got := dag.NewCoordinator(k, n, p, policy, ra)
+	ref := newRefCoordinator(k, n, p, policy, rb)
 	sameDraw := func(call int) {
 		if a, b := ra.Uint32(), rb.Uint32(); a != b {
 			tb.Fatalf("call %d: the rngs have parted (next draw %#x, reference %#x)", call, a, b)
@@ -270,7 +275,7 @@ func TestCoordinatorAgainstReference(t *testing.T) {
 					for _, p := range []int{1, 2, 5, 16, 65, 130} {
 						for seed := uint64(1); seed <= nseeds; seed++ {
 							script := rng.New(seed<<16 | uint64(n)<<8 | uint64(p))
-							c := differential(t, k.mk, policy, n, p, seed, func() (uint32, bool) { return script.Uint32(), true })
+							c := differential(t, k.kernel, policy, n, p, seed, func() (uint32, bool) { return script.Uint32(), true })
 							r, f, tr := c.IndexCounts()
 							replays, fills, trims = replays+r, fills+f, trims+tr
 						}
@@ -295,7 +300,7 @@ func FuzzCoordinatorAgainstReference(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(9), uint8(99), uint64(5), []byte("4e4f441b4c4d11f44a0049f54x4y"))
 	f.Fuzz(func(t *testing.T, kernel, policy, n, p uint8, seed uint64, script []byte) {
 		k := diffKernels[int(kernel)%len(diffKernels)]
-		differential(t, k.mk, diffPolicies[int(policy)%len(diffPolicies)], 1+int(n)%12, 1+int(p)%130, seed, func() (uint32, bool) {
+		differential(t, k.kernel, diffPolicies[int(policy)%len(diffPolicies)], 1+int(n)%12, 1+int(p)%130, seed, func() (uint32, bool) {
 			if len(script) < 2 {
 				return 0, false
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"hetsched/internal/core"
 	"hetsched/internal/rng"
@@ -20,7 +21,7 @@ func (c *Coordinator) AppendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.done))
 	dst = binary.AppendUvarint(dst, uint64(len(c.ready)))
 	for _, t := range c.ready {
-		dst = binary.AppendUvarint(dst, uint64(EncodeTask(t, c.k.N())))
+		dst = binary.AppendUvarint(dst, uint64(EncodeTask(t, c.n)))
 	}
 	for _, w := range c.inFlight {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
@@ -36,13 +37,13 @@ func (c *Coordinator) AppendState(dst []byte) []byte {
 			}
 		}
 	}
-	return c.k.AppendState(dst)
+	return c.g.AppendState(dst)
 }
 
 // RestoreState replaces the state of a freshly built coordinator with
 // the one AppendState wrote in src. The ready tasks are distinct ids of
-// the n-tile task space, checked by the kernel against its restored
-// progress before their tiles are asked for, and no set has a bit at or
+// the n-tile task space, each one the restored progress has Released,
+// checked before their tiles are asked for, and no set has a bit at or
 // past the spare tile. It never panics; after an error the coordinator
 // must be discarded.
 func (c *Coordinator) RestoreState(src []byte) error {
@@ -50,7 +51,7 @@ func (c *Coordinator) RestoreState(src []byte) error {
 	if err := c.r.RestoreState(r.Bytes(rng.StateBytes)); err != nil {
 		r.Fail(err)
 	}
-	total, n := c.k.Total(), c.k.N()
+	total, n := c.total, c.n
 	c.done = r.Int(total, "completed count")
 	nready := r.Int(total-c.done, "ready task count")
 	var ids []uint64
@@ -81,8 +82,13 @@ func (c *Coordinator) RestoreState(src []byte) error {
 		}
 	}
 	if r.Ok() {
-		if err := c.k.RestoreState(r.Rest(), c.ready); err != nil {
+		if err := c.g.RestoreState(r.Rest()); err != nil {
 			r.Fail(err)
+		}
+	}
+	for _, t := range c.ready {
+		if r.Ok() && !c.g.Released(t) {
+			r.Failf("%s: %s is not a released task", strings.ToLower(c.k.Name), c.k.Format(t))
 		}
 	}
 	if err := r.Done(); err != nil {

@@ -14,8 +14,8 @@ import (
 // mix (six asks, three completions and one hand-back in ten) and
 // returns AppendState at the first call after which at least each
 // cut's share of the tasks has completed.
-func stateAt(tb testing.TB, mk func(n int) dag.Kernel, policy dag.Policy, n, p int, seed uint64, cuts []float64) [][]byte {
-	c := dag.NewCoordinator(mk(n), p, policy, rng.New(seed))
+func stateAt(tb testing.TB, k *dag.Kernel, policy dag.Policy, n, p int, seed uint64, cuts []float64) [][]byte {
+	c := dag.NewCoordinator(k, n, p, policy, rng.New(seed))
 	script := rng.New(seed ^ 0x9e3779b97f4a7c15)
 	var out []granted
 	var states [][]byte
@@ -89,14 +89,14 @@ func TestCoordinatorStatePinned(t *testing.T) {
 		k := diffKernels[c.kernel]
 		n := sizes[k.name]
 		t.Run(fmt.Sprintf("%s/%s/p%d", k.name, c.policy, c.p), func(t *testing.T) {
-			states := stateAt(t, k.mk, c.policy, n, c.p, uint64(100*c.kernel+10*int(c.policy)+c.p), cuts)
+			states := stateAt(t, k.kernel, c.policy, n, c.p, uint64(100*c.kernel+10*int(c.policy)+c.p), cuts)
 			for i, st := range states {
 				h := fnv.New64a()
 				h.Write(st)
 				if got := fmt.Sprintf("%016x/%d", h.Sum64(), len(st)); got != c.pins[i] {
 					t.Errorf("state at %v: %s; pinned %s", cuts[i], got, c.pins[i])
 				}
-				back := dag.NewCoordinator(k.mk(n), c.p, c.policy, rng.New(0))
+				back := dag.NewCoordinator(k.kernel, n, c.p, c.policy, rng.New(0))
 				if err := back.RestoreState(st); err != nil {
 					t.Fatalf("state at %v: restore: %v", cuts[i], err)
 				}

@@ -21,6 +21,6 @@ import (
 // final when read); the tests run this under the race detector and
 // verify the factorization numerically against the input matrix.
 func RunCholesky(a *linalg.BlockedMatrix, workers int, policy dag.Policy, r *rng.PCG) (*Result, error) {
-	drv := dag.NewDriver(cholesky.NewKernel(a.N), workers, policy, r)
+	drv := dag.NewDriver(cholesky.Kernel, a.N, workers, policy, r)
 	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error { return cholesky.Apply(ct, a) })
 }

@@ -211,8 +211,8 @@ func TestRunCholeskyCorrectAllPolicies(t *testing.T) {
 		for _, v := range res.TasksPer {
 			total += v
 		}
-		if total != cholesky.TaskCount(n) {
-			t.Fatalf("%v: executed %d tasks, want %d", pol, total, cholesky.TaskCount(n))
+		if total != cholesky.Kernel.Tasks(n) {
+			t.Fatalf("%v: executed %d tasks, want %d", pol, total, cholesky.Kernel.Tasks(n))
 		}
 		if resid := linalg.CholeskyResidual(a, work); resid > 1e-8 {
 			t.Fatalf("%v: |A − L·Lᵀ| = %g", pol, resid)
@@ -275,8 +275,8 @@ func TestRunLUCorrectAllPolicies(t *testing.T) {
 		for _, v := range res.TasksPer {
 			total += v
 		}
-		if total != lu.TaskCount(n) {
-			t.Fatalf("%v: executed %d tasks, want %d", pol, total, lu.TaskCount(n))
+		if total != lu.Kernel.Tasks(n) {
+			t.Fatalf("%v: executed %d tasks, want %d", pol, total, lu.Kernel.Tasks(n))
 		}
 		if resid := linalg.LUResidual(a, work); resid > 1e-8 {
 			t.Fatalf("%v: |A − L·U| = %g", pol, resid)
@@ -331,7 +331,7 @@ func TestExecMatchesSimOneWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(t, res, sim.RunDriver(dag.NewDriver(cholesky.NewKernel(n), 1, pol, rng.New(2)), one))
+			same(t, res, sim.RunDriver(dag.NewDriver(cholesky.Kernel, n, 1, pol, rng.New(2)), one))
 		})
 		t.Run("lu-"+pol.String(), func(t *testing.T) {
 			a := linalg.NewBlockedMatrix(n, l)
@@ -340,7 +340,7 @@ func TestExecMatchesSimOneWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(t, res, sim.RunDriver(dag.NewDriver(lu.NewKernel(n), 1, pol, rng.New(2)), one))
+			same(t, res, sim.RunDriver(dag.NewDriver(lu.Kernel, n, 1, pol, rng.New(2)), one))
 		})
 	}
 	for name, build := range matrixBuilders(n, 1) {

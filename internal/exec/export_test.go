@@ -33,6 +33,6 @@ func RunOuter(sched core.Scheduler, a, b *linalg.BlockedVector, opts Options) (*
 // generic DAG driver — the LU counterpart of RunCholesky, sharing the
 // same master loop.
 func RunLU(a *linalg.BlockedMatrix, workers int, policy dag.Policy, r *rng.PCG) (*Result, error) {
-	drv := dag.NewDriver(lu.NewKernel(a.N), workers, policy, r)
+	drv := dag.NewDriver(lu.Kernel, a.N, workers, policy, r)
 	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error { return lu.Apply(ct, a) })
 }

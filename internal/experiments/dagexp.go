@@ -28,8 +28,7 @@ import (
 // (work-bound/makespan, 1 = no dependency stalls).
 type dagSweep struct {
 	id        string
-	kernel    func(n int) dag.Kernel
-	work      func(n int) float64 // total GEMM-equivalent work
+	kernel    *dag.Kernel
 	n, quickN int
 	tiles     func(n int) int // normalizes the communication volume
 	notes     []string
@@ -38,7 +37,7 @@ type dagSweep struct {
 var (
 	// choleskySweep runs the tiled Cholesky factorization.
 	choleskySweep = dagSweep{
-		id: "abl-cholesky", kernel: cholesky.NewKernel, work: cholesky.TotalWork, n: 24, quickN: 12,
+		id: "abl-cholesky", kernel: cholesky.Kernel, n: 24, quickN: 12,
 		tiles: func(n int) int { return n * (n + 1) / 2 }, // lower-triangle tiles
 		notes: []string{"comm normalized by the number of lower-triangle tiles (a full broadcast of the matrix = p)"},
 	}
@@ -46,7 +45,7 @@ var (
 	// activates both triangles of the matrix and has roughly twice the
 	// task count of Cholesky for the same tile grid.
 	luSweep = dagSweep{
-		id: "abl-lu", kernel: lu.NewKernel, work: lu.TotalWork, n: 20, quickN: 10,
+		id: "abl-lu", kernel: lu.Kernel, n: 20, quickN: 10,
 		tiles: squareTiles,
 		notes: []string{"comm normalized by the n² tile count (a full broadcast of the matrix = p)"},
 	}
@@ -55,7 +54,7 @@ var (
 	// workload that exercises the engine's multi-output write
 	// serialization.
 	qrSweep = dagSweep{
-		id: "abl-qr", kernel: qr.NewKernel, work: qr.TotalWork, n: 16, quickN: 8,
+		id: "abl-qr", kernel: qr.Kernel, n: 16, quickN: 8,
 		tiles: squareTiles,
 		notes: []string{
 			"comm normalized by the n² tile count (a full broadcast of the matrix = p)",
@@ -75,11 +74,11 @@ func (s dagSweep) run(cfg Config) *plot.Result {
 		n = s.quickN
 		ps = []int{4, 16}
 	}
-	k := s.kernel(n)
+	k := s.kernel
 
 	res := &plot.Result{
 		ID:     s.id,
-		Title:  fmt.Sprintf("tiled %s (%d×%d tiles): ready-task policies", k.Name(), n, n),
+		Title:  fmt.Sprintf("tiled %s (%d×%d tiles): ready-task policies", k.Name, n, n),
 		XLabel: "processors",
 		YLabel: "tiles shipped / total tiles; efficiency",
 	}
@@ -93,7 +92,7 @@ func (s dagSweep) run(cfg Config) *plot.Result {
 	}
 
 	tiles := float64(s.tiles(n))
-	work := s.work(n)
+	work := k.TotalWork(n)
 	type out struct{ comm, eff float64 }
 	pl := cfg.pool()
 	futs := make([][]*rep[out], len(ps))
@@ -102,7 +101,7 @@ func (s dagSweep) run(cfg Config) *plot.Result {
 		for i, pol := range policies {
 			futs[pi][i] = replicate(pl, reps, 2, root, func(_ int, streams []*rng.PCG) out {
 				init := defaultPlatform.gen(p, streams[0])
-				m := sim.RunDriver(dag.NewDriver(s.kernel(n), p, pol, streams[1]), speeds.NewFixed(init))
+				m := sim.RunDriver(dag.NewDriver(k, n, p, pol, streams[1]), speeds.NewFixed(init))
 				sumSpeed := 0.0
 				for _, v := range init {
 					sumSpeed += v
@@ -133,7 +132,7 @@ func (s dagSweep) run(cfg Config) *plot.Result {
 		res.Series = append(res.Series, *ser)
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("%d tasks, %d replications per point, speeds %s", k.Total(), reps, defaultPlatform.name))
+		fmt.Sprintf("%d tasks, %d replications per point, speeds %s", k.Tasks(n), reps, defaultPlatform.name))
 	res.Notes = append(res.Notes, s.notes...)
 	return res
 }

@@ -6,90 +6,79 @@
 // Cholesky's (both triangles are active), making it a second test of
 // the dependency-aware demand-driven engine.
 //
-// The structure mirrors package cholesky: NewKernel is the dag.Kernel
-// (task graph, tile reads/writes, costs), Apply runs one task's tile
-// kernel, and the generic engine in internal/dag supplies the ready
-// set, the record of what each worker holds and the selection
-// policies. sim.RunDriver(dag.NewDriver(NewKernel(n), …), …) runs it in
-// virtual time; Replay validates a completion order numerically.
+// The structure mirrors package cholesky: Kernel is the task graph,
+// Apply runs one task's tile kernel, and Replay validates a completion
+// order numerically.
 package lu
 
-import "fmt"
+import (
+	"fmt"
 
-// Kind enumerates the tile kernels.
-type Kind uint8
+	"hetsched/internal/dag"
+)
 
 // Task kinds of the tiled right-looking LU factorization.
 const (
-	Getrf   Kind = iota // factor diagonal tile (K,K) into L\U
-	TrsmRow             // row solve: U(K,J) := L(K,K)⁻¹·A(K,J)
-	TrsmCol             // column solve: L(I,K) := A(I,K)·U(K,K)⁻¹
-	Gemm                // trailing update: A(I,J) −= L(I,K)·U(K,J)
+	getrf   dag.Kind = iota // factor diagonal tile (K,K) into L\U
+	trsmRow                 // row solve: U(K,J) := L(K,K)⁻¹·A(K,J)
+	trsmCol                 // column solve: L(I,K) := A(I,K)·U(K,K)⁻¹
+	gemm                    // trailing update: A(I,J) −= L(I,K)·U(K,J)
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Getrf:
-		return "GETRF"
-	case TrsmRow:
-		return "TRSM-L"
-	case TrsmCol:
-		return "TRSM-U"
-	case Gemm:
-		return "GEMM"
-	}
-	return "?"
+// Kernel is the tiled LU factorization on the generic engine.
+var Kernel = &dag.Kernel{
+	Name:         "LU",
+	Cost:         cost,
+	Format:       format,
+	Tasks:        taskCount,
+	TotalWork:    totalWork,
+	CriticalPath: criticalPath,
+	New:          newProgress,
 }
 
-// Task is one tile kernel invocation.
-type Task struct {
-	Kind    Kind
-	I, J, K int
-}
-
-// Cost returns the relative cost in GEMM-equivalent flop units
-// (GETRF 2l³/3, TRSM l³, GEMM 2l³, normalized by l³).
-func (t Task) Cost() float64 {
+// cost is the relative cost in GEMM-equivalent flop units (GETRF
+// 2l³/3, TRSM l³, GEMM 2l³, normalized by l³).
+func cost(t dag.Task) float64 {
 	switch t.Kind {
-	case Getrf:
+	case getrf:
 		return 2.0 / 3
-	case TrsmRow, TrsmCol:
+	case trsmRow, trsmCol:
 		return 1
-	case Gemm:
+	case gemm:
 		return 2
 	}
 	panic("lu: unknown task kind")
 }
 
-func (t Task) String() string {
+func format(t dag.Task) string {
 	switch t.Kind {
-	case Getrf:
+	case getrf:
 		return fmt.Sprintf("GETRF(%d)", t.K)
-	case TrsmRow:
+	case trsmRow:
 		return fmt.Sprintf("TRSM-L(%d,%d)", t.K, t.J)
-	case TrsmCol:
+	case trsmCol:
 		return fmt.Sprintf("TRSM-U(%d,%d)", t.I, t.K)
 	default:
 		return fmt.Sprintf("GEMM(%d,%d,%d)", t.I, t.J, t.K)
 	}
 }
 
-// TaskCount returns the number of tasks of an n-tile factorization:
-// n GETRFs, n(n−1) TRSMs and Σ_k (n−k−1)² GEMMs.
-func TaskCount(n int) int {
-	gemm := 0
+// taskCount is the number of tasks of an n-tile factorization: n
+// GETRFs, n(n−1) TRSMs and Σ_k (n−k−1)² GEMMs.
+func taskCount(n int) int {
+	gemms := 0
 	for k := 0; k < n; k++ {
 		m := n - k - 1
-		gemm += m * m
+		gemms += m * m
 	}
-	return n + n*(n-1) + gemm
+	return n + n*(n-1) + gemms
 }
 
-// TotalWork returns the total GEMM-equivalent work.
-func TotalWork(n int) float64 {
+// totalWork is the total GEMM-equivalent work.
+func totalWork(n int) float64 {
 	w := 0.0
 	for k := 0; k < n; k++ {
-		w += Task{Kind: Getrf, K: k}.Cost()
+		w += cost(dag.Task{Kind: getrf, K: k})
 		m := n - k - 1
 		w += float64(2*m) * 1
 		w += float64(m*m) * 2
@@ -97,13 +86,12 @@ func TotalWork(n int) float64 {
 	return w
 }
 
-// CriticalPath returns the longest dependency chain in
-// GEMM-equivalent units: GETRF(k) → TRSM → GEMM(k+1,k+1,k) →
-// GETRF(k+1) → …
-func CriticalPath(n int) float64 {
+// criticalPath is the longest dependency chain in GEMM-equivalent
+// units: GETRF(k) → TRSM → GEMM(k+1,k+1,k) → GETRF(k+1) → …
+func criticalPath(n int) float64 {
 	cp := 0.0
 	for k := 0; k < n; k++ {
-		cp += Task{Kind: Getrf, K: k}.Cost()
+		cp += cost(dag.Task{Kind: getrf, K: k})
 		if k+1 < n {
 			cp += 1 // one TRSM
 			cp += 2 // the diagonal GEMM

@@ -10,17 +10,17 @@ import (
 
 // Apply runs the tile kernel of the encoded task ct on m in place.
 func Apply(ct core.Task, m *linalg.BlockedMatrix) error {
-	t := fromDAG(dag.DecodeTask(ct, m.N))
+	t := dag.DecodeTask(ct, m.N)
 	switch t.Kind {
-	case Getrf:
+	case getrf:
 		if err := linalg.GetrfBlock(m.Block(t.K, t.K)); err != nil {
-			return fmt.Errorf("lu: %s: %w", t, err)
+			return fmt.Errorf("lu: %s: %w", format(t), err)
 		}
-	case TrsmRow:
+	case trsmRow:
 		linalg.TrsmLowerUnitBlock(m.Block(t.K, t.J), m.Block(t.K, t.K))
-	case TrsmCol:
+	case trsmCol:
 		linalg.TrsmUpperBlock(m.Block(t.I, t.K), m.Block(t.K, t.K))
-	case Gemm:
+	case gemm:
 		linalg.GemmSubBlock(m.Block(t.I, t.J), m.Block(t.I, t.K), m.Block(t.K, t.J))
 	default:
 		return fmt.Errorf("lu: unknown task kind %d", t.Kind)
@@ -33,8 +33,8 @@ func Apply(ct core.Task, m *linalg.BlockedMatrix) error {
 // sim.Metrics.Schedule of the LU kernel replays correctly, which
 // verifies the DAG bookkeeping numerically.
 func Replay(schedule []core.Task, m *linalg.BlockedMatrix) error {
-	if len(schedule) != TaskCount(m.N) {
-		return fmt.Errorf("lu: schedule has %d tasks, want %d for n=%d", len(schedule), TaskCount(m.N), m.N)
+	if len(schedule) != taskCount(m.N) {
+		return fmt.Errorf("lu: schedule has %d tasks, want %d for n=%d", len(schedule), taskCount(m.N), m.N)
 	}
 	for _, ct := range schedule {
 		if err := Apply(ct, m); err != nil {

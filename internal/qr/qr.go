@@ -9,10 +9,9 @@
 // kernel exercises the engine's multi-output write serialization and
 // re-ship accounting.
 //
-// The kernel is simulation-level: dag.NewDriver(NewKernel(n), …) runs
-// it under the virtual-time simulator (sim.RunDriver) and the
-// scheduler service (kernel "qr"), with communication volume, makespan
-// and wait-time accounting; no numeric tile kernels are attached.
+// Kernel is simulation-level: the simulator and the scheduler service
+// (kernel "qr") run it through dag.NewDriver; no numeric tile kernels
+// are attached.
 //
 // Task graph at step k (sequential TS chain down each panel):
 //
@@ -23,104 +22,96 @@
 //	              (i,j), chained in i for each column j.
 package qr
 
-import "fmt"
+import (
+	"fmt"
 
-// Kind enumerates the tile kernels.
-type Kind uint8
+	"hetsched/internal/dag"
+)
 
 // Task kinds of the tiled QR factorization with a flat reduction tree.
 const (
-	Geqrt Kind = iota // factor diagonal tile (K,K)
-	Tsqrt             // fold tile (I,K) into the panel, writes (K,K) and (I,K)
-	Ormqr             // apply Q(K)ᵀ to tile (K,J)
-	Tsmqr             // apply TSQRT(I,K) reflectors, writes (K,J) and (I,J)
+	geqrt dag.Kind = iota // factor diagonal tile (K,K)
+	tsqrt                 // fold tile (I,K) into the panel, writes (K,K) and (I,K)
+	ormqr                 // apply Q(K)ᵀ to tile (K,J)
+	tsmqr                 // apply TSQRT(I,K) reflectors, writes (K,J) and (I,J)
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Geqrt:
-		return "GEQRT"
-	case Tsqrt:
-		return "TSQRT"
-	case Ormqr:
-		return "ORMQR"
-	case Tsmqr:
-		return "TSMQR"
-	}
-	return "?"
+// Kernel is the tiled QR factorization on the generic engine.
+var Kernel = &dag.Kernel{
+	Name:         "QR",
+	Cost:         cost,
+	Format:       format,
+	Tasks:        taskCount,
+	TotalWork:    totalWork,
+	CriticalPath: criticalPath,
+	New:          newProgress,
 }
 
-// Task is one tile kernel invocation.
-type Task struct {
-	Kind    Kind
-	I, J, K int
-}
-
-// Cost returns the relative cost in GEMM-equivalent flop units
-// (GEQRT 4l³/3, TSQRT 2l³, ORMQR 2l³, TSMQR 4l³, normalized by l³ —
-// the standard tiled-QR counts, where the coupled TSMQR update costs
-// two plain GEMMs).
-func (t Task) Cost() float64 {
+// cost is the relative cost in GEMM-equivalent flop units (GEQRT
+// 4l³/3, TSQRT 2l³, ORMQR 2l³, TSMQR 4l³, normalized by l³ — the
+// standard tiled-QR counts, where the coupled TSMQR update costs two
+// plain GEMMs).
+func cost(t dag.Task) float64 {
 	switch t.Kind {
-	case Geqrt:
+	case geqrt:
 		return 4.0 / 3
-	case Tsqrt:
+	case tsqrt:
 		return 2
-	case Ormqr:
+	case ormqr:
 		return 2
-	case Tsmqr:
+	case tsmqr:
 		return 4
 	}
 	panic("qr: unknown task kind")
 }
 
-func (t Task) String() string {
+func format(t dag.Task) string {
 	switch t.Kind {
-	case Geqrt:
+	case geqrt:
 		return fmt.Sprintf("GEQRT(%d)", t.K)
-	case Tsqrt:
+	case tsqrt:
 		return fmt.Sprintf("TSQRT(%d,%d)", t.I, t.K)
-	case Ormqr:
+	case ormqr:
 		return fmt.Sprintf("ORMQR(%d,%d)", t.K, t.J)
 	default:
 		return fmt.Sprintf("TSMQR(%d,%d,%d)", t.I, t.J, t.K)
 	}
 }
 
-// TaskCount returns the number of tasks of an n-tile factorization:
-// n GEQRTs, n(n−1)/2 TSQRTs, n(n−1)/2 ORMQRs and Σ_k (n−k−1)² TSMQRs.
-func TaskCount(n int) int {
-	tsmqr := 0
+// taskCount is the number of tasks of an n-tile factorization: n
+// GEQRTs, n(n−1)/2 TSQRTs, n(n−1)/2 ORMQRs and Σ_k (n−k−1)² TSMQRs.
+func taskCount(n int) int {
+	tsmqrs := 0
 	for k := 0; k < n; k++ {
 		m := n - k - 1
-		tsmqr += m * m
+		tsmqrs += m * m
 	}
-	return n + n*(n-1) + tsmqr
+	return n + n*(n-1) + tsmqrs
 }
 
-// TotalWork returns the total GEMM-equivalent work.
-func TotalWork(n int) float64 {
+// totalWork is the total GEMM-equivalent work.
+func totalWork(n int) float64 {
 	w := 0.0
 	for k := 0; k < n; k++ {
-		w += Task{Kind: Geqrt, K: k}.Cost()
+		w += cost(dag.Task{Kind: geqrt, K: k})
 		m := float64(n - k - 1)
-		w += m * Task{Kind: Tsqrt}.Cost()
-		w += m * Task{Kind: Ormqr}.Cost()
-		w += m * m * Task{Kind: Tsmqr}.Cost()
+		w += m * cost(dag.Task{Kind: tsqrt})
+		w += m * cost(dag.Task{Kind: ormqr})
+		w += m * m * cost(dag.Task{Kind: tsmqr})
 	}
 	return w
 }
 
-// CriticalPath returns the length (in GEMM-equivalent units) of the
+// criticalPath is the length (in GEMM-equivalent units) of the
 // dependency chain GEQRT(k) → TSQRT(k+1,k) → TSMQR(k+1,k+1,k) →
 // GEQRT(k+1) → …, a valid lower bound on any schedule.
-func CriticalPath(n int) float64 {
+func criticalPath(n int) float64 {
 	cp := 0.0
 	for k := 0; k < n; k++ {
-		cp += Task{Kind: Geqrt, K: k}.Cost()
+		cp += cost(dag.Task{Kind: geqrt, K: k})
 		if k+1 < n {
-			cp += Task{Kind: Tsqrt}.Cost()
-			cp += Task{Kind: Tsmqr}.Cost()
+			cp += cost(dag.Task{Kind: tsqrt})
+			cp += cost(dag.Task{Kind: tsmqr})
 		}
 	}
 	return cp

@@ -219,8 +219,8 @@ func TestChaosWorkerDeathQR(t *testing.T) {
 	info := createRun(t, ts.URL, CreateRunRequest{
 		Kernel: KernelQR, Strategy: "critpath", N: n, P: p, Seed: 9,
 	})
-	if info.Total != qr.TaskCount(n) {
-		t.Fatalf("run total = %d, want %d", info.Total, qr.TaskCount(n))
+	if info.Total != qr.Kernel.Tasks(n) {
+		t.Fatalf("run total = %d, want %d", info.Total, qr.Kernel.Tasks(n))
 	}
 	accepted := chaosDrain(t, ts.URL, info, map[int]bool{0: true, 2: true}, func(int, int64) {})
 	st := checkChaosRun(t, ts.URL, info, accepted)

@@ -61,7 +61,7 @@ func mustNext(t *testing.T, h *Host, w int, completed []core.Task) (core.Assignm
 func TestLeaseExpiryMidRunDAG(t *testing.T) {
 	const n, p = 4, 3
 	const lease = 30 * time.Second
-	drv := dag.NewDriver(cholesky.NewKernel(n), p, dag.LocalityReady, rng.New(7).Split())
+	drv := dag.NewDriver(cholesky.Kernel, n, p, dag.LocalityReady, rng.New(7).Split())
 	h, clock := newLeaseHost(t, drv, 1, lease)
 
 	// Worker 0 takes POTRF(0) — the only initially ready task — and
@@ -118,7 +118,7 @@ func TestLeaseExpiryMidRunDAG(t *testing.T) {
 			}
 		}
 	}
-	if total := cholesky.TaskCount(n); len(seen) != total {
+	if total := cholesky.Kernel.Tasks(n); len(seen) != total {
 		t.Fatalf("completed %d distinct tasks, want %d", len(seen), total)
 	}
 	for task, times := range seen {

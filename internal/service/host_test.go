@@ -137,10 +137,10 @@ func TestHostConcurrentDrainOuter(t *testing.T) {
 
 func TestHostConcurrentDrainCholesky(t *testing.T) {
 	const n, p = 10, 5
-	drv := dag.NewDriver(cholesky.NewKernel(n), p, dag.LocalityReady, rng.New(5).Split())
+	drv := dag.NewDriver(cholesky.Kernel, n, p, dag.LocalityReady, rng.New(5).Split())
 	h := NewHost(drv, 2, 0)
 	got := hammer(t, h)
-	total := cholesky.TaskCount(n)
+	total := cholesky.Kernel.Tasks(n)
 	seen := make(map[core.Task]bool)
 	count := 0
 	for _, tasks := range got {
@@ -238,7 +238,7 @@ func TestHostRejectsMalformedRequests(t *testing.T) {
 // per-element check, then panic the coordinator on the second apply
 // and wedge the run with the mutex-protected state half-updated.
 func TestHostRejectsDuplicateInOneReport(t *testing.T) {
-	drv := dag.NewDriver(cholesky.NewKernel(4), 2, dag.LocalityReady, rng.New(1).Split())
+	drv := dag.NewDriver(cholesky.Kernel, 4, 2, dag.LocalityReady, rng.New(1).Split())
 	h := NewHost(drv, 1, 0)
 	a, status, err := h.Next(0, nil)
 	if err != nil || status != StatusOK || len(a.Tasks) != 1 {

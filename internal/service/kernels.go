@@ -24,11 +24,10 @@ type Kernel struct {
 	Name       string
 	Strategies []Strategy
 	Default    string // the strategy an empty one takes
-	// NewDAG builds a DAG kernel's task graph on n×n tiles; nil for
-	// the flat kernels, whose tasks all cost 1.
-	NewDAG        func(n int) dag.Kernel
+	// DAG is a DAG kernel's task graph; nil for the flat kernels,
+	// whose tasks all cost 1.
+	DAG           *dag.Kernel
 	TotalWork     func(n int) float64          // in the units its tasks cost
-	CriticalPath  func(n int) float64          // DAG kernels only
 	APosterioriLB func(tasksPer []int) float64 // flat kernels only: the fewest blocks those task counts ship
 	// admitTasks is the task count run creation admits n on: exact for
 	// the flat kernels, the conservative n³ for the DAG kernels.
@@ -47,9 +46,9 @@ type builder func(q *CreateRunRequest, r *rng.PCG) core.Driver
 var Kernels = []Kernel{
 	flatKernel(KernelOuter, outer.Kernel, analysis.APosterioriLBOuter),
 	flatKernel(KernelMatmul, matmul.Kernel, analysis.APosterioriLBMatrix),
-	dagKernel(KernelCholesky, cholesky.NewKernel, cholesky.TotalWork, cholesky.CriticalPath),
-	dagKernel(KernelLU, lu.NewKernel, lu.TotalWork, lu.CriticalPath),
-	dagKernel(KernelQR, qr.NewKernel, qr.TotalWork, qr.CriticalPath),
+	dagKernel(KernelCholesky, cholesky.Kernel),
+	dagKernel(KernelLU, lu.Kernel),
+	dagKernel(KernelQR, qr.Kernel),
 }
 
 // LookupKernel returns the Kernels entry named name, or nil.
@@ -61,21 +60,21 @@ func LookupKernel(name string) *Kernel {
 }
 
 // Coster prices a task of an instance of size n as the simulator
-// does, from a task graph of its own, so the run's coordinator is never
-// touched; nil for the flat kernels (every task costs 1).
+// does, without touching the run's coordinator; nil for the flat
+// kernels (every task costs 1).
 func (k *Kernel) Coster(n int) func(core.Task) float64 {
-	if k.NewDAG == nil {
+	if k.DAG == nil {
 		return nil
 	}
-	g := k.NewDAG(n)
-	return func(t core.Task) float64 { return g.Cost(dag.DecodeTask(t, n)) }
+	cost := k.DAG.Cost
+	return func(t core.Task) float64 { return cost(dag.DecodeTask(t, n)) }
 }
 
 // dagKernel is the entry of a DAG kernel: its strategies run the
 // generic engine under one of the ready-task policies.
-func dagKernel(name string, newDAG func(n int) dag.Kernel, work, criticalPath func(n int) float64) Kernel {
+func dagKernel(name string, k *dag.Kernel) Kernel {
 	policy := func(policy dag.Policy) builder {
-		return func(q *CreateRunRequest, r *rng.PCG) core.Driver { return dag.NewDriver(newDAG(q.N), q.P, policy, r) }
+		return func(q *CreateRunRequest, r *rng.PCG) core.Driver { return dag.NewDriver(k, q.N, q.P, policy, r) }
 	}
 	return Kernel{
 		Name: name,
@@ -84,11 +83,10 @@ func dagKernel(name string, newDAG func(n int) dag.Kernel, work, criticalPath fu
 			{"locality", policy(dag.LocalityReady)},
 			{"critpath", policy(dag.CriticalPathReady)},
 		},
-		Default:      "locality",
-		NewDAG:       newDAG,
-		TotalWork:    work,
-		CriticalPath: criticalPath,
-		admitTasks:   func(n int64) int64 { return n * n * n },
+		Default:    "locality",
+		DAG:        k,
+		TotalWork:  k.TotalWork,
+		admitTasks: func(n int64) int64 { return n * n * n },
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/rng"
 )
 
@@ -110,6 +111,45 @@ func TestKernelsBuild(t *testing.T) {
 		if !hasDefault {
 			t.Errorf("%s: default strategy %q is not one of its strategies", k.Name, k.Default)
 		}
+	}
+}
+
+// TestCosterAllocatesNothing: the cluster harness prices a DAG run's
+// tasks without building a task graph of its own. Making a DAG kernel's
+// Coster and asking it 100 prices allocates nothing, and each price is
+// the driver's.
+func TestCosterAllocatesNothing(t *testing.T) {
+	const n = 48
+	ids := make([]core.Task, 100)
+	for i := range ids {
+		ids[i] = dag.EncodeTask(dag.Task{Kind: dag.Kind(i % 3), I: i % n, J: i * 7 % n, K: i * 13 % n}, n)
+	}
+	for _, k := range Kernels {
+		if k.DAG == nil {
+			continue
+		}
+		t.Run(k.Name, func(t *testing.T) {
+			drv, err := NewDriver(&CreateRunRequest{Kernel: k.Name, Strategy: k.Default, N: n, P: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			allocs := testing.AllocsPerRun(10, func() {
+				cost := LookupKernel(k.Name).Coster(n)
+				for _, id := range ids {
+					sum += cost(id)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Coster(%d) and 100 prices: %v allocations, want 0", n, allocs)
+			}
+			cost := k.Coster(n)
+			for _, id := range ids {
+				if got, want := cost(id), drv.(core.TaskCoster).TaskCost(id); got != want {
+					t.Fatalf("task %d: Coster prices %g, the driver %g", id, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -57,14 +57,14 @@ func TestEndToEndQRDeterministicVolume(t *testing.T) {
 	req := CreateRunRequest{Kernel: KernelQR, Strategy: "locality", N: n, P: p, Seed: seed, Batch: 1}
 	infoA := createRun(t, ts.URL, req)
 	infoB := createRun(t, ts.URL, req)
-	if infoA.Total != qr.TaskCount(n) {
-		t.Fatalf("run total = %d, want %d", infoA.Total, qr.TaskCount(n))
+	if infoA.Total != qr.Kernel.Tasks(n) {
+		t.Fatalf("run total = %d, want %d", infoA.Total, qr.Kernel.Tasks(n))
 	}
 
 	blocksA, tasksA := drainSequential(t, ts.URL, infoA)
 	blocksB, tasksB := drainSequential(t, ts.URL, infoB)
-	if tasksA != qr.TaskCount(n) || tasksB != qr.TaskCount(n) {
-		t.Fatalf("granted %d and %d tasks, want %d", tasksA, tasksB, qr.TaskCount(n))
+	if tasksA != qr.Kernel.Tasks(n) || tasksB != qr.Kernel.Tasks(n) {
+		t.Fatalf("granted %d and %d tasks, want %d", tasksA, tasksB, qr.Kernel.Tasks(n))
 	}
 	if blocksA != blocksB {
 		t.Fatalf("equal seeds shipped %d vs %d blocks — service QR run not deterministic", blocksA, blocksB)
@@ -72,7 +72,7 @@ func TestEndToEndQRDeterministicVolume(t *testing.T) {
 
 	// In-process mirror: same seed derivation as service.NewDriver,
 	// same report-then-request round-robin order.
-	drv := dag.NewDriver(qr.NewKernel(n), p, dag.LocalityReady, rng.New(seed).Split())
+	drv := dag.NewDriver(qr.Kernel, n, p, dag.LocalityReady, rng.New(seed).Split())
 	blocks := 0
 	pending := make([][]core.Task, p)
 	done := make([]bool, p)
