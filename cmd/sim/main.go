@@ -22,12 +22,9 @@ import (
 	"os"
 	"strings"
 
-	"hetsched/internal/analysis"
-	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/experiments"
 	"hetsched/internal/linalg"
-	"hetsched/internal/lu"
 	"hetsched/internal/service"
 	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
@@ -72,13 +69,13 @@ func main() {
 	switch {
 	case *gantt && !flat:
 		fail(2, "-gantt needs -kernel outer or matmul")
-	case *verify && *kernel != "cholesky" && *kernel != "lu":
+	case *verify && (flat || k.DAG.Numerics == nil):
 		fail(2, "-verify needs -kernel cholesky or lu")
 	case *beta != 0 && (!flat || *strategy != "2phases"):
 		fail(2, "-beta needs -kernel outer or matmul with -strategy 2phases")
 	}
 	if flat {
-		simulateFlat(*kernel, *strategy, *beta, *gantt, opts)
+		simulateFlat(k, *strategy, *beta, *gantt, opts)
 		return
 	}
 	simulateDAG(k, *strategy, *verify, opts)
@@ -89,21 +86,17 @@ func fail(code int, format string, args ...any) {
 	os.Exit(code)
 }
 
-// simulateFlat runs an outer or matmul strategy through sim.RunObserved.
-func simulateFlat(kernel, strategy string, beta float64, gantt bool, opts *experiments.SimFlags) {
+// simulateFlat runs a flat kernel's strategy through sim.RunObserved.
+func simulateFlat(k *service.Kernel, strategy string, beta float64, gantt bool, opts *experiments.SimFlags) {
 	n, p := opts.N, opts.P
 	root, init, rs := opts.Platform()
-	lowerBound, optimalBeta := analysis.LowerBoundOuter, analysis.OptimalBetaOuter
-	if kernel == "matmul" {
-		lowerBound, optimalBeta = analysis.LowerBoundMatrix, analysis.OptimalBetaMatrix
-	}
-	lb := lowerBound(rs, n)
+	lb := k.Flat.LowerBound(rs, n)
 	schedRNG := root.Split()
 	if strategy == "2phases" && beta == 0 {
-		beta, _ = optimalBeta(rs, n)
+		beta, _ = k.Flat.OptimalBeta(rs, n)
 		fmt.Printf("analysis-optimal beta* = %.4f\n", beta)
 	}
-	drv, err := service.BuildDriver(&service.CreateRunRequest{Kernel: kernel, Strategy: strategy, N: n, P: p, Beta: beta}, schedRNG)
+	drv, err := service.BuildDriver(&service.CreateRunRequest{Kernel: k.Name, Strategy: strategy, N: n, P: p, Beta: beta}, schedRNG)
 	if err != nil {
 		fail(2, "%v", err)
 	}
@@ -163,19 +156,12 @@ func simulateDAG(k *service.Kernel, strategy string, verify bool, opts *experime
 		return
 	}
 
-	const l = 4
-	fill, replay, residual, label := linalg.RandomSPD, cholesky.Replay, linalg.CholeskyResidual, "|A − L·Lᵀ|"
-	if k.Name == service.KernelLU {
-		fill, replay, residual, label = linalg.RandomDominant, lu.Replay, linalg.LUResidual, "|A − L·U|"
-	}
-	a := linalg.NewBlockedMatrix(n, l)
-	fill(a, root.Split())
-	factored := linalg.NewBlockedMatrix(n, l)
-	for i, blk := range a.Blocks {
-		copy(factored.Blocks[i].Data, blk.Data)
-	}
-	if err := replay(m.Schedule, factored); err != nil {
+	num := k.DAG.Numerics
+	a := linalg.NewBlockedMatrix(n, 4)
+	num.Fill(a, root.Split())
+	factored := a.Clone()
+	if err := k.DAG.Replay(m.Schedule, factored); err != nil {
 		fail(1, "replay: %v", err)
 	}
-	fmt.Printf("numeric residual    %.3e (%s)\n", residual(a, factored), label)
+	fmt.Printf("numeric residual    %.3e (%s)\n", num.Residual(a, factored), num.Label)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,5 +98,62 @@ func TestDocsCite(t *testing.T) {
 			}
 			line += strings.Count(para, "\n") + 2
 		}
+	}
+}
+
+// TestCIRunsEveryCheck holds ci.yml to the rule that a check the
+// repository declares is a check CI runs: every Fuzz function is fuzzed
+// by a `go test … -fuzz <name> … <package>` step, and every package
+// with a Benchmark function is named by a `go test … -bench` step.
+func TestCIRunsEveryCheck(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzed, benched := map[string]bool{}, map[string]bool{} // "Fuzz… ./pkg", "./pkg"
+	for _, line := range strings.Split(string(ci), "\n") {
+		fields := strings.Fields(line)
+		if i := slices.Index(fields, "test"); i < 1 || fields[i-1] != "go" {
+			continue
+		}
+		var pkgs []string
+		for _, f := range fields {
+			if strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		if i := slices.Index(fields, "-fuzz"); i >= 0 && i+1 < len(fields) {
+			for _, p := range pkgs {
+				fuzzed[strings.Trim(fields[i+1], `'"^$`)+" "+p] = true
+			}
+		}
+		if slices.Contains(fields, "-bench") {
+			for _, p := range pkgs {
+				benched[p] = true
+			}
+		}
+	}
+
+	decl := regexp.MustCompile(`(?m)^func ((Benchmark|Fuzz)\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		pkg := "./" + filepath.ToSlash(filepath.Dir(path))
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			name := string(m[1])
+			switch {
+			case string(m[2]) == "Fuzz" && !fuzzed[name+" "+pkg]:
+				t.Errorf("%s: ci.yml never fuzzes %s in %s", path, name, pkg)
+			case string(m[2]) == "Benchmark" && !benched[pkg]:
+				t.Errorf("%s: ci.yml never runs the benchmarks of %s (%s among them)", path, pkg, name)
+				benched[pkg] = true // one error per package
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -53,11 +53,8 @@ func main() {
 	// Verify the locality schedule numerically.
 	a := linalg.NewBlockedMatrix(n, l)
 	linalg.RandomSPD(a, root.Split())
-	work := linalg.NewBlockedMatrix(n, l)
-	for i, blk := range a.Blocks {
-		copy(work.Blocks[i].Data, blk.Data)
-	}
-	if err := cholesky.Replay(locality, work); err != nil {
+	work := a.Clone()
+	if err := cholesky.Kernel.Replay(locality, work); err != nil {
 		fmt.Println("replay failed:", err)
 		os.Exit(1)
 	}

@@ -10,17 +10,19 @@
 // to wait; the demand-driven engine here extends the paper's model
 // with task readiness and per-tile write serialization.
 //
-// The package is one dag.Kernel value, the task graph, plus its
-// numerics: Apply runs one task's tile kernel and Replay a schedule.
+// The package is one dag.Kernel value: the task graph and its numerics
+// (each task's tile kernel, which Kernel.Replay runs a schedule of).
 // Every substrate drives dag.NewDriver(Kernel, n, …): the virtual-time
-// simulator (sim.RunDriver), the real goroutine runtime
-// (exec.RunCholesky) and the scheduler service (kernel "cholesky").
+// simulator (sim.RunDriver), the real goroutine runtime (exec.RunDAG)
+// and the scheduler service (kernel "cholesky").
 package cholesky
 
 import (
 	"fmt"
 
+	"hetsched/internal/core"
 	"hetsched/internal/dag"
+	"hetsched/internal/linalg"
 )
 
 // Task kinds of the tiled right-looking Cholesky factorization.
@@ -39,6 +41,12 @@ var Kernel = &dag.Kernel{
 	TotalWork:    totalWork,
 	CriticalPath: criticalPath,
 	New:          newProgress,
+	Numerics: &dag.Numerics{
+		Apply:    apply,
+		Fill:     linalg.RandomSPD,
+		Residual: linalg.CholeskyResidual,
+		Label:    "|A − L·Lᵀ|",
+	},
 }
 
 // cost is the relative cost of a task in GEMM-equivalent flop units
@@ -108,4 +116,31 @@ func criticalPath(n int) float64 {
 		}
 	}
 	return cp
+}
+
+// apply runs the tile kernel of the encoded task ct on m in place.
+// POTRF(k) also zeroes the upper tiles of row k, which no other task
+// reads or writes, so a completed factorization leaves a clean L.
+func apply(ct core.Task, m *linalg.BlockedMatrix) error {
+	t := dag.DecodeTask(ct, m.N)
+	switch t.Kind {
+	case potrf:
+		if err := linalg.CholBlock(m.Block(t.K, t.K)); err != nil {
+			return fmt.Errorf("cholesky: %s: %w", format(t), err)
+		}
+		for j := t.K + 1; j < m.N; j++ {
+			clear(m.Block(t.K, j).Data)
+		}
+	case trsm:
+		linalg.TrsmBlock(m.Block(t.I, t.K), m.Block(t.K, t.K))
+	case update:
+		if t.I == t.J {
+			linalg.SyrkBlock(m.Block(t.I, t.I), m.Block(t.I, t.K))
+		} else {
+			linalg.GemmTransBlock(m.Block(t.I, t.J), m.Block(t.I, t.K), m.Block(t.J, t.K))
+		}
+	default:
+		return fmt.Errorf("cholesky: unknown task kind %d", t.Kind)
+	}
+	return nil
 }

@@ -2,12 +2,9 @@ package cholesky
 
 import (
 	"math"
-	"slices"
 	"testing"
 
-	"hetsched/internal/core"
 	"hetsched/internal/dag"
-	"hetsched/internal/linalg"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
@@ -101,44 +98,6 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 				updates[task.I*n+task.J]++
 			}
 		}
-	}
-}
-
-// TestNumericReplay is the end-to-end verification: simulate, replay
-// the schedule on a real SPD matrix, check A = L·Lᵀ.
-func TestNumericReplay(t *testing.T) {
-	root := rng.New(3)
-	const n, l, p = 5, 4, 3
-	a := linalg.NewBlockedMatrix(n, l)
-	linalg.RandomSPD(a, root.Split())
-
-	for _, pol := range allPolicies() {
-		work := linalg.NewBlockedMatrix(n, l)
-		for i, blk := range a.Blocks {
-			copy(work.Blocks[i].Data, blk.Data)
-		}
-		s := speeds.UniformRange(p, 10, 100, root.Split())
-		m := simulate(n, pol, s, root.Split())
-		if err := Replay(m.Schedule, work); err != nil {
-			t.Fatalf("%v: replay: %v", pol, err)
-		}
-		if res := linalg.CholeskyResidual(a, work); res > 1e-8 {
-			t.Fatalf("%v: |A − L·Lᵀ| = %g", pol, res)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if slices.ContainsFunc(work.Block(i, j).Data, func(v float64) bool { return v != 0 }) {
-					t.Fatalf("%v: upper tile (%d,%d) not cleared", pol, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestReplayRejectsBadSchedule(t *testing.T) {
-	m := linalg.NewBlockedMatrix(3, 2)
-	if err := Replay([]core.Task{0}, m); err == nil {
-		t.Fatal("short schedule not rejected")
 	}
 }
 

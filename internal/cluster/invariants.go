@@ -373,12 +373,12 @@ func (rr *RunResult) check() error {
 	// communication lower bound (a reclaimed flat task is re-granted
 	// with no block charge — the original shipment went to the dead
 	// worker — so the bound only binds when nothing was reclaimed).
-	if k.APosterioriLB != nil && st.Reclaimed == 0 {
+	if k.Flat != nil && st.Reclaimed == 0 {
 		tasksPer := make([]int, len(st.Workers))
 		for i, ws := range st.Workers {
 			tasksPer[i] = ws.Tasks
 		}
-		if lb := k.APosterioriLB(tasksPer); lb > 0 && float64(st.Blocks)+1e-6 < lb {
+		if lb := k.Flat.APosterioriLB(tasksPer); lb > 0 && float64(st.Blocks)+1e-6 < lb {
 			return fmt.Errorf("shipped %d blocks, below the a-posteriori lower bound %g", st.Blocks, lb)
 		}
 	}

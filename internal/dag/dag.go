@@ -6,7 +6,9 @@
 // ready-task selection policies, per-tile write serialization and
 // completion-driven release. A kernel package adds one Kernel value
 // that describes only the workload: what a task costs, which tiles it
-// reads and writes, and which tasks become ready when it completes.
+// reads and writes, which tasks become ready when it completes and,
+// optionally, what it computes (Kernel.Replay runs a schedule of it on
+// a real matrix).
 //
 // The split mirrors core.Scheduler for the flat kernels: a Kernel plus
 // the Coordinator is a pure allocation state machine with no notion of
@@ -47,6 +49,9 @@ type Kernel struct {
 	CriticalPath func(n int) float64
 	// New returns the progress of a fresh run on n×n tiles.
 	New func(n int) Progress
+	// Numerics is the kernel's arithmetic on a real matrix; nil for a
+	// kernel whose schedules are not replayed.
+	Numerics *Numerics
 }
 
 // Progress is the DAG progress of one run (Complete mutates it); it

@@ -9,6 +9,7 @@ import (
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
+	"hetsched/internal/linalg"
 	"hetsched/internal/lu"
 	"hetsched/internal/qr"
 	"hetsched/internal/rng"
@@ -29,18 +30,21 @@ type goldenRun struct {
 }
 
 // kernels are the three factorizations, each with the task a one-tile
-// run consists of and the grid on which LocalityReady must ship less
-// than RandomReady.
+// run consists of, the grid on which LocalityReady must ship less than
+// RandomReady and the one TestNumericReplay factors (0: the kernel has
+// no numerics).
 var kernels = []struct {
 	name      string
 	k         *dag.Kernel
 	first     string
 	localityN int
+	replayN   int
+	lower     bool // the factor is lower-triangular: the upper tiles end zero
 	golden    []goldenRun
 }{
-	{"cholesky", cholesky.Kernel, "POTRF(0)", 16, choleskyGolden},
-	{"lu", lu.Kernel, "GETRF(0)", 14, luGolden},
-	{"qr", qr.Kernel, "GEQRT(0)", 12, qrGolden},
+	{"cholesky", cholesky.Kernel, "POTRF(0)", 16, 5, true, choleskyGolden},
+	{"lu", lu.Kernel, "GETRF(0)", 14, 6, false, luGolden},
+	{"qr", qr.Kernel, "GEQRT(0)", 12, 0, false, qrGolden},
 }
 
 // simulate runs k on n×n tiles on fixed speeds s and returns the run.
@@ -163,6 +167,61 @@ func TestSingleTile(t *testing.T) {
 			m := simulate(kc.k, 1, dag.RandomReady, []float64{10}, rng.New(5))
 			if len(m.Schedule) != 1 || kc.k.Format(dag.DecodeTask(m.Schedule[0], 1)) != kc.first {
 				t.Fatalf("n=1 schedule = %v", m.Schedule)
+			}
+		})
+	}
+}
+
+// TestNumericReplay is the end-to-end verification: simulate, replay
+// the schedule on a real matrix, check the factors against it.
+func TestNumericReplay(t *testing.T) {
+	for _, kc := range kernels {
+		t.Run(kc.name, func(t *testing.T) {
+			num := kc.k.Numerics
+			if kc.replayN == 0 {
+				if num != nil {
+					t.Fatal("kernel has numerics but no replay row")
+				}
+				return
+			}
+			root := rng.New(3)
+			const l, p = 4, 3
+			n := kc.replayN
+			a := linalg.NewBlockedMatrix(n, l)
+			num.Fill(a, root.Split())
+
+			for _, pol := range allPolicies {
+				work := a.Clone()
+				s := speeds.UniformRange(p, 10, 100, root.Split())
+				m := simulate(kc.k, n, pol, s, root.Split())
+				if err := kc.k.Replay(m.Schedule, work); err != nil {
+					t.Fatalf("%v: replay: %v", pol, err)
+				}
+				if res := num.Residual(a, work); res > 1e-8 {
+					t.Fatalf("%v: %s = %g", pol, num.Label, res)
+				}
+				for i := 0; kc.lower && i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						if slices.ContainsFunc(work.Block(i, j).Data, func(v float64) bool { return v != 0 }) {
+							t.Fatalf("%v: upper tile (%d,%d) not cleared", pol, i, j)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestReplayRejectsBadSchedule(t *testing.T) {
+	for _, kc := range kernels {
+		if kc.k.Numerics == nil {
+			continue
+		}
+		t.Run(kc.name, func(t *testing.T) {
+			m := linalg.NewBlockedMatrix(3, 2)
+			err := kc.k.Replay([]core.Task{0}, m)
+			if want := fmt.Sprintf("%s: schedule has 1 tasks, want %d for n=3", kc.name, kc.k.Tasks(3)); err == nil || err.Error() != want {
+				t.Fatalf("short schedule: %v, want %q", err, want)
 			}
 		})
 	}

@@ -27,8 +27,10 @@ import (
 	"time"
 
 	"hetsched/internal/core"
+	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
 	"hetsched/internal/matmul"
+	"hetsched/internal/rng"
 )
 
 // Options configures a runtime execution.
@@ -220,4 +222,15 @@ func RunGemm(sched core.Scheduler, a, b *linalg.BlockedMatrix, opts Options) (*l
 		}
 	}
 	return c, res
+}
+
+// RunDAG factors the blocked matrix a in place with k's numerics, which
+// it must have, on real worker goroutines driven by the generic DAG
+// driver. Write safety comes from the coordinator's per-tile write lock
+// (one writing task in flight per tile) and from the DAG itself (input
+// tiles are final when read); the tests run this under the race
+// detector and verify the factors numerically against a.
+func RunDAG(k *dag.Kernel, a *linalg.BlockedMatrix, workers int, policy dag.Policy, r *rng.PCG) (*Result, error) {
+	drv := dag.NewDriver(k, a.N, workers, policy, r)
+	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error { return k.Numerics.Apply(ct, a) })
 }

@@ -192,31 +192,50 @@ func BenchmarkRunGemmDynamic(b *testing.B) {
 	}
 }
 
-func TestRunCholeskyCorrectAllPolicies(t *testing.T) {
-	const n, l, p = 8, 4, 4
-	root := rng.New(8)
-	a := linalg.NewBlockedMatrix(n, l)
-	linalg.RandomSPD(a, root.Split())
+// dagKernels are the DAG kernels with numerics, each with the serial
+// factorization a one-worker run must reproduce and the seeds, shapes
+// and policy of the tests below.
+var dagKernels = []struct {
+	name   string
+	k      *dag.Kernel
+	serial func(*linalg.BlockedMatrix) error
+	// correctSeed seeds TestRunDAGCorrectAllPolicies; the rest are
+	// TestRunDAGMatchesSerial's run.
+	correctSeed      uint64
+	serialSeed       uint64
+	serialN, workers int
+	policy           dag.Policy
+}{
+	{"cholesky", cholesky.Kernel, linalg.TiledCholesky, 8, 10, 6, 1, dag.LocalityReady},
+	{"lu", lu.Kernel, linalg.TiledLU, 11, 12, 5, 3, dag.CriticalPathReady},
+}
 
-	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
-		work := linalg.NewBlockedMatrix(n, l)
-		for i, blk := range a.Blocks {
-			copy(work.Blocks[i].Data, blk.Data)
-		}
-		res, err := RunCholesky(work, p, pol, root.Split())
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		total := 0
-		for _, v := range res.TasksPer {
-			total += v
-		}
-		if total != cholesky.Kernel.Tasks(n) {
-			t.Fatalf("%v: executed %d tasks, want %d", pol, total, cholesky.Kernel.Tasks(n))
-		}
-		if resid := linalg.CholeskyResidual(a, work); resid > 1e-8 {
-			t.Fatalf("%v: |A − L·Lᵀ| = %g", pol, resid)
-		}
+func TestRunDAGCorrectAllPolicies(t *testing.T) {
+	const n, l, p = 8, 4, 4
+	for _, kc := range dagKernels {
+		t.Run(kc.name, func(t *testing.T) {
+			root := rng.New(kc.correctSeed)
+			a := linalg.NewBlockedMatrix(n, l)
+			kc.k.Numerics.Fill(a, root.Split())
+
+			for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
+				work := a.Clone()
+				res, err := RunDAG(kc.k, work, p, pol, root.Split())
+				if err != nil {
+					t.Fatalf("%v: %v", pol, err)
+				}
+				total := 0
+				for _, v := range res.TasksPer {
+					total += v
+				}
+				if total != kc.k.Tasks(n) {
+					t.Fatalf("%v: executed %d tasks, want %d", pol, total, kc.k.Tasks(n))
+				}
+				if resid := kc.k.Numerics.Residual(a, work); resid > 1e-8 {
+					t.Fatalf("%v: %s = %g", pol, kc.k.Numerics.Label, resid)
+				}
+			}
+		})
 	}
 }
 
@@ -228,84 +247,33 @@ func TestRunCholeskyRejectsIndefinite(t *testing.T) {
 	for i := 0; i < n*l; i++ {
 		a.Block(i/l, i/l).Set(i%l, i%l, -1)
 	}
-	if _, err := RunCholesky(a, p, dag.RandomReady, root.Split()); err == nil {
+	if _, err := RunDAG(cholesky.Kernel, a, p, dag.RandomReady, root.Split()); err == nil {
 		t.Fatal("indefinite matrix did not produce an error")
 	}
 }
 
-func TestRunCholeskySingleWorkerMatchesSerial(t *testing.T) {
-	const n, l = 6, 3
-	root := rng.New(10)
-	a := linalg.NewBlockedMatrix(n, l)
-	linalg.RandomSPD(a, root.Split())
+func TestRunDAGMatchesSerial(t *testing.T) {
+	const l = 3
+	for _, kc := range dagKernels {
+		t.Run(kc.name, func(t *testing.T) {
+			root := rng.New(kc.serialSeed)
+			a := linalg.NewBlockedMatrix(kc.serialN, l)
+			kc.k.Numerics.Fill(a, root.Split())
 
-	concurrent := linalg.NewBlockedMatrix(n, l)
-	serial := linalg.NewBlockedMatrix(n, l)
-	for i, blk := range a.Blocks {
-		copy(concurrent.Blocks[i].Data, blk.Data)
-		copy(serial.Blocks[i].Data, blk.Data)
-	}
-	if _, err := RunCholesky(concurrent, 1, dag.LocalityReady, root.Split()); err != nil {
-		t.Fatal(err)
-	}
-	if err := linalg.TiledCholesky(serial); err != nil {
-		t.Fatal(err)
-	}
-	if d := concurrent.MaxAbsDiff(serial); d > 1e-9 {
-		t.Fatalf("single-worker concurrent result differs from serial by %g", d)
-	}
-}
-
-func TestRunLUCorrectAllPolicies(t *testing.T) {
-	const n, l, p = 8, 4, 4
-	root := rng.New(11)
-	a := linalg.NewBlockedMatrix(n, l)
-	linalg.RandomDominant(a, root.Split())
-
-	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
-		work := linalg.NewBlockedMatrix(n, l)
-		for i, blk := range a.Blocks {
-			copy(work.Blocks[i].Data, blk.Data)
-		}
-		res, err := RunLU(work, p, pol, root.Split())
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		total := 0
-		for _, v := range res.TasksPer {
-			total += v
-		}
-		if total != lu.Kernel.Tasks(n) {
-			t.Fatalf("%v: executed %d tasks, want %d", pol, total, lu.Kernel.Tasks(n))
-		}
-		if resid := linalg.LUResidual(a, work); resid > 1e-8 {
-			t.Fatalf("%v: |A − L·U| = %g", pol, resid)
-		}
-	}
-}
-
-func TestRunLUMatchesSerial(t *testing.T) {
-	const n, l = 5, 3
-	root := rng.New(12)
-	a := linalg.NewBlockedMatrix(n, l)
-	linalg.RandomDominant(a, root.Split())
-
-	concurrent := linalg.NewBlockedMatrix(n, l)
-	serial := linalg.NewBlockedMatrix(n, l)
-	for i, blk := range a.Blocks {
-		copy(concurrent.Blocks[i].Data, blk.Data)
-		copy(serial.Blocks[i].Data, blk.Data)
-	}
-	if _, err := RunLU(concurrent, 3, dag.CriticalPathReady, root.Split()); err != nil {
-		t.Fatal(err)
-	}
-	if err := linalg.TiledLU(serial); err != nil {
-		t.Fatal(err)
-	}
-	// Trailing updates commute but are applied in different orders, so
-	// allow a tiny float tolerance rather than exact equality.
-	if d := concurrent.MaxAbsDiff(serial); d > 1e-9 {
-		t.Fatalf("concurrent LU differs from serial by %g", d)
+			concurrent, serial := a.Clone(), a.Clone()
+			if _, err := RunDAG(kc.k, concurrent, kc.workers, kc.policy, root.Split()); err != nil {
+				t.Fatal(err)
+			}
+			if err := kc.serial(serial); err != nil {
+				t.Fatal(err)
+			}
+			// With more than one worker, trailing updates commute but
+			// are applied in different orders, so allow a tiny float
+			// tolerance rather than exact equality.
+			if d := concurrent.MaxAbsDiff(serial); d > 1e-9 {
+				t.Fatalf("%d-worker concurrent result differs from serial by %g", kc.workers, d)
+			}
+		})
 	}
 }
 
@@ -324,24 +292,17 @@ func TestExecMatchesSimOneWorker(t *testing.T) {
 	}
 	const n, l = 6, 2
 	for _, pol := range []dag.Policy{dag.RandomReady, dag.LocalityReady, dag.CriticalPathReady} {
-		t.Run("cholesky-"+pol.String(), func(t *testing.T) {
-			a := linalg.NewBlockedMatrix(n, l)
-			linalg.RandomSPD(a, rng.New(1))
-			res, err := RunCholesky(a, 1, pol, rng.New(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(t, res, sim.RunDriver(dag.NewDriver(cholesky.Kernel, n, 1, pol, rng.New(2)), one))
-		})
-		t.Run("lu-"+pol.String(), func(t *testing.T) {
-			a := linalg.NewBlockedMatrix(n, l)
-			linalg.RandomDominant(a, rng.New(1))
-			res, err := RunLU(a, 1, pol, rng.New(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(t, res, sim.RunDriver(dag.NewDriver(lu.Kernel, n, 1, pol, rng.New(2)), one))
-		})
+		for _, kc := range dagKernels {
+			t.Run(kc.name+"-"+pol.String(), func(t *testing.T) {
+				a := linalg.NewBlockedMatrix(n, l)
+				kc.k.Numerics.Fill(a, rng.New(1))
+				res, err := RunDAG(kc.k, a, 1, pol, rng.New(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, res, sim.RunDriver(dag.NewDriver(kc.k, n, 1, pol, rng.New(2)), one))
+			})
+		}
 	}
 	for name, build := range matrixBuilders(n, 1) {
 		t.Run("gemm-"+name, func(t *testing.T) {

@@ -2,15 +2,12 @@ package exec
 
 import (
 	"hetsched/internal/core"
-	"hetsched/internal/dag"
 	"hetsched/internal/linalg"
-	"hetsched/internal/lu"
 	"hetsched/internal/outer"
-	"hetsched/internal/rng"
 )
 
-// The outer-product and LU executors have no caller outside the tests,
-// which verify them against the reference kernels.
+// The outer-product executor has no caller outside the tests, which
+// verify it against the reference kernel.
 
 // RunOuter executes the outer product M = a·bᵀ under sched and returns
 // the computed blocked matrix. Distinct tasks write distinct M blocks,
@@ -26,13 +23,4 @@ func RunOuter(sched core.Scheduler, a, b *linalg.BlockedVector, opts Options) (*
 		linalg.OuterUpdate(a.Blocks[i], b.Blocks[j], m.Block(i, j))
 	})
 	return m, res
-}
-
-// RunLU factors the blocked diagonally dominant matrix a in place into
-// its packed L\U factors using real worker goroutines driven by the
-// generic DAG driver — the LU counterpart of RunCholesky, sharing the
-// same master loop.
-func RunLU(a *linalg.BlockedMatrix, workers int, policy dag.Policy, r *rng.PCG) (*Result, error) {
-	drv := dag.NewDriver(lu.Kernel, a.N, workers, policy, r)
-	return runDriver(drv, Options{Workers: workers}, func(_ int, ct core.Task) error { return lu.Apply(ct, a) })
 }

@@ -12,12 +12,10 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"strings"
 
-	"hetsched/internal/analysis"
 	"hetsched/internal/core"
 	"hetsched/internal/flat"
-	"hetsched/internal/matmul"
-	"hetsched/internal/outer"
 	"hetsched/internal/plot"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -76,48 +74,32 @@ const (
 	stTwoPhases
 )
 
-// kernel is one flat kernel as the experiments run it: the engine's
-// kernel value and the analysis' lower bound, predicted ratio and
-// heterogeneous β optimiser.
-type kernel struct {
-	name        string
-	flat        *flat.Kernel
-	lowerBound  func(rs []float64, n int) float64
-	ratio       func(beta float64, rs []float64, n int) float64
-	optimalBeta func(rs []float64, n int) (beta, ratio float64)
-}
-
-var (
-	outerKernel  = kernel{"outer", outer.Kernel, analysis.LowerBoundOuter, analysis.RatioOuter, analysis.OptimalBetaOuter}
-	matrixKernel = kernel{"matrix", matmul.Kernel, analysis.LowerBoundMatrix, analysis.RatioMatrix, analysis.OptimalBetaMatrix}
-)
-
-// strategyName is the paper's name for strategy st on k.
-func (k kernel) strategyName(st strategyID) string {
+// name is the paper's name for strategy st on k.
+func (st strategyID) name(k *flat.Kernel) string {
 	switch st {
 	case stRandom:
-		return "Random" + k.flat.Name
+		return "Random" + k.Name
 	case stSorted:
-		return "Sorted" + k.flat.Name
+		return "Sorted" + k.Name
 	case stDynamic:
-		return "Dynamic" + k.flat.Name
+		return "Dynamic" + k.Name
 	}
-	return "Dynamic" + k.flat.Name + "2Phases"
+	return "Dynamic" + k.Name + "2Phases"
 }
 
-// newScheduler builds k's scheduler for strategy st. Only the two-phase
+// scheduler builds k's scheduler for strategy st. Only the two-phase
 // strategy reads beta: it switches at the threshold beta gives, the
 // analysis β* for the platform in the paper's recommended tuning.
-func (k kernel) newScheduler(st strategyID, n, p int, beta float64, r *rng.PCG) core.Scheduler {
+func (st strategyID) scheduler(k *flat.Kernel, n, p int, beta float64, r *rng.PCG) core.Scheduler {
 	switch st {
 	case stRandom:
-		return flat.NewRandom(k.flat, n, p, r)
+		return flat.NewRandom(k, n, p, r)
 	case stSorted:
-		return flat.NewSorted(k.flat, n, p, r)
+		return flat.NewSorted(k, n, p, r)
 	case stDynamic:
-		return flat.NewDynamic(k.flat, n, p, r)
+		return flat.NewDynamic(k, n, p, r)
 	case stTwoPhases:
-		return flat.NewTwoPhases(k.flat, n, p, k.flat.ThresholdFromBeta(beta, n), r)
+		return flat.NewTwoPhases(k, n, p, k.ThresholdFromBeta(beta, n), r)
 	}
 	panic("experiments: unknown strategy")
 }
@@ -170,21 +152,21 @@ type sweepOut struct {
 // on the pool, drawing a fresh platform per replication. Each
 // replication consumes 1+2·len(sts) streams in the serial loop's
 // order: platform speeds, then scheduler and model per strategy.
-func sweepStrategiesAsync(pl *pool, k kernel, sts []strategyID, n, p, reps int, spec platformSpec, root *rng.PCG, withAnalysis bool) *rep[sweepOut] {
+func sweepStrategiesAsync(pl *pool, k *flat.Kernel, sts []strategyID, n, p, reps int, spec platformSpec, root *rng.PCG, withAnalysis bool) *rep[sweepOut] {
 	return replicate(pl, reps, 1+2*len(sts), root, func(_ int, streams []*rng.PCG) sweepOut {
 		init := spec.gen(p, streams[0])
 		rs := speeds.Relative(init)
-		lb := k.lowerBound(rs, n)
+		lb := k.LowerBound(rs, n)
 		out := sweepOut{vals: make([]float64, len(sts))}
 		// One optimisation gives both the two-phase threshold and
 		// the analysis prediction.
 		var beta float64
 		if withAnalysis || slices.Contains(sts, stTwoPhases) {
-			beta, out.ana = k.optimalBeta(rs, n)
+			beta, out.ana = k.OptimalBeta(rs, n)
 		}
 		for si, st := range sts {
 			schedRNG, modelRNG := streams[1+2*si], streams[2+2*si]
-			sched := k.newScheduler(st, n, p, beta, schedRNG)
+			sched := st.scheduler(k, n, p, beta, schedRNG)
 			m := sim.Run(sched, spec.model(init, modelRNG))
 			out.vals[si] = float64(m.Blocks) / lb
 		}
@@ -219,7 +201,7 @@ func finishSweep(sts []strategyID, fut *rep[sweepOut], withAnalysis bool) (map[s
 // pSweepFigure builds the p-sweep figures (Figs 1, 4, 5, 9, 10): one
 // series per strategy (and optionally the analysis) over a grid of
 // processor counts.
-func pSweepFigure(cfg Config, id, title string, k kernel, n int, ps []int, sts []strategyID, reps int, withAnalysis bool) *plot.Result {
+func pSweepFigure(cfg Config, id, title string, k *flat.Kernel, n int, ps []int, sts []strategyID, reps int, withAnalysis bool) *plot.Result {
 	root := cfg.figSeed(id)
 	res := &plot.Result{
 		ID:     id,
@@ -230,7 +212,7 @@ func pSweepFigure(cfg Config, id, title string, k kernel, n int, ps []int, sts [
 	series := make(map[strategyID]*plot.Series, len(sts))
 	order := make([]*plot.Series, 0, len(sts)+1)
 	for _, st := range sts {
-		s := &plot.Series{Name: k.strategyName(st)}
+		s := &plot.Series{Name: st.name(k)}
 		series[st] = s
 		order = append(order, s)
 	}
@@ -263,7 +245,7 @@ func pSweepFigure(cfg Config, id, title string, k kernel, n int, ps []int, sts [
 	for _, s := range order {
 		res.Series = append(res.Series, *s)
 	}
-	res.Notes = append(res.Notes, fmt.Sprintf("%s kernel, n=%d blocks, %d replications per point, speeds %s", k.name, n, reps, defaultPlatform.name))
+	res.Notes = append(res.Notes, fmt.Sprintf("%s kernel, n=%d blocks, %d replications per point, speeds %s", strings.ToLower(k.Name), n, reps, defaultPlatform.name))
 	return res
 }
 
@@ -271,14 +253,14 @@ func pSweepFigure(cfg Config, id, title string, k kernel, n int, ps []int, sts [
 // two-phase strategy at each β against the analysis prediction and the
 // data-aware strategy alone, on one fixed platform of p workers. It
 // returns the figure and that platform's relative speeds.
-func betaSweepFigure(cfg Config, id, title string, k kernel, n, p int, betas []float64) (*plot.Result, []float64) {
+func betaSweepFigure(cfg Config, id, title string, k *flat.Kernel, n, p int, betas []float64) (*plot.Result, []float64) {
 	root := cfg.figSeed(id)
 	reps := cfg.reps(10)
 
 	// One fixed arbitrary speed distribution, as in the paper.
 	init := defaultPlatform.gen(p, root.Split())
 	rs := speeds.Relative(init)
-	lb := k.lowerBound(rs, n)
+	lb := k.LowerBound(rs, n)
 
 	res := &plot.Result{
 		ID:     id,
@@ -291,22 +273,22 @@ func betaSweepFigure(cfg Config, id, title string, k kernel, n, p int, betas []f
 	betaFuts := make([]*rep[float64], len(betas))
 	for i, b := range betas {
 		betaFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return k.newScheduler(stTwoPhases, n, p, b, r)
+			return stTwoPhases.scheduler(k, n, p, b, r)
 		})
 	}
 	dynFut := measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-		return k.newScheduler(stDynamic, n, p, 0, r)
+		return stDynamic.scheduler(k, n, p, 0, r)
 	})
 
-	simSeries := plot.Series{Name: k.strategyName(stTwoPhases)}
+	simSeries := plot.Series{Name: stTwoPhases.name(k)}
 	anaSeries := plot.Series{Name: "Analysis"}
 	for i, b := range betas {
 		s := summarize(betaFuts[i].Wait())
 		simSeries.Points = append(simSeries.Points, plot.Point{X: b, Y: s.Mean, StdDev: s.StdDev})
-		anaSeries.Points = append(anaSeries.Points, plot.Point{X: b, Y: k.ratio(b, rs, n)})
+		anaSeries.Points = append(anaSeries.Points, plot.Point{X: b, Y: k.Ratio(b, rs, n)})
 	}
 
-	dynSeries := plot.Series{Name: k.strategyName(stDynamic)}
+	dynSeries := plot.Series{Name: stDynamic.name(k)}
 	dynSum := summarize(dynFut.Wait())
 	for _, b := range betas {
 		dynSeries.Points = append(dynSeries.Points, plot.Point{X: b, Y: dynSum.Mean, StdDev: dynSum.StdDev})

@@ -442,7 +442,7 @@ func TestCholeskyAndLULocalityWin(t *testing.T) {
 // TestConvergenceDeviationShrinks: the headline of the mean-field
 // experiments — larger n tracks the closed form more tightly.
 func TestConvergenceDeviationShrinks(t *testing.T) {
-	res := Convergence(Config{Seed: 14, Reps: 8}) // full sizes, n ∈ {30,100,300}
+	res := odeOuter.run(Config{Seed: 14, Reps: 8}) // full sizes, n ∈ {30,100,300}
 	// Parse the deviations out of the notes? No — recompute from the
 	// series directly.
 	devOf := func(n int) float64 {

@@ -52,9 +52,9 @@ func MapReduce(cfg Config) *plot.Result {
 			lb := analysis.LowerBoundOuter(rs, n)
 
 			m1 := sim.Run(outer.NewDynamic1D(n, p, streams[1]), speeds.NewFixed(init))
-			beta, _ := outerKernel.optimalBeta(rs, n)
-			mR := sim.Run(outerKernel.newScheduler(stRandom, n, p, 0, streams[2]), speeds.NewFixed(init))
-			mT := sim.Run(outerKernel.newScheduler(stTwoPhases, n, p, beta, streams[3]), speeds.NewFixed(init))
+			beta, _ := outer.Kernel.OptimalBeta(rs, n)
+			mR := sim.Run(stRandom.scheduler(outer.Kernel, n, p, 0, streams[2]), speeds.NewFixed(init))
+			mT := sim.Run(stTwoPhases.scheduler(outer.Kernel, n, p, beta, streams[3]), speeds.NewFixed(init))
 			return out{
 				// Emit-all-pairs ships 2 blocks per task, unconditionally.
 				emit:   2 * float64(n) * float64(n) / lb,

@@ -26,7 +26,7 @@ func Fig9(cfg Config) *plot.Result {
 	}
 	return pSweepFigure(cfg, "fig9",
 		"matrix multiplication: all strategies and analysis (n=40)",
-		matrixKernel, n, matrixPs(cfg),
+		matmul.Kernel, n, matrixPs(cfg),
 		[]strategyID{stTwoPhases, stDynamic, stRandom, stSorted},
 		cfg.reps(10), true)
 }
@@ -40,7 +40,7 @@ func Fig10(cfg Config) *plot.Result {
 	}
 	return pSweepFigure(cfg, "fig10",
 		"matrix multiplication: all strategies and analysis (n=100)",
-		matrixKernel, n, matrixPs(cfg),
+		matmul.Kernel, n, matrixPs(cfg),
 		[]strategyID{stTwoPhases, stDynamic, stRandom, stSorted},
 		cfg.reps(10), true)
 }
@@ -59,7 +59,7 @@ func Fig11(cfg Config) *plot.Result {
 	if cfg.Quick {
 		betas = []float64{1, 3, 5, 7, 9}
 	}
-	res, rs := betaSweepFigure(cfg, "fig11", "matrix multiplication: communication vs beta", matrixKernel, n, p, betas)
+	res, rs := betaSweepFigure(cfg, "fig11", "matrix multiplication: communication vs beta", matmul.Kernel, n, p, betas)
 
 	betaStar, _ := analysis.OptimalBetaMatrix(rs, n)
 	betaHom, _ := analysis.OptimalBetaMatrix(speeds.Homogeneous(p), n)

@@ -32,7 +32,7 @@ func outerN(cfg Config, n int) int {
 func Fig1(cfg Config) *plot.Result {
 	return pSweepFigure(cfg, "fig1",
 		"outer product: random vs data-aware strategies (n=100)",
-		outerKernel, outerN(cfg, 100), outerPs(cfg),
+		outer.Kernel, outerN(cfg, 100), outerPs(cfg),
 		[]strategyID{stDynamic, stRandom, stSorted},
 		cfg.reps(10), false)
 }
@@ -42,7 +42,7 @@ func Fig1(cfg Config) *plot.Result {
 func Fig4(cfg Config) *plot.Result {
 	return pSweepFigure(cfg, "fig4",
 		"outer product: all strategies and analysis (n=100)",
-		outerKernel, outerN(cfg, 100), outerPs(cfg),
+		outer.Kernel, outerN(cfg, 100), outerPs(cfg),
 		[]strategyID{stTwoPhases, stDynamic, stRandom, stSorted},
 		cfg.reps(10), true)
 }
@@ -56,7 +56,7 @@ func Fig5(cfg Config) *plot.Result {
 	}
 	return pSweepFigure(cfg, "fig5",
 		"outer product: all strategies and analysis (n=1000)",
-		outerKernel, n, outerPs(cfg),
+		outer.Kernel, n, outerPs(cfg),
 		[]strategyID{stTwoPhases, stDynamic, stRandom, stSorted},
 		cfg.reps(10), true)
 }
@@ -101,7 +101,7 @@ func Fig2(cfg Config) *plot.Result {
 	refFuts := make([]*rep[float64], len(refSts))
 	for i, st := range refSts {
 		refFuts[i] = measureNorm(pl, reps, root, init, lb, func(r *rng.PCG) core.Scheduler {
-			return outerKernel.newScheduler(st, n, p, 0, r)
+			return st.scheduler(outer.Kernel, n, p, 0, r)
 		})
 	}
 
@@ -113,7 +113,7 @@ func Fig2(cfg Config) *plot.Result {
 	res.Series = append(res.Series, twoPhase)
 	for i, st := range refSts {
 		s := summarize(refFuts[i].Wait())
-		ref := plot.Series{Name: outerKernel.strategyName(st)}
+		ref := plot.Series{Name: st.name(outer.Kernel)}
 		for _, frac := range fracs {
 			ref.Points = append(ref.Points, plot.Point{X: frac * 100, Y: s.Mean, StdDev: s.StdDev})
 		}
@@ -139,7 +139,7 @@ func Fig6(cfg Config) *plot.Result {
 	if cfg.Quick {
 		betas = []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	}
-	res, rs := betaSweepFigure(cfg, "fig6", "outer product: communication vs beta", outerKernel, n, p, betas)
+	res, rs := betaSweepFigure(cfg, "fig6", "outer product: communication vs beta", outer.Kernel, n, p, betas)
 
 	betaStar, _ := analysis.OptimalBetaOuter(rs, n)
 	betaHom, _ := analysis.OptimalBetaOuter(speeds.Homogeneous(p), n)
@@ -172,7 +172,7 @@ func Fig7(cfg Config) *plot.Result {
 	sts := []strategyID{stTwoPhases, stDynamic, stRandom, stSorted}
 	series := map[strategyID]*plot.Series{}
 	for _, st := range sts {
-		series[st] = &plot.Series{Name: outerKernel.strategyName(st)}
+		series[st] = &plot.Series{Name: st.name(outer.Kernel)}
 	}
 	anaSeries := &plot.Series{Name: "Analysis"}
 
@@ -183,7 +183,7 @@ func Fig7(cfg Config) *plot.Result {
 			name: fmt.Sprintf("unif[%g,%g]", 100-h, 100+h),
 			gen:  func(p int, r *rng.PCG) []float64 { return speeds.Heterogeneity(p, h, r) },
 		}
-		futs[i] = sweepStrategiesAsync(pl, outerKernel, sts, n, p, reps, spec, root, true)
+		futs[i] = sweepStrategiesAsync(pl, outer.Kernel, sts, n, p, reps, spec, root, true)
 	}
 	for i, h := range hs {
 		sums, ana := finishSweep(sts, futs[i], true)
@@ -257,14 +257,14 @@ func Fig8(cfg Config) *plot.Result {
 	sts := []strategyID{stTwoPhases, stDynamic, stRandom, stSorted}
 	series := map[strategyID]*plot.Series{}
 	for _, st := range sts {
-		series[st] = &plot.Series{Name: outerKernel.strategyName(st)}
+		series[st] = &plot.Series{Name: st.name(outer.Kernel)}
 	}
 	anaSeries := &plot.Series{Name: "Analysis"}
 
 	pl := cfg.pool()
 	futs := make([]*rep[sweepOut], len(scenarios))
 	for idx, spec := range scenarios {
-		futs[idx] = sweepStrategiesAsync(pl, outerKernel, sts, n, p, reps, spec, root, true)
+		futs[idx] = sweepStrategiesAsync(pl, outer.Kernel, sts, n, p, reps, spec, root, true)
 	}
 	for idx, spec := range scenarios {
 		x := float64(idx)

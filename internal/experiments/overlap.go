@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hetsched/internal/analysis"
+	"hetsched/internal/outer"
 	"hetsched/internal/plot"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
@@ -54,9 +55,9 @@ func Overlap(cfg Config) *plot.Result {
 			ideal := float64(n*n) / sumS
 			var beta float64
 			if st == stTwoPhases {
-				beta, _ = outerKernel.optimalBeta(rs, n)
+				beta, _ = outer.Kernel.OptimalBeta(rs, n)
 			}
-			sched := outerKernel.newScheduler(st, n, p, beta, streams[1])
+			sched := st.scheduler(outer.Kernel, n, p, beta, streams[1])
 			m := sim.RunBandwidth(sched, speeds.NewFixed(init), bw, la)
 			return m.Makespan / ideal
 		})
@@ -86,7 +87,7 @@ func Overlap(cfg Config) *plot.Result {
 
 	xInf := 2 * bandwidths[len(bandwidths)-2]
 	for si, st := range sts {
-		s := plot.Series{Name: outerKernel.strategyName(st) + " (lookahead 2)"}
+		s := plot.Series{Name: st.name(outer.Kernel) + " (lookahead 2)"}
 		for bi, bw := range bandwidths {
 			x := bw
 			if math.IsInf(bw, 1) {
@@ -98,7 +99,7 @@ func Overlap(cfg Config) *plot.Result {
 		res.Series = append(res.Series, s)
 	}
 	for si, st := range sts {
-		s := plot.Series{Name: fmt.Sprintf("%s (B=%d, vs lookahead)", outerKernel.strategyName(st), tightBW)}
+		s := plot.Series{Name: fmt.Sprintf("%s (B=%d, vs lookahead)", st.name(outer.Kernel), tightBW)}
 		for li, la := range lookaheads {
 			// Encode lookahead on the same x axis, scaled for
 			// readability in the combined chart.

@@ -30,12 +30,12 @@ var Registry = map[string]Experiment{
 	"sec36":          {"sec36", "speed-agnostic beta estimation study (§3.6)", Sec36},
 	"abl-static":     {"abl-static", "extension: dynamic vs static 7/4 partition", AblationStatic},
 	"abl-phase2":     {"abl-phase2", "extension: frozen vs accumulating phase-2 model", AblationPhase2},
-	"abl-ode":        {"abl-ode", "extension: mean-field convergence of g(x) to (1−x²)^α", Convergence},
+	"abl-ode":        {"abl-ode", "extension: mean-field convergence of g(x) to (1−x²)^α", odeOuter.run},
 	"abl-robust":     {"abl-robust", "extension: static vs dynamic under misestimated speeds", Robustness},
 	"abl-cholesky":   {"abl-cholesky", "extension: dependency-aware scheduling of tiled Cholesky", choleskySweep.run},
 	"abl-mapreduce":  {"abl-mapreduce", "extension: data-oblivious MapReduce vs data-aware scheduling", MapReduce},
 	"abl-overlap":    {"abl-overlap", "extension: finite master bandwidth and prefetch lookahead", Overlap},
-	"abl-ode-matrix": {"abl-ode-matrix", "extension: mean-field convergence of g(x) to (1−x³)^α", ConvergenceMatrix},
+	"abl-ode-matrix": {"abl-ode-matrix", "extension: mean-field convergence of g(x) to (1−x³)^α", odeMatrix.run},
 	"abl-perproc":    {"abl-perproc", "extension: per-processor communication prediction vs simulation", PerProcessor},
 	"abl-switchtime": {"abl-switchtime", "extension: Lemma 3 — processor-independent switch instant", SwitchTime},
 	"abl-lu":         {"abl-lu", "extension: dependency-aware scheduling of tiled LU", luSweep.run},

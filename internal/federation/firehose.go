@@ -3,7 +3,6 @@ package federation
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,11 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"hetsched/internal/events"
+	"hetsched/internal/service"
 )
-
-// sseHeartbeat matches the single-host server's idle comment cadence.
-const sseHeartbeat = 15 * time.Second
 
 // errSinkDone reports that the fan-in sink stopped accepting frames
 // (client gone or ?max reached); pumps unwind on it.
@@ -88,17 +84,10 @@ func (rt *Router) handleFirehose(w http.ResponseWriter, r *http.Request) {
 		}
 		max = n
 	}
-	fl, ok := w.(http.Flusher)
+	fl, ok := service.StartSSE(w)
 	if !ok {
-		errJSON(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
 	sink := &sseSink{w: w, fl: fl, max: max, done: make(chan struct{})}
 	var pumps sync.WaitGroup
@@ -112,7 +101,7 @@ func (rt *Router) handleFirehose(w http.ResponseWriter, r *http.Request) {
 
 	// The handler goroutine owns the heartbeat and the client-gone
 	// signal; pumps only ever write through the sink.
-	heartbeat := time.NewTicker(sseHeartbeat)
+	heartbeat := time.NewTicker(service.SSEHeartbeat)
 	defer heartbeat.Stop()
 	allDone := make(chan struct{})
 	go func() { pumps.Wait(); close(allDone) }()
@@ -125,56 +114,30 @@ func (rt *Router) handleFirehose(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-allDone:
 			// Every host's stream ended (all unreachable, or all ended
-			// server-side): terminal frame, mirroring serveSSE.
-			sink.frame([]byte("event: end\ndata: {}\n\n"), false)
+			// server-side): the terminal frame.
+			sink.frame(service.SSEEnd, false)
 			return
 		case <-heartbeat.C:
-			if sink.frame([]byte(": ping\n\n"), false) != nil {
+			if sink.frame(service.SSEPing, false) != nil {
 				return
 			}
 		}
 	}
 }
 
-// pump drains the host's firehose into the sink, framing events
-// exactly as the single-host serveSSE does.
+// pump drains the host's firehose into the sink, framed as the
+// single-host stream frames it.
 func (p *local) pump(sink *sseSink, _ *http.Request) {
-	sub := p.srv.Bus().SubscribeFirehose(0)
-	defer sub.Close()
-	var (
-		buf      []events.Event
-		frame    bytes.Buffer
-		reported uint64
-	)
+	stream := service.SSEStream{Subscriber: p.srv.Bus().SubscribeFirehose(0)}
+	defer stream.Close()
 	for {
-		evs, dropped, closed := sub.Poll(buf[:0])
-		buf = evs
-		if dropped > reported {
-			frame.Reset()
-			fmt.Fprintf(&frame, "event: drops\ndata: {\"dropped\":%d,\"total\":%d}\n\n", dropped-reported, dropped)
-			reported = dropped
-			if sink.frame(frame.Bytes(), false) != nil {
-				return
-			}
-		}
-		for _, e := range evs {
-			data, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			frame.Reset()
-			fmt.Fprintf(&frame, "id: %d\ndata: %s\n\n", e.Seq, data)
-			if sink.frame(frame.Bytes(), true) != nil {
-				return
-			}
-		}
-		if closed {
+		if closed, err := stream.Frames(sink.frame); closed || err != nil {
 			return
 		}
 		select {
 		case <-sink.done:
 			return
-		case <-sub.Ready():
+		case <-stream.Ready():
 		}
 	}
 }

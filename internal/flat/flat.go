@@ -6,9 +6,9 @@
 // each worker holds), the strategies Random, Sorted and TwoPhases, the
 // β-to-threshold helpers, the §3.6 speed-agnostic β and the state codec
 // of all of them — behind a Kernel value that says only what differs:
-// which blocks a task reads, the homogeneous β optimiser and the
-// data-aware strategy (Algorithm 1 or 3), which is also TwoPhases'
-// first phase.
+// which blocks a task reads, the data-aware strategy (Algorithm 1 or
+// 3), which is also TwoPhases' first phase, and the kernel's analysis
+// (bounds, β optimisers and mean-field curve).
 //
 // Every strategy is a core.Scheduler state machine, driven by the
 // event simulator (package sim), the real runtime (package exec) or the
@@ -24,7 +24,8 @@ import (
 	"hetsched/internal/rng"
 )
 
-// Kernel is what one flat kernel adds to the engine.
+// Kernel is what one flat kernel adds to the engine, the one place its
+// task shape, data-aware strategy and analysis are written.
 type Kernel struct {
 	// Name completes the strategy names: "Random"+Name, "Sorted"+Name
 	// and "Dynamic"+Name+"2Phases".
@@ -35,11 +36,24 @@ type Kernel struct {
 	// Receive gives worker w the blocks task t reads and returns how
 	// many it did not hold: the blocks the grant ships.
 	Receive func(in *Instance, w int, t core.Task) int
-	// OptimalBeta is the analysis' β for p equal-speed workers on n
-	// blocks per dimension.
-	OptimalBeta func(p, n int) (beta, ratio float64)
 	// NewDynamic builds the kernel's data-aware strategy on in.
 	NewDynamic func(in *Instance) Dynamic
+
+	// LowerBound is the fewest blocks a run on relative speeds rs can
+	// ship, Ratio the analysis' communication of TwoPhases at β over
+	// that bound, and OptimalBeta the β minimising Ratio.
+	LowerBound  func(rs []float64, n int) float64
+	Ratio       func(beta float64, rs []float64, n int) float64
+	OptimalBeta func(rs []float64, n int) (beta, ratio float64)
+	// OptimalBetaHomogeneous is OptimalBeta for p equal-speed workers:
+	// the §3.6 speed-agnostic β.
+	OptimalBetaHomogeneous func(p, n int) (beta, ratio float64)
+	// APosterioriLB is the fewest blocks a run that gave its workers
+	// those task counts can have shipped.
+	APosterioriLB func(tasksPer []int) float64
+	// G is the mean-field fraction of a worker's unprocessed tasks when
+	// it knows a fraction x of each input, (1−x^d)^α (Lemmas 1 and 7).
+	G func(x, alpha float64) float64
 }
 
 // Dynamic is a kernel's data-aware strategy: a scheduler of its own,
@@ -53,6 +67,9 @@ type Dynamic interface {
 	// Release is called at TwoPhases' switch: the strategy drops what
 	// it will not need again, and its state codec writes what is left.
 	Release()
+	// Known is the size of worker w's index sets, x·n in the mean-field
+	// analysis.
+	Known(w int) int
 }
 
 // Instance is the bookkeeping one run's strategy shares with the

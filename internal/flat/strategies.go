@@ -184,7 +184,7 @@ func (k *Kernel) autoBeta(n, p int) float64 {
 	if v, ok := autoBetaCache.Load(key); ok {
 		return v.(float64)
 	}
-	beta, _ := k.OptimalBeta(p, n)
+	beta, _ := k.OptimalBetaHomogeneous(p, n)
 	autoBetaCache.Store(key, beta)
 	return beta
 }

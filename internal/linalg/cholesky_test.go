@@ -136,10 +136,7 @@ func TestTiledCholeskyMatchesResidual(t *testing.T) {
 	r := rng.New(4)
 	a := NewBlockedMatrix(n, l)
 	RandomSPD(a, r)
-	work := NewBlockedMatrix(n, l)
-	for i, blk := range a.Blocks {
-		copy(work.Blocks[i].Data, blk.Data)
-	}
+	work := a.Clone()
 	if err := TiledCholesky(work); err != nil {
 		t.Fatal(err)
 	}

@@ -152,6 +152,15 @@ func (m *BlockedMatrix) Block(i, j int) *Block {
 	return m.Blocks[i*m.N+j]
 }
 
+// Clone returns a copy of m.
+func (m *BlockedMatrix) Clone() *BlockedMatrix {
+	c := NewBlockedMatrix(m.N, m.L)
+	for i, b := range m.Blocks {
+		copy(c.Blocks[i].Data, b.Data)
+	}
+	return c
+}
+
 // Fill fills every block with pseudo-random values in [-1, 1).
 func (m *BlockedMatrix) Fill(r *rng.PCG) {
 	for _, b := range m.Blocks {

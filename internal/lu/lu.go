@@ -6,15 +6,17 @@
 // Cholesky's (both triangles are active), making it a second test of
 // the dependency-aware demand-driven engine.
 //
-// The structure mirrors package cholesky: Kernel is the task graph,
-// Apply runs one task's tile kernel, and Replay validates a completion
-// order numerically.
+// The structure mirrors package cholesky: Kernel is the task graph and
+// its numerics, through which Kernel.Replay validates a completion
+// order.
 package lu
 
 import (
 	"fmt"
 
+	"hetsched/internal/core"
 	"hetsched/internal/dag"
+	"hetsched/internal/linalg"
 )
 
 // Task kinds of the tiled right-looking LU factorization.
@@ -34,6 +36,12 @@ var Kernel = &dag.Kernel{
 	TotalWork:    totalWork,
 	CriticalPath: criticalPath,
 	New:          newProgress,
+	Numerics: &dag.Numerics{
+		Apply:    apply,
+		Fill:     linalg.RandomDominant,
+		Residual: linalg.LUResidual,
+		Label:    "|A − L·U|",
+	},
 }
 
 // cost is the relative cost in GEMM-equivalent flop units (GETRF
@@ -98,4 +106,24 @@ func criticalPath(n int) float64 {
 		}
 	}
 	return cp
+}
+
+// apply runs the tile kernel of the encoded task ct on m in place.
+func apply(ct core.Task, m *linalg.BlockedMatrix) error {
+	t := dag.DecodeTask(ct, m.N)
+	switch t.Kind {
+	case getrf:
+		if err := linalg.GetrfBlock(m.Block(t.K, t.K)); err != nil {
+			return fmt.Errorf("lu: %s: %w", format(t), err)
+		}
+	case trsmRow:
+		linalg.TrsmLowerUnitBlock(m.Block(t.K, t.J), m.Block(t.K, t.K))
+	case trsmCol:
+		linalg.TrsmUpperBlock(m.Block(t.I, t.K), m.Block(t.K, t.K))
+	case gemm:
+		linalg.GemmSubBlock(m.Block(t.I, t.J), m.Block(t.I, t.K), m.Block(t.K, t.J))
+	default:
+		return fmt.Errorf("lu: unknown task kind %d", t.Kind)
+	}
+	return nil
 }

@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"hetsched/internal/core"
 	"hetsched/internal/dag"
-	"hetsched/internal/linalg"
 	"hetsched/internal/rng"
 	"hetsched/internal/sim"
 	"hetsched/internal/speeds"
@@ -89,35 +87,6 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestNumericReplay(t *testing.T) {
-	root := rng.New(3)
-	const n, l, p = 6, 4, 3
-	a := linalg.NewBlockedMatrix(n, l)
-	linalg.RandomDominant(a, root.Split())
-
-	for _, pol := range allPolicies() {
-		work := linalg.NewBlockedMatrix(n, l)
-		for i, blk := range a.Blocks {
-			copy(work.Blocks[i].Data, blk.Data)
-		}
-		s := speeds.UniformRange(p, 10, 100, root.Split())
-		m := simulate(n, pol, s, root.Split())
-		if err := Replay(m.Schedule, work); err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if res := linalg.LUResidual(a, work); res > 1e-8 {
-			t.Fatalf("%v: |A − L·U| = %g", pol, res)
-		}
-	}
-}
-
-func TestReplayRejectsBadSchedule(t *testing.T) {
-	m := linalg.NewBlockedMatrix(3, 2)
-	if err := Replay([]core.Task{0}, m); err == nil {
-		t.Fatal("short schedule not rejected")
 	}
 }
 

@@ -29,11 +29,16 @@ import (
 // (i, j, k) over the n² blocks of A (slab 0, keyed i·n+k), B (slab 1,
 // k·n+j) and C (slab 2, i·n+j).
 var Kernel = &flat.Kernel{
-	Name:        "Matrix",
-	Dim:         3,
-	Receive:     receive,
-	OptimalBeta: analysis.OptimalBetaMatrixHomogeneous,
-	NewDynamic:  func(in *flat.Instance) flat.Dynamic { return newDynamic(in) },
+	Name:                   "Matrix",
+	Dim:                    3,
+	Receive:                receive,
+	NewDynamic:             func(in *flat.Instance) flat.Dynamic { return newDynamic(in) },
+	LowerBound:             analysis.LowerBoundMatrix,
+	Ratio:                  analysis.RatioMatrix,
+	OptimalBeta:            analysis.OptimalBetaMatrix,
+	OptimalBetaHomogeneous: analysis.OptimalBetaMatrixHomogeneous,
+	APosterioriLB:          analysis.APosterioriLBMatrix,
+	G:                      analysis.GMatrix,
 }
 
 // TaskID encodes the block triple (i, j, k) of an n-block instance.
@@ -209,9 +214,8 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	return core.Assignment{Tasks: tasks, Blocks: blocks}, true
 }
 
-// Known returns the size of worker w's index sets (|I| = |J| = |K| up
-// to the end-game boundary). Used by the mean-field convergence
-// experiment to sample x = Known/n.
+// Known implements flat.Dynamic: the size of worker w's index sets
+// (|I| = |J| = |K| up to the end-game boundary).
 func (s *Dynamic) Known(w int) int { return len(s.dyn[w].iKnown) }
 
 // Release implements flat.Dynamic: the worker state stays, as the

@@ -20,11 +20,16 @@ import (
 // Kernel is the outer product as internal/flat runs it: tasks (i, j)
 // over the n blocks of a (slab 0) and of b (slab 1).
 var Kernel = &flat.Kernel{
-	Name:        "Outer",
-	Dim:         2,
-	Receive:     receive,
-	OptimalBeta: analysis.OptimalBetaOuterHomogeneous,
-	NewDynamic:  func(in *flat.Instance) flat.Dynamic { return newDynamic(in) },
+	Name:                   "Outer",
+	Dim:                    2,
+	Receive:                receive,
+	NewDynamic:             func(in *flat.Instance) flat.Dynamic { return newDynamic(in) },
+	LowerBound:             analysis.LowerBoundOuter,
+	Ratio:                  analysis.RatioOuter,
+	OptimalBeta:            analysis.OptimalBetaOuter,
+	OptimalBetaHomogeneous: analysis.OptimalBetaOuterHomogeneous,
+	APosterioriLB:          analysis.APosterioriLBOuter,
+	G:                      analysis.GOuter,
 }
 
 // TaskID encodes the block pair (i, j) of an n-block instance.
@@ -145,9 +150,8 @@ func (s *Dynamic) step(w int, buf core.TaskBuf) (core.Assignment, bool) {
 	return core.Assignment{Tasks: tasks, Blocks: blocks}, true
 }
 
-// Known returns the number of a-blocks (equivalently b-blocks, up to
-// the end-game boundary) worker w currently holds. Used by the
-// mean-field convergence experiment to sample x = Known/n.
+// Known implements flat.Dynamic: the number of a-blocks (equivalently
+// b-blocks, up to the end-game boundary) worker w holds.
 func (s *Dynamic) Known(w int) int { return len(s.dyn[w].iKnown) }
 
 // Release implements flat.Dynamic: phase 2 needs only the ownership

@@ -10,8 +10,7 @@
 // re-ship accounting.
 //
 // Kernel is simulation-level: the simulator and the scheduler service
-// (kernel "qr") run it through dag.NewDriver; no numeric tile kernels
-// are attached.
+// (kernel "qr") run it through dag.NewDriver; its Numerics is nil.
 //
 // Task graph at step k (sequential TS chain down each panel):
 //

@@ -335,9 +335,12 @@ const maxIDLen = 64
 // them (see grantTable).
 const (
 	maxTasks = 1 << 24
-	// maxWorkers admits million-worker fleets; per-worker state (grant
-	// slot, counters, ownership bookkeeping) is a few hundred bytes, so
-	// the cap bounds a run's worker memory at a few hundred MB.
+	// maxWorkers admits million-worker fleets. On a DAG kernel the
+	// per-worker state (grant slot, counters, bookkeeping) is a few
+	// hundred bytes, so the cap bounds a run's worker memory at a few
+	// hundred MB; a flat kernel also keeps d slabs of n^(d−1) ownership
+	// bits per worker (2·n for outer, 3·n² for matmul), which it does
+	// not bound.
 	maxWorkers = 1 << 21
 	// maxBatch bounds the work done (and response built) under one
 	// Host lock acquisition; without it a single /next request could

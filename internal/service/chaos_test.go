@@ -188,16 +188,13 @@ func TestChaosWorkerDeathCholesky(t *testing.T) {
 
 	a := linalg.NewBlockedMatrix(n, l)
 	linalg.RandomSPD(a, rng.New(2).Split())
-	work := linalg.NewBlockedMatrix(n, l)
-	for i, blk := range a.Blocks {
-		copy(work.Blocks[i].Data, blk.Data)
-	}
+	work := a.Clone()
 
 	var execMu sync.Mutex // tile deps order the math; the lock orders the memory
 	accepted := chaosDrain(t, ts.URL, info, map[int]bool{0: true}, func(_ int, task int64) {
 		execMu.Lock()
 		defer execMu.Unlock()
-		if err := cholesky.Apply(core.Task(task), work); err != nil {
+		if err := cholesky.Kernel.Numerics.Apply(core.Task(task), work); err != nil {
 			t.Error(err)
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hetsched/internal/analysis"
 	"hetsched/internal/cholesky"
 	"hetsched/internal/core"
 	"hetsched/internal/dag"
@@ -17,18 +16,18 @@ import (
 )
 
 // Kernel is everything known about one kernel by name: its strategies
-// and the bounds a run of it is checked against. Run creation, the
-// cluster harness and cmd/sim all read Kernels, so a kernel, or a rule
-// about every kernel, is written once.
+// and its engine value, which holds the bounds a run of it is checked
+// against. Run creation, the cluster harness and cmd/sim all read
+// Kernels, so a kernel, or a rule about every kernel, is written once.
 type Kernel struct {
 	Name       string
 	Strategies []Strategy
 	Default    string // the strategy an empty one takes
-	// DAG is a DAG kernel's task graph; nil for the flat kernels,
-	// whose tasks all cost 1.
-	DAG           *dag.Kernel
-	TotalWork     func(n int) float64          // in the units its tasks cost
-	APosterioriLB func(tasksPer []int) float64 // flat kernels only: the fewest blocks those task counts ship
+	// Flat is a flat kernel's engine value and analysis, DAG a DAG
+	// kernel's task graph and numerics: exactly one is set.
+	Flat      *flat.Kernel
+	DAG       *dag.Kernel
+	TotalWork func(n int) float64 // in the units its tasks cost
 	// admitTasks is the task count run creation admits n on: exact for
 	// the flat kernels, the conservative n³ for the DAG kernels.
 	admitTasks func(n int64) int64
@@ -44,8 +43,8 @@ type builder func(q *CreateRunRequest, r *rng.PCG) core.Driver
 
 // Kernels holds one entry per kernel, in the order the CLI lists them.
 var Kernels = []Kernel{
-	flatKernel(KernelOuter, outer.Kernel, analysis.APosterioriLBOuter),
-	flatKernel(KernelMatmul, matmul.Kernel, analysis.APosterioriLBMatrix),
+	flatKernel(KernelOuter, outer.Kernel),
+	flatKernel(KernelMatmul, matmul.Kernel),
 	dagKernel(KernelCholesky, cholesky.Kernel),
 	dagKernel(KernelLU, lu.Kernel),
 	dagKernel(KernelQR, qr.Kernel),
@@ -93,7 +92,7 @@ func dagKernel(name string, k *dag.Kernel) Kernel {
 // flatKernel is the entry of a flat kernel: the strategies of
 // internal/flat on k. 2phases takes its switch threshold from a
 // positive Beta, and lets the analysis choose it when Beta is 0.
-func flatKernel(name string, k *flat.Kernel, lb func(tasksPer []int) float64) Kernel {
+func flatKernel(name string, k *flat.Kernel) Kernel {
 	return Kernel{
 		Name: name,
 		Strategies: []Strategy{
@@ -113,10 +112,10 @@ func flatKernel(name string, k *flat.Kernel, lb func(tasksPer []int) float64) Ke
 				return core.NewSchedulerDriver(flat.NewTwoPhasesAuto(k, q.N, q.P, r))
 			}},
 		},
-		Default:       "2phases",
-		TotalWork:     func(n int) float64 { return float64(k.Tasks(n)) },
-		APosterioriLB: lb,
-		admitTasks:    func(n int64) int64 { return int64(k.Tasks(int(n))) },
+		Default:    "2phases",
+		Flat:       k,
+		TotalWork:  func(n int) float64 { return float64(k.Tasks(n)) },
+		admitTasks: func(n int64) int64 { return int64(k.Tasks(int(n))) },
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -19,10 +20,10 @@ import (
 // number of (arbitrarily slow) observers cannot change a run's
 // decisions.
 
-// sseHeartbeat paces keep-alive comments on an otherwise idle event
+// SSEHeartbeat paces keep-alive comments on an otherwise idle event
 // stream; it is wall-clock by design (the virtual clock governs the
 // scheduler, not the transport).
-const sseHeartbeat = 15 * time.Second
+const SSEHeartbeat = 15 * time.Second
 
 // handleRunEvents serves GET /v1/runs/{id}/events as an SSE stream.
 // The resume cursor is the per-run sequence number: the Last-Event-ID
@@ -95,18 +96,54 @@ func queryInt(r *http.Request, key string) (int, error) {
 	return n, nil
 }
 
-// serveSSE pumps a subscriber to the client as Server-Sent Events:
-// scheduler events as `id:`+`data:` frames, accumulated drops as
-// `event: drops` frames (emitted before the events that follow the
-// gap), a terminal `event: end` frame when the stream closes (run
-// swept), and comment heartbeats while idle. max > 0 ends the response
-// after that many event frames. Always closes the subscriber.
-func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *events.Subscriber, max int) {
-	defer sub.Close()
+// SSEStream frames one event subscriber as Server-Sent Events, for a
+// host's streams and a federation router's fan-in of hosts' firehoses
+// alike: accumulated drops as one `event: drops` frame before the
+// events that follow the gap, then an `id:`+`data:` frame per event.
+type SSEStream struct {
+	*events.Subscriber
+	buf      []events.Event
+	frame    []byte
+	reported uint64 // drops already surfaced to the client
+}
+
+// Frames polls the subscriber and hands emit each frame in order, event
+// marking an event's. It stops at emit's first error and returns it;
+// closed reports that the stream has ended.
+func (s *SSEStream) Frames(emit func(frame []byte, event bool) error) (closed bool, err error) {
+	evs, dropped, closed := s.Poll(s.buf[:0])
+	s.buf = evs
+	if dropped > s.reported {
+		s.frame = fmt.Appendf(s.frame[:0], "event: drops\ndata: {\"dropped\":%d,\"total\":%d}\n\n", dropped-s.reported, dropped)
+		s.reported = dropped
+		if err := emit(s.frame, false); err != nil {
+			return closed, err
+		}
+	}
+	for _, e := range evs {
+		data, err := json.Marshal(e)
+		if err != nil {
+			continue
+		}
+		s.frame = fmt.Appendf(s.frame[:0], "id: %d\ndata: %s\n\n", e.Seq, data)
+		if err := emit(s.frame, true); err != nil {
+			return closed, err
+		}
+	}
+	return closed, nil
+}
+
+// SSEEnd is a stream's terminal frame, SSEPing the comment that keeps
+// an idle one alive every SSEHeartbeat.
+var SSEEnd, SSEPing = []byte("event: end\ndata: {}\n\n"), []byte(": ping\n\n")
+
+// StartSSE answers 200 with the event-stream headers and flushes them;
+// if w cannot stream, it answers 500 and returns false.
+func StartSSE(w http.ResponseWriter) (http.Flusher, bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
+		return nil, false
 	}
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -114,39 +151,40 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *events.Su
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+	return fl, true
+}
 
-	heartbeat := time.NewTicker(sseHeartbeat)
+// serveSSE pumps a subscriber to the client as SSEStream frames, SSEEnd
+// when the stream closes (run swept) and SSEPing while idle. max > 0
+// ends the response after that many event frames. Always closes the
+// subscriber.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *events.Subscriber, max int) {
+	defer sub.Close()
+	fl, ok := StartSSE(w)
+	if !ok {
+		return
+	}
+	heartbeat := time.NewTicker(SSEHeartbeat)
 	defer heartbeat.Stop()
-	var (
-		buf      []events.Event
-		reported uint64 // drops already surfaced to this client
-		sent     int
-	)
+	stream, sent := SSEStream{Subscriber: sub}, 0
+	write := func(frame []byte, event bool) error {
+		w.Write(frame)
+		if event {
+			if sent++; max > 0 && sent >= max {
+				return io.EOF // the response is complete
+			}
+		}
+		return nil
+	}
 	for {
-		evs, dropped, closed := sub.Poll(buf[:0])
-		buf = evs
-		if dropped > reported {
-			fmt.Fprintf(w, "event: drops\ndata: {\"dropped\":%d,\"total\":%d}\n\n", dropped-reported, dropped)
-			reported = dropped
-		}
-		for _, e := range evs {
-			data, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
-			sent++
-			if max > 0 && sent >= max {
-				fl.Flush()
-				return
-			}
-		}
-		if closed {
-			fmt.Fprint(w, "event: end\ndata: {}\n\n")
-			fl.Flush()
-			return
+		closed, err := stream.Frames(write)
+		if closed && err == nil {
+			w.Write(SSEEnd)
 		}
 		fl.Flush()
+		if closed || err != nil {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
@@ -154,7 +192,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *events.Su
 			return
 		case <-sub.Ready():
 		case <-heartbeat.C:
-			fmt.Fprint(w, ": ping\n\n")
+			w.Write(SSEPing)
 			fl.Flush()
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"hetsched/internal/analysis"
 	"hetsched/internal/core"
 	"hetsched/internal/rng"
 	"hetsched/internal/service"
@@ -39,11 +38,7 @@ func flatRuns(on, mn, p int, seed uint64) []flatRun {
 		for _, st := range []string{"random", "dynamic", "2phases"} {
 			req := service.CreateRunRequest{Kernel: k.kernel, Strategy: st, N: k.n, P: p, Seed: r.Uint64()}
 			if st == "2phases" {
-				if k.kernel == "outer" {
-					req.Beta, _ = analysis.OptimalBetaOuter(rs, k.n)
-				} else {
-					req.Beta, _ = analysis.OptimalBetaMatrix(rs, k.n)
-				}
+				req.Beta, _ = service.LookupKernel(k.kernel).Flat.OptimalBeta(rs, k.n)
 			}
 			runs = append(runs, flatRun{name: k.kernel + "-" + st, req: req, speed: init})
 		}
