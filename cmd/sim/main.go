@@ -62,8 +62,10 @@ func main() {
 	if k == nil {
 		fail(2, "unknown kernel %q", *kernel)
 	}
-	opts.N = cmp.Or(opts.N, shapes[*kernel].n)
-	opts.P = cmp.Or(opts.P, shapes[*kernel].p)
+	var err error
+	if opts.N, opts.P, err = shape(k.Name, opts.N, opts.P); err != nil {
+		fail(2, "%v", err)
+	}
 	*strategy = cmp.Or(*strategy, k.Default)
 	flat := k.DAG == nil
 	switch {
@@ -79,6 +81,17 @@ func main() {
 		return
 	}
 	simulateDAG(k, *strategy, *verify, opts)
+}
+
+// shape returns the n and p to run kernel on: those given, and the
+// kernel's defaults for the ones left 0. A kernel without defaults
+// needs both given.
+func shape(kernel string, n, p int) (int, int, error) {
+	def, ok := shapes[kernel]
+	if !ok && (n == 0 || p == 0) {
+		return 0, 0, fmt.Errorf("-kernel %s has no default shape: give -n and -p", kernel)
+	}
+	return cmp.Or(n, def.n), cmp.Or(p, def.p), nil
 }
 
 func fail(code int, format string, args ...any) {

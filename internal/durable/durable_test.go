@@ -420,6 +420,86 @@ func TestSnapshotTraceCanonical(t *testing.T) {
 	}
 }
 
+// randomLogTwins builds the same random log twice over p workers: up
+// to 40 records, some closed by SetEnd and some left open, starts and
+// ends drawn on both sides of the run's start.
+func randomLogTwins(r *rng.PCG, p int) (a, b trace.Log) {
+	n := r.Intn(41)
+	for i := 0; i < n; i++ {
+		proc, start := r.Intn(p), r.Int63n(4_000_000_000)-1_000_000_000
+		tasks, blocks := 1+r.Intn(5), r.Intn(20)
+		idx := a.Append(proc, start, tasks, blocks)
+		b.Append(proc, start, tasks, blocks)
+		if r.Intn(3) > 0 { // closed; the rest stay open, End == Start
+			end := start + r.Int63n(2_000_000_000) - 100
+			a.SetEnd(idx, end)
+			b.SetEnd(idx, end)
+		}
+	}
+	return a, b
+}
+
+// sameLog fails unless got reads as want does: rendered trace, ends,
+// length, records and the snapshot's end bytes.
+func sameLog(t *testing.T, what string, got, want *trace.Log, p int) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Trace(p), want.Trace(p)) || !reflect.DeepEqual(got.Ends(), want.Ends()) ||
+		got.Len() != want.Len() || !bytes.Equal(got.Records(), want.Records()) ||
+		!bytes.Equal(got.AppendEnds(nil), want.AppendEnds(nil)) {
+		t.Fatalf("%s: reads %+v, want %+v", what, got.Trace(p).Segments, want.Trace(p).Segments)
+	}
+}
+
+// TestPackedTraceRoundTrip: a packed log reads as its never-packed twin
+// does, its clone too, and its snapshot is the same bytes; a write
+// unpacks it and leaves it equal to the twin after the same write.
+func TestPackedTraceRoundTrip(t *testing.T) {
+	const p = 3
+	r := rng.New(53)
+	for i := 0; i < 300; i++ {
+		plain, packed := randomLogTwins(r, p)
+		packed.Pack()
+		if packed.Packed() != (plain.Len() > 0) {
+			t.Fatalf("log %d: %d records, Packed() = %v", i, plain.Len(), packed.Packed())
+		}
+		sameLog(t, fmt.Sprintf("log %d packed", i), &packed, &plain, p)
+		clone := packed.Clone()
+		sameLog(t, fmt.Sprintf("log %d clone", i), &clone, &plain, p)
+
+		snap := func(l trace.Log) []byte {
+			return AppendSnapshot(nil, &RunSnapshot{ID: "r", Request: []byte(`{}`), Workers: make([]WorkerCounters, p), Trace: l})
+		}
+		enc := snap(packed)
+		if !bytes.Equal(enc, snap(plain)) {
+			t.Fatalf("log %d: the packed log's snapshot differs from the plain one's", i)
+		}
+		back, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("log %d: %v", i, err)
+		}
+		sameLog(t, fmt.Sprintf("log %d decoded", i), &back.Trace, &plain, p)
+
+		if plain.Len() > 0 {
+			// A write to the clone leaves the packed original as it was.
+			clone.SetEnd(0, 1)
+			sameLog(t, fmt.Sprintf("log %d after its clone's write", i), &packed, &plain, p)
+			k, end := r.Intn(plain.Len()), r.Int63n(1_000_000_000)
+			plain.SetEnd(k, end)
+			packed.SetEnd(k, end)
+			if packed.Packed() || !reflect.DeepEqual(packed, plain) {
+				t.Fatalf("log %d: SetEnd on the packed log: %+v, want %+v", i, packed, plain)
+			}
+			packed.Pack()
+		}
+		start := r.Int63n(1_000_000_000) - 500_000_000
+		plain.Append(1, start, 2, 3)
+		packed.Append(1, start, 2, 3)
+		if packed.Packed() || !reflect.DeepEqual(packed, plain) {
+			t.Fatalf("log %d: Append on the packed log: %+v, want %+v", i, packed, plain)
+		}
+	}
+}
+
 // hsn2Inexact is an HSN2 snapshot of run r1 whose one trace segment
 // starts at a time, in float seconds, that no nanosecond count renders
 // to. It is built from the HSN3 encoding of the same run with an empty

@@ -163,7 +163,9 @@ func roundTrips(t *testing.T, s *RunSnapshot, b []byte) {
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to the snapshot decoder:
 // it must never panic, anything it accepts as HSN3 must re-encode
 // bit-identically, and an HSN2 snapshot it accepts must decode from
-// its HSN3 re-encoding to what it decoded to.
+// its HSN3 re-encoding to what it decoded to. With its trace packed,
+// an accepted snapshot must re-encode to the same bytes and render the
+// same trace.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(AppendSnapshot(nil, goldenSnapshot()))
 	f.Add(AppendSnapshot(nil, &RunSnapshot{ID: "r0", Mutations: 1, Request: []byte(`{}`)}))
@@ -181,5 +183,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return
 		}
 		roundTrips(t, s, b)
+		re, want := AppendSnapshot(nil, s), s.Trace.Trace(len(s.Workers))
+		s.Trace.Pack()
+		if got := AppendSnapshot(nil, s); !bytes.Equal(got, re) {
+			t.Fatalf("packing the trace changed the snapshot:\n was %x\n now %x", re, got)
+		}
+		if got := s.Trace.Trace(len(s.Workers)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("packing the trace changed it:\n was %+v\n now %+v", want.Segments, got.Segments)
+		}
 	})
 }

@@ -80,10 +80,11 @@ type RunSnapshot struct {
 //
 // records are the trace.Log's bytes verbatim (count records), and each
 // end is the zigzag varint of the record's end minus the previous
-// record's end (the first's minus 0), all in nanoseconds. The encoding
-// is canonical — every field has exactly one representation, varints
-// included — so encode(decode(b)) == b for any accepted HSN3 b
-// (FuzzSnapshotRoundTrip pins this).
+// record's end (the first's minus 0), all in nanoseconds: the form a
+// packed trace.Log keeps, copied verbatim. The encoding is canonical —
+// every field has exactly one representation, varints included — so
+// encode(decode(b)) == b for any accepted HSN3 b (FuzzSnapshotRoundTrip
+// pins this).
 //
 // HSN2, the previous format, differs only in the trace: count(u32) and
 // five 8-byte words per segment (proc, start and end as float64
@@ -153,14 +154,9 @@ func AppendSnapshot(dst []byte, s *RunSnapshot) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Blocks))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Reclaimed))
 	}
-	ends := s.Trace.Ends()
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ends)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Trace.Len()))
 	dst = appendBytes(dst, s.Trace.Records())
-	prev := int64(0)
-	for _, e := range ends {
-		dst = binary.AppendVarint(dst, e-prev)
-		prev = e
-	}
+	dst = s.Trace.AppendEnds(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Open)))
 	for _, v := range s.Open {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))

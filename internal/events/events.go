@@ -23,9 +23,12 @@
 package events
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Type discriminates scheduler events.
@@ -262,12 +265,19 @@ func (b *Bus) Subscribers() int { return int(b.subs.Load()) }
 // Host publishes under its own mutex) but the stream is safe for
 // concurrent use — SSE handlers subscribe and resume concurrently with
 // the poll path.
+//
+// A stream of a finished run can be packed (Pack): the ring is dropped
+// and the window kept as varints, which a subscription's backfill
+// decodes; the next publish unpacks it into a ring again.
 type Stream struct {
 	bus *Bus
 	run string
 
 	mu   sync.Mutex
-	ring []rec
+	ring []rec // nil while packed
+	// packed is the retained window while the stream is packed, oldest
+	// event first, each as appendRec writes it.
+	packed []byte
 	// states interns the State strings seen on this stream (1-based;
 	// rec.state 0 means none), so ring entries stay pointer-free.
 	states []string
@@ -325,6 +335,87 @@ func (st *Stream) unpack(r rec, seq uint64) Event {
 	return e
 }
 
+// appendRec appends r to b in packed form: its time as a zigzag
+// varint delta from prevNs (the previous event's), task, type, state,
+// worker, count and blocks.
+func appendRec(b []byte, r rec, prevNs int64) []byte {
+	b = binary.AppendVarint(b, r.timeNs-prevNs)
+	b = binary.AppendVarint(b, r.task)
+	b = append(b, byte(r.typ), r.state)
+	b = binary.AppendVarint(b, int64(r.worker))
+	b = binary.AppendVarint(b, int64(r.count))
+	return binary.AppendVarint(b, int64(r.blocks))
+}
+
+// readRec decodes the packed event at the head of b, which appendRec
+// wrote after an event at prevNs, and returns it and the rest of b.
+func readRec(b []byte, prevNs int64) (rec, []byte) {
+	var r rec
+	d, n := binary.Varint(b)
+	r.timeNs, b = prevNs+d, b[n:]
+	r.task, n = binary.Varint(b)
+	r.typ, r.state, b = Type(b[n]), b[n+1], b[n+2:]
+	var v [3]int64
+	for i := range v {
+		v[i], n = binary.Varint(b)
+		b = b[n:]
+	}
+	r.worker, r.count, r.blocks = int32(v[0]), int32(v[1]), int32(v[2])
+	return r, b
+}
+
+// window returns the oldest retained sequence number given published
+// events: the retention window is the newest Buffer of them.
+func (st *Stream) window(published uint64) uint64 {
+	if n := uint64(st.bus.buffer); published > n {
+		return published - n + 1
+	}
+	return 1
+}
+
+// Pack keeps the retention window as varints in place of the ring, for
+// a stream whose run will publish little or nothing more. Subscribe
+// decodes the window on demand and the next publish unpacks it, so what
+// a subscriber sees and its drop count do not change. A packed or
+// closed stream is left as it is.
+func (st *Stream) Pack() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed || st.ring == nil {
+		return
+	}
+	var b []byte
+	prev := int64(0)
+	for seq := st.window(st.next - 1); seq < st.next; seq++ {
+		r := st.ring[int((seq-1)%uint64(len(st.ring)))]
+		b, prev = appendRec(b, r, prev), r.timeNs
+	}
+	st.packed, st.ring = bytes.Clone(b), nil
+}
+
+// unpackRing rebuilds the ring of a packed stream (mu held).
+func (st *Stream) unpackRing() {
+	st.ring = make([]rec, st.bus.buffer)
+	b, prev := st.packed, int64(0)
+	for seq := st.window(st.next - 1); seq < st.next; seq++ {
+		var r rec
+		r, b = readRec(b, prev)
+		st.ring[int((seq-1)%uint64(len(st.ring)))], prev = r, r.timeNs
+	}
+	st.packed = nil
+}
+
+// RetainedBytes returns the bytes the retention window holds: 32 per
+// ring slot, or the packed window's length.
+func (st *Stream) RetainedBytes() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ring == nil {
+		return len(st.packed)
+	}
+	return len(st.ring) * int(unsafe.Sizeof(rec{}))
+}
+
 // RunID returns the stream's run identifier.
 func (st *Stream) RunID() string { return st.run }
 
@@ -338,6 +429,9 @@ func (st *Stream) Publish(e Event) {
 	if st.closed {
 		st.mu.Unlock()
 		return
+	}
+	if st.ring == nil {
+		st.unpackRing()
 	}
 	e.Run = st.run
 	e.Seq = st.next
@@ -363,6 +457,9 @@ func (st *Stream) PublishBatch(evs []Event) {
 	if st.closed {
 		st.mu.Unlock()
 		return
+	}
+	if st.ring == nil {
+		st.unpackRing()
 	}
 	for i := range evs {
 		evs[i].Run = st.run
@@ -410,10 +507,7 @@ func (st *Stream) Subscribe(after uint64, buffer int) *Subscriber {
 	if after > published {
 		after = published
 	}
-	oldest := uint64(1)
-	if published > uint64(len(st.ring)) {
-		oldest = published - uint64(len(st.ring)) + 1
-	}
+	oldest := st.window(published)
 	first := after + 1
 	if first < oldest {
 		// The resume point fell off the retention window: the gap is
@@ -428,9 +522,24 @@ func (st *Stream) Subscribe(after uint64, buffer int) *Subscriber {
 		s.recordDrops(n - uint64(len(s.buf)))
 		first = published - uint64(len(s.buf)) + 1
 	}
-	for seq := first; seq <= published; seq++ {
-		s.buf[s.n] = st.unpack(st.ring[int((seq-1)%uint64(len(st.ring)))], seq)
-		s.n++
+	if st.ring != nil {
+		for seq := first; seq <= published; seq++ {
+			s.buf[s.n] = st.unpack(st.ring[int((seq-1)%uint64(len(st.ring)))], seq)
+			s.n++
+		}
+	} else {
+		// Decode the packed window from its oldest event; the ones
+		// before first only carry the time base forward.
+		b, prev := st.packed, int64(0)
+		for seq := oldest; seq <= published; seq++ {
+			var r rec
+			r, b = readRec(b, prev)
+			prev = r.timeNs
+			if seq >= first {
+				s.buf[s.n] = st.unpack(r, seq)
+				s.n++
+			}
+		}
 	}
 	if s.n > 0 {
 		s.wake()

@@ -2,6 +2,7 @@ package events
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -241,5 +242,94 @@ func TestConcurrentPublishDrain(t *testing.T) {
 func TestRingRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(rec{}); got != 32 {
 		t.Fatalf("ring record is %d bytes, want 32", got)
+	}
+}
+
+// variedEvent is the i-th of a sequence that reaches every field of a
+// packed record: every type, interned states, times that step back,
+// -1 workers and tasks, wide counts.
+func variedEvent(i int) Event {
+	e := Event{Type: Type(i % 7), TimeNs: int64(i)*7919 - int64(i%5)*100_000, Worker: i%9 - 1, Task: int64(i*i) - 1}
+	switch e.Type {
+	case TypeAssign:
+		e.Count, e.Blocks = i%300, i*1000
+	case TypeState, TypeRunCreated:
+		e.State = []string{"created", "draining", "complete"}[i%3]
+	}
+	return e
+}
+
+// publishVaried publishes events from..to-1 of variedEvent's sequence.
+func publishVaried(st *Stream, from, to int) {
+	for i := from; i < to; i++ {
+		st.Publish(variedEvent(i))
+	}
+}
+
+// backfill is what a subscription from after sees at once: its events
+// and its drop count.
+func backfill(st *Stream, after uint64, buffer int) ([]Event, uint64) {
+	sub := st.Subscribe(after, buffer)
+	evs, dropped, _ := sub.Poll(nil)
+	sub.Close()
+	return evs, dropped
+}
+
+// TestPackKeepsTheWindow: a packed stream backfills every subscription
+// as its never-packed twin does, publishes on from where it stood, and
+// a closed stream does not pack.
+func TestPackKeepsTheWindow(t *testing.T) {
+	for _, buffer := range []int{1, 16, 1024} {
+		capacity := NewBus(buffer).Buffer()
+		for _, tc := range []struct {
+			name      string
+			published int
+		}{
+			{"none", 0},
+			{"one", 1},
+			{"cap-1", capacity - 1},
+			{"cap", capacity},
+			{"5cap", 5 * capacity},
+		} {
+			plain, packed := NewBus(buffer).Run("r"), NewBus(buffer).Run("r")
+			publishVaried(plain, 0, tc.published)
+			publishVaried(packed, 0, tc.published)
+			packed.Pack()
+			if got, ring := packed.RetainedBytes(), plain.RetainedBytes(); got >= ring {
+				t.Errorf("buffer %d, %s: the packed window holds %d bytes, the ring %d", buffer, tc.name, got, ring)
+			}
+			pub := uint64(tc.published)
+			for _, after := range []uint64{0, pub / 2, pub} {
+				for _, subBuf := range []int{1, 16, 1024} {
+					want, wantDrops := backfill(plain, after, subBuf)
+					got, drops := backfill(packed, after, subBuf)
+					if drops != wantDrops || !slices.Equal(got, want) {
+						t.Fatalf("buffer %d, %s, after %d, subscriber buffer %d: packed backfill %d events, %d drops; want %d, %d",
+							buffer, tc.name, after, subBuf, len(got), drops, len(want), wantDrops)
+					}
+				}
+			}
+			// Publishing unpacks: the sequence and the window go on.
+			publishVaried(plain, tc.published, tc.published+3)
+			publishVaried(packed, tc.published, tc.published+3)
+			if packed.Published() != pub+3 || packed.RetainedBytes() != plain.RetainedBytes() {
+				t.Fatalf("buffer %d, %s: after publishing, %d published and %d bytes retained; want %d and %d",
+					buffer, tc.name, packed.Published(), packed.RetainedBytes(), pub+3, plain.RetainedBytes())
+			}
+			want, wantDrops := backfill(plain, 0, 1024)
+			if got, drops := backfill(packed, 0, 1024); drops != wantDrops || !slices.Equal(got, want) {
+				t.Fatalf("buffer %d, %s: after publishing, backfill %d events, %d drops; want %d, %d",
+					buffer, tc.name, len(got), drops, len(want), wantDrops)
+			}
+		}
+	}
+
+	st := NewBus(16).Run("r")
+	publishVaried(st, 0, 5)
+	before := st.RetainedBytes()
+	st.Close()
+	st.Pack()
+	if got := st.RetainedBytes(); got != before {
+		t.Fatalf("Pack on a closed stream: %d bytes retained, want %d", got, before)
 	}
 }

@@ -232,6 +232,9 @@ func restoreHost(drv core.Driver, rec createRecord, s *durable.RunSnapshot) (*Ho
 		h.reclaimedFrom[taskOwner{core.Task(st.Task), w}] = struct{}{}
 	}
 	h.lastState = h.stateLocked()
+	if h.lastState == StateComplete {
+		h.packLocked()
+	}
 	return h, nil
 }
 

@@ -130,6 +130,12 @@ type Host struct {
 	lastPoll time.Time
 	tr       trace.Log
 	open     []int // per-worker index into tr of the open segment, -1 when none
+	// packDue is set by the first poll that finds the run complete, and
+	// unlock then packs the run's history — tr and the event window —
+	// once that poll's events are out (packLocked). A complete run has
+	// granted and never writes its trace again, so a packed tr marks a
+	// packed history.
+	packDue bool
 
 	// now is the host's time source. Every timestamp the host takes —
 	// lease deadlines, trace segment boundaries, makespan, the TTL's
@@ -274,10 +280,17 @@ func NewHostWithClock(drv core.Driver, batch int, lease time.Duration, now func(
 // the buffer (TestHostNextSteadyStateAllocFree covers events-enabled
 // hosts). Reclaim storms past the presize grow it once and the larger
 // buffer is retained — same policy as the worker grant accumulators.
+//
+// A run restored or imported complete packs its new stream at once.
 func (h *Host) AttachEvents(st *events.Stream) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.ev = st
 	if want := h.batch + 8; cap(h.evBuf) < want {
 		h.evBuf = make([]events.Event, 0, want)
+	}
+	if h.tr.Packed() {
+		st.Pack()
 	}
 }
 
@@ -379,14 +392,28 @@ func (h *Host) noteStateLocked(now time.Time) {
 }
 
 // unlock publishes everything the critical section queued, in order,
-// under one stream lock acquisition, then releases mu. Every path that
-// can queue events leaves through it.
+// under one stream lock acquisition, packs a newly complete run's
+// history, then releases mu. Every path that can queue events leaves
+// through it.
 func (h *Host) unlock() {
 	if len(h.evBuf) > 0 {
 		h.ev.PublishBatch(h.evBuf)
 		h.evBuf = h.evBuf[:0]
 	}
+	if h.packDue {
+		h.packLocked()
+	}
 	h.mu.Unlock()
+}
+
+// packLocked packs the run's trace and event window (trace.Log.Pack,
+// events.Stream.Pack); mu held.
+func (h *Host) packLocked() {
+	h.packDue = false
+	h.tr.Pack()
+	if h.ev != nil {
+		h.ev.Pack()
+	}
 }
 
 // Batch returns the configured batch size.
@@ -570,6 +597,7 @@ func (h *Host) grantLocked(now time.Time, w int, slot *workerSlot) (core.Assignm
 		// table (put rebuilds one if ever needed).
 		*slot = workerSlot{}
 		h.outstanding = grantTable{}
+		h.packDue = !h.tr.Packed()
 		return core.Assignment{}, StatusDone
 	}
 	if a.Tasks != nil {

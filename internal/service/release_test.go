@@ -62,8 +62,9 @@ func TestDoneReleasesPollScratch(t *testing.T) {
 }
 
 // checkReleased asserts that a drained host holds no worker's poll
-// scratch and no grant table, then polls it once more: done
-// at no allocation, and a stale report of task 0 is not outstanding.
+// scratch and no grant table and keeps its trace packed, then polls it
+// once more: done at no allocation, and a stale report of task 0 is not
+// outstanding.
 func checkReleased(t *testing.T, h *Host) {
 	t.Helper()
 	for w := range h.slots {
@@ -73,6 +74,9 @@ func checkReleased(t *testing.T, h *Host) {
 	}
 	if g := &h.outstanding; g.slots != nil {
 		t.Errorf("the host keeps a %d-slot grant table after done", len(g.slots))
+	}
+	if !h.tr.Packed() {
+		t.Error("the drained run's trace is not packed")
 	}
 	var status string
 	var err error

@@ -7,6 +7,7 @@ import (
 
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
+	"hetsched/internal/events"
 )
 
 // The two sizes below are counted, not timed: the benchmark's poll run
@@ -124,18 +125,29 @@ func TestSnapshotBytes(t *testing.T) {
 	}
 }
 
-// TestTraceBytes pins the trace the drained run keeps in memory: its
-// varint records and their int64 ends, beside the segment count.
-// As 40-byte trace.Segments the same trace took 88,880 bytes.
+// TestTraceBytes pins the history the drained run keeps in memory,
+// packed: the trace's varint records and end deltas, beside the
+// segment count, and, with an event stream attached, the varint window
+// of the stream's last 1,024 events. Unpacked, the trace took 31,108
+// bytes (int64 ends) and the window a 32,768-byte ring; as 40-byte
+// trace.Segments the trace took 88,880.
 func TestTraceBytes(t *testing.T) {
-	const segments, want = 2222, 31108
-	w, run := sizedRun(t)
+	const segments, want, window = 2222, 19999, 9029
+	w := newWorld(t, t.TempDir(), newVclock(), true)
+	w.opts.Events = events.NewBus(0)
+	run := w.create("r0", CreateRunRequest{
+		Kernel: KernelOuter, Strategy: "2phases", N: 128, P: 64, Seed: 1, Batch: 1,
+	})
 	driveScript(t, run, w.clk, 0)
-	if got := run.Host.tr.Len(); got != segments {
-		t.Errorf("drained run has %d trace segments, want %d", got, segments)
+	tr := &run.Host.tr
+	if got := tr.Len(); got != segments || !tr.Packed() {
+		t.Errorf("drained run has %d trace segments, packed %v; want %d, packed", got, tr.Packed(), segments)
 	}
-	if got := len(run.Host.tr.Records()) + 8*len(run.Host.tr.Ends()); got != want {
+	if got := len(tr.Records()) + len(tr.AppendEnds(nil)); got != want {
 		t.Errorf("drained run keeps %d trace bytes = %.2f per segment, want %d; a change that moves this states the new value in CHANGES.md",
 			got, float64(got)/segments, want)
+	}
+	if got := run.Host.ev.RetainedBytes(); got != window {
+		t.Errorf("drained run keeps a %d-byte event window, want %d; a change that moves this states the new value in CHANGES.md", got, window)
 	}
 }

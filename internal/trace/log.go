@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,16 +21,27 @@ import (
 // uvarints, each at most MaxInt32. Ends change after the grant — a
 // batch ends when it is reported — so they are kept apart, one int64
 // per record, and patched in place with SetEnd.
+//
+// A log no longer written to can be packed (Pack): its ends are then
+// kept as the zigzag varint deltas a snapshot writes (AppendEnds) and
+// its records clipped to their length. Reads decode a packed log on
+// demand; Append and SetEnd unpack it first.
 type Log struct {
 	recs []byte
 	ends []int64
-	last int64 // start of the last record
+	// packed holds the ends in AppendEnds form while the log is packed;
+	// ends is nil then.
+	packed []byte
+	last   int64 // start of the last record
 }
 
 // Append records an assignment of tasks tasks and blocks blocks to proc
 // at startNs, open (End == Start) until SetEnd closes it, and returns
 // its index.
 func (l *Log) Append(proc int, startNs int64, tasks, blocks int) int {
+	if l.packed != nil {
+		l.unpack()
+	}
 	l.recs = binary.AppendVarint(l.recs, startNs-l.last)
 	l.recs = binary.AppendUvarint(l.recs, uint64(proc))
 	l.recs = binary.AppendUvarint(l.recs, uint64(tasks))
@@ -40,10 +52,26 @@ func (l *Log) Append(proc int, startNs int64, tasks, blocks int) int {
 }
 
 // SetEnd sets the end of record i.
-func (l *Log) SetEnd(i int, ns int64) { l.ends[i] = ns }
+func (l *Log) SetEnd(i int, ns int64) {
+	if l.packed != nil {
+		l.unpack()
+	}
+	l.ends[i] = ns
+}
 
 // Len returns the number of records.
-func (l *Log) Len() int { return len(l.ends) }
+func (l *Log) Len() int {
+	if l.packed == nil {
+		return len(l.ends)
+	}
+	n := 0
+	for _, b := range l.packed {
+		if b < 0x80 { // the last byte of a varint
+			n++
+		}
+	}
+	return n
+}
 
 // Records returns the encoded records, which the caller must not
 // modify. With Ends they are the whole log: ParseLog(Records(), Ends())
@@ -52,11 +80,61 @@ func (l *Log) Records() []byte { return l.recs }
 
 // Ends returns the records' ends in nanoseconds, which the caller must
 // not modify.
-func (l *Log) Ends() []int64 { return l.ends }
+func (l *Log) Ends() []int64 {
+	if l.packed == nil {
+		return l.ends
+	}
+	ends := make([]int64, 0, l.Len())
+	b, prev := l.packed, int64(0)
+	for len(b) > 0 {
+		d, n := binary.Varint(b)
+		prev += d
+		ends, b = append(ends, prev), b[n:]
+	}
+	return ends
+}
 
-// Clone returns a copy of l that shares no memory with it.
+// AppendEnds appends the records' ends to dst as a snapshot writes
+// them: each end minus the previous record's end (the first's minus 0)
+// as a zigzag varint. A packed log appends its ends verbatim.
+func (l *Log) AppendEnds(dst []byte) []byte {
+	if l.packed != nil {
+		return append(dst, l.packed...)
+	}
+	prev := int64(0)
+	for _, e := range l.ends {
+		dst = binary.AppendVarint(dst, e-prev)
+		prev = e
+	}
+	return dst
+}
+
+// Pack keeps the log in its compact form: the ends as AppendEnds
+// writes them, the records clipped to their length. It is for a log no
+// longer written to; a packed or empty log is left as it is.
+func (l *Log) Pack() {
+	if len(l.ends) == 0 {
+		return
+	}
+	l.packed = bytes.Clone(l.AppendEnds(nil))
+	l.recs = bytes.Clone(l.recs)
+	l.ends = nil
+}
+
+// Packed reports whether the log is packed.
+func (l *Log) Packed() bool { return l.packed != nil }
+
+// unpack expands a packed log's ends for writing.
+func (l *Log) unpack() {
+	l.ends = l.Ends()
+	l.packed = nil
+}
+
+// Clone returns a copy of l that shares no memory with it, packed if l
+// is.
 func (l *Log) Clone() Log {
-	return Log{recs: append([]byte(nil), l.recs...), ends: append([]int64(nil), l.ends...), last: l.last}
+	return Log{recs: append([]byte(nil), l.recs...), ends: append([]int64(nil), l.ends...),
+		packed: append([]byte(nil), l.packed...), last: l.last}
 }
 
 // errBadLog reports records that ParseLog refuses.
@@ -108,10 +186,11 @@ func minimal(b []byte, n int) bool {
 // Trace renders the log as a Trace over p processors.
 func (l *Log) Trace(p int) *Trace {
 	t := &Trace{P: p}
-	if len(l.ends) == 0 {
+	ends := l.Ends()
+	if len(ends) == 0 {
 		return t
 	}
-	t.Segments = make([]Segment, len(l.ends))
+	t.Segments = make([]Segment, len(ends))
 	recs := l.recs
 	start := int64(0)
 	for i := range t.Segments {
@@ -126,7 +205,7 @@ func (l *Log) Trace(p int) *Trace {
 		t.Segments[i] = Segment{
 			Proc:   int(v[0]),
 			Start:  time.Duration(start).Seconds(),
-			End:    time.Duration(l.ends[i]).Seconds(),
+			End:    time.Duration(ends[i]).Seconds(),
 			Tasks:  int(v[1]),
 			Blocks: int(v[2]),
 		}
