@@ -104,7 +104,10 @@ func TestDocsCite(t *testing.T) {
 // TestCIRunsEveryCheck holds ci.yml to the rule that a check the
 // repository declares is a check CI runs: every Fuzz function is fuzzed
 // by a `go test … -fuzz <name> … <package>` step, and every package
-// with a Benchmark function is named by a `go test … -bench` step.
+// with a Benchmark function is named by a `go test … -bench` step. A
+// `-fuzz` line also bounds minimization with `-fuzzminimizetime`: Go's
+// default spends up to 60 s minimizing the first new input, which
+// would leave a short run almost no time to search.
 func TestCIRunsEveryCheck(t *testing.T) {
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -123,6 +126,9 @@ func TestCIRunsEveryCheck(t *testing.T) {
 			}
 		}
 		if i := slices.Index(fields, "-fuzz"); i >= 0 && i+1 < len(fields) {
+			if !slices.Contains(fields, "-fuzzminimizetime") {
+				t.Errorf("ci.yml fuzzes %s with no -fuzzminimizetime bound", fields[i+1])
+			}
 			for _, p := range pkgs {
 				fuzzed[strings.Trim(fields[i+1], `'"^$`)+" "+p] = true
 			}

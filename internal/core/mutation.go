@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -83,9 +84,10 @@ type Mutation struct {
 // task ids are all small in practice. timeNs stays fixed 8-byte
 // little-endian — UnixNanos never encode shorter. worker is offset by
 // one so the registry records' -1 stays a 1-byte varint. The encoder
-// is allocation-free into a reused buffer, and the decoder stays
-// total: binary.Uvarint rejects truncation and overflow, and every
-// length is bounds-checked before use (FuzzJournalDecode pins this).
+// is allocation-free into a reused buffer, and the decoder keeps the
+// one decoding rule (state.go): it accepts exactly what the encoder
+// writes, so AppendMutation(DecodeMutation(b)) == b
+// (TestMutationRoundTrip and TestDecodeMutationRejects pin this).
 
 // maxMutationTasks bounds the task count a decoder will accept; it is
 // far above any real report (maxBatch is 1<<12) and exists so corrupt
@@ -109,7 +111,7 @@ func AppendMutation(dst []byte, op MutationOp, run string, seq uint64, timeNs in
 	dst = append(dst, run...)
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(timeNs))
-	dst = binary.AppendUvarint(dst, uint64(worker+1))
+	dst = binary.AppendUvarint(dst, uint64(int64(worker)+1))
 	dst = binary.AppendUvarint(dst, uint64(len(tasks)))
 	for _, t := range tasks {
 		dst = binary.AppendUvarint(dst, uint64(t))
@@ -120,74 +122,35 @@ func AppendMutation(dst []byte, op MutationOp, run string, seq uint64, timeNs in
 }
 
 // DecodeMutation parses one mutation record occupying exactly b. It is
-// total on arbitrary bytes: any truncation, trailing garbage or insane
-// length fails with an error, never a panic (FuzzJournalDecode pins
-// this). The returned Tasks and Payload are fresh copies — they do not
-// alias b.
+// total on arbitrary bytes and reads through a StateReader: any
+// truncation, padded varint, trailing garbage or insane length fails
+// with an error, never a panic. The returned Tasks and Payload are
+// fresh copies — they do not alias b.
 func DecodeMutation(b []byte) (Mutation, error) {
 	var m Mutation
-	if len(b) < 1 {
-		return m, fmt.Errorf("core: mutation record truncated (%d bytes)", len(b))
-	}
-	op := MutationOp(b[0])
-	if op < MutCreate || op > MutSwept {
-		return m, fmt.Errorf("core: unknown mutation op %#02x", b[0])
-	}
-	i := 1
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(b[i:])
-		if n <= 0 { // truncated or >64-bit overflow
-			return 0, false
+	r := NewStateReader(b)
+	if op := r.Bytes(1); op != nil {
+		if m.Op = MutationOp(op[0]); m.Op < MutCreate || m.Op > MutSwept {
+			return Mutation{}, fmt.Errorf("core: unknown mutation op %#02x", op[0])
 		}
-		i += n
-		return v, true
 	}
-	runLen, ok := next()
-	if !ok || runLen > uint64(len(b)-i) {
-		return m, fmt.Errorf("core: mutation run id exceeds record size")
-	}
-	m.Op = op
-	m.Run = string(b[i : i+int(runLen)])
-	i += int(runLen)
-	seq, ok := next()
-	if !ok {
-		return m, fmt.Errorf("core: mutation record truncated at seq")
-	}
-	m.Seq = seq
-	if len(b)-i < 8 {
-		return m, fmt.Errorf("core: mutation record truncated at timestamp")
-	}
-	m.TimeNs = int64(binary.LittleEndian.Uint64(b[i:]))
-	i += 8
-	workerP1, ok := next()
-	if !ok || workerP1 > 1<<31 {
-		return m, fmt.Errorf("core: mutation worker index out of range")
-	}
-	m.Worker = int32(int64(workerP1) - 1)
-	nTasks, ok := next()
-	if !ok || nTasks > maxMutationTasks || nTasks > uint64(len(b)-i) {
-		return m, fmt.Errorf("core: mutation task count %d exceeds record size", nTasks)
-	}
-	if nTasks > 0 {
-		m.Tasks = make([]Task, nTasks)
+	m.Run = string(r.Bytes(r.Int(len(b), "run id length")))
+	m.Seq = r.Uvarint()
+	m.TimeNs = int64(r.Word())
+	m.Worker = int32(r.Int(1<<31, "worker+1") - 1)
+	// Each task takes a byte, so a count past len(b) is refused before
+	// it sizes an allocation.
+	if n := r.Int(min(maxMutationTasks, len(b)), "task count"); n > 0 {
+		m.Tasks = make([]Task, n)
 		for j := range m.Tasks {
-			t, ok := next()
-			if !ok {
-				return m, fmt.Errorf("core: mutation record truncated at task %d", j)
-			}
-			m.Tasks[j] = Task(t)
+			m.Tasks[j] = Task(r.Uvarint())
 		}
 	}
-	nPayload, ok := next()
-	if !ok || nPayload > maxMutationPayload || nPayload > uint64(len(b)-i) {
-		return m, fmt.Errorf("core: mutation payload length %d exceeds record size", nPayload)
+	if n := r.Int(maxMutationPayload, "payload length"); n > 0 {
+		m.Payload = bytes.Clone(r.Bytes(n))
 	}
-	if nPayload > 0 {
-		m.Payload = append([]byte(nil), b[i:i+int(nPayload)]...)
-		i += int(nPayload)
-	}
-	if i != len(b) {
-		return m, fmt.Errorf("core: %d trailing bytes after mutation record", len(b)-i)
+	if err := r.Done(); err != nil {
+		return Mutation{}, err
 	}
 	return m, nil
 }

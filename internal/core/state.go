@@ -25,13 +25,18 @@ type Snapshotter interface {
 	RestoreState(src []byte) error
 }
 
-// State encoding, shared by every Snapshotter: counts, indices and task
-// ids are unsigned varints, refused unless minimal; bitsets and rng
-// positions are 8-byte little-endian words; flags are one byte, 0 or 1.
-// Lengths the reader can derive from the shape or from earlier fields
-// are not written.
+// The one decoding rule. Every decoder of bytes from outside the
+// process — a driver's state, a snapshot, a journal record, a poll
+// frame, a trace — reads them through a StateReader, and so accepts
+// only what its encoder writes: a varint only in its shortest form
+// (binary.AppendUvarint's, or binary.AppendVarint's zigzag), a flag
+// byte only 0 or 1, a length only up to the bytes that remain, and no
+// byte past the end. Fixed-width words are little-endian. In a driver's
+// state, counts, indices and task ids are varints, bitsets and rng
+// positions are 8-byte words, and lengths the reader can derive from
+// the shape or from earlier fields are not written.
 
-// StateReader decodes a state. Every read is total: the first
+// StateReader decodes one encoded value. Every read is total: the first
 // malformed field records an error and every later read returns zero,
 // so a decoder reads straight through and checks Done once at the end.
 type StateReader struct {
@@ -59,27 +64,34 @@ func (r *StateReader) Fail(err error) {
 // Ok reports whether no error has been recorded.
 func (r *StateReader) Ok() bool { return r.err == nil }
 
-// Done returns the recorded error, or an error when bytes remain: a
-// state is consumed exactly.
+// Done returns the recorded error, or an error when bytes remain: an
+// encoding is consumed exactly.
 func (r *StateReader) Done() error {
 	if r.err == nil && len(r.b) > 0 {
-		r.err = fmt.Errorf("core: %d trailing bytes after state", len(r.b))
+		r.err = fmt.Errorf("core: %d trailing bytes", len(r.b))
 	}
 	return r.err
 }
 
-// Uvarint reads one minimal unsigned varint.
+// Uvarint reads one minimal unsigned varint. It is the one place that
+// decides what a varint is.
 func (r *StateReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 || n > 1 && r.b[n-1] == 0 {
-		r.Failf("core: state has a truncated or non-minimal varint")
+		r.Failf("core: truncated or non-minimal varint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
+}
+
+// Varint reads one minimal zigzag varint.
+func (r *StateReader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int reads a varint that must not exceed max, a bound its caller takes
@@ -87,24 +99,45 @@ func (r *StateReader) Uvarint() uint64 {
 func (r *StateReader) Int(max int, what string) int {
 	v := r.Uvarint()
 	if v > uint64(max) {
-		r.Failf("core: state has %s %d, above %d", what, v, max)
+		r.Failf("core: %s %d, above %d", what, v, max)
 		return 0
 	}
 	return int(v)
 }
 
+// U16 reads one 2-byte little-endian word.
+func (r *StateReader) U16() uint16 {
+	if b := r.Bytes(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+// U32 reads one 4-byte little-endian word.
+func (r *StateReader) U32() uint32 {
+	if b := r.Bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
 // Word reads one 8-byte little-endian word.
 func (r *StateReader) Word() uint64 {
-	if r.err != nil {
+	if b := r.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// Len reads a 4-byte little-endian length, which must not exceed the
+// bytes that remain.
+func (r *StateReader) Len() int {
+	n := r.U32()
+	if uint64(n) > uint64(len(r.b)) {
+		r.Failf("core: length %d, above the %d bytes that remain", n, len(r.b))
 		return 0
 	}
-	if len(r.b) < 8 {
-		r.Failf("core: state truncated")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
+	return int(n)
 }
 
 // Bool reads one flag byte.
@@ -114,7 +147,7 @@ func (r *StateReader) Bool() bool {
 	case b[0] == 1:
 		return true
 	case b[0] != 0:
-		r.Failf("core: state has flag byte %d", b[0])
+		r.Failf("core: flag byte %d", b[0])
 	}
 	return false
 }
@@ -125,7 +158,7 @@ func (r *StateReader) Bytes(n int) []byte {
 		return nil
 	}
 	if len(r.b) < n {
-		r.Failf("core: state truncated")
+		r.Failf("core: truncated")
 		return nil
 	}
 	b := r.b[:n:n]
@@ -152,7 +185,7 @@ func (r *StateReader) Bools(dst []bool) {
 		dst[i] = b[i/8]>>(i%8)&1 == 1
 	}
 	if tail := len(dst) % 8; tail != 0 && b[len(b)-1]>>tail != 0 {
-		r.Failf("core: state has flag padding bits set")
+		r.Failf("core: flag padding bits set")
 	}
 }
 

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"hetsched/internal/core"
 	"hetsched/internal/trace"
 )
 
@@ -112,9 +114,6 @@ var ErrOpLogSnapshot = errors.New("snapshot was written in the retired op-log fo
 // imports rather than being skipped.
 var ErrInexactTrace = errors.New("HSN2 snapshot holds a trace time no nanosecond count renders to")
 
-// maxSnapshotSlice bounds every slice length a decoder will accept.
-const maxSnapshotSlice = 1 << 26
-
 // AppendSnapshot appends the encoding of s to dst. The trailing CRC
 // covers the snapshot's own bytes only, so the encoding is position
 // independent — it may be embedded mid-stream (transfer streams do).
@@ -181,84 +180,11 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// snapReader pulls fixed-width fields off a snapshot body with
-// saturating error state, keeping every accessor total.
-type snapReader struct {
-	data []byte
-	i    int
-	bad  bool
-}
-
-func (r *snapReader) u16() uint16 {
-	if r.bad || len(r.data)-r.i < 2 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.data[r.i:])
-	r.i += 2
-	return v
-}
-
-func (r *snapReader) u32() uint32 {
-	if r.bad || len(r.data)-r.i < 4 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.i:])
-	r.i += 4
-	return v
-}
-
-func (r *snapReader) u64() uint64 {
-	if r.bad || len(r.data)-r.i < 8 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.i:])
-	r.i += 8
-	return v
-}
-
-// varint reads a zigzag varint, which must be in its shortest form.
-func (r *snapReader) varint() int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.i:])
-	if n <= 0 || (n > 1 && r.data[r.i+n-1] == 0) {
-		r.bad = true
-		return 0
-	}
-	r.i += n
-	return v
-}
-
-func (r *snapReader) i64() int64   { return int64(r.u64()) }
-func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *snapReader) sliceLen() int {
-	n := int(r.u32())
-	if n > maxSnapshotSlice || (!r.bad && n > len(r.data)-r.i) {
-		r.bad = true
-		return 0
-	}
-	return n
-}
-
-func (r *snapReader) bytes(n int) []byte {
-	if r.bad || len(r.data)-r.i < n {
-		r.bad = true
-		return nil
-	}
-	b := r.data[r.i : r.i+n]
-	r.i += n
-	return b
-}
-
 // DecodeSnapshot parses an encoded snapshot, HSN3 or HSN2. It is total
-// on arbitrary bytes and rejects any damage: bad magic, truncation,
-// trailing bytes, non-canonical booleans and varints, a trace that
-// does not parse (trace.ParseLog) and CRC mismatches all fail with an
-// error.
+// on arbitrary bytes and rejects any damage: bad magic, a CRC mismatch,
+// and whatever core.StateReader refuses (truncation, trailing bytes,
+// flag bytes other than 0 and 1, padded varints) or trace.ParseLog
+// does.
 func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 	if len(b) >= len(retiredMagic) && string(b[:4]) == string(retiredMagic[:]) {
 		return nil, fmt.Errorf("durable: %w", ErrOpLogSnapshot)
@@ -271,101 +197,91 @@ func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("durable: snapshot CRC mismatch")
 	}
-	r := snapReader{data: body, i: 4}
+	r := core.NewStateReader(body[4:])
 	s := &RunSnapshot{}
-	s.ID = string(r.bytes(int(r.u16())))
-	s.Mutations = r.u64()
-	switch flag := r.bytes(1); {
-	case r.bad:
-	case flag[0] == 1:
-		s.Expired = true
-	case flag[0] != 0:
-		return nil, fmt.Errorf("durable: snapshot has non-canonical bool %d", flag[0])
-	}
-	if n := r.sliceLen(); n > 0 {
-		s.Request = append([]byte(nil), r.bytes(n)...)
+	s.ID = string(r.Bytes(int(r.U16())))
+	s.Mutations = r.Word()
+	s.Expired = r.Bool()
+	if n := r.Len(); n > 0 {
+		s.Request = bytes.Clone(r.Bytes(n))
 	}
 	for _, p := range [...]*int64{
 		&s.CreatedNs, &s.StartNs, &s.LastNs, &s.LastPollNs,
 		&s.Assigned, &s.Completed, &s.Reclaimed, &s.Blocks, &s.Requests, &s.Polls,
 		&s.BatchN,
 	} {
-		*p = r.i64()
+		*p = int64(r.Word())
 	}
 	for _, p := range [...]*float64{&s.BatchMean, &s.BatchM2, &s.BatchMin, &s.BatchMax} {
-		*p = r.f64()
+		*p = math.Float64frombits(r.Word())
 	}
-	if n := r.sliceLen(); n > 0 && !r.bad {
+	if n := r.Len(); n > 0 {
 		s.BatchHist = make([]int64, n)
 		for i := range s.BatchHist {
-			s.BatchHist[i] = r.i64()
+			s.BatchHist[i] = int64(r.Word())
 		}
 	}
-	if n := r.sliceLen(); n > 0 && !r.bad {
+	if n := r.Len(); n > 0 {
 		s.Workers = make([]WorkerCounters, n)
 		for i := range s.Workers {
 			s.Workers[i] = WorkerCounters{
-				Requests:  r.i64(),
-				Tasks:     r.i64(),
-				Blocks:    r.i64(),
-				Reclaimed: r.i64(),
+				Requests:  int64(r.Word()),
+				Tasks:     int64(r.Word()),
+				Blocks:    int64(r.Word()),
+				Reclaimed: int64(r.Word()),
 			}
 		}
 	}
-	readTrace := r.hsn3Trace
+	readTrace := hsn3Trace
 	if hsn2 {
-		readTrace = r.hsn2Trace
+		readTrace = hsn2Trace
 	}
-	if err := readTrace(&s.Trace, len(s.Workers)); err != nil {
+	if err := readTrace(r, &s.Trace, len(s.Workers)); err != nil {
 		return nil, err
 	}
-	if n := r.sliceLen(); n > 0 && !r.bad {
+	if n := r.Len(); n > 0 {
 		s.Open = make([]int32, n)
 		for i := range s.Open {
-			s.Open[i] = int32(r.u32())
+			s.Open[i] = int32(r.U32())
 		}
 	}
-	if n := r.sliceLen(); n > 0 && !r.bad {
+	if n := r.Len(); n > 0 {
 		s.Grants = make([]Grant, n)
 		for i := range s.Grants {
 			s.Grants[i] = Grant{
-				Task:     r.i64(),
-				ExpiryNs: r.i64(),
-				Worker:   int32(r.u32()),
+				Task:     int64(r.Word()),
+				ExpiryNs: int64(r.Word()),
+				Worker:   int32(r.U32()),
 			}
 		}
 	}
-	if n := r.sliceLen(); n > 0 && !r.bad {
+	if n := r.Len(); n > 0 {
 		s.Stains = make([]Stain, n)
 		for i := range s.Stains {
-			s.Stains[i] = Stain{Task: r.i64(), Worker: int32(r.u32())}
+			s.Stains[i] = Stain{Task: int64(r.Word()), Worker: int32(r.U32())}
 		}
 	}
-	if n := r.sliceLen(); n > 0 {
-		s.Driver = append([]byte(nil), r.bytes(n)...)
+	if n := r.Len(); n > 0 {
+		s.Driver = bytes.Clone(r.Bytes(n))
 	}
-	if r.bad {
-		return nil, fmt.Errorf("durable: snapshot truncated")
-	}
-	if r.i != len(body) {
-		return nil, fmt.Errorf("durable: %d trailing bytes in snapshot", len(body)-r.i)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("durable: snapshot: %w", err)
 	}
 	return s, nil
 }
 
 // hsn3Trace reads a trace — count, records, end deltas — into l over p
 // workers.
-func (r *snapReader) hsn3Trace(l *trace.Log, p int) error {
-	n := r.sliceLen()
-	recs := append([]byte(nil), r.bytes(r.sliceLen())...)
-	ends := make([]int64, n)
+func hsn3Trace(r *core.StateReader, l *trace.Log, p int) error {
+	ends := make([]int64, r.Len())
+	recs := bytes.Clone(r.Bytes(r.Len()))
 	prev := int64(0)
 	for i := range ends {
-		prev += r.varint()
+		prev += r.Varint()
 		ends[i] = prev
 	}
-	if r.bad {
-		return nil // reported as truncation
+	if !r.Ok() {
+		return nil // reported by Done
 	}
 	tl, err := trace.ParseLog(recs, ends, p)
 	if err != nil {
@@ -377,10 +293,11 @@ func (r *snapReader) hsn3Trace(l *trace.Log, p int) error {
 
 // hsn2Trace reads an HSN2 trace — n segments of proc, start and end in
 // float seconds, tasks and blocks — into l over p workers.
-func (r *snapReader) hsn2Trace(l *trace.Log, p int) error {
-	n := r.sliceLen()
-	for i := 0; i < n && !r.bad; i++ {
-		proc, start, end, tasks, blocks := r.i64(), r.f64(), r.f64(), r.i64(), r.i64()
+func hsn2Trace(r *core.StateReader, l *trace.Log, p int) error {
+	n := r.Len()
+	for i := 0; i < n && r.Ok(); i++ {
+		proc, start, end := int64(r.Word()), math.Float64frombits(r.Word()), math.Float64frombits(r.Word())
+		tasks, blocks := int64(r.Word()), int64(r.Word())
 		if proc < 0 || proc >= int64(p) || tasks < 0 || tasks > math.MaxInt32 || blocks < 0 || blocks > math.MaxInt32 {
 			return fmt.Errorf("durable: snapshot segment %d is out of range", i)
 		}

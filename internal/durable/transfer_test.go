@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,6 +71,12 @@ func TestDecodeTransferRejects(t *testing.T) {
 	}
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-3] ^= 0x40
+	// The create record with its seq 1 spelled 0x81 0x00, in a frame
+	// whose CRC is valid.
+	rec := core.AppendMutation(nil, create.Op, create.Run, create.Seq, create.TimeNs, create.Worker, nil, create.Payload)
+	seqAt := 2 + len(create.Run) // after the op, the run length and the run
+	rec = slices.Concat(rec[:seqAt], []byte{0x81, 0x00}, rec[seqAt+1:])
+	padded := appendFrame([]byte("HTX1\x00"), rec)
 
 	cases := map[string]struct {
 		b    []byte
@@ -84,6 +91,7 @@ func TestDecodeTransferRejects(t *testing.T) {
 		"frame torn":         {good[:len(good)-3], "frame truncated"},
 		"header torn":        {good[:len(good)-1], "frame"},
 		"frame corrupt":      {corrupt, "CRC mismatch"},
+		"padded varint":      {padded, "non-minimal varint"},
 		"trailing bytes":     {append(append([]byte(nil), good...), 0xaa), "frame header truncated"},
 		"no create first": {
 			AppendTransfer(nil, nil, []core.Mutation{poll("r1", 1)}),
@@ -138,42 +146,54 @@ func TestDecodeTransferRejects(t *testing.T) {
 //	            re-encodes with HSN3 and decodes to the same run.
 func FuzzTransferDecode(f *testing.F) {
 	recorded := recordedMigration(f)
-	f.Add(recorded)
-	f.Add(recorded[:len(recorded)-5])
 	mangled := append([]byte(nil), recorded...)
 	mangled[len(mangled)/2] ^= 0x80
-	f.Add(mangled)
-	f.Add(append(append([]byte(nil), recorded...), 0x00))
-	f.Add(AppendTransfer(nil, goldenSnapshot(), nil))
-	f.Add(AppendTransfer(nil, nil, []core.Mutation{
-		{Op: core.MutCreate, Run: "r1", Seq: 1, TimeNs: 10, Payload: []byte(`{"id":"r1"}`)},
-		{Op: core.MutPoll, Run: "r1", Seq: 2, TimeNs: 20, Worker: 1, Tasks: []core.Task{7}},
-	}))
-	f.Add([]byte{})
-	f.Add([]byte("HTX1"))
-	f.Add([]byte("HTX1\x00"))
-	f.Add([]byte("HTX1\x01\x00\x00\x00\x00"))
 	hsn2 := hsn2Fixture(f)
-	f.Add(append(binary.LittleEndian.AppendUint32([]byte("HTX1\x01"), uint32(len(hsn2))), hsn2...))
+	for _, b := range [][]byte{
+		recorded,
+		recorded[:len(recorded)-5],
+		mangled,
+		append(append([]byte(nil), recorded...), 0x00),
+		AppendTransfer(nil, goldenSnapshot(), nil),
+		AppendTransfer(nil, nil, []core.Mutation{
+			{Op: core.MutCreate, Run: "r1", Seq: 1, TimeNs: 10, Payload: []byte(`{"id":"r1"}`)},
+			{Op: core.MutPoll, Run: "r1", Seq: 2, TimeNs: 20, Worker: 1, Tasks: []core.Task{7}},
+		}),
+		{},
+		[]byte("HTX1"),
+		[]byte("HTX1\x00"),
+		[]byte("HTX1\x01\x00\x00\x00\x00"),
+		append(binary.LittleEndian.AppendUint32([]byte("HTX1\x01"), uint32(len(hsn2))), hsn2...),
+	} {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		snap, tail, err := DecodeTransfer(b)
-		if err != nil {
-			return
-		}
-		if snap == nil && len(tail) == 0 {
-			t.Fatalf("accepted stream with neither snapshot nor tail")
-		}
-		re := AppendTransfer(nil, snap, tail)
-		if snap != nil && string(b[9:13]) == string(hsn2Magic[:]) {
-			s2, tail2, err := DecodeTransfer(re)
-			if err != nil || !reflect.DeepEqual(s2, snap) || !reflect.DeepEqual(tail2, tail) {
-				t.Fatalf("accepted transfer with an HSN2 snapshot does not survive HSN3 (%v)", err)
-			}
-			return
-		}
-		if !bytes.Equal(re, b) {
-			t.Fatalf("accepted transfer is not canonical:\n in  %x\n out %x", b, re)
-		}
+		checkTransfer(t, b)
+		b = bytes.Clone(b)
+		resealTransfer(b)
+		checkTransfer(t, b)
 	})
+}
+
+// checkTransfer holds FuzzTransferDecode's properties for one input.
+func checkTransfer(t *testing.T, b []byte) {
+	snap, tail, err := DecodeTransfer(b)
+	if err != nil {
+		return
+	}
+	if snap == nil && len(tail) == 0 {
+		t.Fatalf("accepted stream with neither snapshot nor tail")
+	}
+	re := AppendTransfer(nil, snap, tail)
+	if snap != nil && string(b[9:13]) == string(hsn2Magic[:]) {
+		s2, tail2, err := DecodeTransfer(re)
+		if err != nil || !reflect.DeepEqual(s2, snap) || !reflect.DeepEqual(tail2, tail) {
+			t.Fatalf("accepted transfer with an HSN2 snapshot does not survive HSN3 (%v)", err)
+		}
+		return
+	}
+	if !bytes.Equal(re, b) {
+		t.Fatalf("accepted transfer is not canonical:\n in  %x\n out %x", b, re)
+	}
 }

@@ -31,9 +31,11 @@ import (
 //
 // Varints are encoding/binary's; zigzag carries the signed values so a
 // malicious negative worker survives the trip and is rejected by the
-// Host exactly like its JSON twin. Truncated or trailing bytes reject
-// the whole frame: a length-framed protocol that silently ignored a
-// tail would mask client bugs.
+// Host exactly like its JSON twin. A frame is read through
+// core.StateReader, so it keeps the one decoding rule: a padded varint,
+// a truncated field or a trailing byte rejects the whole frame — a
+// length-framed protocol that silently ignored a tail would mask client
+// bugs.
 
 // ContentTypeFrame negotiates the binary poll frame. A worker sends
 // its request with this Content-Type to have the body parsed as a
@@ -263,48 +265,17 @@ func appendNextResponseJSON(dst []byte, status string, tasks []core.Task, blocks
 
 // --- Binary frame -----------------------------------------------------
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendUvarint(dst []byte, u uint64) []byte {
-	return binary.AppendUvarint(dst, u)
-}
-
-// frameReader pulls varints off a frame payload with saturating error
-// state, so decode paths read linearly and check once.
-type frameReader struct {
-	data []byte
-	i    int
-	bad  bool
-}
-
-func (r *frameReader) uvarint() uint64 {
-	u, n := binary.Uvarint(r.data[r.i:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.i += n
-	return u
-}
-
-func (r *frameReader) svarint() int64 { return unzigzag(r.uvarint()) }
-
-func (r *frameReader) done() bool { return !r.bad && r.i == len(r.data) }
-
 // appendNextResponseFrame is the server-side response framing, built
 // from the host's native types like the JSON fast path. status is one
 // of the protocol's three.
 func appendNextResponseFrame(dst []byte, status string, tasks []core.Task, blocks int, leaseSeconds float64) []byte {
 	dst = append(dst, frameMagic0, frameMagic1, frameResp, statusCodes[status])
-	dst = appendUvarint(dst, uint64(len(tasks)))
+	dst = binary.AppendUvarint(dst, uint64(len(tasks)))
 	for _, t := range tasks {
-		dst = appendUvarint(dst, zigzag(int64(t)))
+		dst = binary.AppendVarint(dst, int64(t))
 	}
-	dst = appendUvarint(dst, zigzag(int64(blocks)))
-	var lease [8]byte
-	binary.LittleEndian.PutUint64(lease[:], math.Float64bits(leaseSeconds))
-	return append(dst, lease[:]...)
+	dst = binary.AppendVarint(dst, int64(blocks))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(leaseSeconds))
 }
 
 // decodeNextRequestFrame parses a poll-request frame, appending the
@@ -319,22 +290,15 @@ func decodeNextRequestFrame(data []byte, buf []core.Task) (worker int64, complet
 	if data[2] != frameReq {
 		return 0, completed, fmt.Errorf("frame: message type %#02x is not a request", data[2])
 	}
-	r := frameReader{data: data, i: 3}
-	worker = r.svarint()
-	count := r.uvarint()
-	// Each task costs at least one payload byte, so a count the buffer
-	// cannot possibly satisfy is corruption — reject before allocating.
-	if count > uint64(len(data)) {
-		return 0, completed, fmt.Errorf("frame: task count %d exceeds frame size", count)
+	r := core.NewStateReader(data[3:])
+	worker = r.Varint()
+	// Each task takes a byte, so a count past the frame's size is
+	// refused before it grows buf.
+	for range r.Int(len(data), "task count") {
+		completed = append(completed, core.Task(r.Varint()))
 	}
-	for k := uint64(0); k < count; k++ {
-		completed = append(completed, core.Task(r.svarint()))
-	}
-	if !r.done() {
-		if r.bad {
-			return 0, completed[:0], fmt.Errorf("frame: truncated request")
-		}
-		return 0, completed[:0], fmt.Errorf("frame: %d trailing bytes", len(data)-r.i)
+	if err := r.Done(); err != nil {
+		return 0, completed[:0], fmt.Errorf("frame: %w", err)
 	}
 	return worker, completed, nil
 }

@@ -45,10 +45,10 @@ func restoreFromSnapshot(run *Run) (*Host, error) {
 // request to dst.
 func AppendNextRequestFrame(dst []byte, worker int64, completed []int64) []byte {
 	dst = append(dst, frameMagic0, frameMagic1, frameReq)
-	dst = appendUvarint(dst, zigzag(worker))
-	dst = appendUvarint(dst, uint64(len(completed)))
+	dst = binary.AppendVarint(dst, worker)
+	dst = binary.AppendUvarint(dst, uint64(len(completed)))
 	for _, t := range completed {
-		dst = appendUvarint(dst, zigzag(t))
+		dst = binary.AppendVarint(dst, t)
 	}
 	return dst
 }
@@ -98,38 +98,18 @@ func DecodeNextResponseFrame(data []byte) (NextResponse, error) {
 	if int(code) >= len(statusNames) || statusNames[code] == "" {
 		return NextResponse{}, fmt.Errorf("frame: unknown status code %d", code)
 	}
-	r := frameReader{data: data, i: 4}
-	count := r.uvarint()
-	if count > uint64(len(data)) {
-		return NextResponse{}, fmt.Errorf("frame: task count %d exceeds frame size", count)
-	}
+	r := core.NewStateReader(data[4:])
 	resp := NextResponse{Status: statusNames[code]}
-	if count > 0 {
-		resp.Tasks = make([]int64, 0, count)
-		for k := uint64(0); k < count; k++ {
-			resp.Tasks = append(resp.Tasks, r.svarint())
-		}
+	for range r.Int(len(data), "task count") {
+		resp.Tasks = append(resp.Tasks, r.Varint())
 	}
-	resp.Blocks = int(r.svarint())
-	resp.LeaseSeconds = r.float64()
-	if !r.done() {
-		if r.bad {
-			return NextResponse{}, fmt.Errorf("frame: truncated response")
-		}
-		return NextResponse{}, fmt.Errorf("frame: %d trailing bytes", len(data)-r.i)
+	resp.Blocks = int(r.Varint())
+	resp.LeaseSeconds = math.Float64frombits(r.Word())
+	if err := r.Done(); err != nil {
+		return NextResponse{}, fmt.Errorf("frame: %w", err)
 	}
 	return resp, nil
 }
 
 // statusNames maps frame status bytes back onto the wire statuses.
 var statusNames = [4]string{0: "", 1: StatusOK, 2: StatusWait, 3: StatusDone}
-
-func (r *frameReader) float64() float64 {
-	if r.i+8 > len(r.data) {
-		r.bad = true
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.i:]))
-	r.i += 8
-	return v
-}

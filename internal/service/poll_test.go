@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"hetsched/internal/core"
 	"hetsched/internal/pollserve"
 )
 
@@ -18,38 +19,63 @@ import (
 const servePollAllocCeiling = 1
 
 // TestServePollAllocs is a counted gate: a poll the loop carries
-// allocates nothing.
+// allocates nothing, in JSON and in binary frames.
 func TestServePollAllocs(t *testing.T) {
-	svc := New(Options{GCInterval: -1})
-	defer svc.Close()
-	q := CreateRunRequest{ID: "allocs", Kernel: KernelOuter, Strategy: "random", N: 64, P: 4, Seed: 7, Batch: 1}
-	run, err := svc.opts.NewRun(q.ID, &q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.reg.Add(run)
-	// One worker drains the run, reporting in each poll the batch the
-	// last one granted; the request is rebuilt in place.
-	req := pollserve.Request{ID: q.ID, ContentType: []byte("application/json")}
-	var dst []byte
-	poll := func() {
-		req.Body = append(req.Body[:0], `{"worker":0,"completed":[`...)
-		if _, tasks, ok := bytes.Cut(dst, []byte(`"tasks":[`)); ok {
-			req.Body = append(req.Body, tasks[:bytes.IndexByte(tasks, ']')]...)
-		}
-		req.Body = append(req.Body, "]}"...)
-		dst = svc.ServePoll(dst[:0], &req)
-	}
-	for i := 0; i < 100; i++ {
-		poll()
-	}
-	if avg := testing.AllocsPerRun(500, poll); avg > servePollAllocCeiling {
-		t.Errorf("ServePoll allocates %.1f objects per poll, ceiling %d", avg, servePollAllocCeiling)
-	} else {
-		t.Logf("%.1f allocations per poll", avg)
-	}
-	if !bytes.HasPrefix(dst, []byte("HTTP/1.1 200 OK\r\n")) || !bytes.Contains(dst, []byte(`{"status":"ok","tasks":[`)) {
-		t.Fatalf("last poll answered %q, want a grant", dst)
+	// Each body reports the batch the last answer granted; it is
+	// rebuilt in place, and the frame's reported tasks are read into a
+	// reused buffer, so the test itself allocates nothing per poll.
+	var completed []int64
+	for _, tc := range []struct {
+		name, contentType, grant string
+		body                     func(body, last []byte) []byte
+	}{
+		{"json", "application/json", `{"status":"ok","tasks":[`, func(body, last []byte) []byte {
+			body = append(body[:0], `{"worker":0,"completed":[`...)
+			if _, tasks, ok := bytes.Cut(last, []byte(`"tasks":[`)); ok {
+				body = append(body, tasks[:bytes.IndexByte(tasks, ']')]...)
+			}
+			return append(body, "]}"...)
+		}},
+		{"frame", ContentTypeFrame, "\r\n\r\nS1\x02\x01", func(body, last []byte) []byte {
+			completed = completed[:0]
+			if _, frame, ok := bytes.Cut(last, []byte("\r\n\r\n")); ok && len(frame) > 4 {
+				r := core.NewStateReader(frame[4:])
+				for range r.Int(len(frame), "task count") {
+					completed = append(completed, r.Varint())
+				}
+			}
+			return AppendNextRequestFrame(body[:0], 0, completed)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Options{GCInterval: -1})
+			defer svc.Close()
+			q := CreateRunRequest{ID: "allocs", Kernel: KernelOuter, Strategy: "random", N: 64, P: 4, Seed: 7, Batch: 1}
+			run, err := svc.opts.NewRun(q.ID, &q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.reg.Add(run)
+			// One worker drains the run, reporting in each poll the batch
+			// the last one granted.
+			req := pollserve.Request{ID: q.ID, ContentType: []byte(tc.contentType), Accept: []byte(tc.contentType)}
+			var dst []byte
+			poll := func() {
+				req.Body = tc.body(req.Body, dst)
+				dst = svc.ServePoll(dst[:0], &req)
+			}
+			for i := 0; i < 100; i++ {
+				poll()
+			}
+			if avg := testing.AllocsPerRun(500, poll); avg > servePollAllocCeiling {
+				t.Errorf("ServePoll allocates %.1f objects per poll, ceiling %d", avg, servePollAllocCeiling)
+			} else {
+				t.Logf("%.1f allocations per poll", avg)
+			}
+			if !bytes.HasPrefix(dst, []byte("HTTP/1.1 200 OK\r\n")) || !bytes.Contains(dst, []byte(tc.grant)) {
+				t.Fatalf("last poll answered %q, want a grant", dst)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"hetsched/internal/core"
 )
 
 // Log is a served run's trace in the form the run keeps and its
@@ -141,32 +143,22 @@ func (l *Log) Clone() Log {
 var errBadLog = errors.New("trace: malformed segment log")
 
 // ParseLog adopts recs and ends (no copy) as a Log. It is total and
-// accepts only what Append writes: exactly len(ends) records with
-// minimal varints, every proc below p and every count at most MaxInt32,
-// and no trailing bytes.
+// accepts only what Append writes: exactly len(ends) records under
+// core.StateReader's rule, every proc below p and every count at most
+// MaxInt32, and no trailing bytes.
 func ParseLog(recs []byte, ends []int64, p int) (Log, error) {
 	l := Log{recs: recs, ends: ends}
-	for i := 0; i < len(ends); i++ {
-		d, n := binary.Varint(recs)
-		if !minimal(recs, n) {
-			return Log{}, fmt.Errorf("%w: record %d start", errBadLog, i)
+	r := core.NewStateReader(recs)
+	for i := 0; i < len(ends) && r.Ok(); i++ {
+		l.last += r.Varint()
+		if proc := r.Int(math.MaxInt32, "proc"); proc >= p {
+			r.Failf("trace: record %d is on proc %d of %d", i, proc, p)
 		}
-		recs = recs[n:]
-		var v [3]uint64
-		for k := range v {
-			x, n := binary.Uvarint(recs)
-			if !minimal(recs, n) || x > math.MaxInt32 {
-				return Log{}, fmt.Errorf("%w: record %d field %d", errBadLog, i, k+1)
-			}
-			v[k], recs = x, recs[n:]
-		}
-		if v[0] >= uint64(p) {
-			return Log{}, fmt.Errorf("%w: record %d is on proc %d of %d", errBadLog, i, v[0], p)
-		}
-		l.last += d
+		r.Int(math.MaxInt32, "task count")
+		r.Int(math.MaxInt32, "block count")
 	}
-	if len(recs) != 0 {
-		return Log{}, fmt.Errorf("%w: %d bytes past record %d", errBadLog, len(recs), len(ends))
+	if err := r.Done(); err != nil {
+		return Log{}, fmt.Errorf("%w: %w", errBadLog, err)
 	}
 	if len(l.recs) == 0 {
 		l.recs = nil
@@ -175,12 +167,6 @@ func ParseLog(recs []byte, ends []int64, p int) (Log, error) {
 		l.ends = nil
 	}
 	return l, nil
-}
-
-// minimal reports whether the varint decoded as n bytes of b is valid
-// and in its shortest form: no final 0x00 continuation byte.
-func minimal(b []byte, n int) bool {
-	return n > 0 && (n == 1 || b[n-1] != 0)
 }
 
 // Trace renders the log as a Trace over p processors.
